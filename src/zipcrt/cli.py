@@ -19,7 +19,8 @@ recording the command, a digest of the fully-resolved configuration, the
 seed, and the tool version; rerunning with the same inputs reproduces the
 artifact byte for byte.
 
-Exit codes: 0 success, 2 validation error, 3 runtime/convergence error.
+Exit codes: 0 success, 2 validation error, 3 runtime error (for example a
+dataset whose mean model is undefined).
 """
 
 from __future__ import annotations
@@ -253,8 +254,13 @@ def _cmd_fit(args) -> int:
         print(f"{name},{_fmt(fit.alpha_hat[i])},,")
     print(f"p1_hat,{_fmt(fit.p_hat[0])},,")
     print(f"p2_hat,{_fmt(fit.p_hat[1])},,")
-    if not fit.converged:
-        print("warning: fit did not converge", file=sys.stderr)
+    for k, p in enumerate(fit.p_hat, start=1):
+        if p == 0.0:
+            print(
+                f"warning: p{k}_hat is on the boundary 0 (the arm has no more "
+                "zeros than a Poisson model predicts)",
+                file=sys.stderr,
+            )
     if fit.degenerate:
         print("warning: degenerate fit (an arm has no zeros)", file=sys.stderr)
 

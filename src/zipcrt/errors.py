@@ -14,8 +14,8 @@ class ConfigError(ZipCrtError, ValueError):
 
 
 class EstimationError(ZipCrtError, RuntimeError):
-    """Model fitting is impossible on the given data (degenerate arms,
-    singular systems, unrecoverable non-convergence)."""
+    """Model fitting is impossible on the given data (an arm absent or with
+    all-zero outcomes, too few clusters, singular systems)."""
 
 
 class StudyError(ZipCrtError, RuntimeError):

@@ -1,18 +1,28 @@
-"""GEE estimation of the marginal ZIP model with robust variances.
+"""GEE estimation of the marginal ZIP model with robust variances, in closed form.
 
 The mean model is ``log mu_i = beta1 + beta2 * r_i`` with a cluster-level
-arm indicator ``r_i``, fitted with an independence working correlation and
-per-subject working variances ``mu_i * (1 + odds(p_i) * mu_i)``.  The
-structural-zero probabilities enter as plug-in values ``p_hat`` and are
-themselves estimated by an expectation-solution (ES) iteration: latent zero
-indicators are replaced by their posterior means given the current fit, and
-the zero-model moment equations are re-solved.
+arm indicator ``r_i``, an independence working correlation and per-subject
+working variances ``mu_i * (1 + odds(p_i) * mu_i)``, where the
+structural-zero probabilities enter as plug-in values ``p_hat``.  With only
+the intercept and the arm indicator as covariates, every estimate is a
+function of the per-arm totals (subjects ``M_a``, outcome sums ``S_a``, zero
+counts ``Z_a``) and the per-cluster sums:
 
-Because the design contains only the intercept and the arm indicator, every
-estimating equation depends on the data through per-arm totals (subjects,
-outcome sums, zero counts) and per-cluster residual sums.  The solvers work
-on those sufficient statistics directly, which keeps the leave-one-cluster-
-out refits of the Jackknife exact and cheap.
+  * the working weights are constant within an arm and cancel from the
+    score and the sandwich, so ``beta_hat`` is the pair of arm log-means
+    ``log(S_a / M_a)`` (intercept, contrast) whatever ``p_hat`` is;
+  * the expectation-solution (ES) iteration for the zero model, which
+    replaces latent zero indicators by their posterior means and re-solves
+    the moment equation, has its fixed point at the root of
+    ``p + (1 - p) * exp(-ybar_a / (1 - p)) = Z_a / M_a`` with
+    ``ybar_a = S_a / M_a``, or at the boundary 0 when
+    ``Z_a / M_a <= exp(-ybar_a)``;
+  * deleting cluster ``i`` changes only its own arm's totals, so the ``N``
+    leave-one-cluster-out ``beta`` of the Jackknife are log-means of reduced
+    totals, evaluated in one array pass.
+
+A fit therefore fails only when the mean model is undefined: an arm is
+absent or has all-zero outcomes, in the data or after a Jackknife deletion.
 
 Variance scale conventions (important):
 
@@ -32,112 +42,61 @@ from typing import Optional
 
 import numpy as np
 
+from .design import infer_p1_from_observed
 from .errors import DomainError, EstimationError
 from .power import normal_quantile, t_quantile
 from .simulate import TrialDataset
 
-
-@dataclass(frozen=True)
-class _ArmTotals:
-    """Sufficient statistics of one arm: subjects, outcome sum, zero count."""
-
-    m: float
-    s: float
-    z: float
-
-    def without(self, m: float, s: float, z: float) -> "_ArmTotals":
-        return _ArmTotals(self.m - m, self.s - s, self.z - z)
+_ARM_NAMES = ("control", "intervention")
 
 
 class _ClusterStats:
-    """Per-cluster aggregates of a dataset, in cluster order."""
+    """Per-cluster aggregates of a dataset, in cluster order, and arm totals."""
 
     def __init__(self, data: TrialDataset):
-        n = data.n_clusters
-        self.ids = np.empty(n, dtype=np.int64)
-        self.arm = np.empty(n, dtype=np.int64)
-        self.m = np.empty(n, dtype=np.float64)
-        self.ysum = np.empty(n, dtype=np.float64)
-        self.nzero = np.empty(n, dtype=np.float64)
-        for i, cluster in enumerate(data.clusters):
-            self.ids[i] = cluster.cluster_id
-            self.arm[i] = cluster.arm
-            self.m[i] = cluster.size
-            self.ysum[i] = float(cluster.outcomes.sum())
-            self.nzero[i] = float(np.count_nonzero(cluster.outcomes == 0))
-        self.n = n
+        clusters = data.clusters
+        self.n = len(clusters)
+        self.ids = np.array([c.cluster_id for c in clusters], dtype=np.int64)
+        self.arm = np.array([c.arm for c in clusters], dtype=np.int64)
+        # per-cluster reductions, not one concatenation: a 10,000-cluster
+        # dataset would otherwise hold a second copy of every outcome
+        self.m = np.array([c.outcomes.size for c in clusters], dtype=np.float64)
+        self.ysum = np.array([c.outcomes.sum() for c in clusters], dtype=np.float64)
+        self.nzero = self.m - [np.count_nonzero(c.outcomes) for c in clusters]
+        self.subjects = np.bincount(self.arm, weights=self.m, minlength=2)
+        self.outcomes = np.bincount(self.arm, weights=self.ysum, minlength=2)
+        self.zeros = np.bincount(self.arm, weights=self.nzero, minlength=2)
 
-    def arm_totals(self, arm: int) -> _ArmTotals:
-        mask = self.arm == arm
-        return _ArmTotals(
-            float(self.m[mask].sum()),
-            float(self.ysum[mask].sum()),
-            float(self.nzero[mask].sum()),
-        )
+    def log_means(self) -> np.ndarray:
+        """Arm log-means ``log(S_a / M_a)``.
 
+        Raises:
+            EstimationError: an arm is absent or has all-zero outcomes.
+        """
+        if self.subjects.min() <= 0:
+            raise EstimationError("both arms must be present in the data")
+        for arm in (0, 1):
+            if self.outcomes[arm] <= 0:
+                raise EstimationError(
+                    f"{_ARM_NAMES[arm]} arm has all-zero outcomes; log-mean undefined"
+                )
+        return np.log(self.outcomes / self.subjects)
 
-def _require_both_arms(t0: _ArmTotals, t1: _ArmTotals) -> None:
-    if t0.m <= 0 or t1.m <= 0:
-        raise EstimationError("both arms must be present in the data")
-    if t0.s <= 0:
-        raise EstimationError("control arm has all-zero outcomes; log-mean undefined")
-    if t1.s <= 0:
-        raise EstimationError(
-            "intervention arm has all-zero outcomes; log-mean undefined"
-        )
+    def beta(self) -> np.ndarray:
+        log_mean = self.log_means()
+        return np.array([log_mean[0], log_mean[1] - log_mean[0]])
 
-
-def _fit_beta_totals(
-    t0: _ArmTotals,
-    t1: _ArmTotals,
-    p0: float,
-    p1: float,
-    beta_init: Optional[tuple[float, float]],
-    tol: float,
-    max_iter: int,
-) -> tuple[float, float, int, bool, list[tuple[float, float]]]:
-    """Newton-Raphson solve of the weighted mean-model score on arm totals."""
-    _require_both_arms(t0, t1)
-    odds0 = p0 / (1.0 - p0)
-    odds1 = p1 / (1.0 - p1)
-    if beta_init is None:
-        mean0 = t0.s / t0.m
-        mean1 = t1.s / t1.m
-        b1 = math.log(mean0 + 1e-6)
-        b2 = math.log((mean1 + 1e-6) / (mean0 + 1e-6))
-    else:
-        b1, b2 = beta_init
-    trace = [(b1, b2)]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        mu0 = math.exp(b1)
-        mu1 = math.exp(b1 + b2)
-        w0 = 1.0 / (1.0 + odds0 * mu0)
-        w1 = 1.0 / (1.0 + odds1 * mu1)
-        # score components and the 2x2 information [[x+y, y], [y, y]]
-        u1 = w0 * (t0.s - t0.m * mu0) + w1 * (t1.s - t1.m * mu1)
-        u2 = w1 * (t1.s - t1.m * mu1)
-        x = w0 * t0.m * mu0
-        y = w1 * t1.m * mu1
-        if not (math.isfinite(u1) and math.isfinite(u2)) or x <= 0.0 or y <= 0.0:
-            return b1, b2, iterations, False, trace
-        d1 = (u1 - u2) / x
-        d2 = u2 / y - d1
-        b1 += d1
-        b2 += d2
-        trace.append((b1, b2))
-        if max(abs(d1), abs(d2)) < tol:
-            converged = True
-            break
-    return b1, b2, iterations, converged, trace
-
-
-def _zero_posterior_weight(p: float, lam: float) -> float:
-    """Posterior probability that an observed zero is structural."""
-    if p <= 0.0:
-        return 0.0
-    return 1.0 / (1.0 + ((1.0 - p) / p) * math.exp(-lam))
+    def p_hat(self) -> tuple[float, float]:
+        """ES fixed point of each arm's structural-zero probability."""
+        p = []
+        for arm in (0, 1):
+            zero_fraction = self.zeros[arm] / self.subjects[arm]
+            if zero_fraction <= 0.0:  # no zeros at all: the boundary
+                p.append(0.0)
+            else:
+                ybar = self.outcomes[arm] / self.subjects[arm]
+                p.append(infer_p1_from_observed(float(ybar), float(zero_fraction)))
+        return p[0], p[1]
 
 
 def _logit(p: float) -> float:
@@ -157,78 +116,12 @@ def _alpha_from_p(p0: float, p1: float) -> np.ndarray:
     return np.array([a1, a2])
 
 
-def _fit_es_totals(
-    t0: _ArmTotals,
-    t1: _ArmTotals,
-    init: Optional[tuple[tuple[float, float], tuple[float, float]]],
-    es_tol: float,
-    beta_tol: float,
-    max_iter: int,
-) -> tuple[tuple[float, float], tuple[float, float], int, bool, bool, int]:
-    """ES iteration on arm totals.
-
-    Returns ``(beta, p, iterations, converged, degenerate, beta_iterations)``.
-    ``init`` optionally carries ``(beta, p)`` starting values (used by the
-    leave-one-out refits); otherwise the zero-fraction logistic fit
-    initializes ``p`` and the arm log-means initialize ``beta``.
-    """
-    _require_both_arms(t0, t1)
-    zero_frac0 = t0.z / t0.m
-    zero_frac1 = t1.z / t1.m
-    # Zero-fraction logistic fit: for an intercept+arm model the estimates
-    # are the arm-wise proportions mapped through the logit.
-    if init is None:
-        beta: Optional[tuple[float, float]] = None
-        p0, p1 = zero_frac0, zero_frac1
-    else:
-        beta, (p0, p1) = init
-    degenerate = zero_frac0 <= 0.0 or zero_frac1 <= 0.0
-    p0 = min(p0, 1.0 - 1e-12) if zero_frac0 > 0.0 else 0.0
-    p1 = min(p1, 1.0 - 1e-12) if zero_frac1 > 0.0 else 0.0
-
-    converged = False
-    iterations = 0
-    beta_iterations = 0
-    for iterations in range(1, max_iter + 1):
-        b1, b2, beta_iterations, beta_ok, _ = _fit_beta_totals(
-            t0, t1, p0, p1, beta, beta_tol, max_iter
-        )
-        if not beta_ok:
-            return (b1, b2), (p0, p1), iterations, False, degenerate, beta_iterations
-        mu0 = math.exp(b1)
-        mu1 = math.exp(b1 + b2)
-        # Zero-model moment equations zero at the arm means of the posterior
-        # weights, i.e. p_new = weight * observed zero fraction.
-        p0_new = _zero_posterior_weight(p0, mu0 / (1.0 - p0)) * zero_frac0
-        p1_new = _zero_posterior_weight(p1, mu1 / (1.0 - p1)) * zero_frac1
-        change = 0.0
-        if beta is not None:
-            change = max(abs(b1 - beta[0]), abs(b2 - beta[1]))
-        for old, new in ((p0, p0_new), (p1, p1_new)):
-            a_old, a_new = _logit(old), _logit(new)
-            if a_old == a_new:  # covers the stable boundary p == 0
-                continue
-            if math.isinf(a_old) or math.isinf(a_new):
-                change = math.inf
-            else:
-                change = max(change, abs(a_new - a_old))
-        beta = (b1, b2)
-        p0, p1 = p0_new, p1_new
-        if iterations > 1 and change < es_tol:
-            converged = True
-            break
-    assert beta is not None
-    return beta, (p0, p1), iterations, converged, degenerate, beta_iterations
-
-
 @dataclass
 class BetaFit:
-    """Mean-model fit: estimates plus the Newton-Raphson iteration trace."""
+    """Mean-model fit; ``converged`` is always True for a defined fit."""
 
     beta: np.ndarray
-    iterations: int
     converged: bool
-    trace: list[tuple[float, float]]
 
 
 @dataclass
@@ -236,14 +129,14 @@ class ESFit:
     """Joint fit of the mean model and the structural-zero model.
 
     ``alpha_hat`` parameterizes the zero model on the logit scale
-    (intercept, arm contrast); components are ``-inf`` when the fit is
-    degenerate because an arm contains no zeros at all.
+    (intercept, arm contrast); a component is ``-inf`` when its arm's
+    ``p_hat`` is at the boundary 0.  ``degenerate`` flags an arm with no
+    zeros at all.  ``converged`` is always True for a defined fit.
     """
 
     alpha_hat: np.ndarray
     p_hat: tuple[float, float]
     beta_hat: np.ndarray
-    iterations: int
     converged: bool
     degenerate: bool
 
@@ -255,7 +148,8 @@ class GeeFit:
     ``sigma_naive`` is the sandwich covariance of ``sqrt(N) * beta_hat``;
     ``sigma_jackknife`` is the leave-one-cluster-out covariance of
     ``beta_hat`` (``None`` when not computed).  Use :meth:`sigma2_sq` or the
-    ``se_*`` properties rather than mixing the raw scales.
+    ``se_*`` properties rather than mixing the raw scales.  ``converged`` is
+    always True for a defined fit.
     """
 
     beta_hat: np.ndarray
@@ -264,7 +158,6 @@ class GeeFit:
     sigma_naive: np.ndarray
     sigma_jackknife: Optional[np.ndarray]
     converged: bool
-    iterations: int
     degenerate: bool
     n_clusters: int
 
@@ -303,34 +196,21 @@ class WaldTest:
     alpha_level: float
 
 
-def fit_beta(
-    data: TrialDataset,
-    p_hat: tuple[float, float],
-    *,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> BetaFit:
-    """Fit the mean model by Newton-Raphson given plug-in zero probabilities.
+def fit_beta(data: TrialDataset, p_hat: tuple[float, float]) -> BetaFit:
+    """Fit the mean model given plug-in zero probabilities.
 
     With the cluster-level arm indicator as the only covariate the working
     weights are constant within arm and cancel from the score, so the
-    solution equals the arm-wise log sample means; the iteration is retained
-    because it also certifies the score actually zeroes out.
+    solution is the pair of arm log-means for every admissible ``p_hat``.
 
     Raises:
+        DomainError: a plug-in ``p`` outside [0, 1).
         EstimationError: an arm is absent or has all-zero outcomes.
     """
-    p0, p1 = p_hat
-    for p in (p0, p1):
+    for p in p_hat:
         if not (0.0 <= p < 1.0):
             raise DomainError(f"plug-in p must lie in [0, 1), got {p}")
-    stats = _ClusterStats(data)
-    b1, b2, iterations, converged, trace = _fit_beta_totals(
-        stats.arm_totals(0), stats.arm_totals(1), p0, p1, None, tol, max_iter
-    )
-    return BetaFit(
-        beta=np.array([b1, b2]), iterations=iterations, converged=converged, trace=trace
-    )
+    return BetaFit(beta=_ClusterStats(data).beta(), converged=True)
 
 
 def conditional_zero_mean(y: int, p: float, lam: float) -> float:
@@ -347,40 +227,34 @@ def conditional_zero_mean(y: int, p: float, lam: float) -> float:
         raise DomainError(f"p must lie in [0, 1), got {p}")
     if not (lam > 0.0):
         raise DomainError(f"lam must be positive, got {lam}")
-    if y > 0:
+    if y > 0 or p == 0.0:
         return 0.0
-    return _zero_posterior_weight(p, lam)
+    return 1.0 / (1.0 + ((1.0 - p) / p) * math.exp(-lam))
 
 
-def fit_alpha_es(
-    data: TrialDataset,
-    *,
-    es_tol: float = 1e-6,
-    beta_tol: float = 1e-8,
-    max_iter: int = 100,
-) -> ESFit:
-    """Estimate the zero model and mean model jointly by expectation-solution.
+def fit_alpha_es(data: TrialDataset) -> ESFit:
+    """Estimate the zero model and mean model jointly at the ES fixed point.
 
-    The zero-fraction logistic fit initializes the zero model; each pass
-    refits the mean model at the current plug-in probabilities, replaces the
-    latent indicators by their posterior means, and re-solves the zero-model
-    moment equations.  Stops when the largest change across all estimates
-    drops below ``es_tol``.
+    ``beta_hat`` is the pair of arm log-means and each arm's ``p_hat`` solves
+    ``p + (1 - p) * exp(-ybar / (1 - p)) = zero fraction``, or is 0 when
+    the zero fraction does not exceed ``exp(-ybar)``.  A fit is flagged
+    ``degenerate`` when an arm contains no zeros.
 
-    A fit is flagged ``degenerate`` when an arm contains no zeros, pinning
-    its probability to the boundary 0 (logit ``-inf``).
+    Raises:
+        EstimationError: an arm is absent or has all-zero outcomes.
     """
-    stats = _ClusterStats(data)
-    beta, p, iterations, converged, degenerate, _ = _fit_es_totals(
-        stats.arm_totals(0), stats.arm_totals(1), None, es_tol, beta_tol, max_iter
-    )
+    return _es_from_stats(_ClusterStats(data))
+
+
+def _es_from_stats(stats: _ClusterStats) -> ESFit:
+    beta = stats.beta()
+    p = stats.p_hat()
     return ESFit(
         alpha_hat=_alpha_from_p(*p),
         p_hat=p,
-        beta_hat=np.array(beta),
-        iterations=iterations,
-        converged=converged,
-        degenerate=degenerate,
+        beta_hat=beta,
+        converged=True,
+        degenerate=bool(stats.zeros.min() <= 0),
     )
 
 
@@ -392,12 +266,8 @@ def _sandwich_from_stats(
     weight = 1.0 / (1.0 + odds[stats.arm] * mu)
     residual_sum = stats.ysum - stats.m * mu
 
-    q = np.zeros(2)
-    v = np.zeros(2)
-    for arm in (0, 1):
-        mask = stats.arm == arm
-        q[arm] = float((stats.m[mask] * mu[mask] * weight[mask]).sum())
-        v[arm] = float(((weight[mask] * residual_sum[mask]) ** 2).sum())
+    q = np.bincount(stats.arm, weights=stats.m * mu * weight, minlength=2)
+    v = np.bincount(stats.arm, weights=(weight * residual_sum) ** 2, minlength=2)
     if q[0] <= 0.0 or q[1] <= 0.0:
         raise EstimationError("singular weight matrix: an arm is absent")
 
@@ -425,71 +295,48 @@ def sandwich_variance(
     return _sandwich_from_stats(_ClusterStats(data), np.asarray(beta_hat), p_hat)
 
 
-def jackknife_variance(
-    data: TrialDataset,
-    *,
-    es_tol: float = 1e-6,
-    beta_tol: float = 1e-8,
-    max_iter: int = 100,
-    _full: Optional[tuple[tuple[float, float], tuple[float, float]]] = None,
-) -> np.ndarray:
+def _jackknife_from_stats(stats: _ClusterStats) -> np.ndarray:
+    n = stats.n
+    if n < 3:
+        raise EstimationError(f"jackknife needs at least 3 clusters, got {n}")
+    log_mean = stats.log_means()
+    # Deleting cluster i leaves the other arm's totals, and so its log-mean,
+    # unchanged; only its own arm's log-mean moves, by delta_i.
+    loo_subjects = stats.subjects[stats.arm] - stats.m
+    loo_outcomes = stats.outcomes[stats.arm] - stats.ysum
+    for what, bad in (
+        ("empties arm", loo_subjects <= 0),
+        ("leaves all-zero outcomes in arm", loo_outcomes <= 0),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise EstimationError(
+                f"removing cluster {stats.ids[i]} {what} {stats.arm[i]}"
+            )
+    delta = np.log(loo_outcomes / loo_subjects) - log_mean[stats.arm]
+    # Deviations of (beta1, beta2) are (delta, -delta) for a control cluster
+    # and (0, delta) for an intervention cluster, so sum(dev dev^T) needs
+    # only each arm's sum of squared deltas.
+    d0, d1 = np.bincount(stats.arm, weights=delta * delta, minlength=2)
+    scale = (n - 2) / n
+    return scale * np.array([[d0, -d0], [-d0, d0 + d1]])
+
+
+def jackknife_variance(data: TrialDataset) -> np.ndarray:
     """Leave-one-cluster-out covariance of ``beta_hat``.
 
-    Refits the complete ES pipeline on every dataset with one cluster
-    removed (initialized at the full-data estimates, with one fresh-start
-    retry on non-convergence) and combines the deviations from the
-    full-data estimate with the small-sample factor ``(N - 2) / N``.
+    Evaluates the fit on every dataset with one cluster removed and combines
+    the deviations from the full-data estimate with the small-sample factor
+    ``(N - 2) / N``.  Each deletion's ``beta`` is a pair of log-means of the
+    reduced arm totals, so the refits are exact.
 
     Resampling at cluster level preserves the within-cluster correlation.
 
     Raises:
-        EstimationError: fewer than 3 clusters, a removal empties an arm or
-            leaves it all-zero, or a refit fails to converge after retry.
+        EstimationError: fewer than 3 clusters, an arm absent or all-zero in
+            the data, or a removal that empties an arm or leaves it all-zero.
     """
-    stats = _ClusterStats(data)
-    if stats.n < 3:
-        raise EstimationError(f"jackknife needs at least 3 clusters, got {stats.n}")
-    totals = (stats.arm_totals(0), stats.arm_totals(1))
-    if _full is None:
-        beta, p, _, converged, _, _ = _fit_es_totals(
-            totals[0], totals[1], None, es_tol, beta_tol, max_iter
-        )
-        if not converged:
-            raise EstimationError("full-data fit did not converge")
-    else:
-        beta, p = _full
-    full_init = (beta, p)
-
-    deviations = np.empty((stats.n, 2))
-    for i in range(stats.n):
-        arm = int(stats.arm[i])
-        reduced = list(totals)
-        reduced[arm] = totals[arm].without(stats.m[i], stats.ysum[i], stats.nzero[i])
-        if reduced[arm].m <= 0:
-            raise EstimationError(
-                f"removing cluster {stats.ids[i]} empties arm {arm}"
-            )
-        try:
-            loo_beta, _, _, ok, _, _ = _fit_es_totals(
-                reduced[0], reduced[1], full_init, es_tol, beta_tol, max_iter
-            )
-            if not ok:  # single retry from the fresh initialization
-                loo_beta, _, _, ok, _, _ = _fit_es_totals(
-                    reduced[0], reduced[1], None, es_tol, beta_tol, max_iter
-                )
-        except EstimationError as exc:
-            raise EstimationError(
-                f"leave-one-out refit without cluster {stats.ids[i]} failed: {exc}"
-            ) from exc
-        if not ok:
-            raise EstimationError(
-                f"leave-one-out refit without cluster {stats.ids[i]} did not converge"
-            )
-        deviations[i, 0] = loo_beta[0] - beta[0]
-        deviations[i, 1] = loo_beta[1] - beta[1]
-
-    sigma = (stats.n - 2) / stats.n * (deviations.T @ deviations)
-    return (sigma + sigma.T) / 2.0
+    return _jackknife_from_stats(_ClusterStats(data))
 
 
 def wald_test(
@@ -531,39 +378,22 @@ def wald_test(
     )
 
 
-def fit_zip(
-    data: TrialDataset,
-    *,
-    jackknife: bool = True,
-    es_tol: float = 1e-6,
-    beta_tol: float = 1e-8,
-    max_iter: int = 100,
-) -> GeeFit:
-    """Fit the full model and both variance estimators on a dataset."""
+def fit_zip(data: TrialDataset, *, jackknife: bool = True) -> GeeFit:
+    """Fit the full model and both variance estimators on a dataset.
+
+    Raises:
+        EstimationError: the mean model is undefined (see
+            :func:`jackknife_variance` for the Jackknife's own conditions).
+    """
     stats = _ClusterStats(data)
-    totals = (stats.arm_totals(0), stats.arm_totals(1))
-    beta, p, iterations, converged, degenerate, _ = _fit_es_totals(
-        totals[0], totals[1], None, es_tol, beta_tol, max_iter
-    )
-    beta_arr = np.array(beta)
-    sigma_naive = _sandwich_from_stats(stats, beta_arr, p)
-    sigma_jack = None
-    if jackknife:
-        sigma_jack = jackknife_variance(
-            data,
-            es_tol=es_tol,
-            beta_tol=beta_tol,
-            max_iter=max_iter,
-            _full=(beta, p),
-        )
+    es = _es_from_stats(stats)
     return GeeFit(
-        beta_hat=beta_arr,
-        alpha_hat=_alpha_from_p(*p),
-        p_hat=p,
-        sigma_naive=sigma_naive,
-        sigma_jackknife=sigma_jack,
-        converged=converged,
-        iterations=iterations,
-        degenerate=degenerate,
+        beta_hat=es.beta_hat,
+        alpha_hat=es.alpha_hat,
+        p_hat=es.p_hat,
+        sigma_naive=_sandwich_from_stats(stats, es.beta_hat, es.p_hat),
+        sigma_jackknife=_jackknife_from_stats(stats) if jackknife else None,
+        converged=True,
+        degenerate=es.degenerate,
         n_clusters=stats.n,
     )

@@ -1,9 +1,11 @@
 """Shared fixtures and independent oracles used across the test modules."""
 
+import math
+
 import numpy as np
 import pytest
 
-from zipcrt import ClusterSizeModel, build_design
+from zipcrt import ClusterSizeModel, TrialDataset, build_design
 
 DU_34_56 = ClusterSizeModel.discrete_uniform(34, 56)
 DU_10_80 = ClusterSizeModel.discrete_uniform(10, 80)
@@ -60,3 +62,88 @@ def pooled_pair_correlation(matrix):
     pair_products = ((row_sums**2 - row_squares) / 2.0).sum()
     n_pairs = values.shape[0] * m * (m - 1) / 2.0
     return (pair_products / n_pairs) / centered.var()
+
+
+def arm_totals(data):
+    """(subjects, outcome sum, zero count) of each arm, read off the outcomes."""
+    totals = []
+    for arm in (0, 1):
+        y = data.arm_outcomes(arm)
+        totals.append((float(y.size), float(y.sum()), float(np.count_nonzero(y == 0))))
+    return totals
+
+
+def newton_beta(totals, p, beta=None, tol=1e-10, max_iter=100):
+    """Newton-Raphson solve of the weighted mean-model score on arm totals.
+
+    The working weight of arm ``a`` is ``1 / (1 + odds(p_a) * mu_a)``; the
+    information is ``[[x + y, y], [y, y]]`` with ``x``, ``y`` the weighted
+    expected totals of the control and intervention arm.
+    """
+    (m0, s0, _), (m1, s1, _) = totals
+    odds0, odds1 = p[0] / (1.0 - p[0]), p[1] / (1.0 - p[1])
+    b1, b2 = (0.0, 0.0) if beta is None else beta
+    for _ in range(max_iter):
+        mu0, mu1 = math.exp(b1), math.exp(b1 + b2)
+        w0, w1 = 1.0 / (1.0 + odds0 * mu0), 1.0 / (1.0 + odds1 * mu1)
+        u2 = w1 * (s1 - m1 * mu1)
+        u1 = w0 * (s0 - m0 * mu0) + u2
+        x, y = w0 * m0 * mu0, w1 * m1 * mu1
+        d1 = (u1 - u2) / x
+        d2 = u2 / y - d1
+        b1, b2 = b1 + d1, b2 + d2
+        if max(abs(d1), abs(d2)) < tol:
+            return b1, b2
+    raise AssertionError("Newton oracle did not converge")
+
+
+def es_step(totals, beta, p):
+    """One expectation-solution pass: refit beta, then update p.
+
+    Each observed zero's structural indicator is replaced by its posterior
+    mean ``[1 + ((1 - p) / p) exp(-lam)]**-1`` with ``lam = mu / (1 - p)``,
+    and the zero-model moment equation sets ``p`` to the arm mean of those
+    weights: ``weight * zero fraction``.
+    """
+    beta = newton_beta(totals, p, beta)
+    mu = (math.exp(beta[0]), math.exp(beta[0] + beta[1]))
+    new_p = []
+    for (m, _, z), p_a, mu_a in zip(totals, p, mu):
+        weight = 0.0 if p_a <= 0.0 else 1.0 / (
+            1.0 + (1.0 - p_a) / p_a * math.exp(-mu_a / (1.0 - p_a))
+        )
+        new_p.append(weight * z / m)
+    return beta, tuple(new_p)
+
+
+def es_oracle(totals, init=None, tol=1e-12, max_iter=200_000):
+    """The ES iteration run to its fixed point; returns ``(beta, p)``.
+
+    Starts from the arm zero fractions (or ``init = (beta, p)``) and stops
+    when no ``p`` moves by ``tol``.  The test is on the p scale, so a ``p``
+    heading for the boundary 0 converges too.
+    """
+    if init is None:
+        beta, p = None, tuple(min(z / m, 1.0 - 1e-12) for m, _, z in totals)
+    else:
+        beta, p = init
+    for _ in range(max_iter):
+        beta, new_p = es_step(totals, beta, p)
+        change = max(abs(a - b) for a, b in zip(new_p, p))
+        p = new_p
+        if change < tol:
+            return np.array(beta), p
+    raise AssertionError("ES oracle did not converge")
+
+
+def jackknife_oracle(data):
+    """Leave-one-cluster-out covariance of beta from ES refits of each deletion."""
+    beta, p = es_oracle(arm_totals(data))
+    n = data.n_clusters
+    deviations = []
+    for k in range(n):
+        reduced = TrialDataset(clusters=data.clusters[:k] + data.clusters[k + 1:])
+        loo_beta, _ = es_oracle(arm_totals(reduced), init=(tuple(beta), p))
+        deviations.append(loo_beta - beta)
+    dev = np.array(deviations)
+    return (n - 2) / n * (dev.T @ dev)

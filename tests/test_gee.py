@@ -20,10 +20,20 @@ from zipcrt import (
     sandwich_variance,
     wald_test,
 )
-from zipcrt.gee import _alpha_from_p, _ClusterStats, _fit_es_totals
+from zipcrt.gee import _alpha_from_p
 from zipcrt.power import t_quantile
 
-from conftest import grid_design
+from conftest import (
+    DU_10_80,
+    DU_34_56,
+    TRUNPOIS,
+    arm_totals,
+    es_oracle,
+    es_step,
+    grid_design,
+    jackknife_oracle,
+    newton_beta,
+)
 
 
 def dataset(rows):
@@ -56,10 +66,11 @@ class TestFitBeta:
         fit = fit_beta(data, (0.0, 0.0))
         assert fit.beta[1] == pytest.approx(0.0, abs=1e-10)
 
-    def test_trace_records_iterations(self, config_a):
+    def test_equals_newton_oracle(self, config_a):
         data = generate_trial(config_a, 20, seed=3)
         fit = fit_beta(data, (0.5, 0.5))
-        assert len(fit.trace) == fit.iterations + 1
+        oracle = newton_beta(arm_totals(data), (0.5, 0.5))
+        assert np.allclose(fit.beta, oracle, rtol=0.0, atol=1e-12)
 
     def test_all_zero_arm_rejected(self):
         data = dataset([(0, 0, [0, 0, 0]), (1, 1, [1, 2])])
@@ -128,15 +139,8 @@ class TestFitAlphaES:
         data = generate_trial(config_a, 50, seed=23)
         fit = fit_alpha_es(data)
         assert fit.converged
-        stats = _ClusterStats(data)
-        beta, p, _, _, _, _ = _fit_es_totals(
-            stats.arm_totals(0),
-            stats.arm_totals(1),
-            (tuple(fit.beta_hat), fit.p_hat),
-            1e-6,
-            1e-8,
-            1,
-        )
+        # one oracle ES pass from the closed form leaves it in place
+        beta, p = es_step(arm_totals(data), tuple(fit.beta_hat), fit.p_hat)
         assert abs(beta[0] - fit.beta_hat[0]) < 1e-6
         assert abs(beta[1] - fit.beta_hat[1]) < 1e-6
         assert abs(p[0] - fit.p_hat[0]) < 1e-6
@@ -164,6 +168,33 @@ class TestFitAlphaES:
                                     options={"xatol": 1e-10, "fatol": 1e-12})
             assert moment_alpha[0] == pytest.approx(mle.x[0], abs=1e-5)
             assert moment_alpha[1] == pytest.approx(mle.x[1], abs=1e-5)
+
+
+class TestClosedFormMatchesOracle:
+    """The closed-form fit against the ES iteration and its Jackknife refits."""
+
+    @pytest.mark.parametrize(
+        "sizes, rho, p1, q, n_clusters, seed",
+        [
+            (DU_34_56, 0.03, 0.5, 0.5, 24, 41),
+            (DU_10_80, 0.05, 0.5, 0.5, 30, 42),
+            (TRUNPOIS, 0.05, 0.5, 0.3, 22, 43),
+            (DU_34_56, 0.05, 0.0, 0.0, 20, 41),
+        ],
+        ids=["du34-56", "du10-80", "trunpois", "boundary-p1-0"],
+    )
+    def test_fit_zip_equals_es_oracle(self, sizes, rho, p1, q, n_clusters, seed):
+        design = grid_design(cluster_sizes=sizes, rho=rho, p1=p1, q=q)
+        data = generate_trial(design, n_clusters, seed=seed)
+        fit = fit_zip(data)
+        beta, p = es_oracle(arm_totals(data))
+        assert np.allclose(fit.beta_hat, beta, rtol=0.0, atol=1e-12)
+        assert np.allclose(fit.p_hat, p, rtol=0.0, atol=1e-6)
+        assert np.allclose(
+            fit.sigma_jackknife, jackknife_oracle(data), rtol=1e-10, atol=0.0
+        )
+        if p1 == 0.0:
+            assert 0.0 in fit.p_hat  # the case reaches the boundary
 
 
 class TestSandwichVariance:
@@ -226,6 +257,11 @@ class TestJackknifeVariance:
     def test_removal_emptying_arm_rejected(self):
         data = dataset([(0, 0, [1, 2]), (1, 0, [0, 1]), (2, 1, [2, 1])])
         with pytest.raises(EstimationError, match="empties arm"):
+            jackknife_variance(data)
+
+    def test_removal_leaving_arm_all_zero_rejected(self):
+        data = dataset([(0, 0, [1, 2]), (1, 0, [0, 1]), (2, 1, [0, 0]), (3, 1, [2, 1])])
+        with pytest.raises(EstimationError, match="removing cluster 3 leaves all-zero"):
             jackknife_variance(data)
 
     def test_order_invariance(self, config_a):
