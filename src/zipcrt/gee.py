@@ -54,18 +54,15 @@ class _ClusterStats:
     """Per-cluster aggregates of a dataset, in cluster order, and arm totals."""
 
     def __init__(self, data: TrialDataset):
-        clusters = data.clusters
-        self.n = len(clusters)
-        self.ids = np.array([c.cluster_id for c in clusters], dtype=np.int64)
-        self.arm = np.array([c.arm for c in clusters], dtype=np.int64)
-        # per-cluster reductions, not one concatenation: a 10,000-cluster
-        # dataset would otherwise hold a second copy of every outcome
-        self.m = np.array([c.outcomes.size for c in clusters], dtype=np.float64)
-        self.ysum = np.array([c.outcomes.sum() for c in clusters], dtype=np.float64)
-        self.nzero = self.m - [np.count_nonzero(c.outcomes) for c in clusters]
+        self.n = data.n_clusters
+        self.ids = data.cluster_id
+        self.arm = data.arm
+        self.m = data.size.astype(np.float64)
+        self.ysum = data.cluster_sums(data.outcomes).astype(np.float64)
+        nzero = data.cluster_sums(data.outcomes == 0)
         self.subjects = np.bincount(self.arm, weights=self.m, minlength=2)
         self.outcomes = np.bincount(self.arm, weights=self.ysum, minlength=2)
-        self.zeros = np.bincount(self.arm, weights=self.nzero, minlength=2)
+        self.zeros = np.bincount(self.arm, weights=nzero, minlength=2)
 
     def log_means(self) -> np.ndarray:
         """Arm log-means ``log(S_a / M_a)``.

@@ -194,25 +194,19 @@ def estimate_poisson_icc(
     """
     data = generate_trial(design, n_clusters, seed)
     beta = fit_beta(data, (0.0, 0.0)).beta
-    mu_by_arm = (math.exp(beta[0]), math.exp(beta[0] + beta[1]))
-
-    pair_sum = 0.0
-    pair_count = 0.0
-    square_sum = 0.0
-    n_subjects = 0
-    for cluster in data.clusters:
-        mu = mu_by_arm[cluster.arm]
-        e = (cluster.outcomes - mu) / math.sqrt(mu)
-        total = float(e.sum())
-        squares = float((e * e).sum())
-        m = cluster.size
-        pair_sum += (total * total - squares) / 2.0
-        pair_count += m * (m - 1) / 2.0
-        square_sum += squares
-        n_subjects += m
+    mu = np.exp([beta[0], beta[0] + beta[1]])[data.arm]
+    # per-cluster sum and sum of squares of e, from the cluster's m, sum y
+    # and sum y**2
+    m = data.size
+    ysum = data.cluster_sums(data.outcomes)
+    ysq = data.cluster_sums(data.outcomes * data.outcomes)
+    total = (ysum - m * mu) / np.sqrt(mu)
+    squares = (ysq - 2.0 * mu * ysum + m * mu * mu) / mu
+    pair_sum = float((total * total - squares).sum()) / 2.0
+    pair_count = float((m * (m - 1)).sum()) / 2.0
     if pair_count == 0:
         raise EstimationError("no within-cluster pairs: all clusters have size 1")
-    return (pair_sum / pair_count) / (square_sum / n_subjects)
+    return (pair_sum / pair_count) / (float(squares.sum()) / data.n_subjects)
 
 
 # Bundled reference grid: the scenarios tabulated by the bundled studies.

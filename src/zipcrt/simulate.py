@@ -20,6 +20,7 @@ may be generated in any order or concurrently.
 
 from __future__ import annotations
 
+import array
 import csv
 import math
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ _CLUSTER_STREAM = 1
 
 _MAX_REJECTION_ATTEMPTS = 10**6
 _SEED_LIMIT = 2**64
+_WRITE_BLOCK = 4096  # rows formatted per csv.writerows call
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -45,68 +47,67 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([seed, *path])
 
 
-@dataclass(frozen=True, eq=False)
-class ClusterRecord:
-    """Outcomes of one cluster: its id, arm indicator, and count vector."""
-
-    cluster_id: int
-    arm: int
-    outcomes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.arm not in (0, 1):
-            raise DomainError(f"arm must be 0 or 1, got {self.arm}")
-        outcomes = np.asarray(self.outcomes, dtype=np.int64)
-        if outcomes.ndim != 1 or outcomes.size < 1:
-            raise DomainError("each cluster needs a 1-D outcome vector of length >= 1")
-        if outcomes.min() < 0:
-            raise DomainError("outcomes must be nonnegative integers")
-        object.__setattr__(self, "outcomes", outcomes)
-
-    @property
-    def size(self) -> int:
-        return int(self.outcomes.size)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ClusterRecord):
-            return NotImplemented
-        return (
-            self.cluster_id == other.cluster_id
-            and self.arm == other.arm
-            and np.array_equal(self.outcomes, other.outcomes)
-        )
+_COLUMNS = ("cluster_id", "arm", "size", "outcomes")
 
 
 @dataclass(eq=False)
 class TrialDataset:
-    """A simulated or ingested cluster-randomized trial."""
+    """A simulated or ingested cluster-randomized trial, stored as columns.
 
-    clusters: list[ClusterRecord]
+    ``cluster_id``, ``arm`` and ``size`` hold one entry per cluster, and
+    ``outcomes`` holds every subject's count, cluster by cluster: the first
+    ``size[0]`` outcomes are cluster ``cluster_id[0]``'s, and so on.  All
+    four are int64 arrays.
+    """
+
+    cluster_id: np.ndarray
+    arm: np.ndarray
+    size: np.ndarray
+    outcomes: np.ndarray
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if not self.clusters:
+        for name in _COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.int64))
+        n = self.cluster_id.size
+        if n < 1:
             raise DomainError("a dataset needs at least one cluster")
+        if not self.cluster_id.shape == self.arm.shape == self.size.shape == (n,):
+            raise DomainError("cluster_id, arm and size need one entry per cluster")
+        if ((self.arm != 0) & (self.arm != 1)).any():
+            raise DomainError(f"every arm must be 0 or 1, got {np.unique(self.arm)}")
+        if self.size.min() < 1:
+            raise DomainError("each cluster needs at least one outcome")
+        if self.outcomes.ndim != 1 or self.size.sum() != self.outcomes.size:
+            raise DomainError("cluster sizes must sum to the number of outcomes")
+        if self.outcomes.min() < 0:
+            raise DomainError("outcomes must be nonnegative integers")
+        if np.unique(self.cluster_id).size != n:
+            raise DomainError("cluster ids must be distinct")
 
     @property
     def n_clusters(self) -> int:
-        return len(self.clusters)
+        return len(self.cluster_id)
 
     @property
     def n_subjects(self) -> int:
-        return sum(c.size for c in self.clusters)
+        return len(self.outcomes)
 
     def arm_outcomes(self, arm: int) -> np.ndarray:
-        """All outcomes from clusters in the given arm, concatenated."""
-        parts = [c.outcomes for c in self.clusters if c.arm == arm]
-        if not parts:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(parts)
+        """All outcomes from clusters in the given arm, in cluster order."""
+        return self.outcomes[np.repeat(self.arm == arm, self.size)]
+
+    def cluster_sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-cluster sums of an integer or boolean column aligned with ``outcomes``."""
+        starts = np.cumsum(self.size) - self.size
+        return np.add.reduceat(values, starts, dtype=np.int64)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TrialDataset):
             return NotImplemented
-        return self.seed == other.seed and self.clusters == other.clusters
+        return self.seed == other.seed and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
+        )
 
 
 def sample_cluster_size(model: ClusterSizeModel, rng: np.random.Generator) -> int:
@@ -218,17 +219,22 @@ def generate_trial(
     alloc_rng = substream(seed, _ALLOCATION_STREAM)
     arms = _allocate_arms(n_clusters, design.r_bar, alloc_rng, bernoulli_allocation)
 
-    clusters = []
+    # every cluster is written into one buffer with room for the largest
+    # clusters, which is then shrunk in place to the filled length
+    outcomes = np.empty(n_clusters * design.cluster_sizes.hi, dtype=np.int64)
+    sizes = np.empty(n_clusters, dtype=np.int64)
+    end = 0
     for cid in range(n_clusters):
-        arm = int(arms[cid])
-        profile = design.arm(arm)
+        profile = design.arm(int(arms[cid]))
         rng = substream(seed, _CLUSTER_STREAM, cid)
         m = sample_cluster_size(design.cluster_sizes, rng)
         zeros = sample_structural_zeros(m, profile.p, design.rho_s, rng)
         counts = sample_correlated_poisson(m, profile.lam, design.rho_u, rng)
-        outcomes = np.where(zeros == 1, 0, counts)
-        clusters.append(ClusterRecord(cluster_id=cid, arm=arm, outcomes=outcomes))
-    return TrialDataset(clusters=clusters, seed=seed)
+        outcomes[end:end + m] = np.where(zeros == 1, 0, counts)
+        sizes[cid] = m
+        end += m
+    outcomes.resize(end)
+    return TrialDataset(np.arange(n_clusters), arms, sizes, outcomes, seed)
 
 
 DATASET_HEADER = ("cluster_id", "arm", "y")
@@ -236,12 +242,15 @@ DATASET_HEADER = ("cluster_id", "arm", "y")
 
 def write_dataset(dataset: TrialDataset, path: str) -> None:
     """Write one row per subject as ``cluster_id,arm,y`` (UTF-8, LF)."""
+    ids = np.repeat(dataset.cluster_id, dataset.size)
+    arms = np.repeat(dataset.arm, dataset.size)
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(DATASET_HEADER)
-        for cluster in dataset.clusters:
-            for y in cluster.outcomes:
-                writer.writerow((cluster.cluster_id, cluster.arm, int(y)))
+        # a block of rows at a time, so no whole-file list of Python ints is built
+        for start in range(0, dataset.n_subjects, _WRITE_BLOCK):
+            block = slice(start, start + _WRITE_BLOCK)
+            writer.writerows(zip(*(c[block].tolist() for c in (ids, arms, dataset.outcomes))))
 
 
 def read_dataset(path: str) -> TrialDataset:
@@ -250,8 +259,10 @@ def read_dataset(path: str) -> TrialDataset:
     Rows may appear in any order; each cluster id must map to a single arm.
     The stored seed is unknown for ingested data and left unset.
     """
-    outcomes: dict[int, list[int]] = {}
-    arm_of: dict[int, int] = {}
+    arm_of: dict[int, int] = {}  # in order of first appearance
+    index_of: dict[int, int] = {}
+    keys = array.array("q")  # each row's cluster index
+    ys = array.array("q")
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -270,11 +281,15 @@ def read_dataset(path: str) -> TrialDataset:
                 raise ConfigError(f"{path}:{lineno}: cluster {cid} changes arm")
             if y < 0:
                 raise ConfigError(f"{path}:{lineno}: negative outcome {y}")
-            outcomes.setdefault(cid, []).append(y)
-    if not outcomes:
+            keys.append(index_of.setdefault(cid, len(index_of)))
+            ys.append(y)
+    if not ys:
         raise ConfigError(f"{path}: no data rows")
-    clusters = [
-        ClusterRecord(cluster_id=cid, arm=arm_of[cid], outcomes=np.array(ys))
-        for cid, ys in outcomes.items()
-    ]
-    return TrialDataset(clusters=clusters, seed=None)
+    key = np.frombuffer(keys, dtype=np.int64)
+    return TrialDataset(
+        cluster_id=list(arm_of),
+        arm=list(arm_of.values()),
+        size=np.bincount(key),
+        # a stable sort groups the rows by cluster and keeps file order within each
+        outcomes=np.frombuffer(ys, dtype=np.int64)[np.argsort(key, kind="stable")],
+    )

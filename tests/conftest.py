@@ -1,5 +1,6 @@
 """Shared fixtures and independent oracles used across the test modules."""
 
+import collections
 import math
 
 import numpy as np
@@ -64,6 +65,23 @@ def pooled_pair_correlation(matrix):
     return (pair_products / n_pairs) / centered.var()
 
 
+def dataset(rows):
+    """Build a dataset from (cluster_id, arm, outcomes) triples."""
+    ids, arms, ys = zip(*rows) if rows else ((), (), ())
+    return TrialDataset(
+        cluster_id=np.array(ids, dtype=np.int64),
+        arm=np.array(arms, dtype=np.int64),
+        size=np.array([len(y) for y in ys], dtype=np.int64),
+        outcomes=np.array([v for y in ys for v in y], dtype=np.int64),
+    )
+
+
+def cluster_rows(data):
+    """A dataset's (cluster_id, arm, outcomes) triples, in cluster order."""
+    outcomes = np.split(data.outcomes, np.cumsum(data.size)[:-1])
+    return list(zip(data.cluster_id.tolist(), data.arm.tolist(), outcomes))
+
+
 def arm_totals(data):
     """(subjects, outcome sum, zero count) of each arm, read off the outcomes."""
     totals = []
@@ -116,33 +134,57 @@ def es_step(totals, beta, p):
     return beta, tuple(new_p)
 
 
+ES_SPAN = 100  # ES steps per run in the oracle's stop rule
+
+
 def es_oracle(totals, init=None, tol=1e-12, max_iter=200_000):
     """The ES iteration run to its fixed point; returns ``(beta, p)``.
 
-    Starts from the arm zero fractions (or ``init = (beta, p)``) and stops
-    when no ``p`` moves by ``tol``.  The test is on the p scale, so a ``p``
-    heading for the boundary 0 converges too.
+    Starts from the arm zero fractions (or ``init = (beta, p)``).  Near the
+    fixed point each ``p`` contracts by a ratio ``r`` per step, and for a
+    ``p`` near the boundary 0 ``r`` is close to 1, so a step can move ``p``
+    by far less than the distance still to go.  The stop rule bounds that
+    distance: if the last two runs of ``ES_SPAN`` steps moved ``p`` by ``b``
+    and then ``a``, the runs contract by ``R = a / b`` and ``p`` is
+    ``|a| R / (1 - R)`` from the fixed point.  The iteration stops when
+    that is below ``tol`` in every arm.  Runs of steps, not single steps:
+    when ``1 - r`` is small, the rounding in each step is enough to spoil
+    the ratio of two single steps.
     """
     if init is None:
         beta, p = None, tuple(min(z / m, 1.0 - 1e-12) for m, _, z in totals)
     else:
         beta, p = init
+    trail = collections.deque([p], maxlen=2 * ES_SPAN + 1)
     for _ in range(max_iter):
-        beta, new_p = es_step(totals, beta, p)
-        change = max(abs(a - b) for a, b in zip(new_p, p))
-        p = new_p
-        if change < tol:
+        beta, p = es_step(totals, beta, p)
+        trail.append(p)
+        if len(trail) == trail.maxlen and all(
+            _distance_left(*path) < tol for path in zip(trail[0], trail[ES_SPAN], p)
+        ):
             return np.array(beta), p
     raise AssertionError("ES oracle did not converge")
+
+
+def _distance_left(start, middle, end):
+    """Distance from ``end`` to the limit of a geometric sequence through the three points."""
+    a, b = end - middle, middle - start
+    if a == 0.0:
+        return 0.0
+    ratio = a / b if b != 0.0 else math.inf
+    if not 0.0 < ratio < 1.0:
+        return math.inf
+    return abs(a) * ratio / (1.0 - ratio)
 
 
 def jackknife_oracle(data):
     """Leave-one-cluster-out covariance of beta from ES refits of each deletion."""
     beta, p = es_oracle(arm_totals(data))
-    n = data.n_clusters
+    rows = cluster_rows(data)
+    n = len(rows)
     deviations = []
     for k in range(n):
-        reduced = TrialDataset(clusters=data.clusters[:k] + data.clusters[k + 1:])
+        reduced = dataset(rows[:k] + rows[k + 1:])
         loo_beta, _ = es_oracle(arm_totals(reduced), init=(tuple(beta), p))
         deviations.append(loo_beta - beta)
     dev = np.array(deviations)

@@ -7,10 +7,8 @@ import pytest
 from scipy import optimize
 
 from zipcrt import (
-    ClusterRecord,
     DomainError,
     EstimationError,
-    TrialDataset,
     conditional_zero_mean,
     fit_alpha_es,
     fit_beta,
@@ -28,22 +26,14 @@ from conftest import (
     DU_34_56,
     TRUNPOIS,
     arm_totals,
+    cluster_rows,
+    dataset,
     es_oracle,
     es_step,
     grid_design,
     jackknife_oracle,
     newton_beta,
 )
-
-
-def dataset(rows):
-    """Build a dataset from (cluster_id, arm, outcomes) triples."""
-    return TrialDataset(
-        clusters=[
-            ClusterRecord(cluster_id=cid, arm=arm, outcomes=np.array(y))
-            for cid, arm, y in rows
-        ]
-    )
 
 
 class TestFitBeta:
@@ -223,6 +213,21 @@ class TestClosedFormMatchesOracle:
         if p1 == 0.0:
             assert 0.0 in fit.p_hat  # the case reaches the boundary
 
+    def test_es_oracle_reaches_the_root(self):
+        # near the boundary each ES step shrinks the distance to the fixed
+        # point by a factor close to 1 (about 0.99978 in the intervention
+        # arm here), so a stop on the step size alone ends short of it
+        data = generate_trial(grid_design(p1=0.0, q=0.0), 400, seed=21)
+        totals = arm_totals(data)
+        _, oracle_p = es_oracle(totals)
+        for (m, s, z), p in zip(totals, oracle_p):
+            ybar, zero_fraction = s / m, z / m
+            root = optimize.brentq(
+                lambda q: q + (1.0 - q) * math.exp(-ybar / (1.0 - q)) - zero_fraction,
+                0.0, zero_fraction, xtol=1e-15,
+            )
+            assert abs(p - root) < 1e-11
+
 
 class TestSandwichVariance:
     def test_perfect_fit_gives_zero(self):
@@ -260,12 +265,7 @@ class TestSandwichVariance:
     def test_invariant_to_within_cluster_relabeling(self, config_a):
         data = generate_trial(config_a, 25, seed=26)
         fit = fit_zip(data, jackknife=False)
-        shuffled = TrialDataset(
-            clusters=[
-                ClusterRecord(c.cluster_id, c.arm, c.outcomes[::-1].copy())
-                for c in data.clusters
-            ]
-        )
+        shuffled = dataset([(cid, arm, y[::-1]) for cid, arm, y in cluster_rows(data)])
         sigma = sandwich_variance(shuffled, fit.beta_hat, fit.p_hat)
         assert np.array_equal(sigma, fit.sigma_naive)
 
@@ -294,7 +294,7 @@ class TestJackknifeVariance:
     def test_order_invariance(self, config_a):
         data = generate_trial(config_a, 20, seed=27)
         sigma = jackknife_variance(data)
-        reordered = TrialDataset(clusters=list(reversed(data.clusters)))
+        reordered = dataset(cluster_rows(data)[::-1])
         assert np.allclose(jackknife_variance(reordered), sigma, atol=1e-14)
 
     def test_same_scale_as_sandwich_after_rescaling(self, config_a):

@@ -1,10 +1,21 @@
-"""Tests for Monte Carlo studies: which replicates fail, and why."""
+"""Tests for Monte Carlo studies: which replicates fail, and why; the Poisson-model ICC."""
+
+import math
 
 import pytest
 
-from zipcrt import ClusterSizeModel, StudyConfig, build_design, mc, run_power_study
+from zipcrt import (
+    ClusterSizeModel,
+    StudyConfig,
+    build_design,
+    estimate_poisson_icc,
+    fit_beta,
+    generate_trial,
+    mc,
+    run_power_study,
+)
 
-from conftest import grid_design
+from conftest import DU_10_80, TRUNPOIS, cluster_rows, grid_design
 
 
 class TestReplicateFailures:
@@ -41,3 +52,22 @@ class TestReplicateFailures:
         naive, jack, error = mc._run_replicate(design, 4, 0, "t", 2, 0.05)
         assert naive is None and jack is None
         assert error == "intervention arm has all-zero outcomes; log-mean undefined"
+
+
+class TestPoissonIcc:
+    @pytest.mark.parametrize("sizes", [DU_10_80, TRUNPOIS], ids=["du10-80", "trunpois"])
+    def test_equals_residual_loop(self, sizes):
+        # the estimator works from per-cluster sums of y and y**2; the loop
+        # forms every Pearson residual, so the two differ only in rounding
+        design = grid_design(cluster_sizes=sizes, rho=0.05)
+        data = generate_trial(design, 500, seed=7)
+        beta = fit_beta(data, (0.0, 0.0)).beta
+        mu_by_arm = (math.exp(beta[0]), math.exp(beta[0] + beta[1]))
+        pair_sum = pair_count = square_sum = 0.0
+        for _, arm, y in cluster_rows(data):
+            e = (y - mu_by_arm[arm]) / math.sqrt(mu_by_arm[arm])
+            pair_sum += (e.sum() ** 2 - (e * e).sum()) / 2.0
+            pair_count += y.size * (y.size - 1) / 2.0
+            square_sum += (e * e).sum()
+        expected = (pair_sum / pair_count) / (square_sum / data.n_subjects)
+        assert estimate_poisson_icc(design, 500, seed=7) == pytest.approx(expected, rel=1e-12)

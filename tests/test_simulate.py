@@ -1,12 +1,13 @@
 """Tests for cluster-size sampling, correlated latent draws, and trial I/O."""
 
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from zipcrt import (
-    ClusterRecord,
     ClusterSizeModel,
     ConfigError,
     DomainError,
@@ -22,7 +23,7 @@ from zipcrt import (
     zero_probability,
 )
 
-from conftest import DU_34_56, TRUNPOIS, grid_design, pooled_pair_correlation
+from conftest import DU_34_56, TRUNPOIS, dataset, grid_design, pooled_pair_correlation
 
 
 class TestSampleClusterSize:
@@ -142,23 +143,23 @@ class TestGenerateTrial:
             assert abs(observed - target) < 3 * se
 
     def test_balanced_allocation(self, config_a):
-        arms = [c.arm for c in generate_trial(config_a, 20, seed=13).clusters]
-        assert sum(arms) == 10
+        arms = generate_trial(config_a, 20, seed=13).arm
+        assert arms.sum() == 10
         # odd count: the extra cluster falls to either arm via a fair draw
-        arms = [c.arm for c in generate_trial(config_a, 19, seed=13).clusters]
-        assert sum(arms) in (9, 10)
+        arms = generate_trial(config_a, 19, seed=13).arm
+        assert arms.sum() in (9, 10)
 
     def test_unbalanced_allocation_rounds(self):
         design = build_design(
             mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.03, rho_u=0.03,
             r_bar=0.3, cluster_sizes=DU_34_56,
         )
-        arms = [c.arm for c in generate_trial(design, 20, seed=14).clusters]
-        assert sum(arms) == 6  # round(20 * 0.3)
+        arms = generate_trial(design, 20, seed=14).arm
+        assert arms.sum() == 6  # round(20 * 0.3)
 
     def test_bernoulli_allocation(self, config_a):
         data = generate_trial(config_a, 60, seed=15, bernoulli_allocation=True)
-        arms = np.array([c.arm for c in data.clusters])
+        arms = data.arm
         assert 0 < arms.sum() < 60
 
     def test_empty_arm_rejected(self):
@@ -171,8 +172,7 @@ class TestGenerateTrial:
 
     def test_cluster_sizes_in_support(self, config_a):
         data = generate_trial(config_a, 200, seed=17)
-        sizes = [c.size for c in data.clusters]
-        assert min(sizes) >= 34 and max(sizes) <= 56
+        assert data.size.min() >= 34 and data.size.max() <= 56
 
     def test_minimum_clusters(self, config_a):
         with pytest.raises(ConfigError):
@@ -181,16 +181,26 @@ class TestGenerateTrial:
 
 class TestDatasetTypes:
     def test_record_validation(self):
-        with pytest.raises(DomainError):
-            ClusterRecord(cluster_id=0, arm=2, outcomes=np.array([1]))
-        with pytest.raises(DomainError):
-            ClusterRecord(cluster_id=0, arm=0, outcomes=np.array([], dtype=int))
-        with pytest.raises(DomainError):
-            ClusterRecord(cluster_id=0, arm=0, outcomes=np.array([-1]))
+        with pytest.raises(DomainError, match="arm"):
+            dataset([(0, 2, [1])])
+        with pytest.raises(DomainError, match="at least one outcome"):
+            dataset([(0, 0, [])])
+        with pytest.raises(DomainError, match="nonnegative"):
+            dataset([(0, 0, [-1])])
+        with pytest.raises(DomainError, match="sum to"):
+            TrialDataset(cluster_id=[0, 1], arm=[0, 1], size=[2, 2], outcomes=[1, 2, 3])
+        with pytest.raises(DomainError, match="one entry per cluster"):
+            TrialDataset(cluster_id=[0, 1], arm=[0], size=[1, 1], outcomes=[1, 2])
+        # two clusters numbered 0 would merge into one on a round trip
+        with pytest.raises(DomainError, match="distinct"):
+            dataset([
+                (0, 0, [1, 2]), (0, 0, [0, 3]), (1, 0, [2, 1]),
+                (2, 1, [1, 1]), (3, 1, [0, 2]), (4, 1, [3, 0]),
+            ])
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(DomainError):
-            TrialDataset(clusters=[])
+            dataset([])
 
 
 class TestDatasetIO:
@@ -200,7 +210,7 @@ class TestDatasetIO:
         write_dataset(data, str(path))
         loaded = read_dataset(str(path))
         assert loaded.seed is None
-        assert loaded.clusters == data.clusters
+        assert loaded == dataclasses.replace(data, seed=None)
 
     def test_file_format(self, config_a, tmp_path):
         data = generate_trial(config_a, 4, seed=20)
@@ -234,3 +244,19 @@ class TestDatasetIO:
         path.write_text("cluster_id,arm,y\n")
         with pytest.raises(ConfigError, match="no data"):
             read_dataset(str(path))
+
+    def test_rows_in_any_order(self, tmp_path):
+        path = tmp_path / "interleaved.csv"
+        path.write_text("cluster_id,arm,y\n0,0,1\n1,1,2\n0,0,3\n1,1,0\n")
+        assert read_dataset(str(path)) == dataset([(0, 0, [1, 3]), (1, 1, [2, 0])])
+
+    def test_bytes_pinned_across_versions(self, tmp_path):
+        # simulate.py promises bit-for-bit replay of a seed; the hash pins
+        # the bytes this seed produced when the pin was recorded
+        data = generate_trial(grid_design(), 12, seed=2024)
+        path = tmp_path / "trial.csv"
+        write_dataset(data, str(path))
+        assert data.n_subjects == 565
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "26cbcccdac739e293799dc58d27da8f9df928daf22daa7cd60172673995bf062"
+        )
