@@ -24,16 +24,9 @@ from .errors import (
     ZipCrtError,
 )
 from .gee import (
-    BetaFit,
-    ESFit,
     GeeFit,
     WaldTest,
-    conditional_zero_mean,
-    fit_alpha_es,
-    fit_beta,
     fit_zip,
-    jackknife_variance,
-    sandwich_variance,
     wald_test,
 )
 from .mc import (
@@ -69,12 +62,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArmProfile",
-    "BetaFit",
     "ClusterSizeModel",
     "ConfigError",
     "DesignInputs",
     "DomainError",
-    "ESFit",
     "EffectDecomposition",
     "EstimationError",
     "GeeFit",
@@ -88,16 +79,12 @@ __all__ = [
     "WaldTest",
     "ZipCrtError",
     "build_design",
-    "conditional_zero_mean",
     "decompose_effect",
     "design_variance",
     "estimate_poisson_icc",
-    "fit_alpha_es",
-    "fit_beta",
     "fit_zip",
     "generate_trial",
     "infer_p1_from_observed",
-    "jackknife_variance",
     "marginal_variance",
     "p2_from_q",
     "pairwise_covariance_factor",
@@ -112,7 +99,6 @@ __all__ = [
     "sample_size_normal",
     "sample_size_t",
     "sample_structural_zeros",
-    "sandwich_variance",
     "substream",
     "wald_test",
     "write_dataset",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .design import ClusterSizeModel, DesignInputs, build_design
 from .errors import ConfigError, EstimationError, StudyError, ZipCrtError
-from .gee import fit_beta, fit_zip, wald_test
+from .gee import _arm_totals, fit_zip, wald_test
 from .power import sample_size_normal, sample_size_t
 from .simulate import generate_trial
 
@@ -92,7 +92,7 @@ def _run_replicate(
     """(naive reject, jackknife reject, error) for one replicate."""
     try:
         data = generate_trial(gen_design, n_clusters, seed)
-        fit = fit_zip(data, jackknife=True)
+        fit = fit_zip(data)
         naive = wald_test(
             float(fit.beta_hat[1]), fit.sigma2_sq("naive"), n_clusters,
             reference, alpha, df,
@@ -193,13 +193,12 @@ def estimate_poisson_icc(
     when the outcomes are actually zero-inflated.
     """
     data = generate_trial(design, n_clusters, seed)
-    beta = fit_beta(data, (0.0, 0.0)).beta
-    mu = np.exp([beta[0], beta[0] + beta[1]])[data.arm]
+    m, ysum, subjects, outcomes = _arm_totals(data)
+    mu = (outcomes / subjects)[data.arm]
     # per-cluster sum and sum of squares of e, from the cluster's m, sum y
-    # and sum y**2
-    m = data.size
-    ysum = data.cluster_sums(data.outcomes)
-    ysq = data.cluster_sums(data.outcomes * data.outcomes)
+    # and sum y**2; the dataset is this function's own, so y is squared in
+    # place rather than in a copy as long as the outcome column
+    ysq = data.cluster_sums(np.multiply(data.outcomes, data.outcomes, out=data.outcomes))
     total = (ysum - m * mu) / np.sqrt(mu)
     squares = (ysq - 2.0 * mu * ysum + m * mu * mu) / mu
     pair_sum = float((total * total - squares).sum()) / 2.0

@@ -38,6 +38,7 @@ _CLUSTER_STREAM = 1
 _MAX_REJECTION_ATTEMPTS = 10**6
 _SEED_LIMIT = 2**64
 _WRITE_BLOCK = 4096  # rows formatted per csv.writerows call
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # the range of the int64 columns
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -98,7 +99,7 @@ class TrialDataset:
         return self.outcomes[np.repeat(self.arm == arm, self.size)]
 
     def cluster_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-cluster sums of an integer or boolean column aligned with ``outcomes``."""
+        """Per-cluster sums of an integer column aligned with ``outcomes``."""
         starts = np.cumsum(self.size) - self.size
         return np.add.reduceat(values, starts, dtype=np.int64)
 
@@ -277,11 +278,22 @@ def read_dataset(path: str) -> TrialDataset:
                 cid, arm, y = (int(v) for v in row)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: malformed row {row}") from exc
-            if arm_of.setdefault(cid, arm) != arm:
+            if cid not in index_of:  # a new cluster: check the id and arm once
+                if not _INT64_MIN <= cid <= _INT64_MAX:
+                    raise ConfigError(
+                        f"{path}:{lineno}: cluster id {cid} outside the int64 range"
+                    )
+                if arm not in (0, 1):
+                    raise ConfigError(f"{path}:{lineno}: arm must be 0 or 1, got {arm}")
+                index_of[cid] = len(index_of)
+                arm_of[cid] = arm
+            elif arm_of[cid] != arm:
                 raise ConfigError(f"{path}:{lineno}: cluster {cid} changes arm")
-            if y < 0:
-                raise ConfigError(f"{path}:{lineno}: negative outcome {y}")
-            keys.append(index_of.setdefault(cid, len(index_of)))
+            if not 0 <= y <= _INT64_MAX:
+                if y < 0:
+                    raise ConfigError(f"{path}:{lineno}: negative outcome {y}")
+                raise ConfigError(f"{path}:{lineno}: outcome {y} outside the int64 range")
+            keys.append(index_of[cid])
             ys.append(y)
     if not ys:
         raise ConfigError(f"{path}: no data rows")

@@ -115,6 +115,28 @@ def newton_beta(totals, p, beta=None, tol=1e-10, max_iter=100):
     raise AssertionError("Newton oracle did not converge")
 
 
+def sandwich_oracle(data, p):
+    """Textbook sandwich ``N * A**-1 V A**-1`` at plug-in ``p``, built per subject.
+
+    Each subject has covariates ``x = (1, r)``, mean ``mu = exp(x beta)`` at
+    the Newton solution for ``p``, and working weight
+    ``1 / (1 + odds(p_arm) * mu)``; ``A`` sums ``w mu x x^T`` over subjects
+    and ``V`` the outer products of each cluster's summed scores
+    ``w (y - mu) x``.
+    """
+    beta = np.array(newton_beta(arm_totals(data), p))
+    r = np.repeat(data.arm, data.size)
+    x = np.column_stack([np.ones(r.size), r])
+    mu = np.exp(x @ beta)
+    odds = np.array([p[0] / (1.0 - p[0]), p[1] / (1.0 - p[1])])[r]
+    w = 1.0 / (1.0 + odds * mu)
+    a = (x * (w * mu)[:, None]).T @ x
+    starts = np.cumsum(data.size) - data.size
+    scores = np.add.reduceat(x * (w * (data.outcomes - mu))[:, None], starts, axis=0)
+    a_inv = np.linalg.inv(a)
+    return data.n_clusters * (a_inv @ (scores.T @ scores) @ a_inv)
+
+
 def es_step(totals, beta, p):
     """One expectation-solution pass: refit beta, then update p.
 

@@ -63,3 +63,10 @@ def test_boundary_p_hat_warns(tmp_path, capsys):
     assert "warning: p1_hat is on the boundary 0" in err
     assert "p2_hat" not in err
     assert "degenerate" not in err
+
+
+def test_fit_rejects_a_cluster_id_outside_int64(tmp_path, capsys):
+    csv = tmp_path / "data.csv"
+    csv.write_text("cluster_id,arm,y\n0,0,1\n9223372036854775808,1,2\n", encoding="utf-8")
+    assert cli.main(["fit", "--data", str(csv)]) == 2
+    assert "cluster id 9223372036854775808 outside the int64 range" in capsys.readouterr().err

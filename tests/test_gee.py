@@ -1,6 +1,7 @@
 """Tests for the GEE fit, the ES iteration, and both variance estimators."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,8 @@ from scipy import optimize
 from zipcrt import (
     DomainError,
     EstimationError,
-    conditional_zero_mean,
-    fit_alpha_es,
-    fit_beta,
     fit_zip,
     generate_trial,
-    jackknife_variance,
-    sandwich_variance,
     wald_test,
 )
 from zipcrt.gee import _alpha_from_p
@@ -33,78 +29,57 @@ from conftest import (
     grid_design,
     jackknife_oracle,
     newton_beta,
+    sandwich_oracle,
 )
+
+
+def doubled_denominator_p(beta, p):
+    """Per-arm ``p'`` with ``1 + odds(p') * mu = 2 * (1 + odds(p) * mu)``: every weight halves."""
+    mu = (math.exp(beta[0]), math.exp(beta[0] + beta[1]))
+    rescaled = []
+    for arm, p_a in enumerate(p):
+        denom = 2.0 * (1.0 + p_a / (1 - p_a) * mu[arm])
+        odds = (denom - 1.0) / mu[arm]
+        rescaled.append(odds / (1.0 + odds))
+    return tuple(rescaled)
 
 
 class TestFitBeta:
     def test_equals_arm_log_means_on_random_data(self, config_a):
-        rng = np.random.default_rng(99)
         for seed in (101, 102, 103, 104, 105):
             data = generate_trial(config_a, 24, seed=seed)
-            p_hat = (rng.uniform(0.0, 0.9), rng.uniform(0.0, 0.9))
-            fit = fit_beta(data, p_hat)
+            fit = fit_zip(data)
             assert fit.converged
             control = data.arm_outcomes(0).mean()
             intervention = data.arm_outcomes(1).mean()
-            assert fit.beta[0] == pytest.approx(math.log(control), abs=1e-8)
-            assert fit.beta[1] == pytest.approx(
+            assert fit.beta_hat[0] == pytest.approx(math.log(control), abs=1e-8)
+            assert fit.beta_hat[1] == pytest.approx(
                 math.log(intervention) - math.log(control), abs=1e-8
             )
 
     def test_equal_arm_means_give_zero_effect(self):
         data = dataset([(0, 0, [1, 3]), (1, 1, [2, 2]), (2, 0, [2, 2]), (3, 1, [3, 1])])
-        fit = fit_beta(data, (0.0, 0.0))
-        assert fit.beta[1] == pytest.approx(0.0, abs=1e-10)
+        fit = fit_zip(data)
+        assert fit.beta_hat[1] == pytest.approx(0.0, abs=1e-10)
 
     def test_equals_newton_oracle(self, config_a):
+        # the weighted score has the arm log-means as its root whatever the
+        # plug-in p, so the fit matches the Newton solve at every p
         data = generate_trial(config_a, 20, seed=3)
-        fit = fit_beta(data, (0.5, 0.5))
-        oracle = newton_beta(arm_totals(data), (0.5, 0.5))
-        assert np.allclose(fit.beta, oracle, rtol=0.0, atol=1e-12)
+        fit = fit_zip(data)
+        for p in [(0.0, 0.0), (0.5, 0.5), (0.1, 0.8), (0.9, 0.2), fit.p_hat]:
+            oracle = newton_beta(arm_totals(data), p)
+            assert np.allclose(fit.beta_hat, oracle, rtol=0.0, atol=1e-12)
 
     def test_all_zero_arm_rejected(self):
-        data = dataset([(0, 0, [0, 0, 0]), (1, 1, [1, 2])])
-        with pytest.raises(EstimationError, match="all-zero"):
-            fit_beta(data, (0.0, 0.0))
+        data = dataset([(0, 0, [0, 0, 0]), (1, 1, [1, 2]), (2, 0, [0, 0]), (3, 1, [0, 3])])
+        with pytest.raises(EstimationError, match="control arm has all-zero"):
+            fit_zip(data)
 
     def test_single_arm_rejected(self):
-        data = dataset([(0, 0, [1, 2]), (1, 0, [2, 3])])
+        data = dataset([(0, 0, [1, 2]), (1, 0, [2, 3]), (2, 0, [0, 1])])
         with pytest.raises(EstimationError, match="both arms"):
-            fit_beta(data, (0.0, 0.0))
-
-    def test_invalid_plugin_p(self, config_a):
-        data = generate_trial(config_a, 10, seed=4)
-        with pytest.raises(DomainError):
-            fit_beta(data, (1.0, 0.5))
-
-
-class TestConditionalZeroMean:
-    def test_positive_count_cannot_be_structural(self):
-        assert conditional_zero_mean(3, 0.5, 1.0) == 0.0
-
-    def test_reference_value(self):
-        assert conditional_zero_mean(0, 0.5, 1.0) == pytest.approx(
-            1.0 / (1.0 + math.exp(-1.0)), abs=1e-12
-        )
-
-    def test_saturates_at_high_inflation(self):
-        assert conditional_zero_mean(0, 1.0 - 1e-9, 1.0) > 0.999999
-
-    def test_no_inflation_means_no_structural_zeros(self):
-        assert conditional_zero_mean(0, 0.0, 2.0) == 0.0
-
-    def test_monotone_in_p_and_lam(self):
-        values_p = [conditional_zero_mean(0, p, 1.0) for p in np.linspace(0.01, 0.95, 25)]
-        values_lam = [conditional_zero_mean(0, 0.3, l) for l in np.linspace(0.1, 6.0, 25)]
-        assert all(b > a for a, b in zip(values_p, values_p[1:]))
-        assert all(b > a for a, b in zip(values_lam, values_lam[1:]))
-        assert all(0.0 <= v < 1.0 for v in values_p + values_lam)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            conditional_zero_mean(-1, 0.5, 1.0)
-        with pytest.raises(DomainError):
-            conditional_zero_mean(0, 0.5, 0.0)
+            fit_zip(data)
 
 
 class TestFitAlphaES:
@@ -114,7 +89,7 @@ class TestFitAlphaES:
         # ES fixed point; sampling puts about half the arms on each side
         design = grid_design(p1=0.0, q=0.0)
         data = generate_trial(design, 400, seed=21)
-        fit = fit_alpha_es(data)
+        fit = fit_zip(data)
         totals = arm_totals(data)
         _, oracle_p = es_oracle(totals)
         for (m, s, z), p, p_oracle in zip(totals, fit.p_hat, oracle_p):
@@ -131,7 +106,7 @@ class TestFitAlphaES:
             (3, 1, [0, 1, 2, 1]),
             (4, 1, [2, 1, 1, 0]),
         ])
-        fit = fit_alpha_es(data)
+        fit = fit_zip(data)
         assert fit.p_hat == (0.0, 0.0)
         assert fit.alpha_hat[0] == -math.inf
         assert fit.alpha_hat[1] == 0.0
@@ -143,7 +118,7 @@ class TestFitAlphaES:
 
     def test_consistency_on_large_trial(self, config_a):
         data = generate_trial(config_a, 10**4, seed=22)
-        fit = fit_alpha_es(data)
+        fit = fit_zip(data)
         assert fit.converged
         assert fit.p_hat[0] == pytest.approx(0.5, abs=0.02)
         assert fit.p_hat[1] == pytest.approx(0.59693, abs=0.02)
@@ -154,7 +129,7 @@ class TestFitAlphaES:
 
     def test_fixed_point(self, config_a):
         data = generate_trial(config_a, 50, seed=23)
-        fit = fit_alpha_es(data)
+        fit = fit_zip(data)
         assert fit.converged
         # one oracle ES pass from the closed form leaves it in place
         beta, p = es_step(arm_totals(data), tuple(fit.beta_hat), fit.p_hat)
@@ -190,7 +165,7 @@ class TestFitAlphaES:
 class TestClosedFormMatchesOracle:
     """The closed-form fit against the ES iteration and its Jackknife refits."""
 
-    @pytest.mark.parametrize(
+    CASES = pytest.mark.parametrize(
         "sizes, rho, p1, q, n_clusters, seed",
         [
             (DU_34_56, 0.03, 0.5, 0.5, 24, 41),
@@ -200,6 +175,8 @@ class TestClosedFormMatchesOracle:
         ],
         ids=["du34-56", "du10-80", "trunpois", "boundary-p1-0"],
     )
+
+    @CASES
     def test_fit_zip_equals_es_oracle(self, sizes, rho, p1, q, n_clusters, seed):
         design = grid_design(cluster_sizes=sizes, rho=rho, p1=p1, q=q)
         data = generate_trial(design, n_clusters, seed=seed)
@@ -212,6 +189,17 @@ class TestClosedFormMatchesOracle:
         )
         if p1 == 0.0:
             assert 0.0 in fit.p_hat  # the case reaches the boundary
+
+    @CASES
+    def test_sigma_naive_equals_sandwich_oracle(self, sizes, rho, p1, q, n_clusters, seed):
+        # the per-subject sandwich at the fit's p_hat, and at a p that
+        # halves every working weight, equals the closed form, which has
+        # no weights at all
+        design = grid_design(cluster_sizes=sizes, rho=rho, p1=p1, q=q)
+        data = generate_trial(design, n_clusters, seed=seed)
+        fit = fit_zip(data)
+        for p in (fit.p_hat, doubled_denominator_p(fit.beta_hat, fit.p_hat)):
+            assert np.allclose(fit.sigma_naive, sandwich_oracle(data, p), rtol=1e-12, atol=0.0)
 
     def test_es_oracle_reaches_the_root(self):
         # near the boundary each ES step shrinks the distance to the fixed
@@ -231,71 +219,61 @@ class TestClosedFormMatchesOracle:
 
 class TestSandwichVariance:
     def test_perfect_fit_gives_zero(self):
-        data = dataset([(0, 0, [3, 3, 3]), (1, 1, [3, 3, 3])])
-        fit = fit_beta(data, (0.0, 0.0))
-        sigma = sandwich_variance(data, fit.beta, (0.0, 0.0))
-        assert np.allclose(sigma, 0.0, atol=1e-20)
+        data = dataset([(0, 0, [3, 3, 3]), (1, 1, [3, 3, 3]), (2, 0, [3, 3]), (3, 1, [3])])
+        assert np.allclose(fit_zip(data).sigma_naive, 0.0, atol=1e-20)
 
     def test_uniform_weight_rescaling_cancels(self, config_a):
         data = generate_trial(config_a, 30, seed=24)
-        fit = fit_beta(data, (0.4, 0.5))
-        base = sandwich_variance(data, fit.beta, (0.4, 0.5))
-        # choose per-arm p' doubling each arm's weight denominator 1 + odds*mu
-        mu = (math.exp(fit.beta[0]), math.exp(fit.beta[0] + fit.beta[1]))
-        rescaled = []
-        for arm, p in enumerate((0.4, 0.5)):
-            denom = 2.0 * (1.0 + p / (1 - p) * mu[arm])
-            odds = (denom - 1.0) / mu[arm]
-            rescaled.append(odds / (1.0 + odds))
-        doubled = sandwich_variance(data, fit.beta, tuple(rescaled))
+        fit = fit_zip(data)
+        base = sandwich_oracle(data, (0.4, 0.5))
+        doubled = sandwich_oracle(data, doubled_denominator_p(fit.beta_hat, (0.4, 0.5)))
         assert np.allclose(base, doubled, rtol=1e-10)
+        assert np.allclose(fit.sigma_naive, base, rtol=1e-12, atol=0.0)
 
     def test_symmetric_psd(self, config_a):
         data = generate_trial(config_a, 40, seed=25)
-        fit = fit_zip(data, jackknife=False)
-        sigma = fit.sigma_naive
+        sigma = fit_zip(data).sigma_naive
         assert np.allclose(sigma, sigma.T)
         assert np.linalg.eigvalsh(sigma).min() >= -1e-12
 
     def test_single_arm_rejected(self):
-        data = dataset([(0, 0, [1, 2]), (1, 0, [3, 1])])
-        with pytest.raises(EstimationError):
-            sandwich_variance(data, np.array([0.5, 0.0]), (0.0, 0.0))
+        data = dataset([(0, 0, [1, 2]), (1, 0, [3, 1]), (2, 0, [2, 0])])
+        with pytest.raises(EstimationError, match="both arms"):
+            fit_zip(data)
 
     def test_invariant_to_within_cluster_relabeling(self, config_a):
         data = generate_trial(config_a, 25, seed=26)
-        fit = fit_zip(data, jackknife=False)
+        fit = fit_zip(data)
         shuffled = dataset([(cid, arm, y[::-1]) for cid, arm, y in cluster_rows(data)])
-        sigma = sandwich_variance(shuffled, fit.beta_hat, fit.p_hat)
-        assert np.array_equal(sigma, fit.sigma_naive)
+        assert np.array_equal(fit_zip(shuffled).sigma_naive, fit.sigma_naive)
 
 
 class TestJackknifeVariance:
     def test_identical_clusters_give_zero(self):
         rows = [(i, i % 2, [0, 2, 3] if i % 2 == 0 else [0, 1, 2]) for i in range(8)]
-        sigma = jackknife_variance(dataset(rows))
+        sigma = fit_zip(dataset(rows)).sigma_jackknife
         assert np.allclose(sigma, 0.0, atol=1e-16)
 
     def test_needs_three_clusters(self):
         data = dataset([(0, 0, [1, 2]), (1, 1, [2, 3])])
         with pytest.raises(EstimationError, match="at least 3"):
-            jackknife_variance(data)
+            fit_zip(data)
 
     def test_removal_emptying_arm_rejected(self):
         data = dataset([(0, 0, [1, 2]), (1, 0, [0, 1]), (2, 1, [2, 1])])
         with pytest.raises(EstimationError, match="empties arm"):
-            jackknife_variance(data)
+            fit_zip(data)
 
     def test_removal_leaving_arm_all_zero_rejected(self):
         data = dataset([(0, 0, [1, 2]), (1, 0, [0, 1]), (2, 1, [0, 0]), (3, 1, [2, 1])])
         with pytest.raises(EstimationError, match="removing cluster 3 leaves all-zero"):
-            jackknife_variance(data)
+            fit_zip(data)
 
     def test_order_invariance(self, config_a):
         data = generate_trial(config_a, 20, seed=27)
-        sigma = jackknife_variance(data)
+        sigma = fit_zip(data).sigma_jackknife
         reordered = dataset(cluster_rows(data)[::-1])
-        assert np.allclose(jackknife_variance(reordered), sigma, atol=1e-14)
+        assert np.allclose(fit_zip(reordered).sigma_jackknife, sigma, atol=1e-14)
 
     def test_same_scale_as_sandwich_after_rescaling(self, config_a):
         # the resampling estimator targets Var(beta_hat); the sandwich is
@@ -309,7 +287,7 @@ class TestJackknifeVariance:
 
     def test_symmetric_psd(self, config_a):
         data = generate_trial(config_a, 22, seed=29)
-        sigma = jackknife_variance(data)
+        sigma = fit_zip(data).sigma_jackknife
         assert np.allclose(sigma, sigma.T)
         assert np.linalg.eigvalsh(sigma).min() >= -1e-15
 
@@ -348,16 +326,15 @@ class TestFitZip:
     def test_bundles_consistent_pieces(self, config_a):
         data = generate_trial(config_a, 30, seed=30)
         fit = fit_zip(data)
-        direct = fit_alpha_es(data)
-        assert np.allclose(fit.beta_hat, direct.beta_hat, atol=1e-12)
-        assert fit.p_hat == direct.p_hat
-        assert np.array_equal(
-            fit.sigma_naive, sandwich_variance(data, fit.beta_hat, fit.p_hat)
-        )
+        assert fit.n_clusters == 30 and fit.converged
+        assert np.array_equal(fit.alpha_hat, _alpha_from_p(*fit.p_hat))
+        assert fit.degenerate == any(z == 0 for _, _, z in arm_totals(data))
         assert fit.sigma2_sq("naive") == fit.sigma_naive[1, 1]
         assert fit.sigma2_sq("jackknife") == pytest.approx(
             30 * fit.sigma_jackknife[1, 1], abs=1e-15
         )
+        with pytest.raises(DomainError):
+            fit.sigma2_sq("bootstrap")
 
     def test_se_properties(self, config_a):
         data = generate_trial(config_a, 30, seed=31)
@@ -369,10 +346,14 @@ class TestFitZip:
             math.sqrt(fit.sigma_jackknife[1, 1]), abs=1e-15
         )
 
-    def test_skipping_jackknife(self, config_a):
-        data = generate_trial(config_a, 12, seed=32)
-        fit = fit_zip(data, jackknife=False)
-        assert fit.sigma_jackknife is None
-        assert fit.se_jackknife is None
-        with pytest.raises(EstimationError):
-            fit.sigma2_sq("jackknife")
+    def test_peak_memory_below_half_the_outcome_column(self):
+        # the fit needs per-arm zero counts only, so it may allocate byte
+        # masks as long as the outcome column but no int64 copy of it
+        data = generate_trial(grid_design(cluster_sizes=DU_10_80), 2000, seed=3)
+        tracemalloc.start()
+        try:
+            fit_zip(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.outcomes.nbytes / 2

@@ -9,7 +9,6 @@ from zipcrt import (
     StudyConfig,
     build_design,
     estimate_poisson_icc,
-    fit_beta,
     generate_trial,
     mc,
     run_power_study,
@@ -54,6 +53,14 @@ class TestReplicateFailures:
         assert error == "intervention arm has all-zero outcomes; log-mean undefined"
 
 
+class TestWorkers:
+    def test_two_workers_give_the_same_report(self):
+        config = StudyConfig(
+            design=grid_design(), replications=40, use_t_sizing=True, seed=3
+        )
+        assert run_power_study(config, workers=2) == run_power_study(config, workers=1)
+
+
 class TestPoissonIcc:
     @pytest.mark.parametrize("sizes", [DU_10_80, TRUNPOIS], ids=["du10-80", "trunpois"])
     def test_equals_residual_loop(self, sizes):
@@ -61,8 +68,7 @@ class TestPoissonIcc:
         # forms every Pearson residual, so the two differ only in rounding
         design = grid_design(cluster_sizes=sizes, rho=0.05)
         data = generate_trial(design, 500, seed=7)
-        beta = fit_beta(data, (0.0, 0.0)).beta
-        mu_by_arm = (math.exp(beta[0]), math.exp(beta[0] + beta[1]))
+        mu_by_arm = (data.arm_outcomes(0).mean(), data.arm_outcomes(1).mean())
         pair_sum = pair_count = square_sum = 0.0
         for _, arm, y in cluster_rows(data):
             e = (y - mu_by_arm[arm]) / math.sqrt(mu_by_arm[arm])

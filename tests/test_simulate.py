@@ -239,6 +239,24 @@ class TestDatasetIO:
         with pytest.raises(ConfigError, match="negative"):
             read_dataset(str(path))
 
+    def test_cluster_id_outside_int64_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("cluster_id,arm,y\n0,0,1\n9223372036854775808,1,2\n")
+        with pytest.raises(ConfigError, match=":3: cluster id 9223372036854775808 outside"):
+            read_dataset(str(path))
+
+    def test_outcome_outside_int64_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("cluster_id,arm,y\n0,0,1\n1,1,9223372036854775808\n")
+        with pytest.raises(ConfigError, match=":3: outcome 9223372036854775808 outside"):
+            read_dataset(str(path))
+
+    def test_arm_other_than_0_or_1_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("cluster_id,arm,y\n0,0,1\n1,9223372036854775808,2\n")
+        with pytest.raises(ConfigError, match=":3: arm must be 0 or 1"):
+            read_dataset(str(path))
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("cluster_id,arm,y\n")
