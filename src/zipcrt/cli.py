@@ -17,7 +17,9 @@ with ``--set key=value`` (``--set cluster_size.lo=10``).
 Every artifact-writing command also writes ``<out>.manifest.json``
 recording the command, a digest of the fully-resolved configuration, the
 seed, and the tool version; rerunning with the same inputs reproduces the
-artifact byte for byte.
+artifact byte for byte.  The ``study`` and ``tables`` manifests also record
+the study engine's name and version, its stream tag and its chunk size,
+which together with the seed fix every simulated rate.
 
 Exit codes: 0 success, 2 validation error, 3 runtime error (for example a
 dataset whose mean model is undefined).
@@ -37,7 +39,7 @@ from . import __version__
 from .design import ClusterSizeModel, DesignInputs, build_design, decompose_effect, pairwise_covariance_factor
 from .errors import ConfigError, DomainError, StudyError, ZipCrtError
 from .gee import fit_zip, wald_test
-from .mc import StudyConfig, reproduce_tables, run_power_study
+from .mc import CHUNK_REPLICATES, ENGINE, ENGINE_VERSION, STREAM_TAG, StudyConfig, reproduce_tables, run_power_study
 from .power import q_sweep, sample_size_normal, sample_size_t
 from .simulate import generate_trial, read_dataset, write_dataset
 
@@ -146,7 +148,9 @@ def _design_to_dict(design: DesignInputs) -> dict:
     }
 
 
-def _write_manifest(out_path: str, command: str, resolved: dict, seed: Optional[int]) -> None:
+def _write_manifest(
+    out_path: str, command: str, resolved: dict, seed: Optional[int], *, engine: bool = False
+) -> None:
     digest = hashlib.sha256(
         json.dumps(resolved, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -157,6 +161,13 @@ def _write_manifest(out_path: str, command: str, resolved: dict, seed: Optional[
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+    if engine:  # seeded study rates depend on the engine and its stream
+        manifest["engine"] = {
+            "name": ENGINE,
+            "version": ENGINE_VERSION,
+            "stream_tag": STREAM_TAG,
+            "chunk_replicates": CHUNK_REPLICATES,
+        }
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -321,7 +332,7 @@ def _cmd_study(args) -> int:
             "null_hypothesis": args.null,
             "seed": seed,
         }
-        _write_manifest(args.out, "study", resolved, seed)
+        _write_manifest(args.out, "study", resolved, seed, engine=True)
     return 0
 
 
@@ -338,7 +349,7 @@ def _cmd_tables(args) -> int:
             _write_manifest(
                 path, "tables",
                 {"table": report.table, "replications": args.reps, "seed": seed},
-                seed,
+                seed, engine=True,
             )
             print(f"wrote {path}")
         else:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import stats
+from scipy import optimize, stats
 
 from .errors import ConfigError, DomainError
 
@@ -293,19 +293,12 @@ def marginal_variance(arm: ArmProfile) -> float:
     return arm.mu + _odds(arm.p) * arm.mu**2
 
 
-def zero_probability(arm: ArmProfile, *, legacy: bool = False) -> float:
+def zero_probability(arm: ArmProfile) -> float:
     """Probability that a ZIP outcome equals zero.
 
     The mixture mass at zero is ``p + (1 - p) * exp(-lam)``: a structural
     zero, or a sampling zero from the Poisson component.
-
-    With ``legacy=True`` the additive expression ``exp(-lam) + p`` is
-    returned instead.  That form overweights the Poisson zeros (it omits the
-    ``1 - p`` factor) and can exceed 1; it is kept only so results quoted
-    from sources using the additive form can be reproduced and compared.
     """
-    if legacy:
-        return math.exp(-arm.lam) + arm.p
     return arm.p + (1.0 - arm.p) * math.exp(-arm.lam)
 
 
@@ -357,28 +350,17 @@ def decompose_effect(design: DesignInputs) -> EffectDecomposition:
     return EffectDecomposition(poisson_log_effect, zero_log_effect, q)
 
 
-def infer_p1_from_observed(
-    mean: float,
-    zero_proportion: float,
-    *,
-    legacy: bool = False,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> float:
+def infer_p1_from_observed(mean: float, zero_proportion: float) -> float:
     """Back out the structural-zero probability from observed summaries.
 
     Given an observed marginal mean and zero proportion, solves
-    ``p + (1 - p) * exp(-mean / (1 - p)) = zero_proportion`` for ``p`` by
-    bisection on [0, 1 - 1e-9].  The objective is continuous and strictly
-    increasing in ``p`` (derivative ``1 - exp(-lam) * (1 + lam) > 0``), so
-    the root is unique when it exists.
+    ``p + (1 - p) * exp(-mean / (1 - p)) = zero_proportion`` for ``p`` with
+    Brent's method on [0, 1 - 1e-9].  The objective is continuous and
+    strictly increasing in ``p`` (derivative ``1 - exp(-lam) * (1 + lam) > 0``),
+    so the root is unique when it exists.
 
     Returns 0 when the observed zero proportion does not exceed the pure
     Poisson mass ``exp(-mean)`` (no zero inflation is needed).
-
-    With ``legacy=True`` the additive zero-mass expression
-    ``exp(-mean/(1-p)) + p`` is inverted instead; see
-    :func:`zero_probability` for why that variant exists.
 
     Raises:
         DomainError: invalid summaries, or no root in [0, 1 - 1e-9).
@@ -389,36 +371,20 @@ def infer_p1_from_observed(
         raise DomainError(f"zero_proportion must lie in (0, 1), got {zero_proportion}")
 
     def objective(p: float) -> float:
-        lam = mean / (1.0 - p)
-        if legacy:
-            return p + math.exp(-lam) - zero_proportion
-        return p + (1.0 - p) * math.exp(-lam) - zero_proportion
+        return p + (1.0 - p) * math.exp(-mean / (1.0 - p)) - zero_proportion
 
     lo, hi = 0.0, 1.0 - 1e-9
-    f_lo = objective(lo)
-    if f_lo >= 0.0:
+    if objective(lo) >= 0.0:
         return 0.0
-    f_hi = objective(hi)
-    if f_hi < 0.0:
+    if objective(hi) < 0.0:
         raise DomainError(
             f"zero proportion {zero_proportion} unreachable for mean {mean}: "
             "no root in [0, 1)"
         )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        f_mid = objective(mid)
-        if f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return 0.5 * (lo + hi)
+    return float(optimize.brentq(objective, lo, hi))
 
 
-def pairwise_covariance_factor(
-    arm: ArmProfile, rho_s: float, rho_u: float, *, legacy: bool = False
-) -> float:
+def pairwise_covariance_factor(arm: ArmProfile, rho_s: float, rho_u: float) -> float:
     """Within-cluster covariance of two distinct subjects' ZIP outcomes.
 
     For subjects j != j' sharing a cluster, exchangeable correlation rho_s of
@@ -430,20 +396,8 @@ def pairwise_covariance_factor(
     This is obtained by enumerating the three structural-zero patterns of
     the pair, weighting each conditional cross-moment by its probability;
     the covariance vanishes exactly when ``rho_u == 0`` and ``p * rho_s == 0``.
-
-    With ``legacy=True`` a superseded closed-form variant is evaluated
-    instead.  It disagrees with the pattern-enumeration covariance (and with
-    simulated data) and is exposed only for diagnostic comparison; never use
-    it for design calculations.
     """
     if not (0.0 <= rho_s < 1.0 and 0.0 <= rho_u < 1.0):
         raise DomainError(f"ICCs must lie in [0, 1), got rho_s={rho_s}, rho_u={rho_u}")
     mu, p = arm.mu, arm.p
-    if legacy:
-        return mu * (
-            _odds(p) * rho_s
-            - 2.0 * (mu + 2.0) * p * p * (rho_s - 1.0)
-            + p * (rho_s - 1.0) * (rho_u + 2.0)
-            + rho_u
-        )
     return mu * rho_u * (1.0 - p * (1.0 - rho_s)) + mu**2 * rho_s * _odds(p)

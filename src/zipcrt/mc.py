@@ -6,9 +6,27 @@ under the sandwich ("naive") and leave-one-out ("jackknife") variance
 estimators.  Type-I studies size the trial with the design's effect but
 generate data with the effect removed.
 
-Replicates draw from substreams derived from ``(seed, replicate index)``,
-so reports are reproducible and independent of worker count or completion
-order.
+Every Wald decision depends on a trial only through each cluster's arm,
+size ``m_i`` and outcome sum ``Y_i`` (see :mod:`zipcrt.gee`), so the study
+engine never forms subject-level data.  It draws ``Y_i`` exactly, with a
+fixed number of draws per cluster, from the construction that
+:func:`zipcrt.simulate.generate_trial` uses subject by subject:
+
+  * each subject takes the shared zero indicator ``c ~ Bern(p)`` with
+    probability ``s = sqrt(rho_s)`` and its own ``Bern(p)`` otherwise, so
+    ``W ~ Bin(m, s)`` subjects take ``c`` and
+    ``K = (1 - c) * W + Bin(m - W, 1 - p)`` subjects are not structural
+    zeros.  Given ``c`` the subjects are independent, so ``K`` is drawn as
+    one ``Bin(m, (1 - s) * (1 - p) + (1 - c) * s)``;
+  * ``Y = Poisson(K * lam * (1 - rho_u)) + K * Poisson(lam * rho_u)``, the
+    individual Poisson parts of the ``K`` subjects plus ``K`` copies of the
+    shared part.
+
+Replicates are drawn in chunks of ``CHUNK_REPLICATES`` as ``(R, N)`` arrays,
+and each chunk's statistics are row reductions with :func:`fit_zip`'s and
+:func:`wald_test`'s formulas.  Chunk ``k`` of a study draws from the stream
+``(seed, STREAM_TAG, k)``, so a seeded report is the same for any number of
+workers and any order in which chunks complete.
 """
 
 from __future__ import annotations
@@ -21,15 +39,23 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .design import ClusterSizeModel, DesignInputs, build_design
-from .errors import ConfigError, EstimationError, StudyError, ZipCrtError
-from .gee import _arm_totals, fit_zip, wald_test
-from .power import sample_size_normal, sample_size_t
-from .simulate import generate_trial
+from .errors import ConfigError, DomainError, EstimationError, StudyError
+# fit_zip is not called here; the benchmark harness looks it up on this module
+from .gee import _arm_totals, fit_zip  # noqa: F401
+from .power import normal_quantile, sample_size_normal, sample_size_t, t_quantile
+from .simulate import _MAX_REJECTION_ATTEMPTS, _balanced_count, _empty_arm_message, _stalled_message, generate_trial
 
 _REPLICATE_TAG = 0x52455053  # distinguishes replicate-seed derivation
 _MAX_FAILURE_FRACTION = 0.01
 
 DF_RULES = ("n-2", "n-4")
+
+# What a study manifest records about the engine.  A change to the stream,
+# the chunk size or the draws changes seeded results and bumps the version.
+ENGINE = "cluster-sum"
+ENGINE_VERSION = 1
+STREAM_TAG = 0x43535553  # the chunk streams (seed, STREAM_TAG, chunk index)
+CHUNK_REPLICATES = 256
 
 
 def replicate_seed(seed: int, index: int) -> int:
@@ -81,47 +107,179 @@ def _test_df(rule: str, n_clusters: int) -> int:
     return n_clusters - 2 if rule == "n-2" else n_clusters - 4
 
 
-def _run_replicate(
-    gen_design: DesignInputs,
+@dataclass(frozen=True)
+class _Chunk:
+    """Per-replicate results of one chunk.
+
+    ``failure`` holds the message of the error the replicate's fit or test
+    raised, or None.  The decisions of a failed replicate are False and its
+    estimates are meaningless.
+    """
+
+    beta2_hat: np.ndarray
+    sigma2_naive: np.ndarray
+    sigma2_jackknife: np.ndarray
+    reject_naive: np.ndarray
+    reject_jackknife: np.ndarray
+    failure: list[Optional[str]]
+
+
+def _draw_cluster_sizes(
+    model: ClusterSizeModel, rng: np.random.Generator, shape: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster sizes, and which of them stalled in truncated-Poisson rejection."""
+    if model.kind == "fixed":
+        return np.full(shape, model.lo, dtype=np.int64), np.zeros(shape, dtype=bool)
+    if model.kind == "discrete_uniform":
+        return rng.integers(model.lo, model.hi + 1, size=shape), np.zeros(shape, dtype=bool)
+    sizes = rng.poisson(model.rate, size=shape)
+    rejected = (sizes < model.lo) | (sizes > model.hi)
+    for _ in range(_MAX_REJECTION_ATTEMPTS - 1):
+        if not rejected.any():
+            break
+        redraw = rng.poisson(model.rate, size=int(rejected.sum()))
+        sizes[rejected] = redraw
+        rejected[rejected] = (redraw < model.lo) | (redraw > model.hi)
+    return sizes, rejected
+
+
+def _draw_clusters(
+    design: DesignInputs, n_clusters: int, rng: np.random.Generator, rows: int
+) -> tuple[np.ndarray, ...]:
+    """``(R, N)`` arrays of arm, size and outcome sum, and two failure masks.
+
+    Replicate ``r`` allocates clusters ``0 .. n_intervention[r] - 1`` to the
+    intervention arm; the clusters are exchangeable, so which ones receive it
+    changes no statistic.  The masks mark replicates whose allocation left an
+    arm empty and replicates with a stalled cluster-size draw.
+    """
+    count, tie = _balanced_count(n_clusters, design.r_bar)
+    n_intervention = np.full(rows, count)
+    if tie:
+        n_intervention += rng.random(rows) < 0.5
+    arm = np.arange(n_clusters) < n_intervention[:, None]
+    shape = arm.shape
+    m, stalled = _draw_cluster_sizes(design.cluster_sizes, rng, shape)
+    p = np.where(arm, design.intervention.p, design.control.p)
+    lam = np.where(arm, design.intervention.lam, design.control.lam)
+    mix = math.sqrt(design.rho_s)
+    shared_zero = rng.random(shape) < p
+    nonzero = rng.binomial(m, (1.0 - mix) * (1.0 - p) + np.where(shared_zero, 0.0, mix))
+    y = rng.poisson(nonzero * lam * (1.0 - design.rho_u))
+    y += nonzero * rng.poisson(lam * design.rho_u)
+    empty_arm = (n_intervention == 0) | (n_intervention == n_clusters)
+    return arm, m, y, empty_arm, stalled.any(axis=1)
+
+
+def _simulate_chunk(
+    design: DesignInputs,
     n_clusters: int,
     seed: int,
+    chunk: int,
+    rows: int,
     reference: str,
     df: Optional[int],
     alpha: float,
-) -> tuple[Optional[bool], Optional[bool], Optional[str]]:
-    """(naive reject, jackknife reject, error) for one replicate."""
+) -> _Chunk:
+    """Draw and test ``rows`` replicates from the stream of chunk ``chunk``.
+
+    A replicate fails with the message, and at the first of the checks,
+    that :func:`generate_trial`, :func:`fit_zip` and :func:`wald_test` would
+    raise on it, in their order.
+    """
+    rng = np.random.default_rng([seed, STREAM_TAG, chunk])
+    arm, m, y, empty_arm, stalled = _draw_clusters(design, n_clusters, rng, rows)
+    failure: list[Optional[str]] = [None] * rows
+
+    def fail(bad: np.ndarray, message) -> None:
+        for r in np.flatnonzero(bad):
+            if failure[r] is None:
+                failure[r] = message(r) if callable(message) else message
+
+    everyone = np.ones(rows, dtype=bool)
+    if n_clusters < 2:
+        fail(everyone, f"need at least 2 clusters, got {n_clusters}")
+    fail(empty_arm, _empty_arm_message(n_clusters, design.r_bar))
+    fail(stalled, _stalled_message(design.cluster_sizes))
+
+    # per-arm totals are sums of integers, exact in float64; the allocation
+    # check leaves both arms present, so fit_zip's arm-absent check never fires
+    in_arm = (~arm, arm)
+    subjects = [np.where(a, m, 0).sum(axis=1).astype(np.float64) for a in in_arm]
+    outcomes = [np.where(a, y, 0).sum(axis=1).astype(np.float64) for a in in_arm]
+    for name, total in zip(("control", "intervention"), outcomes):
+        fail(total <= 0, f"{name} arm has all-zero outcomes; log-mean undefined")
+    if n_clusters < 3:
+        fail(everyone, f"jackknife needs at least 3 clusters, got {n_clusters}")
+
+    m = m.astype(np.float64)
+    y = y.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ybar = [s / n for s, n in zip(outcomes, subjects)]
+        log_mean = [np.log(v) for v in ybar]
+        beta2_hat = log_mean[1] - log_mean[0]
+
+        def own(values):  # each cluster's own-arm value of a per-arm pair
+            return np.where(arm, values[1][:, None], values[0][:, None])
+
+        residual = y - m * own(ybar)
+        squares = residual * residual
+        s = [np.where(a, squares, 0.0).sum(axis=1) / (o * o) for a, o in zip(in_arm, outcomes)]
+        sigma2_naive = n_clusters * (s[0] + s[1])
+
+        loo_subjects = own(subjects) - m
+        loo_outcomes = own(outcomes) - y
+        for what, bad in (
+            ("empties arm", loo_subjects <= 0),
+            ("leaves all-zero outcomes in arm", loo_outcomes <= 0),
+        ):
+            first = np.argmax(bad, axis=1)
+            fail(
+                bad.any(axis=1),
+                lambda r: f"removing cluster {first[r]} {what} {int(arm[r, first[r]])}",
+            )
+        delta = np.log(loo_outcomes / loo_subjects) - own(log_mean)
+        deltas = delta * delta
+        d = [np.where(a, deltas, 0.0).sum(axis=1) for a in in_arm]
+        sigma2_jackknife = n_clusters * ((n_clusters - 2) / n_clusters * (d[0] + d[1]))
+
+    # wald_test: the naive test's variance, its critical value, then the
+    # jackknife test's variance
+    def positive(sigma2: np.ndarray) -> None:
+        fail(~(sigma2 > 0.0), lambda r: f"sigma2_sq must be positive, got {float(sigma2[r])}")
+
+    positive(sigma2_naive)
+    critical = math.inf
     try:
-        data = generate_trial(gen_design, n_clusters, seed)
-        fit = fit_zip(data)
-        naive = wald_test(
-            float(fit.beta_hat[1]), fit.sigma2_sq("naive"), n_clusters,
-            reference, alpha, df,
-        )
-        jack = wald_test(
-            float(fit.beta_hat[1]), fit.sigma2_sq("jackknife"), n_clusters,
-            reference, alpha, df,
-        )
-        return naive.reject, jack.reject, None
-    except ZipCrtError as exc:
-        return None, None, str(exc)
+        if reference == "normal":
+            critical = normal_quantile(1.0 - alpha / 2.0)
+        else:
+            critical = t_quantile(df, 1.0 - alpha / 2.0)
+    except DomainError as exc:
+        fail(everyone, str(exc))
+    positive(sigma2_jackknife)
 
-
-def _replicate_args(config: StudyConfig, n_clusters: int):
-    gen_design = (
-        config.design.under_null() if config.null_hypothesis else config.design
+    ok = np.array([f is None for f in failure])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scaled = math.sqrt(n_clusters) * beta2_hat
+        reject_naive = ok & (np.abs(scaled / np.sqrt(sigma2_naive)) > critical)
+        reject_jackknife = ok & (np.abs(scaled / np.sqrt(sigma2_jackknife)) > critical)
+    return _Chunk(
+        beta2_hat, sigma2_naive, sigma2_jackknife, reject_naive, reject_jackknife, failure
     )
+
+
+def _chunk_args(config: StudyConfig, n_clusters: int) -> list[tuple]:
+    """:func:`_simulate_chunk` arguments for every chunk of a study."""
+    design = config.design.under_null() if config.null_hypothesis else config.design
     reference = "t" if config.use_t_sizing else "normal"
     df = _test_df(config.test_df_rule, n_clusters) if reference == "t" else None
-    alpha = config.design.alpha
-    for index in range(config.replications):
-        yield (
-            gen_design,
-            n_clusters,
-            replicate_seed(config.seed, index),
-            reference,
-            df,
-            alpha,
-        )
+    return [
+        (design, n_clusters, config.seed, chunk,
+         min(CHUNK_REPLICATES, config.replications - start), reference, df,
+         config.design.alpha)
+        for chunk, start in enumerate(range(0, config.replications, CHUNK_REPLICATES))
+    ]
 
 
 def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
@@ -130,28 +288,23 @@ def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
     Failed replicates (an arm absent or all-zero, in the data or after a
     Jackknife deletion, so the mean model is undefined) are excluded from
     the denominators; if they exceed 1% of the replications the study
-    aborts, since the rates would no longer be trustworthy.
+    aborts, since the rates would no longer be trustworthy.  With
+    ``workers > 1`` a study of more than one chunk runs its chunks in a
+    process pool; the report is the same for any worker count.
     """
     sizing = sample_size_t if config.use_t_sizing else sample_size_normal
     n_clusters = sizing(config.design).n_clusters
 
-    results: list[tuple[Optional[bool], Optional[bool], Optional[str]]]
-    args = list(_replicate_args(config, n_clusters))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_replicate_star, args, chunksize=16))
+    args = _chunk_args(config, n_clusters)
+    if workers > 1 and len(args) > 1:  # a pool costs more than one chunk
+        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
+            chunks = list(pool.map(_simulate_chunk, *zip(*args)))
     else:
-        results = [_run_replicate(*a) for a in args]
+        chunks = [_simulate_chunk(*a) for a in args]
 
-    naive_rejections = 0
-    jack_rejections = 0
-    failures = []
-    for naive, jack, error in results:
-        if error is not None:
-            failures.append(error)
-        else:
-            naive_rejections += bool(naive)
-            jack_rejections += bool(jack)
+    failures = [f for chunk in chunks for f in chunk.failure if f is not None]
+    naive_rejections = sum(int(chunk.reject_naive.sum()) for chunk in chunks)
+    jack_rejections = sum(int(chunk.reject_jackknife.sum()) for chunk in chunks)
     n_failed = len(failures)
     if n_failed / config.replications >= _MAX_FAILURE_FRACTION:
         sample = "; ".join(sorted(set(failures))[:3])
@@ -170,10 +323,6 @@ def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
         replicate_failures=n_failed,
         replications=config.replications,
     )
-
-
-def _run_replicate_star(args) -> tuple[Optional[bool], Optional[bool], Optional[str]]:
-    return _run_replicate(*args)
 
 
 def estimate_poisson_icc(

@@ -127,7 +127,11 @@ def sample_cluster_size(model: ClusterSizeModel, rng: np.random.Generator) -> in
         draw = int(rng.poisson(model.rate))
         if model.lo <= draw <= model.hi:
             return draw
-    raise ZipCrtError(
+    raise ZipCrtError(_stalled_message(model))
+
+
+def _stalled_message(model: ClusterSizeModel) -> str:
+    return (
         f"rejection sampling for truncated_poisson({model.rate}) on "
         f"[{model.lo}, {model.hi}] stalled after {_MAX_REJECTION_ATTEMPTS} attempts"
     )
@@ -184,20 +188,31 @@ def _allocate_arms(
     if bernoulli:
         arms = (rng.random(n_clusters) < r_bar).astype(np.int64)
     else:
-        target = n_clusters * r_bar
-        n_intervention = math.floor(target)
-        fraction = target - n_intervention
-        if abs(fraction - 0.5) < 1e-12:
+        n_intervention, tie = _balanced_count(n_clusters, r_bar)
+        if tie:
             n_intervention += int(rng.random() < 0.5)
-        else:
-            n_intervention = round(target)
         arms = np.zeros(n_clusters, dtype=np.int64)
         arms[rng.permutation(n_clusters)[:n_intervention]] = 1
     if arms.sum() in (0, n_clusters):
-        raise ConfigError(
-            f"allocation left an empty arm (n={n_clusters}, r_bar={r_bar})"
-        )
+        raise ConfigError(_empty_arm_message(n_clusters, r_bar))
     return arms
+
+
+def _balanced_count(n_clusters: int, r_bar: float) -> tuple[int, bool]:
+    """Intervention clusters under balanced allocation, before any fair draw.
+
+    The count is ``round(n * r_bar)``, except that an exact .5 remainder
+    gives ``floor(n * r_bar)`` and True: one fair draw then adds 1 or 0.
+    """
+    target = n_clusters * r_bar
+    floor = math.floor(target)
+    if abs(target - floor - 0.5) < 1e-12:
+        return floor, True
+    return round(target), False
+
+
+def _empty_arm_message(n_clusters: int, r_bar: float) -> str:
+    return f"allocation left an empty arm (n={n_clusters}, r_bar={r_bar})"
 
 
 def generate_trial(

@@ -1,10 +1,11 @@
-"""End-to-end tests of the command line: ``simulate`` then ``fit``, in-process."""
+"""End-to-end tests of the command line, in-process: ``simulate`` then ``fit``,
+and the manifests of ``study`` and ``tables``."""
 
 import json
 
 import pytest
 
-from zipcrt import cli, fit_zip, read_dataset
+from zipcrt import cli, fit_zip, mc, read_dataset
 
 
 def design_file(tmp_path, **overrides):
@@ -70,3 +71,30 @@ def test_fit_rejects_a_cluster_id_outside_int64(tmp_path, capsys):
     csv.write_text("cluster_id,arm,y\n0,0,1\n9223372036854775808,1,2\n", encoding="utf-8")
     assert cli.main(["fit", "--data", str(csv)]) == 2
     assert "cluster id 9223372036854775808 outside the int64 range" in capsys.readouterr().err
+
+
+ENGINE_FIELDS = {
+    "name": "cluster-sum", "version": 1, "stream_tag": mc.STREAM_TAG, "chunk_replicates": 256,
+}
+
+
+def test_study_manifest_records_the_engine(tmp_path, capsys):
+    out = tmp_path / "study.csv"
+    code = cli.main([
+        "study", "--config", design_file(tmp_path), "--reps", "20", "--sizing", "t",
+        "--seed", "3", "--out", str(out),
+    ])
+    assert code == 0
+    manifest = json.loads((tmp_path / "study.csv.manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["command"], manifest["seed"]) == ("study", 3)
+    assert manifest["engine"] == ENGINE_FIELDS
+    header, row = out.read_text(encoding="utf-8").splitlines()
+    assert dict(zip(header.split(","), row.split(",")))["replications"] == "20"
+
+
+def test_tables_manifest_records_the_engine(tmp_path, capsys):
+    prefix = str(tmp_path / "out")
+    assert cli.main(["tables", "--which", "table1", "--seed", "3", "--out", prefix]) == 0
+    manifest = json.loads((tmp_path / "out.table1.csv.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["command"] == "tables"
+    assert manifest["engine"] == ENGINE_FIELDS

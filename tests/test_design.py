@@ -97,15 +97,6 @@ class TestZeroProbability:
         arm = ArmProfile.from_mean(1.21, 0.19)
         assert zero_probability(arm) == pytest.approx(0.3718, abs=5e-4)
 
-    def test_legacy_form_differs(self):
-        arm = ArmProfile.from_mean(1.21, 0.19)
-        assert zero_probability(arm, legacy=True) == pytest.approx(
-            math.exp(-arm.lam) + 0.19, abs=1e-12
-        )
-        assert zero_probability(arm, legacy=True) != pytest.approx(
-            zero_probability(arm), abs=1e-6
-        )
-
 
 class TestP2FromQ:
     def test_q_zero_keeps_p1(self):
@@ -176,12 +167,6 @@ class TestInferP1:
         arm = ArmProfile.from_mean(1.21, p)
         assert zero_probability(arm) == pytest.approx(0.372, abs=1e-8)
 
-    def test_legacy_root_is_smaller(self):
-        # the additive zero-mass variant absorbs more of the zeros into the
-        # Poisson part, so the inferred inflation is much smaller
-        p = infer_p1_from_observed(1.21, 0.372, legacy=True)
-        assert p == pytest.approx(0.12, abs=5e-3)
-
     def test_forward_check(self):
         p = infer_p1_from_observed(1.0, 0.60)
         lam = 1.0 / (1.0 - p)
@@ -240,12 +225,6 @@ class TestPairwiseCovariance:
         in_rho_s = [pairwise_covariance_factor(arm, r, 0.1) for r in grid]
         assert all(b > a for a, b in zip(in_rho_u, in_rho_u[1:]))
         assert all(b > a for a, b in zip(in_rho_s, in_rho_s[1:]))
-
-    def test_legacy_variant_probe(self):
-        arm = ArmProfile.from_mean(1.0, 0.5)
-        assert pairwise_covariance_factor(arm, 0.03, 0.03, legacy=True) == (
-            pytest.approx(0.53045, abs=1e-10)
-        )
 
 
 class TestClusterSizeModel:

@@ -1,35 +1,203 @@
-"""Tests for Monte Carlo studies: which replicates fail, and why; the Poisson-model ICC."""
+"""Tests for Monte Carlo studies: the cluster-sum engine against the fit, the
+simulator and the design variance; which replicates fail, and why; the
+Poisson-model ICC."""
 
 import math
 
+import numpy as np
 import pytest
 
 from zipcrt import (
     ClusterSizeModel,
     StudyConfig,
+    TrialDataset,
+    ZipCrtError,
     build_design,
+    design_variance,
     estimate_poisson_icc,
+    fit_zip,
     generate_trial,
     mc,
+    pairwise_covariance_factor,
     run_power_study,
+    sample_size_t,
+    simulate,
+    wald_test,
 )
 
-from conftest import DU_10_80, TRUNPOIS, cluster_rows, grid_design
+from conftest import DU_10_80, DU_34_56, TRUNPOIS, cluster_rows, grid_design
+
+
+def engine_draws(design, n_clusters, seed, chunk, rows):
+    """The arm, size and outcome-sum arrays that one engine chunk tests."""
+    rng = np.random.default_rng([seed, mc.STREAM_TAG, chunk])
+    return mc._draw_clusters(design, n_clusters, rng, rows)[:3]
+
+
+# (design, clusters, reference, df): the two reference laws at
+# their t-sized N, then small trials whose replicates fail in every way a
+# fit or a test can: an all-zero arm, a deletion that empties an arm or
+# leaves it all-zero, a zero variance, and no degrees of freedom
+GATE_CASES = {
+    "du34-56": (grid_design(DU_34_56, rho=0.05), 28, "t", 26),
+    "trunpois": (grid_design(TRUNPOIS, rho=0.05), 30, "normal", None),
+    "fixed-sparse": (
+        build_design(mu1=0.3, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.05, rho_u=0.05,
+                     cluster_sizes=ClusterSizeModel.fixed(2)),
+        6, "t", 4,
+    ),
+    "fixed-tiny": (
+        build_design(mu1=0.7, beta2=-0.431, p1=0.0, q=0.0, rho_s=0.0, rho_u=0.0,
+                     cluster_sizes=ClusterSizeModel.fixed(1)),
+        4, "t", 0,
+    ),
+    "du-three": (grid_design(ClusterSizeModel.discrete_uniform(1, 3), rho=0.05), 3, "t", 1),
+    "du-two": (grid_design(ClusterSizeModel.discrete_uniform(1, 3), rho=0.05), 2, "t", 0),
+}
+
+
+class TestEngineMatchesFit:
+    """The exactness gate: a chunk's statistics are fit_zip's and wald_test's."""
+
+    @pytest.mark.parametrize("case", list(GATE_CASES))
+    def test_chunk_equals_fit_of_each_replicate(self, case):
+        design, n, reference, df = GATE_CASES[case]
+        seed, rows = 17, mc.CHUNK_REPLICATES
+        chunk = mc._simulate_chunk(design, n, seed, 0, rows, reference, df, 0.05)
+        arm, m, y = engine_draws(design, n, seed, 0, rows)
+        for r in range(rows):
+            # Y_i on the cluster's first subject and 0 on the others
+            starts = np.cumsum(m[r]) - m[r]
+            column = np.zeros(int(m[r].sum()), dtype=np.int64)
+            column[starts] = y[r]
+            data = TrialDataset(np.arange(n), arm[r].astype(np.int64), m[r], column)
+            try:
+                fit = fit_zip(data)
+                beta2 = float(fit.beta_hat[1])
+                sigma2 = [fit.sigma2_sq(e) for e in ("naive", "jackknife")]
+                got = [chunk.beta2_hat[r], chunk.sigma2_naive[r], chunk.sigma2_jackknife[r]]
+                assert np.allclose(got, [beta2] + sigma2, rtol=1e-12, atol=0.0)
+                tests = [wald_test(beta2, s, n, reference, 0.05, df) for s in sigma2]
+            except ZipCrtError as exc:
+                assert chunk.failure[r] == str(exc)
+                assert not chunk.reject_naive[r] and not chunk.reject_jackknife[r]
+                continue
+            assert chunk.failure[r] is None
+            assert chunk.reject_naive[r] == tests[0].reject
+            assert chunk.reject_jackknife[r] == tests[1].reject
+
+    def test_gate_cases_reach_every_fit_and_test_failure(self):
+        kinds = {
+            "control arm has all-zero", "intervention arm has all-zero",
+            "jackknife needs", "empties arm", "leaves all-zero outcomes in arm",
+            "sigma2_sq must be positive", "t quantile needs",
+        }
+        seen = set()
+        for design, n, reference, df in GATE_CASES.values():
+            chunk = mc._simulate_chunk(design, n, 17, 0, mc.CHUNK_REPLICATES, reference, df, 0.05)
+            seen.update(k for k in kinds for f in chunk.failure if f is not None and k in f)
+        assert seen == kinds
+
+    def test_allocation_failure_matches_generate_trial(self):
+        # 4 * 0.125 = 0.5 clusters: a fair draw gives the intervention 0 or 1
+        design = build_design(mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.05, rho_u=0.05,
+                              r_bar=0.125, cluster_sizes=DU_34_56)
+        expected = set()
+        for seed in range(20):
+            try:
+                generate_trial(design, 4, seed)
+            except ZipCrtError as exc:
+                expected.add(str(exc))
+        chunk = mc._simulate_chunk(design, 4, 3, 0, 64, "normal", None, 0.05)
+        messages = [f for f in chunk.failure if f is not None and "allocation" in f]
+        assert expected == set(messages) == {"allocation left an empty arm (n=4, r_bar=0.125)"}
+        assert 0 < len(messages) < 64
+
+    def test_stalled_cluster_size_matches_generate_trial(self, monkeypatch):
+        # Poisson(45) lands in [90, 100] with probability about 1e-9
+        monkeypatch.setattr(mc, "_MAX_REJECTION_ATTEMPTS", 5)
+        monkeypatch.setattr(simulate, "_MAX_REJECTION_ATTEMPTS", 5)
+        design = grid_design(ClusterSizeModel.truncated_poisson(45.0, 90, 100))
+        with pytest.raises(ZipCrtError) as exc:
+            generate_trial(design, 6, 0)
+        chunk = mc._simulate_chunk(design, 6, 0, 0, 8, "normal", None, 0.05)
+        assert chunk.failure == [str(exc.value)] * 8
+        assert "stalled after 5 attempts" in str(exc.value)
+
+
+def cluster_sum_moments(sums):
+    """Mean and variance of a sample with the standard errors of both."""
+    n = sums.size
+    mean = sums.mean()
+    centred = sums - mean
+    var = float((centred**2).sum() / (n - 1))
+    fourth = float((centred**4).mean())
+    return mean, math.sqrt(var / n), var, math.sqrt(max(fourth - var * var, 0.0) / n)
+
+
+class TestClusterSums:
+    """The distribution gate: the engine's Y_i given m_i against the closed
+    forms and against generate_trial's cluster sums."""
+
+    SIZE = 30
+    SE_MULTIPLE = 5.0  # each comparison is allowed 5 standard errors
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(rho=0.05), dict(rho=0.05, p1=0.0, q=0.0), dict(rho=0.0)],
+        ids=["grid", "p1=0", "rho=0"],
+    )
+    def test_mean_and_variance(self, kwargs):
+        design = grid_design(ClusterSizeModel.fixed(self.SIZE), **kwargs)
+        m = self.SIZE
+        arm, _, y = engine_draws(design, 40, 5, 0, 500)  # 10,000 clusters per arm
+        data = generate_trial(design, 8000, 5)  # 4,000 per arm
+        trial_sums = data.cluster_sums(data.outcomes)
+        for a, profile in enumerate((design.control, design.intervention)):
+            odds = profile.p / (1.0 - profile.p)
+            mean = m * profile.mu
+            var = m * profile.mu * (1.0 + odds * profile.mu) + m * (m - 1) * (
+                pairwise_covariance_factor(profile, design.rho_s, design.rho_u)
+            )
+            sums = y[arm == a].astype(float)
+            got = cluster_sum_moments(sums)
+            ref = cluster_sum_moments(trial_sums[data.arm == a].astype(float))
+            k = self.SE_MULTIPLE
+            assert abs(got[0] - mean) <= k * math.sqrt(var / sums.size)
+            assert abs(got[2] - var) <= k * got[3]
+            assert abs(got[0] - ref[0]) <= k * math.hypot(got[1], ref[1])
+            assert abs(got[2] - ref[2]) <= k * math.hypot(got[3], ref[3])
+
+
+class TestCalibration:
+    """Smoke test of the sizing formula against simulation, on 3 reference cells."""
+
+    REPS = 20_000
+    # MC error of a variance ratio is about sqrt(2 / L); 0.05 is the allowance
+    # for the formula being asymptotic.  The bound comes from these two, not
+    # from observed ratios.
+    BOUND = 0.05 + 4.0 * math.sqrt(2.0 / REPS)
+
+    @pytest.mark.parametrize("sizes", [TRUNPOIS, DU_34_56, DU_10_80],
+                             ids=["trunpois", "du34-56", "du10-80"])
+    def test_variance_ratio(self, sizes):
+        design = mc.reference_design(sizes, 0.05, 0.5)
+        config = StudyConfig(design=design, replications=self.REPS, use_t_sizing=True, seed=2)
+        n = sample_size_t(design).n_clusters
+        chunks = [mc._simulate_chunk(*a) for a in mc._chunk_args(config, n)]
+        beta2 = np.concatenate([
+            c.beta2_hat[[f is None for f in c.failure]] for c in chunks
+        ])
+        assert beta2.size == self.REPS
+        ratio = n * beta2.var(ddof=1) / design_variance(design)
+        assert abs(ratio - 1.0) <= self.BOUND
 
 
 class TestReplicateFailures:
     @pytest.mark.parametrize("null", [True, False], ids=["type-i", "power"])
-    def test_rare_zero_design_loses_no_replicate(self, null, monkeypatch):
+    def test_rare_zero_design_loses_no_replicate(self, null):
         # few structural zeros: many arms' p_hat solve to the boundary 0,
-        # which no Wald decision depends on
-        fits = []
-        original = mc.fit_zip
-
-        def recording(data, **kwargs):
-            fits.append(original(data, **kwargs))
-            return fits[-1]
-
-        monkeypatch.setattr(mc, "fit_zip", recording)
+        # which no Wald decision depends on (the engine never forms it)
         design = grid_design(rho=0.03, p1=0.05, q=0.1)
         report = run_power_study(
             StudyConfig(
@@ -39,7 +207,8 @@ class TestReplicateFailures:
         )
         assert report.n_clusters_used == 15
         assert report.replicate_failures == 0
-        assert len(fits) == 20
+        generating = design.under_null() if null else design
+        fits = [fit_zip(generate_trial(generating, 15, seed)) for seed in range(20)]
         assert any(0.0 in fit.p_hat for fit in fits)
 
     def test_all_zero_arm_fails_its_replicate(self):
@@ -48,16 +217,22 @@ class TestReplicateFailures:
             mu1=0.01, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.03, rho_u=0.03,
             cluster_sizes=ClusterSizeModel.fixed(2),
         )
-        naive, jack, error = mc._run_replicate(design, 4, 0, "t", 2, 0.05)
-        assert naive is None and jack is None
-        assert error == "intervention arm has all-zero outcomes; log-mean undefined"
+        chunk = mc._simulate_chunk(design, 4, 0, 0, mc.CHUNK_REPLICATES, "t", 2, 0.05)
+        error = "intervention arm has all-zero outcomes; log-mean undefined"
+        failed = [r for r, f in enumerate(chunk.failure) if f == error]
+        assert failed
+        assert not chunk.reject_naive[failed].any()
+        assert not chunk.reject_jackknife[failed].any()
 
 
 class TestWorkers:
     def test_two_workers_give_the_same_report(self):
+        # more than two chunks, so the pool really splits the study
         config = StudyConfig(
-            design=grid_design(), replications=40, use_t_sizing=True, seed=3
+            design=grid_design(), replications=2 * mc.CHUNK_REPLICATES + 8,
+            use_t_sizing=True, seed=3,
         )
+        assert len(mc._chunk_args(config, 28)) == 3
         assert run_power_study(config, workers=2) == run_power_study(config, workers=1)
 
 
