@@ -18,8 +18,9 @@ Every artifact-writing command also writes ``<out>.manifest.json``
 recording the command, a digest of the fully-resolved configuration, the
 seed, and the tool version; rerunning with the same inputs reproduces the
 artifact byte for byte.  The ``study`` and ``tables`` manifests also record
-the study engine's name and version, its stream tag and its chunk size,
-which together with the seed fix every simulated rate.
+the Monte Carlo engine's name and version, its stream tags (study chunks
+and ICC datasets) and its chunk size, which together with the seed fix
+every simulated rate and ICC.
 
 Exit codes: 0 success, 2 validation error, 3 runtime error (for example a
 dataset whose mean model is undefined).
@@ -39,7 +40,16 @@ from . import __version__
 from .design import ClusterSizeModel, DesignInputs, build_design, decompose_effect, pairwise_covariance_factor
 from .errors import ConfigError, DomainError, StudyError, ZipCrtError
 from .gee import fit_zip, wald_test
-from .mc import CHUNK_REPLICATES, ENGINE, ENGINE_VERSION, STREAM_TAG, StudyConfig, reproduce_tables, run_power_study
+from .mc import (
+    CHUNK_REPLICATES,
+    ENGINE,
+    ENGINE_VERSION,
+    ICC_STREAM_TAG,
+    STREAM_TAG,
+    StudyConfig,
+    reproduce_tables,
+    run_power_study,
+)
 from .power import q_sweep, sample_size_normal, sample_size_t
 from .simulate import generate_trial, read_dataset, write_dataset
 
@@ -166,6 +176,7 @@ def _write_manifest(
             "name": ENGINE,
             "version": ENGINE_VERSION,
             "stream_tag": STREAM_TAG,
+            "icc_stream_tag": ICC_STREAM_TAG,
             "chunk_replicates": CHUNK_REPLICATES,
         }
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:

@@ -401,3 +401,18 @@ def pairwise_covariance_factor(arm: ArmProfile, rho_s: float, rho_u: float) -> f
         raise DomainError(f"ICCs must lie in [0, 1), got rho_s={rho_s}, rho_u={rho_u}")
     mu, p = arm.mu, arm.p
     return mu * rho_u * (1.0 - p * (1.0 - rho_s)) + mu**2 * rho_s * _odds(p)
+
+
+def poisson_icc_limit(design: DesignInputs) -> float:
+    """Limit of :func:`zipcrt.mc.estimate_poisson_icc` as the cluster count grows.
+
+    In each arm the Pearson residuals ``(y - mu) / sqrt(mu)`` of a Poisson
+    working model have within-cluster pair mean
+    ``pairwise_covariance_factor / mu`` and square mean
+    ``marginal_variance / mu = 1 + odds(p) * mu``.  Balanced allocation and
+    one cluster-size law for both arms weigh the arms equally in both means.
+    """
+    arms = (design.control, design.intervention)
+    pair = [pairwise_covariance_factor(a, design.rho_s, design.rho_u) / a.mu for a in arms]
+    square = [marginal_variance(a) / a.mu for a in arms]
+    return sum(pair) / sum(square)

@@ -86,21 +86,28 @@ def _arm_totals(data: TrialDataset) -> tuple[np.ndarray, ...]:
     """Per-cluster sizes ``m_i`` and outcome sums ``Y_i``, then per-arm ``M_a`` and ``S_a``.
 
     Raises:
-        EstimationError: an arm is absent or has all-zero outcomes, so its
-            log-mean is undefined.
+        EstimationError: as :func:`_arm_sums`.
     """
     m = data.size.astype(np.float64)
     y = data.cluster_sums(data.outcomes).astype(np.float64)
-    subjects = np.bincount(data.arm, weights=m, minlength=2)
-    outcomes = np.bincount(data.arm, weights=y, minlength=2)
+    return (m, y, *_arm_sums(data.arm, m, y))
+
+
+def _arm_sums(arm: np.ndarray, m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-arm ``M_a`` and ``S_a`` from each cluster's arm, ``m_i`` and ``Y_i``.
+
+    Raises:
+        EstimationError: an arm is absent or has all-zero outcomes, so its
+            log-mean is undefined.
+    """
+    subjects = np.bincount(arm, weights=m, minlength=2)
+    outcomes = np.bincount(arm, weights=y, minlength=2)
     if subjects.min() <= 0:
         raise EstimationError("both arms must be present in the data")
-    for arm in (0, 1):
-        if outcomes[arm] <= 0:
-            raise EstimationError(
-                f"{_ARM_NAMES[arm]} arm has all-zero outcomes; log-mean undefined"
-            )
-    return m, y, subjects, outcomes
+    for name, total in zip(_ARM_NAMES, outcomes):
+        if total <= 0:
+            raise EstimationError(f"{name} arm has all-zero outcomes; log-mean undefined")
+    return subjects, outcomes
 
 
 @dataclass

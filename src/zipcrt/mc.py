@@ -27,10 +27,17 @@ and each chunk's statistics are row reductions with :func:`fit_zip`'s and
 :func:`wald_test`'s formulas.  Chunk ``k`` of a study draws from the stream
 ``(seed, STREAM_TAG, k)``, so a seeded report is the same for any number of
 workers and any order in which chunks complete.
+
+:func:`estimate_poisson_icc` also needs each cluster's sum of ``y**2``.  It
+draws one dataset's arm, ``m`` and ``K`` with the same helper, then the
+``K`` subjects' own Poisson parts one by one and reduces them to per-cluster
+sums (see :func:`_draw_icc_sums`), from the stream ``(seed, ICC_STREAM_TAG)``.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -38,23 +45,31 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .design import ClusterSizeModel, DesignInputs, build_design
-from .errors import ConfigError, DomainError, EstimationError, StudyError
+from .design import ClusterSizeModel, DesignInputs, build_design, poisson_icc_limit
+from .errors import ConfigError, DomainError, EstimationError, StudyError, ZipCrtError
 # fit_zip is not called here; the benchmark harness looks it up on this module
-from .gee import _arm_totals, fit_zip  # noqa: F401
+from .gee import _arm_sums, fit_zip  # noqa: F401
 from .power import normal_quantile, sample_size_normal, sample_size_t, t_quantile
-from .simulate import _MAX_REJECTION_ATTEMPTS, _balanced_count, _empty_arm_message, _stalled_message, generate_trial
+from .simulate import (
+    _MAX_REJECTION_ATTEMPTS,
+    _balanced_count,
+    _empty_arm_message,
+    _stalled_message,
+    substream,
+)
 
 _REPLICATE_TAG = 0x52455053  # distinguishes replicate-seed derivation
 _MAX_FAILURE_FRACTION = 0.01
 
 DF_RULES = ("n-2", "n-4")
 
-# What a study manifest records about the engine.  A change to the stream,
-# the chunk size or the draws changes seeded results and bumps the version.
+# What a study or table manifest records about the engine.  A change to a
+# stream, the chunk size or the draws changes seeded results and bumps the
+# version.
 ENGINE = "cluster-sum"
-ENGINE_VERSION = 1
+ENGINE_VERSION = 2
 STREAM_TAG = 0x43535553  # the chunk streams (seed, STREAM_TAG, chunk index)
+ICC_STREAM_TAG = 0x49434353  # an ICC dataset's stream (seed, ICC_STREAM_TAG)
 CHUNK_REPLICATES = 256
 
 
@@ -143,10 +158,10 @@ def _draw_cluster_sizes(
     return sizes, rejected
 
 
-def _draw_clusters(
+def _draw_nonzero_counts(
     design: DesignInputs, n_clusters: int, rng: np.random.Generator, rows: int
 ) -> tuple[np.ndarray, ...]:
-    """``(R, N)`` arrays of arm, size and outcome sum, and two failure masks.
+    """``(R, N)`` arrays of arm, size and non-structural-zero count ``K``, and two failure masks.
 
     Replicate ``r`` allocates clusters ``0 .. n_intervention[r] - 1`` to the
     intervention arm; the clusters are exchangeable, so which ones receive it
@@ -161,14 +176,23 @@ def _draw_clusters(
     shape = arm.shape
     m, stalled = _draw_cluster_sizes(design.cluster_sizes, rng, shape)
     p = np.where(arm, design.intervention.p, design.control.p)
-    lam = np.where(arm, design.intervention.lam, design.control.lam)
     mix = math.sqrt(design.rho_s)
     shared_zero = rng.random(shape) < p
     nonzero = rng.binomial(m, (1.0 - mix) * (1.0 - p) + np.where(shared_zero, 0.0, mix))
+    empty_arm = (n_intervention == 0) | (n_intervention == n_clusters)
+    return arm, m, nonzero, empty_arm, stalled.any(axis=1)
+
+
+def _draw_clusters(
+    design: DesignInputs, n_clusters: int, rng: np.random.Generator, rows: int
+) -> tuple[np.ndarray, ...]:
+    """``(R, N)`` arrays of arm, size and outcome sum, and the two failure
+    masks of :func:`_draw_nonzero_counts`."""
+    arm, m, nonzero, empty_arm, stalled = _draw_nonzero_counts(design, n_clusters, rng, rows)
+    lam = np.where(arm, design.intervention.lam, design.control.lam)
     y = rng.poisson(nonzero * lam * (1.0 - design.rho_u))
     y += nonzero * rng.poisson(lam * design.rho_u)
-    empty_arm = (n_intervention == 0) | (n_intervention == n_clusters)
-    return arm, m, y, empty_arm, stalled.any(axis=1)
+    return arm, m, y, empty_arm, stalled
 
 
 def _simulate_chunk(
@@ -325,12 +349,76 @@ def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
     )
 
 
+def _draw_icc_sums(
+    design: DesignInputs, n_clusters: int, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
+    """One dataset's per-cluster arm, size, sum of ``y`` and sum of ``y**2``.
+
+    Each of a cluster's ``K`` non-structural-zero subjects has the outcome
+    ``P_j + U``: its own ``P_j ~ Poisson(lam * (1 - rho_u))`` plus the
+    cluster's shared ``U ~ Poisson(lam * rho_u)``.  With ``T = sum P_j`` and
+    ``Q = sum P_j**2`` the cluster's sums are ``Y = T + K * U`` and
+    ``sum y**2 = Q + 2 * U * T + K * U**2``.
+
+    Raises:
+        ConfigError: the allocation left an arm empty.
+        ZipCrtError: a truncated-Poisson cluster-size draw stalled.
+    """
+    arm, m, nonzero, empty_arm, stalled = (
+        a[0] for a in _draw_nonzero_counts(design, n_clusters, rng, 1)
+    )
+    if empty_arm:
+        raise ConfigError(_empty_arm_message(n_clusters, design.r_bar))
+    if stalled:
+        raise ZipCrtError(_stalled_message(design.cluster_sizes))
+    lam = np.where(arm, design.intervention.lam, design.control.lam)
+    shared = rng.poisson(lam * design.rho_u)
+    own = rng.poisson(np.repeat(lam * (1.0 - design.rho_u), nonzero))
+    # per-cluster sums of P and P**2 as differences of running sums, which
+    # also gives 0 for a cluster with K = 0
+    ends = np.cumsum(nonzero)
+    starts = ends - nonzero
+    running = np.zeros(own.size + 1, dtype=np.int64)
+    np.cumsum(own, out=running[1:])
+    t = running[ends] - running[starts]
+    np.cumsum(np.multiply(own, own, out=own), out=running[1:])
+    q = running[ends] - running[starts]
+    y = t + nonzero * shared
+    ysq = q + shared * (2 * t + nonzero * shared)
+    return arm.astype(np.int64), m, y, ysq
+
+
+def _poisson_icc(arm: np.ndarray, m: np.ndarray, ysum: np.ndarray, ysq: np.ndarray) -> float:
+    """:func:`estimate_poisson_icc`'s statistic from each cluster's arm, size
+    ``m_i``, outcome sum ``Y_i`` and sum of squared outcomes.
+
+    Per cluster, the Pearson residuals ``e = (y - mu_a) / sqrt(mu_a)`` sum
+    to ``(Y_i - m_i mu_a) / sqrt(mu_a)``; per arm, their squares sum to
+    ``sum y**2 / mu_a - S_a``, because ``mu_a = S_a / M_a``.
+
+    Raises:
+        EstimationError: an arm is absent or all-zero, or every cluster has
+            size 1.
+    """
+    m = m.astype(np.float64)
+    ysum = ysum.astype(np.float64)
+    subjects, outcomes = _arm_sums(arm, m, ysum)
+    mu = outcomes / subjects
+    square_sum = float((np.bincount(arm, weights=ysq, minlength=2) / mu - outcomes).sum())
+    total = (ysum - m * mu[arm]) ** 2 / mu[arm]
+    pair_sum = (float(total.sum()) - square_sum) / 2.0
+    pair_count = float((m * (m - 1)).sum()) / 2.0
+    if pair_count == 0:
+        raise EstimationError("no within-cluster pairs: all clusters have size 1")
+    return (pair_sum / pair_count) / (square_sum / float(subjects.sum()))
+
+
 def estimate_poisson_icc(
     design: DesignInputs, n_clusters: int = 10_000, seed: int = 0
 ) -> float:
     """Intracluster correlation a Poisson working model would report.
 
-    Generates one ZIP dataset, fits the arm means under a Poisson working
+    Draws one ZIP dataset, fits the arm means under a Poisson working
     model, and forms Pearson residuals ``e = (y - mu_hat) / sqrt(mu_hat)``.
     The moment estimator is the mean within-cluster pairwise residual
     product divided by the mean squared residual:
@@ -339,22 +427,22 @@ def estimate_poisson_icc(
                   / [sum e**2 / total subjects]
 
     This is what a sample-size method built on a Poisson model would be fed
-    when the outcomes are actually zero-inflated.
+    when the outcomes are actually zero-inflated.  The dataset has
+    :func:`zipcrt.simulate.generate_trial`'s law but is drawn as per-cluster
+    sums (see :func:`_draw_icc_sums`) from the stream ``(seed,
+    ICC_STREAM_TAG)``.  Its limit as ``n_clusters`` grows is
+    :func:`zipcrt.design.poisson_icc_limit`.
+
+    Raises:
+        ConfigError: fewer than 2 clusters, or an arm left empty.
+        DomainError: a seed outside ``[0, 2**64)``.
+        ZipCrtError: a stalled truncated-Poisson cluster-size draw.
+        EstimationError: an all-zero arm, or no within-cluster pairs.
     """
-    data = generate_trial(design, n_clusters, seed)
-    m, ysum, subjects, outcomes = _arm_totals(data)
-    mu = (outcomes / subjects)[data.arm]
-    # per-cluster sum and sum of squares of e, from the cluster's m, sum y
-    # and sum y**2; the dataset is this function's own, so y is squared in
-    # place rather than in a copy as long as the outcome column
-    ysq = data.cluster_sums(np.multiply(data.outcomes, data.outcomes, out=data.outcomes))
-    total = (ysum - m * mu) / np.sqrt(mu)
-    squares = (ysq - 2.0 * mu * ysum + m * mu * mu) / mu
-    pair_sum = float((total * total - squares).sum()) / 2.0
-    pair_count = float((m * (m - 1)).sum()) / 2.0
-    if pair_count == 0:
-        raise EstimationError("no within-cluster pairs: all clusters have size 1")
-    return (pair_sum / pair_count) / (float(squares.sum()) / data.n_subjects)
+    if n_clusters < 2:
+        raise ConfigError(f"need at least 2 clusters, got {n_clusters}")
+    rng = substream(seed, ICC_STREAM_TAG)
+    return _poisson_icc(*_draw_icc_sums(design, n_clusters, rng))
 
 
 # Bundled reference grid: the scenarios tabulated by the bundled studies.
@@ -397,10 +485,12 @@ class TableReport:
     rows: list[dict] = field(default_factory=list)
 
     def to_text(self) -> str:
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(_format_cell(row.get(c)) for c in self.columns))
-        return "\n".join(lines) + "\n"
+        """The table as CSV; a label with a comma, such as ``DU(34,56)``, is quoted."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(self.columns)
+        writer.writerows([_format_cell(row.get(c)) for c in self.columns] for row in self.rows)
+        return out.getvalue()
 
 
 def _format_cell(value) -> str:
@@ -438,7 +528,7 @@ def reproduce_tables(
     error and power of both variance estimators are appended (one null and
     one alternative study per row).  ``table3-icc`` lists the Poisson-model
     ICC obtained from a 10,000-cluster ZIP dataset for the two discrete-
-    uniform grids.
+    uniform grids, next to its large-sample limit.
 
     Raises:
         ConfigError: an unknown table identifier.
@@ -498,7 +588,10 @@ def _reproduce_size_table(
 def _reproduce_icc_table(seed: int) -> TableReport:
     report = TableReport(
         table="table3-icc",
-        columns=["distribution", "rho_s", "rho_u", "q", "n_clusters", "rho_hat_poisson"],
+        columns=[
+            "distribution", "rho_s", "rho_u", "q", "n_clusters",
+            "rho_hat_poisson", "rho_limit_poisson",
+        ],
     )
     row_index = 0
     for label, dist in _GRID_DISTRIBUTIONS:
@@ -517,6 +610,7 @@ def _reproduce_icc_table(seed: int) -> TableReport:
                         "rho_hat_poisson": estimate_poisson_icc(
                             design, 10_000, replicate_seed(seed, row_index)
                         ),
+                        "rho_limit_poisson": poisson_icc_limit(design),
                     }
                 )
                 row_index += 1

@@ -1,6 +1,7 @@
 """End-to-end tests of the command line, in-process: ``simulate`` then ``fit``,
 and the manifests of ``study`` and ``tables``."""
 
+import csv
 import json
 
 import pytest
@@ -74,7 +75,8 @@ def test_fit_rejects_a_cluster_id_outside_int64(tmp_path, capsys):
 
 
 ENGINE_FIELDS = {
-    "name": "cluster-sum", "version": 1, "stream_tag": mc.STREAM_TAG, "chunk_replicates": 256,
+    "name": "cluster-sum", "version": 2, "stream_tag": mc.STREAM_TAG,
+    "icc_stream_tag": mc.ICC_STREAM_TAG, "chunk_replicates": 256,
 }
 
 
@@ -94,7 +96,35 @@ def test_study_manifest_records_the_engine(tmp_path, capsys):
 
 def test_tables_manifest_records_the_engine(tmp_path, capsys):
     prefix = str(tmp_path / "out")
-    assert cli.main(["tables", "--which", "table1", "--seed", "3", "--out", prefix]) == 0
-    manifest = json.loads((tmp_path / "out.table1.csv.manifest.json").read_text(encoding="utf-8"))
-    assert manifest["command"] == "tables"
-    assert manifest["engine"] == ENGINE_FIELDS
+    assert cli.main(["tables", "--which", "table1,table3-icc", "--seed", "3", "--out", prefix]) == 0
+    for table in ("table1", "table3-icc"):
+        manifest = json.loads(
+            (tmp_path / f"out.{table}.csv.manifest.json").read_text(encoding="utf-8")
+        )
+        assert manifest["command"] == "tables"
+        assert manifest["engine"] == ENGINE_FIELDS
+
+
+def test_tables_read_back_as_csv(tmp_path, capsys):
+    # the distribution labels hold commas, so they must be quoted
+    prefix = str(tmp_path / "out")
+    code = cli.main([
+        "tables", "--which", "table1,table2,table3-icc", "--reps", "20", "--seed", "3",
+        "--out", prefix,
+    ])
+    assert code == 0
+    value_columns = {
+        "table1": mc._study_columns(True)[5:],
+        "table2": mc._study_columns(True)[5:],
+        "table3-icc": ["rho_hat_poisson", "rho_limit_poisson"],
+    }
+    labels = {label for label, _ in mc._GRID_DISTRIBUTIONS}
+    for table, columns in value_columns.items():
+        with open(f"{prefix}.{table}.csv", encoding="utf-8", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == (20 if table == "table3-icc" else 30)
+        for row in rows:
+            assert None not in row and None not in row.values()  # no field too many or too few
+            assert row["distribution"] in labels
+            assert int(row["n_clusters"]) >= 2
+            assert all(0.0 <= float(row[c]) <= 1.0 for c in columns)

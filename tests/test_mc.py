@@ -2,6 +2,7 @@
 simulator and the design variance; which replicates fail, and why; the
 Poisson-model ICC."""
 
+import functools
 import math
 
 import numpy as np
@@ -9,6 +10,9 @@ import pytest
 
 from zipcrt import (
     ClusterSizeModel,
+    ConfigError,
+    DomainError,
+    EstimationError,
     StudyConfig,
     TrialDataset,
     ZipCrtError,
@@ -24,6 +28,7 @@ from zipcrt import (
     simulate,
     wald_test,
 )
+from zipcrt.design import poisson_icc_limit
 
 from conftest import DU_10_80, DU_34_56, TRUNPOIS, cluster_rows, grid_design
 
@@ -135,23 +140,39 @@ def cluster_sum_moments(sums):
     return mean, math.sqrt(var / n), var, math.sqrt(max(fourth - var * var, 0.0) / n)
 
 
+# The distribution gates' cells: clusters of fixed size FIXED_SIZE, on the
+# grid, with no structural zeros, and with no within-cluster correlation
+FIXED_SIZE = 30
+FIXED_CELLS = {
+    "grid": dict(rho=0.05), "p1=0": dict(rho=0.05, p1=0.0, q=0.0), "rho=0": dict(rho=0.0),
+}
+SE_MULTIPLE = 5.0  # each distribution comparison is allowed 5 standard errors
+
+
+@functools.lru_cache(maxsize=None)
+def fixed_size_trial(cell):
+    """A cell's design, and a generate_trial dataset of it with 4,000 clusters per arm."""
+    design = grid_design(ClusterSizeModel.fixed(FIXED_SIZE), **FIXED_CELLS[cell])
+    return design, generate_trial(design, 8000, 5)
+
+
+def assert_same_moments(sums, reference):
+    """Equal mean and variance within SE_MULTIPLE standard errors."""
+    got = cluster_sum_moments(sums.astype(float))
+    ref = cluster_sum_moments(reference.astype(float))
+    assert abs(got[0] - ref[0]) <= SE_MULTIPLE * math.hypot(got[1], ref[1])
+    assert abs(got[2] - ref[2]) <= SE_MULTIPLE * math.hypot(got[3], ref[3])
+
+
 class TestClusterSums:
     """The distribution gate: the engine's Y_i given m_i against the closed
     forms and against generate_trial's cluster sums."""
 
-    SIZE = 30
-    SE_MULTIPLE = 5.0  # each comparison is allowed 5 standard errors
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(rho=0.05), dict(rho=0.05, p1=0.0, q=0.0), dict(rho=0.0)],
-        ids=["grid", "p1=0", "rho=0"],
-    )
-    def test_mean_and_variance(self, kwargs):
-        design = grid_design(ClusterSizeModel.fixed(self.SIZE), **kwargs)
-        m = self.SIZE
+    @pytest.mark.parametrize("cell", FIXED_CELLS)
+    def test_mean_and_variance(self, cell):
+        design, data = fixed_size_trial(cell)
+        m = FIXED_SIZE
         arm, _, y = engine_draws(design, 40, 5, 0, 500)  # 10,000 clusters per arm
-        data = generate_trial(design, 8000, 5)  # 4,000 per arm
         trial_sums = data.cluster_sums(data.outcomes)
         for a, profile in enumerate((design.control, design.intervention)):
             odds = profile.p / (1.0 - profile.p)
@@ -161,12 +182,9 @@ class TestClusterSums:
             )
             sums = y[arm == a].astype(float)
             got = cluster_sum_moments(sums)
-            ref = cluster_sum_moments(trial_sums[data.arm == a].astype(float))
-            k = self.SE_MULTIPLE
-            assert abs(got[0] - mean) <= k * math.sqrt(var / sums.size)
-            assert abs(got[2] - var) <= k * got[3]
-            assert abs(got[0] - ref[0]) <= k * math.hypot(got[1], ref[1])
-            assert abs(got[2] - ref[2]) <= k * math.hypot(got[3], ref[3])
+            assert abs(got[0] - mean) <= SE_MULTIPLE * math.sqrt(var / sums.size)
+            assert abs(got[2] - var) <= SE_MULTIPLE * got[3]
+            assert_same_moments(sums, trial_sums[data.arm == a])
 
 
 class TestCalibration:
@@ -236,10 +254,15 @@ class TestWorkers:
         assert run_power_study(config, workers=2) == run_power_study(config, workers=1)
 
 
+def icc_draws(design, n_clusters, seed):
+    """The per-cluster arm, size, sum of y and sum of y**2 that estimate_poisson_icc uses."""
+    return mc._draw_icc_sums(design, n_clusters, simulate.substream(seed, mc.ICC_STREAM_TAG))
+
+
 class TestPoissonIcc:
     @pytest.mark.parametrize("sizes", [DU_10_80, TRUNPOIS], ids=["du10-80", "trunpois"])
     def test_equals_residual_loop(self, sizes):
-        # the estimator works from per-cluster sums of y and y**2; the loop
+        # the statistic works from per-cluster sums of y and y**2; the loop
         # forms every Pearson residual, so the two differ only in rounding
         design = grid_design(cluster_sizes=sizes, rho=0.05)
         data = generate_trial(design, 500, seed=7)
@@ -251,4 +274,119 @@ class TestPoissonIcc:
             pair_count += y.size * (y.size - 1) / 2.0
             square_sum += (e * e).sum()
         expected = (pair_sum / pair_count) / (square_sum / data.n_subjects)
-        assert estimate_poisson_icc(design, 500, seed=7) == pytest.approx(expected, rel=1e-12)
+        got = mc._poisson_icc(
+            data.arm, data.size, data.cluster_sums(data.outcomes),
+            data.cluster_sums(data.outcomes * data.outcomes),
+        )
+        assert got == pytest.approx(expected, rel=1e-12)
+
+    def test_statistic_of_the_draws(self):
+        design = grid_design(cluster_sizes=DU_10_80, rho=0.05)
+        expected = mc._poisson_icc(*icc_draws(design, 500, 7))
+        assert estimate_poisson_icc(design, 500, seed=7) == expected
+
+    # ICC_TOL_10K of the benchmark harness: about 5 SD of an estimate at
+    # 10,000 clusters, fixed before any run
+    LIMIT_TOL = 0.008
+
+    @pytest.mark.parametrize("sizes", [DU_34_56, DU_10_80], ids=["du34-56", "du10-80"])
+    def test_near_the_large_sample_limit(self, sizes):
+        for rho in (0.03, 0.05):
+            for q in (0.3, 0.4, 0.5, 0.6, 0.7):
+                design = mc.reference_design(sizes, rho, q)
+                limit = poisson_icc_limit(design)
+                for seed in range(3):
+                    value = estimate_poisson_icc(design, 10_000, seed)
+                    assert abs(value - limit) <= self.LIMIT_TOL, (rho, q, seed)
+
+
+class TestIccSums:
+    """The distribution gate of the ICC engine: each cluster's Y_i and sum of
+    y**2 given m_i against generate_trial's cluster sums."""
+
+    @pytest.mark.parametrize("cell", FIXED_CELLS)
+    def test_mean_and_variance(self, cell):
+        design, data = fixed_size_trial(cell)
+        arm, m, y, ysq = icc_draws(design, 20_000, 5)  # 10,000 clusters per arm
+        assert (m == FIXED_SIZE).all()
+        trial_y = data.cluster_sums(data.outcomes)
+        trial_ysq = data.cluster_sums(data.outcomes * data.outcomes)
+        for a, profile in enumerate((design.control, design.intervention)):
+            assert np.count_nonzero(arm == a) == 10_000
+            # E[y**2] = Var(y) + mu**2, per subject
+            mean_sq = profile.mu * (1.0 + profile.mu / (1.0 - profile.p))
+            got = cluster_sum_moments(ysq[arm == a].astype(float))
+            assert abs(got[0] - FIXED_SIZE * mean_sq) <= SE_MULTIPLE * got[1]
+            got = cluster_sum_moments(y[arm == a].astype(float))
+            assert abs(got[0] - FIXED_SIZE * profile.mu) <= SE_MULTIPLE * got[1]
+            assert_same_moments(y[arm == a], trial_y[data.arm == a])
+            assert_same_moments(ysq[arm == a], trial_ysq[data.arm == a])
+
+
+def raised(call, *args):
+    """The type and message of the ZipCrtError a call raises."""
+    with pytest.raises(ZipCrtError) as exc:
+        call(*args)
+    return type(exc.value), str(exc.value)
+
+
+class TestIccFailures:
+    """estimate_poisson_icc fails with generate_trial's and fit_zip's errors."""
+
+    def test_too_few_clusters(self):
+        design = grid_design()
+        assert raised(estimate_poisson_icc, design, 1, 0) == raised(generate_trial, design, 1, 0)
+
+    def test_empty_arm(self):
+        # round(3 * 0.1) = 0 clusters receive the intervention
+        design = build_design(mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.05, rho_u=0.05,
+                              r_bar=0.1, cluster_sizes=DU_34_56)
+        expected = raised(generate_trial, design, 3, 0)
+        assert expected[0] is ConfigError
+        assert raised(estimate_poisson_icc, design, 3, 0) == expected
+
+    def test_seed_out_of_range(self):
+        design = grid_design()
+        expected = raised(generate_trial, design, 10, 2**64)
+        assert expected[0] is DomainError
+        assert raised(estimate_poisson_icc, design, 10, 2**64) == expected
+        assert raised(estimate_poisson_icc, design, 10, -1) == raised(generate_trial, design, 10, -1)
+
+    def test_stalled_cluster_size(self, monkeypatch):
+        # Poisson(45) lands in [90, 100] with probability about 1e-9
+        monkeypatch.setattr(mc, "_MAX_REJECTION_ATTEMPTS", 5)
+        monkeypatch.setattr(simulate, "_MAX_REJECTION_ATTEMPTS", 5)
+        design = grid_design(ClusterSizeModel.truncated_poisson(45.0, 90, 100))
+        expected = raised(generate_trial, design, 6, 0)
+        assert expected[0] is ZipCrtError
+        assert raised(estimate_poisson_icc, design, 6, 0) == expected
+
+    def test_all_zero_arm(self):
+        # a mean of 0.01 over 4 subjects per arm leaves an arm all-zero
+        design = build_design(
+            mu1=0.01, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.03, rho_u=0.03,
+            cluster_sizes=ClusterSizeModel.fixed(2),
+        )
+        expected = set()
+        for seed in range(20):
+            try:
+                fit_zip(generate_trial(design, 4, seed))
+            except EstimationError as exc:
+                expected.add(str(exc))
+        got = set()
+        for seed in range(20):
+            try:
+                estimate_poisson_icc(design, 4, seed)
+            except EstimationError as exc:
+                got.add(str(exc))
+        assert got == expected == {
+            f"{arm} arm has all-zero outcomes; log-mean undefined"
+            for arm in ("control", "intervention")
+        }
+
+    def test_no_within_cluster_pairs(self):
+        design = build_design(mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.05, rho_u=0.05,
+                              cluster_sizes=ClusterSizeModel.fixed(1))
+        assert raised(estimate_poisson_icc, design, 200, 0) == (
+            EstimationError, "no within-cluster pairs: all clusters have size 1",
+        )
