@@ -148,6 +148,27 @@ def sample_size_t(design: DesignInputs) -> SampleSizeResult:
     )
 
 
+def predicted_power(design: DesignInputs, n_clusters: float, reference: str) -> float:
+    """The formula's power at ``n_clusters`` clusters.
+
+    This inverts the sample-size rule: with ``delta = sqrt(N * beta2**2 /
+    sigma2_sq)``, the ``"normal"`` reference gives ``Phi(delta -
+    z_{1-alpha/2})`` and the ``"t"`` reference the t CDF of ``delta -
+    t_{1-alpha/2}`` with ``N - 2`` degrees of freedom.  At
+    ``sample_size_normal(design).n_raw`` the normal value is
+    ``design.power``; at an integer N above it, the value is the power the
+    rounded-up count actually buys.
+    """
+    delta = math.sqrt(n_clusters * design.beta2**2 / design_variance(design))
+    prob = 1.0 - design.alpha / 2.0
+    if reference == "normal":
+        return float(stats.norm.cdf(delta - normal_quantile(prob)))
+    if reference == "t":
+        df = n_clusters - 2
+        return float(stats.t.cdf(delta - t_quantile(df, prob), df))
+    raise DomainError(f"reference must be 'normal' or 't', got {reference!r}")
+
+
 def q_sweep(
     design: DesignInputs,
     q_values: Sequence[float],

@@ -20,11 +20,12 @@ may be generated in any order or concurrently.
 
 from __future__ import annotations
 
-import array
 import csv
 import math
+import re
+import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import NoReturn, Optional
 
 import numpy as np
 
@@ -37,8 +38,8 @@ _CLUSTER_STREAM = 1
 
 _MAX_REJECTION_ATTEMPTS = 10**6
 _SEED_LIMIT = 2**64
-_WRITE_BLOCK = 4096  # rows formatted per csv.writerows call
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # the range of the int64 columns
+_PLAIN_INT = re.compile(r"\s*[+-]?[0-9]+\s*")  # what numpy's reader takes as an integer
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -258,49 +259,93 @@ DATASET_HEADER = ("cluster_id", "arm", "y")
 
 def write_dataset(dataset: TrialDataset, path: str) -> None:
     """Write one row per subject as ``cluster_id,arm,y`` (UTF-8, LF)."""
-    ids = np.repeat(dataset.cluster_id, dataset.size)
-    arms = np.repeat(dataset.arm, dataset.size)
+    ys = dataset.outcomes.tolist()
+    ends = np.cumsum(dataset.size).tolist()
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(DATASET_HEADER)
-        # a block of rows at a time, so no whole-file list of Python ints is built
-        for start in range(0, dataset.n_subjects, _WRITE_BLOCK):
-            block = slice(start, start + _WRITE_BLOCK)
-            writer.writerows(zip(*(c[block].tolist() for c in (ids, arms, dataset.outcomes))))
+        handle.write(",".join(DATASET_HEADER) + "\n")
+        start = 0
+        for cid, arm, end in zip(dataset.cluster_id.tolist(), dataset.arm.tolist(), ends):
+            prefix = f"{cid},{arm},"
+            handle.write(prefix + ("\n" + prefix).join(map(str, ys[start:end])) + "\n")
+            start = end
 
 
 def read_dataset(path: str) -> TrialDataset:
     """Read a dataset written by :func:`write_dataset`.
 
     Rows may appear in any order; each cluster id must map to a single arm.
-    The stored seed is unknown for ingested data and left unset.
+    Clusters keep the order in which they first appear and each cluster's
+    outcomes keep their file order.  The stored seed is unknown for ingested
+    data and left unset.
+
+    After the header, numpy's C reader parses every row into one int64
+    array, and the checks (three columns, at least one row, arms 0 or 1,
+    nonnegative outcomes, one arm per cluster) run on its columns.  Only
+    when the parse or a check fails is the file scanned line by line, to
+    name the first bad line in the error.
     """
-    arm_of: dict[int, int] = {}  # in order of first appearance
-    index_of: dict[int, int] = {}
-    keys = array.array("q")  # each row's cluster index
-    ys = array.array("q")
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        header = next(csv.reader(handle), None)
         if header is None or tuple(h.strip() for h in header) != DATASET_HEADER:
             raise ConfigError(
                 f"{path}: expected header {','.join(DATASET_HEADER)!r}, got {header}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        try:
+            with warnings.catch_warnings():
+                # "input contained no data", and numpy < 2's deprecated parse of
+                # an integer through a float, must fail rather than give rows
+                warnings.simplefilter("error")
+                rows = np.loadtxt(
+                    handle, delimiter=",", dtype=np.int64, ndmin=2,
+                    quotechar='"', comments=None,
+                )
+        except (ValueError, Warning) as exc:
+            _raise_first_bad_line(path, str(exc))
+    if rows.shape[0] < 1 or rows.shape[1] != 3:
+        _raise_first_bad_line(path, f"parsed rows of shape {rows.shape}")
+    cid, arm, y = rows.T
+    ids, first, inverse = np.unique(cid, return_index=True, return_inverse=True)
+    if ((arm != 0) & (arm != 1)).any() or (y < 0).any() or (arm != arm[first][inverse]).any():
+        _raise_first_bad_line(path, "a row failed the array checks")
+    order = np.argsort(first)  # clusters in order of first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    key = rank[inverse]  # each row's cluster index
+    return TrialDataset(
+        cluster_id=ids[order],
+        arm=arm[first[order]],
+        size=np.bincount(key),
+        # a stable sort groups the rows by cluster and keeps file order within each
+        outcomes=y[np.argsort(key, kind="stable")],
+    )
+
+
+def _raise_first_bad_line(path: str, reason: str) -> NoReturn:
+    """Raise the ConfigError that names the first bad line of ``path``.
+
+    Used only after the array path of :func:`read_dataset` has failed.  Line
+    numbers are physical lines, blank ones included; a row that a quoted
+    line break spreads over several lines is named by its last.  If no line
+    is at fault, the error carries ``reason``, the array path's own message.
+    """
+    arm_of: dict[int, int] = {}
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle)
+        next(reader)  # the header, already checked
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
-            try:
-                cid, arm, y = (int(v) for v in row)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: malformed row {row}") from exc
-            if cid not in index_of:  # a new cluster: check the id and arm once
+            if len(row) != 3 or not all(_PLAIN_INT.fullmatch(v) for v in row):
+                raise ConfigError(f"{path}:{lineno}: malformed row {row}")
+            cid, arm, y = (int(v) for v in row)
+            if cid not in arm_of:  # a new cluster: check the id and arm once
                 if not _INT64_MIN <= cid <= _INT64_MAX:
                     raise ConfigError(
                         f"{path}:{lineno}: cluster id {cid} outside the int64 range"
                     )
                 if arm not in (0, 1):
                     raise ConfigError(f"{path}:{lineno}: arm must be 0 or 1, got {arm}")
-                index_of[cid] = len(index_of)
                 arm_of[cid] = arm
             elif arm_of[cid] != arm:
                 raise ConfigError(f"{path}:{lineno}: cluster {cid} changes arm")
@@ -308,15 +353,6 @@ def read_dataset(path: str) -> TrialDataset:
                 if y < 0:
                     raise ConfigError(f"{path}:{lineno}: negative outcome {y}")
                 raise ConfigError(f"{path}:{lineno}: outcome {y} outside the int64 range")
-            keys.append(index_of[cid])
-            ys.append(y)
-    if not ys:
+    if not arm_of:
         raise ConfigError(f"{path}: no data rows")
-    key = np.frombuffer(keys, dtype=np.int64)
-    return TrialDataset(
-        cluster_id=list(arm_of),
-        arm=list(arm_of.values()),
-        size=np.bincount(key),
-        # a stable sort groups the rows by cluster and keeps file order within each
-        outcomes=np.frombuffer(ys, dtype=np.int64)[np.argsort(key, kind="stable")],
-    )
+    raise ConfigError(f"{path}: malformed rows ({reason})")

@@ -13,7 +13,7 @@ from zipcrt import (
     sample_size_normal,
     sample_size_t,
 )
-from zipcrt.power import normal_quantile, t_quantile
+from zipcrt.power import normal_quantile, predicted_power, t_quantile
 
 from conftest import DU_10_80, DU_34_56, TRUNPOIS, grid_design
 
@@ -165,3 +165,29 @@ class TestQSweep:
     def test_unknown_basis(self, config_a):
         with pytest.raises(DomainError):
             q_sweep(config_a, [0.5], basis="wald")
+
+
+CELLS = [grid_design(), grid_design(rho=0.05), grid_design(cluster_sizes=DU_10_80, q=0.2),
+         grid_design(cluster_sizes=TRUNPOIS, beta2=-0.3)]
+
+
+class TestPredictedPower:
+    @pytest.mark.parametrize("design", CELLS)
+    def test_normal_power_at_the_raw_count_is_the_target(self, design):
+        n_raw = sample_size_normal(design).n_raw
+        assert predicted_power(design, n_raw, "normal") == pytest.approx(design.power, abs=1e-12)
+
+    @pytest.mark.parametrize("design", CELLS)
+    @pytest.mark.parametrize("reference", ["normal", "t"])
+    def test_nondecreasing_in_clusters(self, design, reference):
+        values = [predicted_power(design, n, reference) for n in range(3, 200)]
+        assert all(b >= a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("design", CELLS)
+    def test_t_power_at_the_t_count_reaches_the_target(self, design):
+        n_clusters = sample_size_t(design).n_clusters
+        assert predicted_power(design, n_clusters, "t") >= design.power
+
+    def test_unknown_reference(self, config_a):
+        with pytest.raises(DomainError, match="reference"):
+            predicted_power(config_a, 20, "chi2")

@@ -1,5 +1,6 @@
 """Tests for cluster-size sampling, correlated latent draws, and trial I/O."""
 
+import csv
 import dataclasses
 import hashlib
 import math
@@ -23,7 +24,7 @@ from zipcrt import (
     zero_probability,
 )
 
-from conftest import DU_34_56, TRUNPOIS, dataset, grid_design, pooled_pair_correlation
+from conftest import DU_10_80, DU_34_56, TRUNPOIS, dataset, grid_design, pooled_pair_correlation
 
 
 class TestSampleClusterSize:
@@ -278,3 +279,62 @@ class TestDatasetIO:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "26cbcccdac739e293799dc58d27da8f9df928daf22daa7cd60172673995bf062"
         )
+
+    PLAIN = "cluster_id,arm,y\n0,0,1\n1,1,2\n0,0,3\n"
+
+    @pytest.mark.parametrize("text", [
+        PLAIN.replace("\n", "\r\n"),
+        "cluster_id,arm,y\n\n0,0,1\n\n1,1,2\n0,0,3\n\n",
+        " cluster_id , arm , y \n 0 , 0 , 1 \n1 ,1, 2\n0,0 ,3 \n",
+        'cluster_id,arm,y\n"0","0","1"\n1,"1",2\n0,0,"3"\n',
+        PLAIN.rstrip("\n"),
+        "\ufeff" + PLAIN,
+    ], ids=["crlf", "blank-lines", "spaces", "quoted", "no-final-newline", "bom"])
+    def test_accepted_forms_read_as_the_plain_file(self, tmp_path, text):
+        path = tmp_path / "trial.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert read_dataset(str(path)) == dataset([(0, 0, [1, 3]), (1, 1, [2])])
+
+    @pytest.mark.parametrize("row", ["#x", "0,0,1.0", "0,0", "0,0,1_0", "0,0,1,"])
+    def test_malformed_row_names_its_line(self, tmp_path, row):
+        # Python's int() reads "1_0" as 10; the reader takes plain base-10 integers only
+        path = tmp_path / "bad.csv"
+        path.write_text(f"cluster_id,arm,y\n0,0,1\n{row}\n1,1,2\n")
+        with pytest.raises(ConfigError, match=":3: malformed row"):
+            read_dataset(str(path))
+
+    @pytest.mark.parametrize("second_line", ["0,0,1\n", '0,0,"1\n"'], ids=["blank", "quoted-break"])
+    def test_line_numbers_are_physical_lines(self, tmp_path, second_line):
+        # a blank line, or a line break inside a quoted field, is still a line
+        path = tmp_path / "bad.csv"
+        path.write_text(f"cluster_id,arm,y\n{second_line}\n1,1,-2\n")
+        with pytest.raises(ConfigError, match=r"bad\.csv:4: negative outcome -2"):
+            read_dataset(str(path))
+
+    @pytest.fixture(scope="class")
+    def large_trial(self):
+        data = generate_trial(grid_design(cluster_sizes=DU_10_80), 2000, seed=8)
+        ids = np.repeat(data.cluster_id, data.size)
+        arms = np.repeat(data.arm, data.size)
+        return data, list(zip(ids.tolist(), arms.tolist(), data.outcomes.tolist()))
+
+    def test_shuffled_rows_group_by_first_appearance(self, large_trial, tmp_path):
+        rows = list(large_trial[1])
+        np.random.default_rng(3).shuffle(rows)
+        path = tmp_path / "shuffled.csv"
+        with open(path, "w", newline="") as handle:
+            csv.writer(handle).writerows([("cluster_id", "arm", "y"), *rows])
+        grouped = {}  # insertion order is the order of first appearance
+        for cid, arm, y in rows:
+            grouped.setdefault((cid, arm), []).append(y)
+        expected = dataset([(cid, arm, ys) for (cid, arm), ys in grouped.items()])
+        assert read_dataset(str(path)) == expected
+
+    def test_bytes_match_a_csv_writer(self, large_trial, tmp_path):
+        data, rows = large_trial
+        path = tmp_path / "trial.csv"
+        write_dataset(data, str(path))
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", encoding="utf-8", newline="") as handle:
+            csv.writer(handle, lineterminator="\n").writerows([("cluster_id", "arm", "y"), *rows])
+        assert path.read_bytes() == reference.read_bytes()
