@@ -51,9 +51,6 @@ from .simulate import (
     TrialDataset,
     generate_trial,
     read_dataset,
-    sample_cluster_size,
-    sample_correlated_poisson,
-    sample_structural_zeros,
     substream,
     write_dataset,
 )
@@ -94,11 +91,8 @@ __all__ = [
     "replicate_seed",
     "reproduce_tables",
     "run_power_study",
-    "sample_cluster_size",
-    "sample_correlated_poisson",
     "sample_size_normal",
     "sample_size_t",
-    "sample_structural_zeros",
     "substream",
     "wald_test",
     "write_dataset",

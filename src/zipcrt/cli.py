@@ -20,7 +20,9 @@ seed, and the tool version; rerunning with the same inputs reproduces the
 artifact byte for byte.  The ``study`` and ``tables`` manifests also record
 the Monte Carlo engine's name and version, its stream tags (study chunks
 and ICC datasets) and its chunk size, which together with the seed fix
-every simulated rate and ICC.
+every simulated rate and ICC.  The ``simulate`` manifest records the
+dataset generator's name, version and stream tag in the same way, so a
+dataset CSV can be traced to the generator that drew it.
 
 Exit codes: 0 success, 2 validation error, 3 runtime error (for example a
 dataset whose mean model is undefined).
@@ -51,13 +53,25 @@ from .mc import (
     run_power_study,
 )
 from .power import q_sweep, sample_size_normal, sample_size_t
-from .simulate import generate_trial, read_dataset, write_dataset
+from .simulate import (
+    GENERATOR,
+    GENERATOR_VERSION,
+    TRIAL_STREAM_TAG,
+    generate_trial,
+    read_dataset,
+    write_dataset,
+)
 
 _DESIGN_KEYS = {
     "mu1", "beta1", "beta2", "p1", "p2", "q",
     "rho_s", "rho_u", "r_bar", "alpha", "power", "cluster_size",
 }
-_CLUSTER_KEYS = {"kind", "lo", "hi", "rate", "m"}
+_CLUSTER_KIND_KEYS = {
+    "discrete_uniform": ("lo", "hi"),
+    "truncated_poisson": ("rate", "lo", "hi"),
+    "fixed": ("m",),
+}
+_CLUSTER_KEYS = {"kind"}.union(*_CLUSTER_KIND_KEYS.values())
 _REQUIRED_KEYS = ("beta2", "p1", "rho_s", "rho_u", "cluster_size")
 
 
@@ -96,18 +110,21 @@ def _cluster_model(spec) -> ClusterSizeModel:
     if unknown:
         raise ConfigError(f"unknown cluster_size keys: {sorted(unknown)}")
     kind = spec.get("kind")
+    if kind not in _CLUSTER_KIND_KEYS:
+        raise ConfigError(
+            f"cluster_size.kind must be discrete_uniform, truncated_poisson or fixed, "
+            f"got {kind!r}"
+        )
+    missing = [k for k in _CLUSTER_KIND_KEYS[kind] if k not in spec]
+    if missing:
+        raise ConfigError(f"cluster_size of kind {kind} is missing keys: {missing}")
     if kind == "discrete_uniform":
         return ClusterSizeModel.discrete_uniform(int(spec["lo"]), int(spec["hi"]))
     if kind == "truncated_poisson":
         return ClusterSizeModel.truncated_poisson(
             float(spec["rate"]), int(spec["lo"]), int(spec["hi"])
         )
-    if kind == "fixed":
-        return ClusterSizeModel.fixed(int(spec["m"]))
-    raise ConfigError(
-        f"cluster_size.kind must be discrete_uniform, truncated_poisson or fixed, "
-        f"got {kind!r}"
-    )
+    return ClusterSizeModel.fixed(int(spec["m"]))
 
 
 def _design_from_config(config: dict) -> DesignInputs:
@@ -158,8 +175,21 @@ def _design_to_dict(design: DesignInputs) -> dict:
     }
 
 
+# What the study and tables manifests record about the Monte Carlo engine,
+# and the simulate manifest about the dataset generator: with the seed,
+# they fix every simulated rate, ICC and dataset.
+_ENGINE = {
+    "name": ENGINE,
+    "version": ENGINE_VERSION,
+    "stream_tag": STREAM_TAG,
+    "icc_stream_tag": ICC_STREAM_TAG,
+    "chunk_replicates": CHUNK_REPLICATES,
+}
+_GENERATOR = {"name": GENERATOR, "version": GENERATOR_VERSION, "stream_tag": TRIAL_STREAM_TAG}
+
+
 def _write_manifest(
-    out_path: str, command: str, resolved: dict, seed: Optional[int], *, engine: bool = False
+    out_path: str, command: str, resolved: dict, seed: Optional[int], **drawn_by: dict
 ) -> None:
     digest = hashlib.sha256(
         json.dumps(resolved, sort_keys=True, separators=(",", ":")).encode()
@@ -171,14 +201,7 @@ def _write_manifest(
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    if engine:  # seeded study rates depend on the engine and its stream
-        manifest["engine"] = {
-            "name": ENGINE,
-            "version": ENGINE_VERSION,
-            "stream_tag": STREAM_TAG,
-            "icc_stream_tag": ICC_STREAM_TAG,
-            "chunk_replicates": CHUNK_REPLICATES,
-        }
+    manifest.update(drawn_by)
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -258,7 +281,7 @@ def _cmd_simulate(args) -> int:
         "bernoulli_allocation": args.bernoulli_allocation,
         "seed": seed,
     }
-    _write_manifest(args.out, "simulate", resolved, seed)
+    _write_manifest(args.out, "simulate", resolved, seed, generator=_GENERATOR)
     print(f"wrote {dataset.n_clusters} clusters / {dataset.n_subjects} subjects to {args.out}")
     return 0
 
@@ -343,7 +366,7 @@ def _cmd_study(args) -> int:
             "null_hypothesis": args.null,
             "seed": seed,
         }
-        _write_manifest(args.out, "study", resolved, seed, engine=True)
+        _write_manifest(args.out, "study", resolved, seed, engine=_ENGINE)
     return 0
 
 
@@ -360,7 +383,7 @@ def _cmd_tables(args) -> int:
             _write_manifest(
                 path, "tables",
                 {"table": report.table, "replications": args.reps, "seed": seed},
-                seed, engine=True,
+                seed, engine=_ENGINE,
             )
             print(f"wrote {path}")
         else:

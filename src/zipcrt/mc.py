@@ -8,9 +8,11 @@ generate data with the effect removed.
 
 Every Wald decision depends on a trial only through each cluster's arm,
 size ``m_i`` and outcome sum ``Y_i`` (see :mod:`zipcrt.gee`), so the study
-engine never forms subject-level data.  It draws ``Y_i`` exactly, with a
-fixed number of draws per cluster, from the construction that
-:func:`zipcrt.simulate.generate_trial` uses subject by subject:
+engine never forms subject-level data.  Its cluster sizes come from the
+sampler that :func:`zipcrt.simulate.generate_trial` itself calls,
+``simulate._draw_cluster_sizes``.  It draws ``Y_i`` exactly, with a fixed
+number of draws per cluster, from the construction that ``generate_trial``
+uses subject by subject:
 
   * each subject takes the shared zero indicator ``c ~ Bern(p)`` with
     probability ``s = sqrt(rho_s)`` and its own ``Bern(p)`` otherwise, so
@@ -51,8 +53,8 @@ from .errors import ConfigError, DomainError, EstimationError, StudyError, ZipCr
 from .gee import _arm_sums, fit_zip  # noqa: F401
 from .power import normal_quantile, sample_size_normal, sample_size_t, t_quantile
 from .simulate import (
-    _MAX_REJECTION_ATTEMPTS,
     _balanced_count,
+    _draw_cluster_sizes,
     _empty_arm_message,
     _stalled_message,
     substream,
@@ -137,25 +139,6 @@ class _Chunk:
     reject_naive: np.ndarray
     reject_jackknife: np.ndarray
     failure: list[Optional[str]]
-
-
-def _draw_cluster_sizes(
-    model: ClusterSizeModel, rng: np.random.Generator, shape: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster sizes, and which of them stalled in truncated-Poisson rejection."""
-    if model.kind == "fixed":
-        return np.full(shape, model.lo, dtype=np.int64), np.zeros(shape, dtype=bool)
-    if model.kind == "discrete_uniform":
-        return rng.integers(model.lo, model.hi + 1, size=shape), np.zeros(shape, dtype=bool)
-    sizes = rng.poisson(model.rate, size=shape)
-    rejected = (sizes < model.lo) | (sizes > model.hi)
-    for _ in range(_MAX_REJECTION_ATTEMPTS - 1):
-        if not rejected.any():
-            break
-        redraw = rng.poisson(model.rate, size=int(rejected.sum()))
-        sizes[rejected] = redraw
-        rejected[rejected] = (redraw < model.lo) | (redraw > model.hi)
-    return sizes, rejected
 
 
 def _draw_nonzero_counts(
@@ -531,11 +514,13 @@ def reproduce_tables(
     uniform grids, next to its large-sample limit.
 
     Raises:
-        ConfigError: an unknown table identifier.
+        ConfigError: an unknown table identifier, or ``replications < 0``.
     """
     unknown = [s for s in selection if s not in TABLE_IDS]
     if unknown:
         raise ConfigError(f"unknown table identifiers: {unknown}; valid: {TABLE_IDS}")
+    if replications < 0:
+        raise ConfigError(f"replications must be >= 0, got {replications}")
 
     reports = []
     for table in selection:

@@ -13,9 +13,9 @@ Within-cluster dependence enters separately for the two parts:
     ``v_star ~ Poisson(lam * rho_u)``, giving marginal Poisson(lam) and
     pairwise correlation ``rho_u``.
 
-Every cluster draws from its own deterministic substream derived from
-``(seed, cluster_id)``, so generation is replayable bit for bit and clusters
-may be generated in any order or concurrently.
+A dataset draws every value, arms and sizes included, as whole arrays from
+one stream, ``(seed, TRIAL_STREAM_TAG)``, with no per-cluster substreams.
+The same seed replays the same dataset bit for bit.
 """
 
 from __future__ import annotations
@@ -32,9 +32,12 @@ import numpy as np
 from .design import ClusterSizeModel, DesignInputs
 from .errors import ConfigError, DomainError, ZipCrtError
 
-# Stream-derivation tags; distinct leading tags keep substreams disjoint.
-_ALLOCATION_STREAM = 0
-_CLUSTER_STREAM = 1
+# What a simulate manifest records about the generator.  A change to the
+# stream or to the order of the draws changes seeded datasets and bumps the
+# version; version 1 drew each cluster from its own substream.
+GENERATOR = "subject-array"
+GENERATOR_VERSION = 2
+TRIAL_STREAM_TAG = 0x54524941  # a dataset's stream (seed, TRIAL_STREAM_TAG)
 
 _MAX_REJECTION_ATTEMPTS = 10**6
 _SEED_LIMIT = 2**64
@@ -112,23 +115,29 @@ class TrialDataset:
         )
 
 
-def sample_cluster_size(model: ClusterSizeModel, rng: np.random.Generator) -> int:
-    """Draw one cluster size from the declared distribution.
+def _draw_cluster_sizes(
+    model: ClusterSizeModel, rng: np.random.Generator, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster sizes, and which of them stalled in truncated-Poisson rejection.
 
-    Truncated-Poisson draws use rejection of Poisson(rate) values outside
-    the support; the acceptance rate for realistic configurations is near 1,
-    but a hard attempt cap guards against degenerate supports.
+    A truncated-Poisson size redraws Poisson(rate) values outside the
+    support, with at most ``_MAX_REJECTION_ATTEMPTS`` draws per size; the
+    acceptance rate for realistic configurations is near 1, and the cap
+    guards against degenerate supports.
     """
     if model.kind == "fixed":
-        return model.lo
+        return np.full(shape, model.lo, dtype=np.int64), np.zeros(shape, dtype=bool)
     if model.kind == "discrete_uniform":
-        return int(rng.integers(model.lo, model.hi + 1))
-    # truncated_poisson
-    for _ in range(_MAX_REJECTION_ATTEMPTS):
-        draw = int(rng.poisson(model.rate))
-        if model.lo <= draw <= model.hi:
-            return draw
-    raise ZipCrtError(_stalled_message(model))
+        return rng.integers(model.lo, model.hi + 1, size=shape), np.zeros(shape, dtype=bool)
+    sizes = rng.poisson(model.rate, size=shape)
+    rejected = (sizes < model.lo) | (sizes > model.hi)
+    for _ in range(_MAX_REJECTION_ATTEMPTS - 1):
+        if not rejected.any():
+            break
+        redraw = rng.poisson(model.rate, size=int(rejected.sum()))
+        sizes[rejected] = redraw
+        rejected[rejected] = (redraw < model.lo) | (redraw > model.hi)
+    return sizes, rejected
 
 
 def _stalled_message(model: ClusterSizeModel) -> str:
@@ -136,44 +145,6 @@ def _stalled_message(model: ClusterSizeModel) -> str:
         f"rejection sampling for truncated_poisson({model.rate}) on "
         f"[{model.lo}, {model.hi}] stalled after {_MAX_REJECTION_ATTEMPTS} attempts"
     )
-
-
-def sample_structural_zeros(
-    m: int, p: float, rho_s: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Exchangeable binary vector with marginal ``p`` and pairwise correlation ``rho_s``.
-
-    Mixes a cluster-shared Bernoulli(p) draw into individual Bernoulli(p)
-    draws with mixing probability sqrt(rho_s); the cross-product of the two
-    independent mixing indicators then reproduces the target correlation.
-    """
-    if not (0.0 <= p < 1.0):
-        raise DomainError(f"p must lie in [0, 1), got {p}")
-    if not (0.0 <= rho_s < 1.0):
-        raise DomainError(f"rho_s must lie in [0, 1), got {rho_s}")
-    if p == 0.0:
-        return np.zeros(m, dtype=np.int64)
-    use_shared = rng.random(m) < math.sqrt(rho_s)
-    shared = rng.random() < p
-    individual = rng.random(m) < p
-    return np.where(use_shared, shared, individual).astype(np.int64)
-
-
-def sample_correlated_poisson(
-    m: int, lam: float, rho_u: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Poisson(lam) vector with exchangeable pairwise correlation ``rho_u``.
-
-    Additive decomposition: individual Poisson(lam * (1 - rho_u)) draws plus
-    one cluster-shared Poisson(lam * rho_u) draw.
-    """
-    if not (lam > 0.0):
-        raise DomainError(f"lam must be positive, got {lam}")
-    if not (0.0 <= rho_u < 1.0):
-        raise DomainError(f"rho_u must lie in [0, 1), got {rho_u}")
-    individual = rng.poisson(lam * (1.0 - rho_u), size=m)
-    shared = rng.poisson(lam * rho_u)
-    return (individual + shared).astype(np.int64)
 
 
 def _allocate_arms(
@@ -225,32 +196,36 @@ def generate_trial(
 ) -> TrialDataset:
     """Simulate a complete trial dataset.
 
-    For each cluster: draw its size, then the structural-zero vector with
-    the arm's ``p``, then the correlated Poisson vector with the arm's
-    ``lam``, and compose ``y = (1 - s) * u``.  Cluster ``i`` uses the
-    substream ``(seed, cluster-tag, i)``, so identical seeds give identical
-    datasets regardless of generation order.
+    From the stream ``(seed, TRIAL_STREAM_TAG)``, in this order: the arms,
+    the cluster sizes, each cluster's shared zero ``c`` and shared Poisson
+    part with its arm's ``p`` and ``lam``, then each subject's mixing draw
+    ``w``, own zero and own Poisson part.  Identical seeds give identical
+    datasets.
+
+    Raises:
+        ConfigError: fewer than 2 clusters, or the allocation left an arm empty.
+        DomainError: a seed outside ``[0, 2**64)``.
+        ZipCrtError: a truncated-Poisson cluster-size draw stalled.
     """
     if n_clusters < 2:
         raise ConfigError(f"need at least 2 clusters, got {n_clusters}")
-    alloc_rng = substream(seed, _ALLOCATION_STREAM)
-    arms = _allocate_arms(n_clusters, design.r_bar, alloc_rng, bernoulli_allocation)
+    rng = substream(seed, TRIAL_STREAM_TAG)
+    arms = _allocate_arms(n_clusters, design.r_bar, rng, bernoulli_allocation)
+    sizes, stalled = _draw_cluster_sizes(design.cluster_sizes, rng, (n_clusters,))
+    if stalled.any():
+        raise ZipCrtError(_stalled_message(design.cluster_sizes))
 
-    # every cluster is written into one buffer with room for the largest
-    # clusters, which is then shrunk in place to the filled length
-    outcomes = np.empty(n_clusters * design.cluster_sizes.hi, dtype=np.int64)
-    sizes = np.empty(n_clusters, dtype=np.int64)
-    end = 0
-    for cid in range(n_clusters):
-        profile = design.arm(int(arms[cid]))
-        rng = substream(seed, _CLUSTER_STREAM, cid)
-        m = sample_cluster_size(design.cluster_sizes, rng)
-        zeros = sample_structural_zeros(m, profile.p, design.rho_s, rng)
-        counts = sample_correlated_poisson(m, profile.lam, design.rho_u, rng)
-        outcomes[end:end + m] = np.where(zeros == 1, 0, counts)
-        sizes[cid] = m
-        end += m
-    outcomes.resize(end)
+    treated = arms == 1
+    p = np.where(treated, design.intervention.p, design.control.p)
+    lam = np.where(treated, design.intervention.lam, design.control.lam)
+    shared_zero = rng.random(n_clusters) < p
+    shared_count = rng.poisson(lam * design.rho_u)
+    n_subjects = int(sizes.sum())
+    takes_shared = rng.random(n_subjects) < math.sqrt(design.rho_s)
+    own_zero = rng.random(n_subjects) < np.repeat(p, sizes)
+    own_count = rng.poisson(np.repeat(lam * (1.0 - design.rho_u), sizes))
+    zero = np.where(takes_shared, np.repeat(shared_zero, sizes), own_zero)
+    outcomes = np.where(zero, 0, own_count + np.repeat(shared_count, sizes))
     return TrialDataset(np.arange(n_clusters), arms, sizes, outcomes, seed)
 
 

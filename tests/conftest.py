@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from zipcrt import ClusterSizeModel, TrialDataset, build_design
+from zipcrt import ClusterSizeModel, TrialDataset, build_design, generate_trial
 
 DU_34_56 = ClusterSizeModel.discrete_uniform(34, 56)
 DU_10_80 = ClusterSizeModel.discrete_uniform(10, 80)
@@ -65,6 +65,19 @@ def pooled_pair_correlation(matrix):
     return (pair_products / n_pairs) / centered.var()
 
 
+SE_MULTIPLE = 5.0  # each distribution comparison is allowed 5 standard errors
+
+
+def cluster_sum_moments(sums):
+    """Mean and variance of a sample with the standard errors of both."""
+    n = sums.size
+    mean = sums.mean()
+    centred = sums - mean
+    var = float((centred**2).sum() / (n - 1))
+    fourth = float((centred**4).mean())
+    return mean, math.sqrt(var / n), var, math.sqrt(max(fourth - var * var, 0.0) / n)
+
+
 def dataset(rows):
     """Build a dataset from (cluster_id, arm, outcomes) triples."""
     ids, arms, ys = zip(*rows) if rows else ((), (), ())
@@ -89,6 +102,31 @@ def arm_totals(data):
         y = data.arm_outcomes(arm)
         totals.append((float(y.size), float(y.sum()), float(np.count_nonzero(y == 0))))
     return totals
+
+
+def zero_states(data):
+    """Each arm's zero fraction against a Poisson model with the arm's mean.
+
+    ``"boundary"`` when the arm has zeros but its zero fraction is at most
+    ``exp(-ybar)``, so that ``p_hat`` is the boundary 0; ``"interior"`` when
+    it exceeds ``exp(-ybar)``; ``"no zeros"`` when the arm has none.
+    """
+    states = []
+    for m, s, z in arm_totals(data):
+        if z == 0:
+            states.append("no zeros")
+        else:
+            states.append("boundary" if z / m <= math.exp(-s / m) else "interior")
+    return tuple(states)
+
+
+def first_seed(design, n_clusters, scenario, start=0, bound=100):
+    """The first seed from ``start`` on, below ``start + bound``, whose
+    ``generate_trial`` dataset satisfies ``scenario``."""
+    for seed in range(start, start + bound):
+        if scenario(generate_trial(design, n_clusters, seed)):
+            return seed
+    raise AssertionError(f"no seed in [{start}, {start + bound}) gives the scenario")
 
 
 def newton_beta(totals, p, beta=None, tol=1e-10, max_iter=100):

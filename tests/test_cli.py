@@ -1,12 +1,15 @@
 """End-to-end tests of the command line, in-process: ``simulate`` then ``fit``,
-and the manifests of ``study`` and ``tables``."""
+config and argument errors, and the manifests of ``simulate``, ``study`` and
+``tables``."""
 
 import csv
 import json
 
 import pytest
 
-from zipcrt import cli, fit_zip, mc, read_dataset
+from zipcrt import ConfigError, cli, fit_zip, mc, read_dataset, reproduce_tables, simulate
+
+from conftest import first_seed, grid_design, zero_states
 
 
 def design_file(tmp_path, **overrides):
@@ -51,12 +54,18 @@ def test_fit_prints_the_estimates(tmp_path, capsys):
 
 
 def test_boundary_p_hat_warns(tmp_path, capsys):
-    # no structural zeros in the design; with this seed the control arm has
-    # no more zeros than a Poisson model predicts, though it has zeros
+    # no structural zeros in the design; the seed is the first at which the
+    # control arm has zeros but no more than a Poisson model predicts, and
+    # the intervention arm has more
+    scenario = ("boundary", "interior")
+    seed = first_seed(
+        grid_design(rho=0.05, p1=0.0, q=0.0), 20, lambda d: zero_states(d) == scenario
+    )
     code_sim, code_fit, rows, err, fit = simulate_then_fit(
-        tmp_path, capsys, 20, 41, p1=0.0, q=0.0
+        tmp_path, capsys, 20, seed, p1=0.0, q=0.0
     )
     assert (code_sim, code_fit) == (0, 0)
+    assert zero_states(read_dataset(str(tmp_path / "data.csv"))) == scenario
     assert fit.p_hat[0] == 0.0 and fit.p_hat[1] > 0.0
     assert not fit.degenerate
     assert rows["p1_hat"] == ["0", "", ""]
@@ -72,6 +81,42 @@ def test_fit_rejects_a_cluster_id_outside_int64(tmp_path, capsys):
     csv.write_text("cluster_id,arm,y\n0,0,1\n9223372036854775808,1,2\n", encoding="utf-8")
     assert cli.main(["fit", "--data", str(csv)]) == 2
     assert "cluster id 9223372036854775808 outside the int64 range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, present, missing", [
+    ("discrete_uniform", {"lo": 34}, "hi"),
+    ("discrete_uniform", {"hi": 56}, "lo"),
+    ("truncated_poisson", {"lo": 20, "hi": 70}, "rate"),
+    ("fixed", {}, "m"),
+], ids=["no-hi", "no-lo", "no-rate", "no-m"])
+def test_incomplete_cluster_size_is_a_config_error(tmp_path, capsys, kind, present, missing):
+    # a traceback (KeyError) before; now a usage error that names the key
+    config = design_file(tmp_path, cluster_size={"kind": kind, **present})
+    assert cli.main(["samplesize", "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert f"cluster_size of kind {kind} is missing keys: ['{missing}']" in err
+
+
+def test_negative_table_replications_are_a_config_error(tmp_path, capsys):
+    assert cli.main(["tables", "--which", "table1", "--reps", "-3"]) == 2
+    assert "replications must be >= 0, got -3" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        reproduce_tables(["table1"], -1)
+
+
+def test_simulate_manifest_records_the_generator(tmp_path, capsys):
+    out = tmp_path / "data.csv"
+    code = cli.main([
+        "simulate", "--config", design_file(tmp_path), "--clusters", "6", "--seed", "3",
+        "--out", str(out),
+    ])
+    assert code == 0
+    manifest = json.loads((tmp_path / "data.csv.manifest.json").read_text(encoding="utf-8"))
+    assert (manifest["command"], manifest["seed"]) == ("simulate", 3)
+    assert manifest["generator"] == {
+        "name": "subject-array", "version": 2, "stream_tag": simulate.TRIAL_STREAM_TAG,
+    }
+    assert "engine" not in manifest
 
 
 ENGINE_FIELDS = {

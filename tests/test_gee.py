@@ -26,10 +26,12 @@ from conftest import (
     dataset,
     es_oracle,
     es_step,
+    first_seed,
     grid_design,
     jackknife_oracle,
     newton_beta,
     sandwich_oracle,
+    zero_states,
 )
 
 
@@ -165,21 +167,32 @@ class TestFitAlphaES:
 class TestClosedFormMatchesOracle:
     """The closed-form fit against the ES iteration and its Jackknife refits."""
 
+    # the p1 = 0 case takes the first seed from 0 on at which one arm's
+    # zero fraction puts p_hat on the boundary 0 and the other's is
+    # interior, so one dataset runs both of the oracle's paths
     CASES = pytest.mark.parametrize(
         "sizes, rho, p1, q, n_clusters, seed",
         [
             (DU_34_56, 0.03, 0.5, 0.5, 24, 41),
             (DU_10_80, 0.05, 0.5, 0.5, 30, 42),
             (TRUNPOIS, 0.05, 0.5, 0.3, 22, 43),
-            (DU_34_56, 0.05, 0.0, 0.0, 20, 41),
+            (DU_34_56, 0.05, 0.0, 0.0, 20, None),
         ],
         ids=["du34-56", "du10-80", "trunpois", "boundary-p1-0"],
     )
 
+    @staticmethod
+    def case_data(sizes, rho, p1, q, n_clusters, seed):
+        design = grid_design(cluster_sizes=sizes, rho=rho, p1=p1, q=q)
+        if seed is None:
+            seed = first_seed(
+                design, n_clusters, lambda d: sorted(zero_states(d)) == ["boundary", "interior"]
+            )
+        return generate_trial(design, n_clusters, seed=seed)
+
     @CASES
     def test_fit_zip_equals_es_oracle(self, sizes, rho, p1, q, n_clusters, seed):
-        design = grid_design(cluster_sizes=sizes, rho=rho, p1=p1, q=q)
-        data = generate_trial(design, n_clusters, seed=seed)
+        data = self.case_data(sizes, rho, p1, q, n_clusters, seed)
         fit = fit_zip(data)
         beta, p = es_oracle(arm_totals(data))
         assert np.allclose(fit.beta_hat, beta, rtol=0.0, atol=1e-12)
@@ -195,17 +208,21 @@ class TestClosedFormMatchesOracle:
         # the per-subject sandwich at the fit's p_hat, and at a p that
         # halves every working weight, equals the closed form, which has
         # no weights at all
-        design = grid_design(cluster_sizes=sizes, rho=rho, p1=p1, q=q)
-        data = generate_trial(design, n_clusters, seed=seed)
+        data = self.case_data(sizes, rho, p1, q, n_clusters, seed)
         fit = fit_zip(data)
         for p in (fit.p_hat, doubled_denominator_p(fit.beta_hat, fit.p_hat)):
             assert np.allclose(fit.sigma_naive, sandwich_oracle(data, p), rtol=1e-12, atol=0.0)
 
     def test_es_oracle_reaches_the_root(self):
         # near the boundary each ES step shrinks the distance to the fixed
-        # point by a factor close to 1 (about 0.99978 in the intervention
-        # arm here), so a stop on the step size alone ends short of it
-        data = generate_trial(grid_design(p1=0.0, q=0.0), 400, seed=21)
+        # point by a factor close to 1, so a stop on the step size alone
+        # ends short of it.  The design has no structural zeros, so an arm
+        # whose zero fraction exceeds exp(-ybar) has a root just above 0
+        # (factors about 0.9994 and 0.9977 at the seed chosen); brentq needs
+        # such a root in both arms.
+        design = grid_design(p1=0.0, q=0.0)
+        seed = first_seed(design, 400, lambda d: zero_states(d) == ("interior", "interior"))
+        data = generate_trial(design, 400, seed=seed)
         totals = arm_totals(data)
         _, oracle_p = es_oracle(totals)
         for (m, s, z), p in zip(totals, oracle_p):

@@ -30,7 +30,15 @@ from zipcrt import (
 )
 from zipcrt.design import poisson_icc_limit
 
-from conftest import DU_10_80, DU_34_56, TRUNPOIS, cluster_rows, grid_design
+from conftest import (
+    DU_10_80,
+    DU_34_56,
+    SE_MULTIPLE,
+    TRUNPOIS,
+    cluster_rows,
+    cluster_sum_moments,
+    grid_design,
+)
 
 
 def engine_draws(design, n_clusters, seed, chunk, rows):
@@ -120,7 +128,6 @@ class TestEngineMatchesFit:
 
     def test_stalled_cluster_size_matches_generate_trial(self, monkeypatch):
         # Poisson(45) lands in [90, 100] with probability about 1e-9
-        monkeypatch.setattr(mc, "_MAX_REJECTION_ATTEMPTS", 5)
         monkeypatch.setattr(simulate, "_MAX_REJECTION_ATTEMPTS", 5)
         design = grid_design(ClusterSizeModel.truncated_poisson(45.0, 90, 100))
         with pytest.raises(ZipCrtError) as exc:
@@ -130,23 +137,12 @@ class TestEngineMatchesFit:
         assert "stalled after 5 attempts" in str(exc.value)
 
 
-def cluster_sum_moments(sums):
-    """Mean and variance of a sample with the standard errors of both."""
-    n = sums.size
-    mean = sums.mean()
-    centred = sums - mean
-    var = float((centred**2).sum() / (n - 1))
-    fourth = float((centred**4).mean())
-    return mean, math.sqrt(var / n), var, math.sqrt(max(fourth - var * var, 0.0) / n)
-
-
 # The distribution gates' cells: clusters of fixed size FIXED_SIZE, on the
 # grid, with no structural zeros, and with no within-cluster correlation
 FIXED_SIZE = 30
 FIXED_CELLS = {
     "grid": dict(rho=0.05), "p1=0": dict(rho=0.05, p1=0.0, q=0.0), "rho=0": dict(rho=0.0),
 }
-SE_MULTIPLE = 5.0  # each distribution comparison is allowed 5 standard errors
 
 
 @functools.lru_cache(maxsize=None)
@@ -323,6 +319,9 @@ class TestIccSums:
             assert_same_moments(ysq[arm == a], trial_ysq[data.arm == a])
 
 
+ARM_NAMES = ("control", "intervention")
+
+
 def raised(call, *args):
     """The type and message of the ZipCrtError a call raises."""
     with pytest.raises(ZipCrtError) as exc:
@@ -354,35 +353,51 @@ class TestIccFailures:
 
     def test_stalled_cluster_size(self, monkeypatch):
         # Poisson(45) lands in [90, 100] with probability about 1e-9
-        monkeypatch.setattr(mc, "_MAX_REJECTION_ATTEMPTS", 5)
         monkeypatch.setattr(simulate, "_MAX_REJECTION_ATTEMPTS", 5)
         design = grid_design(ClusterSizeModel.truncated_poisson(45.0, 90, 100))
         expected = raised(generate_trial, design, 6, 0)
         assert expected[0] is ZipCrtError
         assert raised(estimate_poisson_icc, design, 6, 0) == expected
 
+    # a seed gives a nonzero control arm and an all-zero intervention arm
+    # with probability about 0.04, so 200 seeds miss it with probability
+    # about 4e-4 for each generator
+    ALL_ZERO_SEEDS = 200
+
     def test_all_zero_arm(self):
-        # a mean of 0.01 over 4 subjects per arm leaves an arm all-zero
+        # a mean of 0.01 over 4 subjects per arm leaves an arm all-zero.  The
+        # control arm is checked first, so the intervention arm's message
+        # needs a dataset whose control arm has a nonzero outcome.
         design = build_design(
             mu1=0.01, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.03, rho_u=0.03,
             cluster_sizes=ClusterSizeModel.fixed(2),
         )
-        expected = set()
-        for seed in range(20):
-            try:
-                fit_zip(generate_trial(design, 4, seed))
-            except EstimationError as exc:
-                expected.add(str(exc))
-        got = set()
-        for seed in range(20):
-            try:
-                estimate_poisson_icc(design, 4, seed)
-            except EstimationError as exc:
-                got.add(str(exc))
-        assert got == expected == {
-            f"{arm} arm has all-zero outcomes; log-mean undefined"
-            for arm in ("control", "intervention")
-        }
+
+        def trial_sums(seed):
+            data = generate_trial(design, 4, seed)
+            return data.arm, data.cluster_sums(data.outcomes)
+
+        def icc_sums(seed):
+            arm, _, y, _ = icc_draws(design, 4, seed)
+            return arm, y
+
+        for sums, call in (
+            (trial_sums, lambda seed: fit_zip(generate_trial(design, 4, seed))),
+            (icc_sums, lambda seed: estimate_poisson_icc(design, 4, seed)),
+        ):
+            # the scenario: within ALL_ZERO_SEEDS seeds, a dataset whose first
+            # all-zero arm is the control arm and one where it is the intervention arm
+            seed_of = {}
+            for seed in range(self.ALL_ZERO_SEEDS):
+                arm, y = sums(seed)
+                name = next((n for a, n in enumerate(ARM_NAMES) if not y[arm == a].any()), None)
+                if name is not None:
+                    seed_of.setdefault(name, seed)
+            assert set(seed_of) == set(ARM_NAMES)
+            for name, seed in seed_of.items():
+                with pytest.raises(EstimationError) as exc:
+                    call(seed)
+                assert str(exc.value) == f"{name} arm has all-zero outcomes; log-mean undefined"
 
     def test_no_within_cluster_pairs(self):
         design = build_design(mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.05, rho_u=0.05,

@@ -1,4 +1,4 @@
-"""Tests for cluster-size sampling, correlated latent draws, and trial I/O."""
+"""Tests for generate_trial's cluster sizes and outcome law, and trial I/O."""
 
 import csv
 import dataclasses
@@ -9,111 +9,157 @@ import numpy as np
 import pytest
 
 from zipcrt import (
+    ArmProfile,
     ClusterSizeModel,
     ConfigError,
     DomainError,
     TrialDataset,
     build_design,
     generate_trial,
+    marginal_variance,
+    pairwise_covariance_factor,
     read_dataset,
-    sample_cluster_size,
-    sample_correlated_poisson,
-    sample_structural_zeros,
-    substream,
+    simulate,
     write_dataset,
     zero_probability,
 )
 
-from conftest import DU_10_80, DU_34_56, TRUNPOIS, dataset, grid_design, pooled_pair_correlation
+from conftest import (
+    DU_10_80,
+    DU_34_56,
+    SE_MULTIPLE,
+    TRUNPOIS,
+    cluster_sum_moments,
+    dataset,
+    grid_design,
+    pooled_pair_correlation,
+)
+
+
+def assert_size_moments(sizes, seed):
+    """generate_trial's cluster sizes lie in the law's support and have its
+    mean and variance, within SE_MULTIPLE standard errors."""
+    m = generate_trial(grid_design(cluster_sizes=sizes), 20_000, seed=seed).size
+    assert sizes.lo <= m.min() and m.max() <= sizes.hi
+    mean, mean_se, var, var_se = cluster_sum_moments(m.astype(float))
+    assert abs(mean - sizes.eta_m) <= SE_MULTIPLE * mean_se
+    assert abs(var - sizes.sigma2_m) <= SE_MULTIPLE * var_se
 
 
 class TestSampleClusterSize:
+    """The cluster sizes generate_trial draws."""
+
     def test_fixed_is_constant(self):
-        rng = substream(1, 0)
-        assert all(
-            sample_cluster_size(ClusterSizeModel.fixed(45), rng) == 45
-            for _ in range(100)
-        )
+        data = generate_trial(grid_design(ClusterSizeModel.fixed(45)), 100, seed=1)
+        assert (data.size == 45).all()
 
     def test_discrete_uniform_moments(self):
-        rng = substream(2, 0)
-        draws = np.array(
-            [sample_cluster_size(DU_34_56, rng) for _ in range(10**5)], dtype=float
-        )
-        assert draws.min() >= 34 and draws.max() <= 56
-        assert draws.mean() == pytest.approx(45.0, abs=0.1)
-        assert draws.var() == pytest.approx(44.0, abs=1.5)
+        assert_size_moments(DU_34_56, seed=2)
 
     def test_truncated_poisson_moments(self):
-        rng = substream(3, 0)
-        draws = np.array(
-            [sample_cluster_size(TRUNPOIS, rng) for _ in range(10**5)], dtype=float
-        )
-        assert draws.min() >= 20 and draws.max() <= 70
-        assert draws.mean() == pytest.approx(TRUNPOIS.eta_m, abs=0.1)
-        assert draws.var() == pytest.approx(TRUNPOIS.sigma2_m, rel=0.05)
+        assert_size_moments(TRUNPOIS, seed=3)
+        # this support rejects about half of the Poisson draws, so a sampler
+        # that clipped to the support instead of redrawing would miss
+        assert_size_moments(ClusterSizeModel.truncated_poisson(45.0, 40, 50), seed=3)
+
+
+def fixed_size_trial(**cell):
+    """A design with clusters of 20 and the given zero and correlation
+    parameters, and a generate_trial dataset of it with 5,000 clusters per arm."""
+    design = build_design(
+        mu1=1.0, beta2=-0.431, cluster_sizes=ClusterSizeModel.fixed(20), **cell
+    )
+    return design, generate_trial(design, 10_000, seed=3)
+
+
+def cluster_mean_se(per_cluster):
+    """Standard error of the mean of per-cluster values; clusters are independent."""
+    return per_cluster.std(ddof=1) / math.sqrt(per_cluster.size)
+
+
+def assert_outcome_moments(design, data):
+    """Each arm's outcome mean and variance against the closed forms, and its
+    within-cluster pair correlation, by pooled_pair_correlation, against
+    pairwise_covariance_factor / marginal_variance; within SE_MULTIPLE
+    standard errors of the per-cluster statistics."""
+    for a in (0, 1):
+        y = data.arm_outcomes(a).reshape(-1, data.size[0]).astype(float)  # a row per cluster
+        profile = design.arm(a)
+        assert abs(y.mean() - profile.mu) <= SE_MULTIPLE * cluster_mean_se(y.mean(axis=1))
+        centred = y - y.mean()
+        squares = (centred**2).mean(axis=1)
+        variance = marginal_variance(profile)
+        assert abs(squares.mean() - variance) <= SE_MULTIPLE * cluster_mean_se(squares)
+        # the pooled correlation is a ratio of two cluster means, of pair
+        # products and of squares; its standard error is that of the
+        # per-cluster linearisation
+        m = y.shape[1]
+        pairs = (centred.sum(axis=1) ** 2 - (centred**2).sum(axis=1)) / (m * (m - 1))
+        got = pooled_pair_correlation(y)
+        target = pairwise_covariance_factor(profile, design.rho_s, design.rho_u) / variance
+        se = cluster_mean_se((pairs - got * squares) / squares.mean())
+        assert abs(got - target) <= SE_MULTIPLE * se
 
 
 class TestStructuralZeros:
+    """The structural-zero part of generate_trial's law, with rho_u = 0."""
+
     def test_no_inflation_gives_all_zero(self):
-        rng = substream(4, 0)
-        assert not sample_structural_zeros(50, 0.0, 0.3, rng).any()
+        # p = 0: no subject is a structural zero, so each arm has Poisson's
+        # zero fraction exp(-mu)
+        design, data = fixed_size_trial(p1=0.0, q=0.0, rho_s=0.3, rho_u=0.0)
+        for a in (0, 1):
+            zeros = (data.arm_outcomes(a) == 0).reshape(-1, 20).mean(axis=1)
+            expected = math.exp(-design.arm(a).mu)
+            assert abs(zeros.mean() - expected) <= SE_MULTIPLE * cluster_mean_se(zeros)
 
     def test_independent_case_is_uncorrelated(self):
-        rng = substream(5, 0)
-        pairs = np.array(
-            [sample_structural_zeros(2, 0.4, 0.0, rng) for _ in range(10**5)]
-        )
-        corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
-        assert abs(corr) < 0.01
+        assert_outcome_moments(*fixed_size_trial(p1=0.5, q=0.5, rho_s=0.0, rho_u=0.0))
 
     def test_target_moments(self):
-        rng = substream(6, 0)
-        sample = np.array(
-            [sample_structural_zeros(10, 0.5, 0.05, rng) for _ in range(10**5)]
-        )
-        assert sample.mean() == pytest.approx(0.5, abs=0.005)
-        assert pooled_pair_correlation(sample) == pytest.approx(0.05, abs=0.01)
+        assert_outcome_moments(*fixed_size_trial(p1=0.5, q=0.5, rho_s=0.1, rho_u=0.0))
 
     def test_validation(self):
-        rng = substream(7, 0)
-        with pytest.raises(DomainError):
-            sample_structural_zeros(5, 1.0, 0.0, rng)
-        with pytest.raises(DomainError):
-            sample_structural_zeros(5, 0.5, -0.1, rng)
+        # the design rejects what a structural-zero draw cannot take
+        with pytest.raises(DomainError, match=r"p must lie in \[0, 1\)"):
+            ArmProfile.from_mean(1.0, 1.0)
+        for rho_s in (-0.1, 1.0):
+            with pytest.raises(DomainError, match=r"rho_s must lie in \[0, 1\)"):
+                build_design(mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=rho_s, rho_u=0.03,
+                             cluster_sizes=DU_34_56)
 
 
 class TestCorrelatedPoisson:
+    """The count part of generate_trial's law, with no structural zeros."""
+
     def test_independent_case(self):
-        rng = substream(8, 0)
-        pairs = np.array(
-            [sample_correlated_poisson(2, 2.0, 0.0, rng) for _ in range(10**5)]
-        )
-        corr = np.corrcoef(pairs[:, 0], pairs[:, 1])[0, 1]
-        assert abs(corr) < 0.01
-        assert pairs.mean() == pytest.approx(2.0, abs=0.02)
+        assert_outcome_moments(*fixed_size_trial(p1=0.0, q=0.0, rho_s=0.3, rho_u=0.0))
 
     def test_full_sharing_limit(self):
-        rng = substream(9, 0)
-        for _ in range(200):
-            draw = sample_correlated_poisson(8, 3.0, 1.0 - 1e-12, rng)
-            assert (draw == draw[0]).all()
+        # with both ICCs just below 1 every subject takes its cluster's shared
+        # zero and shared count, so all outcomes in a cluster are equal
+        near_one = 1.0 - 1e-12
+        design = build_design(
+            mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=near_one, rho_u=near_one,
+            cluster_sizes=DU_34_56,
+        )
+        data = generate_trial(design, 2000, seed=9)
+        first = data.outcomes[np.cumsum(data.size) - data.size]
+        assert (data.outcomes == np.repeat(first, data.size)).all()
+        assert (first == 0).any() and np.unique(first).size > 2
 
     def test_target_moments(self):
-        rng = substream(10, 0)
-        sample = np.array(
-            [sample_correlated_poisson(10, 2.0, 0.05, rng) for _ in range(10**5)]
-        )
-        assert sample.mean() == pytest.approx(2.0, abs=0.02)
-        assert sample.var() == pytest.approx(2.0, abs=0.05)
-        assert pooled_pair_correlation(sample) == pytest.approx(0.05, abs=0.01)
+        # rho_s has nothing to act on without structural zeros
+        assert_outcome_moments(*fixed_size_trial(p1=0.0, q=0.0, rho_s=0.3, rho_u=0.1))
 
     def test_validation(self):
-        rng = substream(11, 0)
-        with pytest.raises(DomainError):
-            sample_correlated_poisson(5, 0.0, 0.1, rng)
-        with pytest.raises(DomainError):
-            sample_correlated_poisson(5, 1.0, 1.0, rng)
+        # the design rejects what a correlated Poisson draw cannot take
+        with pytest.raises(DomainError, match="must be positive"):
+            ArmProfile.from_poisson(0.0, 0.5)
+        for rho_u in (-0.1, 1.0):
+            with pytest.raises(DomainError, match=r"rho_u must lie in \[0, 1\)"):
+                build_design(mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.03, rho_u=rho_u,
+                             cluster_sizes=DU_34_56)
 
 
 class TestGenerateTrial:
@@ -271,13 +317,15 @@ class TestDatasetIO:
 
     def test_bytes_pinned_across_versions(self, tmp_path):
         # simulate.py promises bit-for-bit replay of a seed; the hash pins
-        # the bytes this seed produced when the pin was recorded
+        # the bytes this seed produces with GENERATOR_VERSION 2, and changes
+        # only together with that version
+        assert simulate.GENERATOR_VERSION == 2
         data = generate_trial(grid_design(), 12, seed=2024)
         path = tmp_path / "trial.csv"
         write_dataset(data, str(path))
-        assert data.n_subjects == 565
+        assert data.n_subjects == 493
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "26cbcccdac739e293799dc58d27da8f9df928daf22daa7cd60172673995bf062"
+            "ef3f7e56a177ed28c4c0da3a271df594e2ef12346e508018775c243ee98f6d8b"
         )
 
     PLAIN = "cluster_id,arm,y\n0,0,1\n1,1,2\n0,0,3\n"
