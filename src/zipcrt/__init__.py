@@ -35,7 +35,6 @@ from .mc import (
     TableReport,
     estimate_poisson_icc,
     reference_design,
-    replicate_seed,
     reproduce_tables,
     run_power_study,
 )
@@ -51,7 +50,6 @@ from .simulate import (
     TrialDataset,
     generate_trial,
     read_dataset,
-    substream,
     write_dataset,
 )
 
@@ -88,12 +86,10 @@ __all__ = [
     "q_sweep",
     "read_dataset",
     "reference_design",
-    "replicate_seed",
     "reproduce_tables",
     "run_power_study",
     "sample_size_normal",
     "sample_size_t",
-    "substream",
     "wald_test",
     "write_dataset",
     "zero_probability",

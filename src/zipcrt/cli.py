@@ -11,8 +11,10 @@ Designs are described by a JSON file with keys mirroring the design inputs::
 
 The control mean is ``mu1`` or its log ``beta1``; the intervention arm's
 zero structure is ``q`` (preferred) or ``p2``; ``q`` defaults to 0.5 when
-neither is given.  Individual keys can be overridden on the command line
-with ``--set key=value`` (``--set cluster_size.lo=10``).
+neither is given.  ``cluster_size`` takes exactly the keys of its kind:
+``lo`` and ``hi`` (discrete_uniform), ``rate``, ``lo`` and ``hi``
+(truncated_poisson), or ``m`` (fixed).  Individual keys can be overridden on
+the command line with ``--set key=value`` (``--set cluster_size.lo=10``).
 
 Every artifact-writing command also writes ``<out>.manifest.json``
 recording the command, a digest of the fully-resolved configuration, the
@@ -71,7 +73,6 @@ _CLUSTER_KIND_KEYS = {
     "truncated_poisson": ("rate", "lo", "hi"),
     "fixed": ("m",),
 }
-_CLUSTER_KEYS = {"kind"}.union(*_CLUSTER_KIND_KEYS.values())
 _REQUIRED_KEYS = ("beta2", "p1", "rho_s", "rho_u", "cluster_size")
 
 
@@ -106,9 +107,6 @@ def _load_config(path: str, overrides: list[str]) -> dict:
 def _cluster_model(spec) -> ClusterSizeModel:
     if not isinstance(spec, dict):
         raise ConfigError("'cluster_size' must be an object")
-    unknown = set(spec) - _CLUSTER_KEYS
-    if unknown:
-        raise ConfigError(f"unknown cluster_size keys: {sorted(unknown)}")
     kind = spec.get("kind")
     if kind not in _CLUSTER_KIND_KEYS:
         raise ConfigError(
@@ -118,6 +116,9 @@ def _cluster_model(spec) -> ClusterSizeModel:
     missing = [k for k in _CLUSTER_KIND_KEYS[kind] if k not in spec]
     if missing:
         raise ConfigError(f"cluster_size of kind {kind} is missing keys: {missing}")
+    stray = sorted(set(spec) - {"kind", *_CLUSTER_KIND_KEYS[kind]})
+    if stray:  # an unknown key, or one of another kind: the config may mean another law
+        raise ConfigError(f"cluster_size of kind {kind} does not take keys: {stray}")
     if kind == "discrete_uniform":
         return ClusterSizeModel.discrete_uniform(int(spec["lo"]), int(spec["hi"]))
     if kind == "truncated_poisson":

@@ -289,6 +289,11 @@ def _chunk_args(config: StudyConfig, n_clusters: int) -> list[tuple]:
     ]
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
+
+
 def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
     """Empirical rejection rates for one scenario.
 
@@ -297,8 +302,10 @@ def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
     the denominators; if they exceed 1% of the replications the study
     aborts, since the rates would no longer be trustworthy.  With
     ``workers > 1`` a study of more than one chunk runs its chunks in a
-    process pool; the report is the same for any worker count.
+    process pool; the report is the same for any worker count.  ``workers``
+    below 1 is a ConfigError.
     """
+    _check_workers(workers)
     sizing = sample_size_t if config.use_t_sizing else sample_size_normal
     n_clusters = sizing(config.design).n_clusters
 
@@ -514,13 +521,15 @@ def reproduce_tables(
     uniform grids, next to its large-sample limit.
 
     Raises:
-        ConfigError: an unknown table identifier, or ``replications < 0``.
+        ConfigError: an unknown table identifier, ``replications < 0`` or
+            ``workers < 1``.
     """
     unknown = [s for s in selection if s not in TABLE_IDS]
     if unknown:
         raise ConfigError(f"unknown table identifiers: {unknown}; valid: {TABLE_IDS}")
     if replications < 0:
         raise ConfigError(f"replications must be >= 0, got {replications}")
+    _check_workers(workers)
 
     reports = []
     for table in selection:

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import re
+import stat
 import warnings
 from dataclasses import dataclass
 from typing import NoReturn, Optional
@@ -233,16 +235,36 @@ DATASET_HEADER = ("cluster_id", "arm", "y")
 
 
 def write_dataset(dataset: TrialDataset, path: str) -> None:
-    """Write one row per subject as ``cluster_id,arm,y`` (UTF-8, LF)."""
-    ys = dataset.outcomes.tolist()
-    ends = np.cumsum(dataset.size).tolist()
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(DATASET_HEADER) + "\n")
-        start = 0
-        for cid, arm, end in zip(dataset.cluster_id.tolist(), dataset.arm.tolist(), ends):
-            prefix = f"{cid},{arm},"
-            handle.write(prefix + ("\n" + prefix).join(map(str, ys[start:end])) + "\n")
-            start = end
+    """Write one row per subject as ``cluster_id,arm,y`` (UTF-8, LF).
+
+    The body is built as one byte matrix with a row per subject: the
+    cluster's ``cluster_id,arm,`` prefix, the outcome's decimal digits
+    right-aligned, and a line feed, with NUL in the unused cells.  No byte
+    of a row is NUL, so dropping the NULs leaves the file's bytes in order.
+    """
+    prefixes = np.array(
+        [f"{cid},{arm}," for cid, arm in zip(dataset.cluster_id.tolist(), dataset.arm.tolist())],
+        dtype=np.bytes_,
+    )  # NUL-padded to the longest prefix
+    width = prefixes.itemsize
+    y = dataset.outcomes
+    units = width + len(str(int(y.max()))) - 1  # the column of the units digit
+    rows = np.zeros((y.size, units + 2), dtype=np.uint8)
+    rows[:, :width] = np.repeat(prefixes.view(np.uint8).reshape(-1, width), dataset.size, axis=0)
+    rest = y
+    for column in range(units, width - 1, -1):
+        shown = rest > 0 if column < units else True  # a leading zero stays NUL
+        rest, digit = np.divmod(rest, 10)
+        rows[:, column] = np.where(shown, digit + ord("0"), 0)
+    rows[:, -1] = ord("\n")
+    with open(path, "wb") as handle:
+        handle.write((",".join(DATASET_HEADER) + "\n").encode("utf-8"))
+        handle.write(rows[rows != 0].tobytes())
+
+
+# numpy's loadtxt opens a path by its extension, so a file named with one of
+# these would be decompressed; such a file is read through its open handle
+_COMPRESSED_SUFFIXES = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def read_dataset(path: str) -> TrialDataset:
@@ -257,38 +279,52 @@ def read_dataset(path: str) -> TrialDataset:
     array, and the checks (three columns, at least one row, arms 0 or 1,
     nonnegative outcomes, one arm per cluster) run on its columns.  Only
     when the parse or a check fails is the file scanned line by line, to
-    name the first bad line in the error.
+    name the first bad line in the error.  The file is plain UTF-8 text
+    whatever its name.
     """
     with open(path, encoding="utf-8-sig", newline="") as handle:
-        header = next(csv.reader(handle), None)
+        reader = csv.reader(handle)
+        header = next(reader, None)
         if header is None or tuple(h.strip() for h in header) != DATASET_HEADER:
             raise ConfigError(
                 f"{path}: expected header {','.join(DATASET_HEADER)!r}, got {header}"
             )
+        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode) and (
+            os.path.splitext(path)[1] not in _COMPRESSED_SUFFIXES
+        ):
+            # numpy reads a path in C chunks but a handle line by line; an
+            # absolute path is never taken for a URL
+            source, skiprows = os.path.abspath(path), reader.line_num
+        else:  # a pipe cannot be opened a second time from its start
+            source, skiprows = handle, 0
         try:
             with warnings.catch_warnings():
                 # "input contained no data", and numpy < 2's deprecated parse of
                 # an integer through a float, must fail rather than give rows
                 warnings.simplefilter("error")
                 rows = np.loadtxt(
-                    handle, delimiter=",", dtype=np.int64, ndmin=2,
-                    quotechar='"', comments=None,
+                    source, delimiter=",", dtype=np.int64, ndmin=2, skiprows=skiprows,
+                    quotechar='"', comments=None, encoding="utf-8-sig",
                 )
         except (ValueError, Warning) as exc:
             _raise_first_bad_line(path, str(exc))
     if rows.shape[0] < 1 or rows.shape[1] != 3:
         _raise_first_bad_line(path, f"parsed rows of shape {rows.shape}")
     cid, arm, y = rows.T
-    ids, first, inverse = np.unique(cid, return_index=True, return_inverse=True)
-    if ((arm != 0) & (arm != 1)).any() or (y < 0).any() or (arm != arm[first][inverse]).any():
+    # runs of equal consecutive ids: a cluster's rows are usually one run
+    starts = np.flatnonzero(np.concatenate(([True], cid[1:] != cid[:-1])))
+    lengths = np.diff(np.append(starts, cid.size))
+    ids, first, inverse = np.unique(cid[starts], return_index=True, return_inverse=True)
+    first_arm = np.repeat(arm[starts[first]][inverse], lengths)  # each row's cluster's first arm
+    if ((arm != 0) & (arm != 1)).any() or (y < 0).any() or (arm != first_arm).any():
         _raise_first_bad_line(path, "a row failed the array checks")
     order = np.argsort(first)  # clusters in order of first appearance
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    key = rank[inverse]  # each row's cluster index
+    key = np.repeat(rank[inverse], lengths)  # each row's cluster index
     return TrialDataset(
         cluster_id=ids[order],
-        arm=arm[first[order]],
+        arm=arm[starts[first[order]]],
         size=np.bincount(key),
         # a stable sort groups the rows by cluster and keeps file order within each
         outcomes=y[np.argsort(key, kind="stable")],

@@ -1,12 +1,14 @@
 """Shared fixtures and independent oracles used across the test modules."""
 
 import collections
+import csv
 import math
+import re
 
 import numpy as np
 import pytest
 
-from zipcrt import ClusterSizeModel, TrialDataset, build_design, generate_trial
+from zipcrt import ClusterSizeModel, ConfigError, TrialDataset, build_design, generate_trial
 
 DU_34_56 = ClusterSizeModel.discrete_uniform(34, 56)
 DU_10_80 = ClusterSizeModel.discrete_uniform(10, 80)
@@ -87,6 +89,48 @@ def dataset(rows):
         size=np.array([len(y) for y in ys], dtype=np.int64),
         outcomes=np.array([v for y in ys for v in y], dtype=np.int64),
     )
+
+
+PLAIN_INT = re.compile(r"\s*[+-]?[0-9]+\s*")  # a field the dataset format takes as an integer
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def reference_read_dataset(path):
+    """The dataset CSV format read row by row with ``csv.reader``.
+
+    A pure-Python oracle for ``read_dataset``: the same header check,
+    accepted fields, row checks, error messages with physical line numbers,
+    and cluster order of first appearance.
+    """
+    clusters = {}  # cluster id -> (arm, outcomes), in order of first appearance
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header is None or tuple(h.strip() for h in header) != ("cluster_id", "arm", "y"):
+            raise ConfigError(f"{path}: expected header 'cluster_id,arm,y', got {header}")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if not row:
+                continue
+            if len(row) != 3 or not all(PLAIN_INT.fullmatch(v) for v in row):
+                raise ConfigError(f"{where}: malformed row {row}")
+            cid, arm, y = (int(v) for v in row)
+            if cid not in clusters:
+                if not INT64_MIN <= cid <= INT64_MAX:
+                    raise ConfigError(f"{where}: cluster id {cid} outside the int64 range")
+                if arm not in (0, 1):
+                    raise ConfigError(f"{where}: arm must be 0 or 1, got {arm}")
+                clusters[cid] = (arm, [])
+            elif clusters[cid][0] != arm:
+                raise ConfigError(f"{where}: cluster {cid} changes arm")
+            if y < 0:
+                raise ConfigError(f"{where}: negative outcome {y}")
+            if y > INT64_MAX:
+                raise ConfigError(f"{where}: outcome {y} outside the int64 range")
+            clusters[cid][1].append(y)
+    if not clusters:
+        raise ConfigError(f"{path}: no data rows")
+    return dataset([(cid, arm, ys) for cid, (arm, ys) in clusters.items()])
 
 
 def cluster_rows(data):

@@ -97,6 +97,30 @@ def test_incomplete_cluster_size_is_a_config_error(tmp_path, capsys, kind, prese
     assert f"cluster_size of kind {kind} is missing keys: ['{missing}']" in err
 
 
+@pytest.mark.parametrize("kind, keys, stray", [
+    ("fixed", {"m": 5, "lo": 30, "hi": 80, "rate": 45}, ["hi", "lo", "rate"]),
+    ("discrete_uniform", {"lo": 34, "hi": 56, "rate": 45}, ["rate"]),
+    ("truncated_poisson", {"rate": 45, "lo": 20, "hi": 70, "m": 40}, ["m"]),
+])
+def test_keys_of_another_kind_are_a_config_error(tmp_path, capsys, kind, keys, stray):
+    # the fixed case was sized as fixed(5) with exit code 0
+    config = design_file(tmp_path, cluster_size={"kind": kind, **keys})
+    assert cli.main(["samplesize", "--config", config]) == 2
+    assert f"cluster_size of kind {kind} does not take keys: {stray}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [0, -5])
+@pytest.mark.parametrize("command", ["study", "tables"])
+def test_workers_below_one_are_a_config_error(tmp_path, capsys, command, workers):
+    # both ran serially with exit code 0
+    if command == "study":
+        argv = ["study", "--config", design_file(tmp_path), "--reps", "20", "--seed", "1"]
+    else:
+        argv = ["tables", "--which", "table1", "--reps", "20", "--seed", "1"]
+    assert cli.main(argv + ["--workers", str(workers)]) == 2
+    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+
+
 def test_negative_table_replications_are_a_config_error(tmp_path, capsys):
     assert cli.main(["tables", "--which", "table1", "--reps", "-3"]) == 2
     assert "replications must be >= 0, got -3" in capsys.readouterr().err

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import hashlib
 import math
+import os
+import random
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from conftest import (
     dataset,
     grid_design,
     pooled_pair_correlation,
+    reference_read_dataset,
 )
 
 
@@ -386,3 +389,118 @@ class TestDatasetIO:
         with open(reference, "w", encoding="utf-8", newline="") as handle:
             csv.writer(handle, lineterminator="\n").writerows([("cluster_id", "arm", "y"), *rows])
         assert path.read_bytes() == reference.read_bytes()
+
+
+HEADERS = [
+    "cluster_id,arm,y", " cluster_id , arm , y ", '"cluster_id","arm","y"',
+    '"cluster_id\n",arm,y', 'cluster_id,"arm\r\n",y', "cluster_id,arm", "cluster,arm,y",
+]
+FIELD_FORMS = [  # what a field can turn into, besides its plain digits
+    " {} ", '"{}"', '"{}\n"', '"{}\r\n"', "+{}", "-{}", "00{}", "{}.0", "{}e3", "#{}", "",
+    "{}_0", " ", "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+    "99999999999999999999", "{}5", '"{}"5',
+]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+
+
+def random_dataset_text(rng):
+    """A small dataset CSV, valid or not, in the forms the reader meets.
+
+    Headers with spaces, quotes and quoted line breaks; rows from a few
+    cluster ids whose fields may gain spaces, quotes, signs, leading zeros,
+    a quoted line break, a float, ``#``, int64 overflow or nothing at all;
+    rows with a field too few or too many; blank and space-only lines; LF,
+    CRLF and CR line endings, mixed within a file; a byte-order mark.
+    """
+    noise = rng.choice([0.0, 0.03, 0.15])
+    arms = {cid: rng.randrange(2) for cid in range(-2, 6)}
+    lines = [rng.choice(HEADERS) if rng.random() < 0.3 else HEADERS[0]]
+    for _ in range(rng.randrange(12)):
+        cid = rng.randrange(-2, 6)
+        arm = arms[cid] if rng.random() >= noise / 2 else rng.choice([1 - arms[cid], 2])
+        fields = [str(cid), str(arm), str(rng.randrange(30))]
+        for i in range(3):
+            if rng.random() < noise:
+                fields[i] = rng.choice(FIELD_FORMS).format(fields[i])
+        if rng.random() < noise:
+            fields = rng.choice([fields[:2], fields + ["1"], fields + [""]])
+        lines.append(",".join(fields))
+        if rng.random() < noise:
+            lines.append(rng.choice(["", "", "  ", "#"]))
+    ends = LINE_ENDS if rng.random() < 0.2 else [rng.choice(LINE_ENDS)]
+    text = "".join(line + rng.choice(ends) for line in lines)
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")
+    return ("\ufeff" if rng.random() < 0.1 else "") + text
+
+
+def read_or_message(read, path):
+    """The dataset a reader returns, or the message of its ConfigError."""
+    try:
+        return read(path)
+    except ConfigError as exc:
+        return str(exc)
+
+
+class TestDatasetReading:
+    def test_random_files_read_as_the_reference_reads_them(self, tmp_path):
+        path = str(tmp_path / "trial.csv")
+        outcomes = {"dataset": 0, "error": 0}
+        for seed in range(500):
+            text = random_dataset_text(random.Random(seed))
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                handle.write(text)
+            expected = read_or_message(reference_read_dataset, path)
+            assert read_or_message(read_dataset, path) == expected, (seed, text)
+            outcomes["error" if isinstance(expected, str) else "dataset"] += 1
+        assert min(outcomes.values()) >= 100  # both kinds of file are well represented
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_suffix_reads_as_plain_text(self, tmp_path, suffix):
+        # numpy picks a decompressor by the extension of a path it is given
+        text = "cluster_id,arm,y\n0,0,1\n1,1,2\n0,0,3\n"
+        plain, named = tmp_path / "trial.csv", tmp_path / f"trial.csv{suffix}"
+        plain.write_text(text, encoding="utf-8")
+        named.write_text(text, encoding="utf-8")
+        assert read_dataset(str(named)) == read_dataset(str(plain))
+        named.write_text(text + "1,1,-2\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"trial\\.csv\\{suffix}:5: negative outcome -2"):
+            read_dataset(str(named))
+
+    def test_a_relative_path_shaped_like_a_url_is_a_file(self, tmp_path, monkeypatch):
+        # numpy takes a string with a scheme and a host for a URL to fetch
+        folder = tmp_path / "http:" / "localhost"
+        folder.mkdir(parents=True)
+        (folder / "trial.csv").write_text("cluster_id,arm,y\n0,0,1\n1,1,2\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert read_dataset("http://localhost/trial.csv") == dataset([(0, 0, [1]), (1, 1, [2])])
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_reads_as_a_file(self):
+        # the header is read through one handle; a pipe cannot be reopened
+        read_end, write_end = os.pipe()
+        os.write(write_end, b"cluster_id,arm,y\n0,0,1\n1,1,2\n")
+        os.close(write_end)
+        try:
+            assert read_dataset(f"/dev/fd/{read_end}") == dataset([(0, 0, [1]), (1, 1, [2])])
+        finally:
+            os.close(read_end)
+
+
+class TestWriterAgainstCsvWriter:
+    @pytest.mark.parametrize("rows", [
+        [(-(2**63), 0, [0]), (2**63 - 1, 1, [2**63 - 1])],
+        [(-5, 1, [0, 0, 0]), (1234567890123456789, 0, [0])],
+        [(cid, cid % 2, [cid + 3]) for cid in range(-3, 12)],
+        [(7, 0, [10, 9, 100, 0, 99]), (-1, 1, [1000000])],
+    ], ids=["int64-limits", "all-zero", "one-subject-clusters", "mixed-widths"])
+    def test_bytes_match_a_csv_writer(self, tmp_path, rows):
+        path = tmp_path / "trial.csv"
+        write_dataset(dataset(rows), str(path))
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(("cluster_id", "arm", "y"))
+            writer.writerows((cid, arm, y) for cid, arm, ys in rows for y in ys)
+        assert path.read_bytes() == reference.read_bytes()
+        assert read_dataset(str(path)) == dataset(rows)
