@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import optimize, stats
 
 from .errors import ConfigError, DomainError
 
@@ -86,7 +85,7 @@ class ClusterSizeModel:
 
     ``eta_m`` and ``sigma2_m`` are the exact mean and variance of the declared
     distribution (truncated-Poisson moments by direct summation of the
-    renormalized mass function).
+    renormalized mass function, weighted in logs).
     """
 
     kind: str
@@ -109,15 +108,20 @@ class ClusterSizeModel:
             if self.rate is None or self.rate <= 0.0:
                 raise DomainError(f"truncated_poisson requires rate > 0, got {self.rate}")
             support = np.arange(self.lo, self.hi + 1)
-            pmf = stats.poisson.pmf(support, self.rate)
-            total = pmf.sum()
-            if total <= 0.0:
+            # log(rate**k / k!) up to a constant: the ratio of neighbours is rate / k
+            log_weight = np.cumsum(np.log(self.rate) - np.log(support))
+            peak = int(np.argmax(log_weight))
+            log_peak_pmf = (
+                support[peak] * math.log(self.rate) - self.rate - math.lgamma(support[peak] + 1)
+            )
+            if math.exp(log_peak_pmf) == 0.0:
                 raise DomainError(
                     f"truncated_poisson({self.rate}) has no mass on [{self.lo}, {self.hi}]"
                 )
-            pmf = pmf / total
+            pmf = np.exp(log_weight - log_weight[peak])
+            pmf /= pmf.sum()
             eta = float(np.dot(support, pmf))
-            sigma2 = float(np.dot(support.astype(float) ** 2, pmf)) - eta * eta
+            sigma2 = float(np.dot((support - eta) ** 2, pmf))
         elif self.kind == "fixed":
             if self.lo != self.hi:
                 raise DomainError("fixed cluster size requires lo == hi")
@@ -354,10 +358,11 @@ def infer_p1_from_observed(mean: float, zero_proportion: float) -> float:
     """Back out the structural-zero probability from observed summaries.
 
     Given an observed marginal mean and zero proportion, solves
-    ``p + (1 - p) * exp(-mean / (1 - p)) = zero_proportion`` for ``p`` with
-    Brent's method on [0, 1 - 1e-9].  The objective is continuous and
-    strictly increasing in ``p`` (derivative ``1 - exp(-lam) * (1 + lam) > 0``),
-    so the root is unique when it exists.
+    ``p + (1 - p) * exp(-mean / (1 - p)) = zero_proportion`` for ``p`` by
+    bisection on [0, 1 - 1e-9], until the interval stops shrinking.  The
+    objective is continuous and strictly increasing in ``p`` (derivative
+    ``1 - exp(-lam) * (1 + lam) > 0``), so the root is unique when it
+    exists.
 
     Returns 0 when the observed zero proportion does not exceed the pure
     Poisson mass ``exp(-mean)`` (no zero inflation is needed).
@@ -381,7 +386,12 @@ def infer_p1_from_observed(mean: float, zero_proportion: float) -> float:
             f"zero proportion {zero_proportion} unreachable for mean {mean}: "
             "no root in [0, 1)"
         )
-    return float(optimize.brentq(objective, lo, hi))
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if objective(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
 
 
 def pairwise_covariance_factor(arm: ArmProfile, rho_s: float, rho_u: float) -> float:

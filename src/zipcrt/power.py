@@ -8,16 +8,19 @@ A refinement replaces the normal quantiles by Student-t quantiles whose
 degrees of freedom come from a first normal-based pass (clusters minus the
 two regression parameters), which guards against the optimism of the normal
 approximation when few clusters are affordable.
+
+The normal and Student-t quantiles and CDFs are computed here with the
+standard library alone: the normal ones from ``statistics.NormalDist`` and
+``math.erfc``, the t tail as a regularized incomplete beta function.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import statistics
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-from scipy import stats
 
 from .design import ArmProfile, DesignInputs, _odds, p2_from_q, pairwise_covariance_factor
 from .errors import DomainError
@@ -52,22 +55,145 @@ class QSweepEntry:
     error: Optional[str] = None
 
 
+_STANDARD_NORMAL = statistics.NormalDist()
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)
+_CF_TERMS = 100_000  # the t CDF's continued fraction needs O(sqrt(df)) terms
+
+
 @functools.lru_cache(maxsize=256)
 def normal_quantile(prob: float) -> float:
     """Standard normal inverse CDF, cached like :func:`t_quantile`."""
-    return float(stats.norm.ppf(prob))
+    return _STANDARD_NORMAL.inv_cdf(prob)
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """``log Gamma(a + 1/2) - log Gamma(a)``.
+
+    From a = 25 on this is the asymptotic series, whose first omitted term
+    is below 1e-17 there: the difference of two ``lgamma`` values would
+    lose about ``1e-16 * a * log(a)`` to cancellation.
+    """
+    if a < 25.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    z = 1.0 / (a * a)
+    series = 1 / 8 - z * (1 / 192 - z * (1 / 640 - z * (17 / 14336 - z * 31 / 18432)))
+    return 0.5 * math.log(a) - series / a
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of ``I_x(a, b) * a * B(a, b) / (x**a * (1 - x)**b)``.
+
+    Modified Lentz evaluation; it converges fast for
+    ``x < (a + 1) / (a + b + 2)``.
+    """
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, _CF_TERMS):
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) <= 2e-16:
+            break
+    return h
+
+
+def _t_split(t: float, df: float) -> tuple[float, float, float]:
+    """``P(T > t)``, ``P(|T| < t)`` and ``t`` times the density, for ``t > 0``.
+
+    With ``x = df / (df + t**2)`` the tail is ``I_x(df/2, 1/2) / 2`` and the
+    central probability ``I_{1-x}(1/2, df/2)``.  The continued fraction is
+    summed for the one it converges fast for, which near either end is the
+    small one, so it keeps its relative accuracy; the other is its
+    complement.
+    """
+    a = 0.5 * df
+    tt = t * t
+    x, y = df / (df + tt), tt / (df + tt)  # y = 1 - x without cancellation
+    # x**a * y**(1/2) / B(a, 1/2), which is also t times the density
+    front = math.exp(
+        _log_gamma_ratio(a) - a * math.log1p(tt / df) + 0.5 * math.log(y) - _LOG_SQRT_PI
+    )
+    if x < (a + 1.0) / (a + 2.5):
+        tail = 0.5 * front * _beta_continued_fraction(a, 0.5, x) / a
+        return tail, 1.0 - 2.0 * tail, front
+    central = 2.0 * front * _beta_continued_fraction(0.5, a, y)
+    return 0.5 - 0.5 * central, central, front
+
+
+def t_cdf(t: float, df: float) -> float:
+    """Student-t CDF for real ``df >= 1``."""
+    if df < 1:
+        raise DomainError(f"t CDF needs df >= 1, got {df}")
+    if t == 0.0:
+        return 0.5
+    tail, central, _ = _t_split(abs(t), df)
+    return tail if t < 0.0 else 0.5 + 0.5 * central
+
+
+def _cornish_fisher(z: float, df: float) -> float:
+    """The t quantile's expansion in ``1 / df`` about the normal quantile ``z``."""
+    s = z * z
+    g1 = (s + 1.0) * z / 4.0
+    g2 = ((5.0 * s + 16.0) * s + 3.0) * z / 96.0
+    g3 = (((3.0 * s + 19.0) * s + 17.0) * s - 15.0) * z / 384.0
+    g4 = ((((79.0 * s + 776.0) * s + 1482.0) * s - 1920.0) * s - 945.0) * z / 92160.0
+    return z + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
 
 
 @functools.lru_cache(maxsize=256)
-def t_quantile(df: int, prob: float) -> float:
-    """Student-t inverse CDF for integer degrees of freedom.
+def t_quantile(df: float, prob: float) -> float:
+    """Student-t inverse CDF for real ``df >= 1``.
 
-    Cached per ``(df, prob)``: a study tests every replicate at one critical
-    value, and scipy takes about 0.1 ms to compute it.
+    Closed forms at df 1 and 2.  Otherwise Newton's method from the
+    Cornish-Fisher value, on the log of ``P(T > |t|)`` (or, near ``prob =
+    0.5``, of ``P(|T| < |t|)``, so that a small quantile keeps its relative
+    accuracy) as a function of ``log |t|``.  On that scale a heavy tail is
+    nearly a straight line, so the iterates reach even a far root in a
+    few steps.  They stop once a step is below 1e-13 or no smaller than
+    the one before, which happens only at the CDF's rounding noise.
+    Cached per ``(df, prob)``, since a study tests every replicate at one
+    critical value.
     """
     if df < 1:
         raise DomainError(f"t quantile needs df >= 1, got {df}")
-    return float(stats.t.ppf(prob, df))
+    if not 0.0 < prob < 1.0:
+        raise DomainError(f"t quantile needs 0 < prob < 1, got {prob}")
+    sign = 1.0 if prob > 0.5 else -1.0
+    tail = min(prob, 1.0 - prob)  # exact: 1 - prob for prob >= 0.5
+    central = 1.0 - 2.0 * tail  # exact for tail >= 0.25
+    if central == 0.0:
+        return 0.0
+    if df == 1:
+        t = 1.0 / math.tan(math.pi * tail) if tail < 0.25 else math.tan(0.5 * math.pi * central)
+    elif df == 2:
+        t = central / math.sqrt(2.0 * tail * (1.0 - tail))
+    else:
+        t = _cornish_fisher(-normal_quantile(tail), df)
+        previous = math.inf
+        for _ in range(100):
+            upper, inner, front = _t_split(t, df)
+            if tail < 0.25:
+                step = math.log(upper / tail) * upper / front
+            else:
+                step = -math.log(inner / central) * inner / (2.0 * front)
+            if abs(step) >= previous:  # the rounding noise of the CDF
+                break
+            t *= math.exp(step)
+            if abs(step) <= 1e-13:
+                break
+            previous = abs(step)
+        else:
+            raise DomainError(f"t quantile did not converge at df={df}, prob={prob}")
+    return sign * t
 
 
 def _arm_variance_block(arm: ArmProfile, design: DesignInputs) -> float:
@@ -162,10 +288,10 @@ def predicted_power(design: DesignInputs, n_clusters: float, reference: str) -> 
     delta = math.sqrt(n_clusters * design.beta2**2 / design_variance(design))
     prob = 1.0 - design.alpha / 2.0
     if reference == "normal":
-        return float(stats.norm.cdf(delta - normal_quantile(prob)))
+        return 0.5 * math.erfc((normal_quantile(prob) - delta) / math.sqrt(2.0))
     if reference == "t":
         df = n_clusters - 2
-        return float(stats.t.cdf(delta - t_quantile(df, prob), df))
+        return t_cdf(delta - t_quantile(df, prob), df)
     raise DomainError(f"reference must be 'normal' or 't', got {reference!r}")
 
 

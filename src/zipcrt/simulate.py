@@ -280,34 +280,37 @@ def read_dataset(path: str) -> TrialDataset:
     nonnegative outcomes, one arm per cluster) run on its columns.  Only
     when the parse or a check fails is the file scanned line by line, to
     name the first bad line in the error.  The file is plain UTF-8 text
-    whatever its name.
+    whatever its name; a byte that is not names its line in the error.
     """
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != DATASET_HEADER:
-            raise ConfigError(
-                f"{path}: expected header {','.join(DATASET_HEADER)!r}, got {header}"
-            )
-        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode) and (
-            os.path.splitext(path)[1] not in _COMPRESSED_SUFFIXES
-        ):
-            # numpy reads a path in C chunks but a handle line by line; an
-            # absolute path is never taken for a URL
-            source, skiprows = os.path.abspath(path), reader.line_num
-        else:  # a pipe cannot be opened a second time from its start
-            source, skiprows = handle, 0
-        try:
-            with warnings.catch_warnings():
-                # "input contained no data", and numpy < 2's deprecated parse of
-                # an integer through a float, must fail rather than give rows
-                warnings.simplefilter("error")
-                rows = np.loadtxt(
-                    source, delimiter=",", dtype=np.int64, ndmin=2, skiprows=skiprows,
-                    quotechar='"', comments=None, encoding="utf-8-sig",
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != DATASET_HEADER:
+                raise ConfigError(
+                    f"{path}: expected header {','.join(DATASET_HEADER)!r}, got {header}"
                 )
-        except (ValueError, Warning) as exc:
-            _raise_first_bad_line(path, str(exc))
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode) and (
+                os.path.splitext(path)[1] not in _COMPRESSED_SUFFIXES
+            ):
+                # numpy reads a path in C chunks but a handle line by line; an
+                # absolute path is never taken for a URL
+                source, skiprows = os.path.abspath(path), reader.line_num
+            else:  # a pipe cannot be opened a second time from its start
+                source, skiprows = handle, 0
+            try:
+                with warnings.catch_warnings():
+                    # "input contained no data", and numpy < 2's deprecated parse of
+                    # an integer through a float, must fail rather than give rows
+                    warnings.simplefilter("error")
+                    rows = np.loadtxt(
+                        source, delimiter=",", dtype=np.int64, ndmin=2, skiprows=skiprows,
+                        quotechar='"', comments=None, encoding="utf-8-sig",
+                    )
+            except (ValueError, Warning) as exc:
+                _raise_first_bad_line(path, str(exc))
+    except UnicodeDecodeError:
+        _raise_undecodable_line(path)
     if rows.shape[0] < 1 or rows.shape[1] != 3:
         _raise_first_bad_line(path, f"parsed rows of shape {rows.shape}")
     cid, arm, y = rows.T
@@ -367,3 +370,22 @@ def _raise_first_bad_line(path: str, reason: str) -> NoReturn:
     if not arm_of:
         raise ConfigError(f"{path}: no data rows")
     raise ConfigError(f"{path}: malformed rows ({reason})")
+
+
+def _raise_undecodable_line(path: str) -> NoReturn:
+    """Raise the ConfigError that names the first line of ``path`` that is not UTF-8.
+
+    Lines are physical lines, as :func:`_raise_first_bad_line` counts them.
+    A pipe cannot be read a second time, so its error names no line.
+    """
+    if os.path.isfile(path):
+        with open(path, "rb") as handle:
+            lines = handle.read().splitlines()
+        for lineno, line in enumerate(lines, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise ConfigError(
+                    f"{path}:{lineno}: not UTF-8 text (byte 0x{line[exc.start]:02x})"
+                ) from None
+    raise ConfigError(f"{path}: not UTF-8 text") from None

@@ -15,6 +15,15 @@ DU_10_80 = ClusterSizeModel.discrete_uniform(10, 80)
 TRUNPOIS = ClusterSizeModel.truncated_poisson(45.0, 20, 70)
 
 
+# Latin-1 files: an e-acute (0xe9) in the header, in a middle row, in the last
+# row; with the physical line each names.  The middle one ends its lines in CR.
+NOT_UTF8 = [
+    (b"cluster_id,arm,\xe9\n0,0,1\n1,1,2\n", 1),
+    (b"cluster_id,arm,y\r0,0,1\r1,1,\xe9\r0,0,2\r", 3),
+    (b"cluster_id,arm,y\n0,0,1\n1,1,2\n" + b"0,0,3\n" * 5000 + b"1,1,\xe9\n", 5004),
+]
+
+
 def grid_design(cluster_sizes=DU_34_56, rho=0.03, q=0.5, beta2=-0.431, p1=0.5):
     """A cell of the reference grid: control mean 1, half structural zeros."""
     return build_design(

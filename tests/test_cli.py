@@ -4,12 +4,25 @@ config and argument errors, and the manifests of ``simulate``, ``study`` and
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import zipcrt
 from zipcrt import ConfigError, cli, fit_zip, mc, read_dataset, reproduce_tables, simulate
 
-from conftest import first_seed, grid_design, zero_states
+from conftest import NOT_UTF8, first_seed, grid_design, zero_states
+
+# a child interpreter imports the zipcrt under test
+CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(zipcrt.__file__).parents[1]), os.environ.get("PYTHONPATH"),
+    ])),
+)
 
 
 def design_file(tmp_path, **overrides):
@@ -81,6 +94,14 @@ def test_fit_rejects_a_cluster_id_outside_int64(tmp_path, capsys):
     csv.write_text("cluster_id,arm,y\n0,0,1\n9223372036854775808,1,2\n", encoding="utf-8")
     assert cli.main(["fit", "--data", str(csv)]) == 2
     assert "cluster id 9223372036854775808 outside the int64 range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, line", NOT_UTF8, ids=["header", "middle", "last"])
+def test_fit_of_a_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys, body, line):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(body)
+    assert cli.main(["fit", "--data", str(path)]) == 2
+    assert f"latin1.csv:{line}: not UTF-8 text" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, present, missing", [
@@ -197,3 +218,58 @@ def test_tables_read_back_as_csv(tmp_path, capsys):
             assert row["distribution"] in labels
             assert int(row["n_clusters"]) >= 2
             assert all(0.0 <= float(row[c]) <= 1.0 for c in columns)
+
+
+NO_SCIPY_CHILD = '''
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any import of scipy now fails
+from zipcrt import cli
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    outputs.append([code, out.getvalue()])
+print(json.dumps(outputs))
+'''
+
+
+def test_the_commands_run_without_scipy(tmp_path, capsys):
+    # scipy is a test dependency only: every command must give the same
+    # output in a child interpreter that cannot import it
+    (tmp_path / "poisson").mkdir()
+    poisson = design_file(
+        tmp_path / "poisson",
+        cluster_size={"kind": "truncated_poisson", "rate": 45, "lo": 20, "hi": 70},
+    )
+    uniform = design_file(tmp_path)
+    data = str(tmp_path / "data.csv")
+    commands = [
+        ["samplesize", "--config", poisson],
+        ["samplesize", "--config", uniform],
+        ["simulate", "--config", uniform, "--clusters", "30", "--seed", "5", "--out", data],
+        ["fit", "--data", data],
+        ["study", "--config", uniform, "--reps", "20", "--sizing", "t", "--seed", "1"],
+        ["tables", "--which", "table3-icc", "--seed", "4"],
+    ]
+    expected = []
+    for argv in commands:
+        expected.append([cli.main(argv), capsys.readouterr().out])
+    written = Path(data).read_bytes()
+    child = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_CHILD, json.dumps(commands)],
+        capture_output=True, text=True, env=CHILD_ENV, check=True, timeout=120,
+    )
+    assert [code for code, _ in expected] == [0] * len(commands)
+    assert expected[0] != expected[1]
+    assert json.loads(child.stdout) == expected
+    assert Path(data).read_bytes() == written
+
+
+def test_importing_the_cli_loads_no_scipy():
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, zipcrt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, env=CHILD_ENV, check=True, timeout=60,
+    )
+    assert child.stdout.strip() == "[]"

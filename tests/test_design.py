@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import optimize, stats
 
 from zipcrt import (
     ArmProfile,
@@ -184,6 +185,17 @@ class TestInferP1:
         recovered = infer_p1_from_observed(mean, target)
         assert recovered == pytest.approx(p, abs=1e-7)
 
+    def test_matches_brentq(self):
+        # brentq's default xtol of 2e-12 is looser than the bound
+        for mean in (0.05, 0.3, 1.0, 1.21, 4.0, 10.0):
+            for p in (1e-6, 0.01, 0.19, 0.5, 0.8, 0.95):
+                target = p + (1 - p) * math.exp(-mean / (1 - p))
+                root = optimize.brentq(
+                    lambda x: x + (1 - x) * math.exp(-mean / (1 - x)) - target,
+                    0.0, 1.0 - 1e-9, xtol=1e-15,
+                )
+                assert abs(infer_p1_from_observed(mean, target) - root) <= 1e-12, (mean, p)
+
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
             infer_p1_from_observed(-1.0, 0.5)
@@ -256,6 +268,24 @@ class TestClusterSizeModel:
         assert model.sigma2_m == pytest.approx(second - mean**2, abs=1e-8)
         assert model.eta_m == pytest.approx(45.0, abs=0.01)
         assert model.sigma2_m == pytest.approx(44.8, abs=0.1)
+
+    @pytest.mark.parametrize("rate, lo, hi", [
+        (45.0, 20, 70), (45.0, 90, 100), (45.0, 40, 50), (0.5, 1, 5), (3.0, 1, 10),
+        (20.0, 1, 200), (500.0, 400, 600), (1000.0, 1, 3000),
+    ])
+    def test_truncated_poisson_moments_match_scipy(self, rate, lo, hi):
+        model = ClusterSizeModel.truncated_poisson(rate, lo, hi)
+        support = np.arange(lo, hi + 1)
+        pmf = stats.poisson.pmf(support, rate)
+        pmf /= pmf.sum()
+        eta = np.dot(support, pmf)
+        sigma2 = np.dot((support - eta) ** 2, pmf)
+        assert abs(model.eta_m / eta - 1.0) <= 1e-12
+        assert abs(model.sigma2_m / sigma2 - 1.0) <= 1e-12
+
+    def test_truncated_poisson_without_mass_is_rejected(self):
+        with pytest.raises(DomainError, match="no mass"):
+            ClusterSizeModel.truncated_poisson(1e-5, 200, 300)
 
     def test_validation(self):
         with pytest.raises(DomainError):

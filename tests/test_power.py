@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from scipy import stats
 
 from zipcrt import (
     ClusterSizeModel,
@@ -13,7 +14,8 @@ from zipcrt import (
     sample_size_normal,
     sample_size_t,
 )
-from zipcrt.power import normal_quantile, predicted_power, t_quantile
+from zipcrt.mc import reference_design
+from zipcrt.power import normal_quantile, predicted_power, t_cdf, t_quantile
 
 from conftest import DU_10_80, DU_34_56, TRUNPOIS, grid_design
 
@@ -133,6 +135,13 @@ class TestQuantiles:
     def test_df_validation(self):
         with pytest.raises(DomainError):
             t_quantile(0, 0.975)
+        with pytest.raises(DomainError):
+            t_cdf(1.0, 0.5)
+
+    @pytest.mark.parametrize("prob", [0.0, 1.0, 1.5])
+    def test_prob_validation(self, prob):
+        with pytest.raises(DomainError):
+            t_quantile(10, prob)
 
 
 class TestQSweep:
@@ -191,3 +200,93 @@ class TestPredictedPower:
     def test_unknown_reference(self, config_a):
         with pytest.raises(DomainError, match="reference"):
             predicted_power(config_a, 20, "chi2")
+
+
+# scipy is the oracle below; the package computes these without it.  The
+# bounds were fixed before the comparisons were run.
+TAIL_PROBS = [0.001, 0.01, 0.025, 0.05, 0.1, 0.2, 0.3, 0.45, 0.55, 0.7, 0.8, 0.9, 0.95,
+              0.975, 0.99, 0.999]  # |p - 0.5| >= 0.05
+SMALL_DF = [1, 1.5, 2, 2.5, 3, 3.7, 4, 5, 7, 10, 17.25, 19, 26, 30, 49.9, 50, 64, 98,
+            150.5, 333, 512.75, 999.5, 1000]
+LARGE_DF = [1e4, 31622.5, 1e5, 3e5, 1e6]
+T_RANGES = [(SMALL_DF, 1e-11), (LARGE_DF, 1e-9)]
+
+
+def relative_error(value, reference):
+    return abs(value - reference) / abs(reference)
+
+
+class TestAgainstScipy:
+    def test_normal_quantile(self):
+        probs = [1e-12, 1e-6, 0.001, 0.025, 0.2, 0.4999, 0.5001, 0.8, 0.975, 0.999, 1 - 1e-9]
+        for prob in probs:
+            assert relative_error(normal_quantile(prob), stats.norm.ppf(prob)) <= 1e-14, prob
+
+    @pytest.mark.parametrize("design", CELLS)
+    def test_normal_predicted_power(self, design):
+        quantile = stats.norm.ppf(1.0 - design.alpha / 2.0)
+        for n in [2, 3.5, 10, 19, 27.25, 60, 200, 1000]:
+            delta = math.sqrt(n * design.beta2**2 / design_variance(design))
+            expected = stats.norm.cdf(delta - quantile)
+            assert relative_error(predicted_power(design, n, "normal"), expected) <= 1e-13, n
+
+    @pytest.mark.parametrize("dfs, bound", T_RANGES, ids=["df-1-to-1000", "df-1e4-to-1e6"])
+    def test_t_quantile_and_cdf(self, dfs, bound):
+        for df in dfs:
+            for prob in TAIL_PROBS:
+                expected = stats.t.ppf(prob, df)
+                assert relative_error(t_quantile(df, prob), expected) <= bound, (df, prob)
+                expected_cdf = stats.t.cdf(expected, df)
+                assert relative_error(t_cdf(expected, df), expected_cdf) <= bound, (df, prob)
+
+    @pytest.mark.parametrize("dfs, bound", T_RANGES, ids=["df-1-to-1000", "df-1e4-to-1e6"])
+    def test_t_predicted_power(self, dfs, bound):
+        design = grid_design()
+        prob = 1.0 - design.alpha / 2.0
+        for df in dfs:
+            n = df + 2
+            delta = math.sqrt(n * design.beta2**2 / design_variance(design))
+            expected = stats.t.cdf(delta - stats.t.ppf(prob, df), df)
+            assert relative_error(predicted_power(design, n, "t"), expected) <= bound, df
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 10.5, 100, 1e5])
+    def test_t_quantile_near_the_median_inverts_the_cdf(self, df):
+        # scipy is no oracle here: stats.t.ppf(0.5000001, 4) is 4e-4 off the
+        # root 2.6667e-7, so the identity is checked instead
+        for prob in [0.5 - 1e-3, 0.5 - 1e-7, 0.5 - 1e-12, 0.5 + 1e-12, 0.5000001, 0.5 + 0.04]:
+            assert abs(t_cdf(t_quantile(df, prob), df) - prob) <= 1e-13, prob
+        assert t_quantile(df, 0.5) == 0.0 and t_cdf(0.0, df) == 0.5
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4, 10.5, 100])
+    def test_t_quantile_near_the_median_keeps_its_relative_accuracy(self, df):
+        # within 1e-12 of the median the CDF is linear to 1e-24, with slope the
+        # density at 0, so the quantile is known to full relative accuracy (the
+        # lgamma difference would lose more than the bound past df = 1e4)
+        log_density = math.lgamma((df + 1) / 2) - math.lgamma(df / 2) - math.log(df * math.pi) / 2
+        prob = 0.5 + 1e-12
+        assert relative_error(t_quantile(df, prob), (prob - 0.5) / math.exp(log_density)) <= 1e-11
+
+
+# n_clusters of the table1 (normal) and table2 (t) cells: TrunPoisson(45,20,70),
+# DU(34,56) and DU(10,80), each at ICC 0.03 then 0.05, q = 0.3 to 0.7
+TABLE_LAWS = [TRUNPOIS, DU_34_56, DU_10_80]
+TABLE1_N = [[18, 19, 19, 20, 20], [24, 25, 25, 26, 27],
+            [18, 19, 19, 20, 20], [24, 25, 25, 26, 27],
+            [20, 20, 21, 21, 22], [27, 28, 28, 29, 30]]
+TABLE2_N = [[21, 21, 22, 22, 22], [27, 27, 28, 28, 29],
+            [21, 21, 22, 22, 22], [27, 27, 28, 28, 29],
+            [22, 23, 23, 24, 24], [29, 30, 31, 31, 32]]
+
+
+@pytest.mark.parametrize("law_index", range(3))
+@pytest.mark.parametrize("rho_index", range(2))
+def test_reference_cells_match_the_scipy_formula(law_index, rho_index):
+    for column, q in enumerate([0.3, 0.4, 0.5, 0.6, 0.7]):
+        design = reference_design(TABLE_LAWS[law_index], [0.03, 0.05][rho_index], q)
+        scale = design_variance(design) / design.beta2**2
+        n_z = math.ceil(scale * (stats.norm.ppf(0.975) + stats.norm.ppf(0.8)) ** 2)
+        df = n_z - 2
+        n_t = math.ceil(scale * (stats.t.ppf(0.975, df) + stats.t.ppf(0.8, df)) ** 2)
+        row = 2 * law_index + rho_index
+        assert sample_size_normal(design).n_clusters == n_z == TABLE1_N[row][column]
+        assert sample_size_t(design).n_clusters == n_t == TABLE2_N[row][column]

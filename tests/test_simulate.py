@@ -29,6 +29,7 @@ from zipcrt import (
 from conftest import (
     DU_10_80,
     DU_34_56,
+    NOT_UTF8,
     SE_MULTIPLE,
     TRUNPOIS,
     cluster_sum_moments,
@@ -474,6 +475,14 @@ class TestDatasetReading:
         (folder / "trial.csv").write_text("cluster_id,arm,y\n0,0,1\n1,1,2\n", encoding="utf-8")
         monkeypatch.chdir(tmp_path)
         assert read_dataset("http://localhost/trial.csv") == dataset([(0, 0, [1]), (1, 1, [2])])
+
+    @pytest.mark.parametrize("body, line", NOT_UTF8, ids=["header", "middle", "last"])
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, body, line):
+        path = tmp_path / "trial.csv"
+        path.write_bytes(body)
+        message = f"trial\\.csv:{line}: not UTF-8 text \\(byte 0xe9\\)"
+        with pytest.raises(ConfigError, match=message):
+            read_dataset(str(path))
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_a_pipe_reads_as_a_file(self):
