@@ -48,7 +48,6 @@ from .mc import (
     CHUNK_REPLICATES,
     ENGINE,
     ENGINE_VERSION,
-    ICC_STREAM_TAG,
     STREAM_TAG,
     StudyConfig,
     reproduce_tables,
@@ -183,7 +182,6 @@ _ENGINE = {
     "name": ENGINE,
     "version": ENGINE_VERSION,
     "stream_tag": STREAM_TAG,
-    "icc_stream_tag": ICC_STREAM_TAG,
     "chunk_replicates": CHUNK_REPLICATES,
 }
 _GENERATOR = {"name": GENERATOR, "version": GENERATOR_VERSION, "stream_tag": TRIAL_STREAM_TAG}

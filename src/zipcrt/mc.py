@@ -6,23 +6,15 @@ under the sandwich ("naive") and leave-one-out ("jackknife") variance
 estimators.  Type-I studies size the trial with the design's effect but
 generate data with the effect removed.
 
-Every Wald decision depends on a trial only through each cluster's arm,
-size ``m_i`` and outcome sum ``Y_i`` (see :mod:`zipcrt.gee`), so the study
-engine never forms subject-level data.  Its cluster sizes come from the
-sampler that :func:`zipcrt.simulate.generate_trial` itself calls,
-``simulate._draw_cluster_sizes``.  It draws ``Y_i`` exactly, with a fixed
-number of draws per cluster, from the construction that ``generate_trial``
-uses subject by subject:
-
-  * each subject takes the shared zero indicator ``c ~ Bern(p)`` with
-    probability ``s = sqrt(rho_s)`` and its own ``Bern(p)`` otherwise, so
-    ``W ~ Bin(m, s)`` subjects take ``c`` and
-    ``K = (1 - c) * W + Bin(m - W, 1 - p)`` subjects are not structural
-    zeros.  Given ``c`` the subjects are independent, so ``K`` is drawn as
-    one ``Bin(m, (1 - s) * (1 - p) + (1 - c) * s)``;
-  * ``Y = Poisson(K * lam * (1 - rho_u)) + K * Poisson(lam * rho_u)``, the
-    individual Poisson parts of the ``K`` subjects plus ``K`` copies of the
-    shared part.
+Studies, the ICC and :func:`zipcrt.simulate.generate_trial` draw from one
+core, ``simulate._draw_nonzero_counts``: given each cluster's arm, it draws
+the size ``m`` and the number ``K`` of subjects that are not structural
+zeros (see :mod:`zipcrt.simulate`).  Every Wald decision depends on a trial
+only through each cluster's arm, ``m_i`` and outcome sum ``Y_i`` (see
+:mod:`zipcrt.gee`), so the study engine never forms subject-level data: it
+draws ``Y = Poisson(K * lam * (1 - rho_u)) + K * Poisson(lam * rho_u)``,
+the ``K`` own Poisson parts in one draw plus ``K`` copies of the shared
+part.  Replicate ``r`` puts the intervention arm on its first clusters.
 
 Replicates are drawn in chunks of ``CHUNK_REPLICATES`` as ``(R, N)`` arrays,
 and each chunk's statistics are row reductions with :func:`fit_zip`'s and
@@ -30,10 +22,11 @@ and each chunk's statistics are row reductions with :func:`fit_zip`'s and
 ``(seed, STREAM_TAG, k)``, so a seeded report is the same for any number of
 workers and any order in which chunks complete.
 
-:func:`estimate_poisson_icc` also needs each cluster's sum of ``y**2``.  It
-draws one dataset's arm, ``m`` and ``K`` with the same helper, then the
-``K`` subjects' own Poisson parts one by one and reduces them to per-cluster
-sums (see :func:`_draw_icc_sums`), from the stream ``(seed, ICC_STREAM_TAG)``.
+:func:`estimate_poisson_icc` is a statistic of the dataset
+``generate_trial(design, n_clusters, seed)``: it makes the same draws from
+the stream ``(seed, simulate.TRIAL_STREAM_TAG)`` and reduces them to each
+cluster's sums of ``y`` and ``y**2`` without forming the dataset (see
+:func:`_draw_icc_sums`).
 """
 
 from __future__ import annotations
@@ -41,23 +34,22 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .design import ClusterSizeModel, DesignInputs, build_design, poisson_icc_limit
-from .errors import ConfigError, DomainError, EstimationError, StudyError, ZipCrtError
+from .errors import ConfigError, DomainError, EstimationError, StudyError
 # fit_zip is not called here; the benchmark harness looks it up on this module
 from .gee import _arm_sums, fit_zip  # noqa: F401
 from .power import normal_quantile, sample_size_normal, sample_size_t, t_quantile
 from .simulate import (
     _balanced_count,
-    _draw_cluster_sizes,
+    _draw_nonzero_counts,
+    _draw_trial,
     _empty_arm_message,
     _stalled_message,
-    substream,
 )
 
 _REPLICATE_TAG = 0x52455053  # distinguishes replicate-seed derivation
@@ -69,9 +61,8 @@ DF_RULES = ("n-2", "n-4")
 # stream, the chunk size or the draws changes seeded results and bumps the
 # version.
 ENGINE = "cluster-sum"
-ENGINE_VERSION = 2
+ENGINE_VERSION = 3
 STREAM_TAG = 0x43535553  # the chunk streams (seed, STREAM_TAG, chunk index)
-ICC_STREAM_TAG = 0x49434353  # an ICC dataset's stream (seed, ICC_STREAM_TAG)
 CHUNK_REPLICATES = 256
 
 
@@ -141,10 +132,10 @@ class _Chunk:
     failure: list[Optional[str]]
 
 
-def _draw_nonzero_counts(
+def _draw_clusters(
     design: DesignInputs, n_clusters: int, rng: np.random.Generator, rows: int
 ) -> tuple[np.ndarray, ...]:
-    """``(R, N)`` arrays of arm, size and non-structural-zero count ``K``, and two failure masks.
+    """``(R, N)`` arrays of arm, size and outcome sum, and two failure masks.
 
     Replicate ``r`` allocates clusters ``0 .. n_intervention[r] - 1`` to the
     intervention arm; the clusters are exchangeable, so which ones receive it
@@ -156,26 +147,12 @@ def _draw_nonzero_counts(
     if tie:
         n_intervention += rng.random(rows) < 0.5
     arm = np.arange(n_clusters) < n_intervention[:, None]
-    shape = arm.shape
-    m, stalled = _draw_cluster_sizes(design.cluster_sizes, rng, shape)
-    p = np.where(arm, design.intervention.p, design.control.p)
-    mix = math.sqrt(design.rho_s)
-    shared_zero = rng.random(shape) < p
-    nonzero = rng.binomial(m, (1.0 - mix) * (1.0 - p) + np.where(shared_zero, 0.0, mix))
-    empty_arm = (n_intervention == 0) | (n_intervention == n_clusters)
-    return arm, m, nonzero, empty_arm, stalled.any(axis=1)
-
-
-def _draw_clusters(
-    design: DesignInputs, n_clusters: int, rng: np.random.Generator, rows: int
-) -> tuple[np.ndarray, ...]:
-    """``(R, N)`` arrays of arm, size and outcome sum, and the two failure
-    masks of :func:`_draw_nonzero_counts`."""
-    arm, m, nonzero, empty_arm, stalled = _draw_nonzero_counts(design, n_clusters, rng, rows)
+    m, nonzero, stalled = _draw_nonzero_counts(design, arm, rng)
     lam = np.where(arm, design.intervention.lam, design.control.lam)
     y = rng.poisson(nonzero * lam * (1.0 - design.rho_u))
     y += nonzero * rng.poisson(lam * design.rho_u)
-    return arm, m, y, empty_arm, stalled
+    empty_arm = (n_intervention == 0) | (n_intervention == n_clusters)
+    return arm, m, y, empty_arm, stalled.any(axis=1)
 
 
 def _simulate_chunk(
@@ -311,6 +288,9 @@ def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
 
     args = _chunk_args(config, n_clusters)
     if workers > 1 and len(args) > 1:  # a pool costs more than one chunk
+        # imported here: multiprocessing would cost every start-up its import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
             chunks = list(pool.map(_simulate_chunk, *zip(*args)))
     else:
@@ -339,31 +319,15 @@ def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
     )
 
 
-def _draw_icc_sums(
-    design: DesignInputs, n_clusters: int, rng: np.random.Generator
-) -> tuple[np.ndarray, ...]:
-    """One dataset's per-cluster arm, size, sum of ``y`` and sum of ``y**2``.
+def _draw_icc_sums(design: DesignInputs, n_clusters: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The per-cluster arm, size, sum of ``y`` and sum of ``y**2`` of
+    ``generate_trial(design, n_clusters, seed)``, from the same draws.
 
     Each of a cluster's ``K`` non-structural-zero subjects has the outcome
-    ``P_j + U``: its own ``P_j ~ Poisson(lam * (1 - rho_u))`` plus the
-    cluster's shared ``U ~ Poisson(lam * rho_u)``.  With ``T = sum P_j`` and
-    ``Q = sum P_j**2`` the cluster's sums are ``Y = T + K * U`` and
-    ``sum y**2 = Q + 2 * U * T + K * U**2``.
-
-    Raises:
-        ConfigError: the allocation left an arm empty.
-        ZipCrtError: a truncated-Poisson cluster-size draw stalled.
+    ``P_j + U``.  With ``T = sum P_j`` and ``Q = sum P_j**2`` the cluster's
+    sums are ``Y = T + K * U`` and ``sum y**2 = Q + 2 * U * T + K * U**2``.
     """
-    arm, m, nonzero, empty_arm, stalled = (
-        a[0] for a in _draw_nonzero_counts(design, n_clusters, rng, 1)
-    )
-    if empty_arm:
-        raise ConfigError(_empty_arm_message(n_clusters, design.r_bar))
-    if stalled:
-        raise ZipCrtError(_stalled_message(design.cluster_sizes))
-    lam = np.where(arm, design.intervention.lam, design.control.lam)
-    shared = rng.poisson(lam * design.rho_u)
-    own = rng.poisson(np.repeat(lam * (1.0 - design.rho_u), nonzero))
+    arm, m, nonzero, shared, own = _draw_trial(design, n_clusters, seed)
     # per-cluster sums of P and P**2 as differences of running sums, which
     # also gives 0 for a cluster with K = 0
     ends = np.cumsum(nonzero)
@@ -375,7 +339,7 @@ def _draw_icc_sums(
     q = running[ends] - running[starts]
     y = t + nonzero * shared
     ysq = q + shared * (2 * t + nonzero * shared)
-    return arm.astype(np.int64), m, y, ysq
+    return arm, m, y, ysq
 
 
 def _poisson_icc(arm: np.ndarray, m: np.ndarray, ysum: np.ndarray, ysq: np.ndarray) -> float:
@@ -406,22 +370,22 @@ def _poisson_icc(arm: np.ndarray, m: np.ndarray, ysum: np.ndarray, ysq: np.ndarr
 def estimate_poisson_icc(
     design: DesignInputs, n_clusters: int = 10_000, seed: int = 0
 ) -> float:
-    """Intracluster correlation a Poisson working model would report.
+    """Intracluster correlation a Poisson working model would report on the
+    dataset ``generate_trial(design, n_clusters, seed)``.
 
-    Draws one ZIP dataset, fits the arm means under a Poisson working
-    model, and forms Pearson residuals ``e = (y - mu_hat) / sqrt(mu_hat)``.
-    The moment estimator is the mean within-cluster pairwise residual
-    product divided by the mean squared residual:
+    Fits the arm means under a Poisson working model and forms Pearson
+    residuals ``e = (y - mu_hat) / sqrt(mu_hat)``.  The moment estimator is
+    the mean within-cluster pairwise residual product divided by the mean
+    squared residual:
 
         rho_hat = [sum_i sum_{j<j'} e_ij e_ij' / total pair count]
                   / [sum e**2 / total subjects]
 
     This is what a sample-size method built on a Poisson model would be fed
-    when the outcomes are actually zero-inflated.  The dataset has
-    :func:`zipcrt.simulate.generate_trial`'s law but is drawn as per-cluster
-    sums (see :func:`_draw_icc_sums`) from the stream ``(seed,
-    ICC_STREAM_TAG)``.  Its limit as ``n_clusters`` grows is
-    :func:`zipcrt.design.poisson_icc_limit`.
+    when the outcomes are actually zero-inflated.  The value is exactly that
+    of the dataset, but only its per-cluster sums are formed, from the same
+    draws (see :func:`_draw_icc_sums`).  Its limit as ``n_clusters`` grows
+    is :func:`zipcrt.design.poisson_icc_limit`.
 
     Raises:
         ConfigError: fewer than 2 clusters, or an arm left empty.
@@ -429,10 +393,7 @@ def estimate_poisson_icc(
         ZipCrtError: a stalled truncated-Poisson cluster-size draw.
         EstimationError: an all-zero arm, or no within-cluster pairs.
     """
-    if n_clusters < 2:
-        raise ConfigError(f"need at least 2 clusters, got {n_clusters}")
-    rng = substream(seed, ICC_STREAM_TAG)
-    return _poisson_icc(*_draw_icc_sums(design, n_clusters, rng))
+    return _poisson_icc(*_draw_icc_sums(design, n_clusters, seed))
 
 
 # Bundled reference grid: the scenarios tabulated by the bundled studies.

@@ -1,21 +1,25 @@
 """Generation of correlated ZIP trial datasets and their text format.
 
-Each subject's outcome is composed from two latent draws: a structural-zero
-indicator ``s`` and a Poisson count ``u``, with ``y = (1 - s) * u``.
-Within-cluster dependence enters separately for the two parts:
+Each subject's outcome is ``y = (1 - s) * u``, with a structural-zero
+indicator ``s`` and a Poisson count ``u``.  Within-cluster dependence enters
+separately for the two parts:
 
-  * exchangeable binary indicators via a mixing construction
-    ``s_j = w_j * c + (1 - w_j) * e_j`` with ``c, e_j ~ Bernoulli(p)`` shared
-    and individual draws and ``w_j ~ Bernoulli(sqrt(rho_s))``, giving
-    marginal ``p`` and pairwise correlation ``rho_s``;
-  * additive Poisson components ``u_j = v_j + v_star`` with
-    ``v_j ~ Poisson(lam * (1 - rho_u))`` and the shared
-    ``v_star ~ Poisson(lam * rho_u)``, giving marginal Poisson(lam) and
-    pairwise correlation ``rho_u``.
+  * each subject takes the cluster's shared zero indicator ``c ~ Bern(p)``
+    with probability ``sqrt(rho_s)`` and its own ``Bern(p)`` otherwise,
+    giving marginal ``p`` and pairwise correlation ``rho_s``.  Given ``c``
+    the subjects are independent, so the number ``K`` of a cluster's ``m``
+    subjects that are not structural zeros is one
+    ``Bin(m, (1 - sqrt(rho_s)) * (1 - p) + (1 - c) * sqrt(rho_s))``;
+  * ``u_j = P_j + U``, an own ``P_j ~ Poisson(lam * (1 - rho_u))`` and the
+    cluster's shared ``U ~ Poisson(lam * rho_u)``, giving marginal
+    Poisson(lam) and pairwise correlation ``rho_u``.
 
-A dataset draws every value, arms and sizes included, as whole arrays from
-one stream, ``(seed, TRIAL_STREAM_TAG)``, with no per-cluster substreams.
-The same seed replays the same dataset bit for bit.
+:func:`_draw_nonzero_counts` draws ``m`` and ``K`` for any arm layout; the
+study engine in :mod:`zipcrt.mc` draws from it too.  A dataset draws every
+value, arms and sizes included, as whole arrays from one stream, ``(seed,
+TRIAL_STREAM_TAG)``, and lays each cluster's ``K`` non-zero draws on its
+first ``K`` rows; no statistic depends on the order within a cluster.  The
+same seed replays the same dataset bit for bit.
 """
 
 from __future__ import annotations
@@ -36,9 +40,10 @@ from .errors import ConfigError, DomainError, ZipCrtError
 
 # What a simulate manifest records about the generator.  A change to the
 # stream or to the order of the draws changes seeded datasets and bumps the
-# version; version 1 drew each cluster from its own substream.
+# version; version 1 drew each cluster from its own substream, and version 2
+# drew each subject's zero and count.
 GENERATOR = "subject-array"
-GENERATOR_VERSION = 2
+GENERATOR_VERSION = 3
 TRIAL_STREAM_TAG = 0x54524941  # a dataset's stream (seed, TRIAL_STREAM_TAG)
 
 _MAX_REJECTION_ATTEMPTS = 10**6
@@ -149,6 +154,23 @@ def _stalled_message(model: ClusterSizeModel) -> str:
     )
 
 
+def _draw_nonzero_counts(
+    design: DesignInputs, arm: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Size ``m``, non-structural-zero count ``K`` and stalled-size mask of
+    each cluster, for an array of arm indicators of any shape.
+
+    In this order: the sizes, each cluster's shared zero ``c``, then ``K``
+    as one binomial draw (see the module docstring).
+    """
+    m, stalled = _draw_cluster_sizes(design.cluster_sizes, rng, arm.shape)
+    p = np.where(arm, design.intervention.p, design.control.p)
+    mix = math.sqrt(design.rho_s)
+    shared_zero = rng.random(arm.shape) < p
+    nonzero = rng.binomial(m, (1.0 - mix) * (1.0 - p) + np.where(shared_zero, 0.0, mix))
+    return m, nonzero, stalled
+
+
 def _allocate_arms(
     n_clusters: int, r_bar: float, rng: np.random.Generator, bernoulli: bool
 ) -> np.ndarray:
@@ -189,20 +211,15 @@ def _empty_arm_message(n_clusters: int, r_bar: float) -> str:
     return f"allocation left an empty arm (n={n_clusters}, r_bar={r_bar})"
 
 
-def generate_trial(
-    design: DesignInputs,
-    n_clusters: int,
-    seed: int,
-    *,
-    bernoulli_allocation: bool = False,
-) -> TrialDataset:
-    """Simulate a complete trial dataset.
+def _draw_trial(
+    design: DesignInputs, n_clusters: int, seed: int, bernoulli_allocation: bool = False
+) -> tuple[np.ndarray, ...]:
+    """One dataset's draws: each cluster's arm, size ``m``, count ``K`` and
+    shared ``U``, and the ``K`` own Poisson parts of every cluster in turn.
 
-    From the stream ``(seed, TRIAL_STREAM_TAG)``, in this order: the arms,
-    the cluster sizes, each cluster's shared zero ``c`` and shared Poisson
-    part with its arm's ``p`` and ``lam``, then each subject's mixing draw
-    ``w``, own zero and own Poisson part.  Identical seeds give identical
-    datasets.
+    From the stream ``(seed, TRIAL_STREAM_TAG)``, in this order: the arms
+    (:func:`_allocate_arms`), :func:`_draw_nonzero_counts`, the shared
+    parts, the own parts.
 
     Raises:
         ConfigError: fewer than 2 clusters, or the allocation left an arm empty.
@@ -213,21 +230,40 @@ def generate_trial(
         raise ConfigError(f"need at least 2 clusters, got {n_clusters}")
     rng = substream(seed, TRIAL_STREAM_TAG)
     arms = _allocate_arms(n_clusters, design.r_bar, rng, bernoulli_allocation)
-    sizes, stalled = _draw_cluster_sizes(design.cluster_sizes, rng, (n_clusters,))
+    sizes, nonzero, stalled = _draw_nonzero_counts(design, arms, rng)
     if stalled.any():
         raise ZipCrtError(_stalled_message(design.cluster_sizes))
+    lam = np.where(arms, design.intervention.lam, design.control.lam)
+    shared = rng.poisson(lam * design.rho_u)
+    own = rng.poisson(np.repeat(lam * (1.0 - design.rho_u), nonzero))
+    return arms, sizes, nonzero, shared, own
 
-    treated = arms == 1
-    p = np.where(treated, design.intervention.p, design.control.p)
-    lam = np.where(treated, design.intervention.lam, design.control.lam)
-    shared_zero = rng.random(n_clusters) < p
-    shared_count = rng.poisson(lam * design.rho_u)
-    n_subjects = int(sizes.sum())
-    takes_shared = rng.random(n_subjects) < math.sqrt(design.rho_s)
-    own_zero = rng.random(n_subjects) < np.repeat(p, sizes)
-    own_count = rng.poisson(np.repeat(lam * (1.0 - design.rho_u), sizes))
-    zero = np.where(takes_shared, np.repeat(shared_zero, sizes), own_zero)
-    outcomes = np.where(zero, 0, own_count + np.repeat(shared_count, sizes))
+
+def generate_trial(
+    design: DesignInputs,
+    n_clusters: int,
+    seed: int,
+    *,
+    bernoulli_allocation: bool = False,
+) -> TrialDataset:
+    """Simulate a complete trial dataset.
+
+    Each cluster's first ``K`` subjects have the outcomes ``P_j + U`` of
+    :func:`_draw_trial`'s draws and the others are structural zeros.
+    Identical seeds give identical datasets.
+
+    Raises:
+        ConfigError: fewer than 2 clusters, or the allocation left an arm empty.
+        DomainError: a seed outside ``[0, 2**64)``.
+        ZipCrtError: a truncated-Poisson cluster-size draw stalled.
+    """
+    arms, sizes, nonzero, shared, own = _draw_trial(
+        design, n_clusters, seed, bernoulli_allocation
+    )
+    # own part k of a cluster goes to row k after the cluster's start
+    shift = np.repeat(np.cumsum(sizes - nonzero) - (sizes - nonzero), nonzero)
+    outcomes = np.zeros(int(sizes.sum()), dtype=np.int64)
+    outcomes[np.arange(own.size) + shift] = own + np.repeat(shared, nonzero)
     return TrialDataset(np.arange(n_clusters), arms, sizes, outcomes, seed)
 
 
@@ -321,6 +357,8 @@ def read_dataset(path: str) -> TrialDataset:
     first_arm = np.repeat(arm[starts[first]][inverse], lengths)  # each row's cluster's first arm
     if ((arm != 0) & (arm != 1)).any() or (y < 0).any() or (arm != first_arm).any():
         _raise_first_bad_line(path, "a row failed the array checks")
+    if ids.size == starts.size:  # each cluster is one run, as write_dataset writes them
+        return TrialDataset(cid[starts], arm[starts], lengths, np.ascontiguousarray(y))
     order = np.argsort(first)  # clusters in order of first appearance
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)

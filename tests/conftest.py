@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from zipcrt import ClusterSizeModel, ConfigError, TrialDataset, build_design, generate_trial
+from zipcrt.simulate import _draw_cluster_sizes
 
 DU_34_56 = ClusterSizeModel.discrete_uniform(34, 56)
 DU_10_80 = ClusterSizeModel.discrete_uniform(10, 80)
@@ -87,6 +88,14 @@ def cluster_sum_moments(sums):
     var = float((centred**2).sum() / (n - 1))
     fourth = float((centred**4).mean())
     return mean, math.sqrt(var / n), var, math.sqrt(max(fourth - var * var, 0.0) / n)
+
+
+def assert_same_moments(sums, reference):
+    """Equal mean and variance within SE_MULTIPLE standard errors."""
+    got = cluster_sum_moments(sums.astype(float))
+    ref = cluster_sum_moments(reference.astype(float))
+    assert abs(got[0] - ref[0]) <= SE_MULTIPLE * math.hypot(got[1], ref[1])
+    assert abs(got[2] - ref[2]) <= SE_MULTIPLE * math.hypot(got[3], ref[3])
 
 
 def dataset(rows):
@@ -171,6 +180,37 @@ def zero_states(data):
         else:
             states.append("boundary" if z / m <= math.exp(-s / m) else "interior")
     return tuple(states)
+
+
+SUBJECT_ORACLE_TAG = 0x4F52434C  # the oracle's stream (seed, SUBJECT_ORACLE_TAG)
+
+
+def subject_trial(design, n_clusters, seed):
+    """generate_trial's law, built subject by subject: the oracle of the draw core.
+
+    ``round(n_clusters * r_bar)`` clusters, chosen by a permutation, receive
+    the intervention; sizes come from the package's size sampler.  Each
+    cluster draws a shared zero ``c ~ Bern(p)`` and a shared count
+    ``U ~ Poisson(lam * rho_u)``; each subject draws a mixing indicator
+    ``w ~ Bern(sqrt(rho_s))``, an own zero ``e ~ Bern(p)`` and an own count
+    ``P ~ Poisson(lam * (1 - rho_u))``, and its outcome is 0 if it is a
+    structural zero (``c`` when ``w``, else ``e``) and ``P + U`` otherwise.
+    """
+    rng = np.random.default_rng([seed, SUBJECT_ORACLE_TAG])
+    arms = np.zeros(n_clusters, dtype=np.int64)
+    arms[rng.permutation(n_clusters)[:round(n_clusters * design.r_bar)]] = 1
+    sizes, _ = _draw_cluster_sizes(design.cluster_sizes, rng, (n_clusters,))
+    p = np.where(arms == 1, design.intervention.p, design.control.p)
+    lam = np.where(arms == 1, design.intervention.lam, design.control.lam)
+    shared_zero = rng.random(n_clusters) < p
+    shared_count = rng.poisson(lam * design.rho_u)
+    n_subjects = int(sizes.sum())
+    takes_shared = rng.random(n_subjects) < math.sqrt(design.rho_s)
+    own_zero = rng.random(n_subjects) < np.repeat(p, sizes)
+    own_count = rng.poisson(np.repeat(lam * (1.0 - design.rho_u), sizes))
+    zero = np.where(takes_shared, np.repeat(shared_zero, sizes), own_zero)
+    outcomes = np.where(zero, 0, own_count + np.repeat(shared_count, sizes))
+    return TrialDataset(np.arange(n_clusters), arms, sizes, outcomes, seed)
 
 
 def first_seed(design, n_clusters, scenario, start=0, bound=100):

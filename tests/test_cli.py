@@ -159,14 +159,13 @@ def test_simulate_manifest_records_the_generator(tmp_path, capsys):
     manifest = json.loads((tmp_path / "data.csv.manifest.json").read_text(encoding="utf-8"))
     assert (manifest["command"], manifest["seed"]) == ("simulate", 3)
     assert manifest["generator"] == {
-        "name": "subject-array", "version": 2, "stream_tag": simulate.TRIAL_STREAM_TAG,
+        "name": "subject-array", "version": 3, "stream_tag": simulate.TRIAL_STREAM_TAG,
     }
     assert "engine" not in manifest
 
 
 ENGINE_FIELDS = {
-    "name": "cluster-sum", "version": 2, "stream_tag": mc.STREAM_TAG,
-    "icc_stream_tag": mc.ICC_STREAM_TAG, "chunk_replicates": 256,
+    "name": "cluster-sum", "version": 3, "stream_tag": mc.STREAM_TAG, "chunk_replicates": 256,
 }
 
 
@@ -270,6 +269,18 @@ def test_importing_the_cli_loads_no_scipy():
     child = subprocess.run(
         [sys.executable, "-c",
          "import sys, zipcrt.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True, text=True, env=CHILD_ENV, check=True, timeout=60,
+    )
+    assert child.stdout.strip() == "[]"
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only run_power_study with workers > 1 needs multiprocessing, so the
+    # pool's import is left to it rather than charged to every start-up
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, zipcrt.cli; print(sorted(m for m in sys.modules"
+         " if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures')))"],
         capture_output=True, text=True, env=CHILD_ENV, check=True, timeout=60,
     )
     assert child.stdout.strip() == "[]"

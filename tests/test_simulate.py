@@ -32,11 +32,13 @@ from conftest import (
     NOT_UTF8,
     SE_MULTIPLE,
     TRUNPOIS,
+    assert_same_moments,
     cluster_sum_moments,
     dataset,
     grid_design,
     pooled_pair_correlation,
     reference_read_dataset,
+    subject_trial,
 )
 
 
@@ -164,6 +166,37 @@ class TestCorrelatedPoisson:
             with pytest.raises(DomainError, match=r"rho_u must lie in \[0, 1\)"):
                 build_design(mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.03, rho_u=rho_u,
                              cluster_sizes=DU_34_56)
+
+
+class TestAgainstSubjectOracle:
+    """generate_trial against the subject-by-subject oracle: in each arm, the
+    per-cluster outcome sum, sum of squares and zero count have the same
+    mean and variance, within SE_MULTIPLE standard errors."""
+
+    @pytest.mark.parametrize("design", [
+        grid_design(rho=0.1),
+        grid_design(DU_10_80, rho=0.05, q=0.3),
+        grid_design(TRUNPOIS, rho=0.0),
+        grid_design(ClusterSizeModel.fixed(20), rho=0.3, p1=0.0, q=0.0),
+    ], ids=["du34-56", "du10-80", "trunpois-independent", "fixed-no-zeros"])
+    def test_cluster_statistics(self, design):
+        data = generate_trial(design, 10_000, seed=4)
+        oracle = subject_trial(design, 10_000, seed=4)
+        for statistic in (lambda y: y, lambda y: y * y, lambda y: y == 0):
+            got = data.cluster_sums(statistic(data.outcomes))
+            expected = oracle.cluster_sums(statistic(oracle.outcomes))
+            for a in (0, 1):
+                assert_same_moments(got[data.arm == a], expected[oracle.arm == a])
+
+    def test_nonzero_draws_come_first_in_a_cluster(self):
+        # each cluster is its K non-zero draws, then its m - K structural zeros
+        data = generate_trial(grid_design(DU_10_80), 200, seed=5)
+        arms, sizes, nonzero, shared, own = simulate._draw_trial(grid_design(DU_10_80), 200, 5)
+        rows = np.split(data.outcomes, np.cumsum(data.size)[:-1])
+        parts = np.split(own, np.cumsum(nonzero)[:-1])
+        assert (data.size == sizes).all() and (data.arm == arms).all()
+        for y, k, u, p in zip(rows, nonzero, shared, parts):
+            assert (y[:k] == p + u).all() and not y[k:].any()
 
 
 class TestGenerateTrial:
@@ -319,17 +352,25 @@ class TestDatasetIO:
         path.write_text("cluster_id,arm,y\n0,0,1\n1,1,2\n0,0,3\n1,1,0\n")
         assert read_dataset(str(path)) == dataset([(0, 0, [1, 3]), (1, 1, [2, 0])])
 
+    def test_a_cluster_split_in_two_runs_regroups(self, tmp_path):
+        # cluster 7's rows come in two runs around clusters 3 and 5
+        path = tmp_path / "split.csv"
+        path.write_text("cluster_id,arm,y\n7,1,4\n7,1,0\n3,0,1\n5,0,2\n5,0,0\n7,1,6\n")
+        assert read_dataset(str(path)) == dataset(
+            [(7, 1, [4, 0, 6]), (3, 0, [1]), (5, 0, [2, 0])]
+        )
+
     def test_bytes_pinned_across_versions(self, tmp_path):
         # simulate.py promises bit-for-bit replay of a seed; the hash pins
-        # the bytes this seed produces with GENERATOR_VERSION 2, and changes
+        # the bytes this seed produces with GENERATOR_VERSION 3, and changes
         # only together with that version
-        assert simulate.GENERATOR_VERSION == 2
+        assert simulate.GENERATOR_VERSION == 3
         data = generate_trial(grid_design(), 12, seed=2024)
         path = tmp_path / "trial.csv"
         write_dataset(data, str(path))
         assert data.n_subjects == 493
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "ef3f7e56a177ed28c4c0da3a271df594e2ef12346e508018775c243ee98f6d8b"
+            "055d311606166f89de1d8cb1c1715e3c5e4fa18353cc1c3a2922955e17d8bb96"
         )
 
     PLAIN = "cluster_id,arm,y\n0,0,1\n1,1,2\n0,0,3\n"
