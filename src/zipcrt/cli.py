@@ -43,7 +43,7 @@ from typing import Optional
 from . import __version__
 from .design import ClusterSizeModel, DesignInputs, build_design, decompose_effect, pairwise_covariance_factor
 from .errors import ConfigError, DomainError, StudyError, ZipCrtError
-from .gee import fit_zip, wald_test
+from .gee import DF_RULES, _test_df, fit_zip, wald_test
 from .mc import (
     CHUNK_REPLICATES,
     ENGINE,
@@ -309,7 +309,7 @@ def _cmd_fit(args) -> int:
         print("warning: degenerate fit (an arm has no zeros)", file=sys.stderr)
 
     reference = "normal" if args.reference == "z" else "t"
-    df = None if reference == "normal" else (n - 2 if args.df_rule == "n-2" else n - 4)
+    df = None if reference == "normal" else _test_df(args.df_rule, n)
     print("test,statistic,reference,critical_value,reject")
     for estimator in ("naive", "jackknife"):
         test = wald_test(
@@ -432,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the model to a dataset CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--reference", choices=("z", "t"), default="t")
-    p.add_argument("--df-rule", choices=("n-2", "n-4"), default="n-2")
+    p.add_argument("--df-rule", choices=DF_RULES, default="n-2")
     p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(func=_cmd_fit)
 
@@ -441,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sizing", choices=("z", "t"), default="z")
-    p.add_argument("--df-rule", choices=("n-2", "n-4"), default="n-2")
+    p.add_argument("--df-rule", choices=DF_RULES, default="n-2")
     p.add_argument("--null", action="store_true", help="measure type I error")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="write the report CSV here")

@@ -16,7 +16,7 @@ structural-zero indicators (``rho_s``) and of the latent Poisson components
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -209,18 +209,7 @@ class DesignInputs:
         Used to generate null-scenario data while the original design keeps
         the effect size used for sample-size calculation.
         """
-        return DesignInputs(
-            control=self.control,
-            intervention=self.control,
-            beta1=self.beta1,
-            beta2=0.0,
-            rho_s=self.rho_s,
-            rho_u=self.rho_u,
-            r_bar=self.r_bar,
-            cluster_sizes=self.cluster_sizes,
-            alpha=self.alpha,
-            power=self.power,
-        )
+        return replace(self, intervention=self.control, beta2=0.0)
 
 
 def build_design(

@@ -43,13 +43,18 @@ A fit fails only when the mean model is undefined (an arm is absent or has
 all-zero outcomes, in the data or after a Jackknife deletion) or when there
 are fewer than 3 clusters to delete from.  :meth:`GeeFit.sigma2_sq` puts
 both variances on the sqrt(N) scale for Wald testing.
+
+The log-means, ``s_a``, ``d_a`` and the failure checks are written once, in
+``_fit_rows``, over ``(R, N)`` arrays of each cluster's arm, ``m_i`` and
+``Y_i``: :func:`fit_zip` runs it on its dataset as one row, and the study
+engine (:mod:`zipcrt.mc`) on a chunk of ``R`` replicates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -59,6 +64,8 @@ from .power import normal_quantile, t_quantile
 from .simulate import TrialDataset
 
 _ARM_NAMES = ("control", "intervention")
+
+DF_RULES = ("n-2", "n-4")
 
 
 def _logit(p: float) -> float:
@@ -82,32 +89,79 @@ def _arm_diagonal(d0: float, d1: float) -> np.ndarray:
     return np.array([[d0, -d0], [-d0, d0 + d1]])
 
 
-def _arm_totals(data: TrialDataset) -> tuple[np.ndarray, ...]:
-    """Per-cluster sizes ``m_i`` and outcome sums ``Y_i``, then per-arm ``M_a`` and ``S_a``.
+def _fail(
+    failure: list[Optional[str]], bad: np.ndarray, message: Union[str, Callable[[int], str]]
+) -> None:
+    """Give each row flagged in ``bad`` that has not failed yet ``message``, or
+    ``message(r)`` when it is callable."""
+    for r in bad.nonzero()[0]:
+        if failure[r] is None:
+            failure[r] = message(r) if callable(message) else message
 
-    Raises:
-        EstimationError: as :func:`_arm_sums`.
+
+def _per_arm(key: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
+    """Each row's per-arm sums of a cluster value, as an ``(R, 2)`` array, from
+    each cluster's key ``arm + 2 * row``; each sum adds its clusters in order."""
+    return np.bincount(key.ravel(), weights=values.ravel(), minlength=2 * rows).reshape(rows, 2)
+
+
+def _arm_sums(
+    key: np.ndarray, m: np.ndarray, y: np.ndarray, failure: list[Optional[str]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's per-arm ``M_a`` and ``S_a``, as ``(R, 2)`` arrays, from each
+    cluster's key ``arm + 2 * row``, ``m_i`` and ``Y_i``.
+
+    A row whose arm is absent or has all-zero outcomes, so that its log-mean
+    is undefined, fails in ``failure``.
     """
-    m = data.size.astype(np.float64)
-    y = data.cluster_sums(data.outcomes).astype(np.float64)
-    return (m, y, *_arm_sums(data.arm, m, y))
-
-
-def _arm_sums(arm: np.ndarray, m: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-arm ``M_a`` and ``S_a`` from each cluster's arm, ``m_i`` and ``Y_i``.
-
-    Raises:
-        EstimationError: an arm is absent or has all-zero outcomes, so its
-            log-mean is undefined.
-    """
-    subjects = np.bincount(arm, weights=m, minlength=2)
-    outcomes = np.bincount(arm, weights=y, minlength=2)
-    if subjects.min() <= 0:
-        raise EstimationError("both arms must be present in the data")
-    for name, total in zip(_ARM_NAMES, outcomes):
-        if total <= 0:
-            raise EstimationError(f"{name} arm has all-zero outcomes; log-mean undefined")
+    subjects = _per_arm(key, m, len(failure))
+    outcomes = _per_arm(key, y, len(failure))
+    _fail(failure, (subjects <= 0).any(axis=1), "both arms must be present in the data")
+    for a, name in enumerate(_ARM_NAMES):
+        _fail(failure, outcomes[:, a] <= 0, f"{name} arm has all-zero outcomes; log-mean undefined")
     return subjects, outcomes
+
+
+def _fit_rows(
+    arm: np.ndarray, m: np.ndarray, y: np.ndarray, ids: np.ndarray, failure: list[Optional[str]]
+) -> tuple[np.ndarray, ...]:
+    """The mean model and both variances' terms for each row of ``(R, N)``
+    cluster arrays: arm, ``m_i``, ``Y_i``; ``ids`` numbers the N clusters.
+
+    Returns ``(R, 2)`` arrays of the per-arm ``M_a``, ``ybar_a``,
+    ``log ybar_a``, sandwich terms ``s_a`` and Jackknife terms ``d_a`` (see
+    the module docstring).  A row fails in ``failure`` with the message
+    :func:`fit_zip` raises on it, at the first of its checks; a row that has
+    already failed keeps its message.  A failed row's values are
+    meaningless.
+    """
+    rows, n = arm.shape
+    key = arm + 2 * np.arange(rows)[:, None]
+    subjects, outcomes = _arm_sums(key, m, y, failure)
+    if n < 3:
+        _fail(failure, np.ones(rows, dtype=bool), f"jackknife needs at least 3 clusters, got {n}")
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ybar = outcomes / subjects
+        log_mean = np.log(ybar)
+        residual = y - m * ybar.take(key)
+        s = _per_arm(key, residual * residual, rows) / (outcomes * outcomes)
+
+        loo_subjects = subjects.take(key) - m
+        loo_outcomes = outcomes.take(key) - y
+        for what, bad in (
+            ("empties arm", loo_subjects <= 0),
+            ("leaves all-zero outcomes in arm", loo_outcomes <= 0),
+        ):
+
+            def removal(r: int) -> str:
+                i = np.argmax(bad[r])
+                return f"removing cluster {ids[i]} {what} {int(arm[r, i])}"
+
+            _fail(failure, bad.any(axis=1), removal)
+        delta = np.log(loo_outcomes / loo_subjects) - log_mean.take(key)
+        d = _per_arm(key, delta * delta, rows)
+    return subjects, ybar, log_mean, s, d
 
 
 @dataclass
@@ -120,8 +174,7 @@ class GeeFit:
     than mixing the raw scales.  ``alpha_hat`` is the zero model on the
     logit scale (intercept, arm contrast); a component is ``-inf`` when its
     arm's ``p_hat`` is at the boundary 0, and the contrast is 0 when both
-    are.  ``degenerate`` flags an arm with no zeros at all.  ``converged``
-    is always True for a defined fit.
+    are.  ``degenerate`` flags an arm with no zeros at all.
     """
 
     beta_hat: np.ndarray
@@ -129,7 +182,6 @@ class GeeFit:
     p_hat: tuple[float, float]
     sigma_naive: np.ndarray
     sigma_jackknife: np.ndarray
-    converged: bool
     degenerate: bool
     n_clusters: int
 
@@ -164,6 +216,25 @@ class WaldTest:
     alpha_level: float
 
 
+def _test_df(rule: str, n_clusters: int) -> int:
+    """The t reference's degrees of freedom under a rule of ``DF_RULES``."""
+    return n_clusters - 2 if rule == "n-2" else n_clusters - 4
+
+
+def _critical_value(reference: str, alpha_level: float, df: Optional[int]) -> float:
+    """The two-sided Wald test's normal or t(``df``) quantile.
+
+    Raises:
+        DomainError: an unknown reference, or a t quantile with no degrees
+            of freedom.
+    """
+    if reference == "normal":
+        return normal_quantile(1.0 - alpha_level / 2.0)
+    if reference == "t":
+        return t_quantile(df, 1.0 - alpha_level / 2.0)
+    raise DomainError(f"reference must be 'normal' or 't', got {reference!r}")
+
+
 def wald_test(
     beta2_hat: float,
     sigma2_sq: float,
@@ -185,14 +256,10 @@ def wald_test(
     if not (0.0 < alpha_level < 1.0):
         raise DomainError(f"alpha_level must lie in (0, 1), got {alpha_level}")
     statistic = math.sqrt(n_clusters) * beta2_hat / math.sqrt(sigma2_sq)
-    if reference == "normal":
-        critical = normal_quantile(1.0 - alpha_level / 2.0)
-        used_df = None
-    elif reference == "t":
-        used_df = n_clusters - 2 if df is None else df
-        critical = t_quantile(used_df, 1.0 - alpha_level / 2.0)
-    else:
-        raise DomainError(f"reference must be 'normal' or 't', got {reference!r}")
+    used_df = None
+    if reference == "t":
+        used_df = _test_df("n-2", n_clusters) if df is None else df
+    critical = _critical_value(reference, alpha_level, used_df)
     return WaldTest(
         statistic=statistic,
         reference=reference,
@@ -211,10 +278,17 @@ def fit_zip(data: TrialDataset) -> GeeFit:
             are fewer than 3 clusters, or deleting a cluster empties its arm
             or leaves it all-zero.
     """
-    m, y, subjects, outcomes = _arm_totals(data)
     arm = data.arm
-    ybar = outcomes / subjects
-    log_mean = np.log(ybar)
+    failure: list[Optional[str]] = [None]
+    subjects, ybar, log_mean, s, d = _fit_rows(
+        arm[None],
+        data.size.astype(np.float64)[None],
+        data.cluster_sums(data.outcomes).astype(np.float64)[None],
+        data.cluster_id,
+        failure,
+    )
+    if failure[0] is not None:
+        raise EstimationError(failure[0])
 
     # zero counts from byte masks: an int64 copy of the outcome column would
     # be the largest allocation of the fit
@@ -222,35 +296,17 @@ def fit_zip(data: TrialDataset) -> GeeFit:
     zeros_1 = np.count_nonzero(is_zero & np.repeat(arm == 1, data.size))
     zeros = (np.count_nonzero(is_zero) - zeros_1, zeros_1)
     p_hat = tuple(
-        infer_p1_from_observed(float(ybar[a]), float(z / subjects[a])) if z > 0 else 0.0
+        infer_p1_from_observed(float(ybar[0, a]), float(z / subjects[0, a])) if z > 0 else 0.0
         for a, z in enumerate(zeros)
     )
 
-    residual = y - m * ybar[arm]
-    s = np.bincount(arm, weights=residual * residual, minlength=2) / (outcomes * outcomes)
-
     n = data.n_clusters
-    if n < 3:
-        raise EstimationError(f"jackknife needs at least 3 clusters, got {n}")
-    loo_subjects = subjects[arm] - m
-    loo_outcomes = outcomes[arm] - y
-    for what, bad in (
-        ("empties arm", loo_subjects <= 0),
-        ("leaves all-zero outcomes in arm", loo_outcomes <= 0),
-    ):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise EstimationError(f"removing cluster {data.cluster_id[i]} {what} {arm[i]}")
-    delta = np.log(loo_outcomes / loo_subjects) - log_mean[arm]
-    d = np.bincount(arm, weights=delta * delta, minlength=2)
-
     return GeeFit(
-        beta_hat=np.array([log_mean[0], log_mean[1] - log_mean[0]]),
+        beta_hat=np.array([log_mean[0, 0], log_mean[0, 1] - log_mean[0, 0]]),
         alpha_hat=_alpha_from_p(*p_hat),
         p_hat=p_hat,
-        sigma_naive=n * _arm_diagonal(*s),
-        sigma_jackknife=(n - 2) / n * _arm_diagonal(*d),
-        converged=True,
+        sigma_naive=n * _arm_diagonal(*s[0]),
+        sigma_jackknife=(n - 2) / n * _arm_diagonal(*d[0]),
         degenerate=bool(min(zeros) == 0),
         n_clusters=n,
     )

@@ -16,9 +16,10 @@ draws ``Y = Poisson(K * lam * (1 - rho_u)) + K * Poisson(lam * rho_u)``,
 the ``K`` own Poisson parts in one draw plus ``K`` copies of the shared
 part.  Replicate ``r`` puts the intervention arm on its first clusters.
 
-Replicates are drawn in chunks of ``CHUNK_REPLICATES`` as ``(R, N)`` arrays,
-and each chunk's statistics are row reductions with :func:`fit_zip`'s and
-:func:`wald_test`'s formulas.  Chunk ``k`` of a study draws from the stream
+Replicates are drawn in chunks of ``CHUNK_REPLICATES`` as ``(R, N)`` arrays.
+A chunk's estimates and failures come from ``gee._fit_rows``, the code
+:func:`fit_zip` runs on one dataset, and its critical value from
+:func:`wald_test`'s helper.  Chunk ``k`` of a study draws from the stream
 ``(seed, STREAM_TAG, k)``, so a seeded report is the same for any number of
 workers and any order in which chunks complete.
 
@@ -41,9 +42,10 @@ import numpy as np
 
 from .design import ClusterSizeModel, DesignInputs, build_design, poisson_icc_limit
 from .errors import ConfigError, DomainError, EstimationError, StudyError
+from .gee import DF_RULES, _arm_sums, _critical_value, _fail, _fit_rows, _test_df
 # fit_zip is not called here; the benchmark harness looks it up on this module
-from .gee import _arm_sums, fit_zip  # noqa: F401
-from .power import normal_quantile, sample_size_normal, sample_size_t, t_quantile
+from .gee import fit_zip  # noqa: F401
+from .power import sample_size_normal, sample_size_t
 from .simulate import (
     _balanced_count,
     _draw_nonzero_counts,
@@ -54,8 +56,6 @@ from .simulate import (
 
 _REPLICATE_TAG = 0x52455053  # distinguishes replicate-seed derivation
 _MAX_FAILURE_FRACTION = 0.01
-
-DF_RULES = ("n-2", "n-4")
 
 # What a study or table manifest records about the engine.  A change to a
 # stream, the chunk size or the draws changes seeded results and bumps the
@@ -109,10 +109,6 @@ class StudyReport:
     mc_standard_error: float
     replicate_failures: int
     replications: int
-
-
-def _test_df(rule: str, n_clusters: int) -> int:
-    return n_clusters - 2 if rule == "n-2" else n_clusters - 4
 
 
 @dataclass(frozen=True)
@@ -174,73 +170,33 @@ def _simulate_chunk(
     rng = np.random.default_rng([seed, STREAM_TAG, chunk])
     arm, m, y, empty_arm, stalled = _draw_clusters(design, n_clusters, rng, rows)
     failure: list[Optional[str]] = [None] * rows
-
-    def fail(bad: np.ndarray, message) -> None:
-        for r in np.flatnonzero(bad):
-            if failure[r] is None:
-                failure[r] = message(r) if callable(message) else message
-
     everyone = np.ones(rows, dtype=bool)
     if n_clusters < 2:
-        fail(everyone, f"need at least 2 clusters, got {n_clusters}")
-    fail(empty_arm, _empty_arm_message(n_clusters, design.r_bar))
-    fail(stalled, _stalled_message(design.cluster_sizes))
+        _fail(failure, everyone, f"need at least 2 clusters, got {n_clusters}")
+    _fail(failure, empty_arm, _empty_arm_message(n_clusters, design.r_bar))
+    _fail(failure, stalled, _stalled_message(design.cluster_sizes))
 
-    # per-arm totals are sums of integers, exact in float64; the allocation
-    # check leaves both arms present, so fit_zip's arm-absent check never fires
-    in_arm = (~arm, arm)
-    subjects = [np.where(a, m, 0).sum(axis=1).astype(np.float64) for a in in_arm]
-    outcomes = [np.where(a, y, 0).sum(axis=1).astype(np.float64) for a in in_arm]
-    for name, total in zip(("control", "intervention"), outcomes):
-        fail(total <= 0, f"{name} arm has all-zero outcomes; log-mean undefined")
-    if n_clusters < 3:
-        fail(everyone, f"jackknife needs at least 3 clusters, got {n_clusters}")
-
-    m = m.astype(np.float64)
-    y = y.astype(np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ybar = [s / n for s, n in zip(outcomes, subjects)]
-        log_mean = [np.log(v) for v in ybar]
-        beta2_hat = log_mean[1] - log_mean[0]
-
-        def own(values):  # each cluster's own-arm value of a per-arm pair
-            return np.where(arm, values[1][:, None], values[0][:, None])
-
-        residual = y - m * own(ybar)
-        squares = residual * residual
-        s = [np.where(a, squares, 0.0).sum(axis=1) / (o * o) for a, o in zip(in_arm, outcomes)]
-        sigma2_naive = n_clusters * (s[0] + s[1])
-
-        loo_subjects = own(subjects) - m
-        loo_outcomes = own(outcomes) - y
-        for what, bad in (
-            ("empties arm", loo_subjects <= 0),
-            ("leaves all-zero outcomes in arm", loo_outcomes <= 0),
-        ):
-            first = np.argmax(bad, axis=1)
-            fail(
-                bad.any(axis=1),
-                lambda r: f"removing cluster {first[r]} {what} {int(arm[r, first[r]])}",
-            )
-        delta = np.log(loo_outcomes / loo_subjects) - own(log_mean)
-        deltas = delta * delta
-        d = [np.where(a, deltas, 0.0).sum(axis=1) for a in in_arm]
-        sigma2_jackknife = n_clusters * ((n_clusters - 2) / n_clusters * (d[0] + d[1]))
+    _, _, log_mean, s, d = _fit_rows(arm, m, y, np.arange(n_clusters), failure)
+    with np.errstate(invalid="ignore"):
+        beta2_hat = log_mean[:, 1] - log_mean[:, 0]
+        sigma2_naive = n_clusters * (s[:, 0] + s[:, 1])
+        sigma2_jackknife = n_clusters * ((n_clusters - 2) / n_clusters * (d[:, 0] + d[:, 1]))
 
     # wald_test: the naive test's variance, its critical value, then the
     # jackknife test's variance
     def positive(sigma2: np.ndarray) -> None:
-        fail(~(sigma2 > 0.0), lambda r: f"sigma2_sq must be positive, got {float(sigma2[r])}")
+        _fail(
+            failure,
+            ~(sigma2 > 0.0),
+            lambda r: f"sigma2_sq must be positive, got {float(sigma2[r])}",
+        )
 
     positive(sigma2_naive)
     critical = math.inf
     try:
-        if reference == "normal":
-            critical = normal_quantile(1.0 - alpha / 2.0)
-        else:
-            critical = t_quantile(df, 1.0 - alpha / 2.0)
+        critical = _critical_value(reference, alpha, df)
     except DomainError as exc:
-        fail(everyone, str(exc))
+        _fail(failure, everyone, str(exc))
     positive(sigma2_jackknife)
 
     ok = np.array([f is None for f in failure])
@@ -356,7 +312,11 @@ def _poisson_icc(arm: np.ndarray, m: np.ndarray, ysum: np.ndarray, ysq: np.ndarr
     """
     m = m.astype(np.float64)
     ysum = ysum.astype(np.float64)
-    subjects, outcomes = _arm_sums(arm, m, ysum)
+    failure: list[Optional[str]] = [None]
+    # one row, so each cluster's key arm + 2 * row is its arm
+    subjects, outcomes = (total[0] for total in _arm_sums(arm, m, ysum, failure))
+    if failure[0] is not None:
+        raise EstimationError(failure[0])
     mu = outcomes / subjects
     square_sum = float((np.bincount(arm, weights=ysq, minlength=2) / mu - outcomes).sum())
     total = (ysum - m * mu[arm]) ** 2 / mu[arm]

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .design import ArmProfile, DesignInputs, _odds, p2_from_q, pairwise_covariance_factor
@@ -314,18 +314,7 @@ def q_sweep(
     for q in q_values:
         try:
             p2 = p2_from_q(design.control.p, design.beta2, q)
-            per_q = DesignInputs(
-                control=design.control,
-                intervention=ArmProfile.from_mean(design.intervention.mu, p2),
-                beta1=design.beta1,
-                beta2=design.beta2,
-                rho_s=design.rho_s,
-                rho_u=design.rho_u,
-                r_bar=design.r_bar,
-                cluster_sizes=design.cluster_sizes,
-                alpha=design.alpha,
-                power=design.power,
-            )
+            per_q = replace(design, intervention=ArmProfile.from_mean(design.intervention.mu, p2))
             entries.append(QSweepEntry(q=q, p2=p2, result=size(per_q)))
         except DomainError as exc:
             entries.append(QSweepEntry(q=q, p2=None, result=None, error=str(exc)))
