@@ -13,18 +13,20 @@ The control mean is ``mu1`` or its log ``beta1``; the intervention arm's
 zero structure is ``q`` (preferred) or ``p2``; ``q`` defaults to 0.5 when
 neither is given.  ``cluster_size`` takes exactly the keys of its kind:
 ``lo`` and ``hi`` (discrete_uniform), ``rate``, ``lo`` and ``hi``
-(truncated_poisson), or ``m`` (fixed).  Individual keys can be overridden on
+(truncated_poisson), or ``m`` (fixed); ``lo``, ``hi`` and ``m`` are whole
+numbers (``34`` or ``34.0``).  Individual keys can be overridden on
 the command line with ``--set key=value`` (``--set cluster_size.lo=10``).
 
 Every artifact-writing command also writes ``<out>.manifest.json``
 recording the command, a digest of the fully-resolved configuration, the
 seed, and the tool version; rerunning with the same inputs reproduces the
 artifact byte for byte.  The ``study`` and ``tables`` manifests also record
-the Monte Carlo engine's name and version, its stream tags (study chunks
-and ICC datasets) and its chunk size, which together with the seed fix
-every simulated rate and ICC.  The ``simulate`` manifest records the
-dataset generator's name, version and stream tag in the same way, so a
-dataset CSV can be traced to the generator that drew it.
+the Monte Carlo engine's name and version, its study-chunk stream tag and
+its chunk size.  The ``simulate`` and ``tables`` manifests record the
+dataset generator's name, version and stream tag in the same way: a
+``table3-icc`` ICC is a statistic of a generated dataset.  With the seed,
+these fix every simulated rate, ICC and dataset, so each artifact can be
+traced to the code that drew it.
 
 Exit codes: 0 success, 2 validation error, 3 runtime error (for example a
 dataset whose mean model is undefined).
@@ -119,12 +121,22 @@ def _cluster_model(spec) -> ClusterSizeModel:
     if stray:  # an unknown key, or one of another kind: the config may mean another law
         raise ConfigError(f"cluster_size of kind {kind} does not take keys: {stray}")
     if kind == "discrete_uniform":
-        return ClusterSizeModel.discrete_uniform(int(spec["lo"]), int(spec["hi"]))
+        return ClusterSizeModel.discrete_uniform(_whole(spec, "lo"), _whole(spec, "hi"))
     if kind == "truncated_poisson":
         return ClusterSizeModel.truncated_poisson(
-            float(spec["rate"]), int(spec["lo"]), int(spec["hi"])
+            float(spec["rate"]), _whole(spec, "lo"), _whole(spec, "hi")
         )
-    return ClusterSizeModel.fixed(int(spec["m"]))
+    return ClusterSizeModel.fixed(_whole(spec, "m"))
+
+
+def _whole(spec: dict, key: str) -> int:
+    """``spec[key]`` as a cluster size: a whole number, written ``34`` or ``34.0``."""
+    value = spec[key]
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ConfigError(f"cluster_size.{key} must be a whole number, got {value!r}")
+    return int(value)
 
 
 def _design_from_config(config: dict) -> DesignInputs:
@@ -176,8 +188,8 @@ def _design_to_dict(design: DesignInputs) -> dict:
 
 
 # What the study and tables manifests record about the Monte Carlo engine,
-# and the simulate manifest about the dataset generator: with the seed,
-# they fix every simulated rate, ICC and dataset.
+# and the simulate and tables manifests about the dataset generator: with
+# the seed, they fix every simulated rate, ICC and dataset.
 _ENGINE = {
     "name": ENGINE,
     "version": ENGINE_VERSION,
@@ -382,7 +394,7 @@ def _cmd_tables(args) -> int:
             _write_manifest(
                 path, "tables",
                 {"table": report.table, "replications": args.reps, "seed": seed},
-                seed, engine=_ENGINE,
+                seed, engine=_ENGINE, generator=_GENERATOR,
             )
             print(f"wrote {path}")
         else:

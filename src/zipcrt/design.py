@@ -85,7 +85,9 @@ class ClusterSizeModel:
 
     ``eta_m`` and ``sigma2_m`` are the exact mean and variance of the declared
     distribution (truncated-Poisson moments by direct summation of the
-    renormalized mass function, weighted in logs).
+    renormalized mass function, weighted in logs).  A truncated Poisson also
+    keeps that mass function's cumulative sum, ending in exactly 1.0, from
+    which :mod:`zipcrt.simulate` draws its sizes.
     """
 
     kind: str
@@ -94,6 +96,7 @@ class ClusterSizeModel:
     rate: Optional[float] = None
     eta_m: float = field(init=False, compare=False)
     sigma2_m: float = field(init=False, compare=False)
+    _cdf: Optional[np.ndarray] = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         if self.lo < 1:
@@ -122,6 +125,9 @@ class ClusterSizeModel:
             pmf /= pmf.sum()
             eta = float(np.dot(support, pmf))
             sigma2 = float(np.dot((support - eta) ** 2, pmf))
+            cdf = np.cumsum(pmf)
+            cdf[-1] = 1.0  # a uniform draw in [0, 1) then always lands on the support
+            object.__setattr__(self, "_cdf", cdf)
         elif self.kind == "fixed":
             if self.lo != self.hi:
                 raise DomainError("fixed cluster size requires lo == hi")

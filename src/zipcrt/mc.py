@@ -51,7 +51,6 @@ from .simulate import (
     _draw_nonzero_counts,
     _draw_trial,
     _empty_arm_message,
-    _stalled_message,
 )
 
 _REPLICATE_TAG = 0x52455053  # distinguishes replicate-seed derivation
@@ -59,9 +58,9 @@ _MAX_FAILURE_FRACTION = 0.01
 
 # What a study or table manifest records about the engine.  A change to a
 # stream, the chunk size or the draws changes seeded results and bumps the
-# version.
+# version; version 3 drew truncated-Poisson sizes by rejection.
 ENGINE = "cluster-sum"
-ENGINE_VERSION = 3
+ENGINE_VERSION = 4
 STREAM_TAG = 0x43535553  # the chunk streams (seed, STREAM_TAG, chunk index)
 CHUNK_REPLICATES = 256
 
@@ -131,24 +130,24 @@ class _Chunk:
 def _draw_clusters(
     design: DesignInputs, n_clusters: int, rng: np.random.Generator, rows: int
 ) -> tuple[np.ndarray, ...]:
-    """``(R, N)`` arrays of arm, size and outcome sum, and two failure masks.
+    """``(R, N)`` arrays of arm, size and outcome sum, and an empty-arm mask.
 
     Replicate ``r`` allocates clusters ``0 .. n_intervention[r] - 1`` to the
     intervention arm; the clusters are exchangeable, so which ones receive it
-    changes no statistic.  The masks mark replicates whose allocation left an
-    arm empty and replicates with a stalled cluster-size draw.
+    changes no statistic.  The mask marks replicates whose allocation left an
+    arm empty.
     """
     count, tie = _balanced_count(n_clusters, design.r_bar)
     n_intervention = np.full(rows, count)
     if tie:
         n_intervention += rng.random(rows) < 0.5
     arm = np.arange(n_clusters) < n_intervention[:, None]
-    m, nonzero, stalled = _draw_nonzero_counts(design, arm, rng)
+    m, nonzero = _draw_nonzero_counts(design, arm, rng)
     lam = np.where(arm, design.intervention.lam, design.control.lam)
     y = rng.poisson(nonzero * lam * (1.0 - design.rho_u))
     y += nonzero * rng.poisson(lam * design.rho_u)
     empty_arm = (n_intervention == 0) | (n_intervention == n_clusters)
-    return arm, m, y, empty_arm, stalled.any(axis=1)
+    return arm, m, y, empty_arm
 
 
 def _simulate_chunk(
@@ -168,13 +167,12 @@ def _simulate_chunk(
     raise on it, in their order.
     """
     rng = np.random.default_rng([seed, STREAM_TAG, chunk])
-    arm, m, y, empty_arm, stalled = _draw_clusters(design, n_clusters, rng, rows)
+    arm, m, y, empty_arm = _draw_clusters(design, n_clusters, rng, rows)
     failure: list[Optional[str]] = [None] * rows
     everyone = np.ones(rows, dtype=bool)
     if n_clusters < 2:
         _fail(failure, everyone, f"need at least 2 clusters, got {n_clusters}")
     _fail(failure, empty_arm, _empty_arm_message(n_clusters, design.r_bar))
-    _fail(failure, stalled, _stalled_message(design.cluster_sizes))
 
     _, _, log_mean, s, d = _fit_rows(arm, m, y, np.arange(n_clusters), failure)
     with np.errstate(invalid="ignore"):
@@ -350,7 +348,6 @@ def estimate_poisson_icc(
     Raises:
         ConfigError: fewer than 2 clusters, or an arm left empty.
         DomainError: a seed outside ``[0, 2**64)``.
-        ZipCrtError: a stalled truncated-Poisson cluster-size draw.
         EstimationError: an all-zero arm, or no within-cluster pairs.
     """
     return _poisson_icc(*_draw_icc_sums(design, n_clusters, seed))

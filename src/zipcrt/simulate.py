@@ -15,11 +15,14 @@ separately for the two parts:
     Poisson(lam) and pairwise correlation ``rho_u``.
 
 :func:`_draw_nonzero_counts` draws ``m`` and ``K`` for any arm layout; the
-study engine in :mod:`zipcrt.mc` draws from it too.  A dataset draws every
-value, arms and sizes included, as whole arrays from one stream, ``(seed,
-TRIAL_STREAM_TAG)``, and lays each cluster's ``K`` non-zero draws on its
-first ``K`` rows; no statistic depends on the order within a cluster.  The
-same seed replays the same dataset bit for bit.
+study engine in :mod:`zipcrt.mc` draws from it too.  A cluster size ``m``
+takes one draw: a discrete-uniform size one integer, and a truncated-Poisson
+size one uniform, at which it inverts the law's cumulative mass function,
+so any law :class:`ClusterSizeModel` accepts can be drawn.  A dataset draws
+every value, arms and sizes included, as whole arrays from one stream,
+``(seed, TRIAL_STREAM_TAG)``, and lays each cluster's ``K`` non-zero draws
+on its first ``K`` rows; no statistic depends on the order within a
+cluster.  The same seed replays the same dataset bit for bit.
 """
 
 from __future__ import annotations
@@ -36,17 +39,17 @@ from typing import NoReturn, Optional
 import numpy as np
 
 from .design import ClusterSizeModel, DesignInputs
-from .errors import ConfigError, DomainError, ZipCrtError
+from .errors import ConfigError, DomainError
 
 # What a simulate manifest records about the generator.  A change to the
 # stream or to the order of the draws changes seeded datasets and bumps the
-# version; version 1 drew each cluster from its own substream, and version 2
-# drew each subject's zero and count.
+# version; version 1 drew each cluster from its own substream, version 2
+# drew each subject's zero and count, and version 3 drew truncated-Poisson
+# sizes by rejection.
 GENERATOR = "subject-array"
-GENERATOR_VERSION = 3
+GENERATOR_VERSION = 4
 TRIAL_STREAM_TAG = 0x54524941  # a dataset's stream (seed, TRIAL_STREAM_TAG)
 
-_MAX_REJECTION_ATTEMPTS = 10**6
 _SEED_LIMIT = 2**64
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1  # the range of the int64 columns
 _PLAIN_INT = re.compile(r"\s*[+-]?[0-9]+\s*")  # what numpy's reader takes as an integer
@@ -124,51 +127,36 @@ class TrialDataset:
 
 def _draw_cluster_sizes(
     model: ClusterSizeModel, rng: np.random.Generator, shape: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Cluster sizes, and which of them stalled in truncated-Poisson rejection.
+) -> np.ndarray:
+    """Cluster sizes of the given shape.
 
-    A truncated-Poisson size redraws Poisson(rate) values outside the
-    support, with at most ``_MAX_REJECTION_ATTEMPTS`` draws per size; the
-    acceptance rate for realistic configurations is near 1, and the cap
-    guards against degenerate supports.
+    A truncated-Poisson size is ``lo`` plus the number of entries of the
+    law's cumulative mass function (``ClusterSizeModel._cdf``, the one its
+    moments come from) at or below one uniform draw in ``[0, 1)``: one draw
+    per size, whatever the support.
     """
     if model.kind == "fixed":
-        return np.full(shape, model.lo, dtype=np.int64), np.zeros(shape, dtype=bool)
+        return np.full(shape, model.lo, dtype=np.int64)
     if model.kind == "discrete_uniform":
-        return rng.integers(model.lo, model.hi + 1, size=shape), np.zeros(shape, dtype=bool)
-    sizes = rng.poisson(model.rate, size=shape)
-    rejected = (sizes < model.lo) | (sizes > model.hi)
-    for _ in range(_MAX_REJECTION_ATTEMPTS - 1):
-        if not rejected.any():
-            break
-        redraw = rng.poisson(model.rate, size=int(rejected.sum()))
-        sizes[rejected] = redraw
-        rejected[rejected] = (redraw < model.lo) | (redraw > model.hi)
-    return sizes, rejected
-
-
-def _stalled_message(model: ClusterSizeModel) -> str:
-    return (
-        f"rejection sampling for truncated_poisson({model.rate}) on "
-        f"[{model.lo}, {model.hi}] stalled after {_MAX_REJECTION_ATTEMPTS} attempts"
-    )
+        return rng.integers(model.lo, model.hi + 1, size=shape)
+    return model.lo + np.searchsorted(model._cdf, rng.random(shape), side="right")
 
 
 def _draw_nonzero_counts(
     design: DesignInputs, arm: np.ndarray, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Size ``m``, non-structural-zero count ``K`` and stalled-size mask of
-    each cluster, for an array of arm indicators of any shape.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Size ``m`` and non-structural-zero count ``K`` of each cluster, for an
+    array of arm indicators of any shape.
 
     In this order: the sizes, each cluster's shared zero ``c``, then ``K``
     as one binomial draw (see the module docstring).
     """
-    m, stalled = _draw_cluster_sizes(design.cluster_sizes, rng, arm.shape)
+    m = _draw_cluster_sizes(design.cluster_sizes, rng, arm.shape)
     p = np.where(arm, design.intervention.p, design.control.p)
     mix = math.sqrt(design.rho_s)
     shared_zero = rng.random(arm.shape) < p
     nonzero = rng.binomial(m, (1.0 - mix) * (1.0 - p) + np.where(shared_zero, 0.0, mix))
-    return m, nonzero, stalled
+    return m, nonzero
 
 
 def _allocate_arms(
@@ -224,15 +212,12 @@ def _draw_trial(
     Raises:
         ConfigError: fewer than 2 clusters, or the allocation left an arm empty.
         DomainError: a seed outside ``[0, 2**64)``.
-        ZipCrtError: a truncated-Poisson cluster-size draw stalled.
     """
     if n_clusters < 2:
         raise ConfigError(f"need at least 2 clusters, got {n_clusters}")
     rng = substream(seed, TRIAL_STREAM_TAG)
     arms = _allocate_arms(n_clusters, design.r_bar, rng, bernoulli_allocation)
-    sizes, nonzero, stalled = _draw_nonzero_counts(design, arms, rng)
-    if stalled.any():
-        raise ZipCrtError(_stalled_message(design.cluster_sizes))
+    sizes, nonzero = _draw_nonzero_counts(design, arms, rng)
     lam = np.where(arms, design.intervention.lam, design.control.lam)
     shared = rng.poisson(lam * design.rho_u)
     own = rng.poisson(np.repeat(lam * (1.0 - design.rho_u), nonzero))
@@ -255,7 +240,6 @@ def generate_trial(
     Raises:
         ConfigError: fewer than 2 clusters, or the allocation left an arm empty.
         DomainError: a seed outside ``[0, 2**64)``.
-        ZipCrtError: a truncated-Poisson cluster-size draw stalled.
     """
     arms, sizes, nonzero, shared, own = _draw_trial(
         design, n_clusters, seed, bernoulli_allocation

@@ -199,7 +199,7 @@ def subject_trial(design, n_clusters, seed):
     rng = np.random.default_rng([seed, SUBJECT_ORACLE_TAG])
     arms = np.zeros(n_clusters, dtype=np.int64)
     arms[rng.permutation(n_clusters)[:round(n_clusters * design.r_bar)]] = 1
-    sizes, _ = _draw_cluster_sizes(design.cluster_sizes, rng, (n_clusters,))
+    sizes = _draw_cluster_sizes(design.cluster_sizes, rng, (n_clusters,))
     p = np.where(arms == 1, design.intervention.p, design.control.p)
     lam = np.where(arms == 1, design.intervention.lam, design.control.lam)
     shared_zero = rng.random(n_clusters) < p

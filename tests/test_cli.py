@@ -130,6 +130,33 @@ def test_keys_of_another_kind_are_a_config_error(tmp_path, capsys, kind, keys, s
     assert f"cluster_size of kind {kind} does not take keys: {stray}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("lo", 34.9), ("hi", 56.5), ("lo", True), ("hi", False), ("lo", "34"), ("lo", None),
+])
+def test_fractional_or_boolean_cluster_size_is_a_config_error(tmp_path, capsys, key, value):
+    # {"lo": 34.9} was sized as DU(34, 56), and true (also from --set
+    # cluster_size.lo=true) as 1, with exit code 0
+    config = design_file(
+        tmp_path, cluster_size={"kind": "discrete_uniform", "lo": 34, "hi": 56, key: value}
+    )
+    assert cli.main(["samplesize", "--config", config]) == 2
+    assert f"cluster_size.{key} must be a whole number, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, keys", [
+    ("discrete_uniform", {"lo": 34.0, "hi": 56}),
+    ("truncated_poisson", {"rate": 45, "lo": 20, "hi": 70.0}),
+    ("fixed", {"m": 45.0}),
+])
+def test_whole_number_floats_are_cluster_sizes(tmp_path, capsys, kind, keys):
+    outputs = []
+    for spec in (keys, {k: int(v) for k, v in keys.items()}):
+        config = design_file(tmp_path, cluster_size={"kind": kind, **spec})
+        assert cli.main(["samplesize", "--config", config]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("workers", [0, -5])
 @pytest.mark.parametrize("command", ["study", "tables"])
 def test_workers_below_one_are_a_config_error(tmp_path, capsys, command, workers):
@@ -159,13 +186,13 @@ def test_simulate_manifest_records_the_generator(tmp_path, capsys):
     manifest = json.loads((tmp_path / "data.csv.manifest.json").read_text(encoding="utf-8"))
     assert (manifest["command"], manifest["seed"]) == ("simulate", 3)
     assert manifest["generator"] == {
-        "name": "subject-array", "version": 3, "stream_tag": simulate.TRIAL_STREAM_TAG,
+        "name": "subject-array", "version": 4, "stream_tag": simulate.TRIAL_STREAM_TAG,
     }
     assert "engine" not in manifest
 
 
 ENGINE_FIELDS = {
-    "name": "cluster-sum", "version": 3, "stream_tag": mc.STREAM_TAG, "chunk_replicates": 256,
+    "name": "cluster-sum", "version": 4, "stream_tag": mc.STREAM_TAG, "chunk_replicates": 256,
 }
 
 
@@ -192,6 +219,8 @@ def test_tables_manifest_records_the_engine(tmp_path, capsys):
         )
         assert manifest["command"] == "tables"
         assert manifest["engine"] == ENGINE_FIELDS
+        # table3-icc is a statistic of generate_trial's datasets
+        assert manifest["generator"] == cli._GENERATOR
 
 
 def test_tables_read_back_as_csv(tmp_path, capsys):

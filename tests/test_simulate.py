@@ -9,6 +9,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from zipcrt import (
     ArmProfile,
@@ -67,6 +68,20 @@ class TestSampleClusterSize:
         # this support rejects about half of the Poisson draws, so a sampler
         # that clipped to the support instead of redrawing would miss
         assert_size_moments(ClusterSizeModel.truncated_poisson(45.0, 40, 50), seed=3)
+
+    def test_far_tail_truncated_poisson_frequencies(self):
+        # Poisson(45) lands in [90, 100] with probability about 1e-9.  Each
+        # size's frequency must match the renormalized Poisson pmf (scipy's)
+        # within SE_MULTIPLE binomial standard errors; the rarest size, 100,
+        # has about 6 expected clusters of 20,000
+        sizes = ClusterSizeModel.truncated_poisson(45.0, 90, 100)
+        n = 20_000
+        m = generate_trial(grid_design(cluster_sizes=sizes), n, seed=4).size
+        assert 90 <= m.min() and m.max() <= 100
+        pmf = stats.poisson.pmf(np.arange(90, 101), 45.0)
+        pmf /= pmf.sum()
+        frequency = np.bincount(m - 90, minlength=11) / n
+        assert (np.abs(frequency - pmf) <= SE_MULTIPLE * np.sqrt(pmf * (1.0 - pmf) / n)).all()
 
 
 def fixed_size_trial(**cell):
@@ -362,9 +377,9 @@ class TestDatasetIO:
 
     def test_bytes_pinned_across_versions(self, tmp_path):
         # simulate.py promises bit-for-bit replay of a seed; the hash pins
-        # the bytes this seed produces with GENERATOR_VERSION 3, and changes
+        # the bytes this seed produces with GENERATOR_VERSION 4, and changes
         # only together with that version
-        assert simulate.GENERATOR_VERSION == 3
+        assert simulate.GENERATOR_VERSION == 4
         data = generate_trial(grid_design(), 12, seed=2024)
         path = tmp_path / "trial.csv"
         write_dataset(data, str(path))
