@@ -65,10 +65,10 @@ from .simulate import (
     write_dataset,
 )
 
-_DESIGN_KEYS = {
-    "mu1", "beta1", "beta2", "p1", "p2", "q",
-    "rho_s", "rho_u", "r_bar", "alpha", "power", "cluster_size",
-}
+_NUMBER_KEYS = (
+    "mu1", "beta1", "beta2", "p1", "p2", "q", "rho_s", "rho_u", "r_bar", "alpha", "power",
+)
+_DESIGN_KEYS = {*_NUMBER_KEYS, "cluster_size"}
 _CLUSTER_KIND_KEYS = {
     "discrete_uniform": ("lo", "hi"),
     "truncated_poisson": ("rate", "lo", "hi"),
@@ -124,19 +124,27 @@ def _cluster_model(spec) -> ClusterSizeModel:
         return ClusterSizeModel.discrete_uniform(_whole(spec, "lo"), _whole(spec, "hi"))
     if kind == "truncated_poisson":
         return ClusterSizeModel.truncated_poisson(
-            float(spec["rate"]), _whole(spec, "lo"), _whole(spec, "hi")
+            _number(spec, "rate", "cluster_size."), _whole(spec, "lo"), _whole(spec, "hi")
         )
     return ClusterSizeModel.fixed(_whole(spec, "m"))
 
 
+def _number(spec: dict, key: str, prefix: str = "", whole: bool = False) -> float:
+    """``spec[key]`` as a float: a JSON number, not a boolean, a string or a
+    null, and with ``whole`` one with no fractional part.  ``prefix`` is the
+    key's path in the config, for the error message."""
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        whole and not float(value).is_integer()
+    ):
+        kind = "a whole number" if whole else "a number"
+        raise ConfigError(f"{prefix}{key} must be {kind}, got {value!r}")
+    return float(value)
+
+
 def _whole(spec: dict, key: str) -> int:
     """``spec[key]`` as a cluster size: a whole number, written ``34`` or ``34.0``."""
-    value = spec[key]
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-    ):
-        raise ConfigError(f"cluster_size.{key} must be a whole number, got {value!r}")
-    return int(value)
+    return int(_number(spec, key, "cluster_size.", whole=True))
 
 
 def _design_from_config(config: dict) -> DesignInputs:
@@ -146,21 +154,14 @@ def _design_from_config(config: dict) -> DesignInputs:
     missing = [k for k in _REQUIRED_KEYS if k not in config]
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
+    # a null optional key is an absent one, so build_design's default holds
+    numbers = {
+        key: _number(config, key)
+        for key in _NUMBER_KEYS
+        if key in _REQUIRED_KEYS or config.get(key) is not None
+    }
     try:
-        return build_design(
-            mu1=config.get("mu1"),
-            beta1=config.get("beta1"),
-            beta2=float(config["beta2"]),
-            p1=float(config["p1"]),
-            q=config.get("q"),
-            p2=config.get("p2"),
-            rho_s=float(config["rho_s"]),
-            rho_u=float(config["rho_u"]),
-            r_bar=float(config.get("r_bar", 0.5)),
-            cluster_sizes=_cluster_model(config["cluster_size"]),
-            alpha=float(config.get("alpha", 0.05)),
-            power=float(config.get("power", 0.8)),
-        )
+        return build_design(**numbers, cluster_sizes=_cluster_model(config["cluster_size"]))
     except (TypeError, ValueError) as exc:
         if isinstance(exc, ZipCrtError):
             raise
@@ -347,7 +348,7 @@ def _cmd_study(args) -> int:
         seed=seed,
         null_hypothesis=args.null,
     )
-    report = run_power_study(config, workers=args.workers)
+    report = run_power_study(config)
     kind = "type_i" if args.null else "power"
     lines = [
         f"n_clusters = {report.n_clusters_used}",
@@ -384,7 +385,7 @@ def _cmd_study(args) -> int:
 def _cmd_tables(args) -> int:
     selection = [s.strip() for s in args.which.split(",") if s.strip()]
     seed = _resolve_seed(args.seed)
-    reports = reproduce_tables(selection, args.reps, seed, workers=args.workers)
+    reports = reproduce_tables(selection, args.reps, seed)
     for report in reports:
         text = report.to_text()
         if args.out:
@@ -455,7 +456,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizing", choices=("z", "t"), default="z")
     p.add_argument("--df-rule", choices=DF_RULES, default="n-2")
     p.add_argument("--null", action="store_true", help="measure type I error")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="write the report CSV here")
     p.set_defaults(func=_cmd_study)
 
@@ -463,7 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", required=True, help="comma list: table1,table2,table3-icc")
     p.add_argument("--reps", type=int, default=0)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", help="output path prefix")
     p.set_defaults(func=_cmd_tables)
     return parser

@@ -108,8 +108,8 @@ class ClusterSizeModel:
             eta = (self.lo + self.hi) / 2.0
             sigma2 = (n * n - 1) / 12.0
         elif self.kind == "truncated_poisson":
-            if self.rate is None or self.rate <= 0.0:
-                raise DomainError(f"truncated_poisson requires rate > 0, got {self.rate}")
+            if self.rate is None or not (math.isfinite(self.rate) and self.rate > 0.0):
+                raise DomainError(f"truncated_poisson requires a finite rate > 0, got {self.rate}")
             support = np.arange(self.lo, self.hi + 1)
             # log(rate**k / k!) up to a constant: the ratio of neighbours is rate / k
             log_weight = np.cumsum(np.log(self.rate) - np.log(support))

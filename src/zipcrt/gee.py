@@ -47,7 +47,10 @@ both variances on the sqrt(N) scale for Wald testing.
 The log-means, ``s_a``, ``d_a`` and the failure checks are written once, in
 ``_fit_rows``, over ``(R, N)`` arrays of each cluster's arm, ``m_i`` and
 ``Y_i``: :func:`fit_zip` runs it on its dataset as one row, and the study
-engine (:mod:`zipcrt.mc`) on a chunk of ``R`` replicates.
+engine (:mod:`zipcrt.mc`) on a chunk of ``R`` replicates.  The Wald test's
+checks, critical value and decisions are written once too, in
+``_wald_rows``: :func:`wald_test` runs it on one statistic, and the study
+engine on a chunk's naive and then its Jackknife variances.
 """
 
 from __future__ import annotations
@@ -221,18 +224,44 @@ def _test_df(rule: str, n_clusters: int) -> int:
     return n_clusters - 2 if rule == "n-2" else n_clusters - 4
 
 
-def _critical_value(reference: str, alpha_level: float, df: Optional[int]) -> float:
-    """The two-sided Wald test's normal or t(``df``) quantile.
+def _wald_rows(
+    beta2_hat: np.ndarray,
+    sigma2_sq: np.ndarray,
+    n_clusters: int,
+    reference: str,
+    alpha_level: float,
+    df: Optional[int],
+    failure: list[Optional[str]],
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """:func:`wald_test` on each row of ``beta2_hat`` and ``sigma2_sq``.
 
-    Raises:
-        DomainError: an unknown reference, or a t quantile with no degrees
-            of freedom.
+    A row fails in ``failure`` with the message :func:`wald_test` raises on
+    it, at the first of its checks; a row that has already failed keeps its
+    message.  Returns the statistics, the two-sided normal or t(``df``)
+    critical value (``inf`` when it is undefined) and the decisions; a
+    failed row is never rejected.
     """
-    if reference == "normal":
-        return normal_quantile(1.0 - alpha_level / 2.0)
-    if reference == "t":
-        return t_quantile(df, 1.0 - alpha_level / 2.0)
-    raise DomainError(f"reference must be 'normal' or 't', got {reference!r}")
+    _fail(
+        failure,
+        ~(sigma2_sq > 0.0),
+        lambda r: f"sigma2_sq must be positive, got {float(sigma2_sq[r])}",
+    )
+    critical = math.inf
+    try:
+        if not (0.0 < alpha_level < 1.0):
+            raise DomainError(f"alpha_level must lie in (0, 1), got {alpha_level}")
+        if reference == "normal":
+            critical = normal_quantile(1.0 - alpha_level / 2.0)
+        elif reference == "t":
+            critical = t_quantile(df, 1.0 - alpha_level / 2.0)
+        else:
+            raise DomainError(f"reference must be 'normal' or 't', got {reference!r}")
+    except DomainError as exc:
+        _fail(failure, np.ones(len(failure), dtype=bool), str(exc))
+    ok = np.array([f is None for f in failure])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        statistic = math.sqrt(n_clusters) * beta2_hat / np.sqrt(sigma2_sq)
+    return statistic, critical, ok & (np.abs(statistic) > critical)
 
 
 def wald_test(
@@ -251,21 +280,21 @@ def wald_test(
     reference quantile; a statistic exactly at the quantile is retained.
     ``df`` defaults to ``n_clusters - 2`` for the t reference.
     """
-    if not (sigma2_sq > 0.0):
-        raise DomainError(f"sigma2_sq must be positive, got {sigma2_sq}")
-    if not (0.0 < alpha_level < 1.0):
-        raise DomainError(f"alpha_level must lie in (0, 1), got {alpha_level}")
-    statistic = math.sqrt(n_clusters) * beta2_hat / math.sqrt(sigma2_sq)
-    used_df = None
-    if reference == "t":
-        used_df = _test_df("n-2", n_clusters) if df is None else df
-    critical = _critical_value(reference, alpha_level, used_df)
+    if reference == "t" and df is None:
+        df = _test_df("n-2", n_clusters)
+    failure: list[Optional[str]] = [None]
+    statistic, critical, reject = _wald_rows(
+        np.array([beta2_hat], dtype=np.float64), np.array([sigma2_sq], dtype=np.float64),
+        n_clusters, reference, alpha_level, df, failure,
+    )
+    if failure[0] is not None:
+        raise DomainError(failure[0])
     return WaldTest(
-        statistic=statistic,
+        statistic=float(statistic[0]),
         reference=reference,
-        df=used_df,
+        df=df if reference == "t" else None,
         critical_value=critical,
-        reject=abs(statistic) > critical,
+        reject=bool(reject[0]),
         alpha_level=alpha_level,
     )
 

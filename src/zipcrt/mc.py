@@ -18,10 +18,11 @@ part.  Replicate ``r`` puts the intervention arm on its first clusters.
 
 Replicates are drawn in chunks of ``CHUNK_REPLICATES`` as ``(R, N)`` arrays.
 A chunk's estimates and failures come from ``gee._fit_rows``, the code
-:func:`fit_zip` runs on one dataset, and its critical value from
-:func:`wald_test`'s helper.  Chunk ``k`` of a study draws from the stream
-``(seed, STREAM_TAG, k)``, so a seeded report is the same for any number of
-workers and any order in which chunks complete.
+:func:`fit_zip` runs on one dataset, and its Wald decisions from
+``gee._wald_rows``, the code :func:`wald_test` runs on one statistic.
+:func:`run_power_study` runs a study's chunks one after another in one
+process.  Chunk ``k`` draws from the stream ``(seed, STREAM_TAG, k)``, so
+no chunk's results depend on the chunks before it.
 
 :func:`estimate_poisson_icc` is a statistic of the dataset
 ``generate_trial(design, n_clusters, seed)``: it makes the same draws from
@@ -41,8 +42,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .design import ClusterSizeModel, DesignInputs, build_design, poisson_icc_limit
-from .errors import ConfigError, DomainError, EstimationError, StudyError
-from .gee import DF_RULES, _arm_sums, _critical_value, _fail, _fit_rows, _test_df
+from .errors import ConfigError, EstimationError, StudyError
+from .gee import DF_RULES, _arm_sums, _fail, _fit_rows, _test_df, _wald_rows
 # fit_zip is not called here; the benchmark harness looks it up on this module
 from .gee import fit_zip  # noqa: F401
 from .power import sample_size_normal, sample_size_t
@@ -169,9 +170,8 @@ def _simulate_chunk(
     rng = np.random.default_rng([seed, STREAM_TAG, chunk])
     arm, m, y, empty_arm = _draw_clusters(design, n_clusters, rng, rows)
     failure: list[Optional[str]] = [None] * rows
-    everyone = np.ones(rows, dtype=bool)
     if n_clusters < 2:
-        _fail(failure, everyone, f"need at least 2 clusters, got {n_clusters}")
+        _fail(failure, np.ones(rows, dtype=bool), f"need at least 2 clusters, got {n_clusters}")
     _fail(failure, empty_arm, _empty_arm_message(n_clusters, design.r_bar))
 
     _, _, log_mean, s, d = _fit_rows(arm, m, y, np.arange(n_clusters), failure)
@@ -179,50 +179,15 @@ def _simulate_chunk(
         beta2_hat = log_mean[:, 1] - log_mean[:, 0]
         sigma2_naive = n_clusters * (s[:, 0] + s[:, 1])
         sigma2_jackknife = n_clusters * ((n_clusters - 2) / n_clusters * (d[:, 0] + d[:, 1]))
-
-    # wald_test: the naive test's variance, its critical value, then the
-    # jackknife test's variance
-    def positive(sigma2: np.ndarray) -> None:
-        _fail(
-            failure,
-            ~(sigma2 > 0.0),
-            lambda r: f"sigma2_sq must be positive, got {float(sigma2[r])}",
-        )
-
-    positive(sigma2_naive)
-    critical = math.inf
-    try:
-        critical = _critical_value(reference, alpha, df)
-    except DomainError as exc:
-        _fail(failure, everyone, str(exc))
-    positive(sigma2_jackknife)
-
-    ok = np.array([f is None for f in failure])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scaled = math.sqrt(n_clusters) * beta2_hat
-        reject_naive = ok & (np.abs(scaled / np.sqrt(sigma2_naive)) > critical)
-        reject_jackknife = ok & (np.abs(scaled / np.sqrt(sigma2_jackknife)) > critical)
+    reject_naive, reject_jackknife = (
+        _wald_rows(beta2_hat, sigma2, n_clusters, reference, alpha, df, failure)[2]
+        for sigma2 in (sigma2_naive, sigma2_jackknife)
+    )
+    # a replicate whose jackknife test failed has no naive decision either
+    reject_naive &= np.array([f is None for f in failure])
     return _Chunk(
         beta2_hat, sigma2_naive, sigma2_jackknife, reject_naive, reject_jackknife, failure
     )
-
-
-def _chunk_args(config: StudyConfig, n_clusters: int) -> list[tuple]:
-    """:func:`_simulate_chunk` arguments for every chunk of a study."""
-    design = config.design.under_null() if config.null_hypothesis else config.design
-    reference = "t" if config.use_t_sizing else "normal"
-    df = _test_df(config.test_df_rule, n_clusters) if reference == "t" else None
-    return [
-        (design, n_clusters, config.seed, chunk,
-         min(CHUNK_REPLICATES, config.replications - start), reference, df,
-         config.design.alpha)
-        for chunk, start in enumerate(range(0, config.replications, CHUNK_REPLICATES))
-    ]
-
-
-def _check_workers(workers: int) -> None:
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
 
 
 def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
@@ -231,28 +196,31 @@ def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
     Failed replicates (an arm absent or all-zero, in the data or after a
     Jackknife deletion, so the mean model is undefined) are excluded from
     the denominators; if they exceed 1% of the replications the study
-    aborts, since the rates would no longer be trustworthy.  With
-    ``workers > 1`` a study of more than one chunk runs its chunks in a
-    process pool; the report is the same for any worker count.  ``workers``
-    below 1 is a ConfigError.
+    aborts, since the rates would no longer be trustworthy.  The chunks run
+    one after another in this process.
+
+    ``workers`` is kept only because ``perfbench/workloads.py`` passes
+    ``workers=1``; any other value is a ConfigError.  ROADMAP item 1
+    deletes the keyword together with that call.
     """
-    _check_workers(workers)
+    if workers != 1:
+        raise ConfigError(f"workers must be 1, got {workers}")
     sizing = sample_size_t if config.use_t_sizing else sample_size_normal
     n_clusters = sizing(config.design).n_clusters
+    design = config.design.under_null() if config.null_hypothesis else config.design
+    reference = "t" if config.use_t_sizing else "normal"
+    df = _test_df(config.test_df_rule, n_clusters) if reference == "t" else None
 
-    args = _chunk_args(config, n_clusters)
-    if workers > 1 and len(args) > 1:  # a pool costs more than one chunk
-        # imported here: multiprocessing would cost every start-up its import
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
-            chunks = list(pool.map(_simulate_chunk, *zip(*args)))
-    else:
-        chunks = [_simulate_chunk(*a) for a in args]
-
-    failures = [f for chunk in chunks for f in chunk.failure if f is not None]
-    naive_rejections = sum(int(chunk.reject_naive.sum()) for chunk in chunks)
-    jack_rejections = sum(int(chunk.reject_jackknife.sum()) for chunk in chunks)
+    failures: list[str] = []
+    naive_rejections = jack_rejections = 0
+    for chunk, start in enumerate(range(0, config.replications, CHUNK_REPLICATES)):
+        rows = min(CHUNK_REPLICATES, config.replications - start)
+        result = _simulate_chunk(
+            design, n_clusters, config.seed, chunk, rows, reference, df, config.design.alpha
+        )
+        failures += [f for f in result.failure if f is not None]
+        naive_rejections += int(result.reject_naive.sum())
+        jack_rejections += int(result.reject_jackknife.sum())
     n_failed = len(failures)
     if n_failed / config.replications >= _MAX_FAILURE_FRACTION:
         sample = "; ".join(sorted(set(failures))[:3])
@@ -423,11 +391,7 @@ def _study_columns(with_rates: bool) -> list[str]:
 
 
 def reproduce_tables(
-    selection: Sequence[str],
-    replications: int = 0,
-    seed: int = 0,
-    *,
-    workers: int = 1,
+    selection: Sequence[str], replications: int = 0, seed: int = 0
 ) -> list[TableReport]:
     """Recompute the bundled study tables.
 
@@ -439,28 +403,24 @@ def reproduce_tables(
     uniform grids, next to its large-sample limit.
 
     Raises:
-        ConfigError: an unknown table identifier, ``replications < 0`` or
-            ``workers < 1``.
+        ConfigError: an unknown table identifier or ``replications < 0``.
     """
     unknown = [s for s in selection if s not in TABLE_IDS]
     if unknown:
         raise ConfigError(f"unknown table identifiers: {unknown}; valid: {TABLE_IDS}")
     if replications < 0:
         raise ConfigError(f"replications must be >= 0, got {replications}")
-    _check_workers(workers)
 
     reports = []
     for table in selection:
         if table in ("table1", "table2"):
-            reports.append(_reproduce_size_table(table, replications, seed, workers))
+            reports.append(_reproduce_size_table(table, replications, seed))
         else:
             reports.append(_reproduce_icc_table(seed))
     return reports
 
 
-def _reproduce_size_table(
-    table: str, replications: int, seed: int, workers: int
-) -> TableReport:
+def _reproduce_size_table(table: str, replications: int, seed: int) -> TableReport:
     use_t = table == "table2"
     report = TableReport(table=table, columns=_study_columns(replications > 0))
     row_index = 0
@@ -485,8 +445,7 @@ def _reproduce_size_table(
                                 use_t_sizing=use_t,
                                 seed=replicate_seed(seed, row_index * 2 + null),
                                 null_hypothesis=null,
-                            ),
-                            workers=workers,
+                            )
                         )
                         kind = "type_i" if null else "power"
                         row[f"{kind}_naive"] = study.rejection_rate_naive

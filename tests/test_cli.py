@@ -157,16 +157,45 @@ def test_whole_number_floats_are_cluster_sizes(tmp_path, capsys, kind, keys):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("workers", [0, -5])
-@pytest.mark.parametrize("command", ["study", "tables"])
-def test_workers_below_one_are_a_config_error(tmp_path, capsys, command, workers):
-    # both ran serially with exit code 0
-    if command == "study":
-        argv = ["study", "--config", design_file(tmp_path), "--reps", "20", "--seed", "1"]
-    else:
-        argv = ["tables", "--which", "table1", "--reps", "20", "--seed", "1"]
-    assert cli.main(argv + ["--workers", str(workers)]) == 2
-    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+@pytest.mark.parametrize("setting, key", [
+    ("mu1=true", "mu1"),
+    ("p1=false", "p1"),
+    ('alpha="0.05"', "alpha"),
+    ("beta2=null", "beta2"),
+    ("rho_u=[0.05]", "rho_u"),
+    ("cluster_size.rate=true", "cluster_size.rate"),
+])
+def test_a_design_number_that_is_not_a_json_number_is_a_config_error(
+    tmp_path, capsys, setting, key
+):
+    # mu1=true and p1=false were sized as mu1 = 1 and p1 = 0, with exit code 0
+    config = design_file(
+        tmp_path, cluster_size={"kind": "truncated_poisson", "rate": 45, "lo": 20, "hi": 70}
+    )
+    assert cli.main(["samplesize", "--config", config, "--set", setting]) == 2
+    assert f"error: {key} must be a number, got " in capsys.readouterr().err
+
+
+def test_a_null_optional_number_is_an_absent_one(tmp_path, capsys):
+    outputs = []
+    for settings in ([], ["--set", "r_bar=null", "--set", "alpha=null", "--set", "p2=null"]):
+        assert cli.main(["samplesize", "--config", design_file(tmp_path), *settings]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("rate", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["samplesize", "simulate"])
+def test_a_non_finite_truncated_poisson_rate_is_a_domain_error(tmp_path, capsys, command, rate):
+    # samplesize crashed in math.ceil; simulate wrote clusters all of size lo
+    argv = [command, "--config", design_file(
+        tmp_path, cluster_size={"kind": "truncated_poisson", "rate": 45, "lo": 20, "hi": 70}
+    ), "--set", f"cluster_size.rate={rate}"]
+    if command == "simulate":
+        argv += ["--clusters", "10", "--seed", "1", "--out", str(tmp_path / "data.csv")]
+    assert cli.main(argv) == 2
+    assert "truncated_poisson requires a finite rate > 0" in capsys.readouterr().err
+    assert not (tmp_path / "data.csv").exists()
 
 
 def test_negative_table_replications_are_a_config_error(tmp_path, capsys):
@@ -304,8 +333,8 @@ def test_importing_the_cli_loads_no_scipy():
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # only run_power_study with workers > 1 needs multiprocessing, so the
-    # pool's import is left to it rather than charged to every start-up
+    # studies run in one process; nothing may charge every start-up the
+    # import of multiprocessing or of a process pool
     child = subprocess.run(
         [sys.executable, "-c",
          "import sys, zipcrt.cli; print(sorted(m for m in sys.modules"

@@ -287,6 +287,12 @@ class TestClusterSizeModel:
         with pytest.raises(DomainError, match="no mass"):
             ClusterSizeModel.truncated_poisson(1e-5, 200, 300)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, None])
+    def test_truncated_poisson_needs_a_finite_positive_rate(self, rate):
+        # a NaN or infinite rate left every size at lo, or crashed the sizer
+        with pytest.raises(DomainError, match="requires a finite rate > 0"):
+            ClusterSizeModel(kind="truncated_poisson", lo=20, hi=70, rate=rate)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             ClusterSizeModel.discrete_uniform(0, 5)

@@ -180,9 +180,13 @@ class TestCalibration:
                              ids=["trunpois", "du34-56", "du10-80"])
     def test_variance_ratio(self, sizes):
         design = mc.reference_design(sizes, 0.05, 0.5)
-        config = StudyConfig(design=design, replications=self.REPS, use_t_sizing=True, seed=2)
         n = sample_size_t(design).n_clusters
-        chunks = [mc._simulate_chunk(*a) for a in mc._chunk_args(config, n)]
+        # the chunks of a t-sized study of REPS replicates with seed 2
+        chunks = [
+            mc._simulate_chunk(design, n, 2, k, min(mc.CHUNK_REPLICATES, self.REPS - start),
+                               "t", n - 2, 0.05)
+            for k, start in enumerate(range(0, self.REPS, mc.CHUNK_REPLICATES))
+        ]
         beta2 = np.concatenate([
             c.beta2_hat[[f is None for f in c.failure]] for c in chunks
         ])
@@ -222,6 +226,19 @@ class TestReplicateFailures:
         assert not chunk.reject_naive[failed].any()
         assert not chunk.reject_jackknife[failed].any()
 
+    def test_a_failed_jackknife_test_leaves_no_naive_decision(self, monkeypatch):
+        # clusters of size 49 with one outcome sum per arm: the sandwich
+        # variance is a rounding residue above 0 and the Jackknife's exactly
+        # 0, so the naive test alone rejects, but the replicate has failed
+        arm = np.array([[0, 0, 0, 1, 1, 1]])
+        m, y = np.full(arm.shape, 49), 1 + arm
+        monkeypatch.setattr(mc, "_draw_clusters", lambda *_: (arm, m, y, np.zeros(1, dtype=bool)))
+        chunk = mc._simulate_chunk(grid_design(), 6, 0, 0, 1, "t", 4, 0.05)
+        assert chunk.sigma2_naive[0] > 0.0 and chunk.sigma2_jackknife[0] == 0.0
+        assert wald_test(chunk.beta2_hat[0], chunk.sigma2_naive[0], 6, "t", 0.05, 4).reject
+        assert chunk.failure == ["sigma2_sq must be positive, got 0.0"]
+        assert not chunk.reject_naive[0] and not chunk.reject_jackknife[0]
+
     def test_far_tail_cluster_sizes_lose_no_replicate(self):
         # Poisson(45) lands in [90, 100] with probability about 1e-9; the
         # sizer accepts the law, so the ICC and a study must run on it too
@@ -233,15 +250,30 @@ class TestReplicateFailures:
         assert (report.replications, report.replicate_failures) == (300, 0)
 
 
-class TestWorkers:
-    def test_two_workers_give_the_same_report(self):
-        # more than two chunks, so the pool really splits the study
-        config = StudyConfig(
-            design=grid_design(), replications=2 * mc.CHUNK_REPLICATES + 8,
-            use_t_sizing=True, seed=3,
-        )
-        assert len(mc._chunk_args(config, 28)) == 3
-        assert run_power_study(config, workers=2) == run_power_study(config, workers=1)
+def test_multi_chunk_study_does_not_depend_on_chunk_order():
+    # three chunks, the last one short; each draws from its own stream, so
+    # running them last to first gives the study's counts
+    config = StudyConfig(
+        design=grid_design(), replications=2 * mc.CHUNK_REPLICATES + 8,
+        use_t_sizing=True, seed=3,
+    )
+    n = sample_size_t(config.design).n_clusters
+    chunks = [
+        mc._simulate_chunk(config.design, n, config.seed, k, rows, "t", n - 2, 0.05)
+        for k, rows in ((2, 8), (1, mc.CHUNK_REPLICATES), (0, mc.CHUNK_REPLICATES))
+    ]
+    failures = sum(f is not None for chunk in chunks for f in chunk.failure)
+    effective = config.replications - failures
+    report = run_power_study(config)
+    assert report.replicate_failures == failures
+    assert report.rejection_rate_naive == sum(int(c.reject_naive.sum()) for c in chunks) / effective
+    assert report.rejection_rate_jackknife == (
+        sum(int(c.reject_jackknife.sum()) for c in chunks) / effective
+    )
+    # the keyword stays for callers that pass workers=1, and takes nothing else
+    assert run_power_study(config, workers=1) == report
+    with pytest.raises(ConfigError, match="workers must be 1, got 2"):
+        run_power_study(config, workers=2)
 
 
 def test_seeded_study_rates_pinned_across_versions():
