@@ -218,6 +218,14 @@ class DesignInputs:
         return replace(self, intervention=self.control, beta2=0.0)
 
 
+def _arm_mean(log_mean: float, key: str, arm: str) -> float:
+    """``exp(log_mean)``, or a DomainError naming ``key`` if it overflows a float."""
+    try:
+        return math.exp(log_mean)
+    except OverflowError:
+        raise DomainError(f"{key} makes the {arm} mean exp({log_mean:g}) overflow") from None
+
+
 def build_design(
     *,
     beta2: float,
@@ -252,8 +260,8 @@ def build_design(
         if mu1 is None or mu1 <= 0.0:
             raise ConfigError(f"'mu1' must be positive, got {mu1}")
         beta1 = math.log(mu1)
-    mu1_resolved = math.exp(beta1)
-    mu2 = math.exp(beta1 + beta2)
+    mu1_resolved = _arm_mean(beta1, f"'beta1'={beta1}", "control")
+    mu2 = _arm_mean(beta1 + beta2, f"'beta2'={beta2}", "intervention")
 
     if q is None and p2 is None:
         q = 0.5

@@ -16,13 +16,18 @@ draws ``Y = Poisson(K * lam * (1 - rho_u)) + K * Poisson(lam * rho_u)``,
 the ``K`` own Poisson parts in one draw plus ``K`` copies of the shared
 part.  Replicate ``r`` puts the intervention arm on its first clusters.
 
-Replicates are drawn in chunks of ``CHUNK_REPLICATES`` as ``(R, N)`` arrays.
-A chunk's estimates and failures come from ``gee._fit_rows``, the code
-:func:`fit_zip` runs on one dataset, and its Wald decisions from
-``gee._wald_rows``, the code :func:`wald_test` runs on one statistic.
-:func:`run_power_study` runs a study's chunks one after another in one
-process.  Chunk ``k`` draws from the stream ``(seed, STREAM_TAG, k)``, so
-no chunk's results depend on the chunks before it.
+:func:`simulate_study` is the one study primitive: at a cluster count the
+caller chooses, it returns every replicate's estimate, both variances, both
+Wald decisions and failure as one :class:`StudyDraws`.  It draws the
+replicates in chunks of ``CHUNK_REPLICATES`` as ``(R, N)`` arrays, one
+chunk after another in one process.  A chunk's estimates and failures come
+from ``gee._fit_rows``, the code :func:`fit_zip` runs on one dataset, and
+its Wald decisions from ``gee._wald_rows``, the code :func:`wald_test` runs
+on one statistic.  Chunk ``k`` draws from the stream
+``(seed, STREAM_TAG, k)``, so no chunk's results depend on the chunks
+before it.  :func:`run_power_study` is its reduction: it sizes the trial,
+runs :func:`simulate_study` at that size and reduces the draws to rates
+with :meth:`StudyDraws.report`.
 
 :func:`estimate_poisson_icc` is a statistic of the dataset
 ``generate_trial(design, n_clusters, seed)``: it makes the same draws from
@@ -36,7 +41,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,6 +57,7 @@ from .simulate import (
     _draw_nonzero_counts,
     _draw_trial,
     _empty_arm_message,
+    substream,
 )
 
 _REPLICATE_TAG = 0x52455053  # distinguishes replicate-seed derivation
@@ -112,8 +118,8 @@ class StudyReport:
 
 
 @dataclass(frozen=True)
-class _Chunk:
-    """Per-replicate results of one chunk.
+class StudyDraws:
+    """Per-replicate results of a study, or of one of its chunks.
 
     ``failure`` holds the message of the error the replicate's fit or test
     raised, or None.  The decisions of a failed replicate are False and its
@@ -126,6 +132,32 @@ class _Chunk:
     reject_naive: np.ndarray
     reject_jackknife: np.ndarray
     failure: list[Optional[str]]
+
+    def report(self, n_clusters: int) -> StudyReport:
+        """The study's rejection rates over the replicates that did not fail.
+
+        Raises:
+            StudyError: 1% or more of the replicates failed, so the rates
+                would no longer be trustworthy.
+        """
+        replications = len(self.failure)
+        failures = [f for f in self.failure if f is not None]
+        if len(failures) / replications >= _MAX_FAILURE_FRACTION:
+            sample = "; ".join(sorted(set(failures))[:3])
+            raise StudyError(
+                f"{len(failures)}/{replications} replicates failed "
+                f"(>= {_MAX_FAILURE_FRACTION:.0%}); first causes: {sample}"
+            )
+        effective = replications - len(failures)
+        rate_jack = int(self.reject_jackknife.sum()) / effective
+        return StudyReport(
+            n_clusters_used=n_clusters,
+            rejection_rate_naive=int(self.reject_naive.sum()) / effective,
+            rejection_rate_jackknife=rate_jack,
+            mc_standard_error=math.sqrt(rate_jack * (1.0 - rate_jack) / effective),
+            replicate_failures=len(failures),
+            replications=replications,
+        )
 
 
 def _draw_clusters(
@@ -160,14 +192,14 @@ def _simulate_chunk(
     reference: str,
     df: Optional[int],
     alpha: float,
-) -> _Chunk:
+) -> StudyDraws:
     """Draw and test ``rows`` replicates from the stream of chunk ``chunk``.
 
     A replicate fails with the message, and at the first of the checks,
     that :func:`generate_trial`, :func:`fit_zip` and :func:`wald_test` would
     raise on it, in their order.
     """
-    rng = np.random.default_rng([seed, STREAM_TAG, chunk])
+    rng = substream(seed, STREAM_TAG, chunk)
     arm, m, y, empty_arm = _draw_clusters(design, n_clusters, rng, rows)
     failure: list[Optional[str]] = [None] * rows
     if n_clusters < 2:
@@ -185,19 +217,54 @@ def _simulate_chunk(
     )
     # a replicate whose jackknife test failed has no naive decision either
     reject_naive &= np.array([f is None for f in failure])
-    return _Chunk(
+    return StudyDraws(
         beta2_hat, sigma2_naive, sigma2_jackknife, reject_naive, reject_jackknife, failure
     )
 
 
+def simulate_study(
+    design: DesignInputs,
+    n_clusters: int,
+    replications: int,
+    seed: int,
+    reference: str,
+    df: Optional[int],
+    alpha: float,
+) -> StudyDraws:
+    """Draw and test ``replications`` replicate trials of ``n_clusters``
+    clusters each, with the Wald test's ``reference`` (``"t"`` with ``df``
+    degrees of freedom, or ``"normal"``) at level ``alpha``.
+
+    Chunk ``k`` holds replicates ``k * CHUNK_REPLICATES`` onwards and draws
+    from the stream ``(seed, STREAM_TAG, k)``; the result is the chunks'
+    arrays, concatenated in order.
+
+    Raises:
+        ConfigError: ``replications < 1``.
+        DomainError: a seed outside ``[0, 2**64)``.
+    """
+    if replications < 1:
+        raise ConfigError(f"replications must be >= 1, got {replications}")
+    chunks = [
+        _simulate_chunk(
+            design, n_clusters, seed, k, min(CHUNK_REPLICATES, replications - start),
+            reference, df, alpha,
+        )
+        for k, start in enumerate(range(0, replications, CHUNK_REPLICATES))
+    ]
+    *arrays, failures = ([getattr(c, f.name) for c in chunks] for f in fields(StudyDraws))
+    return StudyDraws(*map(np.concatenate, arrays), [f for part in failures for f in part])
+
+
 def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
-    """Empirical rejection rates for one scenario.
+    """Empirical rejection rates for one scenario: the design's cluster
+    count, then :func:`simulate_study` at that count, then
+    :meth:`StudyDraws.report`.
 
     Failed replicates (an arm absent or all-zero, in the data or after a
     Jackknife deletion, so the mean model is undefined) are excluded from
-    the denominators; if they exceed 1% of the replications the study
-    aborts, since the rates would no longer be trustworthy.  The chunks run
-    one after another in this process.
+    the denominators; if they reach 1% of the replications the study
+    aborts, since the rates would no longer be trustworthy.
 
     ``workers`` is kept only because ``perfbench/workloads.py`` passes
     ``workers=1``; any other value is a ConfigError.  ROADMAP item 1
@@ -210,35 +277,9 @@ def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
     design = config.design.under_null() if config.null_hypothesis else config.design
     reference = "t" if config.use_t_sizing else "normal"
     df = _test_df(config.test_df_rule, n_clusters) if reference == "t" else None
-
-    failures: list[str] = []
-    naive_rejections = jack_rejections = 0
-    for chunk, start in enumerate(range(0, config.replications, CHUNK_REPLICATES)):
-        rows = min(CHUNK_REPLICATES, config.replications - start)
-        result = _simulate_chunk(
-            design, n_clusters, config.seed, chunk, rows, reference, df, config.design.alpha
-        )
-        failures += [f for f in result.failure if f is not None]
-        naive_rejections += int(result.reject_naive.sum())
-        jack_rejections += int(result.reject_jackknife.sum())
-    n_failed = len(failures)
-    if n_failed / config.replications >= _MAX_FAILURE_FRACTION:
-        sample = "; ".join(sorted(set(failures))[:3])
-        raise StudyError(
-            f"{n_failed}/{config.replications} replicates failed "
-            f"(>= {_MAX_FAILURE_FRACTION:.0%}); first causes: {sample}"
-        )
-    effective = config.replications - n_failed
-    rate_naive = naive_rejections / effective
-    rate_jack = jack_rejections / effective
-    return StudyReport(
-        n_clusters_used=n_clusters,
-        rejection_rate_naive=rate_naive,
-        rejection_rate_jackknife=rate_jack,
-        mc_standard_error=math.sqrt(rate_jack * (1.0 - rate_jack) / effective),
-        replicate_failures=n_failed,
-        replications=config.replications,
-    )
+    return simulate_study(
+        design, n_clusters, config.replications, config.seed, reference, df, config.design.alpha
+    ).report(n_clusters)
 
 
 def _draw_icc_sums(design: DesignInputs, n_clusters: int, seed: int) -> tuple[np.ndarray, ...]:
@@ -411,78 +452,51 @@ def reproduce_tables(
     if replications < 0:
         raise ConfigError(f"replications must be >= 0, got {replications}")
 
-    reports = []
-    for table in selection:
-        if table in ("table1", "table2"):
-            reports.append(_reproduce_size_table(table, replications, seed))
-        else:
-            reports.append(_reproduce_icc_table(seed))
-    return reports
+    return [_reproduce_table(table, replications, seed) for table in selection]
 
 
-def _reproduce_size_table(table: str, replications: int, seed: int) -> TableReport:
-    use_t = table == "table2"
-    report = TableReport(table=table, columns=_study_columns(replications > 0))
-    row_index = 0
-    for label, dist in _GRID_DISTRIBUTIONS:
-        for rho in _GRID_ICCS:
-            for q in _GRID_Q:
-                design = reference_design(dist, rho, q)
-                sizing = sample_size_t if use_t else sample_size_normal
-                row = {
-                    "distribution": label,
-                    "rho_s": rho,
-                    "rho_u": rho,
-                    "q": q,
-                    "n_clusters": sizing(design).n_clusters,
-                }
-                if replications > 0:
-                    for null in (True, False):
-                        study = run_power_study(
-                            StudyConfig(
-                                design=design,
-                                replications=replications,
-                                use_t_sizing=use_t,
-                                seed=replicate_seed(seed, row_index * 2 + null),
-                                null_hypothesis=null,
-                            )
-                        )
-                        kind = "type_i" if null else "power"
-                        row[f"{kind}_naive"] = study.rejection_rate_naive
-                        row[f"{kind}_jackknife"] = study.rejection_rate_jackknife
-                        row["mc_standard_error"] = study.mc_standard_error
-                report.rows.append(row)
-                row_index += 1
-    return report
+def _reproduce_table(table: str, replications: int, seed: int) -> TableReport:
+    """One table, row by row over the reference grid.
 
-
-def _reproduce_icc_table(seed: int) -> TableReport:
-    report = TableReport(
-        table="table3-icc",
-        columns=[
-            "distribution", "rho_s", "rho_u", "q", "n_clusters",
-            "rho_hat_poisson", "rho_limit_poisson",
-        ],
-    )
-    row_index = 0
-    for label, dist in _GRID_DISTRIBUTIONS:
-        if label.startswith("TrunPoisson"):
-            continue  # the comparison table covers the two DU grids
-        for rho in _GRID_ICCS:
-            for q in _GRID_Q:
-                design = reference_design(dist, rho, q)
-                report.rows.append(
-                    {
-                        "distribution": label,
-                        "rho_s": rho,
-                        "rho_u": rho,
-                        "q": q,
-                        "n_clusters": sample_size_normal(design).n_clusters,
-                        "rho_hat_poisson": estimate_poisson_icc(
-                            design, 10_000, replicate_seed(seed, row_index)
-                        ),
-                        "rho_limit_poisson": poisson_icc_limit(design),
-                    }
-                )
-                row_index += 1
+    Row ``i`` of ``table1`` or ``table2`` runs its alternative study from
+    ``replicate_seed(seed, 2 * i)`` and its null study from
+    ``replicate_seed(seed, 2 * i + 1)``.  ``table3-icc`` covers the two DU
+    laws only, and its row ``i`` draws its dataset from
+    ``replicate_seed(seed, i)``.
+    """
+    icc, use_t = table == "table3-icc", table == "table2"
+    sizing = sample_size_t if use_t else sample_size_normal
+    columns = _study_columns(replications > 0 and not icc)
+    if icc:
+        columns += ["rho_hat_poisson", "rho_limit_poisson"]
+    report = TableReport(table, columns)
+    cells = [
+        (label, dist, rho, q)
+        for label, dist in _GRID_DISTRIBUTIONS
+        if not (icc and label.startswith("TrunPoisson"))
+        for rho in _GRID_ICCS
+        for q in _GRID_Q
+    ]
+    for index, (label, dist, rho, q) in enumerate(cells):
+        design = reference_design(dist, rho, q)
+        row = {
+            "distribution": label, "rho_s": rho, "rho_u": rho, "q": q,
+            "n_clusters": sizing(design).n_clusters,
+        }
+        if icc:
+            row["rho_hat_poisson"] = estimate_poisson_icc(
+                design, 10_000, replicate_seed(seed, index)
+            )
+            row["rho_limit_poisson"] = poisson_icc_limit(design)
+        elif replications > 0:
+            for null in (True, False):
+                study = run_power_study(StudyConfig(
+                    design=design, replications=replications, use_t_sizing=use_t,
+                    seed=replicate_seed(seed, index * 2 + null), null_hypothesis=null,
+                ))
+                kind = "type_i" if null else "power"
+                row[f"{kind}_naive"] = study.rejection_rate_naive
+                row[f"{kind}_jackknife"] = study.rejection_rate_jackknife
+                row["mc_standard_error"] = study.mc_standard_error
+        report.rows.append(row)
     return report

@@ -198,6 +198,17 @@ def test_a_non_finite_truncated_poisson_rate_is_a_domain_error(tmp_path, capsys,
     assert not (tmp_path / "data.csv").exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"mu1": None, "beta1": 1000}, "'beta1'=1000.0 makes the control mean exp(1000) overflow"),
+    ({"mu1": 1e300, "beta2": 100, "p1": 0, "q": 0},
+     "'beta2'=100.0 makes the intervention mean exp(790.776) overflow"),
+], ids=["beta1", "beta2"])
+def test_an_arm_mean_that_overflows_is_a_domain_error(tmp_path, capsys, overrides, message):
+    # both died with an OverflowError traceback and exit code 1
+    assert cli.main(["samplesize", "--config", design_file(tmp_path, **overrides)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_negative_table_replications_are_a_config_error(tmp_path, capsys):
     assert cli.main(["tables", "--which", "table1", "--reps", "-3"]) == 2
     assert "replications must be >= 0, got -3" in capsys.readouterr().err

@@ -343,6 +343,16 @@ class TestBuildDesign:
                 cluster_sizes=DU_34_56,
             )
 
+    @pytest.mark.parametrize("means, key", [
+        (dict(beta1=1000.0), "'beta1'=1000.0 makes the control mean"),
+        (dict(mu1=1e300, beta2=100.0), "'beta2'=100.0 makes the intervention mean"),
+    ], ids=["beta1", "beta2"])
+    def test_an_arm_mean_that_overflows_names_its_key(self, means, key):
+        # math.exp raised OverflowError
+        means = {"beta2": -0.431, **means}
+        with pytest.raises(DomainError, match=key):
+            build_design(**means, p1=0.0, q=0.0, rho_s=0.03, rho_u=0.03, cluster_sizes=DU_34_56)
+
     def test_under_null_shares_control_profile(self):
         null = grid_design().under_null()
         assert null.beta2 == 0.0

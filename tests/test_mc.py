@@ -181,15 +181,9 @@ class TestCalibration:
     def test_variance_ratio(self, sizes):
         design = mc.reference_design(sizes, 0.05, 0.5)
         n = sample_size_t(design).n_clusters
-        # the chunks of a t-sized study of REPS replicates with seed 2
-        chunks = [
-            mc._simulate_chunk(design, n, 2, k, min(mc.CHUNK_REPLICATES, self.REPS - start),
-                               "t", n - 2, 0.05)
-            for k, start in enumerate(range(0, self.REPS, mc.CHUNK_REPLICATES))
-        ]
-        beta2 = np.concatenate([
-            c.beta2_hat[[f is None for f in c.failure]] for c in chunks
-        ])
+        # a t-sized study of REPS replicates with seed 2
+        draws = mc.simulate_study(design, n, self.REPS, 2, "t", n - 2, 0.05)
+        beta2 = draws.beta2_hat[[f is None for f in draws.failure]]
         assert beta2.size == self.REPS
         ratio = n * beta2.var(ddof=1) / design_variance(design)
         assert abs(ratio - 1.0) <= self.BOUND
@@ -276,6 +270,42 @@ def test_multi_chunk_study_does_not_depend_on_chunk_order():
         run_power_study(config, workers=2)
 
 
+def test_study_at_a_chosen_n_is_its_chunks_concatenated():
+    # three chunks, the last one short, at a cluster count the sizing did
+    # not choose
+    design, seed, reps = grid_design(), 3, 2 * mc.CHUNK_REPLICATES + 8
+    n = sample_size_t(design).n_clusters - 3
+    draws = mc.simulate_study(design, n, reps, seed, "t", n - 2, 0.05)
+    chunks = [
+        mc._simulate_chunk(design, n, seed, k, rows, "t", n - 2, 0.05)
+        for k, rows in enumerate((mc.CHUNK_REPLICATES, mc.CHUNK_REPLICATES, 8))
+    ]
+    for name in ("beta2_hat", "sigma2_naive", "sigma2_jackknife", "reject_naive",
+                 "reject_jackknife"):
+        expected = np.concatenate([getattr(chunk, name) for chunk in chunks])
+        assert getattr(draws, name).dtype == expected.dtype
+        np.testing.assert_array_equal(getattr(draws, name), expected)
+    assert draws.failure == [f for chunk in chunks for f in chunk.failure]
+
+
+def test_study_report_is_the_reduction_of_its_draws():
+    for null in (True, False):
+        config = StudyConfig(
+            design=grid_design(), replications=2 * mc.CHUNK_REPLICATES + 8,
+            use_t_sizing=True, seed=3, null_hypothesis=null,
+        )
+        n = sample_size_t(config.design).n_clusters
+        generating = config.design.under_null() if null else config.design
+        draws = mc.simulate_study(generating, n, config.replications, 3, "t", n - 2, 0.05)
+        assert run_power_study(config) == draws.report(n)
+
+
+@pytest.mark.parametrize("reps", [0, -1])
+def test_a_study_of_no_replicates_is_a_config_error(reps):
+    with pytest.raises(ConfigError, match=f"replications must be >= 1, got {reps}"):
+        mc.simulate_study(grid_design(), 20, reps, 0, "t", 18, 0.05)
+
+
 def test_seeded_study_rates_pinned_across_versions():
     # the study streams are pinned apart from the engine version, which also
     # moves when only the ICC's draws change: this hash holds from engine
@@ -284,6 +314,14 @@ def test_seeded_study_rates_pinned_across_versions():
     text = "".join(report.to_text() for report in reports)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "f5828ceebb1fc4cea535268ba8f011192f666f8fd97133ec8801ad862dff6383"
+    )
+
+
+def test_seeded_icc_table_pinned():
+    # the ICC table's rows and their dataset seeds
+    text = mc.reproduce_tables(["table3-icc"], 0, seed=4)[0].to_text()
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "05cdec58ac3ae47ee0469cdc13d069e7219c26edc6a0a15c6a5b02cf173345a2"
     )
 
 
@@ -381,7 +419,8 @@ def raised(call, *args):
 
 
 class TestIccFailures:
-    """estimate_poisson_icc fails with generate_trial's and fit_zip's errors."""
+    """estimate_poisson_icc fails with generate_trial's and fit_zip's errors,
+    and a study with generate_trial's seed check."""
 
     def test_too_few_clusters(self):
         design = grid_design()
@@ -401,6 +440,13 @@ class TestIccFailures:
         assert expected[0] is DomainError
         assert raised(estimate_poisson_icc, design, 10, 2**64) == expected
         assert raised(estimate_poisson_icc, design, 10, -1) == raised(generate_trial, design, 10, -1)
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_study_seed_out_of_range(self, seed):
+        # 2**64 ran silently and -1 raised numpy's bare ValueError
+        design = grid_design()
+        expected = raised(generate_trial, design, 10, seed)
+        assert raised(run_power_study, StudyConfig(design, 10, seed=seed)) == expected
 
     # a seed gives a nonzero control arm and an all-zero intervention arm
     # with probability about 0.04, so 200 seeds miss it with probability
