@@ -41,7 +41,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -227,13 +227,12 @@ def simulate_study(
     n_clusters: int,
     replications: int,
     seed: int,
-    reference: str,
     df: Optional[int],
-    alpha: float,
 ) -> StudyDraws:
     """Draw and test ``replications`` replicate trials of ``n_clusters``
-    clusters each, with the Wald test's ``reference`` (``"t"`` with ``df``
-    degrees of freedom, or ``"normal"``) at level ``alpha``.
+    clusters each, at the design's level ``alpha``.  The Wald test refers to
+    the t distribution with ``df`` degrees of freedom, or to the normal
+    when ``df`` is None.
 
     Chunk ``k`` holds replicates ``k * CHUNK_REPLICATES`` onwards and draws
     from the stream ``(seed, STREAM_TAG, k)``; the result is the chunks'
@@ -245,15 +244,21 @@ def simulate_study(
     """
     if replications < 1:
         raise ConfigError(f"replications must be >= 1, got {replications}")
-    chunks = [
-        _simulate_chunk(
-            design, n_clusters, seed, k, min(CHUNK_REPLICATES, replications - start),
-            reference, df, alpha,
+    reference = "normal" if df is None else "t"
+    chunks = []
+    for k, start in enumerate(range(0, replications, CHUNK_REPLICATES)):
+        rows = min(CHUNK_REPLICATES, replications - start)
+        chunks.append(
+            _simulate_chunk(design, n_clusters, seed, k, rows, reference, df, design.alpha)
         )
-        for k, start in enumerate(range(0, replications, CHUNK_REPLICATES))
-    ]
-    *arrays, failures = ([getattr(c, f.name) for c in chunks] for f in fields(StudyDraws))
-    return StudyDraws(*map(np.concatenate, arrays), [f for part in failures for f in part])
+    return StudyDraws(
+        np.concatenate([c.beta2_hat for c in chunks]),
+        np.concatenate([c.sigma2_naive for c in chunks]),
+        np.concatenate([c.sigma2_jackknife for c in chunks]),
+        np.concatenate([c.reject_naive for c in chunks]),
+        np.concatenate([c.reject_jackknife for c in chunks]),
+        [f for c in chunks for f in c.failure],
+    )
 
 
 def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
@@ -275,11 +280,9 @@ def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
     sizing = sample_size_t if config.use_t_sizing else sample_size_normal
     n_clusters = sizing(config.design).n_clusters
     design = config.design.under_null() if config.null_hypothesis else config.design
-    reference = "t" if config.use_t_sizing else "normal"
-    df = _test_df(config.test_df_rule, n_clusters) if reference == "t" else None
-    return simulate_study(
-        design, n_clusters, config.replications, config.seed, reference, df, config.design.alpha
-    ).report(n_clusters)
+    df = _test_df(config.test_df_rule, n_clusters) if config.use_t_sizing else None
+    draws = simulate_study(design, n_clusters, config.replications, config.seed, df)
+    return draws.report(n_clusters)
 
 
 def _draw_icc_sums(design: DesignInputs, n_clusters: int, seed: int) -> tuple[np.ndarray, ...]:
@@ -480,7 +483,10 @@ def _reproduce_table(table: str, replications: int, seed: int) -> TableReport:
     for index, (label, dist, rho, q) in enumerate(cells):
         design = reference_design(dist, rho, q)
         row = {
-            "distribution": label, "rho_s": rho, "rho_u": rho, "q": q,
+            "distribution": label,
+            "rho_s": rho,
+            "rho_u": rho,
+            "q": q,
             "n_clusters": sizing(design).n_clusters,
         }
         if icc:
@@ -490,10 +496,15 @@ def _reproduce_table(table: str, replications: int, seed: int) -> TableReport:
             row["rho_limit_poisson"] = poisson_icc_limit(design)
         elif replications > 0:
             for null in (True, False):
-                study = run_power_study(StudyConfig(
-                    design=design, replications=replications, use_t_sizing=use_t,
-                    seed=replicate_seed(seed, index * 2 + null), null_hypothesis=null,
-                ))
+                study = run_power_study(
+                    StudyConfig(
+                        design=design,
+                        replications=replications,
+                        use_t_sizing=use_t,
+                        seed=replicate_seed(seed, index * 2 + null),
+                        null_hypothesis=null,
+                    )
+                )
                 kind = "type_i" if null else "power"
                 row[f"{kind}_naive"] = study.rejection_rate_naive
                 row[f"{kind}_jackknife"] = study.rejection_rate_jackknife

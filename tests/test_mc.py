@@ -182,7 +182,7 @@ class TestCalibration:
         design = mc.reference_design(sizes, 0.05, 0.5)
         n = sample_size_t(design).n_clusters
         # a t-sized study of REPS replicates with seed 2
-        draws = mc.simulate_study(design, n, self.REPS, 2, "t", n - 2, 0.05)
+        draws = mc.simulate_study(design, n, self.REPS, 2, n - 2)
         beta2 = draws.beta2_hat[[f is None for f in draws.failure]]
         assert beta2.size == self.REPS
         ratio = n * beta2.var(ddof=1) / design_variance(design)
@@ -270,14 +270,19 @@ def test_multi_chunk_study_does_not_depend_on_chunk_order():
         run_power_study(config, workers=2)
 
 
-def test_study_at_a_chosen_n_is_its_chunks_concatenated():
+@pytest.mark.parametrize("reference, alpha", [("t", 0.05), ("normal", 0.2)])
+def test_study_at_a_chosen_n_is_its_chunks_concatenated(reference, alpha):
     # three chunks, the last one short, at a cluster count the sizing did
-    # not choose
-    design, seed, reps = grid_design(), 3, 2 * mc.CHUNK_REPLICATES + 8
+    # not choose; the test runs at the design's alpha, against the t
+    # distribution when a df is given and the normal when none is
+    design = build_design(mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.03, rho_u=0.03,
+                          cluster_sizes=DU_34_56, alpha=alpha)
+    seed, reps = 3, 2 * mc.CHUNK_REPLICATES + 8
     n = sample_size_t(design).n_clusters - 3
-    draws = mc.simulate_study(design, n, reps, seed, "t", n - 2, 0.05)
+    df = n - 2 if reference == "t" else None
+    draws = mc.simulate_study(design, n, reps, seed, df)
     chunks = [
-        mc._simulate_chunk(design, n, seed, k, rows, "t", n - 2, 0.05)
+        mc._simulate_chunk(design, n, seed, k, rows, reference, df, alpha)
         for k, rows in enumerate((mc.CHUNK_REPLICATES, mc.CHUNK_REPLICATES, 8))
     ]
     for name in ("beta2_hat", "sigma2_naive", "sigma2_jackknife", "reject_naive",
@@ -296,14 +301,14 @@ def test_study_report_is_the_reduction_of_its_draws():
         )
         n = sample_size_t(config.design).n_clusters
         generating = config.design.under_null() if null else config.design
-        draws = mc.simulate_study(generating, n, config.replications, 3, "t", n - 2, 0.05)
+        draws = mc.simulate_study(generating, n, config.replications, 3, n - 2)
         assert run_power_study(config) == draws.report(n)
 
 
 @pytest.mark.parametrize("reps", [0, -1])
 def test_a_study_of_no_replicates_is_a_config_error(reps):
     with pytest.raises(ConfigError, match=f"replications must be >= 1, got {reps}"):
-        mc.simulate_study(grid_design(), 20, reps, 0, "t", 18, 0.05)
+        mc.simulate_study(grid_design(), 20, reps, 0, 18)
 
 
 def test_seeded_study_rates_pinned_across_versions():
