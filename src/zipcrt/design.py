@@ -291,13 +291,24 @@ def build_design(
     )
 
 
+def _mean_squared(mu: float) -> float:
+    """``mu**2``, or a DomainError naming the mean if it overflows a float."""
+    try:
+        return mu**2
+    except OverflowError:
+        raise DomainError(f"mean mu={mu:g} is too large: mu**2 overflows a float") from None
+
+
 def marginal_variance(arm: ArmProfile) -> float:
     """Marginal variance of a ZIP outcome: ``mu + (p/(1-p)) * mu**2``.
 
     Equals the mean exactly when ``p == 0`` (pure Poisson) and exceeds it,
     i.e. is overdispersed, whenever ``p > 0``.
+
+    Raises:
+        DomainError: ``mu**2`` overflows a float.
     """
-    return arm.mu + _odds(arm.p) * arm.mu**2
+    return arm.mu + _odds(arm.p) * _mean_squared(arm.mu)
 
 
 def zero_probability(arm: ArmProfile) -> float:
@@ -409,11 +420,14 @@ def pairwise_covariance_factor(arm: ArmProfile, rho_s: float, rho_u: float) -> f
     This is obtained by enumerating the three structural-zero patterns of
     the pair, weighting each conditional cross-moment by its probability;
     the covariance vanishes exactly when ``rho_u == 0`` and ``p * rho_s == 0``.
+
+    Raises:
+        DomainError: an ICC outside [0, 1), or ``mu**2`` overflows a float.
     """
     if not (0.0 <= rho_s < 1.0 and 0.0 <= rho_u < 1.0):
         raise DomainError(f"ICCs must lie in [0, 1), got rho_s={rho_s}, rho_u={rho_u}")
     mu, p = arm.mu, arm.p
-    return mu * rho_u * (1.0 - p * (1.0 - rho_s)) + mu**2 * rho_s * _odds(p)
+    return mu * rho_u * (1.0 - p * (1.0 - rho_s)) + _mean_squared(mu) * rho_s * _odds(p)
 
 
 def poisson_icc_limit(design: DesignInputs) -> float:

@@ -22,7 +22,11 @@ so any law :class:`ClusterSizeModel` accepts can be drawn.  A dataset draws
 every value, arms and sizes included, as whole arrays from one stream,
 ``(seed, TRIAL_STREAM_TAG)``, and lays each cluster's ``K`` non-zero draws
 on its first ``K`` rows; no statistic depends on the order within a
-cluster.  The same seed replays the same dataset bit for bit.
+cluster.  The own parts of an arm are iid with one mean, so
+:func:`_poisson_sample` draws them together: below a mean of 10 as the
+multiset of their values in random order, which takes about a dozen
+binomial draws and one shuffle instead of one Poisson draw per subject.
+The same seed replays the same dataset bit for bit.
 """
 
 from __future__ import annotations
@@ -44,10 +48,10 @@ from .errors import ConfigError, DomainError
 # What a simulate manifest records about the generator.  A change to the
 # stream or to the order of the draws changes seeded datasets and bumps the
 # version; version 1 drew each cluster from its own substream, version 2
-# drew each subject's zero and count, and version 3 drew truncated-Poisson
-# sizes by rejection.
+# drew each subject's zero and count, version 3 drew truncated-Poisson
+# sizes by rejection, and version 4 drew every own Poisson part by itself.
 GENERATOR = "subject-array"
-GENERATOR_VERSION = 4
+GENERATOR_VERSION = 5
 TRIAL_STREAM_TAG = 0x54524941  # a dataset's stream (seed, TRIAL_STREAM_TAG)
 
 _SEED_LIMIT = 2**64
@@ -199,6 +203,47 @@ def _empty_arm_message(n_clusters: int, r_bar: float) -> str:
     return f"allocation left an empty arm (n={n_clusters}, r_bar={r_bar})"
 
 
+# numpy draws a Poisson mean of 10 or more by PTRS, in O(1) per value, while
+# the multiset walks about as many categories as the mean: from there the
+# per-value draw is the faster one
+_MULTISET_MAX_LAM = 10.0
+# the multiset's categories 0 .. 79: past them Poisson(10) has mass below
+# 1e-43, which the last category takes
+_MULTISET_CATEGORIES = 80
+
+
+def _poisson_sample(lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """``n`` iid Poisson(``lam``) values.
+
+    Below ``_MULTISET_MAX_LAM`` the values are drawn as one multiset and
+    then put in random order.  The number ``N_k`` of values equal to ``k``
+    is multinomial, drawn by sequential conditional binomials (Devroye,
+    1986): ``N_k ~ Bin(rest, p_k / P(X >= k))`` until no value is left.
+    The pmf comes from ``p_k = p_{k-1} * lam / k`` from ``p_0 = exp(-lam)``,
+    and ``P(X >= k)`` is its reversed cumulative sum.  At ``lam`` near 2
+    and 100,000 values that is about a dozen binomial draws and one
+    shuffle, where ``rng.poisson`` draws every value.
+    """
+    if lam >= _MULTISET_MAX_LAM:
+        return rng.poisson(lam, n)
+    steps = np.empty(_MULTISET_CATEGORIES)
+    steps[0] = math.exp(-lam)
+    steps[1:] = lam / np.arange(1, _MULTISET_CATEGORIES)
+    pmf = np.cumprod(steps)
+    tail = np.cumsum(pmf[::-1])[::-1]
+    counts = []
+    rest = n
+    for p_k, tail_k in zip(pmf.tolist(), tail.tolist()):
+        if rest == 0:
+            break
+        count = int(rng.binomial(rest, p_k / tail_k))
+        counts.append(count)
+        rest -= count
+    values = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    rng.shuffle(values)
+    return values
+
+
 def _draw_trial(
     design: DesignInputs, n_clusters: int, seed: int, bernoulli_allocation: bool = False
 ) -> tuple[np.ndarray, ...]:
@@ -207,7 +252,9 @@ def _draw_trial(
 
     From the stream ``(seed, TRIAL_STREAM_TAG)``, in this order: the arms
     (:func:`_allocate_arms`), :func:`_draw_nonzero_counts`, the shared
-    parts, the own parts.
+    parts, then the own parts of the control arm and those of the
+    intervention arm, each arm's as one :func:`_poisson_sample` laid on its
+    subjects in cluster order.
 
     Raises:
         ConfigError: fewer than 2 clusters, or the allocation left an arm empty.
@@ -220,7 +267,10 @@ def _draw_trial(
     sizes, nonzero = _draw_nonzero_counts(design, arms, rng)
     lam = np.where(arms, design.intervention.lam, design.control.lam)
     shared = rng.poisson(lam * design.rho_u)
-    own = rng.poisson(np.repeat(lam * (1.0 - design.rho_u), nonzero))
+    in_arm1 = np.repeat(arms == 1, nonzero)  # each own part's arm, in cluster order
+    own = np.empty(in_arm1.size, dtype=np.int64)
+    for arm, where in ((design.control, ~in_arm1), (design.intervention, in_arm1)):
+        own[where] = _poisson_sample(arm.lam * (1.0 - design.rho_u), int(where.sum()), rng)
     return arms, sizes, nonzero, shared, own
 
 

@@ -209,6 +209,14 @@ def test_an_arm_mean_that_overflows_is_a_domain_error(tmp_path, capsys, override
     assert f"error: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("p1", [0.0, 0.5])
+def test_a_mean_whose_square_overflows_is_a_domain_error(tmp_path, capsys, p1):
+    # died with an OverflowError traceback and exit code 1
+    config = design_file(tmp_path, mu1=1e300, p1=p1, q=p1)
+    assert cli.main(["samplesize", "--config", config]) == 2
+    assert "error: mean mu=1e+300 is too large: mu**2 overflows a float" in capsys.readouterr().err
+
+
 def test_negative_table_replications_are_a_config_error(tmp_path, capsys):
     assert cli.main(["tables", "--which", "table1", "--reps", "-3"]) == 2
     assert "replications must be >= 0, got -3" in capsys.readouterr().err
@@ -226,7 +234,7 @@ def test_simulate_manifest_records_the_generator(tmp_path, capsys):
     manifest = json.loads((tmp_path / "data.csv.manifest.json").read_text(encoding="utf-8"))
     assert (manifest["command"], manifest["seed"]) == ("simulate", 3)
     assert manifest["generator"] == {
-        "name": "subject-array", "version": 4, "stream_tag": simulate.TRIAL_STREAM_TAG,
+        "name": "subject-array", "version": 5, "stream_tag": simulate.TRIAL_STREAM_TAG,
     }
     assert "engine" not in manifest
 

@@ -230,6 +230,15 @@ class TestPairwiseCovariance:
                         oracle = enumerated_pair_covariance(mu, p, rho_s, rho_u)
                         assert closed == pytest.approx(oracle, abs=1e-12)
 
+    @pytest.mark.parametrize("p", [0.0, 0.5])
+    def test_a_mean_whose_square_overflows_is_a_domain_error(self, p):
+        # mu**2 raised OverflowError, even where p == 0 makes its term 0
+        arm = ArmProfile.from_mean(1e300, p)
+        with pytest.raises(DomainError, match=r"mean mu=1e\+300 is too large"):
+            pairwise_covariance_factor(arm, 0.03, 0.03)
+        with pytest.raises(DomainError, match=r"mean mu=1e\+300 is too large"):
+            marginal_variance(arm)
+
     def test_monotone_in_both_correlations(self):
         arm = ArmProfile.from_mean(1.3, 0.4)
         grid = np.linspace(0.0, 0.6, 13)

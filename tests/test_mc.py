@@ -326,7 +326,7 @@ def test_seeded_icc_table_pinned():
     # the ICC table's rows and their dataset seeds
     text = mc.reproduce_tables(["table3-icc"], 0, seed=4)[0].to_text()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "05cdec58ac3ae47ee0469cdc13d069e7219c26edc6a0a15c6a5b02cf173345a2"
+        "0e17901d32a25df7e0ab3d851517e08f0e43488e649749758e3750bf3f49e940"
     )
 
 

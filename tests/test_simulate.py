@@ -183,6 +183,52 @@ class TestCorrelatedPoisson:
                              cluster_sizes=DU_34_56)
 
 
+class TestPoissonSample:
+    """_poisson_sample's values: the multiset below a mean of 10, numpy's
+    per-value draw from 10 on."""
+
+    N = 200_000
+    MEANS = [0.05, 1.9, 9.9, 10.0, 40.0]  # three on the multiset branch, two on rng.poisson
+
+    @pytest.mark.parametrize("lam", MEANS)
+    def test_value_frequencies_match_poisson(self, lam):
+        # every value expected 25 times or more is its own bin, the rest one
+        # pooled bin; each bin's count lies within SE_MULTIPLE binomial SEs
+        values = simulate._poisson_sample(lam, self.N, np.random.default_rng(11))
+        assert values.dtype == np.int64 and values.shape == (self.N,)
+        support = np.arange(int(values.max()) + 200)
+        expected = stats.poisson.pmf(support, lam)
+        own_bin = self.N * expected >= 25
+        counts = np.bincount(values, minlength=support.size)
+        got = np.append(counts[own_bin], self.N - counts[own_bin].sum())
+        prob = np.append(expected[own_bin], 1.0 - expected[own_bin].sum())
+        se = np.sqrt(self.N * prob * (1.0 - prob))
+        assert (np.abs(got - self.N * prob) <= SE_MULTIPLE * se).all()
+
+    @pytest.mark.parametrize("lam", MEANS)
+    def test_no_values(self, lam):
+        assert simulate._poisson_sample(lam, 0, np.random.default_rng(1)).size == 0
+
+    @pytest.mark.parametrize("lam", [0.05, 1.9, 9.9])
+    def test_order_is_exchangeable(self, lam):
+        # a multiset left unshuffled would start with its zeros and end with
+        # its largest values
+        values = simulate._poisson_sample(lam, self.N, np.random.default_rng(12))
+        edge = self.N // 100
+        se = math.sqrt(lam / edge)
+        for part in (values[:edge], values[-edge:]):
+            assert abs(part.mean() - lam) <= SE_MULTIPLE * se
+
+    def test_each_arm_draws_its_own_mean(self):
+        # control 1.9 on the multiset, intervention 57 on rng.poisson
+        design = grid_design(beta2=math.log(30.0), rho=0.05, q=0.0)
+        arms, sizes, nonzero, shared, own = simulate._draw_trial(design, 2_000, 8)
+        in_arm1 = np.repeat(arms == 1, nonzero)
+        for arm, parts in ((design.control, own[~in_arm1]), (design.intervention, own[in_arm1])):
+            lam = arm.lam * (1.0 - design.rho_u)
+            assert abs(parts.mean() - lam) <= SE_MULTIPLE * math.sqrt(lam / parts.size)
+
+
 class TestAgainstSubjectOracle:
     """generate_trial against the subject-by-subject oracle: in each arm, the
     per-cluster outcome sum, sum of squares and zero count have the same
@@ -377,15 +423,15 @@ class TestDatasetIO:
 
     def test_bytes_pinned_across_versions(self, tmp_path):
         # simulate.py promises bit-for-bit replay of a seed; the hash pins
-        # the bytes this seed produces with GENERATOR_VERSION 4, and changes
+        # the bytes this seed produces with GENERATOR_VERSION 5, and changes
         # only together with that version
-        assert simulate.GENERATOR_VERSION == 4
+        assert simulate.GENERATOR_VERSION == 5
         data = generate_trial(grid_design(), 12, seed=2024)
         path = tmp_path / "trial.csv"
         write_dataset(data, str(path))
         assert data.n_subjects == 493
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "055d311606166f89de1d8cb1c1715e3c5e4fa18353cc1c3a2922955e17d8bb96"
+            "1e0c9bab02b6e300cd431a4bf315f6d3ffe7f21fe5e201915a10fbf16f2c2edf"
         )
 
     PLAIN = "cluster_id,arm,y\n0,0,1\n1,1,2\n0,0,3\n"
