@@ -25,6 +25,13 @@ from .errors import ConfigError, DomainError
 
 # Absolute tolerance for internal consistency identities (e.g. mu == (1-p)*lam).
 IDENTITY_TOL = 1e-12
+# A size law tabulates its cells (m, k), 0 <= k <= m, only up to this many:
+# DU(10,80) has 3,266, and DU(1,360) is the widest DU(1, hi) within it
+MAX_SIZE_CELLS = 2**16
+# The largest cluster mean hi * lam a design may have.  A simulated cluster
+# sum is one Poisson draw of a mean up to hi * lam (numpy takes means up to
+# about 9.2e18) and is stored as an int64; 2**62 is half of either limit.
+MAX_CLUSTER_MEAN = 2.0**62
 
 
 def _odds(p: float) -> float:
@@ -74,6 +81,28 @@ class ArmProfile:
         return cls(mu=(1.0 - p) * lam, p=p, lam=lam)
 
 
+class SizeCells(NamedTuple):
+    """The cells ``(m, k)``, ``0 <= k <= m``, of a size law's support, ``m``
+    ascending and ``k`` ascending within each ``m``: each cell's ``m``, ``k``,
+    ``m - k`` and ``log P(m) + log C(m, k)``."""
+
+    m: np.ndarray
+    k: np.ndarray
+    rest: np.ndarray
+    log_base: np.ndarray
+
+
+def _size_cells(support: np.ndarray, log_pmf: np.ndarray) -> SizeCells:
+    """The cells of a law with ``log P(m)`` ``log_pmf`` on ``support``."""
+    width = support + 1
+    m = np.repeat(support, width)
+    k = np.arange(m.size) - np.repeat(np.cumsum(width) - width, width)
+    log_factorial = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1, support[-1] + 1)))))
+    rest = m - k
+    log_base = np.repeat(log_pmf, width) + log_factorial[m] - log_factorial[k] - log_factorial[rest]
+    return SizeCells(m, k, rest, log_base)
+
+
 @dataclass(frozen=True)
 class ClusterSizeModel:
     """Distribution of the number of subjects per cluster.
@@ -88,6 +117,13 @@ class ClusterSizeModel:
     renormalized mass function, weighted in logs).  A truncated Poisson also
     keeps that mass function's cumulative sum, ending in exactly 1.0, from
     which :mod:`zipcrt.simulate` draws its sizes.
+
+    A law with at most ``MAX_SIZE_CELLS`` cells ``(m, k)``, ``0 <= k <= m``
+    on its support (``sum(m + 1)``) also keeps them as :class:`SizeCells`,
+    the part of the joint law of a cluster's size and non-structural-zero
+    count that does not depend on the arm.  :mod:`zipcrt.simulate` draws
+    ``(m, K)`` by inverting that law; a wider law keeps None and draws ``m``
+    and ``K`` one after the other.
     """
 
     kind: str
@@ -97,16 +133,18 @@ class ClusterSizeModel:
     eta_m: float = field(init=False, compare=False)
     sigma2_m: float = field(init=False, compare=False)
     _cdf: Optional[np.ndarray] = field(init=False, compare=False, repr=False, default=None)
+    _cells: Optional[SizeCells] = field(init=False, compare=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
         if self.lo < 1:
             raise DomainError(f"cluster sizes must be >= 1, got lo={self.lo}")
         if self.hi < self.lo:
             raise DomainError(f"empty support: lo={self.lo} > hi={self.hi}")
+        n = self.hi - self.lo + 1
         if self.kind == "discrete_uniform":
-            n = self.hi - self.lo + 1
             eta = (self.lo + self.hi) / 2.0
             sigma2 = (n * n - 1) / 12.0
+            log_pmf = -math.log(n)
         elif self.kind == "truncated_poisson":
             if self.rate is None or not (math.isfinite(self.rate) and self.rate > 0.0):
                 raise DomainError(f"truncated_poisson requires a finite rate > 0, got {self.rate}")
@@ -122,7 +160,9 @@ class ClusterSizeModel:
                     f"truncated_poisson({self.rate}) has no mass on [{self.lo}, {self.hi}]"
                 )
             pmf = np.exp(log_weight - log_weight[peak])
-            pmf /= pmf.sum()
+            total = pmf.sum()
+            pmf /= total
+            log_pmf = log_weight - log_weight[peak] - math.log(total)
             eta = float(np.dot(support, pmf))
             sigma2 = float(np.dot((support - eta) ** 2, pmf))
             cdf = np.cumsum(pmf)
@@ -133,10 +173,15 @@ class ClusterSizeModel:
                 raise DomainError("fixed cluster size requires lo == hi")
             eta = float(self.lo)
             sigma2 = 0.0
+            log_pmf = 0.0
         else:
             raise DomainError(f"unknown cluster size kind: {self.kind!r}")
         object.__setattr__(self, "eta_m", float(eta))
         object.__setattr__(self, "sigma2_m", float(max(sigma2, 0.0)))
+        if n * (self.lo + self.hi + 2) // 2 <= MAX_SIZE_CELLS:  # sum(m + 1) over the support
+            support = np.arange(self.lo, self.hi + 1)
+            cells = _size_cells(support, np.broadcast_to(log_pmf, support.shape))
+            object.__setattr__(self, "_cells", cells)
 
     @classmethod
     def discrete_uniform(cls, lo: int, hi: int) -> "ClusterSizeModel":
@@ -276,10 +321,22 @@ def build_design(
     assert p2 is not None
     if not (0.0 <= p2 < 1.0):
         raise DomainError(f"resolved p2={p2} outside [0, 1)")
+    control = ArmProfile.from_mean(mu1_resolved, p1)
+    intervention = ArmProfile.from_mean(mu2, p2)
+    control_key = f"'mu1'={mu1}" if mu1 is not None else f"'beta1'={beta1}"
+    for arm, key, name in ((control, control_key, "control"),
+                           (intervention, f"'beta2'={beta2}", "intervention")):
+        _mean_squared(arm.mu)  # a mean sizing cannot square is named as such first
+        if cluster_sizes.hi * arm.lam >= MAX_CLUSTER_MEAN:
+            raise DomainError(
+                f"{key} with cluster_size.hi={cluster_sizes.hi} gives the {name} arm a "
+                f"cluster mean hi*lam={cluster_sizes.hi * arm.lam:g}; simulation needs it "
+                f"below {MAX_CLUSTER_MEAN:g}"
+            )
 
     return DesignInputs(
-        control=ArmProfile.from_mean(mu1_resolved, p1),
-        intervention=ArmProfile.from_mean(mu2, p2),
+        control=control,
+        intervention=intervention,
         beta1=beta1,
         beta2=beta2,
         rho_s=rho_s,

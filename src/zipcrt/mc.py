@@ -9,7 +9,9 @@ generate data with the effect removed.
 Studies, the ICC and :func:`zipcrt.simulate.generate_trial` draw from one
 core, ``simulate._draw_nonzero_counts``: given each cluster's arm, it draws
 the size ``m`` and the number ``K`` of subjects that are not structural
-zeros (see :mod:`zipcrt.simulate`).  Every Wald decision depends on a trial
+zeros, each arm's clusters as one multiset from its tabulated joint law of
+``(m, K)`` (see :mod:`zipcrt.simulate`).  A chunk's ``(R, N)`` clusters of
+one arm are one such multiset.  Every Wald decision depends on a trial
 only through each cluster's arm, ``m_i`` and outcome sum ``Y_i`` (see
 :mod:`zipcrt.gee`), so the study engine never forms subject-level data: it
 draws ``Y = Poisson(K * lam * (1 - rho_u)) + K * Poisson(lam * rho_u)``,
@@ -65,9 +67,10 @@ _MAX_FAILURE_FRACTION = 0.01
 
 # What a study or table manifest records about the engine.  A change to a
 # stream, the chunk size or the draws changes seeded results and bumps the
-# version; version 3 drew truncated-Poisson sizes by rejection.
+# version; version 3 drew truncated-Poisson sizes by rejection, and version
+# 4 drew each cluster's size, shared zero and ``K`` in turn.
 ENGINE = "cluster-sum"
-ENGINE_VERSION = 4
+ENGINE_VERSION = 5
 STREAM_TAG = 0x43535553  # the chunk streams (seed, STREAM_TAG, chunk index)
 CHUNK_REPLICATES = 256
 

@@ -15,11 +15,16 @@ separately for the two parts:
     Poisson(lam) and pairwise correlation ``rho_u``.
 
 :func:`_draw_nonzero_counts` draws ``m`` and ``K`` for any arm layout; the
-study engine in :mod:`zipcrt.mc` draws from it too.  A cluster size ``m``
-takes one draw: a discrete-uniform size one integer, and a truncated-Poisson
-size one uniform, at which it inverts the law's cumulative mass function,
-so any law :class:`ClusterSizeModel` accepts can be drawn.  A dataset draws
-every value, arms and sizes included, as whole arrays from one stream,
+study engine in :mod:`zipcrt.mc` draws from it too.  It draws each arm's
+clusters as one multiset of cells ``(m, k)`` of the arm's joint law of
+``(m, K)``: sorted uniforms inverted through the law's cumulative sum
+(:func:`_nonzero_cdf`, over the cells ``ClusterSizeModel`` tabulates), then
+one shuffle.  A law with more than ``design.MAX_SIZE_CELLS`` (2**16) cells
+is not tabulated; it draws each size (a discrete-uniform size one integer,
+a truncated-Poisson size one uniform at which it inverts the law's
+cumulative mass function), then ``c``, then ``K``.  Either way any law
+:class:`ClusterSizeModel` accepts can be drawn.  A dataset draws every
+value, arms and sizes included, as whole arrays from one stream,
 ``(seed, TRIAL_STREAM_TAG)``, and lays each cluster's ``K`` non-zero draws
 on its first ``K`` rows; no statistic depends on the order within a
 cluster.  The own parts of an arm are iid with one mean, so
@@ -42,16 +47,17 @@ from typing import NoReturn, Optional
 
 import numpy as np
 
-from .design import ClusterSizeModel, DesignInputs
+from .design import ClusterSizeModel, DesignInputs, SizeCells
 from .errors import ConfigError, DomainError
 
 # What a simulate manifest records about the generator.  A change to the
 # stream or to the order of the draws changes seeded datasets and bumps the
 # version; version 1 drew each cluster from its own substream, version 2
 # drew each subject's zero and count, version 3 drew truncated-Poisson
-# sizes by rejection, and version 4 drew every own Poisson part by itself.
+# sizes by rejection, version 4 drew every own Poisson part by itself, and
+# version 5 drew each cluster's size, shared zero and ``K`` in turn.
 GENERATOR = "subject-array"
-GENERATOR_VERSION = 5
+GENERATOR_VERSION = 6
 TRIAL_STREAM_TAG = 0x54524941  # a dataset's stream (seed, TRIAL_STREAM_TAG)
 
 _SEED_LIMIT = 2**64
@@ -146,20 +152,73 @@ def _draw_cluster_sizes(
     return model.lo + np.searchsorted(model._cdf, rng.random(shape), side="right")
 
 
+def _nonzero_cdf(cells: SizeCells, p: float, rho_s: float) -> np.ndarray:
+    """The cumulative law of one arm's ``(m, K)`` over a size law's cells.
+
+    Cell ``(m, k)`` has the mass
+    ``P(m) C(m, k) [p pi1**k (1 - pi1)**(m - k) + (1 - p) pi0**k (1 - pi0)**(m - k)]``
+    with ``pi1 = (1 - sqrt(rho_s)) (1 - p)`` and
+    ``pi0 = 1 - (1 - sqrt(rho_s)) p``, the binomial's success probability
+    given a shared zero ``c = 1`` and ``c = 0``.  Each probability and its
+    complement is a product or a sum of non-negative terms, never ``1 - x``,
+    so none cancels as ``rho_s`` nears 1.  At ``p = 0`` only ``c = 0`` has
+    mass, and it is the point mass ``k = m``.  The last entry is exactly 1.0.
+    """
+    if p == 0.0:
+        mass = np.exp(cells.log_base) * (cells.rest == 0)
+    else:
+        share = math.sqrt(rho_s)
+        apart = (1.0 - rho_s) / (1.0 + share)  # 1 - sqrt(rho_s)
+        mass = np.zeros(cells.log_base.size)
+        for weight, success, failure in (
+            (p, apart * (1.0 - p), p + share * (1.0 - p)),  # c = 1: pi1, 1 - pi1
+            (1.0 - p, (1.0 - p) + share * p, apart * p),  # c = 0: pi0, 1 - pi0
+        ):
+            log_mass = cells.k * math.log(success)
+            log_mass += cells.rest * math.log(failure)
+            log_mass += cells.log_base
+            log_mass += math.log(weight)
+            mass += np.exp(log_mass, out=log_mass)
+    cdf = np.cumsum(mass)
+    cdf /= cdf[-1]
+    cdf[-1] = 1.0  # a uniform draw in [0, 1) then always lands on a cell
+    return cdf
+
+
 def _draw_nonzero_counts(
     design: DesignInputs, arm: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Size ``m`` and non-structural-zero count ``K`` of each cluster, for an
     array of arm indicators of any shape.
 
-    In this order: the sizes, each cluster's shared zero ``c``, then ``K``
-    as one binomial draw (see the module docstring).
+    A law with cells (``ClusterSizeModel._cells``) draws the control arm's
+    clusters, then the intervention arm's, each as one multiset: sorted
+    uniform draws, each inverted through :func:`_nonzero_cdf`, then one
+    shuffle, laid on the arm's clusters in order.  An arm with the control
+    arm's ``p`` has its law and reuses its CDF.  A wider law draws, in this
+    order, the sizes, each cluster's shared zero ``c``, then ``K`` as one
+    binomial draw (see the module docstring).
     """
-    m = _draw_cluster_sizes(design.cluster_sizes, rng, arm.shape)
-    p = np.where(arm, design.intervention.p, design.control.p)
-    mix = math.sqrt(design.rho_s)
-    shared_zero = rng.random(arm.shape) < p
-    nonzero = rng.binomial(m, (1.0 - mix) * (1.0 - p) + np.where(shared_zero, 0.0, mix))
+    cells = design.cluster_sizes._cells
+    if cells is None:
+        m = _draw_cluster_sizes(design.cluster_sizes, rng, arm.shape)
+        p = np.where(arm, design.intervention.p, design.control.p)
+        mix = math.sqrt(design.rho_s)
+        shared_zero = rng.random(arm.shape) < p
+        nonzero = rng.binomial(m, (1.0 - mix) * (1.0 - p) + np.where(shared_zero, 0.0, mix))
+        return m, nonzero
+    m = np.empty(arm.shape, dtype=np.int64)
+    nonzero = np.empty(arm.shape, dtype=np.int64)
+    in_arm1 = arm.astype(bool)
+    control_cdf = _nonzero_cdf(cells, design.control.p, design.rho_s)
+    for profile, where in ((design.control, ~in_arm1), (design.intervention, in_arm1)):
+        cdf = control_cdf
+        if profile.p != design.control.p:
+            cdf = _nonzero_cdf(cells, profile.p, design.rho_s)
+        cell = np.searchsorted(cdf, np.sort(rng.random(np.count_nonzero(where))), side="right")
+        rng.shuffle(cell)
+        m[where] = cells.m[cell]
+        nonzero[where] = cells.k[cell]
     return m, nonzero
 
 

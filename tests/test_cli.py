@@ -217,6 +217,31 @@ def test_a_mean_whose_square_overflows_is_a_domain_error(tmp_path, capsys, p1):
     assert "error: mean mu=1e+300 is too large: mu**2 overflows a float" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["samplesize"], ["simulate", "--clusters", "6", "--seed", "1"], ["study", "--reps", "20"],
+], ids=["samplesize", "simulate", "study"])
+@pytest.mark.parametrize("mu1, hi", [(1e19, 5), (3e17, 60)])
+def test_a_cluster_mean_beyond_the_draw_bound_is_a_domain_error(
+    tmp_path, capsys, command, mu1, hi
+):
+    # simulate and study died with numpy's "lam value too large" and exit
+    # code 1, while samplesize sized the design
+    sizes = {"kind": "discrete_uniform", "lo": 3, "hi": hi}
+    config = design_file(tmp_path, mu1=mu1, cluster_size=sizes)
+    out = ["--out", str(tmp_path / "out.csv")] if command[0] == "simulate" else []
+    assert cli.main([command[0], "--config", config, *command[1:], *out]) == 2
+    assert f"error: 'mu1'={mu1} with cluster_size.hi={hi}" in capsys.readouterr().err
+
+
+def test_a_cluster_mean_below_the_draw_bound_simulates(tmp_path, capsys):
+    sizes = {"kind": "discrete_uniform", "lo": 3, "hi": 5}
+    out = str(tmp_path / "data.csv")
+    config = design_file(tmp_path, mu1=1e17, cluster_size=sizes)
+    assert cli.main(["simulate", "--config", config, "--clusters", "6", "--seed", "1",
+                     "--out", out]) == 0
+    assert read_dataset(out).outcomes.max() > 1e16
+
+
 def test_negative_table_replications_are_a_config_error(tmp_path, capsys):
     assert cli.main(["tables", "--which", "table1", "--reps", "-3"]) == 2
     assert "replications must be >= 0, got -3" in capsys.readouterr().err
@@ -234,13 +259,13 @@ def test_simulate_manifest_records_the_generator(tmp_path, capsys):
     manifest = json.loads((tmp_path / "data.csv.manifest.json").read_text(encoding="utf-8"))
     assert (manifest["command"], manifest["seed"]) == ("simulate", 3)
     assert manifest["generator"] == {
-        "name": "subject-array", "version": 5, "stream_tag": simulate.TRIAL_STREAM_TAG,
+        "name": "subject-array", "version": 6, "stream_tag": simulate.TRIAL_STREAM_TAG,
     }
     assert "engine" not in manifest
 
 
 ENGINE_FIELDS = {
-    "name": "cluster-sum", "version": 4, "stream_tag": mc.STREAM_TAG, "chunk_replicates": 256,
+    "name": "cluster-sum", "version": 5, "stream_tag": mc.STREAM_TAG, "chunk_replicates": 256,
 }
 
 

@@ -21,6 +21,7 @@ from zipcrt import (
     pairwise_covariance_factor,
     zero_probability,
 )
+from zipcrt.design import MAX_CLUSTER_MEAN
 
 from conftest import DU_34_56, enumerated_pair_covariance, grid_design
 
@@ -361,6 +362,28 @@ class TestBuildDesign:
         means = {"beta2": -0.431, **means}
         with pytest.raises(DomainError, match=key):
             build_design(**means, p1=0.0, q=0.0, rho_s=0.03, rho_u=0.03, cluster_sizes=DU_34_56)
+
+    @pytest.mark.parametrize("means, key", [
+        (dict(mu1=1e19), r"'mu1'=1e\+19 with cluster_size.hi=5 gives the control arm"),
+        (dict(beta1=math.log(1e19)), "'beta1'=43.749"),
+        (dict(mu1=1e17, beta2=math.log(20.0)), "'beta2'=2.995.* gives the intervention arm"),
+    ], ids=["mu1", "beta1", "beta2"])
+    def test_a_cluster_mean_beyond_the_draw_bound_names_its_key(self, means, key):
+        # numpy's Poisson draw refused the mean hi * lam with a bare ValueError
+        means = {"beta2": -0.431, **means}
+        with pytest.raises(DomainError, match=key):
+            build_design(**means, p1=0.0, q=0.0, rho_s=0.03, rho_u=0.03,
+                         cluster_sizes=ClusterSizeModel.discrete_uniform(3, 5))
+
+    def test_the_draw_bound_is_on_hi_times_lam(self):
+        # lam = mu1 with p1 = 0, so hi * lam crosses MAX_CLUSTER_MEAN with mu1
+        at_bound = MAX_CLUSTER_MEAN / 4
+        sizes = ClusterSizeModel.discrete_uniform(3, 4)
+        build_design(mu1=at_bound * (1 - 1e-9), beta2=-0.431, p1=0.0, q=0.0, rho_s=0.03,
+                     rho_u=0.03, cluster_sizes=sizes)
+        with pytest.raises(DomainError, match="simulation needs it below"):
+            build_design(mu1=at_bound * (1 + 1e-9), beta2=-0.431, p1=0.0, q=0.0, rho_s=0.03,
+                         rho_u=0.03, cluster_sizes=sizes)
 
     def test_under_null_shares_control_profile(self):
         null = grid_design().under_null()

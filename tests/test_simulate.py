@@ -26,6 +26,7 @@ from zipcrt import (
     write_dataset,
     zero_probability,
 )
+from zipcrt.design import MAX_SIZE_CELLS
 
 from conftest import (
     DU_10_80,
@@ -229,6 +230,88 @@ class TestPoissonSample:
             assert abs(parts.mean() - lam) <= SE_MULTIPLE * math.sqrt(lam / parts.size)
 
 
+def nonzero_count_law(design, p):
+    """The exact law of a cluster's ``(m, K)`` in an arm with structural-zero
+    probability ``p``: arrays of every cell's ``m``, ``k`` and probability,
+    from scipy's size pmf and binomials, ``m`` ascending, then ``k``."""
+    sizes = design.cluster_sizes
+    support = np.arange(sizes.lo, sizes.hi + 1)
+    if sizes.kind == "truncated_poisson":
+        size_pmf = stats.poisson.pmf(support, sizes.rate)
+        size_pmf /= size_pmf.sum()
+    else:
+        size_pmf = np.full(support.size, 1.0 / support.size)
+    share = math.sqrt(design.rho_s)
+    shared_zero = (1.0 - share) * (1.0 - p)  # success probability given c = 1
+    no_shared_zero = 1.0 - (1.0 - share) * p  # given c = 0
+    m = np.repeat(support, support + 1)
+    k = np.concatenate([np.arange(size + 1) for size in support])
+    prob = np.repeat(size_pmf, support + 1) * (
+        p * stats.binom.pmf(k, m, shared_zero) + (1.0 - p) * stats.binom.pmf(k, m, no_shared_zero)
+    )
+    return m, k, prob
+
+
+class TestNonzeroCounts:
+    """_draw_nonzero_counts' cells (m, K) against their exact law, on laws
+    that tabulate their cells."""
+
+    N = 100_000  # clusters per arm
+
+    @pytest.mark.parametrize("design", [
+        grid_design(DU_34_56, rho=0.1, p1=0.3),
+        grid_design(DU_10_80, rho=0.1, p1=0.3),
+        grid_design(TRUNPOIS, rho=0.1, p1=0.3),
+        grid_design(ClusterSizeModel.truncated_poisson(45.0, 90, 100), rho=0.1, p1=0.3),
+        grid_design(ClusterSizeModel.fixed(20), rho=0.1, p1=0.3),
+        grid_design(DU_34_56, rho=0.1, p1=0.0, q=0.0),
+        grid_design(DU_34_56, rho=1.0 - 1e-12),
+    ], ids=["du34-56", "du10-80", "trunpois", "trunpois-far-tail", "fixed", "no-zeros",
+            "full-sharing"])
+    def test_cell_frequencies_match_the_exact_law(self, design):
+        # the arms alternate over a (rows, clusters) layout, as in a study;
+        # every cell expected 25 times or more is its own bin, the rest one
+        # pooled bin, and each bin's count lies within SE_MULTIPLE binomial SEs
+        arm = (np.arange(2 * self.N) % 2).reshape(-1, 40)
+        m, nonzero = simulate._draw_nonzero_counts(design, arm, np.random.default_rng(21))
+        assert m.shape == nonzero.shape == arm.shape
+        for a in (0, 1):
+            law_m, law_k, prob = nonzero_count_law(design, design.arm(a).p)
+            cell = {(mi, ki): i for i, (mi, ki) in enumerate(zip(law_m.tolist(), law_k.tolist()))}
+            drawn = [cell[pair] for pair in zip(m[arm == a].tolist(), nonzero[arm == a].tolist())]
+            counts = np.bincount(drawn, minlength=prob.size)
+            own_bin = self.N * prob >= 25
+            got = np.append(counts[own_bin], self.N - counts[own_bin].sum())
+            expected = np.append(prob[own_bin], 1.0 - prob[own_bin].sum())
+            se = np.sqrt(self.N * expected * (1.0 - expected))
+            assert (np.abs(got - self.N * expected) <= SE_MULTIPLE * se).all()
+
+    def test_order_is_exchangeable(self):
+        # a multiset left unshuffled would start with its smallest cells and
+        # end with its largest
+        design = grid_design(DU_10_80, rho=0.1, p1=0.3)
+        law_m, law_k, prob = nonzero_count_law(design, design.control.p)
+        mean = float(np.dot(law_k, prob))
+        sd = math.sqrt(float(np.dot((law_k - mean) ** 2, prob)))
+        arm = np.zeros(self.N, dtype=np.int64)
+        nonzero = simulate._draw_nonzero_counts(design, arm, np.random.default_rng(22))[1]
+        edge = self.N // 100
+        for part in (nonzero[:edge], nonzero[-edge:]):
+            assert abs(part.mean() - mean) <= SE_MULTIPLE * sd / math.sqrt(edge)
+
+    @pytest.mark.parametrize("sizes", [
+        ClusterSizeModel.discrete_uniform(1, 360), ClusterSizeModel.discrete_uniform(1, 361),
+        ClusterSizeModel.discrete_uniform(1, 400), ClusterSizeModel.fixed(65_535),
+        ClusterSizeModel.fixed(65_536), DU_10_80, TRUNPOIS,
+        ClusterSizeModel.truncated_poisson(500.0, 400, 600),
+    ])
+    def test_a_law_has_its_cells_exactly_up_to_the_cap(self, sizes):
+        cells = sum(m + 1 for m in range(sizes.lo, sizes.hi + 1))
+        assert (sizes._cells is not None) == (cells <= MAX_SIZE_CELLS)
+        if sizes._cells is not None:
+            assert sizes._cells.m.size == cells
+
+
 class TestAgainstSubjectOracle:
     """generate_trial against the subject-by-subject oracle: in each arm, the
     per-cluster outcome sum, sum of squares and zero count have the same
@@ -239,7 +322,9 @@ class TestAgainstSubjectOracle:
         grid_design(DU_10_80, rho=0.05, q=0.3),
         grid_design(TRUNPOIS, rho=0.0),
         grid_design(ClusterSizeModel.fixed(20), rho=0.3, p1=0.0, q=0.0),
-    ], ids=["du34-56", "du10-80", "trunpois-independent", "fixed-no-zeros"])
+        # no cells: sizes, shared zeros and K drawn one after the other
+        grid_design(ClusterSizeModel.discrete_uniform(1, 400), rho=0.05),
+    ], ids=["du34-56", "du10-80", "trunpois-independent", "fixed-no-zeros", "du1-400-above-cap"])
     def test_cluster_statistics(self, design):
         data = generate_trial(design, 10_000, seed=4)
         oracle = subject_trial(design, 10_000, seed=4)
@@ -423,15 +508,15 @@ class TestDatasetIO:
 
     def test_bytes_pinned_across_versions(self, tmp_path):
         # simulate.py promises bit-for-bit replay of a seed; the hash pins
-        # the bytes this seed produces with GENERATOR_VERSION 5, and changes
+        # the bytes this seed produces with GENERATOR_VERSION 6, and changes
         # only together with that version
-        assert simulate.GENERATOR_VERSION == 5
+        assert simulate.GENERATOR_VERSION == 6
         data = generate_trial(grid_design(), 12, seed=2024)
         path = tmp_path / "trial.csv"
         write_dataset(data, str(path))
-        assert data.n_subjects == 493
+        assert data.n_subjects == 495
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "1e0c9bab02b6e300cd431a4bf315f6d3ffe7f21fe5e201915a10fbf16f2c2edf"
+            "f37ff69c9876891f7891d3c5403c4f2854a3331f387f74ddb2019bc414990a79"
         )
 
     PLAIN = "cluster_id,arm,y\n0,0,1\n1,1,2\n0,0,3\n"
