@@ -26,8 +26,13 @@ from .errors import ConfigError, DomainError
 # Absolute tolerance for internal consistency identities (e.g. mu == (1-p)*lam).
 IDENTITY_TOL = 1e-12
 # A size law tabulates its cells (m, k), 0 <= k <= m, only up to this many:
-# DU(10,80) has 3,266, and DU(1,360) is the widest DU(1, hi) within it
-MAX_SIZE_CELLS = 2**16
+# DU(10,80) has 3,266, and DU(1,254) is the widest DU(1, hi) within it.  The
+# table pays two exp passes over its cells per draw, the per-cluster draws a
+# binomial per cluster, so the break-even grows with the clusters drawn at
+# once: timed on DU(1, hi) study chunks of 256 replicates (one core), about
+# 15k cells at N = 14, 20k-32k at N = 30 and above 32k at N = 60.  The cap
+# sits at the N = 30 break-even; no benchmark workload yet has a law near it.
+MAX_SIZE_CELLS = 2**15
 # The largest cluster mean hi * lam a design may have.  A simulated cluster
 # sum is one Poisson draw of a mean up to hi * lam (numpy takes means up to
 # about 9.2e18) and is stored as an int64; 2**62 is half of either limit.
@@ -200,6 +205,9 @@ class ClusterSizeModel:
 class DesignInputs:
     """Complete design-stage specification of a two-arm cluster trial.
 
+    Each arm's largest cluster mean ``cluster_sizes.hi * lam`` must lie
+    below ``MAX_CLUSTER_MEAN``, so that every design can be simulated.
+
     Attributes:
         control: ZIP profile of the control arm.
         intervention: ZIP profile of the intervention arm.
@@ -239,6 +247,10 @@ class DesignInputs:
                 f"exp(beta1+beta2)={math.exp(self.beta1 + self.beta2)} != "
                 f"intervention mean {self.intervention.mu}"
             )
+        _check_cluster_mean(self.cluster_sizes, self.control, f"'beta1'={self.beta1}", "control")
+        _check_cluster_mean(
+            self.cluster_sizes, self.intervention, f"'beta2'={self.beta2}", "intervention"
+        )
         for name in ("rho_s", "rho_u"):
             rho = getattr(self, name)
             if not (0.0 <= rho < 1.0):
@@ -261,6 +273,16 @@ class DesignInputs:
         the effect size used for sample-size calculation.
         """
         return replace(self, intervention=self.control, beta2=0.0)
+
+
+def _check_cluster_mean(sizes: ClusterSizeModel, arm: ArmProfile, key: str, name: str) -> None:
+    """A DomainError naming ``key`` if the arm's largest cluster mean
+    ``hi * lam`` reaches ``MAX_CLUSTER_MEAN``."""
+    if sizes.hi * arm.lam >= MAX_CLUSTER_MEAN:
+        raise DomainError(
+            f"{key} with cluster_size.hi={sizes.hi} gives the {name} arm a cluster mean "
+            f"hi*lam={sizes.hi * arm.lam:g}; simulation needs it below {MAX_CLUSTER_MEAN:g}"
+        )
 
 
 def _arm_mean(log_mean: float, key: str, arm: str) -> float:
@@ -323,16 +345,10 @@ def build_design(
         raise DomainError(f"resolved p2={p2} outside [0, 1)")
     control = ArmProfile.from_mean(mu1_resolved, p1)
     intervention = ArmProfile.from_mean(mu2, p2)
-    control_key = f"'mu1'={mu1}" if mu1 is not None else f"'beta1'={beta1}"
-    for arm, key, name in ((control, control_key, "control"),
-                           (intervention, f"'beta2'={beta2}", "intervention")):
+    for arm in (control, intervention):
         _mean_squared(arm.mu)  # a mean sizing cannot square is named as such first
-        if cluster_sizes.hi * arm.lam >= MAX_CLUSTER_MEAN:
-            raise DomainError(
-                f"{key} with cluster_size.hi={cluster_sizes.hi} gives the {name} arm a "
-                f"cluster mean hi*lam={cluster_sizes.hi * arm.lam:g}; simulation needs it "
-                f"below {MAX_CLUSTER_MEAN:g}"
-            )
+    if mu1 is not None:  # DesignInputs names beta1, which the caller did not give
+        _check_cluster_mean(cluster_sizes, control, f"'mu1'={mu1}", "control")
 
     return DesignInputs(
         control=control,

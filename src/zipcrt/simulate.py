@@ -19,10 +19,11 @@ study engine in :mod:`zipcrt.mc` draws from it too.  It draws each arm's
 clusters as one multiset of cells ``(m, k)`` of the arm's joint law of
 ``(m, K)``: sorted uniforms inverted through the law's cumulative sum
 (:func:`_nonzero_cdf`, over the cells ``ClusterSizeModel`` tabulates), then
-one shuffle.  A law with more than ``design.MAX_SIZE_CELLS`` (2**16) cells
-is not tabulated; it draws each size (a discrete-uniform size one integer,
-a truncated-Poisson size one uniform at which it inverts the law's
-cumulative mass function), then ``c``, then ``K``.  Either way any law
+one shuffle.  A law with more than ``design.MAX_SIZE_CELLS`` (2**15) cells
+is not tabulated, since there one binomial per cluster costs less than two
+``exp`` passes over the cells; it draws each size (a discrete-uniform size
+one integer, a truncated-Poisson size one uniform at which it inverts the
+law's cumulative mass function), then ``c``, then ``K``.  Either way any law
 :class:`ClusterSizeModel` accepts can be drawn.  A dataset draws every
 value, arms and sizes included, as whole arrays from one stream,
 ``(seed, TRIAL_STREAM_TAG)``, and lays each cluster's ``K`` non-zero draws

@@ -1,5 +1,6 @@
 """Tests for arm profiles, effect decomposition, and covariance factors."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -384,6 +385,21 @@ class TestBuildDesign:
         with pytest.raises(DomainError, match="simulation needs it below"):
             build_design(mu1=at_bound * (1 + 1e-9), beta2=-0.431, p1=0.0, q=0.0, rho_s=0.03,
                          rho_u=0.03, cluster_sizes=sizes)
+
+    @pytest.mark.parametrize("arm, key", [
+        ("control", "'beta1'=43.749.* gives the control arm"),
+        ("intervention", "'beta2'=43.749.* gives the intervention arm"),
+    ])
+    def test_the_draw_bound_holds_for_designs_not_built_by_build_design(self, arm, key):
+        # a DesignInputs made with dataclasses.replace reached numpy's bare ValueError
+        design = grid_design(cluster_sizes=ClusterSizeModel.discrete_uniform(3, 5), p1=0.0)
+        huge = ArmProfile.from_mean(math.exp(math.log(1e19)), 0.0)  # exp(beta1) exactly
+        if arm == "control":
+            changes = dict(control=huge, intervention=huge, beta1=math.log(1e19), beta2=0.0)
+        else:
+            changes = dict(intervention=huge, beta2=math.log(1e19))
+        with pytest.raises(DomainError, match=key):
+            dataclasses.replace(design, **changes)
 
     def test_under_null_shares_control_profile(self):
         null = grid_design().under_null()

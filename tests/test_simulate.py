@@ -300,9 +300,9 @@ class TestNonzeroCounts:
             assert abs(part.mean() - mean) <= SE_MULTIPLE * sd / math.sqrt(edge)
 
     @pytest.mark.parametrize("sizes", [
-        ClusterSizeModel.discrete_uniform(1, 360), ClusterSizeModel.discrete_uniform(1, 361),
-        ClusterSizeModel.discrete_uniform(1, 400), ClusterSizeModel.fixed(65_535),
-        ClusterSizeModel.fixed(65_536), DU_10_80, TRUNPOIS,
+        ClusterSizeModel.discrete_uniform(1, 254), ClusterSizeModel.discrete_uniform(1, 255),
+        ClusterSizeModel.discrete_uniform(1, 400), ClusterSizeModel.fixed(32_767),
+        ClusterSizeModel.fixed(32_768), DU_10_80, TRUNPOIS,
         ClusterSizeModel.truncated_poisson(500.0, 400, 600),
     ])
     def test_a_law_has_its_cells_exactly_up_to_the_cap(self, sizes):
