@@ -175,8 +175,8 @@ def _design_to_dict(design: DesignInputs) -> dict:
         "beta2": design.beta2,
         "mu1": design.control.mu,
         "mu2": design.intervention.mu,
-        "p1": design.control.p,
-        "p2": design.intervention.p,
+        "p1": design.p1,
+        "p2": design.p2,
         "rho_s": design.rho_s,
         "rho_u": design.rho_u,
         "r_bar": design.r_bar,
@@ -238,7 +238,7 @@ def _cmd_samplesize(args) -> int:
     normal = sample_size_normal(design)
     student = sample_size_t(design)
     print(f"q = {_fmt(split.q) if split.q is not None else 'undefined'}")
-    print(f"p2 = {_fmt(design.intervention.p)}")
+    print(f"p2 = {_fmt(design.p2)}")
     print(f"zeta1 = {_fmt(pairwise_covariance_factor(design.control, design.rho_s, design.rho_u))}")
     print(f"zeta2 = {_fmt(pairwise_covariance_factor(design.intervention, design.rho_s, design.rho_u))}")
     print(f"sigma2_sq = {_fmt(normal.sigma2_sq)}")
@@ -260,14 +260,16 @@ def _cmd_sweep(args) -> int:
     lines = ["q,p2,n_z,n_t,error"]
     successes = 0
     for normal, student in zip(normal_entries, t_entries):
-        if normal.error is None:
-            successes += 1
-            n_t = student.result.n_clusters if student.result else ""
-            lines.append(
-                f"{_fmt(normal.q)},{_fmt(normal.p2)},{normal.result.n_clusters},{n_t},"
-            )
-        else:
+        if normal.error is not None:
             lines.append(f'{_fmt(normal.q)},,,,"{normal.error}"')
+            continue
+        successes += 1
+        # a t sizing can fail where the normal one holds: too few clusters for df >= 1
+        n_t = student.result.n_clusters if student.result else ""
+        error = f'"{student.error}"' if student.error else ""
+        lines.append(
+            f"{_fmt(normal.q)},{_fmt(normal.p2)},{normal.result.n_clusters},{n_t},{error}"
+        )
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -384,6 +386,8 @@ def _cmd_study(args) -> int:
 
 def _cmd_tables(args) -> int:
     selection = [s.strip() for s in args.which.split(",") if s.strip()]
+    if not selection:
+        raise ConfigError("--which produced an empty list")
     seed = _resolve_seed(args.seed)
     reports = reproduce_tables(selection, args.reps, seed)
     for report in reports:

@@ -23,8 +23,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 
-# Absolute tolerance for internal consistency identities (e.g. mu == (1-p)*lam).
-IDENTITY_TOL = 1e-12
 # A size law tabulates its cells (m, k), 0 <= k <= m, only up to this many:
 # DU(10,80) has 3,266, and DU(1,254) is the widest DU(1, hi) within it.  The
 # table pays two exp passes over its cells per draw, the per-cluster draws a
@@ -51,39 +49,33 @@ class ArmProfile:
     Attributes:
         mu: marginal mean of the outcome, ``mu = (1 - p) * lam``.
         p: probability that an observation is a structural zero, in [0, 1).
-        lam: mean of the Poisson component.
     """
 
     mu: float
     p: float
-    lam: float
 
     def __post_init__(self) -> None:
         if not (self.mu > 0.0 and math.isfinite(self.mu)):
             raise DomainError(f"mu must be positive and finite, got {self.mu}")
         if not (0.0 <= self.p < 1.0):
             raise DomainError(f"p must lie in [0, 1), got {self.p}")
-        if not (self.lam > 0.0 and math.isfinite(self.lam)):
-            raise DomainError(f"lam must be positive and finite, got {self.lam}")
-        if abs(self.mu - (1.0 - self.p) * self.lam) > IDENTITY_TOL:
-            raise DomainError(
-                f"inconsistent profile: mu={self.mu} != (1-p)*lam="
-                f"{(1.0 - self.p) * self.lam}"
-            )
+
+    @property
+    def lam(self) -> float:
+        """Mean of the Poisson component, ``mu / (1 - p)``."""
+        return self.mu / (1.0 - self.p)
 
     @classmethod
     def from_mean(cls, mu: float, p: float) -> "ArmProfile":
         """Build a profile from the marginal mean and structural-zero probability."""
-        if not (0.0 <= p < 1.0):
-            raise DomainError(f"p must lie in [0, 1), got {p}")
-        return cls(mu=mu, p=p, lam=mu / (1.0 - p))
+        return cls(mu=mu, p=p)
 
     @classmethod
     def from_poisson(cls, lam: float, p: float) -> "ArmProfile":
         """Build a profile from the Poisson-component mean and structural-zero probability."""
         if not (0.0 <= p < 1.0):
             raise DomainError(f"p must lie in [0, 1), got {p}")
-        return cls(mu=(1.0 - p) * lam, p=p, lam=lam)
+        return cls(mu=(1.0 - p) * lam, p=p)
 
 
 class SizeCells(NamedTuple):
@@ -209,12 +201,12 @@ class DesignInputs:
     below ``MAX_CLUSTER_MEAN``, so that every design can be simulated.
 
     Attributes:
-        control: ZIP profile of the control arm.
-        intervention: ZIP profile of the intervention arm.
         beta1: log marginal mean of the control arm.
         beta2: log of the marginal-mean ratio intervention/control (the
             overall effect on the log scale).  May be 0 for null-scenario
             data generation; sample-size operations then refuse to run.
+        p1: structural-zero probability of the control arm, in [0, 1).
+        p2: structural-zero probability of the intervention arm, in [0, 1).
         rho_s: exchangeable within-cluster correlation of the structural-zero
             indicators, in [0, 1).
         rho_u: exchangeable within-cluster correlation of the Poisson
@@ -224,43 +216,44 @@ class DesignInputs:
         cluster_sizes: distribution of cluster sizes.
         alpha: two-sided type I error rate.
         power: target power (1 - type II error rate).
+        control: ZIP profile of the control arm, mean ``exp(beta1)`` (derived).
+        intervention: ZIP profile of the intervention arm, mean
+            ``exp(beta1 + beta2)`` (derived).
     """
 
-    control: ArmProfile
-    intervention: ArmProfile
     beta1: float
     beta2: float
+    p1: float
+    p2: float
     rho_s: float
     rho_u: float
     r_bar: float
     cluster_sizes: ClusterSizeModel
     alpha: float = 0.05
     power: float = 0.8
+    control: ArmProfile = field(init=False, compare=False)
+    intervention: ArmProfile = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if abs(math.exp(self.beta1) - self.control.mu) > IDENTITY_TOL:
-            raise DomainError(
-                f"exp(beta1)={math.exp(self.beta1)} != control mean {self.control.mu}"
-            )
-        if abs(math.exp(self.beta1 + self.beta2) - self.intervention.mu) > IDENTITY_TOL:
-            raise DomainError(
-                f"exp(beta1+beta2)={math.exp(self.beta1 + self.beta2)} != "
-                f"intervention mean {self.intervention.mu}"
-            )
-        _check_cluster_mean(self.cluster_sizes, self.control, f"'beta1'={self.beta1}", "control")
-        _check_cluster_mean(
-            self.cluster_sizes, self.intervention, f"'beta2'={self.beta2}", "intervention"
-        )
-        for name in ("rho_s", "rho_u"):
-            rho = getattr(self, name)
-            if not (0.0 <= rho < 1.0):
-                raise DomainError(f"{name} must lie in [0, 1), got {rho}")
+        for name in ("p1", "p2", "rho_s", "rho_u"):
+            value = getattr(self, name)
+            if not (0.0 <= value < 1.0):
+                raise DomainError(f"{name} must lie in [0, 1), got {value}")
+        key1, key2 = f"'beta1'={self.beta1}", f"'beta2'={self.beta2}"
+        control = ArmProfile(_arm_mean(self.beta1, key1, "control"), self.p1)
+        intervention = ArmProfile(_arm_mean(self.beta1 + self.beta2, key2, "intervention"), self.p2)
+        for arm in (control, intervention):
+            _mean_squared(arm.mu)  # a mean sizing cannot square is named as such first
+        _check_cluster_mean(self.cluster_sizes, control, key1, "control")
+        _check_cluster_mean(self.cluster_sizes, intervention, key2, "intervention")
         if not (0.0 < self.r_bar < 1.0):
             raise DomainError(f"r_bar must lie strictly in (0, 1), got {self.r_bar}")
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if not (0.0 < self.power < 1.0):
             raise DomainError(f"power must lie in (0, 1), got {self.power}")
+        object.__setattr__(self, "control", control)
+        object.__setattr__(self, "intervention", intervention)
 
     def arm(self, arm_indicator: int) -> ArmProfile:
         """Profile for arm 0 (control) or 1 (intervention)."""
@@ -272,7 +265,7 @@ class DesignInputs:
         Used to generate null-scenario data while the original design keeps
         the effect size used for sample-size calculation.
         """
-        return replace(self, intervention=self.control, beta2=0.0)
+        return replace(self, beta2=0.0, p2=self.p1)
 
 
 def _check_cluster_mean(sizes: ClusterSizeModel, arm: ArmProfile, key: str, name: str) -> None:
@@ -327,8 +320,6 @@ def build_design(
         if mu1 is None or mu1 <= 0.0:
             raise ConfigError(f"'mu1' must be positive, got {mu1}")
         beta1 = math.log(mu1)
-    mu1_resolved = _arm_mean(beta1, f"'beta1'={beta1}", "control")
-    mu2 = _arm_mean(beta1 + beta2, f"'beta2'={beta2}", "intervention")
 
     if q is None and p2 is None:
         q = 0.5
@@ -340,28 +331,26 @@ def build_design(
                 f"p2={p2_from_q_value:.8f} (fields: p1, p2, q, beta2)"
             )
         p2 = p2_from_q_value
-    assert p2 is not None
-    if not (0.0 <= p2 < 1.0):
-        raise DomainError(f"resolved p2={p2} outside [0, 1)")
-    control = ArmProfile.from_mean(mu1_resolved, p1)
-    intervention = ArmProfile.from_mean(mu2, p2)
-    for arm in (control, intervention):
-        _mean_squared(arm.mu)  # a mean sizing cannot square is named as such first
-    if mu1 is not None:  # DesignInputs names beta1, which the caller did not give
-        _check_cluster_mean(cluster_sizes, control, f"'mu1'={mu1}", "control")
-
-    return DesignInputs(
-        control=control,
-        intervention=intervention,
-        beta1=beta1,
-        beta2=beta2,
-        rho_s=rho_s,
-        rho_u=rho_u,
-        r_bar=r_bar,
-        cluster_sizes=cluster_sizes,
-        alpha=alpha,
-        power=power,
-    )
+    try:
+        return DesignInputs(
+            beta1=beta1,
+            beta2=beta2,
+            p1=p1,
+            p2=p2,
+            rho_s=rho_s,
+            rho_u=rho_u,
+            r_bar=r_bar,
+            cluster_sizes=cluster_sizes,
+            alpha=alpha,
+            power=power,
+        )
+    except DomainError as exc:
+        # DesignInputs names the control's cluster mean by 'beta1', which a
+        # caller who gave 'mu1' did not give
+        named = f"'beta1'={beta1} with"
+        if mu1 is None or not str(exc).startswith(named):
+            raise
+        raise DomainError(f"'mu1'={mu1} with{str(exc)[len(named):]}") from None
 
 
 def _mean_squared(mu: float) -> float:

@@ -298,16 +298,21 @@ def _draw_icc_sums(design: DesignInputs, n_clusters: int, seed: int) -> tuple[np
     """
     arm, m, nonzero, shared, own = _draw_trial(design, n_clusters, seed)
     # per-cluster sums of P and P**2 as differences of running sums, which
-    # also gives 0 for a cluster with K = 0
+    # also gives 0 for a cluster with K = 0.  The squares are summed in
+    # float64, in the same buffer: exact below 2**53, and past 2**63 (a mean
+    # near 1e9) they would wrap in int64.
     ends = np.cumsum(nonzero)
     starts = ends - nonzero
     running = np.zeros(own.size + 1, dtype=np.int64)
     np.cumsum(own, out=running[1:])
     t = running[ends] - running[starts]
-    np.cumsum(np.multiply(own, own, out=own), out=running[1:])
-    q = running[ends] - running[starts]
+    squares = running.view(np.float64)  # squares[0] stays 0.0, the bits of int 0
+    squares[1:] = own
+    squares[1:] *= squares[1:]  # faster than a multiply that casts as it goes
+    np.cumsum(squares, out=squares)
+    q = squares[ends] - squares[starts]
     y = t + nonzero * shared
-    ysq = q + shared * (2 * t + nonzero * shared)
+    ysq = q + shared * (2.0 * t + nonzero * shared)
     return arm, m, y, ysq
 
 

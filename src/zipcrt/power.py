@@ -22,7 +22,7 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .design import ArmProfile, DesignInputs, _odds, p2_from_q, pairwise_covariance_factor
+from .design import DesignInputs, _odds, p2_from_q, pairwise_covariance_factor
 from .errors import DomainError
 
 
@@ -196,14 +196,6 @@ def t_quantile(df: float, prob: float) -> float:
     return sign * t
 
 
-def _arm_variance_block(arm: ArmProfile, design: DesignInputs) -> float:
-    """Per-arm numerator: subject-level variance plus pair-covariance mass."""
-    eta = design.cluster_sizes.eta_m
-    pair_mass = eta * eta + design.cluster_sizes.sigma2_m - eta
-    zeta = pairwise_covariance_factor(arm, design.rho_s, design.rho_u)
-    return eta * arm.mu * (1.0 + _odds(arm.p) * arm.mu) + pair_mass * zeta
-
-
 def design_variance(design: DesignInputs) -> float:
     """Asymptotic variance ``sigma2_sq`` of sqrt(N) times the effect estimate.
 
@@ -218,14 +210,14 @@ def design_variance(design: DesignInputs) -> float:
     """
     if design.r_bar in (0.0, 1.0):
         raise DomainError("degenerate allocation: r_bar must lie strictly in (0, 1)")
-    eta_sq = design.cluster_sizes.eta_m**2
-    control = _arm_variance_block(design.control, design) / (
-        (1.0 - design.r_bar) * design.control.mu**2 * eta_sq
-    )
-    intervention = _arm_variance_block(design.intervention, design) / (
-        design.r_bar * design.intervention.mu**2 * eta_sq
-    )
-    return control + intervention
+    eta = design.cluster_sizes.eta_m
+    pair_mass = eta * eta + design.cluster_sizes.sigma2_m - eta
+    total = 0.0
+    for arm, share in ((design.control, 1.0 - design.r_bar), (design.intervention, design.r_bar)):
+        zeta = pairwise_covariance_factor(arm, design.rho_s, design.rho_u)
+        block = eta * arm.mu * (1.0 + _odds(arm.p) * arm.mu) + pair_mass * zeta
+        total += block / (share * arm.mu**2 * eta**2)
+    return total
 
 
 def sample_size_normal(design: DesignInputs) -> SampleSizeResult:
@@ -313,9 +305,8 @@ def q_sweep(
     entries: list[QSweepEntry] = []
     for q in q_values:
         try:
-            p2 = p2_from_q(design.control.p, design.beta2, q)
-            per_q = replace(design, intervention=ArmProfile.from_mean(design.intervention.mu, p2))
-            entries.append(QSweepEntry(q=q, p2=p2, result=size(per_q)))
+            p2 = p2_from_q(design.p1, design.beta2, q)
+            entries.append(QSweepEntry(q=q, p2=p2, result=size(replace(design, p2=p2))))
         except DomainError as exc:
             entries.append(QSweepEntry(q=q, p2=None, result=None, error=str(exc)))
     return entries

@@ -1,9 +1,10 @@
 """End-to-end tests of the command line, in-process: ``simulate`` then ``fit``,
-config and argument errors, and the manifests of ``simulate``, ``study`` and
-``tables``."""
+config and argument errors, the rows of ``sweep``, and the manifests of
+``simulate``, ``sweep``, ``study`` and ``tables``."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,10 @@ from pathlib import Path
 import pytest
 
 import zipcrt
-from zipcrt import ConfigError, cli, fit_zip, mc, read_dataset, reproduce_tables, simulate
+from zipcrt import (
+    ConfigError, cli, fit_zip, mc, read_dataset, reproduce_tables, sample_size_normal,
+    sample_size_t, simulate,
+)
 
 from conftest import NOT_UTF8, first_seed, grid_design, zero_states
 
@@ -320,6 +324,60 @@ def test_tables_read_back_as_csv(tmp_path, capsys):
             assert int(row["n_clusters"]) >= 2
             assert all(0.0 <= float(row[c]) <= 1.0 for c in columns)
 
+
+def test_sweep_rows_and_manifest(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    sweep = ["sweep", "--config", design_file(tmp_path), "--out", str(out), "--q"]
+    assert cli.main([*sweep, "0.5,1.5"]) == 0
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+    with open(out, encoding="utf-8", newline="") as handle:
+        normal, out_of_range = csv.DictReader(handle)
+    design = grid_design(rho=0.05)
+    assert normal == {
+        "q": "0.5", "p2": f"{design.p2:.6g}", "n_z": str(sample_size_normal(design).n_clusters),
+        "n_t": str(sample_size_t(design).n_clusters), "error": "",
+    }
+    assert out_of_range == {
+        "q": "1.5", "p2": "", "n_z": "", "n_t": "", "error": "q must lie in [0, 1], got 1.5",
+    }
+    manifest_path = tmp_path / "sweep.csv.manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    assert (manifest["command"], manifest["seed"]) == ("sweep", None)
+    # the digest is of the resolved design and q list: the same inputs give it again
+    assert cli.main([*sweep, "0.5,1.5"]) == 0
+    assert json.loads(manifest_path.read_text(encoding="utf-8"))["config_digest"] == (
+        manifest["config_digest"]
+    )
+    assert cli.main([*sweep, "0.5"]) == 0
+    assert json.loads(manifest_path.read_text(encoding="utf-8"))["config_digest"] != (
+        manifest["config_digest"]
+    )
+
+
+def test_a_sweep_row_whose_t_sizing_fails_gives_the_error(tmp_path, capsys):
+    # the row left n_t blank and its error empty; samplesize exits 2 on the design
+    config = design_file(tmp_path, mu1=10, beta2=-3, p1=0.1, q=0.02)
+    assert cli.main(["sweep", "--config", config, "--q", "0.02"]) == 0
+    error = "insufficient clusters for a t-based size: normal pass gave 1 clusters (df=-1)"
+    assert capsys.readouterr().out.splitlines()[1] == f'0.02,0.152412,1,,"{error}"'
+    assert cli.main(["samplesize", "--config", config]) == 2
+    assert error in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", [",", " , ,"])
+def test_an_empty_table_selection_is_a_config_error(capsys, which):
+    # it wrote nothing and exited 0
+    assert cli.main(["tables", "--which", which, "--seed", "1"]) == 2
+    assert "error: --which produced an empty list" in capsys.readouterr().err
+
+
+def test_a_large_mean_design_sizes_simulates_and_fits(tmp_path, capsys):
+    # samplesize exited 2: exp(log(50000)) missed (1 - p1) * lam by more than 1e-12
+    assert cli.main(["samplesize", "--config", design_file(tmp_path, mu1=50000, p1=0.3)]) == 0
+    assert "N_t = 11 (df = 6)" in capsys.readouterr().out
+    code_sim, code_fit, rows, _, _ = simulate_then_fit(tmp_path, capsys, 30, 5, mu1=50000, p1=0.3)
+    assert (code_sim, code_fit) == (0, 0)
+    assert float(rows["beta1"][0]) == pytest.approx(math.log(50000), abs=0.5)
 
 NO_SCIPY_CHILD = '''
 import contextlib, io, json, sys

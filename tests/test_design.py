@@ -13,6 +13,7 @@ from zipcrt import (
     ArmProfile,
     ClusterSizeModel,
     ConfigError,
+    DesignInputs,
     DomainError,
     build_design,
     decompose_effect,
@@ -36,10 +37,6 @@ class TestArmProfile:
     def test_from_poisson(self):
         arm = ArmProfile.from_poisson(2.0, 0.25)
         assert arm.mu == pytest.approx(1.5)
-
-    def test_inconsistent_profile_rejected(self):
-        with pytest.raises(DomainError):
-            ArmProfile(mu=1.0, p=0.5, lam=1.0)  # (1-p)*lam = 0.5 != mu
 
     @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5])
     def test_p_out_of_range(self, p):
@@ -393,11 +390,10 @@ class TestBuildDesign:
     def test_the_draw_bound_holds_for_designs_not_built_by_build_design(self, arm, key):
         # a DesignInputs made with dataclasses.replace reached numpy's bare ValueError
         design = grid_design(cluster_sizes=ClusterSizeModel.discrete_uniform(3, 5), p1=0.0)
-        huge = ArmProfile.from_mean(math.exp(math.log(1e19)), 0.0)  # exp(beta1) exactly
         if arm == "control":
-            changes = dict(control=huge, intervention=huge, beta1=math.log(1e19), beta2=0.0)
+            changes = dict(beta1=math.log(1e19), beta2=0.0)
         else:
-            changes = dict(intervention=huge, beta2=math.log(1e19))
+            changes = dict(beta2=math.log(1e19))
         with pytest.raises(DomainError, match=key):
             dataclasses.replace(design, **changes)
 
@@ -405,3 +401,33 @@ class TestBuildDesign:
         null = grid_design().under_null()
         assert null.beta2 == 0.0
         assert null.intervention == null.control
+
+    def test_the_arm_profiles_are_derived(self):
+        design = DesignInputs(beta1=0.2, beta2=-0.431, p1=0.5, p2=0.6, rho_s=0.03, rho_u=0.03,
+                              r_bar=0.5, cluster_sizes=DU_34_56)
+        assert design.control == ArmProfile(math.exp(0.2), 0.5)
+        assert design.intervention == ArmProfile(math.exp(0.2 - 0.431), 0.6)
+        assert dataclasses.replace(design, p2=0.7).intervention.p == 0.7
+
+    def test_a_large_mean_builds(self):
+        # exp(log(50000)) = 50000.00000000001 missed (1 - p1) * lam by more
+        # than an absolute 1e-12, and the design was rejected as inconsistent
+        design = build_design(mu1=50000, beta2=-0.431, p1=0.3, q=0.5, rho_s=0.05, rho_u=0.05,
+                              cluster_sizes=DU_34_56)
+        assert design.control.mu == math.exp(design.beta1)
+        assert design.control.lam == design.control.mu / 0.7
+
+    @given(
+        log10_mu1=st.floats(-3.0, 12.0),
+        p1=st.floats(0.0, 0.95),
+        beta2=st.floats(-2.0, -0.01),
+        q=st.floats(0.0, 1.0),
+    )
+    def test_every_mean_and_zero_probability_builds(self, log10_mu1, p1, beta2, q):
+        # hi * lam is at most 56 * 1e12 / 0.05, far inside MAX_CLUSTER_MEAN,
+        # so each of these designs can be simulated and must build
+        design = build_design(mu1=10.0**log10_mu1, beta2=beta2, p1=p1, q=q, rho_s=0.05,
+                              rho_u=0.05, cluster_sizes=DU_34_56)
+        for arm, p in ((design.control, p1), (design.intervention, p2_from_q(p1, beta2, q))):
+            assert arm.p == p
+            assert arm.lam == arm.mu / (1.0 - p)

@@ -379,6 +379,13 @@ class TestPoissonIcc:
     # 10,000 clusters, fixed before any run
     LIMIT_TOL = 0.008
 
+    def test_a_large_mean_is_near_the_limit(self):
+        # the cluster sums of y**2 passed 2**63 and wrapped in int64: -0.111
+        design = build_design(mu1=1e9, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.05, rho_u=0.05,
+                              cluster_sizes=DU_34_56)
+        # about 5 SD of an estimate at 2,000 clusters (SD 0.0018 over 30 seeds)
+        assert abs(estimate_poisson_icc(design, 2_000, 1) - poisson_icc_limit(design)) <= 0.01
+
     @pytest.mark.parametrize("sizes", [DU_34_56, DU_10_80], ids=["du34-56", "du10-80"])
     def test_near_the_large_sample_limit(self, sizes):
         for rho in (0.03, 0.05):
