@@ -25,11 +25,13 @@ from .errors import ConfigError, DomainError
 
 # A size law tabulates its cells (m, k), 0 <= k <= m, only up to this many:
 # DU(10,80) has 3,266, and DU(1,254) is the widest DU(1, hi) within it.  The
-# table pays two exp passes over its cells per draw, the per-cluster draws a
-# binomial per cluster, so the break-even grows with the clusters drawn at
-# once: timed on DU(1, hi) study chunks of 256 replicates (one core), about
-# 15k cells at N = 14, 20k-32k at N = 30 and above 32k at N = 60.  The cap
-# sits at the N = 30 break-even; no benchmark workload yet has a law near it.
+# table pays two exp passes over its cells once per law, p and rho_s in a
+# process (simulate._arm_cdf), the per-cluster draws a binomial per cluster,
+# so the break-even grows with the clusters drawn from one law: timed when
+# every draw paid the passes, on DU(1, hi) study chunks of 256 replicates
+# (one core), about 15k cells at N = 14, 20k-32k at N = 30 and above 32k at
+# N = 60.  The cap sits at the N = 30 break-even; no benchmark workload yet
+# has a law near it.
 MAX_SIZE_CELLS = 2**15
 # The largest cluster mean hi * lam a design may have.  A simulated cluster
 # sum is one Poisson draw of a mean up to hi * lam (numpy takes means up to

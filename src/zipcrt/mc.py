@@ -179,9 +179,13 @@ def _draw_clusters(
         n_intervention += rng.random(rows) < 0.5
     arm = np.arange(n_clusters) < n_intervention[:, None]
     m, nonzero = _draw_nonzero_counts(design, arm, rng)
-    lam = np.where(arm, design.intervention.lam, design.control.lam)
+    # a null design keeps lam a scalar: numpy draws the same values from it as
+    # from an array of equal means, and skips the array
+    lam = design.control.lam
+    if design.intervention.lam != lam:
+        lam = np.where(arm, design.intervention.lam, lam)
     y = rng.poisson(nonzero * lam * (1.0 - design.rho_u))
-    y += nonzero * rng.poisson(lam * design.rho_u)
+    y += nonzero * rng.poisson(lam * design.rho_u, arm.shape)
     empty_arm = (n_intervention == 0) | (n_intervention == n_clusters)
     return arm, m, y, empty_arm
 

@@ -58,11 +58,14 @@ class QSweepEntry:
 _STANDARD_NORMAL = statistics.NormalDist()
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
 _CF_TERMS = 100_000  # the t CDF's continued fraction needs O(sqrt(df)) terms
+_MAX_CLUSTERS = 2.0**53  # the largest count up to which every integer is a float
 
 
 @functools.lru_cache(maxsize=256)
 def normal_quantile(prob: float) -> float:
     """Standard normal inverse CDF, cached like :func:`t_quantile`."""
+    if not 0.0 < prob < 1.0:
+        raise DomainError(f"normal quantile needs 0 < prob < 1, got {prob}")
     return _STANDARD_NORMAL.inv_cdf(prob)
 
 
@@ -220,6 +223,23 @@ def design_variance(design: DesignInputs) -> float:
     return total
 
 
+def _raw_count(sigma2_sq: float, quantile_sum: float, beta2: float) -> float:
+    """The unrounded cluster count ``sigma2_sq * quantile_sum**2 / beta2**2``.
+
+    Raises:
+        DomainError: the count is not finite or exceeds 2**53, past which a
+            cluster count is not an exact float.
+    """
+    effect = beta2**2
+    n_raw = sigma2_sq * quantile_sum**2 / effect if effect > 0.0 else math.inf
+    if not n_raw <= _MAX_CLUSTERS:
+        raise DomainError(
+            f"beta2 = {beta2} is too small an effect to size: it needs {n_raw:.4g} "
+            f"clusters, more than 2**53"
+        )
+    return n_raw
+
+
 def sample_size_normal(design: DesignInputs) -> SampleSizeResult:
     """Required clusters under the normal approximation."""
     if design.beta2 == 0.0:
@@ -228,7 +248,7 @@ def sample_size_normal(design: DesignInputs) -> SampleSizeResult:
     quantile_sum = normal_quantile(1.0 - design.alpha / 2.0) + normal_quantile(
         design.power
     )
-    n_raw = sigma2_sq * quantile_sum**2 / design.beta2**2
+    n_raw = _raw_count(sigma2_sq, quantile_sum, design.beta2)
     return SampleSizeResult(
         sigma2_sq=sigma2_sq,
         n_raw=n_raw,
@@ -256,7 +276,7 @@ def sample_size_t(design: DesignInputs) -> SampleSizeResult:
     quantile_sum = t_quantile(df, 1.0 - design.alpha / 2.0) + t_quantile(
         df, design.power
     )
-    n_raw = normal_result.sigma2_sq * quantile_sum**2 / design.beta2**2
+    n_raw = _raw_count(normal_result.sigma2_sq, quantile_sum, design.beta2)
     return SampleSizeResult(
         sigma2_sq=normal_result.sigma2_sq,
         n_raw=n_raw,

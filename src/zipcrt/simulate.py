@@ -19,11 +19,14 @@ study engine in :mod:`zipcrt.mc` draws from it too.  It draws each arm's
 clusters as one multiset of cells ``(m, k)`` of the arm's joint law of
 ``(m, K)``: sorted uniforms inverted through the law's cumulative sum
 (:func:`_nonzero_cdf`, over the cells ``ClusterSizeModel`` tabulates), then
-one shuffle.  A law with more than ``design.MAX_SIZE_CELLS`` (2**15) cells
-is not tabulated, since there one binomial per cluster costs less than two
-``exp`` passes over the cells; it draws each size (a discrete-uniform size
-one integer, a truncated-Poisson size one uniform at which it inverts the
-law's cumulative mass function), then ``c``, then ``K``.  Either way any law
+one shuffle.  The cumulative sum costs two ``exp`` passes over the cells,
+paid once per law, ``p`` and ``rho_s`` in a process: :func:`_arm_cdf` keeps
+it.  A law with more than ``design.MAX_SIZE_CELLS`` (2**15) cells is not
+tabulated, since there one binomial per cluster costs less than those
+passes did when every draw paid them; it draws each size (a
+discrete-uniform size one integer, a truncated-Poisson size one uniform at
+which it inverts the law's cumulative mass function), then ``c``, then
+``K``.  Either way any law
 :class:`ClusterSizeModel` accepts can be drawn.  A dataset draws every
 value, arms and sizes included, as whole arrays from one stream,
 ``(seed, TRIAL_STREAM_TAG)``, and lays each cluster's ``K`` non-zero draws
@@ -38,6 +41,7 @@ The same seed replays the same dataset bit for bit.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import re
@@ -186,6 +190,22 @@ def _nonzero_cdf(cells: SizeCells, p: float, rho_s: float) -> np.ndarray:
     return cdf
 
 
+# Keyed by the law's value (ClusterSizeModel hashes its defining fields, and
+# its cells are a function of them), so two equal laws share an entry; a p
+# or rho_s of -0.0 shares 0.0's, which _nonzero_cdf treats alike.  Worst
+# case: 32 read-only CDFs of at most MAX_SIZE_CELLS (2**15) float64 cells,
+# 256 KB each, plus the laws they keep alive (their cells, at most about
+# 1 MB each).  A table row needs at most 2 live keys, so LRU order keeps its
+# control arm's entry.
+@functools.lru_cache(maxsize=32)
+def _arm_cdf(sizes: ClusterSizeModel, p: float, rho_s: float) -> np.ndarray:
+    """:func:`_nonzero_cdf` over ``sizes``' cells, built once per
+    ``(sizes, p, rho_s)`` while the cache holds it, and read-only."""
+    cdf = _nonzero_cdf(sizes._cells, p, rho_s)
+    cdf.flags.writeable = False
+    return cdf
+
+
 def _draw_nonzero_counts(
     design: DesignInputs, arm: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -194,11 +214,10 @@ def _draw_nonzero_counts(
 
     A law with cells (``ClusterSizeModel._cells``) draws the control arm's
     clusters, then the intervention arm's, each as one multiset: sorted
-    uniform draws, each inverted through :func:`_nonzero_cdf`, then one
-    shuffle, laid on the arm's clusters in order.  An arm with the control
-    arm's ``p`` has its law and reuses its CDF.  A wider law draws, in this
-    order, the sizes, each cluster's shared zero ``c``, then ``K`` as one
-    binomial draw (see the module docstring).
+    uniform draws, each inverted through the arm's :func:`_arm_cdf`, then
+    one shuffle, laid on the arm's clusters in order.  A wider law draws, in
+    this order, the sizes, each cluster's shared zero ``c``, then ``K`` as
+    one binomial draw (see the module docstring).
     """
     cells = design.cluster_sizes._cells
     if cells is None:
@@ -211,11 +230,8 @@ def _draw_nonzero_counts(
     m = np.empty(arm.shape, dtype=np.int64)
     nonzero = np.empty(arm.shape, dtype=np.int64)
     in_arm1 = arm.astype(bool)
-    control_cdf = _nonzero_cdf(cells, design.control.p, design.rho_s)
     for profile, where in ((design.control, ~in_arm1), (design.intervention, in_arm1)):
-        cdf = control_cdf
-        if profile.p != design.control.p:
-            cdf = _nonzero_cdf(cells, profile.p, design.rho_s)
+        cdf = _arm_cdf(design.cluster_sizes, profile.p, design.rho_s)
         cell = np.searchsorted(cdf, np.sort(rng.random(np.count_nonzero(where))), side="right")
         rng.shuffle(cell)
         m[where] = cells.m[cell]

@@ -237,6 +237,38 @@ def test_a_cluster_mean_beyond_the_draw_bound_is_a_domain_error(
     assert f"error: 'mu1'={mu1} with cluster_size.hi={hi}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["samplesize"], ["study", "--sizing", "t", "--reps", "20", "--seed", "1"],
+], ids=["samplesize", "study"])
+def test_an_alpha_whose_normal_quantile_rounds_to_1_is_a_domain_error(tmp_path, capsys, command):
+    # died with a StatisticsError traceback and exit code 1
+    argv = [command[0], "--config", design_file(tmp_path), "--set", "alpha=1e-300", *command[1:]]
+    assert cli.main(argv) == 2
+    assert "error: normal quantile needs 0 < prob < 1, got 1.0" in capsys.readouterr().err
+
+
+def test_a_fit_alpha_whose_normal_quantile_rounds_to_1_is_a_domain_error(tmp_path, capsys):
+    # died with a StatisticsError traceback and exit code 1
+    data = str(tmp_path / "data.csv")
+    assert cli.main(["simulate", "--config", design_file(tmp_path), "--clusters", "30",
+                     "--seed", "5", "--out", data]) == 0
+    capsys.readouterr()
+    assert cli.main(["fit", "--data", data, "--reference", "z", "--alpha", "1e-300"]) == 2
+    assert "error: normal quantile needs 0 < prob < 1, got 1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta2", ["1e-300", "1e-160", "1e-10"])
+def test_an_effect_too_small_to_size_is_a_domain_error(tmp_path, capsys, beta2):
+    # 1e-300 and 1e-160 died with a ZeroDivisionError and an OverflowError
+    # traceback and exit code 1; 1e-10 exited 0 with N_t below N_z
+    config = design_file(tmp_path)
+    assert cli.main(["samplesize", "--config", config, "--set", f"beta2={beta2}"]) == 2
+    message = f"beta2 = {float(beta2)} is too small an effect to size"
+    assert f"error: {message}" in capsys.readouterr().err
+    assert cli.main(["sweep", "--config", config, "--set", f"beta2={beta2}", "--q", "0.5"]) == 2
+    assert capsys.readouterr().out.splitlines()[1].startswith(f'0.5,,,,"{message}')
+
+
 def test_a_cluster_mean_below_the_draw_bound_simulates(tmp_path, capsys):
     sizes = {"kind": "discrete_uniform", "lo": 3, "hi": 5}
     out = str(tmp_path / "data.csv")

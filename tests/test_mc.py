@@ -26,6 +26,7 @@ from zipcrt import (
     pairwise_covariance_factor,
     run_power_study,
     sample_size_t,
+    simulate,
     wald_test,
 )
 from zipcrt.design import poisson_icc_limit
@@ -309,6 +310,49 @@ def test_study_report_is_the_reduction_of_its_draws():
 def test_a_study_of_no_replicates_is_a_config_error(reps):
     with pytest.raises(ConfigError, match=f"replications must be >= 1, got {reps}"):
         mc.simulate_study(grid_design(), 20, reps, 0, 18)
+
+
+@pytest.mark.parametrize("null", [False, True], ids=["alternative", "null"])
+def test_a_cold_arm_law_cache_gives_the_warm_study(null):
+    design = grid_design(DU_10_80, rho=0.05)
+    if null:
+        design = design.under_null()
+    study = functools.partial(mc.simulate_study, design, 30, mc.CHUNK_REPLICATES + 8, 5, 28)
+    simulate._arm_cdf.cache_clear()
+    cold = study()
+    hits = simulate._arm_cdf.cache_info().hits
+    warm = study()
+    assert simulate._arm_cdf.cache_info().hits > hits
+    for name in ("beta2_hat", "sigma2_naive", "sigma2_jackknife", "reject_naive",
+                 "reject_jackknife"):
+        np.testing.assert_array_equal(getattr(warm, name), getattr(cold, name))
+    assert warm.failure == cold.failure
+
+
+def test_each_arm_law_is_built_once_per_process(monkeypatch):
+    # two studies of three chunks each, then a dataset: the alternative's two
+    # arm laws are built once, and the null's arms share the control's
+    built = []
+
+    def counted(cells, p, rho_s):
+        built.append((p, rho_s))
+        return fresh(cells, p, rho_s)
+
+    fresh = simulate._nonzero_cdf
+    monkeypatch.setattr(simulate, "_nonzero_cdf", counted)
+    simulate._arm_cdf.cache_clear()
+    design = grid_design(DU_10_80, rho=0.05)
+    for generating in (design, design.under_null()):
+        mc.simulate_study(generating, 30, 2 * mc.CHUNK_REPLICATES + 8, 3, 28)
+    generate_trial(design, 30, 1)
+    simulate._arm_cdf.cache_clear()  # keep no entry the stand-in built
+    assert built == [(design.control.p, 0.05), (design.intervention.p, 0.05)]
+
+
+def test_a_table_walk_keeps_the_arm_law_cache_within_its_bound():
+    mc.reproduce_tables(["table1", "table2"], 40, seed=4)
+    info = simulate._arm_cdf.cache_info()
+    assert info.maxsize == 32 and 0 < info.currsize <= info.maxsize
 
 
 def test_seeded_study_rates_pinned_across_versions():

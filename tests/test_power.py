@@ -1,6 +1,7 @@
 """Tests for the design variance and the sample-size rules."""
 
 import math
+import re
 
 import pytest
 from scipy import stats
@@ -15,7 +16,7 @@ from zipcrt import (
     sample_size_t,
 )
 from zipcrt.mc import reference_design
-from zipcrt.power import normal_quantile, predicted_power, t_cdf, t_quantile
+from zipcrt.power import _raw_count, normal_quantile, predicted_power, t_cdf, t_quantile
 
 from conftest import DU_10_80, DU_34_56, TRUNPOIS, grid_design
 
@@ -68,6 +69,22 @@ class TestSampleSizeNormal:
     def test_zero_effect_rejected(self, config_a):
         with pytest.raises(DomainError):
             sample_size_normal(config_a.under_null())
+
+    @pytest.mark.parametrize("beta2", [1e-300, -1e-160, 1e-10])
+    def test_an_effect_too_small_to_size_is_a_domain_error(self, beta2):
+        # beta2**2 underflowed to a ZeroDivisionError, n_raw = inf failed in
+        # math.ceil, and 1e-10 gave an N_t below N_z
+        design = grid_design(beta2=beta2)
+        for size in (sample_size_normal, sample_size_t):
+            with pytest.raises(DomainError, match=re.escape(f"beta2 = {beta2} is too small")):
+                size(design)
+
+    def test_a_count_up_to_2_53_is_sized(self):
+        assert _raw_count(2.0**53, 1.0, 1.0) == 2.0**53
+        with pytest.raises(DomainError, match="more than 2\\*\\*53"):
+            _raw_count(math.nextafter(2.0**53, math.inf), 1.0, 1.0)
+        design = grid_design(beta2=1e-7)  # about 2.8e14 clusters
+        assert sample_size_normal(design).n_clusters <= sample_size_t(design).n_clusters
 
     def test_arm_swap_symmetry(self, config_a):
         swapped = build_design(
@@ -143,6 +160,12 @@ class TestQuantiles:
         with pytest.raises(DomainError):
             t_quantile(10, prob)
 
+    @pytest.mark.parametrize("prob", [0.0, 1.0, 1.0 - 1e-300, -0.5, 1.5, math.nan])
+    def test_normal_prob_validation(self, prob):
+        # statistics.NormalDist raised its own StatisticsError at 0 and 1
+        with pytest.raises(DomainError, match="normal quantile needs 0 < prob < 1"):
+            normal_quantile(prob)
+
 
 class TestQSweep:
     def test_reference_row(self):
@@ -165,6 +188,11 @@ class TestQSweep:
         entries = q_sweep(config_a, [0.5, 1.2, 0.7])
         assert entries[0].error is None and entries[2].error is None
         assert entries[1].error is not None and entries[1].result is None
+
+    def test_an_effect_too_small_to_size_is_reported_inline(self):
+        for basis in ("normal", "t"):
+            entry = q_sweep(grid_design(beta2=1e-10), [0.5], basis=basis)[0]
+            assert entry.result is None and "beta2 = 1e-10 is too small" in entry.error
 
     def test_t_basis(self):
         design = grid_design(cluster_sizes=TRUNPOIS, rho=0.05)

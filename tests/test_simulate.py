@@ -312,6 +312,30 @@ class TestNonzeroCounts:
             assert sizes._cells.m.size == cells
 
 
+class TestArmCdf:
+    """The memo of each arm's law of ``(m, K)``."""
+
+    def test_the_cached_law_is_a_fresh_one_and_read_only(self):
+        design = grid_design(DU_10_80, rho=0.05, p1=0.3)
+        for profile in (design.control, design.intervention):
+            cdf = simulate._arm_cdf(design.cluster_sizes, profile.p, design.rho_s)
+            fresh = simulate._nonzero_cdf(design.cluster_sizes._cells, profile.p, design.rho_s)
+            assert cdf.dtype == fresh.dtype and cdf.tobytes() == fresh.tobytes()
+            assert not cdf.flags.writeable
+            with pytest.raises(ValueError):
+                cdf[0] = 0.0
+
+    def test_equal_laws_share_one_entry(self):
+        simulate._arm_cdf.cache_clear()
+        first = simulate._arm_cdf(ClusterSizeModel.discrete_uniform(10, 80), 0.3, 0.05)
+        second = simulate._arm_cdf(ClusterSizeModel.discrete_uniform(10, 80), 0.3, 0.05)
+        assert second is first
+        # _nonzero_cdf treats a p of -0.0 as 0.0, so they share an entry too
+        assert simulate._arm_cdf(DU_10_80, -0.0, 0.05) is simulate._arm_cdf(DU_10_80, 0.0, 0.05)
+        info = simulate._arm_cdf.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+
+
 class TestAgainstSubjectOracle:
     """generate_trial against the subject-by-subject oracle: in each arm, the
     per-cluster outcome sum, sum of squares and zero count have the same
