@@ -45,7 +45,7 @@ from typing import Optional
 from . import __version__
 from .design import ClusterSizeModel, DesignInputs, build_design, decompose_effect, pairwise_covariance_factor
 from .errors import ConfigError, DomainError, StudyError, ZipCrtError
-from .gee import DF_RULES, _test_df, fit_zip, wald_test
+from .gee import DF_RULES, ESTIMATORS, _test_df, fit_zip, wald_test
 from .mc import (
     CHUNK_REPLICATES,
     ENGINE,
@@ -304,15 +304,22 @@ def _cmd_fit(args) -> int:
     data = read_dataset(args.data)
     fit = fit_zip(data)
     n = fit.n_clusters
-    se_naive = fit.se_naive
-    se_jack = fit.se_jackknife
-    print("parameter,estimate,se_naive,se_jackknife")
+    reference = "normal" if args.reference == "z" else "t"
+    df = None if reference == "normal" else _test_df(args.df_rule, n)
+    # every test runs before anything is printed, so a bad --alpha prints nothing
+    tests = {
+        name: wald_test(float(fit.beta_hat[1]), fit.sigma2_sq(name), n, reference, args.alpha, df)
+        for name in ESTIMATORS
+    }
+    se = [fit.se(name) for name in ESTIMATORS]
+    blank = "," * len(ESTIMATORS)
+    print("parameter,estimate," + ",".join(f"se_{name}" for name in ESTIMATORS))
     for i, name in enumerate(("beta1", "beta2")):
-        print(f"{name},{_fmt(fit.beta_hat[i])},{_fmt(se_naive[i])},{_fmt(se_jack[i])}")
+        print(",".join([name, _fmt(fit.beta_hat[i]), *(_fmt(e[i]) for e in se)]))
     for i, name in enumerate(("alpha1", "alpha2")):
-        print(f"{name},{_fmt(fit.alpha_hat[i])},,")
-    print(f"p1_hat,{_fmt(fit.p_hat[0])},,")
-    print(f"p2_hat,{_fmt(fit.p_hat[1])},,")
+        print(f"{name},{_fmt(fit.alpha_hat[i])}{blank}")
+    for k, p in enumerate(fit.p_hat, start=1):
+        print(f"p{k}_hat,{_fmt(p)}{blank}")
     for k, p in enumerate(fit.p_hat, start=1):
         if p == 0.0:
             print(
@@ -323,17 +330,11 @@ def _cmd_fit(args) -> int:
     if fit.degenerate:
         print("warning: degenerate fit (an arm has no zeros)", file=sys.stderr)
 
-    reference = "normal" if args.reference == "z" else "t"
-    df = None if reference == "normal" else _test_df(args.df_rule, n)
     print("test,statistic,reference,critical_value,reject")
-    for estimator in ("naive", "jackknife"):
-        test = wald_test(
-            float(fit.beta_hat[1]), fit.sigma2_sq(estimator), n,
-            reference, args.alpha, df,
-        )
+    for name, test in tests.items():
         label = "z" if reference == "normal" else f"t({test.df})"
         print(
-            f"{estimator},{_fmt(test.statistic)},{label},"
+            f"{name},{_fmt(test.statistic)},{label},"
             f"{_fmt(test.critical_value)},{'yes' if test.reject else 'no'}"
         )
     return 0
@@ -352,26 +353,24 @@ def _cmd_study(args) -> int:
     )
     report = run_power_study(config)
     kind = "type_i" if args.null else "power"
+    rates = report.rejection_rate
     lines = [
         f"n_clusters = {report.n_clusters_used}",
-        f"{kind}_naive = {_fmt(report.rejection_rate_naive)}",
-        f"{kind}_jackknife = {_fmt(report.rejection_rate_jackknife)}",
+        *(f"{kind}_{name} = {_fmt(rate)}" for name, rate in rates.items()),
         f"mc_standard_error = {_fmt(report.mc_standard_error)}",
         f"replicate_failures = {report.replicate_failures}",
     ]
     print("\n".join(lines))
     if args.out:
-        header = (
-            "n_clusters,rejection_rate_naive,rejection_rate_jackknife,"
-            "mc_standard_error,replicate_failures,replications"
-        )
-        row = (
-            f"{report.n_clusters_used},{_fmt(report.rejection_rate_naive)},"
-            f"{_fmt(report.rejection_rate_jackknife)},{_fmt(report.mc_standard_error)},"
-            f"{report.replicate_failures},{report.replications}"
-        )
+        fields = {
+            "n_clusters": report.n_clusters_used,
+            **{f"rejection_rate_{name}": _fmt(rate) for name, rate in rates.items()},
+            "mc_standard_error": _fmt(report.mc_standard_error),
+            "replicate_failures": report.replicate_failures,
+            "replications": report.replications,
+        }
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(header + "\n" + row + "\n")
+            handle.write(",".join(fields) + "\n" + ",".join(map(str, fields.values())) + "\n")
         resolved = {
             "design": _design_to_dict(design),
             "replications": args.reps,

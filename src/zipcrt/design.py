@@ -67,18 +67,6 @@ class ArmProfile:
         """Mean of the Poisson component, ``mu / (1 - p)``."""
         return self.mu / (1.0 - self.p)
 
-    @classmethod
-    def from_mean(cls, mu: float, p: float) -> "ArmProfile":
-        """Build a profile from the marginal mean and structural-zero probability."""
-        return cls(mu=mu, p=p)
-
-    @classmethod
-    def from_poisson(cls, lam: float, p: float) -> "ArmProfile":
-        """Build a profile from the Poisson-component mean and structural-zero probability."""
-        if not (0.0 <= p < 1.0):
-            raise DomainError(f"p must lie in [0, 1), got {p}")
-        return cls(mu=(1.0 - p) * lam, p=p)
-
 
 class SizeCells(NamedTuple):
     """The cells ``(m, k)``, ``0 <= k <= m``, of a size law's support, ``m``

@@ -17,22 +17,21 @@ the per-arm totals (subjects ``M_a``, outcome sums ``S_a``, zero counts
     ``p + (1 - p) * exp(-ybar_a / (1 - p)) = Z_a / M_a``, or the boundary 0
     when ``Z_a / M_a <= exp(-ybar_a)``.  With an intercept per arm that root
     is also the arm's intercept-only ZIP maximum-likelihood estimate;
-  * both variances have the arm-diagonal form
-    ``[[d_0, -d_0], [-d_0, d_0 + d_1]]``, because a control cluster moves
+  * each variance estimator of ``ESTIMATORS`` gives a covariance of
+    ``beta_hat`` (entries shrink like 1/N) with the arm-diagonal form
+    ``[[t_0, -t_0], [-t_0, t_0 + t_1]]``, because a control cluster moves
     the intercept and the contrast and an intervention cluster only the
-    contrast:
+    contrast.  Each is its per-arm terms ``t_a``:
 
-      - the sandwich ``A**-1 V A**-1`` is the covariance of
-        ``sqrt(N) * beta_hat`` (entries are O(1) as N grows); it is ``N``
-        times the form with ``d_a = sum_{i in a} (Y_i - m_i * ybar_a)**2 / S_a**2``;
-      - the leave-one-cluster-out Jackknife is the covariance of
-        ``beta_hat`` itself (entries shrink like 1/N); it is ``(N - 2) / N``
-        times the form with ``d_a`` the sum, over the arm's clusters, of the
-        squared shifts ``log((S_a - Y_i) / (M_a - m_i)) - log ybar_a``.
-        Deleting cluster ``i`` changes only its own arm's totals, so the
-        ``N`` refits are exact log-means of reduced totals.
+      - the sandwich ("naive") ``A**-1 V A**-1 / N`` has
+        ``t_a = s_a = sum_{i in a} (Y_i - m_i * ybar_a)**2 / S_a**2``;
+      - the leave-one-cluster-out Jackknife has ``t_a = (N - 2) / N * d_a``,
+        with ``d_a`` the sum, over the arm's clusters, of the squared
+        shifts ``log((S_a - Y_i) / (M_a - m_i)) - log ybar_a``.  Deleting
+        cluster ``i`` changes only its own arm's totals, so the ``N``
+        refits are exact log-means of reduced totals.
 
-``p_hat`` moves neither ``beta_hat`` nor either variance.  The working
+``p_hat`` moves neither ``beta_hat`` nor any variance.  The working
 weight ``w_a = 1 / (1 + odds(p_a) * mu_a)`` is constant within an arm, so it
 factors out of the arm's score, whose root it cannot move, and it scales
 the arm's information by ``w_a`` and its squared cluster scores by
@@ -41,16 +40,18 @@ the arm's information by ``w_a`` and its squared cluster scores by
 
 A fit fails only when the mean model is undefined (an arm is absent or has
 all-zero outcomes, in the data or after a Jackknife deletion) or when there
-are fewer than 3 clusters to delete from.  :meth:`GeeFit.sigma2_sq` puts
-both variances on the sqrt(N) scale for Wald testing.
+are fewer than 3 clusters to delete from.  A fit keeps each estimator's
+covariance in ``GeeFit.variance[name]``; :meth:`GeeFit.se` gives its
+standard errors and :meth:`GeeFit.sigma2_sq` its variance of
+``sqrt(N) * beta2_hat``, the scale of the Wald test.
 
-The log-means, ``s_a``, ``d_a`` and the failure checks are written once, in
-``_fit_rows``, over ``(R, N)`` arrays of each cluster's arm, ``m_i`` and
-``Y_i``: :func:`fit_zip` runs it on its dataset as one row, and the study
-engine (:mod:`zipcrt.mc`) on a chunk of ``R`` replicates.  The Wald test's
+The log-means, each estimator's terms and the failure checks are written
+once, in ``_fit_rows``, over ``(R, N)`` arrays of each cluster's arm,
+``m_i`` and ``Y_i``: :func:`fit_zip` runs it on its dataset as one row, and
+the study engine (:mod:`zipcrt.mc`) on a chunk of ``R`` replicates.  The Wald test's
 checks, critical value and decisions are written once too, in
 ``_wald_rows``: :func:`wald_test` runs it on one statistic, and the study
-engine on a chunk's naive and then its Jackknife variances.
+engine on a chunk's variances, one estimator after another.
 """
 
 from __future__ import annotations
@@ -69,6 +70,10 @@ from .simulate import TrialDataset
 _ARM_NAMES = ("control", "intervention")
 
 DF_RULES = ("n-2", "n-4")
+
+# The variance estimators, in the order every fit, study, table and report
+# lists them.
+ESTIMATORS = ("naive", "jackknife")
 
 
 def _logit(p: float) -> float:
@@ -127,13 +132,15 @@ def _arm_sums(
 
 def _fit_rows(
     arm: np.ndarray, m: np.ndarray, y: np.ndarray, ids: np.ndarray, failure: list[Optional[str]]
-) -> tuple[np.ndarray, ...]:
-    """The mean model and both variances' terms for each row of ``(R, N)``
-    cluster arrays: arm, ``m_i``, ``Y_i``; ``ids`` numbers the N clusters.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """The mean model and each variance estimator's terms for each row of
+    ``(R, N)`` cluster arrays: arm, ``m_i``, ``Y_i``; ``ids`` numbers the N
+    clusters.
 
-    Returns ``(R, 2)`` arrays of the per-arm ``M_a``, ``ybar_a``,
-    ``log ybar_a``, sandwich terms ``s_a`` and Jackknife terms ``d_a`` (see
-    the module docstring).  A row fails in ``failure`` with the message
+    Returns ``(R, 2)`` arrays of the per-arm ``M_a``, ``ybar_a`` and
+    ``log ybar_a``, and a mapping from each name of ``ESTIMATORS`` to its
+    ``(R, 2)`` per-arm terms ``t_a`` on the scale of ``beta_hat`` (see the
+    module docstring).  A row fails in ``failure`` with the message
     :func:`fit_zip` raises on it, at the first of its checks; a row that has
     already failed keeps its message.  A failed row's values are
     meaningless.
@@ -164,17 +171,15 @@ def _fit_rows(
             _fail(failure, bad.any(axis=1), removal)
         delta = np.log(loo_outcomes / loo_subjects) - log_mean.take(key)
         d = _per_arm(key, delta * delta, rows)
-    return subjects, ybar, log_mean, s, d
+    return subjects, ybar, log_mean, {"naive": s, "jackknife": (n - 2) / n * d}
 
 
 @dataclass
 class GeeFit:
-    """Complete fit: estimates, both variance matrices, and diagnostics.
+    """Complete fit: estimates, each estimator's covariance, and diagnostics.
 
-    ``sigma_naive`` is the sandwich covariance of ``sqrt(N) * beta_hat``;
-    ``sigma_jackknife`` is the leave-one-cluster-out covariance of
-    ``beta_hat``.  Use :meth:`sigma2_sq` or the ``se_*`` properties rather
-    than mixing the raw scales.  ``alpha_hat`` is the zero model on the
+    ``variance[name]`` is the covariance of ``beta_hat`` under the estimator
+    ``name`` of ``ESTIMATORS``.  ``alpha_hat`` is the zero model on the
     logit scale (intercept, arm contrast); a component is ``-inf`` when its
     arm's ``p_hat`` is at the boundary 0, and the contrast is 0 when both
     are.  ``degenerate`` flags an arm with no zeros at all.
@@ -183,28 +188,24 @@ class GeeFit:
     beta_hat: np.ndarray
     alpha_hat: np.ndarray
     p_hat: tuple[float, float]
-    sigma_naive: np.ndarray
-    sigma_jackknife: np.ndarray
+    variance: dict[str, np.ndarray]
     degenerate: bool
     n_clusters: int
 
-    def sigma2_sq(self, estimator: str = "naive") -> float:
-        """Variance of sqrt(N) * beta2_hat under the chosen estimator."""
-        if estimator == "naive":
-            return float(self.sigma_naive[1, 1])
-        if estimator == "jackknife":
-            return float(self.n_clusters * self.sigma_jackknife[1, 1])
-        raise DomainError(f"estimator must be 'naive' or 'jackknife', got {estimator!r}")
+    def sigma2_sq(self, estimator: str) -> float:
+        """Variance of sqrt(N) * beta2_hat under the estimator."""
+        if estimator not in self.variance:
+            raise DomainError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
+        return float(self.n_clusters * self.variance[estimator][1, 1])
 
-    @property
-    def se_naive(self) -> np.ndarray:
-        """Standard errors of beta_hat from the sandwich estimator."""
-        return np.sqrt(np.diag(self.sigma_naive) / self.n_clusters)
+    def se(self, estimator: str) -> np.ndarray:
+        """Standard errors of beta_hat under the estimator."""
+        return np.sqrt(np.diag(self.variance[estimator]))
 
     @property
     def se_jackknife(self) -> np.ndarray:
-        """Standard errors of beta_hat from the Jackknife estimator."""
-        return np.sqrt(np.diag(self.sigma_jackknife))
+        # perfbench reads this name; ROADMAP item 1 deletes it
+        return self.se("jackknife")
 
 
 @dataclass(frozen=True)
@@ -300,7 +301,7 @@ def wald_test(
 
 
 def fit_zip(data: TrialDataset) -> GeeFit:
-    """Fit the mean and zero models and both variance estimators on a dataset.
+    """Fit the mean and zero models and every variance estimator on a dataset.
 
     Raises:
         EstimationError: an arm is absent or has all-zero outcomes, there
@@ -309,7 +310,7 @@ def fit_zip(data: TrialDataset) -> GeeFit:
     """
     arm = data.arm
     failure: list[Optional[str]] = [None]
-    subjects, ybar, log_mean, s, d = _fit_rows(
+    subjects, ybar, log_mean, terms = _fit_rows(
         arm[None],
         data.size.astype(np.float64)[None],
         data.cluster_sums(data.outcomes).astype(np.float64)[None],
@@ -329,13 +330,11 @@ def fit_zip(data: TrialDataset) -> GeeFit:
         for a, z in enumerate(zeros)
     )
 
-    n = data.n_clusters
     return GeeFit(
         beta_hat=np.array([log_mean[0, 0], log_mean[0, 1] - log_mean[0, 0]]),
         alpha_hat=_alpha_from_p(*p_hat),
         p_hat=p_hat,
-        sigma_naive=n * _arm_diagonal(*s[0]),
-        sigma_jackknife=(n - 2) / n * _arm_diagonal(*d[0]),
+        variance={name: _arm_diagonal(*t[0]) for name, t in terms.items()},
         degenerate=bool(min(zeros) == 0),
-        n_clusters=n,
+        n_clusters=data.n_clusters,
     )

@@ -2,9 +2,9 @@
 
 A study draws ``L`` replicate trials at the design's computed cluster count,
 fits each replicate, and reports the fraction rejected by the Wald test
-under the sandwich ("naive") and leave-one-out ("jackknife") variance
-estimators.  Type-I studies size the trial with the design's effect but
-generate data with the effect removed.
+under each variance estimator of ``gee.ESTIMATORS``, keyed by its name.
+Type-I studies size the trial with the design's effect but generate data
+with the effect removed.
 
 Studies, the ICC and :func:`zipcrt.simulate.generate_trial` draw from one
 core, ``simulate._draw_nonzero_counts``: given each cluster's arm, it draws
@@ -19,17 +19,17 @@ the ``K`` own Poisson parts in one draw plus ``K`` copies of the shared
 part.  Replicate ``r`` puts the intervention arm on its first clusters.
 
 :func:`simulate_study` is the one study primitive: at a cluster count the
-caller chooses, it returns every replicate's estimate, both variances, both
-Wald decisions and failure as one :class:`StudyDraws`.  It draws the
-replicates in chunks of ``CHUNK_REPLICATES`` as ``(R, N)`` arrays, one
-chunk after another in one process.  A chunk's estimates and failures come
-from ``gee._fit_rows``, the code :func:`fit_zip` runs on one dataset, and
-its Wald decisions from ``gee._wald_rows``, the code :func:`wald_test` runs
-on one statistic.  Chunk ``k`` draws from the stream
-``(seed, STREAM_TAG, k)``, so no chunk's results depend on the chunks
-before it.  :func:`run_power_study` is its reduction: it sizes the trial,
-runs :func:`simulate_study` at that size and reduces the draws to rates
-with :meth:`StudyDraws.report`.
+caller chooses, it returns every replicate's estimate and failure, and its
+variance and Wald decision under each estimator, as one
+:class:`StudyDraws`.  It draws the replicates in chunks of
+``CHUNK_REPLICATES`` as ``(R, N)`` arrays, one chunk after another in one
+process.  A chunk's estimates and failures come from ``gee._fit_rows``,
+the code :func:`fit_zip` runs on one dataset, and its Wald decisions from
+``gee._wald_rows``, the code :func:`wald_test` runs on one statistic.
+Chunk ``k`` draws from the stream ``(seed, STREAM_TAG, k)``, so no chunk's
+results depend on the chunks before it.  :func:`run_power_study` is its
+reduction: it sizes the trial, runs :func:`simulate_study` at that size and
+reduces the draws to rates with :meth:`StudyDraws.report`.
 
 :func:`estimate_poisson_icc` is a statistic of the dataset
 ``generate_trial(design, n_clusters, seed)``: it makes the same draws from
@@ -50,8 +50,8 @@ import numpy as np
 
 from .design import ClusterSizeModel, DesignInputs, build_design, poisson_icc_limit
 from .errors import ConfigError, EstimationError, StudyError
-from .gee import DF_RULES, _arm_sums, _fail, _fit_rows, _test_df, _wald_rows
-# fit_zip is not called here; the benchmark harness looks it up on this module
+from .gee import DF_RULES, ESTIMATORS, _arm_sums, _fail, _fit_rows, _test_df, _wald_rows
+# perfbench looks fit_zip up on this module; ROADMAP item 1 deletes the import
 from .gee import fit_zip  # noqa: F401
 from .power import sample_size_normal, sample_size_t
 from .simulate import (
@@ -110,30 +110,39 @@ class StudyConfig:
 
 @dataclass(frozen=True)
 class StudyReport:
-    """Aggregated study outcome."""
+    """Aggregated study outcome.
+
+    ``rejection_rate`` maps each name of ``ESTIMATORS`` to its rate;
+    ``mc_standard_error`` is the binomial standard error of the last
+    estimator's (the Jackknife's) rate.
+    """
 
     n_clusters_used: int
-    rejection_rate_naive: float
-    rejection_rate_jackknife: float
+    rejection_rate: dict[str, float]
     mc_standard_error: float
     replicate_failures: int
     replications: int
+
+    @property
+    def rejection_rate_jackknife(self) -> float:
+        # perfbench reads this name; ROADMAP item 1 deletes it
+        return self.rejection_rate["jackknife"]
 
 
 @dataclass(frozen=True)
 class StudyDraws:
     """Per-replicate results of a study, or of one of its chunks.
 
-    ``failure`` holds the message of the error the replicate's fit or test
-    raised, or None.  The decisions of a failed replicate are False and its
-    estimates are meaningless.
+    ``sigma2`` and ``reject`` map each name of ``ESTIMATORS`` to the
+    replicates' variances of ``sqrt(N) * beta2_hat`` and Wald decisions
+    under it.  ``failure`` holds the message of the error the replicate's
+    fit or test raised, or None.  The decisions of a failed replicate are
+    False and its estimates are meaningless.
     """
 
     beta2_hat: np.ndarray
-    sigma2_naive: np.ndarray
-    sigma2_jackknife: np.ndarray
-    reject_naive: np.ndarray
-    reject_jackknife: np.ndarray
+    sigma2: dict[str, np.ndarray]
+    reject: dict[str, np.ndarray]
     failure: list[Optional[str]]
 
     def report(self, n_clusters: int) -> StudyReport:
@@ -152,12 +161,12 @@ class StudyDraws:
                 f"(>= {_MAX_FAILURE_FRACTION:.0%}); first causes: {sample}"
             )
         effective = replications - len(failures)
-        rate_jack = int(self.reject_jackknife.sum()) / effective
+        rates = {name: int(reject.sum()) / effective for name, reject in self.reject.items()}
+        rate = rates[ESTIMATORS[-1]]
         return StudyReport(
             n_clusters_used=n_clusters,
-            rejection_rate_naive=int(self.reject_naive.sum()) / effective,
-            rejection_rate_jackknife=rate_jack,
-            mc_standard_error=math.sqrt(rate_jack * (1.0 - rate_jack) / effective),
+            rejection_rate=rates,
+            mc_standard_error=math.sqrt(rate * (1.0 - rate) / effective),
             replicate_failures=len(failures),
             replications=replications,
         )
@@ -213,20 +222,18 @@ def _simulate_chunk(
         _fail(failure, np.ones(rows, dtype=bool), f"need at least 2 clusters, got {n_clusters}")
     _fail(failure, empty_arm, _empty_arm_message(n_clusters, design.r_bar))
 
-    _, _, log_mean, s, d = _fit_rows(arm, m, y, np.arange(n_clusters), failure)
+    _, _, log_mean, terms = _fit_rows(arm, m, y, np.arange(n_clusters), failure)
     with np.errstate(invalid="ignore"):
         beta2_hat = log_mean[:, 1] - log_mean[:, 0]
-        sigma2_naive = n_clusters * (s[:, 0] + s[:, 1])
-        sigma2_jackknife = n_clusters * ((n_clusters - 2) / n_clusters * (d[:, 0] + d[:, 1]))
-    reject_naive, reject_jackknife = (
-        _wald_rows(beta2_hat, sigma2, n_clusters, reference, alpha, df, failure)[2]
-        for sigma2 in (sigma2_naive, sigma2_jackknife)
-    )
-    # a replicate whose jackknife test failed has no naive decision either
-    reject_naive &= np.array([f is None for f in failure])
-    return StudyDraws(
-        beta2_hat, sigma2_naive, sigma2_jackknife, reject_naive, reject_jackknife, failure
-    )
+        sigma2 = {name: n_clusters * (t[:, 0] + t[:, 1]) for name, t in terms.items()}
+    reject = {
+        name: _wald_rows(beta2_hat, variance, n_clusters, reference, alpha, df, failure)[2]
+        for name, variance in sigma2.items()
+    }
+    # a replicate whose test failed under a later estimator has no decision
+    # under an earlier one either
+    ok = np.array([f is None for f in failure])
+    return StudyDraws(beta2_hat, sigma2, {name: r & ok for name, r in reject.items()}, failure)
 
 
 def simulate_study(
@@ -258,12 +265,14 @@ def simulate_study(
         chunks.append(
             _simulate_chunk(design, n_clusters, seed, k, rows, reference, df, design.alpha)
         )
+    sigma2, reject = (
+        {name: np.concatenate([part[name] for part in parts]) for name in ESTIMATORS}
+        for parts in ([c.sigma2 for c in chunks], [c.reject for c in chunks])
+    )
     return StudyDraws(
         np.concatenate([c.beta2_hat for c in chunks]),
-        np.concatenate([c.sigma2_naive for c in chunks]),
-        np.concatenate([c.sigma2_jackknife for c in chunks]),
-        np.concatenate([c.reject_naive for c in chunks]),
-        np.concatenate([c.reject_jackknife for c in chunks]),
+        sigma2,
+        reject,
         [f for c in chunks for f in c.failure],
     )
 
@@ -436,13 +445,8 @@ def _format_cell(value) -> str:
 def _study_columns(with_rates: bool) -> list[str]:
     columns = ["distribution", "rho_s", "rho_u", "q", "n_clusters"]
     if with_rates:
-        columns += [
-            "type_i_naive",
-            "power_naive",
-            "type_i_jackknife",
-            "power_jackknife",
-            "mc_standard_error",
-        ]
+        columns += [f"{kind}_{name}" for name in ESTIMATORS for kind in ("type_i", "power")]
+        columns.append("mc_standard_error")
     return columns
 
 
@@ -453,7 +457,7 @@ def reproduce_tables(
 
     ``table1`` and ``table2`` list the normal- and t-based cluster counts
     over the full grid; with ``replications > 0`` the empirical type I
-    error and power of both variance estimators are appended (one null and
+    error and power of each variance estimator are appended (one null and
     one alternative study per row).  ``table3-icc`` lists the Poisson-model
     ICC obtained from a 10,000-cluster ZIP dataset for the two discrete-
     uniform grids, next to its large-sample limit.
@@ -518,8 +522,7 @@ def _reproduce_table(table: str, replications: int, seed: int) -> TableReport:
                     )
                 )
                 kind = "type_i" if null else "power"
-                row[f"{kind}_naive"] = study.rejection_rate_naive
-                row[f"{kind}_jackknife"] = study.rejection_rate_jackknife
+                row.update({f"{kind}_{name}": r for name, r in study.rejection_rate.items()})
                 row["mc_standard_error"] = study.mc_standard_error
         report.rows.append(row)
     return report

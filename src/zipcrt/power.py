@@ -142,29 +142,35 @@ def t_cdf(t: float, df: float) -> float:
     return tail if t < 0.0 else 0.5 + 0.5 * central
 
 
-def _cornish_fisher(z: float, df: float) -> float:
-    """The t quantile's expansion in ``1 / df`` about the normal quantile ``z``."""
+def _cornish_fisher(z: float, df: float) -> tuple[float, float]:
+    """The t quantile's expansion in ``1 / df`` about the normal quantile
+    ``z``, to the ``df**-4`` term, and the first term it omits."""
     s = z * z
     g1 = (s + 1.0) * z / 4.0
     g2 = ((5.0 * s + 16.0) * s + 3.0) * z / 96.0
     g3 = (((3.0 * s + 19.0) * s + 17.0) * s - 15.0) * z / 384.0
     g4 = ((((79.0 * s + 776.0) * s + 1482.0) * s - 1920.0) * s - 945.0) * z / 92160.0
-    return z + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df
+    g5 = (((((27.0 * s + 339.0) * s + 930.0) * s - 1782.0) * s - 765.0) * s + 17955.0) * z
+    omitted = g5 / 368640.0 * (1.0 / df) ** 5
+    return z + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df, omitted
 
 
 @functools.lru_cache(maxsize=256)
 def t_quantile(df: float, prob: float) -> float:
     """Student-t inverse CDF for real ``df >= 1``.
 
-    Closed forms at df 1 and 2.  Otherwise Newton's method from the
-    Cornish-Fisher value, on the log of ``P(T > |t|)`` (or, near ``prob =
-    0.5``, of ``P(|T| < |t|)``, so that a small quantile keeps its relative
-    accuracy) as a function of ``log |t|``.  On that scale a heavy tail is
-    nearly a straight line, so the iterates reach even a far root in a
-    few steps.  They stop once a step is below 1e-13 or no smaller than
-    the one before, which happens only at the CDF's rounding noise.
-    Cached per ``(df, prob)``, since a study tests every replicate at one
-    critical value.
+    Closed forms at df 1 and 2.  Otherwise the Cornish-Fisher value, which
+    is the quantile once the first term it omits is below half an ulp of
+    it (from about df = 1,500 at ``prob = 0.975``), where the CDF's
+    continued fraction would need O(sqrt(df)) terms.  Below that, Newton's
+    method from the Cornish-Fisher value, on the log of ``P(T > |t|)`` (or,
+    near ``prob = 0.5``, of ``P(|T| < |t|)``, so that a small quantile keeps
+    its relative accuracy) as a function of ``log |t|``.  On that scale a
+    heavy tail is nearly a straight line, so the iterates reach even a far
+    root in a few steps.  They stop once a step is below 1e-13 or no
+    smaller than the one before, which happens only at the CDF's rounding
+    noise.  Cached per ``(df, prob)``, since a study tests every replicate
+    at one critical value.
     """
     if df < 1:
         raise DomainError(f"t quantile needs df >= 1, got {df}")
@@ -180,22 +186,23 @@ def t_quantile(df: float, prob: float) -> float:
     elif df == 2:
         t = central / math.sqrt(2.0 * tail * (1.0 - tail))
     else:
-        t = _cornish_fisher(-normal_quantile(tail), df)
-        previous = math.inf
-        for _ in range(100):
-            upper, inner, front = _t_split(t, df)
-            if tail < 0.25:
-                step = math.log(upper / tail) * upper / front
+        t, omitted = _cornish_fisher(-normal_quantile(tail), df)
+        if abs(omitted) > 0.5 * math.ulp(t):
+            previous = math.inf
+            for _ in range(100):
+                upper, inner, front = _t_split(t, df)
+                if tail < 0.25:
+                    step = math.log(upper / tail) * upper / front
+                else:
+                    step = -math.log(inner / central) * inner / (2.0 * front)
+                if abs(step) >= previous:  # the rounding noise of the CDF
+                    break
+                t *= math.exp(step)
+                if abs(step) <= 1e-13:
+                    break
+                previous = abs(step)
             else:
-                step = -math.log(inner / central) * inner / (2.0 * front)
-            if abs(step) >= previous:  # the rounding noise of the CDF
-                break
-            t *= math.exp(step)
-            if abs(step) <= 1e-13:
-                break
-            previous = abs(step)
-        else:
-            raise DomainError(f"t quantile did not converge at df={df}, prob={prob}")
+                raise DomainError(f"t quantile did not converge at df={df}, prob={prob}")
     return sign * t
 
 

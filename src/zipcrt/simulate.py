@@ -123,10 +123,6 @@ class TrialDataset:
     def n_subjects(self) -> int:
         return len(self.outcomes)
 
-    def arm_outcomes(self, arm: int) -> np.ndarray:
-        """All outcomes from clusters in the given arm, in cluster order."""
-        return self.outcomes[np.repeat(self.arm == arm, self.size)]
-
     def cluster_sums(self, values: np.ndarray) -> np.ndarray:
         """Per-cluster sums of an integer column aligned with ``outcomes``."""
         starts = np.cumsum(self.size) - self.size
@@ -193,11 +189,11 @@ def _nonzero_cdf(cells: SizeCells, p: float, rho_s: float) -> np.ndarray:
 # Keyed by the law's value (ClusterSizeModel hashes its defining fields, and
 # its cells are a function of them), so two equal laws share an entry; a p
 # or rho_s of -0.0 shares 0.0's, which _nonzero_cdf treats alike.  Worst
-# case: 32 read-only CDFs of at most MAX_SIZE_CELLS (2**15) float64 cells,
-# 256 KB each, plus the laws they keep alive (their cells, at most about
-# 1 MB each).  A table row needs at most 2 live keys, so LRU order keeps its
-# control arm's entry.
-@functools.lru_cache(maxsize=32)
+# case: 64 read-only CDFs of at most MAX_SIZE_CELLS (2**15) float64 cells,
+# 256 KB each (16 MB), plus the laws they keep alive (their cells, at most
+# about 1 MB each).  A table1 then table2 walk uses 36 keys (6 control
+# arms, 30 intervention arms), so each law is built once.
+@functools.lru_cache(maxsize=64)
 def _arm_cdf(sizes: ClusterSizeModel, p: float, rho_s: float) -> np.ndarray:
     """:func:`_nonzero_cdf` over ``sizes``' cells, built once per
     ``(sizes, p, rho_s)`` while the cache holds it, and read-only."""

@@ -157,11 +157,16 @@ def cluster_rows(data):
     return list(zip(data.cluster_id.tolist(), data.arm.tolist(), outcomes))
 
 
+def arm_outcomes(data, arm):
+    """All outcomes from clusters in the given arm, in cluster order."""
+    return data.outcomes[np.repeat(data.arm == arm, data.size)]
+
+
 def arm_totals(data):
     """(subjects, outcome sum, zero count) of each arm, read off the outcomes."""
     totals = []
     for arm in (0, 1):
-        y = data.arm_outcomes(arm)
+        y = arm_outcomes(data, arm)
         totals.append((float(y.size), float(y.sum()), float(np.count_nonzero(y == 0))))
     return totals
 

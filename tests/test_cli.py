@@ -61,8 +61,8 @@ def test_fit_prints_the_estimates(tmp_path, capsys):
     for i, name in enumerate(("beta1", "beta2")):
         estimate, se_naive, se_jack = (float(v) for v in rows[name])
         assert estimate == pytest.approx(fit.beta_hat[i], rel=1e-5)
-        assert se_naive == pytest.approx(fit.se_naive[i], rel=1e-5)
-        assert se_jack == pytest.approx(fit.se_jackknife[i], rel=1e-5)
+        assert se_naive == pytest.approx(fit.se("naive")[i], rel=1e-5)
+        assert se_jack == pytest.approx(fit.se("jackknife")[i], rel=1e-5)
     for i, name in enumerate(("p1_hat", "p2_hat")):
         assert float(rows[name][0]) == pytest.approx(fit.p_hat[i], rel=1e-5)
         assert fit.p_hat[i] > 0.0
@@ -255,6 +255,19 @@ def test_a_fit_alpha_whose_normal_quantile_rounds_to_1_is_a_domain_error(tmp_pat
     capsys.readouterr()
     assert cli.main(["fit", "--data", data, "--reference", "z", "--alpha", "1e-300"]) == 2
     assert "error: normal quantile needs 0 < prob < 1, got 1.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("reference", ["z", "t"])
+def test_a_fit_with_a_bad_alpha_prints_nothing(tmp_path, capsys, reference):
+    # printed the estimate rows and the test header, then exited 2
+    data = str(tmp_path / "data.csv")
+    assert cli.main(["simulate", "--config", design_file(tmp_path), "--clusters", "30",
+                     "--seed", "5", "--out", data]) == 0
+    capsys.readouterr()
+    assert cli.main(["fit", "--data", data, "--reference", reference, "--alpha", "1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "quantile needs 0 < prob < 1, got 1.0" in captured.err
 
 
 @pytest.mark.parametrize("beta2", ["1e-300", "1e-160", "1e-10"])

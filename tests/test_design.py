@@ -30,29 +30,30 @@ from conftest import DU_34_56, enumerated_pair_covariance, grid_design
 
 class TestArmProfile:
     def test_identity_holds_by_construction(self):
-        arm = ArmProfile.from_mean(1.21, 0.19)
+        arm = ArmProfile(1.21, 0.19)
         assert abs(arm.mu - (1 - arm.p) * arm.lam) <= 1e-12
         assert arm.lam == pytest.approx(1.21 / 0.81)
 
     def test_from_poisson(self):
-        arm = ArmProfile.from_poisson(2.0, 0.25)
-        assert arm.mu == pytest.approx(1.5)
+        # a profile built from the Poisson-component mean gives it back
+        arm = ArmProfile((1 - 0.25) * 2.0, 0.25)
+        assert arm.mu == 1.5 and arm.lam == pytest.approx(2.0)
 
     @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5])
     def test_p_out_of_range(self, p):
         with pytest.raises(DomainError):
-            ArmProfile.from_mean(1.0, p)
+            ArmProfile(1.0, p)
 
     def test_nonpositive_mean_rejected(self):
         with pytest.raises(DomainError):
-            ArmProfile.from_mean(0.0, 0.2)
+            ArmProfile(0.0, 0.2)
 
     @given(
         mu=st.floats(0.01, 50.0),
         p=st.floats(0.0, 0.99, exclude_max=False),
     )
     def test_overdispersion(self, mu, p):
-        arm = ArmProfile.from_mean(mu, p)
+        arm = ArmProfile(mu, p)
         var = marginal_variance(arm)
         assert var >= arm.mu
         if p > 1e-9:
@@ -61,15 +62,15 @@ class TestArmProfile:
 
 class TestMarginalVariance:
     def test_poisson_limit(self):
-        assert marginal_variance(ArmProfile.from_mean(1.0, 0.0)) == 1.0
+        assert marginal_variance(ArmProfile(1.0, 0.0)) == 1.0
 
     def test_half_inflated(self):
-        assert marginal_variance(ArmProfile.from_mean(1.0, 0.5)) == pytest.approx(
+        assert marginal_variance(ArmProfile(1.0, 0.5)) == pytest.approx(
             2.0, abs=1e-12
         )
 
     def test_application_profile(self):
-        arm = ArmProfile.from_mean(1.21, 0.121)
+        arm = ArmProfile(1.21, 0.121)
         expected = 1.21 + (0.121 / 0.879) * 1.21**2
         assert marginal_variance(arm) == pytest.approx(expected, abs=1e-12)
         assert marginal_variance(arm) == pytest.approx(1.4115, abs=5e-5)
@@ -77,7 +78,7 @@ class TestMarginalVariance:
     def test_monte_carlo_mixture(self):
         # independent check of the variance identity by simulating the mixture
         rng = np.random.default_rng(1234)
-        arm = ArmProfile.from_mean(1.0, 0.5)
+        arm = ArmProfile(1.0, 0.5)
         structural = rng.random(10**6) < arm.p
         draws = np.where(structural, 0, rng.poisson(arm.lam, 10**6))
         assert draws.var() == pytest.approx(marginal_variance(arm), rel=0.01)
@@ -86,15 +87,15 @@ class TestMarginalVariance:
 
 class TestZeroProbability:
     def test_pure_poisson(self):
-        arm = ArmProfile.from_poisson(1.0, 0.0)
+        arm = ArmProfile(1.0, 0.0)
         assert zero_probability(arm) == pytest.approx(math.exp(-1), abs=1e-12)
 
     def test_degenerate_point_mass(self):
-        arm = ArmProfile.from_mean(1e-9, 1.0 - 1e-9)
+        arm = ArmProfile(1e-9, 1.0 - 1e-9)
         assert zero_probability(arm) > 0.999
 
     def test_application_target(self):
-        arm = ArmProfile.from_mean(1.21, 0.19)
+        arm = ArmProfile(1.21, 0.19)
         assert zero_probability(arm) == pytest.approx(0.3718, abs=5e-4)
 
 
@@ -164,7 +165,7 @@ class TestInferP1:
     def test_application_mixture_root(self):
         p = infer_p1_from_observed(1.21, 0.372)
         assert p == pytest.approx(0.190, abs=2e-3)
-        arm = ArmProfile.from_mean(1.21, p)
+        arm = ArmProfile(1.21, p)
         assert zero_probability(arm) == pytest.approx(0.372, abs=1e-8)
 
     def test_forward_check(self):
@@ -180,7 +181,7 @@ class TestInferP1:
 
     @given(p=st.floats(0.001, 0.95), mean=st.floats(0.05, 10.0))
     def test_round_trip_property(self, p, mean):
-        target = zero_probability(ArmProfile.from_mean(mean, p))
+        target = zero_probability(ArmProfile(mean, p))
         recovered = infer_p1_from_observed(mean, target)
         assert recovered == pytest.approx(p, abs=1e-7)
 
@@ -204,17 +205,17 @@ class TestInferP1:
 
 class TestPairwiseCovariance:
     def test_reference_value(self):
-        arm = ArmProfile.from_mean(1.0, 0.5)
+        arm = ArmProfile(1.0, 0.5)
         assert pairwise_covariance_factor(arm, 0.03, 0.03) == pytest.approx(
             0.04545, abs=1e-12
         )
 
     def test_vanishes_without_shared_structure(self):
-        arm = ArmProfile.from_mean(2.7, 0.0)
+        arm = ArmProfile(2.7, 0.0)
         assert pairwise_covariance_factor(arm, 0.9, 0.0) == 0.0
 
     def test_intervention_arm_value(self):
-        arm = ArmProfile.from_mean(0.64986, 0.59693)
+        arm = ArmProfile(0.64986, 0.59693)
         assert pairwise_covariance_factor(arm, 0.05, 0.05) == pytest.approx(
             0.045339, abs=1e-5
         )
@@ -224,7 +225,7 @@ class TestPairwiseCovariance:
             for p in (0.0, 0.1, 0.3, 0.5, 0.8):
                 for rho_s in (0.0, 0.03, 0.2):
                     for rho_u in (0.0, 0.05, 0.4):
-                        arm = ArmProfile.from_mean(mu, p)
+                        arm = ArmProfile(mu, p)
                         closed = pairwise_covariance_factor(arm, rho_s, rho_u)
                         oracle = enumerated_pair_covariance(mu, p, rho_s, rho_u)
                         assert closed == pytest.approx(oracle, abs=1e-12)
@@ -232,14 +233,14 @@ class TestPairwiseCovariance:
     @pytest.mark.parametrize("p", [0.0, 0.5])
     def test_a_mean_whose_square_overflows_is_a_domain_error(self, p):
         # mu**2 raised OverflowError, even where p == 0 makes its term 0
-        arm = ArmProfile.from_mean(1e300, p)
+        arm = ArmProfile(1e300, p)
         with pytest.raises(DomainError, match=r"mean mu=1e\+300 is too large"):
             pairwise_covariance_factor(arm, 0.03, 0.03)
         with pytest.raises(DomainError, match=r"mean mu=1e\+300 is too large"):
             marginal_variance(arm)
 
     def test_monotone_in_both_correlations(self):
-        arm = ArmProfile.from_mean(1.3, 0.4)
+        arm = ArmProfile(1.3, 0.4)
         grid = np.linspace(0.0, 0.6, 13)
         in_rho_u = [pairwise_covariance_factor(arm, 0.1, r) for r in grid]
         in_rho_s = [pairwise_covariance_factor(arm, r, 0.1) for r in grid]

@@ -21,6 +21,7 @@ from conftest import (
     DU_10_80,
     DU_34_56,
     TRUNPOIS,
+    arm_outcomes,
     arm_totals,
     cluster_rows,
     dataset,
@@ -51,8 +52,8 @@ class TestFitBeta:
         for seed in (101, 102, 103, 104, 105):
             data = generate_trial(config_a, 24, seed=seed)
             fit = fit_zip(data)
-            control = data.arm_outcomes(0).mean()
-            intervention = data.arm_outcomes(1).mean()
+            control = arm_outcomes(data, 0).mean()
+            intervention = arm_outcomes(data, 1).mean()
             assert fit.beta_hat[0] == pytest.approx(math.log(control), abs=1e-8)
             assert fit.beta_hat[1] == pytest.approx(
                 math.log(intervention) - math.log(control), abs=1e-8
@@ -195,7 +196,7 @@ class TestClosedFormMatchesOracle:
         assert np.allclose(fit.beta_hat, beta, rtol=0.0, atol=1e-12)
         assert np.allclose(fit.p_hat, p, rtol=0.0, atol=1e-6)
         assert np.allclose(
-            fit.sigma_jackknife, jackknife_oracle(data), rtol=1e-10, atol=0.0
+            fit.variance["jackknife"], jackknife_oracle(data), rtol=1e-10, atol=0.0
         )
         if p1 == 0.0:
             assert 0.0 in fit.p_hat  # the case reaches the boundary
@@ -208,7 +209,8 @@ class TestClosedFormMatchesOracle:
         data = self.case_data(sizes, rho, p1, q, n_clusters, seed)
         fit = fit_zip(data)
         for p in (fit.p_hat, doubled_denominator_p(fit.beta_hat, fit.p_hat)):
-            assert np.allclose(fit.sigma_naive, sandwich_oracle(data, p), rtol=1e-12, atol=0.0)
+            sandwich = fit.n_clusters * fit.variance["naive"]
+            assert np.allclose(sandwich, sandwich_oracle(data, p), rtol=1e-12, atol=0.0)
 
     def test_es_oracle_reaches_the_root(self):
         # near the boundary each ES step shrinks the distance to the fixed
@@ -234,7 +236,7 @@ class TestClosedFormMatchesOracle:
 class TestSandwichVariance:
     def test_perfect_fit_gives_zero(self):
         data = dataset([(0, 0, [3, 3, 3]), (1, 1, [3, 3, 3]), (2, 0, [3, 3]), (3, 1, [3])])
-        assert np.allclose(fit_zip(data).sigma_naive, 0.0, atol=1e-20)
+        assert np.allclose(fit_zip(data).variance["naive"], 0.0, atol=1e-20)
 
     def test_uniform_weight_rescaling_cancels(self, config_a):
         data = generate_trial(config_a, 30, seed=24)
@@ -242,11 +244,11 @@ class TestSandwichVariance:
         base = sandwich_oracle(data, (0.4, 0.5))
         doubled = sandwich_oracle(data, doubled_denominator_p(fit.beta_hat, (0.4, 0.5)))
         assert np.allclose(base, doubled, rtol=1e-10)
-        assert np.allclose(fit.sigma_naive, base, rtol=1e-12, atol=0.0)
+        assert np.allclose(fit.n_clusters * fit.variance["naive"], base, rtol=1e-12, atol=0.0)
 
     def test_symmetric_psd(self, config_a):
         data = generate_trial(config_a, 40, seed=25)
-        sigma = fit_zip(data).sigma_naive
+        sigma = fit_zip(data).variance["naive"]
         assert np.allclose(sigma, sigma.T)
         assert np.linalg.eigvalsh(sigma).min() >= -1e-12
 
@@ -259,13 +261,13 @@ class TestSandwichVariance:
         data = generate_trial(config_a, 25, seed=26)
         fit = fit_zip(data)
         shuffled = dataset([(cid, arm, y[::-1]) for cid, arm, y in cluster_rows(data)])
-        assert np.array_equal(fit_zip(shuffled).sigma_naive, fit.sigma_naive)
+        assert np.array_equal(fit_zip(shuffled).variance["naive"], fit.variance["naive"])
 
 
 class TestJackknifeVariance:
     def test_identical_clusters_give_zero(self):
         rows = [(i, i % 2, [0, 2, 3] if i % 2 == 0 else [0, 1, 2]) for i in range(8)]
-        sigma = fit_zip(dataset(rows)).sigma_jackknife
+        sigma = fit_zip(dataset(rows)).variance["jackknife"]
         assert np.allclose(sigma, 0.0, atol=1e-16)
 
     def test_needs_three_clusters(self):
@@ -285,23 +287,23 @@ class TestJackknifeVariance:
 
     def test_order_invariance(self, config_a):
         data = generate_trial(config_a, 20, seed=27)
-        sigma = fit_zip(data).sigma_jackknife
+        sigma = fit_zip(data).variance["jackknife"]
         reordered = dataset(cluster_rows(data)[::-1])
-        assert np.allclose(fit_zip(reordered).sigma_jackknife, sigma, atol=1e-14)
+        assert np.allclose(fit_zip(reordered).variance["jackknife"], sigma, atol=1e-14)
 
     def test_same_scale_as_sandwich_after_rescaling(self, config_a):
-        # the resampling estimator targets Var(beta_hat); the sandwich is
-        # N-scaled, so compare against sandwich / N
+        # both estimators target Var(beta_hat): the fit keeps the sandwich
+        # rescaled by 1 / N
         data = generate_trial(config_a, 20, seed=28)
         fit = fit_zip(data)
-        jack22 = float(fit.sigma_jackknife[1, 1])
-        naive22 = float(fit.sigma_naive[1, 1]) / fit.n_clusters
+        jack22 = float(fit.variance["jackknife"][1, 1])
+        naive22 = float(fit.variance["naive"][1, 1])
         assert jack22 > 0.0
         assert 0.5 < jack22 / naive22 < 2.0
 
     def test_symmetric_psd(self, config_a):
         data = generate_trial(config_a, 22, seed=29)
-        sigma = fit_zip(data).sigma_jackknife
+        sigma = fit_zip(data).variance["jackknife"]
         assert np.allclose(sigma, sigma.T)
         assert np.linalg.eigvalsh(sigma).min() >= -1e-15
 
@@ -343,9 +345,9 @@ class TestFitZip:
         assert fit.n_clusters == 30
         assert np.array_equal(fit.alpha_hat, _alpha_from_p(*fit.p_hat))
         assert fit.degenerate == any(z == 0 for _, _, z in arm_totals(data))
-        assert fit.sigma2_sq("naive") == fit.sigma_naive[1, 1]
+        assert fit.sigma2_sq("naive") == 30 * fit.variance["naive"][1, 1]
         assert fit.sigma2_sq("jackknife") == pytest.approx(
-            30 * fit.sigma_jackknife[1, 1], abs=1e-15
+            30 * fit.variance["jackknife"][1, 1], abs=1e-15
         )
         with pytest.raises(DomainError):
             fit.sigma2_sq("bootstrap")
@@ -353,11 +355,11 @@ class TestFitZip:
     def test_se_properties(self, config_a):
         data = generate_trial(config_a, 30, seed=31)
         fit = fit_zip(data)
-        assert fit.se_naive[1] == pytest.approx(
-            math.sqrt(fit.sigma_naive[1, 1] / 30), abs=1e-15
+        assert fit.se("naive")[1] == pytest.approx(
+            math.sqrt(fit.variance["naive"][1, 1]), abs=1e-15
         )
-        assert fit.se_jackknife[1] == pytest.approx(
-            math.sqrt(fit.sigma_jackknife[1, 1]), abs=1e-15
+        assert fit.se("jackknife")[1] == pytest.approx(
+            math.sqrt(fit.variance["jackknife"][1, 1]), abs=1e-15
         )
 
     def test_peak_memory_below_half_the_outcome_column(self):

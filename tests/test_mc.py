@@ -30,12 +30,14 @@ from zipcrt import (
     wald_test,
 )
 from zipcrt.design import poisson_icc_limit
+from zipcrt.gee import ESTIMATORS
 
 from conftest import (
     DU_10_80,
     DU_34_56,
     SE_MULTIPLE,
     TRUNPOIS,
+    arm_outcomes,
     assert_same_moments,
     cluster_rows,
     cluster_sum_moments,
@@ -48,6 +50,15 @@ def engine_draws(design, n_clusters, seed, chunk, rows):
     """The arm, size and outcome-sum arrays that one engine chunk tests."""
     rng = np.random.default_rng([seed, mc.STREAM_TAG, chunk])
     return mc._draw_clusters(design, n_clusters, rng, rows)[:3]
+
+
+def draw_arrays(draws):
+    """A study's or a chunk's per-replicate arrays, by name."""
+    return {
+        "beta2_hat": draws.beta2_hat,
+        **{f"sigma2 {name}": array for name, array in draws.sigma2.items()},
+        **{f"reject {name}": array for name, array in draws.reject.items()},
+    }
 
 
 # (design, clusters, reference, df): the two reference laws at
@@ -91,16 +102,16 @@ class TestEngineMatchesFit:
                 fit = fit_zip(data)
                 beta2 = float(fit.beta_hat[1])
                 sigma2 = [fit.sigma2_sq(e) for e in ("naive", "jackknife")]
-                got = [chunk.beta2_hat[r], chunk.sigma2_naive[r], chunk.sigma2_jackknife[r]]
+                got = [chunk.beta2_hat[r], chunk.sigma2["naive"][r], chunk.sigma2["jackknife"][r]]
                 assert got == [beta2] + sigma2
                 tests = [wald_test(beta2, s, n, reference, 0.05, df) for s in sigma2]
             except ZipCrtError as exc:
                 assert chunk.failure[r] == str(exc)
-                assert not chunk.reject_naive[r] and not chunk.reject_jackknife[r]
+                assert not chunk.reject["naive"][r] and not chunk.reject["jackknife"][r]
                 continue
             assert chunk.failure[r] is None
-            assert chunk.reject_naive[r] == tests[0].reject
-            assert chunk.reject_jackknife[r] == tests[1].reject
+            assert chunk.reject["naive"][r] == tests[0].reject
+            assert chunk.reject["jackknife"][r] == tests[1].reject
 
     def test_gate_cases_reach_every_fit_and_test_failure(self):
         kinds = {
@@ -218,8 +229,8 @@ class TestReplicateFailures:
         error = "intervention arm has all-zero outcomes; log-mean undefined"
         failed = [r for r, f in enumerate(chunk.failure) if f == error]
         assert failed
-        assert not chunk.reject_naive[failed].any()
-        assert not chunk.reject_jackknife[failed].any()
+        assert not chunk.reject["naive"][failed].any()
+        assert not chunk.reject["jackknife"][failed].any()
 
     def test_a_failed_jackknife_test_leaves_no_naive_decision(self, monkeypatch):
         # clusters of size 49 with one outcome sum per arm: the sandwich
@@ -229,10 +240,10 @@ class TestReplicateFailures:
         m, y = np.full(arm.shape, 49), 1 + arm
         monkeypatch.setattr(mc, "_draw_clusters", lambda *_: (arm, m, y, np.zeros(1, dtype=bool)))
         chunk = mc._simulate_chunk(grid_design(), 6, 0, 0, 1, "t", 4, 0.05)
-        assert chunk.sigma2_naive[0] > 0.0 and chunk.sigma2_jackknife[0] == 0.0
-        assert wald_test(chunk.beta2_hat[0], chunk.sigma2_naive[0], 6, "t", 0.05, 4).reject
+        assert chunk.sigma2["naive"][0] > 0.0 and chunk.sigma2["jackknife"][0] == 0.0
+        assert wald_test(chunk.beta2_hat[0], chunk.sigma2["naive"][0], 6, "t", 0.05, 4).reject
         assert chunk.failure == ["sigma2_sq must be positive, got 0.0"]
-        assert not chunk.reject_naive[0] and not chunk.reject_jackknife[0]
+        assert not chunk.reject["naive"][0] and not chunk.reject["jackknife"][0]
 
     def test_far_tail_cluster_sizes_lose_no_replicate(self):
         # Poisson(45) lands in [90, 100] with probability about 1e-9; the
@@ -261,9 +272,11 @@ def test_multi_chunk_study_does_not_depend_on_chunk_order():
     effective = config.replications - failures
     report = run_power_study(config)
     assert report.replicate_failures == failures
-    assert report.rejection_rate_naive == sum(int(c.reject_naive.sum()) for c in chunks) / effective
-    assert report.rejection_rate_jackknife == (
-        sum(int(c.reject_jackknife.sum()) for c in chunks) / effective
+    assert report.rejection_rate["naive"] == (
+        sum(int(c.reject["naive"].sum()) for c in chunks) / effective
+    )
+    assert report.rejection_rate["jackknife"] == (
+        sum(int(c.reject["jackknife"].sum()) for c in chunks) / effective
     )
     # the keyword stays for callers that pass workers=1, and takes nothing else
     assert run_power_study(config, workers=1) == report
@@ -286,11 +299,11 @@ def test_study_at_a_chosen_n_is_its_chunks_concatenated(reference, alpha):
         mc._simulate_chunk(design, n, seed, k, rows, reference, df, alpha)
         for k, rows in enumerate((mc.CHUNK_REPLICATES, mc.CHUNK_REPLICATES, 8))
     ]
-    for name in ("beta2_hat", "sigma2_naive", "sigma2_jackknife", "reject_naive",
-                 "reject_jackknife"):
-        expected = np.concatenate([getattr(chunk, name) for chunk in chunks])
-        assert getattr(draws, name).dtype == expected.dtype
-        np.testing.assert_array_equal(getattr(draws, name), expected)
+    assert list(draws.sigma2) == list(draws.reject) == list(ESTIMATORS)
+    for name, array in draw_arrays(draws).items():
+        expected = np.concatenate([draw_arrays(chunk)[name] for chunk in chunks])
+        assert array.dtype == expected.dtype
+        np.testing.assert_array_equal(array, expected)
     assert draws.failure == [f for chunk in chunks for f in chunk.failure]
 
 
@@ -323,9 +336,8 @@ def test_a_cold_arm_law_cache_gives_the_warm_study(null):
     hits = simulate._arm_cdf.cache_info().hits
     warm = study()
     assert simulate._arm_cdf.cache_info().hits > hits
-    for name in ("beta2_hat", "sigma2_naive", "sigma2_jackknife", "reject_naive",
-                 "reject_jackknife"):
-        np.testing.assert_array_equal(getattr(warm, name), getattr(cold, name))
+    for name, array in draw_arrays(warm).items():
+        np.testing.assert_array_equal(array, draw_arrays(cold)[name])
     assert warm.failure == cold.failure
 
 
@@ -352,7 +364,15 @@ def test_each_arm_law_is_built_once_per_process(monkeypatch):
 def test_a_table_walk_keeps_the_arm_law_cache_within_its_bound():
     mc.reproduce_tables(["table1", "table2"], 40, seed=4)
     info = simulate._arm_cdf.cache_info()
-    assert info.maxsize == 32 and 0 < info.currsize <= info.maxsize
+    assert info.maxsize == 64 and 0 < info.currsize <= info.maxsize
+
+
+def test_a_table_walk_builds_each_arm_law_once():
+    # table1 then table2 use 36 keys, 6 control arms and 30 intervention
+    # arms; a bound of 32 evicted them cyclically, so table2 rebuilt 30
+    simulate._arm_cdf.cache_clear()
+    mc.reproduce_tables(["table1", "table2"], 40, seed=4)
+    assert simulate._arm_cdf.cache_info().misses == 36
 
 
 def test_seeded_study_rates_pinned_across_versions():
@@ -386,7 +406,7 @@ class TestPoissonIcc:
         # forms every Pearson residual, so the two differ only in rounding
         design = grid_design(cluster_sizes=sizes, rho=0.05)
         data = generate_trial(design, 500, seed=7)
-        mu_by_arm = (data.arm_outcomes(0).mean(), data.arm_outcomes(1).mean())
+        mu_by_arm = (arm_outcomes(data, 0).mean(), arm_outcomes(data, 1).mean())
         pair_sum = pair_count = square_sum = 0.0
         for _, arm, y in cluster_rows(data):
             e = (y - mu_by_arm[arm]) / math.sqrt(mu_by_arm[arm])

@@ -267,6 +267,15 @@ class TestAgainstScipy:
                 expected_cdf = stats.t.cdf(expected, df)
                 assert relative_error(t_cdf(expected, df), expected_cdf) <= bound, (df, prob)
 
+    def test_t_quantile_at_large_df(self):
+        # the continued fraction of the t CDF stops at _CF_TERMS terms, which
+        # put the quantile 4.9e-13 off at df = 1e5 and 4.2e-4 off at 1e14
+        for df in [1e4, 3e4, 1e5, 1e6, 1e7, 1e8, 1e10, 1e12, 1e14]:
+            for upper in [0.8, 0.9, 0.975, 0.995, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]:
+                for prob in (upper, 1.0 - upper):
+                    expected = stats.t.ppf(prob, df)
+                    assert relative_error(t_quantile(df, prob), expected) <= 2e-15, (df, prob)
+
     @pytest.mark.parametrize("dfs, bound", T_RANGES, ids=["df-1-to-1000", "df-1e4-to-1e6"])
     def test_t_predicted_power(self, dfs, bound):
         design = grid_design()
