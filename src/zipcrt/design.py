@@ -24,14 +24,14 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 # A size law tabulates its cells (m, k), 0 <= k <= m, only up to this many:
-# DU(10,80) has 3,266, and DU(1,254) is the widest DU(1, hi) within it.  The
-# table pays two exp passes over its cells once per law, p and rho_s in a
-# process (simulate._arm_cdf), the per-cluster draws a binomial per cluster,
-# so the break-even grows with the clusters drawn from one law: timed when
-# every draw paid the passes, on DU(1, hi) study chunks of 256 replicates
-# (one core), about 15k cells at N = 14, 20k-32k at N = 30 and above 32k at
-# N = 60.  The cap sits at the N = 30 break-even; no benchmark workload yet
-# has a law near it.
+# DU(10,80) has 3,266, and DU(1,254) is the widest DU(1, hi) within it.  A
+# built table draws each cluster in O(1) expected time, faster than the
+# per-cluster size, shared-zero and binomial draws of a wider law on any
+# chunk (a (256, 14) study chunk draws in about half the time on DU(1,254)
+# as on DU(1,255), one core), so the cap bounds a table's memory (10 to 12
+# bytes a cell, simulate._arm_table) and the build, about 3 ms at the cap,
+# paid once per law, p and rho_s in a process.  An arm's table of own
+# Poisson sums (simulate._poisson_sum_table) has the same cap on its entries.
 MAX_SIZE_CELLS = 2**15
 # The largest cluster mean hi * lam a design may have.  A simulated cluster
 # sum is one Poisson draw of a mean up to hi * lam (numpy takes means up to

@@ -171,7 +171,9 @@ def _fit_rows(
             _fail(failure, bad.any(axis=1), removal)
         delta = np.log(loo_outcomes / loo_subjects) - log_mean.take(key)
         d = _per_arm(key, delta * delta, rows)
-    return subjects, ybar, log_mean, {"naive": s, "jackknife": (n - 2) / n * d}
+    # with no clusters every row has failed above, and the factor is moot
+    jackknife = (n - 2) / n * d if n else d
+    return subjects, ybar, log_mean, {"naive": s, "jackknife": jackknife}
 
 
 @dataclass

@@ -9,14 +9,17 @@ with the effect removed.
 Studies, the ICC and :func:`zipcrt.simulate.generate_trial` draw from one
 core, ``simulate._draw_nonzero_counts``: given each cluster's arm, it draws
 the size ``m`` and the number ``K`` of subjects that are not structural
-zeros, each arm's clusters as one multiset from its tabulated joint law of
-``(m, K)`` (see :mod:`zipcrt.simulate`).  A chunk's ``(R, N)`` clusters of
-one arm are one such multiset.  Every Wald decision depends on a trial
-only through each cluster's arm, ``m_i`` and outcome sum ``Y_i`` (see
-:mod:`zipcrt.gee`), so the study engine never forms subject-level data: it
-draws ``Y = Poisson(K * lam * (1 - rho_u)) + K * Poisson(lam * rho_u)``,
-the ``K`` own Poisson parts in one draw plus ``K`` copies of the shared
-part.  Replicate ``r`` puts the intervention arm on its first clusters.
+zeros, one uniform per cluster inverted in O(1) expected time through its
+arm's tabulated joint law of ``(m, K)`` (see :mod:`zipcrt.simulate`).
+Every Wald decision depends on a trial only through each cluster's arm,
+``m_i`` and outcome sum ``Y_i`` (see :mod:`zipcrt.gee`), so the study
+engine never forms subject-level data: it draws
+``Y = Poisson(K * lam * (1 - rho_u)) + K * Poisson(lam * rho_u)``, the sum
+of the ``K`` own Poisson parts in one draw plus ``K`` copies of the shared
+part.  The own sum is one uniform inverted through row ``K`` of the arm's
+table of Poisson(``k * lam * (1 - rho_u)``), ``k = 0 .. hi``
+(:func:`_draw_own_sums`); the shared part is one ``rng.poisson`` draw.
+Replicate ``r`` puts the intervention arm on its first clusters.
 
 :func:`simulate_study` is the one study primitive: at a cluster count the
 caller chooses, it returns every replicate's estimate and failure, and its
@@ -57,8 +60,10 @@ from .power import sample_size_normal, sample_size_t
 from .simulate import (
     _balanced_count,
     _draw_nonzero_counts,
+    _draw_rows,
     _draw_trial,
     _empty_arm_message,
+    _poisson_sum_table,
     substream,
 )
 
@@ -67,10 +72,12 @@ _MAX_FAILURE_FRACTION = 0.01
 
 # What a study or table manifest records about the engine.  A change to a
 # stream, the chunk size or the draws changes seeded results and bumps the
-# version; version 3 drew truncated-Poisson sizes by rejection, and version
-# 4 drew each cluster's size, shared zero and ``K`` in turn.
+# version; version 3 drew truncated-Poisson sizes by rejection, version 4
+# drew each cluster's size, shared zero and ``K`` in turn, and version 5 drew
+# each arm's ``(m, K)`` as one sorted, shuffled multiset and every own
+# Poisson sum with ``rng.poisson``.
 ENGINE = "cluster-sum"
-ENGINE_VERSION = 5
+ENGINE_VERSION = 6
 STREAM_TAG = 0x43535553  # the chunk streams (seed, STREAM_TAG, chunk index)
 CHUNK_REPLICATES = 256
 
@@ -172,6 +179,27 @@ class StudyDraws:
         )
 
 
+def _draw_own_sums(
+    design: DesignInputs, arm: np.ndarray, nonzero: np.ndarray, lam, rng: np.random.Generator
+) -> np.ndarray:
+    """Each cluster's sum of its ``K`` own Poisson parts, Poisson(``K *
+    lam_a * (1 - rho_u)``), for arrays of arms and ``K``; ``lam`` is each
+    cluster's ``lam_a``, or one value for both arms.
+
+    One uniform per cluster, inverted through row ``K`` of its arm's
+    ``simulate._poisson_sum_table``.  When either arm has no table (more
+    than ``MAX_SIZE_CELLS`` entries, or a ``hi`` above 510), one
+    ``rng.poisson`` draw per cluster.
+    """
+    tables = tuple(
+        _poisson_sum_table(profile.lam * (1.0 - design.rho_u), design.cluster_sizes.hi)
+        for profile in (design.control, design.intervention)
+    )
+    if any(table is None for table in tables):
+        return rng.poisson(nonzero * lam * (1.0 - design.rho_u))
+    return _draw_rows(tables, arm, nonzero, rng)
+
+
 def _draw_clusters(
     design: DesignInputs, n_clusters: int, rng: np.random.Generator, rows: int
 ) -> tuple[np.ndarray, ...]:
@@ -193,7 +221,7 @@ def _draw_clusters(
     lam = design.control.lam
     if design.intervention.lam != lam:
         lam = np.where(arm, design.intervention.lam, lam)
-    y = rng.poisson(nonzero * lam * (1.0 - design.rho_u))
+    y = _draw_own_sums(design, arm, nonzero, lam, rng)
     y += nonzero * rng.poisson(lam * design.rho_u, arm.shape)
     empty_arm = (n_intervention == 0) | (n_intervention == n_clusters)
     return arm, m, y, empty_arm

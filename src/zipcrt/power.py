@@ -132,12 +132,68 @@ def _t_split(t: float, df: float) -> tuple[float, float, float]:
     return 0.5 - 0.5 * central, central, front
 
 
+# The t CDF's expansion in 1 / df about the normal CDF (Fisher, 1925),
+# F(t) = Phi(t) - phi(t) * sum_k g_k(t) / df**k, where g_k is the odd
+# polynomial with g_k' - t g_k = -b_k for the df**-k term b_k of the t
+# density's expansion phi(t) * (1 + sum_k b_k(t) / df**k).  Each row is one
+# g_k(t) = t * P_k(t**2) / d_k as (d_k, the coefficients of P_k from the
+# highest power down), for k = 1 .. 9; the last is the first term omitted.
+_T_CDF_SERIES = (
+    (4, (1, 1)),
+    (96, (3, -7, -5, -3)),
+    (384, (1, -11, 14, 6, -3, -15)),
+    (92160, (15, -375, 2225, -2141, -939, -213, 915, 945)),
+    (368640, (3, -133, 1764, -7516, 5994, 2490, 1140, 180, 5355, 17955)),
+    (185794560, (63, -4347, 101115, -946043, 3237542, -2253390, -876282, -384150, 263115,
+                 129465, -2329425, -2463615)),
+    (743178240, (9, -891, 32010, -519710, 3845611, -11213649, 7034364, 2607948, 1208655,
+                 -783405, -2545830, -4881870, -35519715, -111486375)),
+    (356725555200, (135, -18135, 929565, -23142945, 294349195, -1831354675, 4717343001,
+                    -2723449941, -971108667, -476844165, 175806855, 608864445, -621196695,
+                    -298409265, 13660121475, 14223634425)),
+    (1426902220800, (15, -2625, 181800, -6424216, 124474196, -1319882348, 7170886776,
+                     -16714073544, 9011238090, 3107212650, 1579613400, -362131560,
+                     -1882995660, 2870550900, 19236155400, 66308041800, 397586764575,
+                     1221207562575)),
+)
+
+
+def _t_cdf_expansion(t: float, df: float) -> tuple[float, float]:
+    """The t CDF's expansion (``_T_CDF_SERIES``) to the ``df**-8`` term, and
+    ``g_9(t) / df**9``, the first term it omits over ``phi(t)``."""
+    s = t * t
+    terms = [t * functools.reduce(lambda acc, c: acc * s + c, coeffs, 0.0) / denominator
+             for denominator, coeffs in _T_CDF_SERIES]
+    *kept, omitted = terms
+    correction = 0.0
+    for g in reversed(kept):  # Horner's rule in 1 / df
+        correction = (correction + g) / df
+    for _ in terms:
+        omitted /= df  # a power df**9 could overflow
+    density = math.exp(-0.5 * s) / math.sqrt(2.0 * math.pi)
+    return 0.5 * math.erfc(-t / math.sqrt(2.0)) - density * correction, omitted
+
+
 def t_cdf(t: float, df: float) -> float:
-    """Student-t CDF for real ``df >= 1``."""
+    """Student-t CDF for real ``df >= 1``.
+
+    The expansion in ``1 / df`` about the normal CDF where the first term it
+    omits is below half an ulp of its value, as for large ``df`` and
+    moderate ``t``: there the continued fraction, which needs O(sqrt(df))
+    terms, would stop at ``_CF_TERMS`` short of converging.  The value is at
+    least ``phi(t) / (2 * max(1, |t|))``, so the omitted term ``phi(t) *
+    g_9(t) / df**9`` is below half its ulp when ``|g_9(t)| / df**9`` is
+    below ``2**-54 / max(1, |t|)``; this test needs no ``phi(t)``, which
+    underflows in the far tails.  Otherwise the regularized incomplete beta
+    function of :func:`_t_split`.
+    """
     if df < 1:
         raise DomainError(f"t CDF needs df >= 1, got {df}")
     if t == 0.0:
         return 0.5
+    value, omitted = _t_cdf_expansion(t, df)
+    if abs(omitted) * max(1.0, abs(t)) <= 2.0**-54:
+        return value
     tail, central, _ = _t_split(abs(t), df)
     return tail if t < 0.0 else 0.5 + 0.5 * central
 

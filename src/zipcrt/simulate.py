@@ -15,15 +15,17 @@ separately for the two parts:
     Poisson(lam) and pairwise correlation ``rho_u``.
 
 :func:`_draw_nonzero_counts` draws ``m`` and ``K`` for any arm layout; the
-study engine in :mod:`zipcrt.mc` draws from it too.  It draws each arm's
-clusters as one multiset of cells ``(m, k)`` of the arm's joint law of
-``(m, K)``: sorted uniforms inverted through the law's cumulative sum
-(:func:`_nonzero_cdf`, over the cells ``ClusterSizeModel`` tabulates), then
-one shuffle.  The cumulative sum costs two ``exp`` passes over the cells,
-paid once per law, ``p`` and ``rho_s`` in a process: :func:`_arm_cdf` keeps
-it.  A law with more than ``design.MAX_SIZE_CELLS`` (2**15) cells is not
-tabulated, since there one binomial per cluster costs less than those
-passes did when every draw paid them; it draws each size (a
+study engine in :mod:`zipcrt.mc` draws from it too.  It draws one uniform
+per cluster, in the order of the layout, and inverts it through its arm's
+joint law of ``(m, K)`` (:func:`_nonzero_cdf`, over the cells
+``ClusterSizeModel`` tabulates) in O(1) expected time, by the keyed,
+guided search of :class:`_KeyedTable`.  The cumulative law costs two
+``exp`` passes over the cells, paid once per law, ``p`` and ``rho_s`` in a
+process: :func:`_arm_table` keeps its table.  The study engine draws each
+cluster's sum of ``K`` own Poisson parts from the same kind of table
+(:func:`_poisson_sum_table`).  A law with more than
+``design.MAX_SIZE_CELLS`` (2**15) cells is not tabulated, which bounds a
+table's memory and build time; it draws each size (a
 discrete-uniform size one integer, a truncated-Poisson size one uniform at
 which it inverts the law's cumulative mass function), then ``c``, then
 ``K``.  Either way any law
@@ -48,21 +50,22 @@ import re
 import stat
 import warnings
 from dataclasses import dataclass
-from typing import NoReturn, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 import numpy as np
 
-from .design import ClusterSizeModel, DesignInputs, SizeCells
+from .design import MAX_SIZE_CELLS, ClusterSizeModel, DesignInputs, SizeCells
 from .errors import ConfigError, DomainError
 
 # What a simulate manifest records about the generator.  A change to the
 # stream or to the order of the draws changes seeded datasets and bumps the
 # version; version 1 drew each cluster from its own substream, version 2
 # drew each subject's zero and count, version 3 drew truncated-Poisson
-# sizes by rejection, version 4 drew every own Poisson part by itself, and
-# version 5 drew each cluster's size, shared zero and ``K`` in turn.
+# sizes by rejection, version 4 drew every own Poisson part by itself,
+# version 5 drew each cluster's size, shared zero and ``K`` in turn, and
+# version 6 drew each arm's ``(m, K)`` as one sorted, shuffled multiset.
 GENERATOR = "subject-array"
-GENERATOR_VERSION = 6
+GENERATOR_VERSION = 7
 TRIAL_STREAM_TAG = 0x54524941  # a dataset's stream (seed, TRIAL_STREAM_TAG)
 
 _SEED_LIMIT = 2**64
@@ -186,20 +189,129 @@ def _nonzero_cdf(cells: SizeCells, p: float, rho_s: float) -> np.ndarray:
     return cdf
 
 
+# numpy's uniform draw u is an integer U in [0, 2**53) times 2**-53
+_UNIFORM_BITS = 53
+# A key is row * 2**53 + ceil(F * 2**53) with ceil(F * 2**53) <= 2**53, so
+# an int64 key holds rows 0 .. 1022
+_MAX_TABLE_ROWS = (2**63 - 1) >> _UNIFORM_BITS
+
+
+class _KeyedTable(NamedTuple):
+    """Rows of cumulative laws, each inverted in O(1) expected time.
+
+    Entry ``j`` of row ``r``, with cumulative probability ``F``, has the
+    key ``r * 2**53 + ceil(F * 2**53)``; the keys of all rows form one
+    sorted int64 array.  A row's last ``F`` is exactly 1.0, so a row's keys
+    lie in ``[r * 2**53, (r + 1) * 2**53]``.  For ``u = U * 2**-53`` the
+    entries of row ``r`` with ``F <= u`` are exactly those whose key is at
+    most the query ``r * 2**53 + U``, so one ``searchsorted`` over all rows
+    finds the answer ``searchsorted(F_r, u, side="right")`` of any row.
+
+    The guide (Chen and Asau, 1974; Devroye, 1986, III.2.4) cuts each row's
+    range of ``U`` into ``2**(53 - shift)`` equal buckets, so the query's
+    bucket is ``query >> shift``.  A bucket whose range holds at most one
+    entry's ``ceil(F * 2**53)`` stores the index, within its row, of the
+    first entry past its start, and the answer is that index, plus one when
+    that entry's key is at most the query; a bucket with two or more holds
+    -1 and is answered by the ``searchsorted``.  A row has at most
+    ``MAX_SIZE_CELLS`` (2**15) entries, so an index fits an int16.
+    """
+
+    keys: np.ndarray
+    guide: np.ndarray
+    shift: int
+    row_start: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return self.row_start.size
+
+
+def _keyed_table(cdf: np.ndarray, widths: np.ndarray, buckets: int) -> _KeyedTable:
+    """The read-only :class:`_KeyedTable` of rows of ``widths`` entries,
+    laid end to end in ``cdf``, each ending in exactly 1.0, with a power of
+    two ``buckets`` buckets per row."""
+    # in place where it can be, since a table's first build in a process
+    # holds these temporaries beside every table already cached
+    row_start = np.cumsum(widths) - widths
+    keys = np.ldexp(cdf, _UNIFORM_BITS)
+    np.ceil(keys, out=keys)
+    keys = keys.astype(np.int64)
+    keys += np.repeat(np.arange(widths.size, dtype=np.int64) << _UNIFORM_BITS, widths)
+    shift = _UNIFORM_BITS + 1 - buckets.bit_length()
+    query = np.arange(widths.size * buckets, dtype=np.int64) << shift  # each bucket's first U
+    first = np.searchsorted(keys, query, side="right")
+    query += (1 << shift) - 1  # each bucket's last U
+    entries = np.searchsorted(keys, query, side="right")
+    del query
+    entries -= first
+    first -= np.repeat(row_start, buckets)
+    first[entries > 1] = -1
+    table = _KeyedTable(keys, first.astype(np.int16), shift, row_start)
+    for part in (table.keys, table.guide, table.row_start):
+        part.flags.writeable = False
+    return table
+
+
+def _stacked(first: _KeyedTable, second: _KeyedTable) -> _KeyedTable:
+    """One table of ``first``'s rows, then ``second``'s; both have the same
+    buckets per row."""
+    keys = np.empty(first.keys.size + second.keys.size, dtype=np.int64)
+    keys[: first.keys.size] = first.keys
+    np.add(second.keys, first.rows << _UNIFORM_BITS, out=keys[first.keys.size :])
+    return _KeyedTable(
+        keys,
+        np.concatenate((first.guide, second.guide)),
+        first.shift,
+        np.concatenate((first.row_start, second.row_start + first.keys.size)),
+    )
+
+
+def _invert(table: _KeyedTable, row, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(F_row, u, side="right")`` for each uniform ``u`` and
+    its row of ``table`` (an array of ``u``'s shape, or one row for all)."""
+    query = (u * 2.0**_UNIFORM_BITS).astype(np.int64)  # exact
+    query += np.asarray(row, dtype=np.int64) << _UNIFORM_BITS
+    start = table.row_start[row]
+    found = start + table.guide[query >> table.shift]  # an index into keys
+    crowded = found < start
+    found += table.keys[found] <= query
+    if crowded.any():
+        found[crowded] = np.searchsorted(table.keys, query[crowded], side="right")
+    found -= start
+    return found
+
+
+def _draw_rows(
+    tables: tuple[_KeyedTable, _KeyedTable], arm: np.ndarray, row, rng: np.random.Generator
+) -> np.ndarray:
+    """One uniform per cluster, in the order of ``arm``, inverted through row
+    ``row`` of its arm's table: ``tables[a]`` for arm ``a``.  Two arms with
+    one law share its table; otherwise the draw runs on the two stacked,
+    which gives each cluster the answer its own arm's table would."""
+    u = rng.random(arm.shape)
+    control, intervention = tables
+    if control is intervention:
+        return _invert(control, row, u)
+    return _invert(_stacked(control, intervention), row + arm * control.rows, u)
+
+
 # Keyed by the law's value (ClusterSizeModel hashes its defining fields, and
 # its cells are a function of them), so two equal laws share an entry; a p
-# or rho_s of -0.0 shares 0.0's, which _nonzero_cdf treats alike.  Worst
-# case: 64 read-only CDFs of at most MAX_SIZE_CELLS (2**15) float64 cells,
-# 256 KB each (16 MB), plus the laws they keep alive (their cells, at most
-# about 1 MB each).  A table1 then table2 walk uses 36 keys (6 control
-# arms, 30 intervention arms), so each law is built once.
+# or rho_s of -0.0 shares 0.0's, which _nonzero_cdf treats alike.  An entry
+# holds 8 bytes of key and 2 to 4 bytes of guide per cell: worst case, 64
+# read-only tables of MAX_SIZE_CELLS (2**15) cells, 320 KB each (20 MB),
+# plus the laws they keep alive (their cells, at most about 1 MB each).  A
+# table1 then table2 walk uses 36 keys (6 control arms, 30 intervention
+# arms), so each law is built once.  On the bundled grid a table is at
+# most 3,266 cells and 34 KB.
 @functools.lru_cache(maxsize=64)
-def _arm_cdf(sizes: ClusterSizeModel, p: float, rho_s: float) -> np.ndarray:
-    """:func:`_nonzero_cdf` over ``sizes``' cells, built once per
-    ``(sizes, p, rho_s)`` while the cache holds it, and read-only."""
+def _arm_table(sizes: ClusterSizeModel, p: float, rho_s: float) -> _KeyedTable:
+    """The one-row :class:`_KeyedTable` of :func:`_nonzero_cdf` over
+    ``sizes``' cells, built once per ``(sizes, p, rho_s)`` while the cache
+    holds it, and read-only."""
     cdf = _nonzero_cdf(sizes._cells, p, rho_s)
-    cdf.flags.writeable = False
-    return cdf
+    return _keyed_table(cdf, np.array([cdf.size]), 1 << (cdf.size - 1).bit_length())
 
 
 def _draw_nonzero_counts(
@@ -208,12 +320,11 @@ def _draw_nonzero_counts(
     """Size ``m`` and non-structural-zero count ``K`` of each cluster, for an
     array of arm indicators of any shape.
 
-    A law with cells (``ClusterSizeModel._cells``) draws the control arm's
-    clusters, then the intervention arm's, each as one multiset: sorted
-    uniform draws, each inverted through the arm's :func:`_arm_cdf`, then
-    one shuffle, laid on the arm's clusters in order.  A wider law draws, in
-    this order, the sizes, each cluster's shared zero ``c``, then ``K`` as
-    one binomial draw (see the module docstring).
+    A law with cells (``ClusterSizeModel._cells``) draws one uniform per
+    cluster, in the order of ``arm``, and inverts it through its arm's
+    :func:`_arm_table` (:func:`_draw_rows`).  A wider law draws, in this
+    order, the sizes, each cluster's shared zero ``c``, then ``K`` as one
+    binomial draw (see the module docstring).
     """
     cells = design.cluster_sizes._cells
     if cells is None:
@@ -223,16 +334,12 @@ def _draw_nonzero_counts(
         shared_zero = rng.random(arm.shape) < p
         nonzero = rng.binomial(m, (1.0 - mix) * (1.0 - p) + np.where(shared_zero, 0.0, mix))
         return m, nonzero
-    m = np.empty(arm.shape, dtype=np.int64)
-    nonzero = np.empty(arm.shape, dtype=np.int64)
-    in_arm1 = arm.astype(bool)
-    for profile, where in ((design.control, ~in_arm1), (design.intervention, in_arm1)):
-        cdf = _arm_cdf(design.cluster_sizes, profile.p, design.rho_s)
-        cell = np.searchsorted(cdf, np.sort(rng.random(np.count_nonzero(where))), side="right")
-        rng.shuffle(cell)
-        m[where] = cells.m[cell]
-        nonzero[where] = cells.k[cell]
-    return m, nonzero
+    tables = tuple(
+        _arm_table(design.cluster_sizes, profile.p, design.rho_s)
+        for profile in (design.control, design.intervention)
+    )
+    cell = _draw_rows(tables, arm, 0, rng)
+    return cells.m[cell], cells.k[cell]
 
 
 def _allocate_arms(
@@ -314,6 +421,71 @@ def _poisson_sample(lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
     values = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
     rng.shuffle(values)
     return values
+
+
+# Row k of the own-sum table covers Poisson(k * mean) on 0 .. W_k with
+# W_k = ceil(lam + 14 + sqrt(196 + 84 * lam)), lam = k * mean.  The Chernoff
+# bound P(X >= lam + x) <= exp(-x**2 / (2 * (lam + x / 3))) puts less than
+# exp(-42) < 2**-60 past W_k, far below the 2**-53 step of a uniform draw.
+_TAIL_OFFSET, _TAIL_SQUARE, _TAIL_SLOPE = 14.0, 196.0, 84.0
+
+
+def _sum_buckets(hi: int) -> int:
+    """Buckets per row of an own-sum table with rows ``0 .. hi``: the power of
+    two at or above ``2 * (hi + 1)``, halved while the guide would exceed
+    ``2 * MAX_SIZE_CELLS`` entries.  It depends on ``hi`` alone, so two
+    arms' tables stack.  At own means near 2, as on the bundled grid, the
+    widest row has about one entry per bucket; a larger mean leaves more
+    draws to the ``searchsorted``."""
+    buckets = 1 << (2 * hi + 1).bit_length()
+    while buckets * (hi + 1) > 2 * MAX_SIZE_CELLS:
+        buckets //= 2
+    return buckets
+
+
+def _poisson_sum_cdf(mean: float, hi: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The rows ``k = 0 .. hi`` of the cumulative law of a sum of ``k`` own
+    Poisson parts, Poisson(``k * mean``), laid end to end, and their widths.
+
+    Row ``k`` is built on ``0 .. W_k`` and cut after its first entry of
+    exactly 1.0.  None when the built rows would have more than
+    ``MAX_SIZE_CELLS`` entries, or more rows than two arms' tables can stack
+    in one (a ``hi`` above 510).
+    """
+    lam = mean * np.arange(1, hi + 1)
+    width = np.ceil(lam + _TAIL_OFFSET + np.sqrt(_TAIL_SQUARE + _TAIL_SLOPE * lam)) + 1.0
+    # counted in float64, which a mean near MAX_CLUSTER_MEAN cannot overflow
+    if not (mean > 0.0 and 1.0 + width.sum() <= MAX_SIZE_CELLS and 2 * (hi + 1) <= _MAX_TABLE_ROWS):
+        return None
+    widths = np.concatenate(([1], width.astype(np.int64)))  # row 0 is the point 0
+    # each row in full, up to the widest, its mass 0 past its own width
+    values = np.arange(widths[-1])
+    inside = values < widths[1:, None]
+    cdf = np.multiply.outer(np.log(lam), values)
+    cdf -= lam[:, None]
+    cdf -= np.concatenate(([0.0], np.cumsum(np.log(values[1:]))))  # log k!
+    np.exp(cdf, out=cdf)
+    cdf[~inside] = 0.0
+    np.cumsum(cdf, axis=1, out=cdf)
+    cdf /= cdf[:, -1:]  # the last entry of each row is then exactly 1.0
+    # past the first entry of exactly 1.0 no uniform can reach an entry, so
+    # each row ends there
+    widths[1:] = 1 + np.count_nonzero(cdf < 1.0, axis=1)
+    rows = np.empty(widths.sum())
+    rows[0] = 1.0
+    rows[1:] = cdf[values < widths[1:, None]]
+    return rows, widths
+
+
+# Keyed like _arm_table, by the own mean and hi; an entry holds at most
+# MAX_SIZE_CELLS keys and 2 * MAX_SIZE_CELLS guide buckets (384 KB), and a
+# table1 then table2 walk uses 36 keys, as _arm_table does.
+@functools.lru_cache(maxsize=64)
+def _poisson_sum_table(mean: float, hi: int) -> Optional[_KeyedTable]:
+    """The read-only :class:`_KeyedTable` of :func:`_poisson_sum_cdf`, or
+    None where that is None."""
+    rows = _poisson_sum_cdf(mean, hi)
+    return None if rows is None else _keyed_table(*rows, _sum_buckets(hi))
 
 
 def _draw_trial(

@@ -308,13 +308,13 @@ def test_simulate_manifest_records_the_generator(tmp_path, capsys):
     manifest = json.loads((tmp_path / "data.csv.manifest.json").read_text(encoding="utf-8"))
     assert (manifest["command"], manifest["seed"]) == ("simulate", 3)
     assert manifest["generator"] == {
-        "name": "subject-array", "version": 6, "stream_tag": simulate.TRIAL_STREAM_TAG,
+        "name": "subject-array", "version": 7, "stream_tag": simulate.TRIAL_STREAM_TAG,
     }
     assert "engine" not in manifest
 
 
 ENGINE_FIELDS = {
-    "name": "cluster-sum", "version": 5, "stream_tag": mc.STREAM_TAG, "chunk_replicates": 256,
+    "name": "cluster-sum", "version": 6, "stream_tag": mc.STREAM_TAG, "chunk_replicates": 256,
 }
 
 

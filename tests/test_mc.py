@@ -2,12 +2,14 @@
 simulator and the design variance; which replicates fail, and why; the
 Poisson-model ICC."""
 
+import dataclasses
 import functools
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from zipcrt import (
     ClusterSizeModel,
@@ -245,6 +247,18 @@ class TestReplicateFailures:
         assert chunk.failure == ["sigma2_sq must be positive, got 0.0"]
         assert not chunk.reject["naive"][0] and not chunk.reject["jackknife"][0]
 
+    @pytest.mark.parametrize("n_clusters", [0, 1])
+    def test_fewer_than_2_clusters_fail_every_replicate(self, n_clusters):
+        # 0 clusters once raised a bare ZeroDivisionError from the Jackknife's
+        # (N - 2) / N; the draws are (R, 0) arrays then
+        reps = mc.CHUNK_REPLICATES + 4
+        draws = mc.simulate_study(grid_design(), n_clusters, reps, 3, 18)
+        assert draws.failure == [f"need at least 2 clusters, got {n_clusters}"] * reps
+        assert draws.beta2_hat.shape == (reps,)
+        assert not any(reject.any() for reject in draws.reject.values())
+        arm, m, y = engine_draws(grid_design(), n_clusters, 3, 0, 5)
+        assert arm.shape == m.shape == y.shape == (5, n_clusters)
+
     def test_far_tail_cluster_sizes_lose_no_replicate(self):
         # Poisson(45) lands in [90, 100] with probability about 1e-9; the
         # sizer accepts the law, so the ICC and a study must run on it too
@@ -325,17 +339,21 @@ def test_a_study_of_no_replicates_is_a_config_error(reps):
         mc.simulate_study(grid_design(), 20, reps, 0, 18)
 
 
+LAW_CACHES = (simulate._arm_table, simulate._poisson_sum_table)
+
+
 @pytest.mark.parametrize("null", [False, True], ids=["alternative", "null"])
 def test_a_cold_arm_law_cache_gives_the_warm_study(null):
     design = grid_design(DU_10_80, rho=0.05)
     if null:
         design = design.under_null()
     study = functools.partial(mc.simulate_study, design, 30, mc.CHUNK_REPLICATES + 8, 5, 28)
-    simulate._arm_cdf.cache_clear()
+    for cache in LAW_CACHES:
+        cache.cache_clear()
     cold = study()
-    hits = simulate._arm_cdf.cache_info().hits
+    hits = [cache.cache_info().hits for cache in LAW_CACHES]
     warm = study()
-    assert simulate._arm_cdf.cache_info().hits > hits
+    assert all(cache.cache_info().hits > hit for cache, hit in zip(LAW_CACHES, hits))
     for name, array in draw_arrays(warm).items():
         np.testing.assert_array_equal(array, draw_arrays(cold)[name])
     assert warm.failure == cold.failure
@@ -343,46 +361,97 @@ def test_a_cold_arm_law_cache_gives_the_warm_study(null):
 
 def test_each_arm_law_is_built_once_per_process(monkeypatch):
     # two studies of three chunks each, then a dataset: the alternative's two
-    # arm laws are built once, and the null's arms share the control's
-    built = []
+    # arm laws are built once, and the null's arms share the control's; so
+    # are the laws of the arms' own Poisson sums
+    built, sums_built = [], []
 
     def counted(cells, p, rho_s):
         built.append((p, rho_s))
         return fresh(cells, p, rho_s)
 
-    fresh = simulate._nonzero_cdf
+    def counted_sums(mean, hi):
+        sums_built.append((mean, hi))
+        return fresh_sums(mean, hi)
+
+    fresh, fresh_sums = simulate._nonzero_cdf, simulate._poisson_sum_cdf
     monkeypatch.setattr(simulate, "_nonzero_cdf", counted)
-    simulate._arm_cdf.cache_clear()
+    monkeypatch.setattr(simulate, "_poisson_sum_cdf", counted_sums)
+    for cache in LAW_CACHES:
+        cache.cache_clear()
     design = grid_design(DU_10_80, rho=0.05)
     for generating in (design, design.under_null()):
         mc.simulate_study(generating, 30, 2 * mc.CHUNK_REPLICATES + 8, 3, 28)
     generate_trial(design, 30, 1)
-    simulate._arm_cdf.cache_clear()  # keep no entry the stand-in built
+    for cache in LAW_CACHES:
+        cache.cache_clear()  # keep no entry the stand-ins built
     assert built == [(design.control.p, 0.05), (design.intervention.p, 0.05)]
+    assert sums_built == [(arm.lam * 0.95, 80) for arm in (design.control, design.intervention)]
 
 
 def test_a_table_walk_keeps_the_arm_law_cache_within_its_bound():
     mc.reproduce_tables(["table1", "table2"], 40, seed=4)
-    info = simulate._arm_cdf.cache_info()
-    assert info.maxsize == 64 and 0 < info.currsize <= info.maxsize
+    for cache in LAW_CACHES:
+        info = cache.cache_info()
+        assert info.maxsize == 64 and 0 < info.currsize <= info.maxsize
 
 
 def test_a_table_walk_builds_each_arm_law_once():
-    # table1 then table2 use 36 keys, 6 control arms and 30 intervention
-    # arms; a bound of 32 evicted them cyclically, so table2 rebuilt 30
-    simulate._arm_cdf.cache_clear()
+    # table1 then table2 use 36 keys in each cache, 6 control arms and 30
+    # intervention arms; a bound of 32 evicted them cyclically, so table2
+    # rebuilt 30
+    for cache in LAW_CACHES:
+        cache.cache_clear()
     mc.reproduce_tables(["table1", "table2"], 40, seed=4)
-    assert simulate._arm_cdf.cache_info().misses == 36
+    assert [cache.cache_info().misses for cache in LAW_CACHES] == [36, 36]
+
+
+class TestOwnSums:
+    """mc._draw_own_sums against the exact law of each K, Poisson(K * lam_a *
+    (1 - rho_u)), for arms on either side of the own-sum table's cap."""
+
+    N = 4_000  # clusters per arm and K
+
+    @pytest.mark.parametrize("mu1, tabulated", [
+        (1.0, (True, True)), (7.3, (True, True)), (7.4, (False, True)), (30.0, (False, False)),
+    ])
+    def test_each_k_follows_its_poisson_law(self, mu1, tabulated):
+        # at DU(34,56) the control arm's table has 32,700 entries at mu1 =
+        # 7.3, just within MAX_SIZE_CELLS, and 33,068 at 7.4, past it, where
+        # both arms draw with rng.poisson.  Every value expected 25 times or
+        # more is its own bin, the rest one pooled bin, and each bin's count
+        # lies within SE_MULTIPLE binomial SEs
+        design = dataclasses.replace(grid_design(DU_34_56, rho=0.05), beta1=math.log(mu1))
+        hi = design.cluster_sizes.hi
+        means = [arm.lam * (1.0 - design.rho_u) for arm in (design.control, design.intervention)]
+        assert tuple(simulate._poisson_sum_table(mean, hi) is not None for mean in means) == (
+            tabulated
+        )
+        nonzero = np.repeat(np.arange(hi + 1), 2 * self.N).reshape(-1, 40)
+        arm = (np.arange(nonzero.size) % 2).reshape(nonzero.shape)
+        lam = np.where(arm, design.intervention.lam, design.control.lam)
+        own = mc._draw_own_sums(design, arm, nonzero, lam, np.random.default_rng(41))
+        assert own.shape == arm.shape and own.dtype == np.int64
+        for a, mean in enumerate(means):
+            for k in range(hi + 1):
+                drawn = own[(arm == a) & (nonzero == k)]
+                values = np.arange(int(k * mean + 12.0 * math.sqrt(k * mean)) + 30)
+                prob = stats.poisson.pmf(values, k * mean)
+                counts = np.bincount(drawn, minlength=values.size)[: values.size]
+                own_bin = self.N * prob >= 25
+                got = np.append(counts[own_bin], self.N - counts[own_bin].sum())
+                expected = np.append(prob[own_bin], 1.0 - prob[own_bin].sum())
+                se = np.sqrt(self.N * expected * (1.0 - expected))
+                assert (np.abs(got - self.N * expected) <= SE_MULTIPLE * se).all(), (a, k)
 
 
 def test_seeded_study_rates_pinned_across_versions():
     # the study streams are pinned apart from the engine version, which also
     # moves when only the ICC's draws change: this hash holds from engine
-    # version 5 on and changes only when a study's draws do
+    # version 6 on and changes only when a study's draws do
     reports = mc.reproduce_tables(["table1", "table2"], 40, seed=4)
     text = "".join(report.to_text() for report in reports)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "0d789de30759ed9f67c6b29ea3ef08dafe92ea7a4116a266cf17d220ff7fa85c"
+        "7c2fed5230a0a59ea9a7550d2f1c8c9023c3870ea0ec1870f5a61b9d60fab4b8"
     )
 
 
@@ -390,7 +459,7 @@ def test_seeded_icc_table_pinned():
     # the ICC table's rows and their dataset seeds
     text = mc.reproduce_tables(["table3-icc"], 0, seed=4)[0].to_text()
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "20dec6cebb9f41750d09093f05c9cc2e9f614d25e3f3b63ac1814188c83f18d4"
+        "7786496709a5c5c247014aa2c61843148c342f2bc9d4f70b7a4dc108ea994290"
     )
 
 

@@ -276,6 +276,15 @@ class TestAgainstScipy:
                     expected = stats.t.ppf(prob, df)
                     assert relative_error(t_quantile(df, prob), expected) <= 2e-15, (df, prob)
 
+    def test_t_cdf_at_large_df(self):
+        # the continued fraction stops at _CF_TERMS terms, which put the CDF
+        # at the 0.975 quantile -2.2e-8 off at df = 1e10 and -6.9e-7 at 1e12
+        for df in [1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14]:
+            for upper in [0.8, 0.9, 0.975, 0.995, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12]:
+                for prob in (upper, 1.0 - upper):
+                    t = stats.t.ppf(prob, df)
+                    assert relative_error(t_cdf(t, df), stats.t.cdf(t, df)) <= 1e-13, (df, prob)
+
     @pytest.mark.parametrize("dfs, bound", T_RANGES, ids=["df-1-to-1000", "df-1e4-to-1e6"])
     def test_t_predicted_power(self, dfs, bound):
         design = grid_design()

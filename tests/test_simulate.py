@@ -314,27 +314,105 @@ class TestNonzeroCounts:
 
 
 class TestArmCdf:
-    """The memo of each arm's law of ``(m, K)``."""
+    """The memo of each arm's law of ``(m, K)``, as a keyed table."""
 
     def test_the_cached_law_is_a_fresh_one_and_read_only(self):
         design = grid_design(DU_10_80, rho=0.05, p1=0.3)
         for profile in (design.control, design.intervention):
-            cdf = simulate._arm_cdf(design.cluster_sizes, profile.p, design.rho_s)
-            fresh = simulate._nonzero_cdf(design.cluster_sizes._cells, profile.p, design.rho_s)
-            assert cdf.dtype == fresh.dtype and cdf.tobytes() == fresh.tobytes()
-            assert not cdf.flags.writeable
-            with pytest.raises(ValueError):
-                cdf[0] = 0.0
+            table = simulate._arm_table(design.cluster_sizes, profile.p, design.rho_s)
+            cdf = simulate._nonzero_cdf(design.cluster_sizes._cells, profile.p, design.rho_s)
+            fresh = simulate._keyed_table(cdf, np.array([cdf.size]), table.guide.size)
+            assert table.shift == fresh.shift
+            for name in ("keys", "guide", "row_start"):
+                part, fresh_part = getattr(table, name), getattr(fresh, name)
+                assert part.dtype == fresh_part.dtype and part.tobytes() == fresh_part.tobytes()
+                assert not part.flags.writeable
+                with pytest.raises(ValueError):
+                    part[0] = 0
 
     def test_equal_laws_share_one_entry(self):
-        simulate._arm_cdf.cache_clear()
-        first = simulate._arm_cdf(ClusterSizeModel.discrete_uniform(10, 80), 0.3, 0.05)
-        second = simulate._arm_cdf(ClusterSizeModel.discrete_uniform(10, 80), 0.3, 0.05)
+        simulate._arm_table.cache_clear()
+        first = simulate._arm_table(ClusterSizeModel.discrete_uniform(10, 80), 0.3, 0.05)
+        second = simulate._arm_table(ClusterSizeModel.discrete_uniform(10, 80), 0.3, 0.05)
         assert second is first
         # _nonzero_cdf treats a p of -0.0 as 0.0, so they share an entry too
-        assert simulate._arm_cdf(DU_10_80, -0.0, 0.05) is simulate._arm_cdf(DU_10_80, 0.0, 0.05)
-        info = simulate._arm_cdf.cache_info()
+        assert simulate._arm_table(DU_10_80, -0.0, 0.05) is simulate._arm_table(DU_10_80, 0.0, 0.05)
+        info = simulate._arm_table.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+
+
+def keyed_rows(name):
+    """A tabulated law's rows of cumulative probabilities and their table."""
+    if name in ("arm", "arm-no-zeros"):
+        p, sizes = (0.3, DU_10_80) if name == "arm" else (0.0, DU_34_56)
+        cdf = simulate._nonzero_cdf(sizes._cells, p, 0.05)
+        return [cdf], simulate._arm_table(sizes, p, 0.05)
+    if name == "arms-stacked":
+        laws = [(0.3, 0.05), (0.6, 0.05)]
+        rows = [simulate._nonzero_cdf(DU_10_80._cells, p, rho) for p, rho in laws]
+        tables = [simulate._arm_table(DU_10_80, p, rho) for p, rho in laws]
+        return rows, simulate._stacked(*tables)
+    means, hi = {"sums": ([1.94], 80), "sums-wide": ([40.0], 8),
+                 "sums-stacked": ([1.94, 1.2], 56), "sums-most-rows": ([1e-6, 2e-6], 510)}[name]
+    rows = []
+    for mean in means:
+        cdf, widths = simulate._poisson_sum_cdf(mean, hi)
+        rows += np.split(cdf, np.cumsum(widths)[:-1])
+    tables = [simulate._poisson_sum_table(mean, hi) for mean in means]
+    return rows, tables[0] if len(tables) == 1 else simulate._stacked(*tables)
+
+
+class TestKeyedTable:
+    """simulate._invert is np.searchsorted(row, u, side="right") on each row
+    of the tabulated law, for the tables the draws use."""
+
+    @pytest.mark.parametrize("name", [
+        "arm", "arm-no-zeros", "arms-stacked", "sums", "sums-wide", "sums-stacked",
+        "sums-most-rows",
+    ])
+    def test_inversion_is_searchsorted_on_each_row(self, name):
+        rows, table = keyed_rows(name)
+        assert table.rows == len(rows)
+        # the uniforms numpy draws are multiples of 2**-53: 10**6 of them in
+        # random rows, then every entry's grid points ceil(F * 2**53) and
+        # floor(F * 2**53) and their neighbours in its own row, and the ends
+        rng = np.random.default_rng(51)
+        u = [rng.random(1_000_000)]
+        row = [rng.integers(0, len(rows), 1_000_000)]
+        for r, cdf in enumerate(rows):
+            scaled = np.ldexp(cdf, 53)
+            points = np.concatenate([np.ceil(scaled) + d for d in (-1, 0, 1)] + [np.floor(scaled)])
+            points = np.concatenate((points, [0.0, 1.0, 2.0**53 - 1.0]))
+            u.append(np.ldexp(np.clip(points, 0.0, 2.0**53 - 1.0), -53))
+            row.append(np.full(u[-1].size, r))
+        u, row = np.concatenate(u), np.concatenate(row)
+        assert u.max() == 1.0 - 2.0**-53 and 2.0**-53 in u and 0.0 in u
+        expected = np.empty(u.size, dtype=np.int64)
+        order = np.argsort(row, kind="stable")
+        bounds = np.searchsorted(row[order], np.arange(len(rows) + 1))
+        for r, cdf in enumerate(rows):
+            where = order[bounds[r]:bounds[r + 1]]
+            expected[where] = np.searchsorted(cdf, u[where], side="right")
+        np.testing.assert_array_equal(simulate._invert(table, row, u), expected)
+        if table.rows == 1:
+            np.testing.assert_array_equal(simulate._invert(table, 0, u), expected)
+
+    @pytest.mark.parametrize("mean, hi", [(2.0**62 / 600, 500), (1.9, 510), (1e-6, 511)],
+                             ids=["count-past-int64", "entries-past-the-cap", "rows-past-the-keys"])
+    def test_an_own_sum_table_past_its_bounds_is_not_built(self, mean, hi):
+        # a design reaches each; at DU(1,500) and mu1 = 4e15 the entries
+        # alone number past 2**63, which an int64 count would wrap
+        assert simulate._poisson_sum_table(mean, hi) is None
+
+    def test_two_arms_of_one_law_draw_as_one(self):
+        # a null design's arms share one table, and the draw skips the stack
+        arm = np.arange(400).reshape(10, 40) % 2
+        table = simulate._arm_table(DU_10_80, 0.3, 0.05)
+        shared = simulate._draw_rows((table, table), arm, 0, np.random.default_rng(5))
+        stacked = simulate._invert(
+            simulate._stacked(table, table), arm, np.random.default_rng(5).random(arm.shape)
+        )
+        np.testing.assert_array_equal(shared, stacked)
 
 
 class TestAgainstSubjectOracle:
@@ -533,15 +611,15 @@ class TestDatasetIO:
 
     def test_bytes_pinned_across_versions(self, tmp_path):
         # simulate.py promises bit-for-bit replay of a seed; the hash pins
-        # the bytes this seed produces with GENERATOR_VERSION 6, and changes
+        # the bytes this seed produces with GENERATOR_VERSION 7, and changes
         # only together with that version
-        assert simulate.GENERATOR_VERSION == 6
+        assert simulate.GENERATOR_VERSION == 7
         data = generate_trial(grid_design(), 12, seed=2024)
         path = tmp_path / "trial.csv"
         write_dataset(data, str(path))
-        assert data.n_subjects == 495
+        assert data.n_subjects == 509
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "f37ff69c9876891f7891d3c5403c4f2854a3331f387f74ddb2019bc414990a79"
+            "d51553125b8464dd49f4e917f2100065b2c01e45bb475e353b3c6b93db58d757"
         )
 
     PLAIN = "cluster_id,arm,y\n0,0,1\n1,1,2\n0,0,3\n"
