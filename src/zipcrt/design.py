@@ -24,14 +24,20 @@ import numpy as np
 from .errors import ConfigError, DomainError
 
 # A size law tabulates its cells (m, k), 0 <= k <= m, only up to this many:
-# DU(10,80) has 3,266, and DU(1,254) is the widest DU(1, hi) within it.  A
-# built table draws each cluster in O(1) expected time, faster than the
-# per-cluster size, shared-zero and binomial draws of a wider law on any
-# chunk (a (256, 14) study chunk draws in about half the time on DU(1,254)
-# as on DU(1,255), one core), so the cap bounds a table's memory (10 to 12
-# bytes a cell, simulate._arm_table) and the build, about 3 ms at the cap,
-# paid once per law, p and rho_s in a process.  An arm's table of own
-# Poisson sums (simulate._poisson_sum_table) has the same cap on its entries.
+# DU(10,80) has 3,266, and DU(1,254) is the widest DU(1, hi) within it.  An
+# arm's table of own Poisson sums (simulate._poisson_sum_table) has the same
+# cap on its entries.  The cap bounds a table's memory (10 to 12 bytes an
+# entry) and its build (2 to 8 ms for a design's two arms near the cap),
+# paid once per law in a process.  Built, a table draws each cluster in O(1)
+# expected time.  Timed warm on one core for alternative designs, whose two
+# arms' tables are stacked on each draw: a (256, 14) chunk's (m, K) takes
+# 0.16 ms on DU(1,254) against 0.58 ms for the per-cluster draws on
+# DU(1,255), and its own sums, at own means 0.2 to 3e4 with tables up to the
+# cap, 15 to 34 ns a cluster against 29 to 69 for rng.poisson (so too at
+# N = 30).  The crossover is near 1,500 clusters a draw at the cap: a
+# (256, 6) chunk's own sums break even there (45 against 47 ns on DU(34,56)
+# at mu1 7.3, 39 against 33 on fixed(1) at mu1 1.58e4) and win below it,
+# and 6 clusters' (m, K) take 0.045 ms on DU(1,254) against 0.021 ms.
 MAX_SIZE_CELLS = 2**15
 # The largest cluster mean hi * lam a design may have.  A simulated cluster
 # sum is one Poisson draw of a mean up to hi * lam (numpy takes means up to

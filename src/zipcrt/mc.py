@@ -64,6 +64,7 @@ from .simulate import (
     _draw_trial,
     _empty_arm_message,
     _poisson_sum_table,
+    _sum_buckets,
     substream,
 )
 
@@ -187,14 +188,17 @@ def _draw_own_sums(
     cluster's ``lam_a``, or one value for both arms.
 
     One uniform per cluster, inverted through row ``K`` of its arm's
-    ``simulate._poisson_sum_table``.  When either arm has no table (more
-    than ``MAX_SIZE_CELLS`` entries, or a ``hi`` above 510), one
-    ``rng.poisson`` draw per cluster.
+    ``simulate._poisson_sum_table``; both arms' tables take the buckets
+    ``simulate._sum_buckets`` gives the larger own mean.  When either arm
+    has no table (more than ``MAX_SIZE_CELLS`` entries, or a ``hi`` above
+    510), one ``rng.poisson`` draw per cluster.
     """
-    tables = tuple(
-        _poisson_sum_table(profile.lam * (1.0 - design.rho_u), design.cluster_sizes.hi)
-        for profile in (design.control, design.intervention)
-    )
+    means = [
+        profile.lam * (1.0 - design.rho_u) for profile in (design.control, design.intervention)
+    ]
+    hi = design.cluster_sizes.hi
+    buckets = _sum_buckets(max(means), hi)
+    tables = tuple(_poisson_sum_table(mean, hi, buckets) for mean in means)
     if any(table is None for table in tables):
         return rng.poisson(nonzero * lam * (1.0 - design.rho_u))
     return _draw_rows(tables, arm, nonzero, rng)

@@ -430,17 +430,21 @@ def _poisson_sample(lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
 _TAIL_OFFSET, _TAIL_SQUARE, _TAIL_SLOPE = 14.0, 196.0, 84.0
 
 
-def _sum_buckets(hi: int) -> int:
-    """Buckets per row of an own-sum table with rows ``0 .. hi``: the power of
-    two at or above ``2 * (hi + 1)``, halved while the guide would exceed
-    ``2 * MAX_SIZE_CELLS`` entries.  It depends on ``hi`` alone, so two
-    arms' tables stack.  At own means near 2, as on the bundled grid, the
-    widest row has about one entry per bucket; a larger mean leaves more
-    draws to the ``searchsorted``."""
-    buckets = 1 << (2 * hi + 1).bit_length()
-    while buckets * (hi + 1) > 2 * MAX_SIZE_CELLS:
-        buckets //= 2
-    return buckets
+def _sum_buckets(mean: float, hi: int) -> int:
+    """Buckets per row of the own-sum tables of arms with own means up to
+    ``mean``: the power of two at or above ``2 * sqrt(196 + 84 * lam)`` at
+    the widest row's ``lam = hi * mean``, or the largest that keeps the
+    guide within ``2 * MAX_SIZE_CELLS`` entries.
+
+    Poisson(``lam``)'s entries are densest near ``lam``, one per about
+    ``1 / sqrt(2 pi lam)`` of probability, and that count of buckets is at
+    least 7.3 times ``sqrt(2 pi lam)`` (and 28 at ``lam = 0``), so no row
+    sends more than about 5% of its uniforms to the ``searchsorted``.
+    Both arms of a design take the buckets of the larger own mean, so
+    their tables stack."""
+    spread = math.ceil(2.0 * math.sqrt(_TAIL_SQUARE + _TAIL_SLOPE * hi * mean))
+    fitting = (2 * MAX_SIZE_CELLS // (hi + 1)).bit_length() - 1
+    return 1 << min((spread - 1).bit_length(), fitting)
 
 
 def _poisson_sum_cdf(mean: float, hi: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -477,15 +481,17 @@ def _poisson_sum_cdf(mean: float, hi: int) -> Optional[tuple[np.ndarray, np.ndar
     return rows, widths
 
 
-# Keyed like _arm_table, by the own mean and hi; an entry holds at most
-# MAX_SIZE_CELLS keys and 2 * MAX_SIZE_CELLS guide buckets (384 KB), and a
-# table1 then table2 walk uses 36 keys, as _arm_table does.
+# Keyed like _arm_table, by the own mean, hi and the buckets; an entry holds
+# at most MAX_SIZE_CELLS keys and 2 * MAX_SIZE_CELLS guide buckets (384 KB).
+# A null design's arms and an alternative's control arm share an entry when
+# the intervention arm's own mean is the lower or needs no more buckets, as
+# on the bundled grid, where a table1 then table2 walk uses 36 keys.
 @functools.lru_cache(maxsize=64)
-def _poisson_sum_table(mean: float, hi: int) -> Optional[_KeyedTable]:
-    """The read-only :class:`_KeyedTable` of :func:`_poisson_sum_cdf`, or
-    None where that is None."""
+def _poisson_sum_table(mean: float, hi: int, buckets: int) -> Optional[_KeyedTable]:
+    """The read-only :class:`_KeyedTable` of :func:`_poisson_sum_cdf` with
+    ``buckets`` buckets per row, or None where that is None."""
     rows = _poisson_sum_cdf(mean, hi)
-    return None if rows is None else _keyed_table(*rows, _sum_buckets(hi))
+    return None if rows is None else _keyed_table(*rows, buckets)
 
 
 def _draw_trial(

@@ -423,9 +423,9 @@ class TestOwnSums:
         design = dataclasses.replace(grid_design(DU_34_56, rho=0.05), beta1=math.log(mu1))
         hi = design.cluster_sizes.hi
         means = [arm.lam * (1.0 - design.rho_u) for arm in (design.control, design.intervention)]
-        assert tuple(simulate._poisson_sum_table(mean, hi) is not None for mean in means) == (
-            tabulated
-        )
+        buckets = simulate._sum_buckets(max(means), hi)
+        tables = [simulate._poisson_sum_table(mean, hi, buckets) for mean in means]
+        assert tuple(table is not None for table in tables) == tabulated
         nonzero = np.repeat(np.arange(hi + 1), 2 * self.N).reshape(-1, 40)
         arm = (np.arange(nonzero.size) % 2).reshape(nonzero.shape)
         lam = np.where(arm, design.intervention.lam, design.control.lam)

@@ -358,7 +358,8 @@ def keyed_rows(name):
     for mean in means:
         cdf, widths = simulate._poisson_sum_cdf(mean, hi)
         rows += np.split(cdf, np.cumsum(widths)[:-1])
-    tables = [simulate._poisson_sum_table(mean, hi) for mean in means]
+    buckets = simulate._sum_buckets(max(means), hi)
+    tables = [simulate._poisson_sum_table(mean, hi, buckets) for mean in means]
     return rows, tables[0] if len(tables) == 1 else simulate._stacked(*tables)
 
 
@@ -402,7 +403,21 @@ class TestKeyedTable:
     def test_an_own_sum_table_past_its_bounds_is_not_built(self, mean, hi):
         # a design reaches each; at DU(1,500) and mu1 = 4e15 the entries
         # alone number past 2**63, which an int64 count would wrap
-        assert simulate._poisson_sum_table(mean, hi) is None
+        assert simulate._poisson_sum_table(mean, hi, simulate._sum_buckets(mean, hi)) is None
+
+    @pytest.mark.parametrize("mean, hi", [
+        (1.94, 80), (13.87, 56), (40.0, 8), (114.0, 20), (3e4, 1), (1e-6, 510), (0.2183, 300),
+    ])
+    def test_each_own_sum_row_answers_most_draws_from_its_guide(self, mean, hi):
+        # a uniform of row k goes to the searchsorted when its bucket holds
+        # two or more entries, so a row's share of such buckets is the share
+        # of its draws that do: from the bundled grid's own means (1.94 at
+        # DU(10,80)) to means that crowd a row's entries near its mean (40
+        # at hi 8, 114 at hi 20, 3e4 at hi 1), and the tables of most rows
+        buckets = simulate._sum_buckets(mean, hi)
+        table = simulate._poisson_sum_table(mean, hi, buckets)
+        crowded = (table.guide.reshape(hi + 1, buckets) < 0).mean(axis=1)
+        assert crowded.max() <= 0.05
 
     def test_two_arms_of_one_law_draw_as_one(self):
         # a null design's arms share one table, and the draw skips the stack
