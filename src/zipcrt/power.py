@@ -11,7 +11,11 @@ approximation when few clusters are affordable.
 
 The normal and Student-t quantiles and CDFs are computed here with the
 standard library alone: the normal ones from ``statistics.NormalDist`` and
-``math.erfc``, the t tail as a regularized incomplete beta function.
+``math.erfc``.  One function, ``_t_split``, evaluates the t distribution:
+Fisher's expansion in ``1 / df`` about the normal where it is exact to an
+ulp, as at every large ``df`` but in the far tails, and the regularized
+incomplete beta function's continued fraction elsewhere.  ``t_cdf`` reads
+its result, and ``t_quantile`` inverts it by Newton's method.
 """
 
 from __future__ import annotations
@@ -57,7 +61,10 @@ class QSweepEntry:
 
 _STANDARD_NORMAL = statistics.NormalDist()
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)
-_CF_TERMS = 100_000  # the t CDF's continued fraction needs O(sqrt(df)) terms
+# _t_split's continued fraction took at most 72 terms over df 1 to 1e15 and t
+# 1e-12 to 1e8, near df = 145 and t = sqrt(3), where it switches between tail
+# and centre and the series stops answering; 1,000 leaves a margin of 14
+_CF_TERMS = 1_000
 _MAX_CLUSTERS = 2.0**53  # the largest count up to which every integer is a float
 
 
@@ -88,6 +95,9 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
 
     Modified Lentz evaluation; it converges fast for
     ``x < (a + 1) / (a + b + 2)``.
+
+    Raises:
+        DomainError: it has not converged within ``_CF_TERMS`` terms.
     """
     tiny = 1e-300
     c = 1.0
@@ -105,31 +115,11 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
             c = c if abs(c) > tiny else tiny
             h *= d * c
         if abs(d * c - 1.0) <= 2e-16:
-            break
-    return h
-
-
-def _t_split(t: float, df: float) -> tuple[float, float, float]:
-    """``P(T > t)``, ``P(|T| < t)`` and ``t`` times the density, for ``t > 0``.
-
-    With ``x = df / (df + t**2)`` the tail is ``I_x(df/2, 1/2) / 2`` and the
-    central probability ``I_{1-x}(1/2, df/2)``.  The continued fraction is
-    summed for the one it converges fast for, which near either end is the
-    small one, so it keeps its relative accuracy; the other is its
-    complement.
-    """
-    a = 0.5 * df
-    tt = t * t
-    x, y = df / (df + tt), tt / (df + tt)  # y = 1 - x without cancellation
-    # x**a * y**(1/2) / B(a, 1/2), which is also t times the density
-    front = math.exp(
-        _log_gamma_ratio(a) - a * math.log1p(tt / df) + 0.5 * math.log(y) - _LOG_SQRT_PI
+            return h
+    raise DomainError(
+        f"the incomplete beta continued fraction at a={a}, b={b}, x={x} did not "
+        f"converge in {_CF_TERMS} terms"
     )
-    if x < (a + 1.0) / (a + 2.5):
-        tail = 0.5 * front * _beta_continued_fraction(a, 0.5, x) / a
-        return tail, 1.0 - 2.0 * tail, front
-    central = 2.0 * front * _beta_continued_fraction(0.5, a, y)
-    return 0.5 - 0.5 * central, central, front
 
 
 # The t CDF's expansion in 1 / df about the normal CDF (Fisher, 1925),
@@ -159,106 +149,128 @@ _T_CDF_SERIES = (
 
 
 def _t_cdf_expansion(t: float, df: float) -> tuple[float, float]:
-    """The t CDF's expansion (``_T_CDF_SERIES``) to the ``df**-8`` term, and
-    ``g_9(t) / df**9``, the first term it omits over ``phi(t)``."""
+    """``sum_k g_k(t) / df**k`` of the t CDF's expansion (``_T_CDF_SERIES``)
+    to the ``df**-8`` term, and a bound on ``|g_9(t)| / df**9``, the first
+    term it omits, for ``t > 0``.
+
+    The bound is ``g_9`` with the absolute values of its coefficients.
+    ``g_9`` itself has eight positive roots; at one the omitted term
+    vanishes while the next, of order ``df**-10``, is the whole error, as
+    much as 3.5e-6 of the CDF at df 3 and t = 1.4612.
+    """
     s = t * t
-    terms = [t * functools.reduce(lambda acc, c: acc * s + c, coeffs, 0.0) / denominator
-             for denominator, coeffs in _T_CDF_SERIES]
-    *kept, omitted = terms
+
+    def term(denominator: int, coeffs: Sequence[int]) -> float:
+        return t * functools.reduce(lambda acc, c: acc * s + c, coeffs, 0.0) / denominator
+
+    *kept, (denominator, coeffs) = _T_CDF_SERIES
     correction = 0.0
-    for g in reversed(kept):  # Horner's rule in 1 / df
-        correction = (correction + g) / df
-    for _ in terms:
+    for row in reversed(kept):  # Horner's rule in 1 / df
+        correction = (correction + term(*row)) / df
+    omitted = term(denominator, [abs(c) for c in coeffs])
+    for _ in _T_CDF_SERIES:
         omitted /= df  # a power df**9 could overflow
-    density = math.exp(-0.5 * s) / math.sqrt(2.0 * math.pi)
-    return 0.5 * math.erfc(-t / math.sqrt(2.0)) - density * correction, omitted
+    return correction, omitted
+
+
+def _t_split(t: float, df: float) -> tuple[float, float, float]:
+    """``P(T > t)``, ``P(|T| < t)`` and ``t`` times the density, for ``t > 0``.
+
+    The expansion of ``_T_CDF_SERIES`` where the first term it omits is
+    below an ulp of both probabilities, as at large ``df`` outside the far
+    tails, where the continued fraction would need O(sqrt(df)) terms.  Both
+    probabilities are at least about ``phi(t) / (2 * max(t, 1/t))``, so the
+    omitted term ``phi(t) * g_9(t) / df**9`` is below ``2**-53`` times
+    either when :func:`_t_cdf_expansion`'s bound on ``|g_9(t)| / df**9`` is
+    below ``2**-54 / max(t, 1/t)``; this test needs no ``phi(t)``, which
+    underflows in the far tails.
+
+    Elsewhere, with ``x = df / (df + t**2)``, the tail is ``I_x(df/2,
+    1/2) / 2`` and the central probability ``I_{1-x}(1/2, df/2)``.  The
+    continued fraction is summed for the one it converges fast for, which
+    near either end is the small one, so it keeps its relative accuracy;
+    the other is its complement.
+    """
+    a = 0.5 * df
+    tt = t * t
+    if tt == math.inf:  # x = df / t**2 < 1e-308, where the fraction is 1
+        front = math.exp(_log_gamma_ratio(a) - df * math.log(t / math.sqrt(df)) - _LOG_SQRT_PI)
+        return front / df, 1.0, front
+    x, y = df / (df + tt), tt / (df + tt)  # y = 1 - x without cancellation
+    # x**a * y**(1/2) / B(a, 1/2), which is also t times the density
+    front = math.exp(
+        _log_gamma_ratio(a) - a * math.log1p(tt / df) + 0.5 * math.log(y) - _LOG_SQRT_PI
+    )
+    correction, omitted = _t_cdf_expansion(t, df)
+    if abs(omitted) * max(t, 1.0 / t) <= 2.0**-54:
+        density = math.exp(-0.5 * tt) / math.sqrt(2.0 * math.pi)
+        tail = 0.5 * math.erfc(t / math.sqrt(2.0)) + density * correction
+        return tail, math.erf(t / math.sqrt(2.0)) - 2.0 * density * correction, front
+    if x < (a + 1.0) / (a + 2.5):
+        tail = 0.5 * front * _beta_continued_fraction(a, 0.5, x) / a
+        return tail, 1.0 - 2.0 * tail, front
+    central = 2.0 * front * _beta_continued_fraction(0.5, a, y)
+    return 0.5 - 0.5 * central, central, front
 
 
 def t_cdf(t: float, df: float) -> float:
-    """Student-t CDF for real ``df >= 1``.
-
-    The expansion in ``1 / df`` about the normal CDF where the first term it
-    omits is below half an ulp of its value, as for large ``df`` and
-    moderate ``t``: there the continued fraction, which needs O(sqrt(df))
-    terms, would stop at ``_CF_TERMS`` short of converging.  The value is at
-    least ``phi(t) / (2 * max(1, |t|))``, so the omitted term ``phi(t) *
-    g_9(t) / df**9`` is below half its ulp when ``|g_9(t)| / df**9`` is
-    below ``2**-54 / max(1, |t|)``; this test needs no ``phi(t)``, which
-    underflows in the far tails.  Otherwise the regularized incomplete beta
-    function of :func:`_t_split`.
-    """
-    if df < 1:
+    """Student-t CDF for real ``df >= 1``: ``P(T > |t|)`` from
+    :func:`_t_split` below the median, ``(1 + P(|T| < t)) / 2`` above it."""
+    if not df >= 1:
         raise DomainError(f"t CDF needs df >= 1, got {df}")
     if t == 0.0:
         return 0.5
-    value, omitted = _t_cdf_expansion(t, df)
-    if abs(omitted) * max(1.0, abs(t)) <= 2.0**-54:
-        return value
     tail, central, _ = _t_split(abs(t), df)
     return tail if t < 0.0 else 0.5 + 0.5 * central
-
-
-def _cornish_fisher(z: float, df: float) -> tuple[float, float]:
-    """The t quantile's expansion in ``1 / df`` about the normal quantile
-    ``z``, to the ``df**-4`` term, and the first term it omits."""
-    s = z * z
-    g1 = (s + 1.0) * z / 4.0
-    g2 = ((5.0 * s + 16.0) * s + 3.0) * z / 96.0
-    g3 = (((3.0 * s + 19.0) * s + 17.0) * s - 15.0) * z / 384.0
-    g4 = ((((79.0 * s + 776.0) * s + 1482.0) * s - 1920.0) * s - 945.0) * z / 92160.0
-    g5 = (((((27.0 * s + 339.0) * s + 930.0) * s - 1782.0) * s - 765.0) * s + 17955.0) * z
-    omitted = g5 / 368640.0 * (1.0 / df) ** 5
-    return z + (g1 + (g2 + (g3 + g4 / df) / df) / df) / df, omitted
 
 
 @functools.lru_cache(maxsize=256)
 def t_quantile(df: float, prob: float) -> float:
     """Student-t inverse CDF for real ``df >= 1``.
 
-    Closed forms at df 1 and 2.  Otherwise the Cornish-Fisher value, which
-    is the quantile once the first term it omits is below half an ulp of
-    it (from about df = 1,500 at ``prob = 0.975``), where the CDF's
-    continued fraction would need O(sqrt(df)) terms.  Below that, Newton's
-    method from the Cornish-Fisher value, on the log of ``P(T > |t|)`` (or,
-    near ``prob = 0.5``, of ``P(|T| < |t|)``, so that a small quantile keeps
-    its relative accuracy) as a function of ``log |t|``.  On that scale a
-    heavy tail is nearly a straight line, so the iterates reach even a far
-    root in a few steps.  They stop once a step is below 1e-13 or no
-    smaller than the one before, which happens only at the CDF's rounding
-    noise.  Cached per ``(df, prob)``, since a study tests every replicate
-    at one critical value.
+    Newton's method from the normal quantile, on the log of ``P(T > |t|)``
+    (or, near ``prob = 0.5``, of ``P(|T| < |t|)``, so that a small quantile
+    keeps its relative accuracy) as a function of ``log |t|``, both from
+    :func:`_t_split`.  On that scale a heavy tail is nearly a straight
+    line, so the iterates reach even a far root in a few steps.  The t
+    quantile lies beyond the normal one, so the first step is outward; a
+    step that passes the root to where the tail underflows is halved.  The
+    iterates stop once a step is below 1e-13 or no smaller than the one
+    before, which happens only at the CDF's rounding noise.  A subnormal
+    ``prob`` has too few bits to invert and is rejected.  Cached per ``(df,
+    prob)``, since a study tests every replicate at one critical value.
     """
-    if df < 1:
+    if not df >= 1:
         raise DomainError(f"t quantile needs df >= 1, got {df}")
     if not 0.0 < prob < 1.0:
         raise DomainError(f"t quantile needs 0 < prob < 1, got {prob}")
+    if prob < 2.0**-1022:
+        raise DomainError(f"t quantile needs prob >= 2**-1022, got {prob}")
     sign = 1.0 if prob > 0.5 else -1.0
     tail = min(prob, 1.0 - prob)  # exact: 1 - prob for prob >= 0.5
     central = 1.0 - 2.0 * tail  # exact for tail >= 0.25
     if central == 0.0:
         return 0.0
-    if df == 1:
-        t = 1.0 / math.tan(math.pi * tail) if tail < 0.25 else math.tan(0.5 * math.pi * central)
-    elif df == 2:
-        t = central / math.sqrt(2.0 * tail * (1.0 - tail))
+    t = -normal_quantile(tail)
+    previous = math.inf
+    for _ in range(100):
+        upper, inner, front = _t_split(t, df)
+        if upper == 0.0:
+            step *= 0.5
+            t *= math.exp(-step)
+            continue
+        if tail < 0.25:
+            step = math.log(upper / tail) * upper / front
+        else:
+            step = -math.log(inner / central) * inner / (2.0 * front)
+        if abs(step) >= previous:  # the rounding noise of the CDF
+            break
+        t *= math.exp(step)
+        if abs(step) <= 1e-13:
+            break
+        previous = abs(step)
     else:
-        t, omitted = _cornish_fisher(-normal_quantile(tail), df)
-        if abs(omitted) > 0.5 * math.ulp(t):
-            previous = math.inf
-            for _ in range(100):
-                upper, inner, front = _t_split(t, df)
-                if tail < 0.25:
-                    step = math.log(upper / tail) * upper / front
-                else:
-                    step = -math.log(inner / central) * inner / (2.0 * front)
-                if abs(step) >= previous:  # the rounding noise of the CDF
-                    break
-                t *= math.exp(step)
-                if abs(step) <= 1e-13:
-                    break
-                previous = abs(step)
-            else:
-                raise DomainError(f"t quantile did not converge at df={df}, prob={prob}")
+        raise DomainError(f"t quantile did not converge at df={df}, prob={prob}")
     return sign * t
 
 

@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -15,6 +16,7 @@ from zipcrt import (
     sample_size_normal,
     sample_size_t,
 )
+from zipcrt import power
 from zipcrt.mc import reference_design
 from zipcrt.power import _raw_count, normal_quantile, predicted_power, t_cdf, t_quantile
 
@@ -160,6 +162,27 @@ class TestQuantiles:
         with pytest.raises(DomainError):
             t_quantile(10, prob)
 
+    def test_a_nan_df_is_a_domain_error(self, config_a):
+        # each returned nan
+        with pytest.raises(DomainError, match="t CDF needs df >= 1, got nan"):
+            t_cdf(1.0, math.nan)
+        with pytest.raises(DomainError, match="t quantile needs df >= 1, got nan"):
+            t_quantile(math.nan, 0.975)
+        with pytest.raises(DomainError, match="t quantile needs df >= 1, got nan"):
+            predicted_power(config_a, math.nan, "t")
+
+    def test_a_subnormal_prob_is_a_domain_error(self):
+        # a subnormal tail keeps too few bits to invert
+        with pytest.raises(DomainError, match=re.escape("needs prob >= 2**-1022, got 1e-310")):
+            t_quantile(10, 1e-310)
+        assert t_quantile(10, 2.0**-1022) < 0.0
+
+    def test_an_unconverged_continued_fraction_is_a_domain_error(self, monkeypatch):
+        # the fraction returned its last, unconverged value
+        monkeypatch.setattr(power, "_CF_TERMS", 3)
+        with pytest.raises(DomainError, match="did not converge in 3 terms"):
+            t_cdf(2.0, 50.0)
+
     @pytest.mark.parametrize("prob", [0.0, 1.0, 1.0 - 1e-300, -0.5, 1.5, math.nan])
     def test_normal_prob_validation(self, prob):
         # statistics.NormalDist raised its own StatisticsError at 0 and 1
@@ -284,6 +307,35 @@ class TestAgainstScipy:
                 for prob in (upper, 1.0 - upper):
                     t = stats.t.ppf(prob, df)
                     assert relative_error(t_cdf(t, df), stats.t.cdf(t, df)) <= 1e-13, (df, prob)
+
+    def test_t_quantile_from_df_1000_to_1600(self):
+        # the Cornish-Fisher expansion answered from about df 1,500 at 0.975
+        # and put these up to 3.4e-14 off (df 1,400)
+        dfs = np.repeat(np.arange(1000, 1601), 2)
+        probs = np.tile([0.025, 0.975], 601)
+        expected = stats.t.ppf(probs, dfs)
+        for df, prob, reference in zip(dfs.tolist(), probs.tolist(), expected.tolist()):
+            assert relative_error(t_quantile(df, prob), reference) <= 1e-14, (df, prob)
+
+    @pytest.mark.parametrize("df, prob", [(1, 1e-200), (1.5, 1e-300), (1000, 2.3e-308)])
+    def test_t_quantile_in_the_far_tail_inverts_the_cdf(self, df, prob):
+        # at df 1 the root's t**2 overflows, where the CDF was nan; at df 1.5
+        # Newton's method did not converge; at df 1000 its first step from the
+        # normal quantile passes the root to where the tail underflows
+        t = t_quantile(df, prob)
+        assert relative_error(t_cdf(t, df), prob) <= 1e-12
+
+    @pytest.mark.parametrize("t, df", [(1.4612264704762292, 3), (2.105006414799795, 5),
+                                       (2.937609304517225, 10)])
+    def test_t_cdf_at_a_root_of_the_first_omitted_term(self, t, df):
+        # g_9(t) is near 0 at these t, so the expansion in 1 / df answered,
+        # 3.5e-6, 1.5e-6 and 3.3e-7 off
+        assert relative_error(t_cdf(t, df), stats.t.cdf(t, df)) <= 1e-13
+
+    def test_t_cdf_past_the_square_root_of_the_largest_float(self):
+        # t**2 overflowed, and the CDF was nan
+        assert relative_error(t_cdf(-1e200, 1.0), 1.0 / (math.pi * 1e200)) <= 1e-13
+        assert t_cdf(1e200, 1.0) == 1.0
 
     @pytest.mark.parametrize("dfs, bound", T_RANGES, ids=["df-1-to-1000", "df-1e4-to-1e6"])
     def test_t_predicted_power(self, dfs, bound):
