@@ -25,19 +25,21 @@ from .errors import ConfigError, DomainError
 
 # A size law tabulates its cells (m, k), 0 <= k <= m, only up to this many:
 # DU(10,80) has 3,266, and DU(1,254) is the widest DU(1, hi) within it.  An
-# arm's table of own Poisson sums (simulate._poisson_sum_table) has the same
-# cap on its entries.  The cap bounds a table's memory (10 to 12 bytes an
-# entry) and its build (2 to 8 ms for a design's two arms near the cap),
-# paid once per law in a process.  Built, a table draws each cluster in O(1)
-# expected time.  Timed warm on one core for alternative designs, whose two
-# arms' tables are stacked on each draw: a (256, 14) chunk's (m, K) takes
-# 0.16 ms on DU(1,254) against 0.58 ms for the per-cluster draws on
-# DU(1,255), and its own sums, at own means 0.2 to 3e4 with tables up to the
-# cap, 15 to 34 ns a cluster against 29 to 69 for rng.poisson (so too at
-# N = 30).  The crossover is near 1,500 clusters a draw at the cap: a
-# (256, 6) chunk's own sums break even there (45 against 47 ns on DU(34,56)
-# at mu1 7.3, 39 against 33 on fixed(1) at mu1 1.58e4) and win below it,
-# and 6 clusters' (m, K) take 0.045 ms on DU(1,254) against 0.021 ms.
+# arm's rows of own Poisson sums (simulate._own_sum_table) have the same
+# cap on their entries.  The cap bounds a table's memory (10 to 12 bytes an
+# entry, for each arm's rows) and its build (2 to 8 ms for a design's two
+# arms near the cap), paid once per design in a process.  Built, a table
+# draws each cluster in O(1) expected time.  Timed warm on one core (Xeon,
+# numpy 2.4) for alternative designs, whose table holds both arms' rows: a
+# (256, 14) chunk's (m, K) takes 0.12 ms on DU(1,254) against 0.67 ms for
+# the per-cluster draws on DU(1,255), and 6 clusters' 0.016 against 0.029
+# ms, so the table wins at any size.  Its own sums, at own means 1.9 to 3e4
+# with tables up to the cap, take 18 to 27 ns a cluster against 46 to 86
+# for rng.poisson (23 to 25 against 44 to 92 at N = 30).  Their crossover
+# is near 200 to 800 clusters a draw at the cap: on DU(34,56) at mu1 7.3 a
+# (32, 6) chunk's own sums take 0.030 against 0.025 ms and a (64, 6) chunk's
+# 0.035 against 0.041 ms, and on fixed(1) at mu1 1.58e4 a (64, 6) chunk's
+# 0.034 against 0.032 ms and a (128, 6) chunk's 0.042 against 0.046 ms.
 MAX_SIZE_CELLS = 2**15
 # The largest cluster mean hi * lam a design may have.  A simulated cluster
 # sum is one Poisson draw of a mean up to hi * lam (numpy takes means up to
@@ -250,10 +252,6 @@ class DesignInputs:
             raise DomainError(f"power must lie in (0, 1), got {self.power}")
         object.__setattr__(self, "control", control)
         object.__setattr__(self, "intervention", intervention)
-
-    def arm(self, arm_indicator: int) -> ArmProfile:
-        """Profile for arm 0 (control) or 1 (intervention)."""
-        return self.intervention if arm_indicator else self.control
 
     def under_null(self) -> "DesignInputs":
         """The same design with no intervention effect (both arms == control).

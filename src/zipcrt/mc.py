@@ -17,8 +17,9 @@ engine never forms subject-level data: it draws
 ``Y = Poisson(K * lam * (1 - rho_u)) + K * Poisson(lam * rho_u)``, the sum
 of the ``K`` own Poisson parts in one draw plus ``K`` copies of the shared
 part.  The own sum is one uniform inverted through row ``K`` of the arm's
-table of Poisson(``k * lam * (1 - rho_u)``), ``k = 0 .. hi``
-(:func:`_draw_own_sums`); the shared part is one ``rng.poisson`` draw.
+tabulated Poisson(``k * lam * (1 - rho_u)``), ``k = 0 .. hi``
+(``simulate._draw_own_sums``); the shared part is one ``rng.poisson``
+draw.  Both tables belong to :mod:`zipcrt.simulate`, one per design.
 Replicate ``r`` puts the intervention arm on its first clusters.
 
 :func:`simulate_study` is the one study primitive: at a cluster count the
@@ -60,11 +61,9 @@ from .power import sample_size_normal, sample_size_t
 from .simulate import (
     _balanced_count,
     _draw_nonzero_counts,
-    _draw_rows,
+    _draw_own_sums,
     _draw_trial,
     _empty_arm_message,
-    _poisson_sum_table,
-    _sum_buckets,
     substream,
 )
 
@@ -178,30 +177,6 @@ class StudyDraws:
             replicate_failures=len(failures),
             replications=replications,
         )
-
-
-def _draw_own_sums(
-    design: DesignInputs, arm: np.ndarray, nonzero: np.ndarray, lam, rng: np.random.Generator
-) -> np.ndarray:
-    """Each cluster's sum of its ``K`` own Poisson parts, Poisson(``K *
-    lam_a * (1 - rho_u)``), for arrays of arms and ``K``; ``lam`` is each
-    cluster's ``lam_a``, or one value for both arms.
-
-    One uniform per cluster, inverted through row ``K`` of its arm's
-    ``simulate._poisson_sum_table``; both arms' tables take the buckets
-    ``simulate._sum_buckets`` gives the larger own mean.  When either arm
-    has no table (more than ``MAX_SIZE_CELLS`` entries, or a ``hi`` above
-    510), one ``rng.poisson`` draw per cluster.
-    """
-    means = [
-        profile.lam * (1.0 - design.rho_u) for profile in (design.control, design.intervention)
-    ]
-    hi = design.cluster_sizes.hi
-    buckets = _sum_buckets(max(means), hi)
-    tables = tuple(_poisson_sum_table(mean, hi, buckets) for mean in means)
-    if any(table is None for table in tables):
-        return rng.poisson(nonzero * lam * (1.0 - design.rho_u))
-    return _draw_rows(tables, arm, nonzero, rng)
 
 
 def _draw_clusters(

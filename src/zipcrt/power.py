@@ -173,6 +173,16 @@ def _t_cdf_expansion(t: float, df: float) -> tuple[float, float]:
     return correction, omitted
 
 
+# _t_split's series test cannot pass below this df.  Its left side is
+# |g_9(t)| / df**9, with g_9's coefficients made positive, times max(t, 1/t):
+# that is t**2 P(t**2) / (d df**9) from t = 1 up and P(t**2) / (d df**9)
+# below, for g_9(t) = t P(t**2) / d.  Both grow with t, so the left side is
+# never below its limit as t -> 0, c / (d df**9) = 0.856 / df**9 (c the
+# constant term of P), which is above 2**-54 for df < (0.856 * 2**54)**(1/9)
+# = 62.9026.  At 62.9 it is 0.04% above, far beyond its rounding error.
+_SERIES_MIN_DF = 62.9
+
+
 def _t_split(t: float, df: float) -> tuple[float, float, float]:
     """``P(T > t)``, ``P(|T| < t)`` and ``t`` times the density, for ``t > 0``.
 
@@ -183,7 +193,8 @@ def _t_split(t: float, df: float) -> tuple[float, float, float]:
     omitted term ``phi(t) * g_9(t) / df**9`` is below ``2**-53`` times
     either when :func:`_t_cdf_expansion`'s bound on ``|g_9(t)| / df**9`` is
     below ``2**-54 / max(t, 1/t)``; this test needs no ``phi(t)``, which
-    underflows in the far tails.
+    underflows in the far tails.  Below ``df = 62.9`` it cannot pass
+    (``_SERIES_MIN_DF``), and the expansion is not summed.
 
     Elsewhere, with ``x = df / (df + t**2)``, the tail is ``I_x(df/2,
     1/2) / 2`` and the central probability ``I_{1-x}(1/2, df/2)``.  The
@@ -201,11 +212,12 @@ def _t_split(t: float, df: float) -> tuple[float, float, float]:
     front = math.exp(
         _log_gamma_ratio(a) - a * math.log1p(tt / df) + 0.5 * math.log(y) - _LOG_SQRT_PI
     )
-    correction, omitted = _t_cdf_expansion(t, df)
-    if abs(omitted) * max(t, 1.0 / t) <= 2.0**-54:
-        density = math.exp(-0.5 * tt) / math.sqrt(2.0 * math.pi)
-        tail = 0.5 * math.erfc(t / math.sqrt(2.0)) + density * correction
-        return tail, math.erf(t / math.sqrt(2.0)) - 2.0 * density * correction, front
+    if df >= _SERIES_MIN_DF:
+        correction, omitted = _t_cdf_expansion(t, df)
+        if abs(omitted) * max(t, 1.0 / t) <= 2.0**-54:
+            density = math.exp(-0.5 * tt) / math.sqrt(2.0 * math.pi)
+            tail = 0.5 * math.erfc(t / math.sqrt(2.0)) + density * correction
+            return tail, math.erf(t / math.sqrt(2.0)) - 2.0 * density * correction, front
     if x < (a + 1.0) / (a + 2.5):
         tail = 0.5 * front * _beta_continued_fraction(a, 0.5, x) / a
         return tail, 1.0 - 2.0 * tail, front

@@ -20,10 +20,12 @@ per cluster, in the order of the layout, and inverts it through its arm's
 joint law of ``(m, K)`` (:func:`_nonzero_cdf`, over the cells
 ``ClusterSizeModel`` tabulates) in O(1) expected time, by the keyed,
 guided search of :class:`_KeyedTable`.  The cumulative law costs two
-``exp`` passes over the cells, paid once per law, ``p`` and ``rho_s`` in a
-process: :func:`_arm_table` keeps its table.  The study engine draws each
-cluster's sum of ``K`` own Poisson parts from the same kind of table
-(:func:`_poisson_sum_table`).  A law with more than
+``exp`` passes over the cells, paid once per design in a process:
+:func:`_nonzero_table` keeps one table of the control arm's law, then the
+intervention arm's, or of one law when the arms share it.  The study
+engine draws each cluster's sum of ``K`` own Poisson parts from the same
+kind of table (:func:`_draw_own_sums`, :func:`_own_sum_table`); this
+module alone knows the tables' layout.  A law with more than
 ``design.MAX_SIZE_CELLS`` (2**15) cells is not tabulated, which bounds a
 table's memory and build time; it draws each size (a
 discrete-uniform size one integer, a truncated-Poisson size one uniform at
@@ -215,26 +217,30 @@ class _KeyedTable(NamedTuple):
     that entry's key is at most the query; a bucket with two or more holds
     -1 and is answered by the ``searchsorted``.  A row has at most
     ``MAX_SIZE_CELLS`` (2**15) entries, so an index fits an int16.
+
+    A design's table holds its control arm's rows, then its intervention
+    arm's, which start ``arm_rows`` rows later; when the two arms have one
+    law it holds that law's rows once, and ``arm_rows`` is 0.
     """
 
     keys: np.ndarray
     guide: np.ndarray
     shift: int
     row_start: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.row_start.size
+    arm_rows: int
 
 
-def _keyed_table(cdf: np.ndarray, widths: np.ndarray, buckets: int) -> _KeyedTable:
-    """The read-only :class:`_KeyedTable` of rows of ``widths`` entries,
-    laid end to end in ``cdf``, each ending in exactly 1.0, with a power of
-    two ``buckets`` buckets per row."""
+def _keyed_table(laws: list[tuple[np.ndarray, np.ndarray]], buckets: int) -> _KeyedTable:
+    """The read-only :class:`_KeyedTable` of one or two arms' laws, in
+    turn, with a power of two ``buckets`` buckets per row.  A law is its
+    rows of ``widths`` entries, laid end to end in ``cdf``, each ending in
+    exactly 1.0, as ``(cdf, widths)``."""
     # in place where it can be, since a table's first build in a process
     # holds these temporaries beside every table already cached
+    widths = np.concatenate([law_widths for _, law_widths in laws])
     row_start = np.cumsum(widths) - widths
-    keys = np.ldexp(cdf, _UNIFORM_BITS)
+    keys = np.concatenate([cdf for cdf, _ in laws])
+    np.ldexp(keys, _UNIFORM_BITS, out=keys)
     np.ceil(keys, out=keys)
     keys = keys.astype(np.int64)
     keys += np.repeat(np.arange(widths.size, dtype=np.int64) << _UNIFORM_BITS, widths)
@@ -247,24 +253,11 @@ def _keyed_table(cdf: np.ndarray, widths: np.ndarray, buckets: int) -> _KeyedTab
     entries -= first
     first -= np.repeat(row_start, buckets)
     first[entries > 1] = -1
-    table = _KeyedTable(keys, first.astype(np.int16), shift, row_start)
+    arm_rows = laws[0][1].size if len(laws) == 2 else 0
+    table = _KeyedTable(keys, first.astype(np.int16), shift, row_start, arm_rows)
     for part in (table.keys, table.guide, table.row_start):
         part.flags.writeable = False
     return table
-
-
-def _stacked(first: _KeyedTable, second: _KeyedTable) -> _KeyedTable:
-    """One table of ``first``'s rows, then ``second``'s; both have the same
-    buckets per row."""
-    keys = np.empty(first.keys.size + second.keys.size, dtype=np.int64)
-    keys[: first.keys.size] = first.keys
-    np.add(second.keys, first.rows << _UNIFORM_BITS, out=keys[first.keys.size :])
-    return _KeyedTable(
-        keys,
-        np.concatenate((first.guide, second.guide)),
-        first.shift,
-        np.concatenate((first.row_start, second.row_start + first.keys.size)),
-    )
 
 
 def _invert(table: _KeyedTable, row, u: np.ndarray) -> np.ndarray:
@@ -282,36 +275,37 @@ def _invert(table: _KeyedTable, row, u: np.ndarray) -> np.ndarray:
     return found
 
 
-def _draw_rows(
-    tables: tuple[_KeyedTable, _KeyedTable], arm: np.ndarray, row, rng: np.random.Generator
-) -> np.ndarray:
+def _draw_rows(table: _KeyedTable, arm: np.ndarray, row, rng: np.random.Generator) -> np.ndarray:
     """One uniform per cluster, in the order of ``arm``, inverted through row
-    ``row`` of its arm's table: ``tables[a]`` for arm ``a``.  Two arms with
-    one law share its table; otherwise the draw runs on the two stacked,
-    which gives each cluster the answer its own arm's table would."""
+    ``row`` of its arm's rows of a design's ``table``."""
     u = rng.random(arm.shape)
-    control, intervention = tables
-    if control is intervention:
-        return _invert(control, row, u)
-    return _invert(_stacked(control, intervention), row + arm * control.rows, u)
+    if table.arm_rows:
+        row = row + arm * table.arm_rows
+    return _invert(table, row, u)
 
 
-# Keyed by the law's value (ClusterSizeModel hashes its defining fields, and
-# its cells are a function of them), so two equal laws share an entry; a p
-# or rho_s of -0.0 shares 0.0's, which _nonzero_cdf treats alike.  An entry
-# holds 8 bytes of key and 2 to 4 bytes of guide per cell: worst case, 64
-# read-only tables of MAX_SIZE_CELLS (2**15) cells, 320 KB each (20 MB),
-# plus the laws they keep alive (their cells, at most about 1 MB each).  A
-# table1 then table2 walk uses 36 keys (6 control arms, 30 intervention
-# arms), so each law is built once.  On the bundled grid a table is at
-# most 3,266 cells and 34 KB.
+# Keyed by the design's laws' values (ClusterSizeModel hashes its defining
+# fields, and its cells are a function of them), so two equal designs share
+# an entry; a p or rho_s of -0.0 shares 0.0's, which _nonzero_cdf treats
+# alike.  An entry holds 8 bytes of key and 2 to 4 bytes of guide per cell
+# of each of its one or two rows: worst case, 64 read-only tables of two
+# rows of MAX_SIZE_CELLS (2**15) cells, 640 KB each (40 MB), plus the laws
+# they keep alive (their cells, at most about 1 MB each).  A table1 then
+# table2 walk uses 36 keys (30 alternative designs, 6 null ones), so each
+# design's table is built once.  On the bundled grid a row is at most
+# 3,266 cells and a table 68 KB.
 @functools.lru_cache(maxsize=64)
-def _arm_table(sizes: ClusterSizeModel, p: float, rho_s: float) -> _KeyedTable:
-    """The one-row :class:`_KeyedTable` of :func:`_nonzero_cdf` over
-    ``sizes``' cells, built once per ``(sizes, p, rho_s)`` while the cache
-    holds it, and read-only."""
-    cdf = _nonzero_cdf(sizes._cells, p, rho_s)
-    return _keyed_table(cdf, np.array([cdf.size]), 1 << (cdf.size - 1).bit_length())
+def _nonzero_table(
+    sizes: ClusterSizeModel, p_control: float, p_intervention: float, rho_s: float
+) -> _KeyedTable:
+    """The read-only :class:`_KeyedTable` of :func:`_nonzero_cdf` over
+    ``sizes``' cells, a row for each arm's ``p``, or one when the two are
+    equal, built once per key while the cache holds it."""
+    # dict keys drop an equal second p, -0.0 beside 0.0 included
+    ps = dict.fromkeys((p_control, p_intervention))
+    laws = [_nonzero_cdf(sizes._cells, p, rho_s) for p in ps]
+    cells = laws[0].size
+    return _keyed_table([(cdf, np.array([cells])) for cdf in laws], 1 << (cells - 1).bit_length())
 
 
 def _draw_nonzero_counts(
@@ -321,10 +315,10 @@ def _draw_nonzero_counts(
     array of arm indicators of any shape.
 
     A law with cells (``ClusterSizeModel._cells``) draws one uniform per
-    cluster, in the order of ``arm``, and inverts it through its arm's
-    :func:`_arm_table` (:func:`_draw_rows`).  A wider law draws, in this
-    order, the sizes, each cluster's shared zero ``c``, then ``K`` as one
-    binomial draw (see the module docstring).
+    cluster, in the order of ``arm``, and inverts it through its arm's row
+    of the design's :func:`_nonzero_table` (:func:`_draw_rows`).  A wider
+    law draws, in this order, the sizes, each cluster's shared zero ``c``,
+    then ``K`` as one binomial draw (see the module docstring).
     """
     cells = design.cluster_sizes._cells
     if cells is None:
@@ -334,12 +328,32 @@ def _draw_nonzero_counts(
         shared_zero = rng.random(arm.shape) < p
         nonzero = rng.binomial(m, (1.0 - mix) * (1.0 - p) + np.where(shared_zero, 0.0, mix))
         return m, nonzero
-    tables = tuple(
-        _arm_table(design.cluster_sizes, profile.p, design.rho_s)
-        for profile in (design.control, design.intervention)
+    table = _nonzero_table(
+        design.cluster_sizes, design.control.p, design.intervention.p, design.rho_s
     )
-    cell = _draw_rows(tables, arm, 0, rng)
+    cell = _draw_rows(table, arm, 0, rng)
     return cells.m[cell], cells.k[cell]
+
+
+def _draw_own_sums(
+    design: DesignInputs, arm: np.ndarray, nonzero: np.ndarray, lam, rng: np.random.Generator
+) -> np.ndarray:
+    """Each cluster's sum of its ``K`` own Poisson parts, Poisson(``K *
+    lam_a * (1 - rho_u)``), for arrays of arms and ``K``; ``lam`` is each
+    cluster's ``lam_a``, or one value for both arms.
+
+    One uniform per cluster, inverted through row ``K`` of its arm's rows
+    of the design's :func:`_own_sum_table`.  When an arm has no rows (more
+    than ``MAX_SIZE_CELLS`` entries, or a ``hi`` above 510), one
+    ``rng.poisson`` draw per cluster.
+    """
+    own = 1.0 - design.rho_u
+    table = _own_sum_table(
+        design.control.lam * own, design.intervention.lam * own, design.cluster_sizes.hi
+    )
+    if table is None:
+        return rng.poisson(nonzero * lam * own)
+    return _draw_rows(table, arm, nonzero, rng)
 
 
 def _allocate_arms(
@@ -440,8 +454,8 @@ def _sum_buckets(mean: float, hi: int) -> int:
     ``1 / sqrt(2 pi lam)`` of probability, and that count of buckets is at
     least 7.3 times ``sqrt(2 pi lam)`` (and 28 at ``lam = 0``), so no row
     sends more than about 5% of its uniforms to the ``searchsorted``.
-    Both arms of a design take the buckets of the larger own mean, so
-    their tables stack."""
+    A design's two arms share one table, so both take the buckets of the
+    larger own mean."""
     spread = math.ceil(2.0 * math.sqrt(_TAIL_SQUARE + _TAIL_SLOPE * hi * mean))
     fitting = (2 * MAX_SIZE_CELLS // (hi + 1)).bit_length() - 1
     return 1 << min((spread - 1).bit_length(), fitting)
@@ -453,8 +467,8 @@ def _poisson_sum_cdf(mean: float, hi: int) -> Optional[tuple[np.ndarray, np.ndar
 
     Row ``k`` is built on ``0 .. W_k`` and cut after its first entry of
     exactly 1.0.  None when the built rows would have more than
-    ``MAX_SIZE_CELLS`` entries, or more rows than two arms' tables can stack
-    in one (a ``hi`` above 510).
+    ``MAX_SIZE_CELLS`` entries, or when two arms of them would have more
+    rows than one table can hold (a ``hi`` above 510).
     """
     lam = mean * np.arange(1, hi + 1)
     width = np.ceil(lam + _TAIL_OFFSET + np.sqrt(_TAIL_SQUARE + _TAIL_SLOPE * lam)) + 1.0
@@ -481,17 +495,22 @@ def _poisson_sum_cdf(mean: float, hi: int) -> Optional[tuple[np.ndarray, np.ndar
     return rows, widths
 
 
-# Keyed like _arm_table, by the own mean, hi and the buckets; an entry holds
-# at most MAX_SIZE_CELLS keys and 2 * MAX_SIZE_CELLS guide buckets (384 KB).
-# A null design's arms and an alternative's control arm share an entry when
-# the intervention arm's own mean is the lower or needs no more buckets, as
-# on the bundled grid, where a table1 then table2 walk uses 36 keys.
+# Keyed like _nonzero_table, by the design's two own means and hi; an arm's
+# rows hold at most MAX_SIZE_CELLS keys and 2 * MAX_SIZE_CELLS guide
+# buckets, so an entry at most 768 KB.  A table1 then table2 walk uses 36
+# keys (30 alternative designs, 6 null ones).
 @functools.lru_cache(maxsize=64)
-def _poisson_sum_table(mean: float, hi: int, buckets: int) -> Optional[_KeyedTable]:
-    """The read-only :class:`_KeyedTable` of :func:`_poisson_sum_cdf` with
-    ``buckets`` buckets per row, or None where that is None."""
-    rows = _poisson_sum_cdf(mean, hi)
-    return None if rows is None else _keyed_table(*rows, buckets)
+def _own_sum_table(
+    mean_control: float, mean_intervention: float, hi: int
+) -> Optional[_KeyedTable]:
+    """The read-only :class:`_KeyedTable` of :func:`_poisson_sum_cdf` for
+    each arm's own mean, or for one when the two are equal, with
+    :func:`_sum_buckets` of the larger; None where either law is None."""
+    means = dict.fromkeys((mean_control, mean_intervention))
+    laws = [_poisson_sum_cdf(mean, hi) for mean in means]
+    if any(law is None for law in laws):
+        return None
+    return _keyed_table(laws, _sum_buckets(max(mean_control, mean_intervention), hi))
 
 
 def _draw_trial(

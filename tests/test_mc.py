@@ -339,7 +339,7 @@ def test_a_study_of_no_replicates_is_a_config_error(reps):
         mc.simulate_study(grid_design(), 20, reps, 0, 18)
 
 
-LAW_CACHES = (simulate._arm_table, simulate._poisson_sum_table)
+LAW_CACHES = (simulate._nonzero_table, simulate._own_sum_table)
 
 
 @pytest.mark.parametrize("null", [False, True], ids=["alternative", "null"])
@@ -359,10 +359,10 @@ def test_a_cold_arm_law_cache_gives_the_warm_study(null):
     assert warm.failure == cold.failure
 
 
-def test_each_arm_law_is_built_once_per_process(monkeypatch):
-    # two studies of three chunks each, then a dataset: the alternative's two
-    # arm laws are built once, and the null's arms share the control's; so
-    # are the laws of the arms' own Poisson sums
+def test_each_design_table_is_built_once_per_process(monkeypatch):
+    # two studies of three chunks each, then a dataset: the alternative's
+    # table builds its two arms' laws once, and the null's one law serves
+    # both its arms; so do the laws of the arms' own Poisson sums
     built, sums_built = [], []
 
     def counted(cells, p, rho_s):
@@ -384,8 +384,9 @@ def test_each_arm_law_is_built_once_per_process(monkeypatch):
     generate_trial(design, 30, 1)
     for cache in LAW_CACHES:
         cache.cache_clear()  # keep no entry the stand-ins built
-    assert built == [(design.control.p, 0.05), (design.intervention.p, 0.05)]
-    assert sums_built == [(arm.lam * 0.95, 80) for arm in (design.control, design.intervention)]
+    arms = (design.control, design.intervention, design.control)
+    assert built == [(arm.p, 0.05) for arm in arms]
+    assert sums_built == [(arm.lam * 0.95, 80) for arm in arms]
 
 
 def test_a_table_walk_keeps_the_arm_law_cache_within_its_bound():
@@ -396,9 +397,9 @@ def test_a_table_walk_keeps_the_arm_law_cache_within_its_bound():
 
 
 def test_a_table_walk_builds_each_arm_law_once():
-    # table1 then table2 use 36 keys in each cache, 6 control arms and 30
-    # intervention arms; a bound of 32 evicted them cyclically, so table2
-    # rebuilt 30
+    # table1 then table2 use 36 keys in each cache, 30 alternative designs
+    # and 6 null ones; a bound of 32 would evict them cyclically, so that
+    # table2 rebuilt 30
     for cache in LAW_CACHES:
         cache.cache_clear()
     mc.reproduce_tables(["table1", "table2"], 40, seed=4)
@@ -406,8 +407,8 @@ def test_a_table_walk_builds_each_arm_law_once():
 
 
 class TestOwnSums:
-    """mc._draw_own_sums against the exact law of each K, Poisson(K * lam_a *
-    (1 - rho_u)), for arms on either side of the own-sum table's cap."""
+    """simulate._draw_own_sums against the exact law of each K, Poisson(K *
+    lam_a * (1 - rho_u)), for arms on either side of the own-sum table's cap."""
 
     N = 4_000  # clusters per arm and K
 
@@ -415,21 +416,21 @@ class TestOwnSums:
         (1.0, (True, True)), (7.3, (True, True)), (7.4, (False, True)), (30.0, (False, False)),
     ])
     def test_each_k_follows_its_poisson_law(self, mu1, tabulated):
-        # at DU(34,56) the control arm's table has 32,700 entries at mu1 =
+        # at DU(34,56) the control arm's rows have 32,700 entries at mu1 =
         # 7.3, just within MAX_SIZE_CELLS, and 33,068 at 7.4, past it, where
-        # both arms draw with rng.poisson.  Every value expected 25 times or
-        # more is its own bin, the rest one pooled bin, and each bin's count
-        # lies within SE_MULTIPLE binomial SEs
+        # the design has no table and both arms draw with rng.poisson.  Every
+        # value expected 25 times or more is its own bin, the rest one pooled
+        # bin, and each bin's count lies within SE_MULTIPLE binomial SEs
         design = dataclasses.replace(grid_design(DU_34_56, rho=0.05), beta1=math.log(mu1))
         hi = design.cluster_sizes.hi
         means = [arm.lam * (1.0 - design.rho_u) for arm in (design.control, design.intervention)]
-        buckets = simulate._sum_buckets(max(means), hi)
-        tables = [simulate._poisson_sum_table(mean, hi, buckets) for mean in means]
-        assert tuple(table is not None for table in tables) == tabulated
+        laws = [simulate._poisson_sum_cdf(mean, hi) for mean in means]
+        assert tuple(law is not None for law in laws) == tabulated
+        assert (simulate._own_sum_table(*means, hi) is None) == (not all(tabulated))
         nonzero = np.repeat(np.arange(hi + 1), 2 * self.N).reshape(-1, 40)
         arm = (np.arange(nonzero.size) % 2).reshape(nonzero.shape)
         lam = np.where(arm, design.intervention.lam, design.control.lam)
-        own = mc._draw_own_sums(design, arm, nonzero, lam, np.random.default_rng(41))
+        own = simulate._draw_own_sums(design, arm, nonzero, lam, np.random.default_rng(41))
         assert own.shape == arm.shape and own.dtype == np.int64
         for a, mean in enumerate(means):
             for k in range(hi + 1):

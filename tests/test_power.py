@@ -183,6 +183,17 @@ class TestQuantiles:
         with pytest.raises(DomainError, match="did not converge in 3 terms"):
             t_cdf(2.0, 50.0)
 
+    def test_the_series_test_cannot_pass_below_its_least_df(self):
+        # _t_split sums no expansion below _SERIES_MIN_DF (62.9, just below
+        # the 62.9026 where the test's left side can first reach 2**-54), as
+        # the left side only falls as df grows; 0.01 above it the test passes
+        def left_side(t, df):
+            return abs(power._t_cdf_expansion(t, df)[1]) * max(t, 1.0 / t)
+
+        grid = np.logspace(-12, 8, 2001).tolist()
+        assert min(left_side(t, power._SERIES_MIN_DF) for t in grid) > 2.0**-54
+        assert min(left_side(t, power._SERIES_MIN_DF + 0.01) for t in grid) <= 2.0**-54
+
     @pytest.mark.parametrize("prob", [0.0, 1.0, 1.0 - 1e-300, -0.5, 1.5, math.nan])
     def test_normal_prob_validation(self, prob):
         # statistics.NormalDist raised its own StatisticsError at 0 and 1

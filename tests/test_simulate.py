@@ -105,9 +105,8 @@ def assert_outcome_moments(design, data):
     within-cluster pair correlation, by pooled_pair_correlation, against
     pairwise_covariance_factor / marginal_variance; within SE_MULTIPLE
     standard errors of the per-cluster statistics."""
-    for a in (0, 1):
+    for a, profile in enumerate((design.control, design.intervention)):
         y = arm_outcomes(data, a).reshape(-1, data.size[0]).astype(float)  # a row per cluster
-        profile = design.arm(a)
         assert abs(y.mean() - profile.mu) <= SE_MULTIPLE * cluster_mean_se(y.mean(axis=1))
         centred = y - y.mean()
         squares = (centred**2).mean(axis=1)
@@ -131,9 +130,9 @@ class TestStructuralZeros:
         # p = 0: no subject is a structural zero, so each arm has Poisson's
         # zero fraction exp(-mu)
         design, data = fixed_size_trial(p1=0.0, q=0.0, rho_s=0.3, rho_u=0.0)
-        for a in (0, 1):
+        for a, profile in enumerate((design.control, design.intervention)):
             zeros = (arm_outcomes(data, a) == 0).reshape(-1, 20).mean(axis=1)
-            expected = math.exp(-design.arm(a).mu)
+            expected = math.exp(-profile.mu)
             assert abs(zeros.mean() - expected) <= SE_MULTIPLE * cluster_mean_se(zeros)
 
     def test_independent_case_is_uncorrelated(self):
@@ -276,8 +275,8 @@ class TestNonzeroCounts:
         arm = (np.arange(2 * self.N) % 2).reshape(-1, 40)
         m, nonzero = simulate._draw_nonzero_counts(design, arm, np.random.default_rng(21))
         assert m.shape == nonzero.shape == arm.shape
-        for a in (0, 1):
-            law_m, law_k, prob = nonzero_count_law(design, design.arm(a).p)
+        for a, profile in enumerate((design.control, design.intervention)):
+            law_m, law_k, prob = nonzero_count_law(design, profile.p)
             cell = {(mi, ki): i for i, (mi, ki) in enumerate(zip(law_m.tolist(), law_k.tolist()))}
             drawn = [cell[pair] for pair in zip(m[arm == a].tolist(), nonzero[arm == a].tolist())]
             counts = np.bincount(drawn, minlength=prob.size)
@@ -314,53 +313,63 @@ class TestNonzeroCounts:
 
 
 class TestArmCdf:
-    """The memo of each arm's law of ``(m, K)``, as a keyed table."""
+    """The memo of each design's laws, as one keyed table: the control
+    arm's rows, then the intervention arm's, or one law's rows for both."""
 
     def test_the_cached_law_is_a_fresh_one_and_read_only(self):
         design = grid_design(DU_10_80, rho=0.05, p1=0.3)
-        for profile in (design.control, design.intervention):
-            table = simulate._arm_table(design.cluster_sizes, profile.p, design.rho_s)
-            cdf = simulate._nonzero_cdf(design.cluster_sizes._cells, profile.p, design.rho_s)
-            fresh = simulate._keyed_table(cdf, np.array([cdf.size]), table.guide.size)
-            assert table.shift == fresh.shift
-            for name in ("keys", "guide", "row_start"):
-                part, fresh_part = getattr(table, name), getattr(fresh, name)
-                assert part.dtype == fresh_part.dtype and part.tobytes() == fresh_part.tobytes()
-                assert not part.flags.writeable
-                with pytest.raises(ValueError):
-                    part[0] = 0
+        cells, hi = design.cluster_sizes._cells, design.cluster_sizes.hi
+        for generating, arms in ((design, 2), (design.under_null(), 1)):
+            ps = (generating.control.p, generating.intervention.p)
+            means = tuple(arm.lam * 0.95 for arm in (generating.control, generating.intervention))
+            nonzero = [(simulate._nonzero_cdf(cells, p, 0.05), np.array([cells.m.size])) for p in ps]
+            sums = [simulate._poisson_sum_cdf(mean, hi) for mean in means]
+            for table, laws in (
+                (simulate._nonzero_table(DU_10_80, *ps, 0.05), nonzero),
+                (simulate._own_sum_table(*means, hi), sums),
+            ):
+                fresh = simulate._keyed_table(laws[:arms], table.guide.size // table.row_start.size)
+                assert table.row_start.size == arms * laws[0][1].size
+                assert table.shift == fresh.shift and table.arm_rows == fresh.arm_rows
+                assert table.arm_rows == (laws[0][1].size if arms == 2 else 0)
+                for name in ("keys", "guide", "row_start"):
+                    part, fresh_part = getattr(table, name), getattr(fresh, name)
+                    assert part.dtype == fresh_part.dtype
+                    assert part.tobytes() == fresh_part.tobytes()
+                    assert not part.flags.writeable
+                    with pytest.raises(ValueError):
+                        part[0] = 0
 
     def test_equal_laws_share_one_entry(self):
-        simulate._arm_table.cache_clear()
-        first = simulate._arm_table(ClusterSizeModel.discrete_uniform(10, 80), 0.3, 0.05)
-        second = simulate._arm_table(ClusterSizeModel.discrete_uniform(10, 80), 0.3, 0.05)
+        simulate._nonzero_table.cache_clear()
+        sizes = [ClusterSizeModel.discrete_uniform(10, 80) for _ in range(2)]
+        first, second = (simulate._nonzero_table(du, 0.3, 0.6, 0.05) for du in sizes)
         assert second is first
-        # _nonzero_cdf treats a p of -0.0 as 0.0, so they share an entry too
-        assert simulate._arm_table(DU_10_80, -0.0, 0.05) is simulate._arm_table(DU_10_80, 0.0, 0.05)
-        info = simulate._arm_table.cache_info()
+        # _nonzero_cdf treats a p of -0.0 as 0.0, so they share an entry, and
+        # one row serves both arms
+        zero = simulate._nonzero_table(DU_10_80, -0.0, 0.0, 0.05)
+        assert zero is simulate._nonzero_table(DU_10_80, 0.0, -0.0, 0.05)
+        assert zero.row_start.size == 1 and zero.arm_rows == 0
+        info = simulate._nonzero_table.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
 
 
 def keyed_rows(name):
-    """A tabulated law's rows of cumulative probabilities and their table."""
-    if name in ("arm", "arm-no-zeros"):
-        p, sizes = (0.3, DU_10_80) if name == "arm" else (0.0, DU_34_56)
-        cdf = simulate._nonzero_cdf(sizes._cells, p, 0.05)
-        return [cdf], simulate._arm_table(sizes, p, 0.05)
-    if name == "arms-stacked":
-        laws = [(0.3, 0.05), (0.6, 0.05)]
-        rows = [simulate._nonzero_cdf(DU_10_80._cells, p, rho) for p, rho in laws]
-        tables = [simulate._arm_table(DU_10_80, p, rho) for p, rho in laws]
-        return rows, simulate._stacked(*tables)
-    means, hi = {"sums": ([1.94], 80), "sums-wide": ([40.0], 8),
-                 "sums-stacked": ([1.94, 1.2], 56), "sums-most-rows": ([1e-6, 2e-6], 510)}[name]
+    """A tabulated design's rows of cumulative probabilities, the control
+    arm's first, and its table; a design whose arms share a law has its
+    rows once."""
+    if name in ("arm", "arm-no-zeros", "arms-stacked"):
+        sizes, ps = {"arm": (DU_10_80, (0.3, 0.3)), "arm-no-zeros": (DU_34_56, (0.0, 0.0)),
+                     "arms-stacked": (DU_10_80, (0.3, 0.6))}[name]
+        rows = [simulate._nonzero_cdf(sizes._cells, p, 0.05) for p in ps]
+        return rows[: 1 + (ps[0] != ps[1])], simulate._nonzero_table(sizes, *ps, 0.05)
+    means, hi = {"sums": ((1.94, 1.94), 80), "sums-wide": ((40.0, 40.0), 8),
+                 "sums-stacked": ((1.94, 1.2), 56), "sums-most-rows": ((1e-6, 2e-6), 510)}[name]
     rows = []
-    for mean in means:
+    for mean in means[: 1 + (means[0] != means[1])]:
         cdf, widths = simulate._poisson_sum_cdf(mean, hi)
         rows += np.split(cdf, np.cumsum(widths)[:-1])
-    buckets = simulate._sum_buckets(max(means), hi)
-    tables = [simulate._poisson_sum_table(mean, hi, buckets) for mean in means]
-    return rows, tables[0] if len(tables) == 1 else simulate._stacked(*tables)
+    return rows, simulate._own_sum_table(*means, hi)
 
 
 class TestKeyedTable:
@@ -373,7 +382,7 @@ class TestKeyedTable:
     ])
     def test_inversion_is_searchsorted_on_each_row(self, name):
         rows, table = keyed_rows(name)
-        assert table.rows == len(rows)
+        assert table.row_start.size == len(rows)
         # the uniforms numpy draws are multiples of 2**-53: 10**6 of them in
         # random rows, then every entry's grid points ceil(F * 2**53) and
         # floor(F * 2**53) and their neighbours in its own row, and the ends
@@ -395,7 +404,7 @@ class TestKeyedTable:
             where = order[bounds[r]:bounds[r + 1]]
             expected[where] = np.searchsorted(cdf, u[where], side="right")
         np.testing.assert_array_equal(simulate._invert(table, row, u), expected)
-        if table.rows == 1:
+        if len(rows) == 1:
             np.testing.assert_array_equal(simulate._invert(table, 0, u), expected)
 
     @pytest.mark.parametrize("mean, hi", [(2.0**62 / 600, 500), (1.9, 510), (1e-6, 511)],
@@ -403,7 +412,7 @@ class TestKeyedTable:
     def test_an_own_sum_table_past_its_bounds_is_not_built(self, mean, hi):
         # a design reaches each; at DU(1,500) and mu1 = 4e15 the entries
         # alone number past 2**63, which an int64 count would wrap
-        assert simulate._poisson_sum_table(mean, hi, simulate._sum_buckets(mean, hi)) is None
+        assert simulate._own_sum_table(mean, mean, hi) is None
 
     @pytest.mark.parametrize("mean, hi", [
         (1.94, 80), (13.87, 56), (40.0, 8), (114.0, 20), (3e4, 1), (1e-6, 510), (0.2183, 300),
@@ -414,20 +423,25 @@ class TestKeyedTable:
         # of its draws that do: from the bundled grid's own means (1.94 at
         # DU(10,80)) to means that crowd a row's entries near its mean (40
         # at hi 8, 114 at hi 20, 3e4 at hi 1), and the tables of most rows
-        buckets = simulate._sum_buckets(mean, hi)
-        table = simulate._poisson_sum_table(mean, hi, buckets)
-        crowded = (table.guide.reshape(hi + 1, buckets) < 0).mean(axis=1)
+        table = simulate._own_sum_table(mean, mean, hi)
+        crowded = (table.guide.reshape(hi + 1, -1) < 0).mean(axis=1)
         assert crowded.max() <= 0.05
 
-    def test_two_arms_of_one_law_draw_as_one(self):
-        # a null design's arms share one table, and the draw skips the stack
-        arm = np.arange(400).reshape(10, 40) % 2
-        table = simulate._arm_table(DU_10_80, 0.3, 0.05)
-        shared = simulate._draw_rows((table, table), arm, 0, np.random.default_rng(5))
-        stacked = simulate._invert(
-            simulate._stacked(table, table), arm, np.random.default_rng(5).random(arm.shape)
-        )
-        np.testing.assert_array_equal(shared, stacked)
+    @pytest.mark.parametrize("name", ["arm", "arms-stacked", "sums", "sums-stacked"])
+    def test_each_arm_draws_from_its_own_law(self, name):
+        # _draw_rows offsets arm 1 by arm_rows in a design of two laws, and
+        # a design of one law draws both arms from its one set of rows
+        rows, table = keyed_rows(name)
+        two_laws = name.endswith("stacked")
+        assert table.arm_rows == (len(rows) // 2 if two_laws else 0)
+        rng = np.random.default_rng(6)
+        arm = rng.integers(0, 2, (64, 40))
+        row = rng.integers(0, len(rows) // (1 + two_laws), arm.shape) if "sums" in name else 0
+        drawn = simulate._draw_rows(table, arm, row, np.random.default_rng(5))
+        u = np.random.default_rng(5).random(arm.shape)
+        law = np.broadcast_to(row + arm * table.arm_rows, arm.shape)
+        expected = [np.searchsorted(rows[r], x, side="right") for r, x in zip(law.flat, u.flat)]
+        np.testing.assert_array_equal(drawn.ravel(), expected)
 
 
 class TestAgainstSubjectOracle:
@@ -470,9 +484,9 @@ class TestGenerateTrial:
             cluster_sizes=DU_34_56,
         )
         data = generate_trial(design, 10**4, seed=11)
-        for arm in (0, 1):
+        for arm, profile in enumerate((design.control, design.intervention)):
             outcomes = arm_outcomes(data, arm)
-            assert outcomes.mean() == pytest.approx(design.arm(arm).mu, rel=0.01)
+            assert outcomes.mean() == pytest.approx(profile.mu, rel=0.01)
 
     def test_identical_seed_identical_dataset(self, config_a):
         first = generate_trial(config_a, 40, seed=123)
@@ -483,9 +497,9 @@ class TestGenerateTrial:
     def test_zero_proportion_matches_mixture_mass(self, config_a):
         # ~2300 clusters of ~45 subjects ≈ 1e5 subjects
         data = generate_trial(config_a, 2300, seed=12)
-        for arm in (0, 1):
+        for arm, profile in enumerate((config_a.control, config_a.intervention)):
             outcomes = arm_outcomes(data, arm)
-            target = zero_probability(config_a.arm(arm))
+            target = zero_probability(profile)
             se = math.sqrt(target * (1 - target) / outcomes.size)
             observed = (outcomes == 0).mean()
             assert abs(observed - target) < 3 * se
