@@ -305,7 +305,7 @@ def _cmd_fit(args) -> int:
     fit = fit_zip(data)
     n = fit.n_clusters
     reference = "normal" if args.reference == "z" else "t"
-    df = None if reference == "normal" else _test_df(args.df_rule, n)
+    df = _test_df(args.df_rule, n)  # wald_test ignores it under the normal
     # every test runs before anything is printed, so a bad --alpha prints nothing
     tests = {
         name: wald_test(float(fit.beta_hat[1]), fit.sigma2_sq(name), n, reference, args.alpha, df)
@@ -332,7 +332,7 @@ def _cmd_fit(args) -> int:
 
     print("test,statistic,reference,critical_value,reject")
     for name, test in tests.items():
-        label = "z" if reference == "normal" else f"t({test.df})"
+        label = "z" if test.df is None else f"t({test.df})"
         print(
             f"{name},{_fmt(test.statistic)},{label},"
             f"{_fmt(test.critical_value)},{'yes' if test.reject else 'no'}"

@@ -51,7 +51,11 @@ once, in ``_fit_rows``, over ``(R, N)`` arrays of each cluster's arm,
 the study engine (:mod:`zipcrt.mc`) on a chunk of ``R`` replicates.  The Wald test's
 checks, critical value and decisions are written once too, in
 ``_wald_rows``: :func:`wald_test` runs it on one statistic, and the study
-engine on a chunk's variances, one estimator after another.
+engine on a chunk's variances, one estimator after another.  Inside the
+package the test's reference distribution is named by its ``df`` alone, as
+in :func:`zipcrt.power.quantile`: ``None`` is the normal and a number is
+t(``df``).  :func:`wald_test` keeps its ``reference`` string and maps it to
+that ``df`` once.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ import numpy as np
 
 from .design import infer_p1_from_observed
 from .errors import DomainError, EstimationError
-from .power import normal_quantile, t_quantile
+from .power import quantile
 from .simulate import TrialDataset
 
 _ARM_NAMES = ("control", "intervention")
@@ -194,15 +198,18 @@ class GeeFit:
     degenerate: bool
     n_clusters: int
 
-    def sigma2_sq(self, estimator: str) -> float:
-        """Variance of sqrt(N) * beta2_hat under the estimator."""
+    def _covariance(self, estimator: str) -> np.ndarray:
         if estimator not in self.variance:
             raise DomainError(f"estimator must be one of {ESTIMATORS}, got {estimator!r}")
-        return float(self.n_clusters * self.variance[estimator][1, 1])
+        return self.variance[estimator]
+
+    def sigma2_sq(self, estimator: str) -> float:
+        """Variance of sqrt(N) * beta2_hat under the estimator."""
+        return float(self.n_clusters * self._covariance(estimator)[1, 1])
 
     def se(self, estimator: str) -> np.ndarray:
         """Standard errors of beta_hat under the estimator."""
-        return np.sqrt(np.diag(self.variance[estimator]))
+        return np.sqrt(np.diag(self._covariance(estimator)))
 
     @property
     def se_jackknife(self) -> np.ndarray:
@@ -231,18 +238,17 @@ def _wald_rows(
     beta2_hat: np.ndarray,
     sigma2_sq: np.ndarray,
     n_clusters: int,
-    reference: str,
     alpha_level: float,
     df: Optional[int],
     failure: list[Optional[str]],
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """:func:`wald_test` on each row of ``beta2_hat`` and ``sigma2_sq``.
+    """:func:`wald_test` on each row of ``beta2_hat`` and ``sigma2_sq``,
+    against the normal when ``df`` is None and t(``df``) otherwise.
 
     A row fails in ``failure`` with the message :func:`wald_test` raises on
     it, at the first of its checks; a row that has already failed keeps its
-    message.  Returns the statistics, the two-sided normal or t(``df``)
-    critical value (``inf`` when it is undefined) and the decisions; a
-    failed row is never rejected.
+    message.  Returns the statistics, the two-sided critical value (``inf``
+    when it is undefined) and the decisions; a failed row is never rejected.
     """
     _fail(
         failure,
@@ -253,12 +259,7 @@ def _wald_rows(
     try:
         if not (0.0 < alpha_level < 1.0):
             raise DomainError(f"alpha_level must lie in (0, 1), got {alpha_level}")
-        if reference == "normal":
-            critical = normal_quantile(1.0 - alpha_level / 2.0)
-        elif reference == "t":
-            critical = t_quantile(df, 1.0 - alpha_level / 2.0)
-        else:
-            raise DomainError(f"reference must be 'normal' or 't', got {reference!r}")
+        critical = quantile(1.0 - alpha_level / 2.0, df)
     except DomainError as exc:
         _fail(failure, np.ones(len(failure), dtype=bool), str(exc))
     ok = np.array([f is None for f in failure])
@@ -281,21 +282,26 @@ def wald_test(
     ``sigma2_sq`` on the sqrt(N) scale (see :meth:`GeeFit.sigma2_sq`).
     Rejection requires the absolute statistic to strictly exceed the
     reference quantile; a statistic exactly at the quantile is retained.
-    ``df`` defaults to ``n_clusters - 2`` for the t reference.
+    ``reference`` is ``"normal"``, which ignores ``df``, or ``"t"``, whose
+    ``df`` defaults to ``n_clusters - 2``.
     """
-    if reference == "t" and df is None:
+    if reference not in ("normal", "t"):
+        raise DomainError(f"reference must be 'normal' or 't', got {reference!r}")
+    if reference == "normal":
+        df = None
+    elif df is None:
         df = _test_df("n-2", n_clusters)
     failure: list[Optional[str]] = [None]
     statistic, critical, reject = _wald_rows(
         np.array([beta2_hat], dtype=np.float64), np.array([sigma2_sq], dtype=np.float64),
-        n_clusters, reference, alpha_level, df, failure,
+        n_clusters, alpha_level, df, failure,
     )
     if failure[0] is not None:
         raise DomainError(failure[0])
     return WaldTest(
         statistic=float(statistic[0]),
         reference=reference,
-        df=df if reference == "t" else None,
+        df=df,
         critical_value=critical,
         reject=bool(reject[0]),
         alpha_level=alpha_level,

@@ -212,11 +212,10 @@ def _simulate_chunk(
     seed: int,
     chunk: int,
     rows: int,
-    reference: str,
     df: Optional[int],
-    alpha: float,
 ) -> StudyDraws:
-    """Draw and test ``rows`` replicates from the stream of chunk ``chunk``.
+    """Draw and test ``rows`` replicates from the stream of chunk ``chunk``, at
+    the design's ``alpha`` against the normal (``df`` None) or t(``df``).
 
     A replicate fails with the message, and at the first of the checks,
     that :func:`generate_trial`, :func:`fit_zip` and :func:`wald_test` would
@@ -234,7 +233,7 @@ def _simulate_chunk(
         beta2_hat = log_mean[:, 1] - log_mean[:, 0]
         sigma2 = {name: n_clusters * (t[:, 0] + t[:, 1]) for name, t in terms.items()}
     reject = {
-        name: _wald_rows(beta2_hat, variance, n_clusters, reference, alpha, df, failure)[2]
+        name: _wald_rows(beta2_hat, variance, n_clusters, design.alpha, df, failure)[2]
         for name, variance in sigma2.items()
     }
     # a replicate whose test failed under a later estimator has no decision
@@ -265,13 +264,10 @@ def simulate_study(
     """
     if replications < 1:
         raise ConfigError(f"replications must be >= 1, got {replications}")
-    reference = "normal" if df is None else "t"
     chunks = []
     for k, start in enumerate(range(0, replications, CHUNK_REPLICATES)):
         rows = min(CHUNK_REPLICATES, replications - start)
-        chunks.append(
-            _simulate_chunk(design, n_clusters, seed, k, rows, reference, df, design.alpha)
-        )
+        chunks.append(_simulate_chunk(design, n_clusters, seed, k, rows, df))
     sigma2, reject = (
         {name: np.concatenate([part[name] for part in parts]) for name in ESTIMATORS}
         for parts in ([c.sigma2 for c in chunks], [c.reject for c in chunks])

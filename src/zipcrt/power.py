@@ -9,13 +9,22 @@ degrees of freedom come from a first normal-based pass (clusters minus the
 two regression parameters), which guards against the optimism of the normal
 approximation when few clusters are affordable.
 
+A reference distribution is named by its degrees of freedom ``df`` alone:
+``None`` is the standard normal and a number is Student-t with ``df``
+degrees of freedom.  :func:`quantile` gives either one's quantile.  The
+one sizing body behind :func:`sample_size_normal` and
+:func:`sample_size_t`, :func:`predicted_power`, the Wald test's rows
+(``gee._wald_rows``) and the study engine (``mc.simulate_study``) all name
+their reference that way.
+
 The normal and Student-t quantiles and CDFs are computed here with the
 standard library alone: the normal ones from ``statistics.NormalDist`` and
 ``math.erfc``.  One function, ``_t_split``, evaluates the t distribution:
 Fisher's expansion in ``1 / df`` about the normal where it is exact to an
 ulp, as at every large ``df`` but in the far tails, and the regularized
 incomplete beta function's continued fraction elsewhere.  ``t_cdf`` reads
-its result, and ``t_quantile`` inverts it by Newton's method.
+its result, and ``t_quantile`` inverts it by Newton's method.  Both take a
+real, finite ``df >= 1``.
 """
 
 from __future__ import annotations
@@ -74,6 +83,12 @@ def normal_quantile(prob: float) -> float:
     if not 0.0 < prob < 1.0:
         raise DomainError(f"normal quantile needs 0 < prob < 1, got {prob}")
     return _STANDARD_NORMAL.inv_cdf(prob)
+
+
+def quantile(prob: float, df: Optional[float]) -> float:
+    """Inverse CDF of the reference distribution ``df`` names: the standard
+    normal when it is None, Student-t with ``df`` degrees of freedom otherwise."""
+    return normal_quantile(prob) if df is None else t_quantile(df, prob)
 
 
 def _log_gamma_ratio(a: float) -> float:
@@ -225,11 +240,15 @@ def _t_split(t: float, df: float) -> tuple[float, float, float]:
     return 0.5 - 0.5 * central, central, front
 
 
+def _check_df(df: float, what: str) -> None:
+    if not 1.0 <= df < math.inf:
+        raise DomainError(f"{what} needs a finite df >= 1, got {df}")
+
+
 def t_cdf(t: float, df: float) -> float:
-    """Student-t CDF for real ``df >= 1``: ``P(T > |t|)`` from
+    """Student-t CDF for real, finite ``df >= 1``: ``P(T > |t|)`` from
     :func:`_t_split` below the median, ``(1 + P(|T| < t)) / 2`` above it."""
-    if not df >= 1:
-        raise DomainError(f"t CDF needs df >= 1, got {df}")
+    _check_df(df, "t CDF")
     if t == 0.0:
         return 0.5
     tail, central, _ = _t_split(abs(t), df)
@@ -238,7 +257,7 @@ def t_cdf(t: float, df: float) -> float:
 
 @functools.lru_cache(maxsize=256)
 def t_quantile(df: float, prob: float) -> float:
-    """Student-t inverse CDF for real ``df >= 1``.
+    """Student-t inverse CDF for real, finite ``df >= 1``.
 
     Newton's method from the normal quantile, on the log of ``P(T > |t|)``
     (or, near ``prob = 0.5``, of ``P(|T| < |t|)``, so that a small quantile
@@ -252,8 +271,7 @@ def t_quantile(df: float, prob: float) -> float:
     ``prob`` has too few bits to invert and is rejected.  Cached per ``(df,
     prob)``, since a study tests every replicate at one critical value.
     """
-    if not df >= 1:
-        raise DomainError(f"t quantile needs df >= 1, got {df}")
+    _check_df(df, "t quantile")
     if not 0.0 < prob < 1.0:
         raise DomainError(f"t quantile needs 0 < prob < 1, got {prob}")
     if prob < 2.0**-1022:
@@ -327,22 +345,26 @@ def _raw_count(sigma2_sq: float, quantile_sum: float, beta2: float) -> float:
     return n_raw
 
 
-def sample_size_normal(design: DesignInputs) -> SampleSizeResult:
-    """Required clusters under the normal approximation."""
+def _sample_size(design: DesignInputs, df: Optional[int]) -> SampleSizeResult:
+    """Required clusters with the quantiles of the reference ``df`` names
+    (see :func:`quantile`)."""
     if design.beta2 == 0.0:
         raise DomainError("beta2 == 0: effect size undefined for sample size")
     sigma2_sq = design_variance(design)
-    quantile_sum = normal_quantile(1.0 - design.alpha / 2.0) + normal_quantile(
-        design.power
-    )
+    quantile_sum = quantile(1.0 - design.alpha / 2.0, df) + quantile(design.power, df)
     n_raw = _raw_count(sigma2_sq, quantile_sum, design.beta2)
     return SampleSizeResult(
         sigma2_sq=sigma2_sq,
         n_raw=n_raw,
         n_clusters=math.ceil(n_raw),
-        df=None,
-        critical_basis="normal",
+        df=df,
+        critical_basis="normal" if df is None else "t",
     )
+
+
+def sample_size_normal(design: DesignInputs) -> SampleSizeResult:
+    """Required clusters under the normal approximation."""
+    return _sample_size(design, None)
 
 
 def sample_size_t(design: DesignInputs) -> SampleSizeResult:
@@ -353,45 +375,31 @@ def sample_size_t(design: DesignInputs) -> SampleSizeResult:
     those df replace the normal ones.  Always at least as large as the
     normal-based count.
     """
-    normal_result = sample_size_normal(design)
-    df = normal_result.n_clusters - 2
+    df = sample_size_normal(design).n_clusters - 2
     if df < 1:
         raise DomainError(
             f"insufficient clusters for a t-based size: normal pass gave "
-            f"{normal_result.n_clusters} clusters (df={df})"
+            f"{df + 2} clusters (df={df})"
         )
-    quantile_sum = t_quantile(df, 1.0 - design.alpha / 2.0) + t_quantile(
-        df, design.power
-    )
-    n_raw = _raw_count(normal_result.sigma2_sq, quantile_sum, design.beta2)
-    return SampleSizeResult(
-        sigma2_sq=normal_result.sigma2_sq,
-        n_raw=n_raw,
-        n_clusters=math.ceil(n_raw),
-        df=df,
-        critical_basis="t",
-    )
+    return _sample_size(design, df)
 
 
-def predicted_power(design: DesignInputs, n_clusters: float, reference: str) -> float:
-    """The formula's power at ``n_clusters`` clusters.
+def predicted_power(design: DesignInputs, n_clusters: float, df: Optional[float]) -> float:
+    """The formula's power at ``n_clusters`` clusters, with the reference
+    ``df`` names (see :func:`quantile`).
 
     This inverts the sample-size rule: with ``delta = sqrt(N * beta2**2 /
-    sigma2_sq)``, the ``"normal"`` reference gives ``Phi(delta -
-    z_{1-alpha/2})`` and the ``"t"`` reference the t CDF of ``delta -
-    t_{1-alpha/2}`` with ``N - 2`` degrees of freedom.  At
-    ``sample_size_normal(design).n_raw`` the normal value is
-    ``design.power``; at an integer N above it, the value is the power the
-    rounded-up count actually buys.
+    sigma2_sq)``, the normal reference gives ``Phi(delta - z_{1-alpha/2})``
+    and t(``df``) its CDF at ``delta - t_{1-alpha/2}``; the sizing rule's t
+    pass uses ``df = N - 2``.  At ``sample_size_normal(design).n_raw`` the
+    normal value is ``design.power``; at an integer N above it, the value is
+    the power the rounded-up count actually buys.
     """
     delta = math.sqrt(n_clusters * design.beta2**2 / design_variance(design))
-    prob = 1.0 - design.alpha / 2.0
-    if reference == "normal":
-        return 0.5 * math.erfc((normal_quantile(prob) - delta) / math.sqrt(2.0))
-    if reference == "t":
-        df = n_clusters - 2
-        return t_cdf(delta - t_quantile(df, prob), df)
-    raise DomainError(f"reference must be 'normal' or 't', got {reference!r}")
+    critical = quantile(1.0 - design.alpha / 2.0, df)
+    if df is None:
+        return 0.5 * math.erfc((critical - delta) / math.sqrt(2.0))
+    return t_cdf(delta - critical, df)
 
 
 def q_sweep(

@@ -3,6 +3,7 @@ config and argument errors, the rows of ``sweep``, and the manifests of
 ``simulate``, ``sweep``, ``study`` and ``tables``."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -311,6 +312,42 @@ def test_simulate_manifest_records_the_generator(tmp_path, capsys):
         "name": "subject-array", "version": 7, "stream_tag": simulate.TRIAL_STREAM_TAG,
     }
     assert "engine" not in manifest
+
+
+# sha256 of outputs on the reference paths the seeded table hashes of
+# test_mc miss (those cover the normal reference and t(N - 2) at alpha
+# 0.05), taken before the reference was named by its df alone: a fit's rows
+# under the normal at alpha 0.1 and under t(N - 4), and a t-sized null study
+# at alpha 0.1 tested against t(N - 4)
+REFERENCE_PINS = {
+    "fit-z": "eb1ec79957d21fb04f2bf07a589ac9fcd0e204c82094da037f30cbebeca1ab79",
+    "fit-t-n-4": "4c1d09c5c80aa64054b9b4c6b5ee50c37845c264f038135b7626076304e03c75",
+    "study-null-t-n-4": "eb849937e8f218de87c15f3f7f580d6a564f80fd46ba8dc2f9dfd3b1b1b578fe",
+}
+
+
+def test_seeded_reference_paths_pinned(tmp_path, capsys):
+    def sha256(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    config, data, report = design_file(tmp_path), tmp_path / "data.csv", tmp_path / "study.csv"
+    assert cli.main([
+        "simulate", "--config", config, "--clusters", "30", "--seed", "5", "--out", str(data),
+    ]) == 0
+    capsys.readouterr()
+    got = {}
+    for name, options in (
+        ("fit-z", ["--reference", "z", "--alpha", "0.1"]),
+        ("fit-t-n-4", ["--reference", "t", "--df-rule", "n-4"]),
+    ):
+        assert cli.main(["fit", "--data", str(data), *options]) == 0
+        got[name] = sha256(capsys.readouterr().out)
+    assert cli.main([
+        "study", "--config", config, "--set", "alpha=0.1", "--reps", "600", "--sizing", "t",
+        "--df-rule", "n-4", "--null", "--seed", "7", "--out", str(report),
+    ]) == 0
+    got["study-null-t-n-4"] = sha256(report.read_text(encoding="utf-8"))
+    assert got == REFERENCE_PINS
 
 
 ENGINE_FIELDS = {

@@ -1,6 +1,7 @@
 """Tests for the GEE fit, the ES iteration, and both variance estimators."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from zipcrt import (
     generate_trial,
     wald_test,
 )
-from zipcrt.gee import _alpha_from_p
+from zipcrt.gee import ESTIMATORS, _alpha_from_p
 from zipcrt.power import t_quantile
 
 from conftest import (
@@ -351,6 +352,13 @@ class TestFitZip:
         )
         with pytest.raises(DomainError):
             fit.sigma2_sq("bootstrap")
+
+    @pytest.mark.parametrize("method", ["se", "sigma2_sq"])
+    def test_an_unknown_estimator_is_a_domain_error(self, config_a, method):
+        # se raised a bare KeyError
+        fit = fit_zip(generate_trial(config_a, 12, seed=30))
+        with pytest.raises(DomainError, match=re.escape(f"one of {ESTIMATORS}, got 'bogus'")):
+            getattr(fit, method)("bogus")
 
     def test_se_properties(self, config_a):
         data = generate_trial(config_a, 30, seed=31)

@@ -92,7 +92,7 @@ class TestEngineMatchesFit:
     def test_chunk_equals_fit_of_each_replicate(self, case):
         design, n, reference, df = GATE_CASES[case]
         seed, rows = 17, mc.CHUNK_REPLICATES
-        chunk = mc._simulate_chunk(design, n, seed, 0, rows, reference, df, 0.05)
+        chunk = mc._simulate_chunk(design, n, seed, 0, rows, df)
         arm, m, y = engine_draws(design, n, seed, 0, rows)
         for r in range(rows):
             # Y_i on the cluster's first subject and 0 on the others
@@ -123,7 +123,7 @@ class TestEngineMatchesFit:
         }
         seen = set()
         for design, n, reference, df in GATE_CASES.values():
-            chunk = mc._simulate_chunk(design, n, 17, 0, mc.CHUNK_REPLICATES, reference, df, 0.05)
+            chunk = mc._simulate_chunk(design, n, 17, 0, mc.CHUNK_REPLICATES, df)
             seen.update(k for k in kinds for f in chunk.failure if f is not None and k in f)
         assert seen == kinds
 
@@ -137,7 +137,7 @@ class TestEngineMatchesFit:
                 generate_trial(design, 4, seed)
             except ZipCrtError as exc:
                 expected.add(str(exc))
-        chunk = mc._simulate_chunk(design, 4, 3, 0, 64, "normal", None, 0.05)
+        chunk = mc._simulate_chunk(design, 4, 3, 0, 64, None)
         messages = [f for f in chunk.failure if f is not None and "allocation" in f]
         assert expected == set(messages) == {"allocation left an empty arm (n=4, r_bar=0.125)"}
         assert 0 < len(messages) < 64
@@ -227,7 +227,7 @@ class TestReplicateFailures:
             mu1=0.01, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.03, rho_u=0.03,
             cluster_sizes=ClusterSizeModel.fixed(2),
         )
-        chunk = mc._simulate_chunk(design, 4, 0, 0, mc.CHUNK_REPLICATES, "t", 2, 0.05)
+        chunk = mc._simulate_chunk(design, 4, 0, 0, mc.CHUNK_REPLICATES, 2)
         error = "intervention arm has all-zero outcomes; log-mean undefined"
         failed = [r for r, f in enumerate(chunk.failure) if f == error]
         assert failed
@@ -241,7 +241,7 @@ class TestReplicateFailures:
         arm = np.array([[0, 0, 0, 1, 1, 1]])
         m, y = np.full(arm.shape, 49), 1 + arm
         monkeypatch.setattr(mc, "_draw_clusters", lambda *_: (arm, m, y, np.zeros(1, dtype=bool)))
-        chunk = mc._simulate_chunk(grid_design(), 6, 0, 0, 1, "t", 4, 0.05)
+        chunk = mc._simulate_chunk(grid_design(), 6, 0, 0, 1, 4)
         assert chunk.sigma2["naive"][0] > 0.0 and chunk.sigma2["jackknife"][0] == 0.0
         assert wald_test(chunk.beta2_hat[0], chunk.sigma2["naive"][0], 6, "t", 0.05, 4).reject
         assert chunk.failure == ["sigma2_sq must be positive, got 0.0"]
@@ -279,7 +279,7 @@ def test_multi_chunk_study_does_not_depend_on_chunk_order():
     )
     n = sample_size_t(config.design).n_clusters
     chunks = [
-        mc._simulate_chunk(config.design, n, config.seed, k, rows, "t", n - 2, 0.05)
+        mc._simulate_chunk(config.design, n, config.seed, k, rows, n - 2)
         for k, rows in ((2, 8), (1, mc.CHUNK_REPLICATES), (0, mc.CHUNK_REPLICATES))
     ]
     failures = sum(f is not None for chunk in chunks for f in chunk.failure)
@@ -310,7 +310,7 @@ def test_study_at_a_chosen_n_is_its_chunks_concatenated(reference, alpha):
     df = n - 2 if reference == "t" else None
     draws = mc.simulate_study(design, n, reps, seed, df)
     chunks = [
-        mc._simulate_chunk(design, n, seed, k, rows, reference, df, alpha)
+        mc._simulate_chunk(design, n, seed, k, rows, df)
         for k, rows in enumerate((mc.CHUNK_REPLICATES, mc.CHUNK_REPLICATES, 8))
     ]
     assert list(draws.sigma2) == list(draws.reject) == list(ESTIMATORS)

@@ -16,8 +16,8 @@ from zipcrt import (
     sample_size_normal,
     sample_size_t,
 )
-from zipcrt import power
 from zipcrt.mc import reference_design
+from zipcrt import gee, mc, power
 from zipcrt.power import _raw_count, normal_quantile, predicted_power, t_cdf, t_quantile
 
 from conftest import DU_10_80, DU_34_56, TRUNPOIS, grid_design
@@ -164,12 +164,28 @@ class TestQuantiles:
 
     def test_a_nan_df_is_a_domain_error(self, config_a):
         # each returned nan
-        with pytest.raises(DomainError, match="t CDF needs df >= 1, got nan"):
+        with pytest.raises(DomainError, match="t CDF needs a finite df >= 1, got nan"):
             t_cdf(1.0, math.nan)
-        with pytest.raises(DomainError, match="t quantile needs df >= 1, got nan"):
+        with pytest.raises(DomainError, match="t quantile needs a finite df >= 1, got nan"):
             t_quantile(math.nan, 0.975)
-        with pytest.raises(DomainError, match="t quantile needs df >= 1, got nan"):
-            predicted_power(config_a, math.nan, "t")
+        with pytest.raises(DomainError, match="t quantile needs a finite df >= 1, got nan"):
+            predicted_power(config_a, 20, math.nan)
+
+    def test_an_infinite_df_is_a_domain_error(self, config_a):
+        # inf passed df >= 1, and each raised a bare math domain error
+        for call in (
+            lambda: t_cdf(1.0, math.inf),
+            lambda: t_quantile(math.inf, 0.975),
+            lambda: power.quantile(0.975, math.inf),
+            lambda: gee.wald_test(-0.3, 1.0, 30, "t", 0.05, math.inf),
+            lambda: predicted_power(config_a, 30, math.inf),
+        ):
+            with pytest.raises(DomainError, match="needs a finite df >= 1, got inf"):
+                call()
+        # a study fails its replicates instead of aborting
+        draws = mc.simulate_study(config_a, 28, 10, 1, math.inf)
+        assert draws.failure == ["t quantile needs a finite df >= 1, got inf"] * 10
+        assert not any(reject.any() for reject in draws.reject.values())
 
     def test_a_subnormal_prob_is_a_domain_error(self):
         # a subnormal tail keeps too few bits to invert
@@ -246,22 +262,21 @@ class TestPredictedPower:
     @pytest.mark.parametrize("design", CELLS)
     def test_normal_power_at_the_raw_count_is_the_target(self, design):
         n_raw = sample_size_normal(design).n_raw
-        assert predicted_power(design, n_raw, "normal") == pytest.approx(design.power, abs=1e-12)
+        assert predicted_power(design, n_raw, None) == pytest.approx(design.power, abs=1e-12)
 
     @pytest.mark.parametrize("design", CELLS)
     @pytest.mark.parametrize("reference", ["normal", "t"])
     def test_nondecreasing_in_clusters(self, design, reference):
-        values = [predicted_power(design, n, reference) for n in range(3, 200)]
+        values = [
+            predicted_power(design, n, None if reference == "normal" else n - 2)
+            for n in range(3, 200)
+        ]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("design", CELLS)
     def test_t_power_at_the_t_count_reaches_the_target(self, design):
         n_clusters = sample_size_t(design).n_clusters
-        assert predicted_power(design, n_clusters, "t") >= design.power
-
-    def test_unknown_reference(self, config_a):
-        with pytest.raises(DomainError, match="reference"):
-            predicted_power(config_a, 20, "chi2")
+        assert predicted_power(design, n_clusters, n_clusters - 2) >= design.power
 
 
 # scipy is the oracle below; the package computes these without it.  The
@@ -290,7 +305,7 @@ class TestAgainstScipy:
         for n in [2, 3.5, 10, 19, 27.25, 60, 200, 1000]:
             delta = math.sqrt(n * design.beta2**2 / design_variance(design))
             expected = stats.norm.cdf(delta - quantile)
-            assert relative_error(predicted_power(design, n, "normal"), expected) <= 1e-13, n
+            assert relative_error(predicted_power(design, n, None), expected) <= 1e-13, n
 
     @pytest.mark.parametrize("dfs, bound", T_RANGES, ids=["df-1-to-1000", "df-1e4-to-1e6"])
     def test_t_quantile_and_cdf(self, dfs, bound):
@@ -356,7 +371,7 @@ class TestAgainstScipy:
             n = df + 2
             delta = math.sqrt(n * design.beta2**2 / design_variance(design))
             expected = stats.t.cdf(delta - stats.t.ppf(prob, df), df)
-            assert relative_error(predicted_power(design, n, "t"), expected) <= bound, df
+            assert relative_error(predicted_power(design, n, df), expected) <= bound, df
 
     @pytest.mark.parametrize("df", [1, 2, 3, 4, 10.5, 100, 1e5])
     def test_t_quantile_near_the_median_inverts_the_cdf(self, df):
