@@ -33,7 +33,11 @@ the code :func:`fit_zip` runs on one dataset, and its Wald decisions from
 Chunk ``k`` draws from the stream ``(seed, STREAM_TAG, k)``, so no chunk's
 results depend on the chunks before it.  :func:`run_power_study` is its
 reduction: it sizes the trial, runs :func:`simulate_study` at that size and
-reduces the draws to rates with :meth:`StudyDraws.report`.
+reduces the draws to rates with :meth:`StudyDraws.report`.  The bundled
+tables call :func:`simulate_study` directly: row ``i`` of ``table1`` or
+``table2`` sizes its design once, then runs its null study from
+``replicate_seed(seed, 2 * i + 1)`` and its alternative study from
+``replicate_seed(seed, 2 * i)`` at that count.
 
 :func:`estimate_poisson_icc` is a statistic of the dataset
 ``generate_trial(design, n_clusters, seed)``: it makes the same draws from
@@ -433,24 +437,14 @@ class TableReport:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(self.columns)
-        writer.writerows([_format_cell(row.get(c)) for c in self.columns] for row in self.rows)
+        writer.writerows([_format_cell(row[c]) for c in self.columns] for row in self.rows)
         return out.getvalue()
 
 
 def _format_cell(value) -> str:
-    if value is None:
-        return ""
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
-
-
-def _study_columns(with_rates: bool) -> list[str]:
-    columns = ["distribution", "rho_s", "rho_u", "q", "n_clusters"]
-    if with_rates:
-        columns += [f"{kind}_{name}" for name in ESTIMATORS for kind in ("type_i", "power")]
-        columns.append("mc_standard_error")
-    return columns
 
 
 def reproduce_tables(
@@ -461,9 +455,11 @@ def reproduce_tables(
     ``table1`` and ``table2`` list the normal- and t-based cluster counts
     over the full grid; with ``replications > 0`` the empirical type I
     error and power of each variance estimator are appended (one null and
-    one alternative study per row).  ``table3-icc`` lists the Poisson-model
-    ICC obtained from a 10,000-cluster ZIP dataset for the two discrete-
-    uniform grids, next to its large-sample limit.
+    one alternative study per row), and ``mc_standard_error`` is the
+    binomial MC standard error of the alternative study's Jackknife power.
+    ``table3-icc`` lists the Poisson-model ICC obtained from a
+    10,000-cluster ZIP dataset for the two discrete-uniform grids, next to
+    its large-sample limit.
 
     Raises:
         ConfigError: an unknown table identifier or ``replications < 0``.
@@ -474,58 +470,64 @@ def reproduce_tables(
     if replications < 0:
         raise ConfigError(f"replications must be >= 0, got {replications}")
 
-    return [_reproduce_table(table, replications, seed) for table in selection]
+    return [
+        _icc_table(seed) if table == "table3-icc" else _study_table(table, replications, seed)
+        for table in selection
+    ]
 
 
-def _reproduce_table(table: str, replications: int, seed: int) -> TableReport:
-    """One table, row by row over the reference grid.
+_LABEL_COLUMNS = ["distribution", "rho_s", "rho_u", "q", "n_clusters"]
 
-    Row ``i`` of ``table1`` or ``table2`` runs its alternative study from
-    ``replicate_seed(seed, 2 * i)`` and its null study from
-    ``replicate_seed(seed, 2 * i + 1)``.  ``table3-icc`` covers the two DU
-    laws only, and its row ``i`` draws its dataset from
-    ``replicate_seed(seed, i)``.
-    """
-    icc, use_t = table == "table3-icc", table == "table2"
-    sizing = sample_size_t if use_t else sample_size_normal
-    columns = _study_columns(replications > 0 and not icc)
-    if icc:
-        columns += ["rho_hat_poisson", "rho_limit_poisson"]
-    report = TableReport(table, columns)
-    cells = [
-        (label, dist, rho, q)
-        for label, dist in _GRID_DISTRIBUTIONS
-        if not (icc and label.startswith("TrunPoisson"))
+
+def _grid_cells(
+    distributions: Sequence[tuple[str, ClusterSizeModel]],
+) -> list[tuple[dict, DesignInputs]]:
+    """Each grid cell over ``distributions`` in row order: its label columns
+    other than ``n_clusters``, and its design."""
+    return [
+        (dict(distribution=label, rho_s=rho, rho_u=rho, q=q), reference_design(dist, rho, q))
+        for label, dist in distributions
         for rho in _GRID_ICCS
         for q in _GRID_Q
     ]
-    for index, (label, dist, rho, q) in enumerate(cells):
-        design = reference_design(dist, rho, q)
-        row = {
-            "distribution": label,
-            "rho_s": rho,
-            "rho_u": rho,
-            "q": q,
-            "n_clusters": sizing(design).n_clusters,
-        }
-        if icc:
-            row["rho_hat_poisson"] = estimate_poisson_icc(
-                design, 10_000, replicate_seed(seed, index)
+
+
+def _study_table(table: str, replications: int, seed: int) -> TableReport:
+    """``table1`` (normal sizing and test) or ``table2`` (t sizing, tested
+    against t(N - 2)) over the full grid.
+
+    Row ``i`` sizes its design once and runs :func:`simulate_study` at that
+    count N: the null study from ``replicate_seed(seed, 2 * i + 1)``, then
+    the alternative study from ``replicate_seed(seed, 2 * i)``.
+    """
+    t_based = table == "table2"
+    sizing = sample_size_t if t_based else sample_size_normal
+    rates = [f"{kind}_{name}" for name in ESTIMATORS for kind in ("type_i", "power")]
+    columns = _LABEL_COLUMNS + (rates + ["mc_standard_error"] if replications > 0 else [])
+    report = TableReport(table, columns)
+    for i, (row, design) in enumerate(_grid_cells(_GRID_DISTRIBUTIONS)):
+        n = sizing(design).n_clusters
+        row["n_clusters"] = n
+        df = n - 2 if t_based else None
+        if replications > 0:
+            null, alternative = (
+                simulate_study(generating, n, replications, replicate_seed(seed, k), df).report(n)
+                for generating, k in ((design.under_null(), 2 * i + 1), (design, 2 * i))
             )
-            row["rho_limit_poisson"] = poisson_icc_limit(design)
-        elif replications > 0:
-            for null in (True, False):
-                study = run_power_study(
-                    StudyConfig(
-                        design=design,
-                        replications=replications,
-                        use_t_sizing=use_t,
-                        seed=replicate_seed(seed, index * 2 + null),
-                        null_hypothesis=null,
-                    )
-                )
-                kind = "type_i" if null else "power"
+            for kind, study in (("type_i", null), ("power", alternative)):
                 row.update({f"{kind}_{name}": r for name, r in study.rejection_rate.items()})
-                row["mc_standard_error"] = study.mc_standard_error
+            row["mc_standard_error"] = alternative.mc_standard_error
+        report.rows.append(row)
+    return report
+
+
+def _icc_table(seed: int) -> TableReport:
+    """``table3-icc`` over the two DU laws, sized by the normal rule; row
+    ``i`` draws its dataset from ``replicate_seed(seed, i)``."""
+    report = TableReport("table3-icc", [*_LABEL_COLUMNS, "rho_hat_poisson", "rho_limit_poisson"])
+    for i, (row, design) in enumerate(_grid_cells(_GRID_DISTRIBUTIONS[1:])):
+        row["n_clusters"] = sample_size_normal(design).n_clusters
+        row["rho_hat_poisson"] = estimate_poisson_icc(design, 10_000, replicate_seed(seed, i))
+        row["rho_limit_poisson"] = poisson_icc_limit(design)
         report.rows.append(row)
     return report

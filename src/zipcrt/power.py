@@ -35,7 +35,7 @@ import statistics
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .design import DesignInputs, _odds, p2_from_q, pairwise_covariance_factor
+from .design import DesignInputs, marginal_variance, p2_from_q, pairwise_covariance_factor
 from .errors import DomainError
 
 
@@ -313,8 +313,9 @@ def design_variance(design: DesignInputs) -> float:
         sigma2_sq = block(control) / ((1 - r_bar) * mu1**2 * eta_m**2)
                     + block(intervention) / (r_bar * mu2**2 * eta_m**2)
 
-    where ``block(arm) = eta_m * mu * (1 + odds(p) * mu)
-    + (eta_m**2 + sigma2_m - eta_m) * zeta(arm)``.
+    where ``block(arm) = eta_m * marginal_variance(arm)
+    + (eta_m**2 + sigma2_m - eta_m) * zeta(arm)`` and the marginal variance
+    is ``mu + odds(p) * mu**2``.
     """
     if design.r_bar in (0.0, 1.0):
         raise DomainError("degenerate allocation: r_bar must lie strictly in (0, 1)")
@@ -323,7 +324,7 @@ def design_variance(design: DesignInputs) -> float:
     total = 0.0
     for arm, share in ((design.control, 1.0 - design.r_bar), (design.intervention, design.r_bar)):
         zeta = pairwise_covariance_factor(arm, design.rho_s, design.rho_u)
-        block = eta * arm.mu * (1.0 + _odds(arm.p) * arm.mu) + pair_mass * zeta
+        block = eta * marginal_variance(arm) + pair_mass * zeta
         total += block / (share * arm.mu**2 * eta**2)
     return total
 

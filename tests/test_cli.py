@@ -390,21 +390,31 @@ def test_tables_read_back_as_csv(tmp_path, capsys):
         "--out", prefix,
     ])
     assert code == 0
-    value_columns = {
-        "table1": mc._study_columns(True)[5:],
-        "table2": mc._study_columns(True)[5:],
-        "table3-icc": ["rho_hat_poisson", "rho_limit_poisson"],
+    labels = "distribution,rho_s,rho_u,q,n_clusters"
+    rates = "type_i_naive,power_naive,type_i_jackknife,power_jackknife,mc_standard_error"
+    headers = {
+        "table1": f"{labels},{rates}",
+        "table2": f"{labels},{rates}",
+        "table3-icc": f"{labels},rho_hat_poisson,rho_limit_poisson",
     }
-    labels = {label for label, _ in mc._GRID_DISTRIBUTIONS}
-    for table, columns in value_columns.items():
+    grid_labels = {label for label, _ in mc._GRID_DISTRIBUTIONS}
+    for table, header in headers.items():
         with open(f"{prefix}.{table}.csv", encoding="utf-8", newline="") as handle:
+            assert handle.readline() == header + "\n"
+            handle.seek(0)
             rows = list(csv.DictReader(handle))
         assert len(rows) == (20 if table == "table3-icc" else 30)
+        columns = header.split(",")[5:]
         for row in rows:
             assert None not in row and None not in row.values()  # no field too many or too few
-            assert row["distribution"] in labels
+            assert row["distribution"] in grid_labels
             assert int(row["n_clusters"]) >= 2
             assert all(0.0 <= float(row[c]) <= 1.0 for c in columns)
+    # without --reps a study table has only its label columns
+    assert cli.main(["tables", "--which", "table1,table2", "--out", prefix]) == 0
+    for table in ("table1", "table2"):
+        with open(f"{prefix}.{table}.csv", encoding="utf-8") as handle:
+            assert handle.readline() == labels + "\n"
 
 
 def test_sweep_rows_and_manifest(tmp_path, capsys):

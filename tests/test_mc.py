@@ -27,6 +27,7 @@ from zipcrt import (
     mc,
     pairwise_covariance_factor,
     run_power_study,
+    sample_size_normal,
     sample_size_t,
     simulate,
     wald_test,
@@ -454,6 +455,33 @@ def test_seeded_study_rates_pinned_across_versions():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "7c2fed5230a0a59ea9a7550d2f1c8c9023c3870ea0ec1870f5a61b9d60fab4b8"
     )
+
+
+@pytest.mark.parametrize("table, index, label, sizes, rho, q", [
+    ("table2", 0, "TrunPoisson(45,20,70)", TRUNPOIS, 0.03, 0.3),
+    ("table2", 29, "DU(10,80)", DU_10_80, 0.05, 0.7),
+    ("table1", 17, "DU(34,56)", DU_34_56, 0.05, 0.5),
+])
+def test_a_table_row_is_its_design_studied_at_its_own_size(table, index, label, sizes, rho, q):
+    # the seed contract the pinned hash above holds, spelled out: row i sizes
+    # its design once, studies the alternative from replicate_seed(seed, 2i)
+    # and the null from 2i + 1, and reports the alternative study's MC SE
+    (report,) = mc.reproduce_tables([table], 40, seed=4)
+    row = report.rows[index]
+    design = grid_design(sizes, rho=rho, q=q)
+    sizing = sample_size_t if table == "table2" else sample_size_normal
+    n = sizing(design).n_clusters
+    df = n - 2 if table == "table2" else None
+    assert (row["distribution"], row["rho_s"], row["rho_u"], row["q"]) == (label, rho, rho, q)
+    assert row["n_clusters"] == n
+    for kind, generating, seed_index in (
+        ("power", design, 2 * index), ("type_i", design.under_null(), 2 * index + 1),
+    ):
+        study = mc.simulate_study(generating, n, 40, mc.replicate_seed(4, seed_index), df).report(n)
+        for name in ESTIMATORS:
+            assert row[f"{kind}_{name}"] == study.rejection_rate[name]
+        if kind == "power":
+            assert row["mc_standard_error"] == study.mc_standard_error
 
 
 def test_seeded_icc_table_pinned():
