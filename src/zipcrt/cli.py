@@ -407,6 +407,9 @@ def _cmd_tables(args) -> int:
     return 0
 
 
+_DF_RULE_HELP = "degrees of freedom of the t reference; ignored under %s z"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zipcrt",
@@ -448,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit the model to a dataset CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--reference", choices=("z", "t"), default="t")
-    p.add_argument("--df-rule", choices=DF_RULES, default="n-2")
+    p.add_argument("--df-rule", choices=DF_RULES, default="n-2", help=_DF_RULE_HELP % "--reference")
     p.add_argument("--alpha", type=float, default=0.05)
     p.set_defaults(func=_cmd_fit)
 
@@ -457,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--sizing", choices=("z", "t"), default="z")
-    p.add_argument("--df-rule", choices=DF_RULES, default="n-2")
+    p.add_argument("--df-rule", choices=DF_RULES, default="n-2", help=_DF_RULE_HELP % "--sizing")
     p.add_argument("--null", action="store_true", help="measure type I error")
     p.add_argument("--out", help="write the report CSV here")
     p.set_defaults(func=_cmd_study)

@@ -6,21 +6,14 @@ under each variance estimator of ``gee.ESTIMATORS``, keyed by its name.
 Type-I studies size the trial with the design's effect but generate data
 with the effect removed.
 
-Studies, the ICC and :func:`zipcrt.simulate.generate_trial` draw from one
-core, ``simulate._draw_nonzero_counts``: given each cluster's arm, it draws
-the size ``m`` and the number ``K`` of subjects that are not structural
-zeros, one uniform per cluster inverted in O(1) expected time through its
-arm's tabulated joint law of ``(m, K)`` (see :mod:`zipcrt.simulate`).
 Every Wald decision depends on a trial only through each cluster's arm,
-``m_i`` and outcome sum ``Y_i`` (see :mod:`zipcrt.gee`), so the study
-engine never forms subject-level data: it draws
-``Y = Poisson(K * lam * (1 - rho_u)) + K * Poisson(lam * rho_u)``, the sum
-of the ``K`` own Poisson parts in one draw plus ``K`` copies of the shared
-part.  The own sum is one uniform inverted through row ``K`` of the arm's
-tabulated Poisson(``k * lam * (1 - rho_u)``), ``k = 0 .. hi``
-(``simulate._draw_own_sums``); the shared part is one ``rng.poisson``
-draw.  Both tables belong to :mod:`zipcrt.simulate`, one per design.
-Replicate ``r`` puts the intervention arm on its first clusters.
+size ``m_i`` and outcome sum ``Y_i`` (see :mod:`zipcrt.gee`), and the
+Poisson-model ICC only through those and each cluster's sum of ``y**2``.
+So this module draws nothing itself and never forms subject-level data:
+``simulate._draw_replicates`` gives a chunk's ``(R, N)`` arrays of arm,
+size and outcome sum, and ``simulate._trial_cluster_sums`` a dataset's
+per-cluster sums.  How they are drawn, and from which tables, is
+:mod:`zipcrt.simulate`'s alone.
 
 :func:`simulate_study` is the one study primitive: at a cluster count the
 caller chooses, it returns every replicate's estimate and failure, and its
@@ -40,10 +33,9 @@ tables call :func:`simulate_study` directly: row ``i`` of ``table1`` or
 ``replicate_seed(seed, 2 * i)`` at that count.
 
 :func:`estimate_poisson_icc` is a statistic of the dataset
-``generate_trial(design, n_clusters, seed)``: it makes the same draws from
-the stream ``(seed, simulate.TRIAL_STREAM_TAG)`` and reduces them to each
-cluster's sums of ``y`` and ``y**2`` without forming the dataset (see
-:func:`_draw_icc_sums`).
+``generate_trial(design, n_clusters, seed)``: ``simulate._trial_cluster_sums``
+makes the same draws and reduces them to each cluster's sums of ``y`` and
+``y**2`` without forming the dataset.
 """
 
 from __future__ import annotations
@@ -62,14 +54,7 @@ from .gee import DF_RULES, ESTIMATORS, _arm_sums, _fail, _fit_rows, _test_df, _w
 # perfbench looks fit_zip up on this module; ROADMAP item 1 deletes the import
 from .gee import fit_zip  # noqa: F401
 from .power import sample_size_normal, sample_size_t
-from .simulate import (
-    _balanced_count,
-    _draw_nonzero_counts,
-    _draw_own_sums,
-    _draw_trial,
-    _empty_arm_message,
-    substream,
-)
+from .simulate import _draw_replicates, _empty_arm_message, _trial_cluster_sums, substream
 
 _REPLICATE_TAG = 0x52455053  # distinguishes replicate-seed derivation
 _MAX_FAILURE_FRACTION = 0.01
@@ -124,8 +109,8 @@ class StudyReport:
     """Aggregated study outcome.
 
     ``rejection_rate`` maps each name of ``ESTIMATORS`` to its rate;
-    ``mc_standard_error`` is the binomial standard error of the last
-    estimator's (the Jackknife's) rate.
+    ``mc_standard_error`` is the binomial standard error of the Jackknife's
+    rate.
     """
 
     n_clusters_used: int
@@ -173,7 +158,7 @@ class StudyDraws:
             )
         effective = replications - len(failures)
         rates = {name: int(reject.sum()) / effective for name, reject in self.reject.items()}
-        rate = rates[ESTIMATORS[-1]]
+        rate = rates["jackknife"]
         return StudyReport(
             n_clusters_used=n_clusters,
             rejection_rate=rates,
@@ -181,33 +166,6 @@ class StudyDraws:
             replicate_failures=len(failures),
             replications=replications,
         )
-
-
-def _draw_clusters(
-    design: DesignInputs, n_clusters: int, rng: np.random.Generator, rows: int
-) -> tuple[np.ndarray, ...]:
-    """``(R, N)`` arrays of arm, size and outcome sum, and an empty-arm mask.
-
-    Replicate ``r`` allocates clusters ``0 .. n_intervention[r] - 1`` to the
-    intervention arm; the clusters are exchangeable, so which ones receive it
-    changes no statistic.  The mask marks replicates whose allocation left an
-    arm empty.
-    """
-    count, tie = _balanced_count(n_clusters, design.r_bar)
-    n_intervention = np.full(rows, count)
-    if tie:
-        n_intervention += rng.random(rows) < 0.5
-    arm = np.arange(n_clusters) < n_intervention[:, None]
-    m, nonzero = _draw_nonzero_counts(design, arm, rng)
-    # a null design keeps lam a scalar: numpy draws the same values from it as
-    # from an array of equal means, and skips the array
-    lam = design.control.lam
-    if design.intervention.lam != lam:
-        lam = np.where(arm, design.intervention.lam, lam)
-    y = _draw_own_sums(design, arm, nonzero, lam, rng)
-    y += nonzero * rng.poisson(lam * design.rho_u, arm.shape)
-    empty_arm = (n_intervention == 0) | (n_intervention == n_clusters)
-    return arm, m, y, empty_arm
 
 
 def _simulate_chunk(
@@ -226,7 +184,7 @@ def _simulate_chunk(
     raise on it, in their order.
     """
     rng = substream(seed, STREAM_TAG, chunk)
-    arm, m, y, empty_arm = _draw_clusters(design, n_clusters, rng, rows)
+    arm, m, y, empty_arm = _draw_replicates(design, n_clusters, rng, rows)
     failure: list[Optional[str]] = [None] * rows
     if n_clusters < 2:
         _fail(failure, np.ones(rows, dtype=bool), f"need at least 2 clusters, got {n_clusters}")
@@ -308,34 +266,6 @@ def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
     return draws.report(n_clusters)
 
 
-def _draw_icc_sums(design: DesignInputs, n_clusters: int, seed: int) -> tuple[np.ndarray, ...]:
-    """The per-cluster arm, size, sum of ``y`` and sum of ``y**2`` of
-    ``generate_trial(design, n_clusters, seed)``, from the same draws.
-
-    Each of a cluster's ``K`` non-structural-zero subjects has the outcome
-    ``P_j + U``.  With ``T = sum P_j`` and ``Q = sum P_j**2`` the cluster's
-    sums are ``Y = T + K * U`` and ``sum y**2 = Q + 2 * U * T + K * U**2``.
-    """
-    arm, m, nonzero, shared, own = _draw_trial(design, n_clusters, seed)
-    # per-cluster sums of P and P**2 as differences of running sums, which
-    # also gives 0 for a cluster with K = 0.  The squares are summed in
-    # float64, in the same buffer: exact below 2**53, and past 2**63 (a mean
-    # near 1e9) they would wrap in int64.
-    ends = np.cumsum(nonzero)
-    starts = ends - nonzero
-    running = np.zeros(own.size + 1, dtype=np.int64)
-    np.cumsum(own, out=running[1:])
-    t = running[ends] - running[starts]
-    squares = running.view(np.float64)  # squares[0] stays 0.0, the bits of int 0
-    squares[1:] = own
-    squares[1:] *= squares[1:]  # faster than a multiply that casts as it goes
-    np.cumsum(squares, out=squares)
-    q = squares[ends] - squares[starts]
-    y = t + nonzero * shared
-    ysq = q + shared * (2.0 * t + nonzero * shared)
-    return arm, m, y, ysq
-
-
 def _poisson_icc(arm: np.ndarray, m: np.ndarray, ysum: np.ndarray, ysq: np.ndarray) -> float:
     """:func:`estimate_poisson_icc`'s statistic from each cluster's arm, size
     ``m_i``, outcome sum ``Y_i`` and sum of squared outcomes.
@@ -345,8 +275,8 @@ def _poisson_icc(arm: np.ndarray, m: np.ndarray, ysum: np.ndarray, ysq: np.ndarr
     ``sum y**2 / mu_a - S_a``, because ``mu_a = S_a / M_a``.
 
     Raises:
-        EstimationError: an arm is absent or all-zero, or every cluster has
-            size 1.
+        EstimationError: an arm is absent or all-zero, every cluster has
+            size 1, or every residual is 0.
     """
     m = m.astype(np.float64)
     ysum = ysum.astype(np.float64)
@@ -362,6 +292,8 @@ def _poisson_icc(arm: np.ndarray, m: np.ndarray, ysum: np.ndarray, ysq: np.ndarr
     pair_count = float((m * (m - 1)).sum()) / 2.0
     if pair_count == 0:
         raise EstimationError("no within-cluster pairs: all clusters have size 1")
+    if square_sum <= 0:
+        raise EstimationError("every Pearson residual is 0: the ICC is undefined")
     return (pair_sum / pair_count) / (square_sum / float(subjects.sum()))
 
 
@@ -382,15 +314,16 @@ def estimate_poisson_icc(
     This is what a sample-size method built on a Poisson model would be fed
     when the outcomes are actually zero-inflated.  The value is exactly that
     of the dataset, but only its per-cluster sums are formed, from the same
-    draws (see :func:`_draw_icc_sums`).  Its limit as ``n_clusters`` grows
-    is :func:`zipcrt.design.poisson_icc_limit`.
+    draws (see ``simulate._trial_cluster_sums``).  Its limit as
+    ``n_clusters`` grows is :func:`zipcrt.design.poisson_icc_limit`.
 
     Raises:
         ConfigError: fewer than 2 clusters, or an arm left empty.
         DomainError: a seed outside ``[0, 2**64)``.
-        EstimationError: an all-zero arm, or no within-cluster pairs.
+        EstimationError: an all-zero arm, no within-cluster pairs, or every
+            Pearson residual 0.
     """
-    return _poisson_icc(*_draw_icc_sums(design, n_clusters, seed))
+    return _poisson_icc(*_trial_cluster_sums(design, n_clusters, seed))
 
 
 # Bundled reference grid: the scenarios tabulated by the bundled studies.

@@ -317,8 +317,6 @@ def design_variance(design: DesignInputs) -> float:
     + (eta_m**2 + sigma2_m - eta_m) * zeta(arm)`` and the marginal variance
     is ``mu + odds(p) * mu**2``.
     """
-    if design.r_bar in (0.0, 1.0):
-        raise DomainError("degenerate allocation: r_bar must lie strictly in (0, 1)")
     eta = design.cluster_sizes.eta_m
     pair_mass = eta * eta + design.cluster_sizes.sigma2_m - eta
     total = 0.0

@@ -14,32 +14,43 @@ separately for the two parts:
     cluster's shared ``U ~ Poisson(lam * rho_u)``, giving marginal
     Poisson(lam) and pairwise correlation ``rho_u``.
 
-:func:`_draw_nonzero_counts` draws ``m`` and ``K`` for any arm layout; the
-study engine in :mod:`zipcrt.mc` draws from it too.  It draws one uniform
-per cluster, in the order of the layout, and inverts it through its arm's
-joint law of ``(m, K)`` (:func:`_nonzero_cdf`, over the cells
-``ClusterSizeModel`` tabulates) in O(1) expected time, by the keyed,
-guided search of :class:`_KeyedTable`.  The cumulative law costs two
-``exp`` passes over the cells, paid once per design in a process:
+:func:`_draw_nonzero_counts` draws ``m`` and ``K`` for any arm layout.
+It draws one uniform per cluster, in the order of the layout, and inverts
+it through its arm's joint law of ``(m, K)`` (:func:`_nonzero_cdf`, over
+the cells ``ClusterSizeModel`` tabulates) in O(1) expected time, by the
+keyed, guided search of :class:`_KeyedTable`.  The cumulative law costs
+two ``exp`` passes over the cells, paid once per design in a process:
 :func:`_nonzero_table` keeps one table of the control arm's law, then the
-intervention arm's, or of one law when the arms share it.  The study
-engine draws each cluster's sum of ``K`` own Poisson parts from the same
-kind of table (:func:`_draw_own_sums`, :func:`_own_sum_table`); this
-module alone knows the tables' layout.  A law with more than
-``design.MAX_SIZE_CELLS`` (2**15) cells is not tabulated, which bounds a
-table's memory and build time; it draws each size (a
-discrete-uniform size one integer, a truncated-Poisson size one uniform at
-which it inverts the law's cumulative mass function), then ``c``, then
-``K``.  Either way any law
-:class:`ClusterSizeModel` accepts can be drawn.  A dataset draws every
-value, arms and sizes included, as whole arrays from one stream,
-``(seed, TRIAL_STREAM_TAG)``, and lays each cluster's ``K`` non-zero draws
-on its first ``K`` rows; no statistic depends on the order within a
-cluster.  The own parts of an arm are iid with one mean, so
-:func:`_poisson_sample` draws them together: below a mean of 10 as the
+intervention arm's, or of one law when the arms share it.  A law with
+more than ``design.MAX_SIZE_CELLS`` (2**15) cells is not tabulated, which
+bounds a table's memory and build time; it draws each size (a
+discrete-uniform size one integer, a truncated-Poisson size one uniform
+at which it inverts the law's cumulative mass function), then ``c``, then
+``K``.  Either way any law :class:`ClusterSizeModel` accepts can be drawn.
+
+A dataset draws every value, arms and sizes included, as whole arrays
+from one stream, ``(seed, TRIAL_STREAM_TAG)``, and lays each cluster's
+``K`` non-zero draws on its first ``K`` rows; no statistic depends on the
+order within a cluster.  The own parts of an arm are iid with one mean,
+so :func:`_poisson_sample` draws them together: below a mean of 10 as the
 multiset of their values in random order, which takes about a dozen
 binomial draws and one shuffle instead of one Poisson draw per subject.
 The same seed replays the same dataset bit for bit.
+:func:`_trial_cluster_sums` reduces the same draws to each cluster's sums
+of ``y`` and ``y**2``, all the Poisson-model ICC of :mod:`zipcrt.mc`
+needs, without forming the dataset.
+
+Every Wald decision depends on a trial only through each cluster's arm,
+``m_i`` and outcome sum ``Y_i``, so the study engine of :mod:`zipcrt.mc`
+draws a replicate trial as those alone (:func:`_draw_replicates`), ``R``
+replicates at once as ``(R, N)`` arrays:
+``Y = Poisson(K * lam * (1 - rho_u)) + K * Poisson(lam * rho_u)``, the
+sum of the ``K`` own Poisson parts in one draw, inverted through row
+``K`` of the same kind of table (:func:`_draw_own_sums`,
+:func:`_own_sum_table`), plus ``K`` copies of the shared part.  A dataset
+and a replicate take their balanced intervention counts from one rule,
+:func:`_intervention_counts`.  This module alone knows the draws and the
+tables' layout.
 """
 
 from __future__ import annotations
@@ -361,35 +372,37 @@ def _allocate_arms(
 ) -> np.ndarray:
     """Arm indicators for each cluster id.
 
-    Default allocation is deterministic-balanced: round(n * r_bar) clusters
-    receive the intervention (an exact .5 remainder is settled by one fair
-    draw) and the receiving clusters are chosen by a seeded permutation.
-    ``bernoulli=True`` instead flips an independent r_bar-coin per cluster.
+    Default allocation is deterministic-balanced: the
+    :func:`_intervention_counts` of one layout receive the intervention,
+    chosen by a seeded permutation.  ``bernoulli=True`` instead flips an
+    independent r_bar-coin per cluster.
     """
     if bernoulli:
         arms = (rng.random(n_clusters) < r_bar).astype(np.int64)
     else:
-        n_intervention, tie = _balanced_count(n_clusters, r_bar)
-        if tie:
-            n_intervention += int(rng.random() < 0.5)
+        # drawn first: inside the index below it would follow the permutation
+        count = _intervention_counts(n_clusters, r_bar, rng, 1)[0]
         arms = np.zeros(n_clusters, dtype=np.int64)
-        arms[rng.permutation(n_clusters)[:n_intervention]] = 1
+        arms[rng.permutation(n_clusters)[:count]] = 1
     if arms.sum() in (0, n_clusters):
         raise ConfigError(_empty_arm_message(n_clusters, r_bar))
     return arms
 
 
-def _balanced_count(n_clusters: int, r_bar: float) -> tuple[int, bool]:
-    """Intervention clusters under balanced allocation, before any fair draw.
-
-    The count is ``round(n * r_bar)``, except that an exact .5 remainder
-    gives ``floor(n * r_bar)`` and True: one fair draw then adds 1 or 0.
+def _intervention_counts(
+    n_clusters: int, r_bar: float, rng: np.random.Generator, rows: int
+) -> np.ndarray:
+    """Intervention clusters of each of ``rows`` layouts under balanced
+    allocation: ``round(n * r_bar)``, except that an exact .5 remainder
+    gives ``floor(n * r_bar)`` plus one fair draw per layout, from one
+    ``rng.random(rows)``; its first value is the double ``rng.random()``
+    draws.
     """
     target = n_clusters * r_bar
     floor = math.floor(target)
     if abs(target - floor - 0.5) < 1e-12:
-        return floor, True
-    return round(target), False
+        return floor + (rng.random(rows) < 0.5)
+    return np.full(rows, round(target))
 
 
 def _empty_arm_message(n_clusters: int, r_bar: float) -> str:
@@ -513,6 +526,33 @@ def _own_sum_table(
     return _keyed_table(laws, _sum_buckets(max(mean_control, mean_intervention), hi))
 
 
+def _draw_replicates(
+    design: DesignInputs, n_clusters: int, rng: np.random.Generator, rows: int
+) -> tuple[np.ndarray, ...]:
+    """``(R, N)`` arrays of arm, size and outcome sum of ``rows`` replicate
+    trials, and an empty-arm mask, for the study engine.
+
+    In this order: each replicate's :func:`_intervention_counts`,
+    :func:`_draw_nonzero_counts`, :func:`_draw_own_sums`, then the shared
+    parts, so ``Y = own sum + K * U``.  Replicate ``r`` allocates clusters
+    ``0 .. n_intervention[r] - 1`` to the intervention arm; the clusters
+    are exchangeable, so which ones receive it changes no statistic.  The
+    mask marks replicates whose allocation left an arm empty.
+    """
+    n_intervention = _intervention_counts(n_clusters, design.r_bar, rng, rows)
+    arm = np.arange(n_clusters) < n_intervention[:, None]
+    m, nonzero = _draw_nonzero_counts(design, arm, rng)
+    # a null design keeps lam a scalar: numpy draws the same values from it as
+    # from an array of equal means, and skips the array
+    lam = design.control.lam
+    if design.intervention.lam != lam:
+        lam = np.where(arm, design.intervention.lam, lam)
+    y = _draw_own_sums(design, arm, nonzero, lam, rng)
+    y += nonzero * rng.poisson(lam * design.rho_u, arm.shape)
+    empty_arm = (n_intervention == 0) | (n_intervention == n_clusters)
+    return arm, m, y, empty_arm
+
+
 def _draw_trial(
     design: DesignInputs, n_clusters: int, seed: int, bernoulli_allocation: bool = False
 ) -> tuple[np.ndarray, ...]:
@@ -568,6 +608,38 @@ def generate_trial(
     outcomes = np.zeros(int(sizes.sum()), dtype=np.int64)
     outcomes[np.arange(own.size) + shift] = own + np.repeat(shared, nonzero)
     return TrialDataset(np.arange(n_clusters), arms, sizes, outcomes, seed)
+
+
+def _trial_cluster_sums(design: DesignInputs, n_clusters: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The per-cluster arm, size, sum of ``y`` and sum of ``y**2`` of
+    ``generate_trial(design, n_clusters, seed)``, from the same draws.
+
+    Each of a cluster's ``K`` non-structural-zero subjects has the outcome
+    ``P_j + U``.  With ``T = sum P_j`` and ``Q = sum P_j**2`` the cluster's
+    sums are ``Y = T + K * U`` and ``sum y**2 = Q + 2 * U * T + K * U**2``.
+
+    Raises:
+        ConfigError: fewer than 2 clusters, or the allocation left an arm empty.
+        DomainError: a seed outside ``[0, 2**64)``.
+    """
+    arm, m, nonzero, shared, own = _draw_trial(design, n_clusters, seed)
+    # per-cluster sums of P and P**2 as differences of running sums, which
+    # also gives 0 for a cluster with K = 0.  The squares are summed in
+    # float64, in the same buffer: exact below 2**53, and past 2**63 (a mean
+    # near 1e9) they would wrap in int64.
+    ends = np.cumsum(nonzero)
+    starts = ends - nonzero
+    running = np.zeros(own.size + 1, dtype=np.int64)
+    np.cumsum(own, out=running[1:])
+    t = running[ends] - running[starts]
+    squares = running.view(np.float64)  # squares[0] stays 0.0, the bits of int 0
+    squares[1:] = own
+    squares[1:] *= squares[1:]  # faster than a multiply that casts as it goes
+    np.cumsum(squares, out=squares)
+    q = squares[ends] - squares[starts]
+    y = t + nonzero * shared
+    ysq = q + shared * (2.0 * t + nonzero * shared)
+    return arm, m, y, ysq
 
 
 DATASET_HEADER = ("cluster_id", "arm", "y")

@@ -52,7 +52,7 @@ from conftest import (
 def engine_draws(design, n_clusters, seed, chunk, rows):
     """The arm, size and outcome-sum arrays that one engine chunk tests."""
     rng = np.random.default_rng([seed, mc.STREAM_TAG, chunk])
-    return mc._draw_clusters(design, n_clusters, rng, rows)[:3]
+    return simulate._draw_replicates(design, n_clusters, rng, rows)[:3]
 
 
 def draw_arrays(draws):
@@ -241,7 +241,7 @@ class TestReplicateFailures:
         # 0, so the naive test alone rejects, but the replicate has failed
         arm = np.array([[0, 0, 0, 1, 1, 1]])
         m, y = np.full(arm.shape, 49), 1 + arm
-        monkeypatch.setattr(mc, "_draw_clusters", lambda *_: (arm, m, y, np.zeros(1, dtype=bool)))
+        monkeypatch.setattr(mc, "_draw_replicates", lambda *_: (arm, m, y, np.zeros(1, dtype=bool)))
         chunk = mc._simulate_chunk(grid_design(), 6, 0, 0, 1, 4)
         assert chunk.sigma2["naive"][0] > 0.0 and chunk.sigma2["jackknife"][0] == 0.0
         assert wald_test(chunk.beta2_hat[0], chunk.sigma2["naive"][0], 6, "t", 0.05, 4).reject
@@ -332,6 +332,17 @@ def test_study_report_is_the_reduction_of_its_draws():
         generating = config.design.under_null() if null else config.design
         draws = mc.simulate_study(generating, n, config.replications, 3, n - 2)
         assert run_power_study(config) == draws.report(n)
+
+
+def test_mc_standard_error_is_the_jackknifes_in_any_estimator_order(monkeypatch):
+    # the SE was read from the last name of ESTIMATORS, so a new estimator
+    # appended there would have taken it over; reversed, naive is last
+    monkeypatch.setattr(mc, "ESTIMATORS", tuple(reversed(ESTIMATORS)))
+    report = mc.simulate_study(grid_design(DU_10_80, rho=0.05), 30, 600, 3, 28).report(30)
+    rate = report.rejection_rate["jackknife"]
+    assert (report.replicate_failures, rate) == (0, 481 / 600)
+    assert report.rejection_rate["naive"] == 501 / 600
+    assert report.mc_standard_error == math.sqrt(rate * (1.0 - rate) / 600)
 
 
 @pytest.mark.parametrize("reps", [0, -1])
@@ -484,6 +495,21 @@ def test_a_table_row_is_its_design_studied_at_its_own_size(table, index, label, 
             assert row["mc_standard_error"] == study.mc_standard_error
 
 
+def test_seeded_study_draws_pinned_at_an_odd_n():
+    # N = 31 draws the tie coin of every replicate before its clusters, and
+    # 300 replicates are two chunks; the hash holds from engine version 6 on
+    # and changes only when a study's draws do
+    draws = mc.simulate_study(grid_design(DU_10_80, rho=0.05), 31, 300, 2024, 29)
+    text = "".join(
+        f"{b!r},{','.join(repr(float(draws.sigma2[name][i])) for name in ESTIMATORS)},"
+        f"{','.join(str(bool(draws.reject[name][i])) for name in ESTIMATORS)},{draws.failure[i]}\n"
+        for i, b in enumerate(draws.beta2_hat.tolist())
+    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "f1e9289f697caa463b25ad2615312c5440ad7aab6aa078732f77028922955eb9"
+    )
+
+
 def test_seeded_icc_table_pinned():
     # the ICC table's rows and their dataset seeds
     text = mc.reproduce_tables(["table3-icc"], 0, seed=4)[0].to_text()
@@ -494,7 +520,7 @@ def test_seeded_icc_table_pinned():
 
 def icc_draws(design, n_clusters, seed):
     """The per-cluster arm, size, sum of y and sum of y**2 that estimate_poisson_icc uses."""
-    return mc._draw_icc_sums(design, n_clusters, seed)
+    return simulate._trial_cluster_sums(design, n_clusters, seed)
 
 
 class TestPoissonIcc:
@@ -661,6 +687,16 @@ class TestIccFailures:
                 with pytest.raises(EstimationError) as exc:
                     call(seed)
                 assert str(exc.value) == f"{name} arm has all-zero outcomes; log-mean undefined"
+
+    def test_every_residual_zero(self):
+        # seed 5 gives each arm's one cluster the outcomes (1, 1), so every
+        # Pearson residual is 0; the ratio 0 / 0 raised a bare ZeroDivisionError
+        design = build_design(mu1=1, beta2=0, p1=0, p2=0, rho_s=0, rho_u=0,
+                              cluster_sizes=ClusterSizeModel.fixed(2))
+        assert generate_trial(design, 2, 5).outcomes.tolist() == [1, 1, 1, 1]
+        assert raised(estimate_poisson_icc, design, 2, 5) == (
+            EstimationError, "every Pearson residual is 0: the ICC is undefined",
+        )
 
     def test_no_within_cluster_pairs(self):
         design = build_design(mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.05, rho_u=0.05,

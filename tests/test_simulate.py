@@ -519,6 +519,21 @@ class TestGenerateTrial:
         arms = generate_trial(design, 20, seed=14).arm
         assert arms.sum() == 6  # round(20 * 0.3)
 
+    @pytest.mark.parametrize("n, r_bar, counts", [(19, 0.5, {9, 10}), (13, 0.3, {4}), (20, 0.3, {6})])
+    def test_a_dataset_and_a_replicate_share_one_count_rule(self, n, r_bar, counts):
+        # a dataset's intervention count is the first draw of its stream,
+        # and a replicate chunk's counts the first draws of the chunk's
+        design = build_design(mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.03, rho_u=0.03,
+                              r_bar=r_bar, cluster_sizes=DU_34_56)
+        for seed in range(5):
+            rng = simulate.substream(seed, simulate.TRIAL_STREAM_TAG)
+            (count,) = simulate._intervention_counts(n, r_bar, rng, 1)
+            assert generate_trial(design, n, seed).arm.sum() == count
+        drawn = simulate._intervention_counts(n, r_bar, np.random.default_rng(3), 40)
+        arm = simulate._draw_replicates(design, n, np.random.default_rng(3), 40)[0]
+        np.testing.assert_array_equal(arm.sum(axis=1), drawn)
+        assert set(drawn.tolist()) == counts
+
     def test_bernoulli_allocation(self, config_a):
         data = generate_trial(config_a, 60, seed=15, bernoulli_allocation=True)
         arms = data.arm
@@ -650,6 +665,29 @@ class TestDatasetIO:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "d51553125b8464dd49f4e917f2100065b2c01e45bb475e353b3c6b93db58d757"
         )
+
+    @pytest.mark.parametrize("sizes, n, r_bar, bernoulli, subjects, digest", [
+        (DU_34_56, 13, 0.5, False, 589,
+         "6dc59f12a7b6715c5da12a7d98f0b9ff2d3f79e9c8e3ced232f3aaff3462346f"),
+        (DU_10_80, 13, 0.3, False, 529,
+         "afa580dd0f781df443e60c6b83372c5a9292f614676800257bb028ffdc86b1e8"),
+        (DU_34_56, 12, 0.5, True, 557,
+         "c56d51b8f6626ac4fb09a75fb439815266071e1324a7cf032412ad1e91f144f0"),
+    ], ids=["tie-coin", "r_bar-0.3", "bernoulli"])
+    def test_arm_layouts_pinned_across_versions(
+        self, tmp_path, sizes, n, r_bar, bernoulli, subjects, digest
+    ):
+        # the layouts N = 12 above never reaches: an odd N draws the tie
+        # coin, r_bar 0.3 rounds, and a Bernoulli layout flips a coin per
+        # cluster.  Like the hash above, these change only with
+        # GENERATOR_VERSION 7.
+        design = build_design(mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.03, rho_u=0.03,
+                              r_bar=r_bar, cluster_sizes=sizes)
+        data = generate_trial(design, n, seed=2024, bernoulli_allocation=bernoulli)
+        path = tmp_path / "trial.csv"
+        write_dataset(data, str(path))
+        assert data.n_subjects == subjects
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     PLAIN = "cluster_id,arm,y\n0,0,1\n1,1,2\n0,0,3\n"
 
