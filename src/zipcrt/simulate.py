@@ -35,10 +35,12 @@ order within a cluster.  The own parts of an arm are iid with one mean,
 so :func:`_poisson_sample` draws them together: below a mean of 10 as the
 multiset of their values in random order, which takes about a dozen
 binomial draws and one shuffle instead of one Poisson draw per subject.
+Each arm's parts stay in their own array, its clusters' parts in turn.
 The same seed replays the same dataset bit for bit.
 :func:`_trial_cluster_sums` reduces the same draws to each cluster's sums
 of ``y`` and ``y**2``, all the Poisson-model ICC of :mod:`zipcrt.mc`
-needs, without forming the dataset.
+needs, without forming the dataset: one ``np.add.reduceat`` per arm and
+sum over that arm's parts.
 
 Every Wald decision depends on a trial only through each cluster's arm,
 ``m_i`` and outcome sum ``Y_i``, so the study engine of :mod:`zipcrt.mc`
@@ -557,13 +559,14 @@ def _draw_trial(
     design: DesignInputs, n_clusters: int, seed: int, bernoulli_allocation: bool = False
 ) -> tuple[np.ndarray, ...]:
     """One dataset's draws: each cluster's arm, size ``m``, count ``K`` and
-    shared ``U``, and the ``K`` own Poisson parts of every cluster in turn.
+    shared ``U``, and a pair of arrays, the control arm's own Poisson parts
+    and the intervention arm's, each the ``K`` parts of its arm's clusters
+    in turn.
 
     From the stream ``(seed, TRIAL_STREAM_TAG)``, in this order: the arms
     (:func:`_allocate_arms`), :func:`_draw_nonzero_counts`, the shared
     parts, then the own parts of the control arm and those of the
-    intervention arm, each arm's as one :func:`_poisson_sample` laid on its
-    subjects in cluster order.
+    intervention arm, each arm's as one :func:`_poisson_sample`.
 
     Raises:
         ConfigError: fewer than 2 clusters, or the allocation left an arm empty.
@@ -576,10 +579,10 @@ def _draw_trial(
     sizes, nonzero = _draw_nonzero_counts(design, arms, rng)
     lam = np.where(arms, design.intervention.lam, design.control.lam)
     shared = rng.poisson(lam * design.rho_u)
-    in_arm1 = np.repeat(arms == 1, nonzero)  # each own part's arm, in cluster order
-    own = np.empty(in_arm1.size, dtype=np.int64)
-    for arm, where in ((design.control, ~in_arm1), (design.intervention, in_arm1)):
-        own[where] = _poisson_sample(arm.lam * (1.0 - design.rho_u), int(where.sum()), rng)
+    own = tuple(
+        _poisson_sample(arm.lam * (1.0 - design.rho_u), int(nonzero[arms == a].sum()), rng)
+        for a, arm in enumerate((design.control, design.intervention))
+    )
     return arms, sizes, nonzero, shared, own
 
 
@@ -593,8 +596,9 @@ def generate_trial(
     """Simulate a complete trial dataset.
 
     Each cluster's first ``K`` subjects have the outcomes ``P_j + U`` of
-    :func:`_draw_trial`'s draws and the others are structural zeros.
-    Identical seeds give identical datasets.
+    :func:`_draw_trial`'s draws and the others are structural zeros; each
+    arm's own parts go to that arm's clusters' rows.  Identical seeds give
+    identical datasets.
 
     Raises:
         ConfigError: fewer than 2 clusters, or the allocation left an arm empty.
@@ -603,10 +607,15 @@ def generate_trial(
     arms, sizes, nonzero, shared, own = _draw_trial(
         design, n_clusters, seed, bernoulli_allocation
     )
-    # own part k of a cluster goes to row k after the cluster's start
-    shift = np.repeat(np.cumsum(sizes - nonzero) - (sizes - nonzero), nonzero)
+    starts = np.cumsum(sizes) - sizes
     outcomes = np.zeros(int(sizes.sum()), dtype=np.int64)
-    outcomes[np.arange(own.size) + shift] = own + np.repeat(shared, nonzero)
+    for a, parts in enumerate(own):
+        in_arm = arms == a
+        counts = nonzero[in_arm]
+        # own part k of a cluster goes to row k after the cluster's start
+        rows = np.repeat(starts[in_arm] - (np.cumsum(counts) - counts), counts)
+        rows += np.arange(parts.size)
+        outcomes[rows] = parts + np.repeat(shared[in_arm], counts)
     return TrialDataset(np.arange(n_clusters), arms, sizes, outcomes, seed)
 
 
@@ -617,26 +626,26 @@ def _trial_cluster_sums(design: DesignInputs, n_clusters: int, seed: int) -> tup
     Each of a cluster's ``K`` non-structural-zero subjects has the outcome
     ``P_j + U``.  With ``T = sum P_j`` and ``Q = sum P_j**2`` the cluster's
     sums are ``Y = T + K * U`` and ``sum y**2 = Q + 2 * U * T + K * U**2``.
+    ``T`` and ``Q`` are one ``np.add.reduceat`` each over an arm's own
+    parts, at the starts of its clusters with ``K > 0``; a cluster with
+    ``K = 0`` keeps 0.
 
     Raises:
         ConfigError: fewer than 2 clusters, or the allocation left an arm empty.
         DomainError: a seed outside ``[0, 2**64)``.
     """
     arm, m, nonzero, shared, own = _draw_trial(design, n_clusters, seed)
-    # per-cluster sums of P and P**2 as differences of running sums, which
-    # also gives 0 for a cluster with K = 0.  The squares are summed in
-    # float64, in the same buffer: exact below 2**53, and past 2**63 (a mean
-    # near 1e9) they would wrap in int64.
-    ends = np.cumsum(nonzero)
-    starts = ends - nonzero
-    running = np.zeros(own.size + 1, dtype=np.int64)
-    np.cumsum(own, out=running[1:])
-    t = running[ends] - running[starts]
-    squares = running.view(np.float64)  # squares[0] stays 0.0, the bits of int 0
-    squares[1:] = own
-    squares[1:] *= squares[1:]  # faster than a multiply that casts as it goes
-    np.cumsum(squares, out=squares)
-    q = squares[ends] - squares[starts]
+    t = np.zeros(n_clusters, dtype=np.int64)
+    q = np.zeros(n_clusters)
+    for a, parts in enumerate(own):
+        clusters = np.flatnonzero((arm == a) & (nonzero > 0))
+        counts = nonzero[clusters]
+        starts = np.cumsum(counts) - counts
+        t[clusters] = np.add.reduceat(parts, starts)
+        # the squares in float64: exact below 2**53, and past 2**63 (a mean
+        # near 1e9) they would wrap in int64.  Freed before the next arm's,
+        # whose buffer then reuses the memory instead of faulting in new pages.
+        q[clusters] = np.add.reduceat(np.square(parts, dtype=np.float64), starts)
     y = t + nonzero * shared
     ysq = q + shared * (2.0 * t + nonzero * shared)
     return arm, m, y, ysq

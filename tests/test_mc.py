@@ -563,6 +563,18 @@ class TestPoissonIcc:
             )
             assert estimate_poisson_icc(design, 300, seed) == expected
 
+    @pytest.mark.parametrize("design, expected", [
+        (build_design(mu1=30.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.05, rho_u=0.05,
+                      cluster_sizes=DU_34_56), 0.053575142635844265),
+        (grid_design(ClusterSizeModel.discrete_uniform(1, 400), rho=0.05), 0.03727171383031318),
+        (grid_design(ClusterSizeModel.fixed(2), rho=0.05), 0.0032645134175850886),
+    ], ids=["mu1-30", "du1-400-above-cap", "fixed2"])
+    def test_pinned_values(self, design, expected):
+        # own parts by rng.poisson, a law above the cell cap, and clusters of
+        # two; like the dataset hashes, these change only with GENERATOR_VERSION 7
+        assert simulate.GENERATOR_VERSION == 7
+        assert estimate_poisson_icc(design, 300, 3) == expected
+
     # ICC_TOL_10K of the benchmark harness: about 5 SD of an estimate at
     # 10,000 clusters, fixed before any run
     LIMIT_TOL = 0.008
@@ -585,9 +597,48 @@ class TestPoissonIcc:
                     assert abs(value - limit) <= self.LIMIT_TOL, (rho, q, seed)
 
 
+def dataset_sums(design, n_clusters, seed):
+    """generate_trial's per-cluster arm, size, sum of y and sum of y**2."""
+    data = generate_trial(design, n_clusters, seed)
+    y = data.outcomes
+    return data.arm, data.size, data.cluster_sums(y), data.cluster_sums(y * y)
+
+
+def assert_same_cluster_sums(design, n_clusters, seed):
+    for got, expected in zip(icc_draws(design, n_clusters, seed),
+                             dataset_sums(design, n_clusters, seed)):
+        np.testing.assert_array_equal(got, expected)
+
+
 class TestIccSums:
     """The distribution gate of the ICC engine: each cluster's Y_i and sum of
-    y**2 given m_i against the cluster sums of the subject-by-subject oracle."""
+    y**2 given m_i against the cluster sums of the subject-by-subject oracle;
+    and, entry by entry, against the cluster sums of generate_trial."""
+
+    @pytest.mark.parametrize("design", [
+        grid_design(DU_10_80, rho=0.05),
+        build_design(mu1=30.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.05, rho_u=0.05,
+                     cluster_sizes=DU_34_56),
+        grid_design(ClusterSizeModel.discrete_uniform(1, 400), rho=0.05),
+        grid_design(ClusterSizeModel.fixed(2), rho=0.05),
+        build_design(mu1=1.0, beta2=-0.431, p1=0.9, q=0.5, rho_s=0.3, rho_u=0.03,
+                     r_bar=0.3, cluster_sizes=DU_10_80),
+    ], ids=["du10-80", "mu1-30", "du1-400-above-cap", "fixed2", "r_bar-0.3"])
+    def test_equal_the_datasets_cluster_sums(self, design):
+        for seed in (0, 1, 2**64 - 1):
+            assert_same_cluster_sums(design, 300, seed)
+
+    def test_an_arm_without_own_parts(self):
+        # p1 0.95 and rho_s 0.9 on clusters of 5 leave every cluster of one
+        # arm with K = 0 for 198 of these 200 seeds
+        design = build_design(mu1=1.0, beta2=-0.431, p1=0.95, q=0.5, rho_s=0.9, rho_u=0.05,
+                              cluster_sizes=ClusterSizeModel.fixed(5))
+        without = 0
+        for seed in range(200):
+            arm, _, nonzero = simulate._draw_trial(design, 4, seed)[:3]
+            without += any(not nonzero[arm == a].any() for a in (0, 1))
+            assert_same_cluster_sums(design, 4, seed)
+        assert without == 198
 
     @pytest.mark.parametrize("cell", FIXED_CELLS)
     def test_mean_and_variance(self, cell):

@@ -224,8 +224,8 @@ class TestPoissonSample:
         # control 1.9 on the multiset, intervention 57 on rng.poisson
         design = grid_design(beta2=math.log(30.0), rho=0.05, q=0.0)
         arms, sizes, nonzero, shared, own = simulate._draw_trial(design, 2_000, 8)
-        in_arm1 = np.repeat(arms == 1, nonzero)
-        for arm, parts in ((design.control, own[~in_arm1]), (design.intervention, own[in_arm1])):
+        for a, (arm, parts) in enumerate(zip((design.control, design.intervention), own)):
+            assert parts.size == nonzero[arms == a].sum()
             lam = arm.lam * (1.0 - design.rho_u)
             assert abs(parts.mean() - lam) <= SE_MULTIPLE * math.sqrt(lam / parts.size)
 
@@ -471,7 +471,11 @@ class TestAgainstSubjectOracle:
         data = generate_trial(grid_design(DU_10_80), 200, seed=5)
         arms, sizes, nonzero, shared, own = simulate._draw_trial(grid_design(DU_10_80), 200, 5)
         rows = np.split(data.outcomes, np.cumsum(data.size)[:-1])
-        parts = np.split(own, np.cumsum(nonzero)[:-1])
+        parts = [None] * arms.size  # each cluster's own parts, from its arm's
+        for a in (0, 1):
+            in_arm = np.flatnonzero(arms == a)
+            for i, p in zip(in_arm, np.split(own[a], np.cumsum(nonzero[in_arm])[:-1])):
+                parts[i] = p
         assert (data.size == sizes).all() and (data.arm == arms).all()
         for y, k, u, p in zip(rows, nonzero, shared, parts):
             assert (y[:k] == p + u).all() and not y[k:].any()
@@ -666,23 +670,32 @@ class TestDatasetIO:
             "d51553125b8464dd49f4e917f2100065b2c01e45bb475e353b3c6b93db58d757"
         )
 
-    @pytest.mark.parametrize("sizes, n, r_bar, bernoulli, subjects, digest", [
-        (DU_34_56, 13, 0.5, False, 589,
+    @pytest.mark.parametrize("sizes, n, r_bar, bernoulli, changes, subjects, digest", [
+        (DU_34_56, 13, 0.5, False, {}, 589,
          "6dc59f12a7b6715c5da12a7d98f0b9ff2d3f79e9c8e3ced232f3aaff3462346f"),
-        (DU_10_80, 13, 0.3, False, 529,
+        (DU_10_80, 13, 0.3, False, {}, 529,
          "afa580dd0f781df443e60c6b83372c5a9292f614676800257bb028ffdc86b1e8"),
-        (DU_34_56, 12, 0.5, True, 557,
+        (DU_34_56, 12, 0.5, True, {}, 557,
          "c56d51b8f6626ac4fb09a75fb439815266071e1324a7cf032412ad1e91f144f0"),
-    ], ids=["tie-coin", "r_bar-0.3", "bernoulli"])
+        (DU_10_80, 200, 0.3, False, dict(p1=0.9, rho_s=0.3), 9312,
+         "94808a051eaf45f78b356bcb884fc13e8117f41ac9a1fe029c7861646adce876"),
+        (DU_34_56, 30, 0.5, False, dict(mu1=30.0), 1340,
+         "da54b01e050513a63adae33fd993019230e33b5b008a0346312a5d3b44eee344"),
+    ], ids=["tie-coin", "r_bar-0.3", "bernoulli", "many-empty-clusters", "mu1-30"])
     def test_arm_layouts_pinned_across_versions(
-        self, tmp_path, sizes, n, r_bar, bernoulli, subjects, digest
+        self, tmp_path, sizes, n, r_bar, bernoulli, changes, subjects, digest
     ):
         # the layouts N = 12 above never reaches: an odd N draws the tie
         # coin, r_bar 0.3 rounds, and a Bernoulli layout flips a coin per
-        # cluster.  Like the hash above, these change only with
-        # GENERATOR_VERSION 7.
-        design = build_design(mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.03, rho_u=0.03,
-                              r_bar=r_bar, cluster_sizes=sizes)
+        # cluster.  Then each arm's own parts: p1 0.9 and rho_s 0.3 leave 26
+        # of the 140 control clusters and 12 of the 60 intervention clusters
+        # with K = 0, and at mu1 30 both arms' own parts take rng.poisson.
+        # Like the hash above, these change only with GENERATOR_VERSION 7.
+        design = build_design(**{
+            **dict(mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.03, rho_u=0.03,
+                   r_bar=r_bar, cluster_sizes=sizes),
+            **changes,
+        })
         data = generate_trial(design, n, seed=2024, bernoulli_allocation=bernoulli)
         path = tmp_path / "trial.csv"
         write_dataset(data, str(path))
