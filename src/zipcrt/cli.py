@@ -35,6 +35,7 @@ dataset whose mean model is undefined).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import secrets
@@ -410,6 +411,7 @@ def _cmd_tables(args) -> int:
 _DF_RULE_HELP = "degrees of freedom of the t reference; ignored under %s z"
 
 
+@functools.cache  # one parser serves every call of main in a process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zipcrt",

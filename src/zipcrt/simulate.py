@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import os
 import re
@@ -653,33 +654,110 @@ def _trial_cluster_sums(design: DesignInputs, n_clusters: int, seed: int) -> tup
 
 DATASET_HEADER = ("cluster_id", "arm", "y")
 
+# The plain form, as write_dataset writes it: the header line, then lines
+# of three fields of 1 to 18 digits, each line ended by a LF.  18 digits
+# stay below 2**63, so no field overflows the int64 columns.
+_PLAIN_HEADER = (",".join(DATASET_HEADER) + "\n").encode("ascii")
+_PLAIN_DIGITS = 18
+# _ZERO_DIGITS[k - 1] = 48 * (10**k - 1) / 9, what k places add when each
+# byte counts as its code rather than its digit
+_ZERO_DIGITS = np.cumsum(ord("0") * 10 ** np.arange(_PLAIN_DIGITS, dtype=np.int64))
+
+
+# The CSV is written and read in bounded chunks: numpy temporaries of a whole
+# large file pass glibc's mmap threshold and are page-faulted in again on
+# every call, while a chunk's stay in the heap.  On a 2,000-cluster DU(10,80)
+# file of 757 KB, a whole-file write took 1,073 minor faults a call and a
+# whole-file parse 1,729; these chunks took none.  A write chunk is whole
+# clusters of about this many subjects; a read chunk about this many bytes,
+# cut at a line end.
+_WRITE_CHUNK_SUBJECTS = 8192
+_READ_CHUNK_BYTES = 64 * 1024
+
 
 def write_dataset(dataset: TrialDataset, path: str) -> None:
     """Write one row per subject as ``cluster_id,arm,y`` (UTF-8, LF).
 
-    The body is built as one byte matrix with a row per subject: the
-    cluster's ``cluster_id,arm,`` prefix, the outcome's decimal digits
-    right-aligned, and a line feed, with NUL in the unused cells.  No byte
-    of a row is NUL, so dropping the NULs leaves the file's bytes in order.
+    Each chunk of whole clusters is built as one byte matrix with a row per
+    subject: the cluster's ``cluster_id,arm,`` prefix, the outcome's decimal
+    digits right-aligned, and a line feed, with NUL in the unused cells.  No
+    byte of a row is NUL, so dropping the NULs leaves the file's bytes in order.
     """
     prefixes = np.array(
         [f"{cid},{arm}," for cid, arm in zip(dataset.cluster_id.tolist(), dataset.arm.tolist())],
         dtype=np.bytes_,
-    )  # NUL-padded to the longest prefix
-    width = prefixes.itemsize
-    y = dataset.outcomes
-    units = width + len(str(int(y.max()))) - 1  # the column of the units digit
-    rows = np.zeros((y.size, units + 2), dtype=np.uint8)
-    rows[:, :width] = np.repeat(prefixes.view(np.uint8).reshape(-1, width), dataset.size, axis=0)
-    rest = y
-    for column in range(units, width - 1, -1):
-        shown = rest > 0 if column < units else True  # a leading zero stays NUL
-        rest, digit = np.divmod(rest, 10)
-        rows[:, column] = np.where(shown, digit + ord("0"), 0)
-    rows[:, -1] = ord("\n")
+    ).view(np.uint8).reshape(dataset.n_clusters, -1)  # NUL-padded to the longest prefix
+    width = prefixes.shape[1]
+    first_row = np.concatenate(([0], np.cumsum(dataset.size)))  # and the end of the last cluster
+    # a chunk starts at the first cluster at or after a multiple of its size
+    cuts = np.unique(np.append(
+        np.searchsorted(first_row, np.arange(0, dataset.n_subjects, _WRITE_CHUNK_SUBJECTS)),
+        dataset.n_clusters,
+    )).tolist()
     with open(path, "wb") as handle:
-        handle.write((",".join(DATASET_HEADER) + "\n").encode("utf-8"))
-        handle.write(rows[rows != 0].tobytes())
+        handle.write(_PLAIN_HEADER)
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            size = dataset.size[lo:hi]
+            y = dataset.outcomes[first_row[lo]:first_row[hi]]
+            units = width + len(str(int(y.max()))) - 1  # the column of the units digit
+            rows = np.zeros((y.size, units + 2), dtype=np.uint8)
+            rows[:, :width] = np.repeat(prefixes[lo:hi], size, axis=0)
+            rest = y
+            for column in range(units, width - 1, -1):
+                shown = rest > 0 if column < units else True  # a leading zero stays NUL
+                rest, digit = np.divmod(rest, 10)
+                rows[:, column] = np.where(shown, digit + ord("0"), 0)
+            rows[:, -1] = ord("\n")
+            handle.write(rows[rows != 0].tobytes())
+
+
+def _parse_plain(data: bytes) -> Optional[np.ndarray]:
+    """The ``(3, rows)`` int64 columns of a file in the plain form, else None.
+
+    Each chunk takes one pass for its delimiters (the bytes below ``0``), a
+    check that they repeat as ``, , LF``, and per column one gather per digit
+    place, most significant first, by Horner's rule.  A field shorter than
+    the column's longest reads as ``0`` at the places it lacks.
+    """
+    start, row = len(_PLAIN_HEADER), 0
+    if len(data) == start or not (data.startswith(_PLAIN_HEADER) and data.endswith(b"\n")):
+        return None
+    text = np.frombuffer(data, dtype=np.uint8)
+    # one block: once freed it lifts glibc's mmap threshold above the other
+    # temporaries of a simulate-and-fit round trip, which three separate
+    # columns did not (910 minor faults a 2,000-cluster round trip against 1)
+    columns = np.empty((3, data.count(b"\n") - 1), dtype=np.int64)
+    while start < len(data):
+        stop = data.index(b"\n", min(start + _READ_CHUNK_BYTES, len(data)) - 1) + 1
+        chunk = text[start:stop]
+        if chunk.max() > ord("9"):
+            return None
+        delimiters = np.flatnonzero(chunk < ord("0"))
+        rows = delimiters.size // 3
+        if chunk[delimiters].tobytes() != b",,\n" * rows:
+            return None
+        lengths = np.diff(delimiters, prepend=-1)
+        lengths -= 1
+        # each field's units digit: text[start - place:][units] is the digit
+        # `place` places to its left, and as place < 18 the 17-byte header
+        # keeps start - place >= 0
+        units = delimiters - 1
+        for j in range(3):
+            length, at = lengths[j::3], units[j::3]
+            lo, hi = int(length.min()), int(length.max())
+            if lo < 1 or hi > _PLAIN_DIGITS:
+                return None
+            value = columns[j, row:row + rows]
+            value[...] = 0
+            for place in range(hi - 1, -1, -1):
+                digit = text[start - place:stop - place][at]
+                if place >= lo:
+                    np.copyto(digit, ord("0"), where=length <= place)
+                value *= 10
+                value += digit
+            value -= _ZERO_DIGITS[hi - 1]
+        start, row = stop, row + rows
+    return columns
 
 
 # numpy's loadtxt opens a path by its extension, so a file named with one of
@@ -695,119 +773,134 @@ def read_dataset(path: str) -> TrialDataset:
     outcomes keep their file order.  The stored seed is unknown for ingested
     data and left unset.
 
-    After the header, numpy's C reader parses every row into one int64
-    array, and the checks (three columns, at least one row, arms 0 or 1,
-    nonnegative outcomes, one arm per cluster) run on its columns.  Only
-    when the parse or a check fails is the file scanned line by line, to
-    name the first bad line in the error.  The file is plain UTF-8 text
-    whatever its name; a byte that is not names its line in the error.
+    The file's bytes are read once.  A file in the plain form that
+    :func:`write_dataset` writes is parsed by numpy byte passes, chunk by
+    chunk; every other form (CR or CRLF line ends, blank lines, spaces,
+    quotes, signs, a byte-order mark, 19-digit fields) by numpy's C reader.
+    The checks (three columns, at least one row, arms 0 or 1, nonnegative
+    outcomes, one arm per cluster) run on the parsed columns.  Only when the
+    parse or a check fails are the bytes scanned line by line, to name the
+    first bad line in the error.  The file is plain UTF-8 text whatever its
+    name; a byte that is not names its line in the error.
     """
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            reader = csv.reader(handle)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != DATASET_HEADER:
-                raise ConfigError(
-                    f"{path}: expected header {','.join(DATASET_HEADER)!r}, got {header}"
-                )
-            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode) and (
-                os.path.splitext(path)[1] not in _COMPRESSED_SUFFIXES
-            ):
-                # numpy reads a path in C chunks but a handle line by line; an
-                # absolute path is never taken for a URL
-                source, skiprows = os.path.abspath(path), reader.line_num
-            else:  # a pipe cannot be opened a second time from its start
-                source, skiprows = handle, 0
-            try:
-                with warnings.catch_warnings():
-                    # "input contained no data", and numpy < 2's deprecated parse of
-                    # an integer through a float, must fail rather than give rows
-                    warnings.simplefilter("error")
-                    rows = np.loadtxt(
-                        source, delimiter=",", dtype=np.int64, ndmin=2, skiprows=skiprows,
-                        quotechar='"', comments=None, encoding="utf-8-sig",
-                    )
-            except (ValueError, Warning) as exc:
-                _raise_first_bad_line(path, str(exc))
-    except UnicodeDecodeError:
-        _raise_undecodable_line(path)
-    if rows.shape[0] < 1 or rows.shape[1] != 3:
-        _raise_first_bad_line(path, f"parsed rows of shape {rows.shape}")
-    cid, arm, y = rows.T
+    with open(path, "rb") as handle:
+        data = handle.read()
+        regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+    columns = _parse_plain(data)
+    if columns is None:
+        try:
+            columns = _load_text(path, data, regular)
+        except UnicodeDecodeError:
+            _raise_undecodable_line(path, data)
+    cid, arm, y = columns
     # runs of equal consecutive ids: a cluster's rows are usually one run
     starts = np.flatnonzero(np.concatenate(([True], cid[1:] != cid[:-1])))
     lengths = np.diff(np.append(starts, cid.size))
     ids, first, inverse = np.unique(cid[starts], return_index=True, return_inverse=True)
-    first_arm = np.repeat(arm[starts[first]][inverse], lengths)  # each row's cluster's first arm
-    if ((arm != 0) & (arm != 1)).any() or (y < 0).any() or (arm != first_arm).any():
-        _raise_first_bad_line(path, "a row failed the array checks")
+    run_arm = arm[starts]
+    # arms of 0 and 1 only, so a run's arm sum is its length times its first
+    # arm exactly when all of its rows share that arm
+    if (
+        arm.min() < 0 or arm.max() > 1 or y.min() < 0
+        or (np.add.reduceat(arm, starts) != run_arm * lengths).any()
+        or (run_arm != run_arm[first][inverse]).any()  # each run has its cluster's first arm
+    ):
+        _raise_first_bad_line(path, data, "a row failed the array checks")
     if ids.size == starts.size:  # each cluster is one run, as write_dataset writes them
-        return TrialDataset(cid[starts], arm[starts], lengths, np.ascontiguousarray(y))
+        # a copy, so that the dataset does not keep the id and arm columns alive
+        return TrialDataset(cid[starts], run_arm, lengths, y.copy())
     order = np.argsort(first)  # clusters in order of first appearance
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     key = np.repeat(rank[inverse], lengths)  # each row's cluster index
     return TrialDataset(
         cluster_id=ids[order],
-        arm=arm[starts[first[order]]],
+        arm=run_arm[first[order]],
         size=np.bincount(key),
         # a stable sort groups the rows by cluster and keeps file order within each
         outcomes=y[np.argsort(key, kind="stable")],
     )
 
 
-def _raise_first_bad_line(path: str, reason: str) -> NoReturn:
-    """Raise the ConfigError that names the first bad line of ``path``.
+def _text(data: bytes) -> io.TextIOWrapper:
+    """A file's bytes as the text handle ``open(path, encoding="utf-8-sig", newline="")`` gives."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="")
 
-    Used only after the array path of :func:`read_dataset` has failed.  Line
-    numbers are physical lines, blank ones included; a row that a quoted
-    line break spreads over several lines is named by its last.  If no line
-    is at fault, the error carries ``reason``, the array path's own message.
+
+def _load_text(path: str, data: bytes, regular: bool) -> np.ndarray:
+    """The ``(3, rows)`` int64 columns of a file in any accepted form, by numpy's C reader."""
+    handle = _text(data)
+    reader = csv.reader(handle)
+    header = next(reader, None)
+    if header is None or tuple(h.strip() for h in header) != DATASET_HEADER:
+        raise ConfigError(f"{path}: expected header {','.join(DATASET_HEADER)!r}, got {header}")
+    if regular and os.path.splitext(path)[1] not in _COMPRESSED_SUFFIXES:
+        # numpy reads a path in C chunks but a handle line by line; an
+        # absolute path is never taken for a URL
+        source, skiprows = os.path.abspath(path), reader.line_num
+    else:  # a pipe, read to its end, cannot be opened again
+        source, skiprows = handle, 0
+    try:
+        with warnings.catch_warnings():
+            # "input contained no data", and numpy < 2's deprecated parse of
+            # an integer through a float, must fail rather than give rows
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                source, delimiter=",", dtype=np.int64, ndmin=2, skiprows=skiprows,
+                quotechar='"', comments=None, encoding="utf-8-sig",
+            )
+    except (ValueError, Warning) as exc:
+        _raise_first_bad_line(path, data, str(exc))
+    if rows.shape[0] < 1 or rows.shape[1] != 3:
+        _raise_first_bad_line(path, data, f"parsed rows of shape {rows.shape}")
+    return rows.T
+
+
+def _raise_first_bad_line(path: str, data: bytes, reason: str) -> NoReturn:
+    """Raise the ConfigError that names the first bad line of the file ``data`` holds.
+
+    Used only after the parse of :func:`read_dataset` or its checks have
+    failed.  Line numbers are physical lines, blank ones included; a row that
+    a quoted line break spreads over several lines is named by its last.  If
+    no line is at fault, the error carries ``reason``, the parse's own message.
     """
     arm_of: dict[int, int] = {}
-    with open(path, encoding="utf-8-sig", newline="") as handle:
-        reader = csv.reader(handle)
-        next(reader)  # the header, already checked
-        for row in reader:
-            lineno = reader.line_num
-            if not row:
-                continue
-            if len(row) != 3 or not all(_PLAIN_INT.fullmatch(v) for v in row):
-                raise ConfigError(f"{path}:{lineno}: malformed row {row}")
-            cid, arm, y = (int(v) for v in row)
-            if cid not in arm_of:  # a new cluster: check the id and arm once
-                if not _INT64_MIN <= cid <= _INT64_MAX:
-                    raise ConfigError(
-                        f"{path}:{lineno}: cluster id {cid} outside the int64 range"
-                    )
-                if arm not in (0, 1):
-                    raise ConfigError(f"{path}:{lineno}: arm must be 0 or 1, got {arm}")
-                arm_of[cid] = arm
-            elif arm_of[cid] != arm:
-                raise ConfigError(f"{path}:{lineno}: cluster {cid} changes arm")
-            if not 0 <= y <= _INT64_MAX:
-                if y < 0:
-                    raise ConfigError(f"{path}:{lineno}: negative outcome {y}")
-                raise ConfigError(f"{path}:{lineno}: outcome {y} outside the int64 range")
+    reader = csv.reader(_text(data))
+    next(reader)  # the header, already checked
+    for row in reader:
+        lineno = reader.line_num
+        if not row:
+            continue
+        if len(row) != 3 or not all(_PLAIN_INT.fullmatch(v) for v in row):
+            raise ConfigError(f"{path}:{lineno}: malformed row {row}")
+        cid, arm, y = (int(v) for v in row)
+        if cid not in arm_of:  # a new cluster: check the id and arm once
+            if not _INT64_MIN <= cid <= _INT64_MAX:
+                raise ConfigError(f"{path}:{lineno}: cluster id {cid} outside the int64 range")
+            if arm not in (0, 1):
+                raise ConfigError(f"{path}:{lineno}: arm must be 0 or 1, got {arm}")
+            arm_of[cid] = arm
+        elif arm_of[cid] != arm:
+            raise ConfigError(f"{path}:{lineno}: cluster {cid} changes arm")
+        if not 0 <= y <= _INT64_MAX:
+            if y < 0:
+                raise ConfigError(f"{path}:{lineno}: negative outcome {y}")
+            raise ConfigError(f"{path}:{lineno}: outcome {y} outside the int64 range")
     if not arm_of:
         raise ConfigError(f"{path}: no data rows")
     raise ConfigError(f"{path}: malformed rows ({reason})")
 
 
-def _raise_undecodable_line(path: str) -> NoReturn:
-    """Raise the ConfigError that names the first line of ``path`` that is not UTF-8.
+def _raise_undecodable_line(path: str, data: bytes) -> NoReturn:
+    """Raise the ConfigError that names the first line of the file ``data`` holds that is not UTF-8.
 
     Lines are physical lines, as :func:`_raise_first_bad_line` counts them.
-    A pipe cannot be read a second time, so its error names no line.
     """
-    if os.path.isfile(path):
-        with open(path, "rb") as handle:
-            lines = handle.read().splitlines()
-        for lineno, line in enumerate(lines, 1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise ConfigError(
-                    f"{path}:{lineno}: not UTF-8 text (byte 0x{line[exc.start]:02x})"
-                ) from None
+    for lineno, line in enumerate(data.splitlines(), 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}:{lineno}: not UTF-8 text (byte 0x{line[exc.start]:02x})"
+            ) from None
     raise ConfigError(f"{path}: not UTF-8 text") from None

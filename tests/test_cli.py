@@ -56,6 +56,15 @@ def simulate_then_fit(tmp_path, capsys, clusters, seed, **overrides):
     return code_sim, code_fit, rows, captured.err, fit_zip(read_dataset(csv))
 
 
+def test_a_set_override_does_not_carry_into_a_later_call(tmp_path, capsys):
+    # main builds its parser once per process; each call's --set list starts empty
+    config = design_file(tmp_path)
+    assert cli.main(["samplesize", "--config", config, "--set", "q=0.3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "q = 0.3"
+    assert cli.main(["samplesize", "--config", config]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "q = 0.5"
+
+
 def test_fit_prints_the_estimates(tmp_path, capsys):
     code_sim, code_fit, rows, err, fit = simulate_then_fit(tmp_path, capsys, 30, 5)
     assert (code_sim, code_fit) == (0, 0)

@@ -1,5 +1,6 @@
 """Tests for generate_trial's cluster sizes and outcome law, and trial I/O."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -856,14 +857,74 @@ class TestDatasetReading:
 
     @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
     def test_a_pipe_reads_as_a_file(self):
-        # the header is read through one handle; a pipe cannot be reopened
-        read_end, write_end = os.pipe()
-        os.write(write_end, b"cluster_id,arm,y\n0,0,1\n1,1,2\n")
-        os.close(write_end)
-        try:
-            assert read_dataset(f"/dev/fd/{read_end}") == dataset([(0, 0, [1]), (1, 1, [2])])
-        finally:
-            os.close(read_end)
+        # a pipe cannot be opened a second time; its bytes are read once
+        with piped(b"cluster_id,arm,y\n0,0,1\n1,1,2\n") as path:
+            assert read_dataset(path) == dataset([(0, 0, [1]), (1, 1, [2])])
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    @pytest.mark.parametrize("body, message", [
+        (b"cluster_id,arm,y\n0,0,1\n1,1,-2\n", ":3: negative outcome -2"),
+        (b"cluster_id,arm,y\r\n0,0,1\r\n1,1,x\r\n", r":3: malformed row \['1', '1', 'x'\]"),
+        (NOT_UTF8[1][0], r":3: not UTF-8 text \(byte 0xe9\)"),
+    ], ids=["plain", "crlf", "not-utf8"])
+    def test_a_bad_line_read_from_a_pipe_is_named(self, body, message):
+        # the error scan reads the bytes the parse read, not the drained pipe
+        with piped(body) as path:
+            with pytest.raises(ConfigError, match=message):
+                read_dataset(path)
+
+
+@contextlib.contextmanager
+def piped(body):
+    """A ``/dev/fd`` path that reads ``body`` from a pipe."""
+    read_end, write_end = os.pipe()
+    os.write(write_end, body)
+    os.close(write_end)
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+
+
+class TestPlainForm:
+    """The chunked byte parse of the form write_dataset writes, at its edges."""
+
+    def test_chunk_cuts_leave_the_bytes_and_the_dataset_as_they_are(self, tmp_path, monkeypatch):
+        data = generate_trial(grid_design(cluster_sizes=DU_10_80), 40, seed=3)
+        whole = tmp_path / "whole.csv"
+        write_dataset(data, str(whole))
+        # rows and clusters straddle the cuts of chunks of a few bytes and
+        # of a few subjects; 1 byte cuts at every line, 1 subject at every cluster
+        for read_bytes, write_subjects in [(1, 1), (7, 5), (61, 33)]:
+            monkeypatch.setattr(simulate, "_READ_CHUNK_BYTES", read_bytes)
+            monkeypatch.setattr(simulate, "_WRITE_CHUNK_SUBJECTS", write_subjects)
+            path = tmp_path / "chunked.csv"
+            write_dataset(data, str(path))
+            assert path.read_bytes() == whole.read_bytes()
+            assert simulate._parse_plain(path.read_bytes()) is not None
+            assert read_dataset(str(path)) == reference_read_dataset(str(path))
+            assert read_dataset(str(path)) == dataclasses.replace(data, seed=None)
+
+    @pytest.mark.parametrize("read_bytes", [5, simulate._READ_CHUNK_BYTES])
+    @pytest.mark.parametrize("body, plain", [
+        ("999999999999999999,1,123456789012345678\n0,0,1\n5,1,100000000000000000\n", True),
+        ("9223372036854775807,1,9223372036854775807\n0,0,1\n", False),
+        ("0,0,1\n1,1,2", False),
+        ("0,0,1\n1,,2\n", False),
+        ("007,0,01\n7,0,000\n10,1,0010\n", True),
+        ("0,0,1\n0,2,1\n", True),
+    ], ids=["18-digits", "19-digits", "no-final-lf", "empty-field", "leading-zeros", "arm-2"])
+    def test_edge_forms_read_as_the_reference_reads_them(
+        self, tmp_path, monkeypatch, read_bytes, body, plain
+    ):
+        # 18 digits stay below 2**63 and take the byte parse; 19 may not, and
+        # go to numpy's reader with every other form
+        monkeypatch.setattr(simulate, "_READ_CHUNK_BYTES", read_bytes)
+        path = tmp_path / "trial.csv"
+        path.write_bytes(b"cluster_id,arm,y\n" + body.encode("ascii"))
+        assert (simulate._parse_plain(path.read_bytes()) is not None) == plain
+        expected = read_or_message(reference_read_dataset, str(path))
+        assert read_or_message(read_dataset, str(path)) == expected
 
 
 class TestWriterAgainstCsvWriter:
