@@ -4,6 +4,7 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import math
 import os
 import random
@@ -913,7 +914,18 @@ class TestPlainForm:
         ("0,0,1\n1,,2\n", False),
         ("007,0,01\n7,0,000\n10,1,0010\n", True),
         ("0,0,1\n0,2,1\n", True),
-    ], ids=["18-digits", "19-digits", "no-final-lf", "empty-field", "leading-zeros", "arm-2"])
+        ("-5,0,1\n7,1,2\n-123456789012345678,1,3\n-0,1,4\n-5,0,0\n", True),
+        ("-1234567890123456789,0,1\n", False),
+        ("0,0,1\n1,1,-2\n", False),
+        ("0,-1,1\n", False),
+        ("1-2,0,1\n", False),
+        ("-,0,1\n", False),
+        ("--5,0,1\n", False),
+    ], ids=[
+        "18-digits", "19-digits", "no-final-lf", "empty-field", "leading-zeros", "arm-2",
+        "negative-ids", "negative-19-digits", "negative-outcome", "negative-arm",
+        "inner-minus", "bare-minus", "double-minus",
+    ])
     def test_edge_forms_read_as_the_reference_reads_them(
         self, tmp_path, monkeypatch, read_bytes, body, plain
     ):
@@ -944,3 +956,44 @@ class TestWriterAgainstCsvWriter:
             writer.writerows((cid, arm, y) for cid, arm, ys in rows for y in ys)
         assert path.read_bytes() == reference.read_bytes()
         assert read_dataset(str(path)) == dataset(rows)
+
+    @pytest.mark.parametrize("write_subjects", [1, 5, simulate._WRITE_CHUNK_SUBJECTS])
+    def test_random_files_at_each_packing_boundary(self, tmp_path, monkeypatch, write_subjects):
+        # a prefix of 7 to 17 bytes spans one to three 8-byte words, with and
+        # without a sign column; outcomes end at the lookup table's bound, one
+        # past it, and at 7 and 8 digits, which with their LF fill one word
+        # and spill into a second
+        monkeypatch.setattr(simulate, "_WRITE_CHUNK_SUBJECTS", write_subjects)
+        bound = simulate._TABLE_MAX_OUTCOME
+        rng = random.Random(30)
+        cases = [
+            (width, signed, top)
+            for width in (7, 8, 9, 16, 17)
+            for signed in (False, True)
+            for top in (0, 9, bound, bound + 1, 10**7 - 1, 10**8 - 1)
+        ]
+        for width, signed, top in cases:
+            digits = width - 3 - signed
+            ids = rng.sample(range(10 ** (digits - 1), 10**digits), 1)  # the widest id
+            ids += rng.sample(range(1, 10 ** (digits - 1)), rng.randint(0, 11))
+            if signed:  # at least one id negative, and no two equal
+                ids = [-cid if rng.random() < 0.5 else cid for cid in ids[:-1]] + [-ids[-1]]
+            rows = [
+                (cid, rng.randint(0, 1), [rng.randint(0, top) for _ in range(rng.randint(1, 4))])
+                for cid in ids
+            ]
+            rows[-1][2].append(top)
+            self.assert_bytes_match_a_csv_writer(tmp_path, rows)
+        self.assert_bytes_match_a_csv_writer(tmp_path, [
+            (-(2**63), 1, [2**63 - 1, 0]), (2**63 - 1, 0, [10**18]), (-1, 1, [7]), (0, 0, [0]),
+        ])
+
+    def assert_bytes_match_a_csv_writer(self, tmp_path, rows):
+        path = tmp_path / "trial.csv"
+        write_dataset(dataset(rows), str(path))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(("cluster_id", "arm", "y"))
+        writer.writerows((cid, arm, y) for cid, arm, ys in rows for y in ys)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8"), rows
+        assert read_dataset(str(path)) == dataset(rows), rows
