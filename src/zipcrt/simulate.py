@@ -58,11 +58,11 @@ A dataset's text form is a CSV of one ``cluster_id,arm,y`` row per subject.
 :func:`write_dataset` builds it in chunks of whole clusters, each a uint64
 matrix with a row per subject: the words of the cluster's
 ``cluster_id,arm,`` prefix, built once by numpy digit passes and repeated
-over its rows, then the words of the outcome's digits and LF, gathered from
-a lookup table when the file's largest outcome is small.  The NUL padding
-between them is dropped by ``bytes.translate``.  :func:`read_dataset` parses
-that plain form, negative cluster ids included, by numpy byte passes over
-chunks cut at line ends, and leaves every other form to numpy's reader.
+over its rows, then the words of the outcome's digits and LF.  The NUL
+padding between them is dropped by ``bytes.translate``.
+:func:`read_dataset` parses that plain form by numpy byte passes over
+chunks cut at line ends, and leaves every other form, a negative cluster id
+included, to numpy's reader.
 """
 
 from __future__ import annotations
@@ -683,12 +683,6 @@ _ZERO_DIGITS = np.cumsum(ord("0") * 10 ** np.arange(_PLAIN_DIGITS, dtype=np.int6
 # cut at a line end.
 _WRITE_CHUNK_SUBJECTS = 8192
 _READ_CHUNK_BYTES = 64 * 1024
-# The largest outcome whose digits the writer takes from a table of one word
-# per value, 0 .. the file's largest outcome, built per call.  On a 2-core
-# x86_64 host the build took about 20 us at 10 and 55 us at 999, against
-# 400 us at 9,999; past this bound the digit loop writes each chunk's
-# outcomes instead.
-_TABLE_MAX_OUTCOME = 999
 _WORD = 8  # bytes in a uint64 word
 
 
@@ -698,9 +692,15 @@ def _put_digits(columns: np.ndarray, values: np.ndarray) -> None:
     rest = values
     units = columns.shape[1] - 1
     for column in range(units, -1, -1):
-        shown = rest > 0 if column < units else True  # a leading zero stays NUL
-        rest, digit = np.divmod(rest, 10)
-        columns[:, column] = np.where(shown, digit + ord("0"), 0)
+        quotient = rest // 10
+        # np.divmod is slower than a floor division and a multiply-subtract
+        # (32 against 13 us on 8,192 int64 values, 2-core x86_64)
+        digit = (rest - quotient * 10).astype(np.uint8)
+        digit += ord("0")
+        if column < units:
+            digit *= rest > 0  # a leading zero stays NUL
+        columns[:, column] = digit
+        rest = quotient
 
 
 def _prefix_words(cluster_id: np.ndarray, arm: np.ndarray) -> np.ndarray:
@@ -723,35 +723,21 @@ def _prefix_words(cluster_id: np.ndarray, arm: np.ndarray) -> np.ndarray:
     return prefix.view(np.uint64)
 
 
-def _outcome_table(top: int) -> np.ndarray:
-    """The uint64 word of each outcome 0 .. ``top``: its digits and a LF,
-    right-aligned with NUL in front."""
-    digits = len(str(top))
-    table = np.zeros((top + 1, _WORD), dtype=np.uint8)
-    _put_digits(table[:, -1 - digits:-1], np.arange(top + 1))
-    table[:, -1] = ord("\n")
-    return table.view(np.uint64).reshape(-1)
-
-
 def write_dataset(dataset: TrialDataset, path: str) -> None:
     """Write one row per subject as ``cluster_id,arm,y`` (UTF-8, LF).
 
     Each chunk of whole clusters is built as one uint64 matrix with a row
     per subject: the words of the cluster's ``cluster_id,arm,`` prefix
     (:func:`_prefix_words`, built once per call by numpy digit passes), then
-    the words of the outcome's decimal digits and a line feed, with NUL in
-    the unused bytes.  An outcome's word is one gather from
-    :func:`_outcome_table` when the file's largest outcome is at most
-    ``_TABLE_MAX_OUTCOME``, and the chunk's digit loop writes it otherwise.
-    No byte of a row is NUL, so dropping the NULs with ``bytes.translate``
-    leaves the file's bytes in order.  The words are only copied, never
-    computed on, so byte order does not matter.
+    the words of the outcome's decimal digits, one numpy pass a place, and a
+    line feed, with NUL in the unused bytes.  No byte of a row is NUL, so
+    dropping the NULs with ``bytes.translate`` leaves the file's bytes in
+    order.  The words are only copied, never computed on, so byte order does
+    not matter.
     """
     prefixes = _prefix_words(dataset.cluster_id, dataset.arm)
     head = prefixes.shape[1]  # the words of a prefix
-    top = int(dataset.outcomes.max())
-    table = _outcome_table(top) if top <= _TABLE_MAX_OUTCOME else None
-    digits = len(str(top))
+    digits = len(str(int(dataset.outcomes.max())))
     tail = -(-(digits + 1) // _WORD)  # the words of an outcome and its LF
     first_row = np.concatenate(([0], np.cumsum(dataset.size)))  # and the end of the last cluster
     # a chunk starts at the first cluster at or after a multiple of its size
@@ -765,34 +751,12 @@ def write_dataset(dataset: TrialDataset, path: str) -> None:
             y = dataset.outcomes[first_row[lo]:first_row[hi]]
             rows = np.empty((y.size, head + tail), dtype=np.uint64)
             rows[:, :head] = np.repeat(prefixes[lo:hi], dataset.size[lo:hi], axis=0)
-            if table is not None:
-                rows[:, head] = table[y]
-            else:
-                text = rows[:, head:].view(np.uint8)
-                text[:, :-1 - digits] = 0
-                _put_digits(text[:, -1 - digits:-1], y)
-                text[:, -1] = ord("\n")
+            # zeroed as words: as a byte matrix the same NULs took 15 times as long
+            rows[:, head:] = 0
+            text = rows[:, head:].view(np.uint8)
+            _put_digits(text[:, -1 - digits:-1], y)
+            text[:, -1] = ord("\n")
             handle.write(rows.tobytes().translate(None, b"\0"))
-
-
-def _unsigned_delimiters(
-    chunk: np.ndarray, delimiters: np.ndarray
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """A chunk's delimiters without the ``-`` signs of its ids, and a mask
-    of the rows whose id has one; None unless every ``-`` opens its line
-    and the other delimiters repeat as ``, , LF``."""
-    sign = chunk[delimiters] == ord("-")
-    delimiters = delimiters[~sign]
-    rows = delimiters.size // 3
-    if chunk[delimiters].tobytes() != b",,\n" * rows:
-        return None
-    line_start = np.empty(rows, dtype=delimiters.dtype)
-    line_start[0] = 0
-    np.add(delimiters[2:-1:3], 1, out=line_start[1:])
-    negative = chunk[line_start] == ord("-")
-    if np.count_nonzero(negative) != np.count_nonzero(sign):
-        return None
-    return delimiters, negative
 
 
 def _parse_plain(data: bytes) -> Optional[np.ndarray]:
@@ -801,11 +765,9 @@ def _parse_plain(data: bytes) -> Optional[np.ndarray]:
     Each chunk takes one pass for its delimiters (the bytes below ``0``), a
     check that they repeat as ``, , LF``, and per column one gather per digit
     place, most significant first, by Horner's rule.  A field shorter than
-    the column's longest reads as ``0`` at the places it lacks.  Only when
-    the check fails are a ``-`` at the start of a line, before a
-    ``cluster_id`` of 1 to 18 digits, taken as signs
-    (:func:`_unsigned_delimiters`); any other ``-`` leaves the file to
-    numpy's reader.
+    the column's longest reads as ``0`` at the places it lacks.  A ``-`` is
+    a delimiter there, so a file with a negative id fails the check and is
+    left to numpy's reader.
     """
     start, row = len(_PLAIN_HEADER), 0
     if len(data) == start or not (data.startswith(_PLAIN_HEADER) and data.endswith(b"\n")):
@@ -814,26 +776,20 @@ def _parse_plain(data: bytes) -> Optional[np.ndarray]:
     # one block: once freed it lifts glibc's mmap threshold above the other
     # temporaries of a simulate-and-fit round trip, which three separate
     # columns did not (910 minor faults a 2,000-cluster round trip against 1)
-    columns = np.empty((3, np.count_nonzero(text == ord("\n")) - 1), dtype=np.int64)
+    columns = np.empty((3, data.count(b"\n") - 1), dtype=np.int64)
     while start < len(data):
         stop = data.index(b"\n", min(start + _READ_CHUNK_BYTES, len(data)) - 1) + 1
         chunk = text[start:stop]
         if chunk.max() > ord("9"):
             return None
         delimiters = np.flatnonzero(chunk < ord("0"))
-        negative = None
-        if chunk[delimiters].tobytes() != b",,\n" * (delimiters.size // 3):
-            unsigned = _unsigned_delimiters(chunk, delimiters)
-            if unsigned is None:
-                return None
-            delimiters, negative = unsigned
         rows = delimiters.size // 3
+        if chunk[delimiters].tobytes() != b",,\n" * rows:
+            return None
         lengths = np.empty_like(delimiters)
         lengths[0] = delimiters[0] + 1
         np.subtract(delimiters[1:], delimiters[:-1], out=lengths[1:])
         lengths -= 1
-        if negative is not None:  # a sign is not a digit
-            np.subtract(lengths[::3], 1, out=lengths[::3], where=negative)
         # each field's units digit: text[start - place:][units] is the digit
         # `place` places to its left, and as place < 18 the 17-byte header
         # keeps start - place >= 0
@@ -852,9 +808,6 @@ def _parse_plain(data: bytes) -> Optional[np.ndarray]:
                 value *= 10
                 value += digit
             value -= _ZERO_DIGITS[hi - 1]
-        if negative is not None:
-            value = columns[0, row:row + rows]
-            np.negative(value, out=value, where=negative)
         start, row = stop, row + rows
     return columns
 

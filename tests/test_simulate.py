@@ -914,23 +914,18 @@ class TestPlainForm:
         ("0,0,1\n1,,2\n", False),
         ("007,0,01\n7,0,000\n10,1,0010\n", True),
         ("0,0,1\n0,2,1\n", True),
-        ("-5,0,1\n7,1,2\n-123456789012345678,1,3\n-0,1,4\n-5,0,0\n", True),
-        ("-1234567890123456789,0,1\n", False),
+        ("-5,0,1\n7,1,2\n-123456789012345678,1,3\n-0,1,4\n-5,0,0\n", False),
         ("0,0,1\n1,1,-2\n", False),
         ("0,-1,1\n", False),
-        ("1-2,0,1\n", False),
-        ("-,0,1\n", False),
-        ("--5,0,1\n", False),
     ], ids=[
         "18-digits", "19-digits", "no-final-lf", "empty-field", "leading-zeros", "arm-2",
-        "negative-ids", "negative-19-digits", "negative-outcome", "negative-arm",
-        "inner-minus", "bare-minus", "double-minus",
+        "negative-ids", "negative-outcome", "negative-arm",
     ])
     def test_edge_forms_read_as_the_reference_reads_them(
         self, tmp_path, monkeypatch, read_bytes, body, plain
     ):
         # 18 digits stay below 2**63 and take the byte parse; 19 may not, and
-        # go to numpy's reader with every other form
+        # go to numpy's reader with every other form, a "-" sign included
         monkeypatch.setattr(simulate, "_READ_CHUNK_BYTES", read_bytes)
         path = tmp_path / "trial.csv"
         path.write_bytes(b"cluster_id,arm,y\n" + body.encode("ascii"))
@@ -960,17 +955,15 @@ class TestWriterAgainstCsvWriter:
     @pytest.mark.parametrize("write_subjects", [1, 5, simulate._WRITE_CHUNK_SUBJECTS])
     def test_random_files_at_each_packing_boundary(self, tmp_path, monkeypatch, write_subjects):
         # a prefix of 7 to 17 bytes spans one to three 8-byte words, with and
-        # without a sign column; outcomes end at the lookup table's bound, one
-        # past it, and at 7 and 8 digits, which with their LF fill one word
-        # and spill into a second
+        # without a sign column; the largest outcome has 1 to 4 digits, or 7
+        # and 8, which with their LF fill one word and spill into a second
         monkeypatch.setattr(simulate, "_WRITE_CHUNK_SUBJECTS", write_subjects)
-        bound = simulate._TABLE_MAX_OUTCOME
         rng = random.Random(30)
         cases = [
             (width, signed, top)
             for width in (7, 8, 9, 16, 17)
             for signed in (False, True)
-            for top in (0, 9, bound, bound + 1, 10**7 - 1, 10**8 - 1)
+            for top in (0, 9, 999, 1000, 10**7 - 1, 10**8 - 1)
         ]
         for width, signed, top in cases:
             digits = width - 3 - signed
