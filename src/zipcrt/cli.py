@@ -22,7 +22,9 @@ recording the command, a digest of the fully-resolved configuration, the
 seed, and the tool version; rerunning with the same inputs reproduces the
 artifact byte for byte.  The ``study`` and ``tables`` manifests also record
 the Monte Carlo engine's name and version, its study-chunk stream tag and
-its chunk size.  The ``simulate`` and ``tables`` manifests record the
+its chunk size, and the ``study`` manifest the seconds the study spent
+drawing, fitting and testing (``StudyReport.seconds``), which no rerun
+reproduces.  The ``simulate`` and ``tables`` manifests record the
 dataset generator's name, version and stream tag in the same way: a
 ``table3-icc`` ICC is a statistic of a generated dataset.  With the seed,
 these fix every simulated rate, ICC and dataset, so each artifact can be
@@ -202,7 +204,7 @@ _GENERATOR = {"name": GENERATOR, "version": GENERATOR_VERSION, "stream_tag": TRI
 
 
 def _write_manifest(
-    out_path: str, command: str, resolved: dict, seed: Optional[int], **drawn_by: dict
+    out_path: str, command: str, resolved: dict, seed: Optional[int], **extra: dict
 ) -> None:
     digest = hashlib.sha256(
         json.dumps(resolved, sort_keys=True, separators=(",", ":")).encode()
@@ -214,7 +216,7 @@ def _write_manifest(
         "tool_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    manifest.update(drawn_by)
+    manifest.update(extra)
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
         json.dump(manifest, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -380,7 +382,7 @@ def _cmd_study(args) -> int:
             "null_hypothesis": args.null,
             "seed": seed,
         }
-        _write_manifest(args.out, "study", resolved, seed, engine=_ENGINE)
+        _write_manifest(args.out, "study", resolved, seed, engine=_ENGINE, seconds=report.seconds)
     return 0
 
 

@@ -40,10 +40,16 @@ the arm's information by ``w_a`` and its squared cluster scores by
 
 A fit fails only when the mean model is undefined (an arm is absent or has
 all-zero outcomes, in the data or after a Jackknife deletion) or when there
-are fewer than 3 clusters to delete from.  A fit keeps each estimator's
-covariance in ``GeeFit.variance[name]``; :meth:`GeeFit.se` gives its
-standard errors and :meth:`GeeFit.sigma2_sq` its variance of
-``sqrt(N) * beta2_hat``, the scale of the Wald test.
+are fewer than 3 clusters to delete from.  The checks that name the failure
+run only when a guard fails: ``N >= 3``, both arms present in every row,
+and every leave-one-out subject total ``M_a - m_i`` and outcome total
+``S_a - Y_i`` positive.  Those totals imply a positive ``S_a``, since an
+arm's ``k`` clusters' totals sum to ``(k - 1) * S_a``.  Likewise the Wald
+test checks ``sigma2_sq`` row by row only when one is not positive.
+
+A fit keeps each estimator's covariance in ``GeeFit.variance[name]``;
+:meth:`GeeFit.se` gives its standard errors and :meth:`GeeFit.sigma2_sq`
+its variance of ``sqrt(N) * beta2_hat``, the scale of the Wald test.
 
 The log-means, each estimator's terms and the failure checks are written
 once, in ``_fit_rows``, over ``(R, N)`` arrays of each cluster's arm,
@@ -117,6 +123,14 @@ def _per_arm(key: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
     return np.bincount(key.ravel(), weights=values.ravel(), minlength=2 * rows).reshape(rows, 2)
 
 
+def _check_arms(subjects: np.ndarray, outcomes: np.ndarray, failure: list[Optional[str]]) -> None:
+    """Fail each row whose arm is absent or has all-zero outcomes, so that
+    its log-mean is undefined, given its per-arm ``M_a`` and ``S_a``."""
+    _fail(failure, (subjects <= 0).any(axis=1), "both arms must be present in the data")
+    for a, name in enumerate(_ARM_NAMES):
+        _fail(failure, outcomes[:, a] <= 0, f"{name} arm has all-zero outcomes; log-mean undefined")
+
+
 def _arm_sums(
     key: np.ndarray, m: np.ndarray, y: np.ndarray, failure: list[Optional[str]]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -128,9 +142,8 @@ def _arm_sums(
     """
     subjects = _per_arm(key, m, len(failure))
     outcomes = _per_arm(key, y, len(failure))
-    _fail(failure, (subjects <= 0).any(axis=1), "both arms must be present in the data")
-    for a, name in enumerate(_ARM_NAMES):
-        _fail(failure, outcomes[:, a] <= 0, f"{name} arm has all-zero outcomes; log-mean undefined")
+    if not ((subjects > 0).all() and (outcomes > 0).all()):
+        _check_arms(subjects, outcomes, failure)
     return subjects, outcomes
 
 
@@ -151,18 +164,22 @@ def _fit_rows(
     """
     rows, n = arm.shape
     key = arm + 2 * np.arange(rows)[:, None]
-    subjects, outcomes = _arm_sums(key, m, y, failure)
-    if n < 3:
-        _fail(failure, np.ones(rows, dtype=bool), f"jackknife needs at least 3 clusters, got {n}")
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ybar = outcomes / subjects
-        log_mean = np.log(ybar)
-        residual = y - m * ybar.take(key)
-        s = _per_arm(key, residual * residual, rows) / (outcomes * outcomes)
-
-        loo_subjects = subjects.take(key) - m
-        loo_outcomes = outcomes.take(key) - y
+    subjects = _per_arm(key, m, rows)
+    outcomes = _per_arm(key, y, rows)
+    loo_subjects = subjects.take(key) - m
+    loo_outcomes = outcomes.take(key) - y
+    # An arm's k clusters' leave-one-out totals sum to (k - 1) times its
+    # total, so positive ones imply a positive total: the guard needs no
+    # all-zero arm term.
+    if not (
+        n >= 3
+        and (subjects > 0).all()
+        and (loo_subjects > 0).all()
+        and (loo_outcomes > 0).all()
+    ):
+        _check_arms(subjects, outcomes, failure)
+        if n < 3:
+            _fail(failure, np.ones(rows, dtype=bool), f"jackknife needs at least 3 clusters, got {n}")
         for what, bad in (
             ("empties arm", loo_subjects <= 0),
             ("leaves all-zero outcomes in arm", loo_outcomes <= 0),
@@ -173,6 +190,12 @@ def _fit_rows(
                 return f"removing cluster {ids[i]} {what} {int(arm[r, i])}"
 
             _fail(failure, bad.any(axis=1), removal)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ybar = outcomes / subjects
+        log_mean = np.log(ybar)
+        residual = y - m * ybar.take(key)
+        s = _per_arm(key, residual * residual, rows) / (outcomes * outcomes)
         delta = np.log(loo_outcomes / loo_subjects) - log_mean.take(key)
         d = _per_arm(key, delta * delta, rows)
     # with no clusters every row has failed above, and the factor is moot
@@ -250,11 +273,9 @@ def _wald_rows(
     message.  Returns the statistics, the two-sided critical value (``inf``
     when it is undefined) and the decisions; a failed row is never rejected.
     """
-    _fail(
-        failure,
-        ~(sigma2_sq > 0.0),
-        lambda r: f"sigma2_sq must be positive, got {float(sigma2_sq[r])}",
-    )
+    bad = ~(sigma2_sq > 0.0)
+    if bad.any():
+        _fail(failure, bad, lambda r: f"sigma2_sq must be positive, got {float(sigma2_sq[r])}")
     critical = math.inf
     try:
         if not (0.0 < alpha_level < 1.0):
@@ -262,10 +283,12 @@ def _wald_rows(
         critical = quantile(1.0 - alpha_level / 2.0, df)
     except DomainError as exc:
         _fail(failure, np.ones(len(failure), dtype=bool), str(exc))
-    ok = np.array([f is None for f in failure])
     with np.errstate(divide="ignore", invalid="ignore"):
         statistic = math.sqrt(n_clusters) * beta2_hat / np.sqrt(sigma2_sq)
-    return statistic, critical, ok & (np.abs(statistic) > critical)
+    reject = np.abs(statistic) > critical
+    if failure.count(None) < len(failure):
+        reject &= np.array([f is None for f in failure])
+    return statistic, critical, reject
 
 
 def wald_test(

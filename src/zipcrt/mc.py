@@ -24,7 +24,11 @@ process.  A chunk's estimates and failures come from ``gee._fit_rows``,
 the code :func:`fit_zip` runs on one dataset, and its Wald decisions from
 ``gee._wald_rows``, the code :func:`wald_test` runs on one statistic.
 Chunk ``k`` draws from the stream ``(seed, STREAM_TAG, k)``, so no chunk's
-results depend on the chunks before it.  :func:`run_power_study` is its
+results depend on the chunks before it.  A study of more than one chunk
+concatenates their arrays; a study of one chunk, such as any of at most
+``CHUNK_REPLICATES`` replicates, returns that chunk's arrays as they are.
+Each chunk times its draw, fit and Wald layers, and the study sums them in
+:attr:`StudyDraws.seconds`.  :func:`run_power_study` is its
 reduction: it sizes the trial, runs :func:`simulate_study` at that size and
 reduces the draws to rates with :meth:`StudyDraws.report`.  The bundled
 tables call :func:`simulate_study` directly: row ``i`` of ``table1`` or
@@ -43,6 +47,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -110,7 +115,7 @@ class StudyReport:
 
     ``rejection_rate`` maps each name of ``ESTIMATORS`` to its rate;
     ``mc_standard_error`` is the binomial standard error of the Jackknife's
-    rate.
+    rate.  ``seconds`` is the study's :attr:`StudyDraws.seconds`.
     """
 
     n_clusters_used: int
@@ -118,6 +123,7 @@ class StudyReport:
     mc_standard_error: float
     replicate_failures: int
     replications: int
+    seconds: dict[str, float] = field(compare=False)
 
     @property
     def rejection_rate_jackknife(self) -> float:
@@ -134,12 +140,20 @@ class StudyDraws:
     under it.  ``failure`` holds the message of the error the replicate's
     fit or test raised, or None.  The decisions of a failed replicate are
     False and its estimates are meaningless.
+
+    ``seconds`` maps each layer of a chunk to its ``time.perf_counter``
+    seconds, summed over the chunks: ``"draw"`` (the chunk's stream and
+    ``simulate._draw_replicates``), ``"fit"`` (the draw's failures and
+    ``gee._fit_rows``) and ``"wald"`` (``gee._wald_rows`` under each
+    estimator).  Like :attr:`StudyReport.seconds`, it takes no part in
+    equality.
     """
 
     beta2_hat: np.ndarray
     sigma2: dict[str, np.ndarray]
     reject: dict[str, np.ndarray]
     failure: list[Optional[str]]
+    seconds: dict[str, float] = field(compare=False)
 
     def report(self, n_clusters: int) -> StudyReport:
         """The study's rejection rates over the replicates that did not fail.
@@ -165,6 +179,7 @@ class StudyDraws:
             mc_standard_error=math.sqrt(rate * (1.0 - rate) / effective),
             replicate_failures=len(failures),
             replications=replications,
+            seconds=self.seconds,
         )
 
 
@@ -183,25 +198,32 @@ def _simulate_chunk(
     that :func:`generate_trial`, :func:`fit_zip` and :func:`wald_test` would
     raise on it, in their order.
     """
+    start = time.perf_counter()
     rng = substream(seed, STREAM_TAG, chunk)
     arm, m, y, empty_arm = _draw_replicates(design, n_clusters, rng, rows)
+    drawn = time.perf_counter()
     failure: list[Optional[str]] = [None] * rows
     if n_clusters < 2:
         _fail(failure, np.ones(rows, dtype=bool), f"need at least 2 clusters, got {n_clusters}")
-    _fail(failure, empty_arm, _empty_arm_message(n_clusters, design.r_bar))
+    if empty_arm.any():
+        _fail(failure, empty_arm, _empty_arm_message(n_clusters, design.r_bar))
 
     _, _, log_mean, terms = _fit_rows(arm, m, y, np.arange(n_clusters), failure)
     with np.errstate(invalid="ignore"):
         beta2_hat = log_mean[:, 1] - log_mean[:, 0]
         sigma2 = {name: n_clusters * (t[:, 0] + t[:, 1]) for name, t in terms.items()}
+    fitted = time.perf_counter()
     reject = {
         name: _wald_rows(beta2_hat, variance, n_clusters, design.alpha, df, failure)[2]
         for name, variance in sigma2.items()
     }
     # a replicate whose test failed under a later estimator has no decision
     # under an earlier one either
-    ok = np.array([f is None for f in failure])
-    return StudyDraws(beta2_hat, sigma2, {name: r & ok for name, r in reject.items()}, failure)
+    if failure.count(None) < rows:
+        ok = np.array([f is None for f in failure])
+        reject = {name: r & ok for name, r in reject.items()}
+    seconds = {"draw": drawn - start, "fit": fitted - drawn, "wald": time.perf_counter() - fitted}
+    return StudyDraws(beta2_hat, sigma2, reject, failure, seconds)
 
 
 def simulate_study(
@@ -218,7 +240,8 @@ def simulate_study(
 
     Chunk ``k`` holds replicates ``k * CHUNK_REPLICATES`` onwards and draws
     from the stream ``(seed, STREAM_TAG, k)``; the result is the chunks'
-    arrays, concatenated in order.
+    arrays, concatenated in order, or the one chunk's arrays themselves
+    when there is one chunk.
 
     Raises:
         ConfigError: ``replications < 1``.
@@ -230,6 +253,8 @@ def simulate_study(
     for k, start in enumerate(range(0, replications, CHUNK_REPLICATES)):
         rows = min(CHUNK_REPLICATES, replications - start)
         chunks.append(_simulate_chunk(design, n_clusters, seed, k, rows, df))
+    if len(chunks) == 1:
+        return chunks[0]
     sigma2, reject = (
         {name: np.concatenate([part[name] for part in parts]) for name in ESTIMATORS}
         for parts in ([c.sigma2 for c in chunks], [c.reject for c in chunks])
@@ -239,6 +264,7 @@ def simulate_study(
         sigma2,
         reject,
         [f for c in chunks for f in c.failure],
+        {layer: sum(c.seconds[layer] for c in chunks) for layer in chunks[0].seconds},
     )
 
 

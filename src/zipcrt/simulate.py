@@ -289,12 +289,12 @@ def _invert(table: _KeyedTable, row, u: np.ndarray) -> np.ndarray:
     its row of ``table`` (an array of ``u``'s shape, or one row for all)."""
     query = (u * 2.0**_UNIFORM_BITS).astype(np.int64)  # exact
     query += np.asarray(row, dtype=np.int64) << _UNIFORM_BITS
-    start = table.row_start[row]
-    found = start + table.guide[query >> table.shift]  # an index into keys
+    start = table.row_start.take(row)
+    found = start + table.guide.take(query >> table.shift)  # an index into keys
     crowded = found < start
-    found += table.keys[found] <= query
+    found += table.keys.take(found) <= query
     if crowded.any():
-        found[crowded] = np.searchsorted(table.keys, query[crowded], side="right")
+        found[crowded] = table.keys.searchsorted(query[crowded], side="right")
     found -= start
     return found
 

@@ -378,6 +378,17 @@ def test_study_manifest_records_the_engine(tmp_path, capsys):
     assert dict(zip(header.split(","), row.split(",")))["replications"] == "20"
 
 
+def test_study_manifest_records_the_layer_seconds(tmp_path, capsys):
+    out = tmp_path / "study.csv"
+    assert cli.main([
+        "study", "--config", design_file(tmp_path), "--reps", "20", "--seed", "3", "--out", str(out),
+    ]) == 0
+    manifest = json.loads((tmp_path / "study.csv.manifest.json").read_text(encoding="utf-8"))
+    seconds = manifest["seconds"]
+    assert sorted(seconds) == ["draw", "fit", "wald"]
+    assert all(isinstance(s, float) and s > 0.0 for s in seconds.values())
+
+
 def test_tables_manifest_records_the_engine(tmp_path, capsys):
     prefix = str(tmp_path / "out")
     assert cli.main(["tables", "--which", "table1,table3-icc", "--seed", "3", "--out", prefix]) == 0

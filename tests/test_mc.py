@@ -5,6 +5,7 @@ Poisson-model ICC."""
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -204,6 +205,34 @@ class TestCalibration:
         assert abs(ratio - 1.0) <= self.BOUND
 
 
+# (arm, m_i, Y_i) of six-cluster rows that no check fails; the second is a
+# strong effect that both estimators' tests reject
+CLEAN_ROWS = [
+    ([0, 0, 0, 1, 1, 1], [3, 4, 5, 2, 6, 3], [2, 0, 5, 1, 4, 3]),
+    ([0, 0, 0, 1, 1, 1], [5, 5, 5, 5, 5, 5], [1, 2, 1, 9, 8, 9]),
+    ([1, 0, 1, 0, 0, 1], [2, 7, 1, 4, 3, 9], [0, 3, 1, 2, 2, 7]),
+]
+# a row for each message a fit or a Wald test gives a row that fails alone
+LONE_FAILURES = {
+    "both arms must be present in the data": ([0] * 6, [3] * 6, [1] * 6),
+    "control arm has all-zero outcomes; log-mean undefined": (
+        [0, 0, 0, 1, 1, 1], [3] * 6, [0, 0, 0, 1, 2, 3],
+    ),
+    "intervention arm has all-zero outcomes; log-mean undefined": (
+        [0, 0, 0, 1, 1, 1], [3] * 6, [1, 2, 3, 0, 0, 0],
+    ),
+    # the sandwich's test alone would reject this row
+    "removing cluster 5 empties arm 1": ([0, 0, 0, 0, 0, 1], [3] * 6, [1, 2, 1, 2, 1, 30]),
+    "removing cluster 1 leaves all-zero outcomes in arm 0": (
+        [0, 0, 0, 1, 1, 1], [3] * 6, [0, 4, 0, 1, 2, 3],
+    ),
+    # each arm's clusters share one mean, so both variances are exactly 0
+    "sigma2_sq must be positive, got 0.0": (
+        [0, 0, 0, 1, 1, 1], [2, 2, 2, 4, 4, 4], [1, 1, 1, 2, 2, 2],
+    ),
+}
+
+
 class TestReplicateFailures:
     @pytest.mark.parametrize("null", [True, False], ids=["type-i", "power"])
     def test_rare_zero_design_loses_no_replicate(self, null):
@@ -247,6 +276,27 @@ class TestReplicateFailures:
         assert wald_test(chunk.beta2_hat[0], chunk.sigma2["naive"][0], 6, "t", 0.05, 4).reject
         assert chunk.failure == ["sigma2_sq must be positive, got 0.0"]
         assert not chunk.reject["naive"][0] and not chunk.reject["jackknife"][0]
+
+    @pytest.mark.parametrize("message", list(LONE_FAILURES))
+    def test_a_lone_failing_row_fails_alone(self, message, monkeypatch):
+        # the checks run only when some row of the chunk can fail: then the
+        # failing row gets its message and the clean rows keep the values
+        # and decisions they have when tested on their own
+        def chunk_of(rows):
+            arm, m, y = (np.array(part) for part in zip(*rows))
+            empty = np.zeros(len(rows), dtype=bool)
+            monkeypatch.setattr(mc, "_draw_replicates", lambda *_: (arm, m, y, empty))
+            return mc._simulate_chunk(grid_design(), 6, 0, 0, len(rows), 4)
+
+        chunk = chunk_of([*CLEAN_ROWS[:2], LONE_FAILURES[message], CLEAN_ROWS[2]])
+        assert chunk.failure == [None, None, message, None]
+        assert not chunk.reject["naive"][2] and not chunk.reject["jackknife"][2]
+        assert chunk.reject["naive"][1] and chunk.reject["jackknife"][1]
+        for r, row in zip((0, 1, 3), CLEAN_ROWS):
+            alone = chunk_of([row])
+            assert alone.failure == [None]
+            for name, array in draw_arrays(alone).items():
+                assert draw_arrays(chunk)[name][r] == array[0]
 
     @pytest.mark.parametrize("n_clusters", [0, 1])
     def test_fewer_than_2_clusters_fail_every_replicate(self, n_clusters):
@@ -320,6 +370,18 @@ def test_study_at_a_chosen_n_is_its_chunks_concatenated(reference, alpha):
         assert array.dtype == expected.dtype
         np.testing.assert_array_equal(array, expected)
     assert draws.failure == [f for chunk in chunks for f in chunk.failure]
+
+
+def test_study_seconds_sum_its_chunks_layer_times(monkeypatch):
+    # a clock that advances by 1 at each read: every layer of every chunk
+    # takes 1, and a study of three chunks 3
+    monkeypatch.setattr(mc.time, "perf_counter", functools.partial(next, itertools.count()))
+    config = StudyConfig(
+        design=grid_design(), replications=2 * mc.CHUNK_REPLICATES + 8, use_t_sizing=True, seed=3,
+    )
+    assert run_power_study(config).seconds == {"draw": 3, "fit": 3, "wald": 3}
+    n = sample_size_t(config.design).n_clusters
+    assert mc.simulate_study(config.design, n, 8, 3, None).seconds == {"draw": 1, "fit": 1, "wald": 1}
 
 
 def test_study_report_is_the_reduction_of_its_draws():
