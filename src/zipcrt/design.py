@@ -25,21 +25,23 @@ from .errors import ConfigError, DomainError
 
 # A size law tabulates its cells (m, k), 0 <= k <= m, only up to this many:
 # DU(10,80) has 3,266, and DU(1,254) is the widest DU(1, hi) within it.  An
-# arm's rows of own Poisson sums (simulate._own_sum_table) have the same
-# cap on their entries.  The cap bounds a table's memory (10 to 12 bytes an
-# entry, for each arm's rows) and its build (2 to 8 ms for a design's two
-# arms near the cap), paid once per design in a process.  Built, a table
-# draws each cluster in O(1) expected time.  Timed warm on one core (Xeon,
-# numpy 2.4) for alternative designs, whose table holds both arms' rows: a
-# (256, 14) chunk's (m, K) takes 0.12 ms on DU(1,254) against 0.67 ms for
-# the per-cluster draws on DU(1,255), and 6 clusters' 0.016 against 0.029
-# ms, so the table wins at any size.  Its own sums, at own means 1.9 to 3e4
-# with tables up to the cap, take 18 to 27 ns a cluster against 46 to 86
-# for rng.poisson (23 to 25 against 44 to 92 at N = 30).  Their crossover
-# is near 200 to 800 clusters a draw at the cap: on DU(34,56) at mu1 7.3 a
-# (32, 6) chunk's own sums take 0.030 against 0.025 ms and a (64, 6) chunk's
-# 0.035 against 0.041 ms, and on fixed(1) at mu1 1.58e4 a (64, 6) chunk's
-# 0.034 against 0.032 ms and a (128, 6) chunk's 0.042 against 0.046 ms.
+# arm's joint law of (m, Y) (simulate._joint_law) keeps at most as many
+# cells too.  The cap bounds a table's memory and its build, paid once per
+# design in a process; built, a table draws each cluster in O(1) expected
+# time.  Timed on one core (Xeon, numpy 2.4) for alternative designs, whose
+# table holds both arms' rows.  An (m, K) table holds 10 to 12 bytes a
+# cell for each arm and builds in 2 to 8 ms near the cap; a (256, 14)
+# chunk's (m, K) takes 0.12 ms on DU(1,254) against 0.67 ms for the
+# per-cluster draws on DU(1,255), and 6 clusters' 0.016 against 0.029 ms,
+# so the table wins at any size.  A joint table holds 13 to 18 bytes an
+# entry (an 8-byte key, m and y in 3 to 6, 2 to 4 of guide).  At the
+# bundled grid's largest design, DU(10,80) at ICC 0.05, whose laws keep
+# 23,091 and 19,474 entries (0.6 MB), a cold 6-cluster study draw builds
+# it in 6.4 ms, and in 8.4 ms at mu1 = 2.1, whose control law keeps 32,248
+# entries, just within the cap.  Warm, an (80, 31) chunk's (m, Y) takes 25
+# to 40 ns a cluster there, against 110 to 200 for the per-cluster draws
+# of (m, K), the own sum and the shared part, and 6 clusters' 29 against
+# 55 us, so this table wins at any size too.
 MAX_SIZE_CELLS = 2**15
 # The largest cluster mean hi * lam a design may have.  A simulated cluster
 # sum is one Poisson draw of a mean up to hi * lam (numpy takes means up to

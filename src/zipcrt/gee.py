@@ -198,8 +198,10 @@ def _fit_rows(
         s = _per_arm(key, residual * residual, rows) / (outcomes * outcomes)
         delta = np.log(loo_outcomes / loo_subjects) - log_mean.take(key)
         d = _per_arm(key, delta * delta, rows)
-    # with no clusters every row has failed above, and the factor is moot
-    jackknife = (n - 2) / n * d if n else d
+        # with no clusters every row has failed above, and the factor is
+        # moot; with 2 it is 0, and a row with an empty arm, already
+        # failed, has an inf in d
+        jackknife = (n - 2) / n * d if n else d
     return subjects, ybar, log_mean, {"naive": s, "jackknife": jackknife}
 
 

@@ -67,11 +67,13 @@ _MAX_FAILURE_FRACTION = 0.01
 # What a study or table manifest records about the engine.  A change to a
 # stream, the chunk size or the draws changes seeded results and bumps the
 # version; version 3 drew truncated-Poisson sizes by rejection, version 4
-# drew each cluster's size, shared zero and ``K`` in turn, and version 5 drew
+# drew each cluster's size, shared zero and ``K`` in turn, version 5 drew
 # each arm's ``(m, K)`` as one sorted, shuffled multiset and every own
-# Poisson sum with ``rng.poisson``.
+# Poisson sum with ``rng.poisson``, and version 6 drew each cluster's
+# ``(m, K)``, then its own Poisson sum, each by one uniform from a keyed
+# table, then its shared part with ``rng.poisson``.
 ENGINE = "cluster-sum"
-ENGINE_VERSION = 6
+ENGINE_VERSION = 7
 STREAM_TAG = 0x43535553  # the chunk streams (seed, STREAM_TAG, chunk index)
 CHUNK_REPLICATES = 256
 

@@ -45,14 +45,20 @@ sum over that arm's parts.
 Every Wald decision depends on a trial only through each cluster's arm,
 ``m_i`` and outcome sum ``Y_i``, so the study engine of :mod:`zipcrt.mc`
 draws a replicate trial as those alone (:func:`_draw_replicates`), ``R``
-replicates at once as ``(R, N)`` arrays:
-``Y = Poisson(K * lam * (1 - rho_u)) + K * Poisson(lam * rho_u)``, the
-sum of the ``K`` own Poisson parts in one draw, inverted through row
-``K`` of the same kind of table (:func:`_draw_own_sums`,
-:func:`_own_sum_table`), plus ``K`` copies of the shared part.  A dataset
-and a replicate take their balanced intervention counts from one rule,
-:func:`_intervention_counts`.  This module alone knows the draws and the
-tables' layout.
+replicates at once as ``(R, N)`` arrays.  Each cluster's ``(m, Y)`` is one
+uniform, in the order of the layout, inverted through its arm's joint law
+of ``(m, Y)`` (:func:`_joint_cdf`): ``P(m, y) = sum_k P(m, k) g_k(y)``, with
+``g_k`` the law of ``k`` own Poisson parts plus ``k`` copies of the shared
+part, summed once per law on a grid and kept on the cells a uniform can
+select (:func:`_joint_law`).  An alternative design's two laws are one
+:class:`_KeyedTable` (:func:`_joint_table`); a design whose arms share a
+law reads row 0 of the table that holds it (:func:`_one_law_table`), so a
+null design shares its alternative's copy of the control arm's law.  A law
+whose grid or whose kept cells pass their bounds is not tabulated, and its
+design draws ``(m, K)`` as a dataset does, then each cluster's own sum and
+shared part with ``rng.poisson``.  A dataset and a replicate take their
+balanced intervention counts from one rule, :func:`_intervention_counts`.
+This module alone knows the draws and the tables' layout.
 
 A dataset's text form is a CSV of one ``cluster_id,arm,y`` row per subject.
 :func:`write_dataset` builds it in chunks of whole clusters, each a uint64
@@ -182,8 +188,8 @@ def _draw_cluster_sizes(
     return model.lo + np.searchsorted(model._cdf, rng.random(shape), side="right")
 
 
-def _nonzero_cdf(cells: SizeCells, p: float, rho_s: float) -> np.ndarray:
-    """The cumulative law of one arm's ``(m, K)`` over a size law's cells.
+def _nonzero_mass(cells: SizeCells, p: float, rho_s: float) -> np.ndarray:
+    """The law of one arm's ``(m, K)`` over a size law's cells.
 
     Cell ``(m, k)`` has the mass
     ``P(m) C(m, k) [p pi1**k (1 - pi1)**(m - k) + (1 - p) pi0**k (1 - pi0)**(m - k)]``
@@ -192,24 +198,29 @@ def _nonzero_cdf(cells: SizeCells, p: float, rho_s: float) -> np.ndarray:
     given a shared zero ``c = 1`` and ``c = 0``.  Each probability and its
     complement is a product or a sum of non-negative terms, never ``1 - x``,
     so none cancels as ``rho_s`` nears 1.  At ``p = 0`` only ``c = 0`` has
-    mass, and it is the point mass ``k = m``.  The last entry is exactly 1.0.
+    mass, and it is the point mass ``k = m``.
     """
     if p == 0.0:
-        mass = np.exp(cells.log_base) * (cells.rest == 0)
-    else:
-        share = math.sqrt(rho_s)
-        apart = (1.0 - rho_s) / (1.0 + share)  # 1 - sqrt(rho_s)
-        mass = np.zeros(cells.log_base.size)
-        for weight, success, failure in (
-            (p, apart * (1.0 - p), p + share * (1.0 - p)),  # c = 1: pi1, 1 - pi1
-            (1.0 - p, (1.0 - p) + share * p, apart * p),  # c = 0: pi0, 1 - pi0
-        ):
-            log_mass = cells.k * math.log(success)
-            log_mass += cells.rest * math.log(failure)
-            log_mass += cells.log_base
-            log_mass += math.log(weight)
-            mass += np.exp(log_mass, out=log_mass)
-    cdf = np.cumsum(mass)
+        return np.exp(cells.log_base) * (cells.rest == 0)
+    share = math.sqrt(rho_s)
+    apart = (1.0 - rho_s) / (1.0 + share)  # 1 - sqrt(rho_s)
+    mass = np.zeros(cells.log_base.size)
+    for weight, success, failure in (
+        (p, apart * (1.0 - p), p + share * (1.0 - p)),  # c = 1: pi1, 1 - pi1
+        (1.0 - p, (1.0 - p) + share * p, apart * p),  # c = 0: pi0, 1 - pi0
+    ):
+        log_mass = cells.k * math.log(success)
+        log_mass += cells.rest * math.log(failure)
+        log_mass += cells.log_base
+        log_mass += math.log(weight)
+        mass += np.exp(log_mass, out=log_mass)
+    return mass
+
+
+def _nonzero_cdf(cells: SizeCells, p: float, rho_s: float) -> np.ndarray:
+    """The cumulative law of one arm's ``(m, K)`` over a size law's cells,
+    :func:`_nonzero_mass` summed in order.  The last entry is exactly 1.0."""
+    cdf = np.cumsum(_nonzero_mass(cells, p, rho_s))
     cdf /= cdf[-1]
     cdf[-1] = 1.0  # a uniform draw in [0, 1) then always lands on a cell
     return cdf
@@ -254,39 +265,55 @@ class _KeyedTable(NamedTuple):
     arm_rows: int
 
 
-def _keyed_table(laws: list[tuple[np.ndarray, np.ndarray]], buckets: int) -> _KeyedTable:
-    """The read-only :class:`_KeyedTable` of one or two arms' laws, in
-    turn, with a power of two ``buckets`` buckets per row.  A law is its
-    rows of ``widths`` entries, laid end to end in ``cdf``, each ending in
-    exactly 1.0, as ``(cdf, widths)``."""
-    # in place where it can be, since a table's first build in a process
-    # holds these temporaries beside every table already cached
-    widths = np.concatenate([law_widths for _, law_widths in laws])
-    row_start = np.cumsum(widths) - widths
-    keys = np.concatenate([cdf for cdf, _ in laws])
-    np.ldexp(keys, _UNIFORM_BITS, out=keys)
+def _keys(cdf: np.ndarray) -> np.ndarray:
+    """The keys ``ceil(F * 2**53)`` of cumulative probabilities ``F``, as int64."""
+    keys = np.ldexp(cdf, _UNIFORM_BITS)
     np.ceil(keys, out=keys)
-    keys = keys.astype(np.int64)
-    keys += np.repeat(np.arange(widths.size, dtype=np.int64) << _UNIFORM_BITS, widths)
+    return keys.astype(np.int64)
+
+
+def _keyed_table(laws: list[np.ndarray], buckets: int) -> _KeyedTable:
+    """The read-only :class:`_KeyedTable` of one or two arms' cumulative
+    laws, in turn, each ending in exactly 1.0, with a power of two
+    ``buckets`` buckets per row."""
+    return _guided(
+        np.concatenate([_keys(cdf) for cdf in laws]), np.array([cdf.size for cdf in laws]), buckets
+    )
+
+
+def _guided(keys: np.ndarray, widths: np.ndarray, buckets: int) -> _KeyedTable:
+    """The read-only :class:`_KeyedTable` of one or two rows of ``widths``
+    keys each, counted from 0 in each row, with ``buckets`` buckets per row;
+    ``keys`` becomes the table's, the second row's offset in place."""
+    row_start = np.cumsum(widths) - widths
     shift = _UNIFORM_BITS + 1 - buckets.bit_length()
-    query = np.arange(widths.size * buckets, dtype=np.int64) << shift  # each bucket's first U
-    first = np.searchsorted(keys, query, side="right")
-    query += (1 << shift) - 1  # each bucket's last U
-    entries = np.searchsorted(keys, query, side="right")
-    del query
-    entries -= first
-    first -= np.repeat(row_start, buckets)
-    first[entries > 1] = -1
-    arm_rows = laws[0][1].size if len(laws) == 2 else 0
-    table = _KeyedTable(keys, first.astype(np.int16), shift, row_start, arm_rows)
+    guide = np.empty((widths.size, buckets), dtype=np.int16)
+    for row, (start, width) in enumerate(zip(row_start.tolist(), widths.tolist())):
+        row_keys = keys[start:start + width]
+        # bucket b covers U in [b 2**shift, (b + 1) 2**shift); a key k is at
+        # most its first U when (k - 1) >> shift < b, and lies past its
+        # first U and at or before its last when (k - 1) >> shift == b and
+        # k is not (b + 1) 2**shift.  Counted in one pass over the keys.
+        bucket = (row_keys - 1) >> shift  # -1 for a key of 0
+        count = np.bincount(bucket + 1, minlength=buckets + 1)
+        first = np.cumsum(count[:buckets])  # the keys at most each bucket's first U
+        inside = count[1:]
+        inside -= np.bincount(bucket[row_keys & ((1 << shift) - 1) == 0] + 1, minlength=buckets + 1)[1:]
+        first[inside > 1] = -1
+        guide[row] = first
+        if row:  # a one-row table may share a law's read-only keys
+            row_keys += row << _UNIFORM_BITS
+    # the intervention arm's row follows the control arm's one row
+    table = _KeyedTable(keys, guide.ravel(), shift, row_start, widths.size - 1)
     for part in (table.keys, table.guide, table.row_start):
         part.flags.writeable = False
     return table
 
 
-def _invert(table: _KeyedTable, row, u: np.ndarray) -> np.ndarray:
-    """``searchsorted(F_row, u, side="right")`` for each uniform ``u`` and
-    its row of ``table`` (an array of ``u``'s shape, or one row for all)."""
+def _entries(table: _KeyedTable, row, u: np.ndarray) -> np.ndarray:
+    """The entry of ``table.keys`` that each uniform ``u`` selects in its row
+    of ``table`` (an array of ``u``'s shape, or one row for all): the
+    ``searchsorted(F_row, u, side="right")``-th entry of the row."""
     query = (u * 2.0**_UNIFORM_BITS).astype(np.int64)  # exact
     query += np.asarray(row, dtype=np.int64) << _UNIFORM_BITS
     start = table.row_start.take(row)
@@ -295,7 +322,14 @@ def _invert(table: _KeyedTable, row, u: np.ndarray) -> np.ndarray:
     found += table.keys.take(found) <= query
     if crowded.any():
         found[crowded] = table.keys.searchsorted(query[crowded], side="right")
-    found -= start
+    return found
+
+
+def _invert(table: _KeyedTable, row, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(F_row, u, side="right")`` for each uniform ``u`` and
+    its row of ``table`` (an array of ``u``'s shape, or one row for all)."""
+    found = _entries(table, row, u)
+    found -= table.row_start.take(row)
     return found
 
 
@@ -328,8 +362,7 @@ def _nonzero_table(
     # dict keys drop an equal second p, -0.0 beside 0.0 included
     ps = dict.fromkeys((p_control, p_intervention))
     laws = [_nonzero_cdf(sizes._cells, p, rho_s) for p in ps]
-    cells = laws[0].size
-    return _keyed_table([(cdf, np.array([cells])) for cdf in laws], 1 << (cells - 1).bit_length())
+    return _keyed_table(laws, 1 << (laws[0].size - 1).bit_length())
 
 
 def _draw_nonzero_counts(
@@ -357,27 +390,6 @@ def _draw_nonzero_counts(
     )
     cell = _draw_rows(table, arm, 0, rng)
     return cells.m[cell], cells.k[cell]
-
-
-def _draw_own_sums(
-    design: DesignInputs, arm: np.ndarray, nonzero: np.ndarray, lam, rng: np.random.Generator
-) -> np.ndarray:
-    """Each cluster's sum of its ``K`` own Poisson parts, Poisson(``K *
-    lam_a * (1 - rho_u)``), for arrays of arms and ``K``; ``lam`` is each
-    cluster's ``lam_a``, or one value for both arms.
-
-    One uniform per cluster, inverted through row ``K`` of its arm's rows
-    of the design's :func:`_own_sum_table`.  When an arm has no rows (more
-    than ``MAX_SIZE_CELLS`` entries, or a ``hi`` above 510), one
-    ``rng.poisson`` draw per cluster.
-    """
-    own = 1.0 - design.rho_u
-    table = _own_sum_table(
-        design.control.lam * own, design.intervention.lam * own, design.cluster_sizes.hi
-    )
-    if table is None:
-        return rng.poisson(nonzero * lam * own)
-    return _draw_rows(table, arm, nonzero, rng)
 
 
 def _allocate_arms(
@@ -463,80 +475,252 @@ def _poisson_sample(lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
     return values
 
 
-# Row k of the own-sum table covers Poisson(k * mean) on 0 .. W_k with
-# W_k = ceil(lam + 14 + sqrt(196 + 84 * lam)), lam = k * mean.  The Chernoff
-# bound P(X >= lam + x) <= exp(-x**2 / (2 * (lam + x / 3))) puts less than
-# exp(-42) < 2**-60 past W_k, far below the 2**-53 step of a uniform draw.
+# Values 0 .. W of Poisson(lam), W = ceil(lam + 14 + sqrt(196 + 84 * lam)),
+# hold all but less than 2**-60 of its mass: the Chernoff bound
+# P(X >= lam + x) <= exp(-x**2 / (2 * (lam + x / 3))) puts less than
+# exp(-42) past W, far below the 2**-53 step of a uniform draw.
 _TAIL_OFFSET, _TAIL_SQUARE, _TAIL_SLOPE = 14.0, 196.0, 84.0
+# The shared part's values are cut where less than this much of its mass
+# lies beyond them, on each side
+_SHARED_TAIL = 2.0**-61
+# A joint law of (m, Y) is summed on a grid of hi + 1 rows k by S columns
+# y; a law whose grid would pass this many cells (1 MB of float64), or
+# whose shared part's values would take more than _MAX_JOINT_PASSES
+# multiply-adds to spread over it, is not built.  Both are counted before
+# the grid is allocated.
+_MAX_JOINT_GRID = 4 * MAX_SIZE_CELLS
+_MAX_JOINT_PASSES = 64 * MAX_SIZE_CELLS
+# Rows m of the joint law summed in one np.einsum: each block sums only
+# the k and y its largest m reaches
+_JOINT_BLOCK_ROWS = 8
 
 
-def _sum_buckets(mean: float, hi: int) -> int:
-    """Buckets per row of the own-sum tables of arms with own means up to
-    ``mean``: the power of two at or above ``2 * sqrt(196 + 84 * lam)`` at
-    the widest row's ``lam = hi * mean``, or the largest that keeps the
-    guide within ``2 * MAX_SIZE_CELLS`` entries.
-
-    Poisson(``lam``)'s entries are densest near ``lam``, one per about
-    ``1 / sqrt(2 pi lam)`` of probability, and that count of buckets is at
-    least 7.3 times ``sqrt(2 pi lam)`` (and 28 at ``lam = 0``), so no row
-    sends more than about 5% of its uniforms to the ``searchsorted``.
-    A design's two arms share one table, so both take the buckets of the
-    larger own mean."""
-    spread = math.ceil(2.0 * math.sqrt(_TAIL_SQUARE + _TAIL_SLOPE * hi * mean))
-    fitting = (2 * MAX_SIZE_CELLS // (hi + 1)).bit_length() - 1
-    return 1 << min((spread - 1).bit_length(), fitting)
+def _tail_width(lam: float) -> int:
+    """The ``W + 1`` values ``0 .. W`` that hold all but less than 2**-60
+    of Poisson(``lam``)'s mass."""
+    return math.ceil(lam + _TAIL_OFFSET + math.sqrt(_TAIL_SQUARE + _TAIL_SLOPE * lam)) + 1
 
 
-def _poisson_sum_cdf(mean: float, hi: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The rows ``k = 0 .. hi`` of the cumulative law of a sum of ``k`` own
-    Poisson parts, Poisson(``k * mean``), laid end to end, and their widths.
+def _poisson_rows(means: np.ndarray, width: int) -> np.ndarray:
+    """The Poisson(``mean``) probabilities of ``0 .. width - 1``, a row for
+    each mean; a mean of 0 is the point 0."""
+    rows = np.empty((means.size, width))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.multiply.outer(np.log(means), np.arange(width), out=rows)
+    rows[:, 0] = 0.0  # 0 * log(0) is nan
+    rows -= means[:, None]
+    rows[:, 1:] -= np.cumsum(np.log(np.arange(1, width)))  # log k!
+    return np.exp(rows, out=rows)
 
-    Row ``k`` is built on ``0 .. W_k`` and cut after its first entry of
-    exactly 1.0.  None when the built rows would have more than
-    ``MAX_SIZE_CELLS`` entries, or when two arms of them would have more
-    rows than one table can hold (a ``hi`` above 510).
+
+class _JointGrid(NamedTuple):
+    """An arm's cumulative law of ``(m, Y)``, row ``m`` after row ``m``:
+    ``cdf`` holds the rows end to end, each ``y = 0 .. width - 1``, and
+    row ``j`` (``m = lo + j``) starts at ``row_start[j]``.  The last entry
+    is exactly 1.0."""
+
+    cdf: np.ndarray
+    row_start: np.ndarray
+    lo: int
+
+
+def _joint_cdf(
+    cells: SizeCells, p: float, rho_s: float, lam: float, rho_u: float
+) -> Optional[_JointGrid]:
+    """The cumulative law of one arm's ``(m, Y)``, with ``Y`` a cluster's
+    outcome sum, over a size law's cells; None when its grid would pass
+    ``_MAX_JOINT_GRID`` cells or its sum ``_MAX_JOINT_PASSES``.
+
+    ``P(m, y) = sum_k P(m, k) g_k(y)``, with ``P(m, k)`` of
+    :func:`_nonzero_mass` and ``g_k`` the law of ``Y`` given ``K = k``: the
+    sum ``T`` of ``k`` own parts, Poisson(``k a``), plus ``k`` copies of the
+    shared part ``U``, Poisson(``b``), with ``a = lam (1 - rho_u)`` and
+    ``b = lam rho_u``.  So ``g_k(y) = sum_u Pois(u; b) Pois(y - k u; k a)``.
+    ``G`` holds the rows ``g_0 .. g_hi``: row ``k`` of ``Pois(t; k a)`` is
+    added, weighted by ``Pois(u; b)``, at columns ``k u + t``, one pass over
+    all rows per ``u``, through a view of ``G``'s buffer whose rows are
+    ``S + u`` long.  Then each block of rows ``m`` is one ``np.einsum`` of
+    its ``P(m, k)`` with the rows and columns of ``G`` that its largest
+    ``m`` reaches, and the blocks, laid end to end, are summed in place.
+
+    ``U`` keeps the values with less than 2**-61 of its mass beyond them on
+    each side, and row ``m`` the ``y`` up to ``m u_hi`` plus the tail
+    bound of Poisson(``m a``), so less than 2**-59 of the law's mass is
+    left out.  The grid's size is known before it is allocated.
     """
-    lam = mean * np.arange(1, hi + 1)
-    width = np.ceil(lam + _TAIL_OFFSET + np.sqrt(_TAIL_SQUARE + _TAIL_SLOPE * lam)) + 1.0
-    # counted in float64, which a mean near MAX_CLUSTER_MEAN cannot overflow
-    if not (mean > 0.0 and 1.0 + width.sum() <= MAX_SIZE_CELLS and 2 * (hi + 1) <= _MAX_TABLE_ROWS):
+    lo, hi = int(cells.m[0]), int(cells.m[-1])
+    own, shared = lam * (1.0 - rho_u), lam * rho_u
+    k_rows = hi + 1
+    # U takes values past shared - 1, so the grid would have more than
+    # k_rows * hi * (shared - 1) cells: bound the row of U before making it
+    if k_rows * hi * (shared - 1.0) > _MAX_JOINT_GRID:
         return None
-    widths = np.concatenate(([1], width.astype(np.int64)))  # row 0 is the point 0
-    # each row in full, up to the widest, its mass 0 past its own width
-    values = np.arange(widths[-1])
-    inside = values < widths[1:, None]
-    cdf = np.multiply.outer(np.log(lam), values)
-    cdf -= lam[:, None]
-    cdf -= np.concatenate(([0.0], np.cumsum(np.log(values[1:]))))  # log k!
-    np.exp(cdf, out=cdf)
-    cdf[~inside] = 0.0
-    np.cumsum(cdf, axis=1, out=cdf)
-    cdf /= cdf[:, -1:]  # the last entry of each row is then exactly 1.0
-    # past the first entry of exactly 1.0 no uniform can reach an entry, so
-    # each row ends there
-    widths[1:] = 1 + np.count_nonzero(cdf < 1.0, axis=1)
-    rows = np.empty(widths.sum())
-    rows[0] = 1.0
-    rows[1:] = cdf[values < widths[1:, None]]
-    return rows, widths
+    weight = _poisson_rows(np.array([shared]), _tail_width(shared))[0]
+    u_lo = int(np.count_nonzero(np.cumsum(weight) < _SHARED_TAIL))
+    u_hi = weight.size - 1 - int(np.count_nonzero(np.cumsum(weight[::-1]) < _SHARED_TAIL))
+    own_width = _tail_width(hi * own)
+    width = hi * u_hi + own_width  # g_k lies in 0 .. k u_hi + own_width - 1
+    # in Python integers, which do not overflow
+    passes = (u_hi - u_lo + 1) * k_rows * own_width
+    if k_rows * (width + u_hi) > _MAX_JOINT_GRID or passes > _MAX_JOINT_PASSES:
+        return None
+    own_rows = _poisson_rows(own * np.arange(k_rows), own_width)
+    g = np.zeros(k_rows * (width + u_hi))
+    term = np.empty_like(own_rows)
+    for u in range(u_lo, u_hi + 1):
+        np.multiply(own_rows, weight[u], out=term)
+        # element (k, t) of this view is element (k, k u + t) of G
+        g[: k_rows * (width + u)].reshape(k_rows, width + u)[:, :own_width] += term
+    del own_rows, term
+    g = g[: k_rows * width].reshape(k_rows, width)
+
+    nonzero = np.zeros((hi - lo + 1, k_rows))
+    nonzero.ravel()[(cells.m - lo) * k_rows + cells.k] = _nonzero_mass(cells, p, rho_s)
+    tops = [*range(lo + _JOINT_BLOCK_ROWS - 1, hi, _JOINT_BLOCK_ROWS), hi]  # each block's largest m
+    block_width = [top * u_hi + _tail_width(top * own) for top in tops]
+    block_rows = np.diff([lo - 1, *tops]).tolist()
+    row_start = np.concatenate(([0], np.cumsum(np.repeat(block_width, block_rows))))
+    cdf = np.empty(row_start[-1])
+    first = 0
+    for top, rows, columns in zip(tops, block_rows, block_width):
+        out = cdf[row_start[first]:row_start[first + rows]].reshape(rows, columns)
+        block = nonzero[first:first + rows, :top + 1]
+        np.einsum("mk,ky->my", block, g[:top + 1, :columns], out=out)
+        first += rows
+    del g, nonzero
+    np.cumsum(cdf, out=cdf)
+    cdf /= cdf[-1]  # the last entry is then exactly 1.0
+    return _JointGrid(cdf, row_start[:-1], lo)
 
 
-# Keyed like _nonzero_table, by the design's two own means and hi; an arm's
-# rows hold at most MAX_SIZE_CELLS keys and 2 * MAX_SIZE_CELLS guide
-# buckets, so an entry at most 768 KB.  A table1 then table2 walk uses 36
-# keys (30 alternative designs, 6 null ones).
+class _JointLaw(NamedTuple):
+    """An arm's law of ``(m, Y)`` on the cells a uniform draw can select:
+    each cell's key ``ceil(F * 2**53)``, of its cumulative probability
+    ``F``, the last exactly ``2**53``, and its size ``m`` and outcome sum
+    ``y``, each in the smallest unsigned type that holds the law's values;
+    all read-only."""
+
+    keys: np.ndarray
+    m: np.ndarray
+    y: np.ndarray
+
+
+def _joint_law(
+    sizes: ClusterSizeModel, p: float, rho_s: float, lam: float, rho_u: float
+) -> Optional[_JointLaw]:
+    """:func:`_joint_cdf` over ``sizes``' cells, on the cells a uniform can
+    select; None when ``sizes`` has no cells, the grid is too large, or
+    more than ``MAX_SIZE_CELLS`` cells are left.
+
+    A uniform ``u = U * 2**-53`` selects the cell ``j`` with
+    ``key[j - 1] <= U < key[j]``, so a cell whose key equals the one before
+    it (or 0, for the first) is never selected, and dropping it leaves the
+    draw's law as it was.
+    """
+    cells = sizes._cells
+    grid = None if cells is None else _joint_cdf(cells, p, rho_s, lam, rho_u)
+    if grid is None:
+        return None
+    keys, row_start, lo = np.ldexp(grid.cdf, _UNIFORM_BITS, out=grid.cdf), grid.row_start, grid.lo
+    del grid
+    np.ceil(keys, out=keys)
+    kept = np.empty(keys.size, dtype=bool)
+    kept[0] = keys[0] > 0.0
+    np.not_equal(keys[1:], keys[:-1], out=kept[1:])
+    cell = np.flatnonzero(kept)
+    del kept
+    if cell.size > MAX_SIZE_CELLS:
+        return None
+    keys = keys[cell].astype(np.int64)  # and the grid's are freed
+    row = np.searchsorted(row_start, cell, side="right") - 1
+    y = cell - row_start[row]
+    row += lo
+    law = _JointLaw(
+        keys, row.astype(np.min_scalar_type(sizes.hi)), y.astype(np.min_scalar_type(y.max()))
+    )
+    for part in law:
+        part.flags.writeable = False
+    return law
+
+
+class _JointTable(NamedTuple):
+    """A :class:`_KeyedTable` of one or two arms' :class:`_JointLaw`, the
+    control arm's first, and each entry's ``m`` and ``y``."""
+
+    keyed: _KeyedTable
+    m: np.ndarray
+    y: np.ndarray
+
+
+def _law_table(laws: list[_JointLaw]) -> _JointTable:
+    """The read-only :class:`_JointTable` of one or two laws; a table of one
+    law shares its arrays."""
+    widths = np.array([law.keys.size for law in laws])
+    buckets = 1 << (int(widths.max()) - 1).bit_length()
+    if len(laws) == 1:
+        (law,) = laws
+        return _JointTable(_guided(law.keys, widths, buckets), law.m, law.y)
+    m, y = (np.concatenate(part) for part in zip(*(law[1:] for law in laws)))
+    m.flags.writeable = y.flags.writeable = False
+    keys = np.concatenate([law.keys for law in laws])
+    return _JointTable(_guided(keys, widths, buckets), m, y)
+
+
+# Keyed by the values of the design's two laws.  An entry holds, per entry
+# of each law, 8 bytes of key, 3 of m and y (6 at most) and 2 to 4 of
+# guide: on the bundled grid at most 23,091 and 19,474 entries (DU(10,80)
+# at ICC 0.05), 0.6 MB, and at most about 1 MB.  A table1 then table2 walk
+# uses 30 keys, so each design's table is built once.
 @functools.lru_cache(maxsize=64)
-def _own_sum_table(
-    mean_control: float, mean_intervention: float, hi: int
-) -> Optional[_KeyedTable]:
-    """The read-only :class:`_KeyedTable` of :func:`_poisson_sum_cdf` for
-    each arm's own mean, or for one when the two are equal, with
-    :func:`_sum_buckets` of the larger; None where either law is None."""
-    means = dict.fromkeys((mean_control, mean_intervention))
-    laws = [_poisson_sum_cdf(mean, hi) for mean in means]
-    if any(law is None for law in laws):
+def _joint_table(
+    sizes: ClusterSizeModel, rho_s: float, rho_u: float,
+    p_control: float, lam_control: float, p_intervention: float, lam_intervention: float,
+) -> Optional[_JointTable]:
+    """The :func:`_law_table` of an alternative design's two laws, None when
+    either is None.  The control arm's law is row 0 of its
+    :func:`_one_law_table`, and the new table becomes its slot's."""
+    control = _one_law_table(sizes, rho_s, rho_u, p_control, lam_control)
+    if control is None:
         return None
-    return _keyed_table(laws, _sum_buckets(max(mean_control, mean_intervention), hi))
+    intervention = _joint_law(sizes, p_intervention, rho_s, lam_intervention, rho_u)
+    if intervention is None:
+        return None
+    table = _law_table([_first_law(control), intervention])
+    _law_slot(sizes, rho_s, rho_u, p_control, lam_control)[:] = [table]
+    return table
+
+
+# A design whose arms share one law, such as a null design, draws both from
+# row 0 of its law's slot's table: the table of the last alternative design
+# built with that law for its control arm, or until there is one, the
+# law's own.  A null design and its alternatives then share one copy of the
+# control arm's law, and it is built once, whichever is drawn first.  A
+# table1 then table2 walk uses 6 slots and builds 36 laws.
+@functools.lru_cache(maxsize=64)
+def _law_slot(
+    sizes: ClusterSizeModel, rho_s: float, rho_u: float, p: float, lam: float
+) -> list[Optional[_JointTable]]:
+    """The slot of one arm's law: empty until a table of it is built, then
+    that table, or None when the law is None."""
+    return []
+
+
+def _first_law(table: _JointTable) -> _JointLaw:
+    """Row 0 of a table, as a :class:`_JointLaw` of views of its arrays."""
+    end = table.keyed.row_start[1] if table.keyed.arm_rows else table.keyed.keys.size
+    return _JointLaw(table.keyed.keys[:end], table.m[:end], table.y[:end])
+
+
+def _one_law_table(
+    sizes: ClusterSizeModel, rho_s: float, rho_u: float, p: float, lam: float
+) -> Optional[_JointTable]:
+    """The table of a design whose arms share one law, read from row 0;
+    None when the law is None."""
+    slot = _law_slot(sizes, rho_s, rho_u, p, lam)
+    if not slot:
+        law = _joint_law(sizes, p, rho_s, lam, rho_u)
+        slot.append(None if law is None else _law_table([law]))
+    return slot[0]
 
 
 def _draw_replicates(
@@ -545,23 +729,39 @@ def _draw_replicates(
     """``(R, N)`` arrays of arm, size and outcome sum of ``rows`` replicate
     trials, and an empty-arm mask, for the study engine.
 
-    In this order: each replicate's :func:`_intervention_counts`,
-    :func:`_draw_nonzero_counts`, :func:`_draw_own_sums`, then the shared
-    parts, so ``Y = own sum + K * U``.  Replicate ``r`` allocates clusters
+    First each replicate's :func:`_intervention_counts`.  A design whose
+    laws have tables (:func:`_joint_table`, or :func:`_one_law_table` when
+    its arms share one law) then draws each cluster's ``(m, Y)`` as one
+    uniform, in the order of the layout, that selects an entry of its arm's
+    law (:func:`_entries`).  Any other design draws
+    :func:`_draw_nonzero_counts`, then each cluster's own sum, Poisson(``K
+    lam (1 - rho_u)``), then its shared part ``U``, Poisson(``lam rho_u``),
+    so ``Y = own sum + K * U``.  Replicate ``r`` allocates clusters
     ``0 .. n_intervention[r] - 1`` to the intervention arm; the clusters
     are exchangeable, so which ones receive it changes no statistic.  The
     mask marks replicates whose allocation left an arm empty.
     """
     n_intervention = _intervention_counts(n_clusters, design.r_bar, rng, rows)
     arm = np.arange(n_clusters) < n_intervention[:, None]
-    m, nonzero = _draw_nonzero_counts(design, arm, rng)
-    # a null design keeps lam a scalar: numpy draws the same values from it as
-    # from an array of equal means, and skips the array
-    lam = design.control.lam
-    if design.intervention.lam != lam:
-        lam = np.where(arm, design.intervention.lam, lam)
-    y = _draw_own_sums(design, arm, nonzero, lam, rng)
-    y += nonzero * rng.poisson(lam * design.rho_u, arm.shape)
+    sizes, rho_s, rho_u = design.cluster_sizes, design.rho_s, design.rho_u
+    control = (design.control.p, design.control.lam)
+    intervention = (design.intervention.p, design.intervention.lam)
+    if control == intervention:
+        table, row = _one_law_table(sizes, rho_s, rho_u, *control), 0
+    else:
+        table, row = _joint_table(sizes, rho_s, rho_u, *control, *intervention), arm
+    if table is not None:
+        entry = _entries(table.keyed, row, rng.random(arm.shape))
+        m, y = table.m.take(entry), table.y.take(entry)
+    else:
+        m, nonzero = _draw_nonzero_counts(design, arm, rng)
+        # a null design keeps lam a scalar: numpy draws the same values from
+        # it as from an array of equal means, and skips the array
+        lam = control[1]
+        if intervention[1] != lam:
+            lam = np.where(arm, intervention[1], lam)
+        y = rng.poisson(nonzero * (lam * (1.0 - rho_u)))
+        y += nonzero * rng.poisson(lam * rho_u, arm.shape)
     empty_arm = (n_intervention == 0) | (n_intervention == n_clusters)
     return arm, m, y, empty_arm
 

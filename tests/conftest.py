@@ -8,7 +8,9 @@ import re
 import numpy as np
 import pytest
 
-from zipcrt import ClusterSizeModel, ConfigError, TrialDataset, build_design, generate_trial
+from zipcrt import (
+    ClusterSizeModel, ConfigError, TrialDataset, build_design, generate_trial, simulate,
+)
 from zipcrt.simulate import _draw_cluster_sizes
 
 DU_34_56 = ClusterSizeModel.discrete_uniform(34, 56)
@@ -31,6 +33,17 @@ def grid_design(cluster_sizes=DU_34_56, rho=0.03, q=0.5, beta2=-0.431, p1=0.5):
         mu1=1.0, beta2=beta2, p1=p1, q=q, rho_s=rho, rho_u=rho,
         r_bar=0.5, cluster_sizes=cluster_sizes, alpha=0.05, power=0.8,
     )
+
+
+def engine_table(design):
+    """The table a study of ``design`` draws its ``(m, Y)`` from, and
+    whether each arm reads its own row."""
+    sizes, rho_s, rho_u = design.cluster_sizes, design.rho_s, design.rho_u
+    control = (design.control.p, design.control.lam)
+    intervention = (design.intervention.p, design.intervention.lam)
+    if control == intervention:
+        return simulate._one_law_table(sizes, rho_s, rho_u, *control), False
+    return simulate._joint_table(sizes, rho_s, rho_u, *control, *intervention), True
 
 
 @pytest.fixture

@@ -331,7 +331,7 @@ def test_simulate_manifest_records_the_generator(tmp_path, capsys):
 REFERENCE_PINS = {
     "fit-z": "eb1ec79957d21fb04f2bf07a589ac9fcd0e204c82094da037f30cbebeca1ab79",
     "fit-t-n-4": "4c1d09c5c80aa64054b9b4c6b5ee50c37845c264f038135b7626076304e03c75",
-    "study-null-t-n-4": "eb849937e8f218de87c15f3f7f580d6a564f80fd46ba8dc2f9dfd3b1b1b578fe",
+    "study-null-t-n-4": "de5f2fb96d57834b46fcecf0e1a8850435e46028fcf020bb53dcd170d8b9dfac",
 }
 
 
@@ -360,7 +360,7 @@ def test_seeded_reference_paths_pinned(tmp_path, capsys):
 
 
 ENGINE_FIELDS = {
-    "name": "cluster-sum", "version": 6, "stream_tag": mc.STREAM_TAG, "chunk_replicates": 256,
+    "name": "cluster-sum", "version": 7, "stream_tag": mc.STREAM_TAG, "chunk_replicates": 256,
 }
 
 

@@ -2,7 +2,6 @@
 simulator and the design variance; which replicates fail, and why; the
 Poisson-model ICC."""
 
-import dataclasses
 import functools
 import hashlib
 import itertools
@@ -10,7 +9,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from zipcrt import (
     ClusterSizeModel,
@@ -45,6 +43,7 @@ from conftest import (
     assert_same_moments,
     cluster_rows,
     cluster_sum_moments,
+    engine_table,
     grid_design,
     subject_trial,
 )
@@ -310,6 +309,20 @@ class TestReplicateFailures:
         arm, m, y = engine_draws(grid_design(), n_clusters, 3, 0, 5)
         assert arm.shape == m.shape == y.shape == (5, n_clusters)
 
+    def test_two_clusters_with_an_empty_arm_fail_without_a_warning(self):
+        # r_bar 0.125 puts both of 2 clusters in the control arm, and at a
+        # mean of 0.05 a cluster's deletion often leaves the arm all-zero,
+        # so its sum of squared deviations is inf: times the Jackknife's
+        # factor (N - 2) / N = 0 that warns unless numpy is told not to,
+        # and a RuntimeWarning is an error here
+        design = build_design(
+            mu1=0.05, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.05, rho_u=0.05, r_bar=0.125,
+            cluster_sizes=ClusterSizeModel.discrete_uniform(1, 6),
+        )
+        draws = mc.simulate_study(design, 2, 40, 3, None)
+        assert draws.failure == [simulate._empty_arm_message(2, 0.125)] * 40
+        assert not any(reject.any() for reject in draws.reject.values())
+
     def test_far_tail_cluster_sizes_lose_no_replicate(self):
         # Poisson(45) lands in [90, 100] with probability about 1e-9; the
         # sizer accepts the law, so the ICC and a study must run on it too
@@ -402,8 +415,8 @@ def test_mc_standard_error_is_the_jackknifes_in_any_estimator_order(monkeypatch)
     monkeypatch.setattr(mc, "ESTIMATORS", tuple(reversed(ESTIMATORS)))
     report = mc.simulate_study(grid_design(DU_10_80, rho=0.05), 30, 600, 3, 28).report(30)
     rate = report.rejection_rate["jackknife"]
-    assert (report.replicate_failures, rate) == (0, 481 / 600)
-    assert report.rejection_rate["naive"] == 501 / 600
+    assert (report.replicate_failures, rate) == (0, 477 / 600)
+    assert report.rejection_rate["naive"] == 499 / 600
     assert report.mc_standard_error == math.sqrt(rate * (1.0 - rate) / 600)
 
 
@@ -413,7 +426,9 @@ def test_a_study_of_no_replicates_is_a_config_error(reps):
         mc.simulate_study(grid_design(), 20, reps, 0, 18)
 
 
-LAW_CACHES = (simulate._nonzero_table, simulate._own_sum_table)
+# the study engine's caches: alternative designs' tables, and the slot of
+# each control arm's law, which designs whose arms share it read
+LAW_CACHES = (simulate._joint_table, simulate._law_slot)
 
 
 @pytest.mark.parametrize("null", [False, True], ids=["alternative", "null"])
@@ -421,13 +436,14 @@ def test_a_cold_arm_law_cache_gives_the_warm_study(null):
     design = grid_design(DU_10_80, rho=0.05)
     if null:
         design = design.under_null()
+    drawn_from = simulate._law_slot if null else simulate._joint_table
     study = functools.partial(mc.simulate_study, design, 30, mc.CHUNK_REPLICATES + 8, 5, 28)
     for cache in LAW_CACHES:
         cache.cache_clear()
     cold = study()
-    hits = [cache.cache_info().hits for cache in LAW_CACHES]
+    hits = drawn_from.cache_info().hits
     warm = study()
-    assert all(cache.cache_info().hits > hit for cache, hit in zip(LAW_CACHES, hits))
+    assert drawn_from.cache_info().hits > hits
     for name, array in draw_arrays(warm).items():
         np.testing.assert_array_equal(array, draw_arrays(cold)[name])
     assert warm.failure == cold.failure
@@ -435,32 +451,34 @@ def test_a_cold_arm_law_cache_gives_the_warm_study(null):
 
 def test_each_design_table_is_built_once_per_process(monkeypatch):
     # two studies of three chunks each, then a dataset: the alternative's
-    # table builds its two arms' laws once, and the null's one law serves
-    # both its arms; so do the laws of the arms' own Poisson sums
-    built, sums_built = [], []
+    # table builds its two arms' laws of (m, Y) once, and the null reads
+    # its control law's row of that table; the dataset builds the two
+    # arms' laws of (m, K)
+    built, nonzero_built = [], []
 
-    def counted(cells, p, rho_s):
-        built.append((p, rho_s))
-        return fresh(cells, p, rho_s)
+    def counted(cells, p, rho_s, lam, rho_u):
+        built.append((p, lam, rho_s, rho_u))
+        return fresh(cells, p, rho_s, lam, rho_u)
 
-    def counted_sums(mean, hi):
-        sums_built.append((mean, hi))
-        return fresh_sums(mean, hi)
+    def counted_nonzero(cells, p, rho_s):
+        nonzero_built.append((p, rho_s))
+        return fresh_nonzero(cells, p, rho_s)
 
-    fresh, fresh_sums = simulate._nonzero_cdf, simulate._poisson_sum_cdf
-    monkeypatch.setattr(simulate, "_nonzero_cdf", counted)
-    monkeypatch.setattr(simulate, "_poisson_sum_cdf", counted_sums)
-    for cache in LAW_CACHES:
+    fresh, fresh_nonzero = simulate._joint_cdf, simulate._nonzero_cdf
+    monkeypatch.setattr(simulate, "_joint_cdf", counted)
+    monkeypatch.setattr(simulate, "_nonzero_cdf", counted_nonzero)
+    caches = (*LAW_CACHES, simulate._nonzero_table)
+    for cache in caches:
         cache.cache_clear()
     design = grid_design(DU_10_80, rho=0.05)
     for generating in (design, design.under_null()):
         mc.simulate_study(generating, 30, 2 * mc.CHUNK_REPLICATES + 8, 3, 28)
     generate_trial(design, 30, 1)
-    for cache in LAW_CACHES:
+    for cache in caches:
         cache.cache_clear()  # keep no entry the stand-ins built
-    arms = (design.control, design.intervention, design.control)
-    assert built == [(arm.p, 0.05) for arm in arms]
-    assert sums_built == [(arm.lam * 0.95, 80) for arm in arms]
+    arms = (design.control, design.intervention)
+    assert built == [(arm.p, arm.lam, 0.05, 0.05) for arm in arms]
+    assert nonzero_built == [(arm.p, 0.05) for arm in arms]
 
 
 def test_a_table_walk_keeps_the_arm_law_cache_within_its_bound():
@@ -470,63 +488,79 @@ def test_a_table_walk_keeps_the_arm_law_cache_within_its_bound():
         assert info.maxsize == 64 and 0 < info.currsize <= info.maxsize
 
 
-def test_a_table_walk_builds_each_arm_law_once():
-    # table1 then table2 use 36 keys in each cache, 30 alternative designs
-    # and 6 null ones; a bound of 32 would evict them cyclically, so that
-    # table2 rebuilt 30
+def test_a_table_walk_builds_each_arm_law_once(monkeypatch):
+    # table1 then table2 use 30 alternative designs and 6 null ones, whose
+    # 36 laws are 6 control arms' and 30 intervention arms'.  Each null
+    # design comes just before its alternatives, which take its control
+    # law from its slot; table2 finds every table table1 built
+    built = []
+
+    def counted(cells, p, rho_s, lam, rho_u):
+        built.append((cells.m.size, p, rho_s, lam, rho_u))
+        return fresh(cells, p, rho_s, lam, rho_u)
+
+    fresh = simulate._joint_cdf
+    monkeypatch.setattr(simulate, "_joint_cdf", counted)
     for cache in LAW_CACHES:
         cache.cache_clear()
     mc.reproduce_tables(["table1", "table2"], 40, seed=4)
-    assert [cache.cache_info().misses for cache in LAW_CACHES] == [36, 36]
+    assert [cache.cache_info().misses for cache in LAW_CACHES] == [30, 6]
+    assert len(built) == len(set(built)) == 36
+    for cache in LAW_CACHES:
+        cache.cache_clear()  # keep no table the stand-in built
 
 
-class TestOwnSums:
-    """simulate._draw_own_sums against the exact law of each K, Poisson(K *
-    lam_a * (1 - rho_u)), for arms on either side of the own-sum table's cap."""
+class TestJointLaw:
+    """Each arm's (m, Y) of the study engine against the cluster sums of
+    datasets (simulate._trial_cluster_sums), which draw (m, K), the own
+    Poisson parts and the shared parts separately."""
 
-    N = 4_000  # clusters per arm and K
+    CLUSTERS = 40_000  # per arm, in each sample
 
-    @pytest.mark.parametrize("mu1, tabulated", [
-        (1.0, (True, True)), (7.3, (True, True)), (7.4, (False, True)), (30.0, (False, False)),
-    ])
-    def test_each_k_follows_its_poisson_law(self, mu1, tabulated):
-        # at DU(34,56) the control arm's rows have 32,700 entries at mu1 =
-        # 7.3, just within MAX_SIZE_CELLS, and 33,068 at 7.4, past it, where
-        # the design has no table and both arms draw with rng.poisson.  Every
-        # value expected 25 times or more is its own bin, the rest one pooled
-        # bin, and each bin's count lies within SE_MULTIPLE binomial SEs
-        design = dataclasses.replace(grid_design(DU_34_56, rho=0.05), beta1=math.log(mu1))
-        hi = design.cluster_sizes.hi
-        means = [arm.lam * (1.0 - design.rho_u) for arm in (design.control, design.intervention)]
-        laws = [simulate._poisson_sum_cdf(mean, hi) for mean in means]
-        assert tuple(law is not None for law in laws) == tabulated
-        assert (simulate._own_sum_table(*means, hi) is None) == (not all(tabulated))
-        nonzero = np.repeat(np.arange(hi + 1), 2 * self.N).reshape(-1, 40)
-        arm = (np.arange(nonzero.size) % 2).reshape(nonzero.shape)
-        lam = np.where(arm, design.intervention.lam, design.control.lam)
-        own = simulate._draw_own_sums(design, arm, nonzero, lam, np.random.default_rng(41))
-        assert own.shape == arm.shape and own.dtype == np.int64
-        for a, mean in enumerate(means):
-            for k in range(hi + 1):
-                drawn = own[(arm == a) & (nonzero == k)]
-                values = np.arange(int(k * mean + 12.0 * math.sqrt(k * mean)) + 30)
-                prob = stats.poisson.pmf(values, k * mean)
-                counts = np.bincount(drawn, minlength=values.size)[: values.size]
-                own_bin = self.N * prob >= 25
-                got = np.append(counts[own_bin], self.N - counts[own_bin].sum())
-                expected = np.append(prob[own_bin], 1.0 - prob[own_bin].sum())
-                se = np.sqrt(self.N * expected * (1.0 - expected))
-                assert (np.abs(got - self.N * expected) <= SE_MULTIPLE * se).all(), (a, k)
+    @pytest.mark.parametrize("design", [
+        grid_design(ClusterSizeModel.discrete_uniform(1, 6), rho=0.2),
+        build_design(mu1=3.0, beta2=-0.431, p1=0.0, q=0.0, rho_s=0.0, rho_u=0.3,
+                     cluster_sizes=ClusterSizeModel.fixed(3)),
+        build_design(mu1=2.0, beta2=0.3, p1=0.3, q=0.6, rho_s=0.1, rho_u=0.05,
+                     cluster_sizes=ClusterSizeModel.discrete_uniform(4, 12)),
+    ], ids=["du1-6", "fixed3-no-zeros", "du4-12"])
+    def test_each_arm_matches_the_datasets(self, design):
+        # every (m, y) cell expected 25 times or more in a sample is its own
+        # bin, the rest one pooled bin, and the two samples' shares of each
+        # bin differ by at most SE_MULTIPLE binomial SEs of the difference
+        table, two_laws = engine_table(design)
+        assert table is not None and two_laws
+        n = 100
+        arm, m, y, _ = simulate._draw_replicates(
+            design, n, np.random.default_rng(17), 2 * self.CLUSTERS // n
+        )
+        data_arm, data_m, data_y, _ = simulate._trial_cluster_sums(design, 2 * self.CLUSTERS, 18)
+        width = int(max(y.max(), data_y.max())) + 1
+        for a in (0, 1):
+            counts = [
+                np.bincount(sizes[arms == a].astype(np.int64) * width + sums[arms == a],
+                            minlength=(design.cluster_sizes.hi + 1) * width)
+                for arms, sizes, sums in ((arm, m, y), (data_arm, data_m, data_y))
+            ]
+            assert counts[0].sum() == counts[1].sum() == self.CLUSTERS
+            share = (counts[0] + counts[1]) / (2.0 * self.CLUSTERS)
+            own_bin = self.CLUSTERS * share >= 25
+            got = [np.append(c[own_bin], self.CLUSTERS - c[own_bin].sum()) for c in counts]
+            pooled = np.append(share[own_bin], 1.0 - share[own_bin].sum())
+            se = np.sqrt(pooled * (1.0 - pooled) * 2.0 / self.CLUSTERS)
+            gap = np.abs(got[0] - got[1]) / self.CLUSTERS
+            assert own_bin.sum() >= 10
+            assert (gap <= SE_MULTIPLE * se).all(), a
 
 
 def test_seeded_study_rates_pinned_across_versions():
     # the study streams are pinned apart from the engine version, which also
     # moves when only the ICC's draws change: this hash holds from engine
-    # version 6 on and changes only when a study's draws do
+    # version 7 on and changes only when a study's draws do
     reports = mc.reproduce_tables(["table1", "table2"], 40, seed=4)
     text = "".join(report.to_text() for report in reports)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "7c2fed5230a0a59ea9a7550d2f1c8c9023c3870ea0ec1870f5a61b9d60fab4b8"
+        "31d001765b119e969a2a64630147726cba2c4323adfc7c798bea5e484097e3c7"
     )
 
 
@@ -559,7 +593,7 @@ def test_a_table_row_is_its_design_studied_at_its_own_size(table, index, label, 
 
 def test_seeded_study_draws_pinned_at_an_odd_n():
     # N = 31 draws the tie coin of every replicate before its clusters, and
-    # 300 replicates are two chunks; the hash holds from engine version 6 on
+    # 300 replicates are two chunks; the hash holds from engine version 7 on
     # and changes only when a study's draws do
     draws = mc.simulate_study(grid_design(DU_10_80, rho=0.05), 31, 300, 2024, 29)
     text = "".join(
@@ -568,7 +602,7 @@ def test_seeded_study_draws_pinned_at_an_odd_n():
         for i, b in enumerate(draws.beta2_hat.tolist())
     )
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
-        "f1e9289f697caa463b25ad2615312c5440ad7aab6aa078732f77028922955eb9"
+        "a425e9f0e5f910365fc2ee4d4495d6fe62b4b3ad92f17a640d5b65b7f6ec2859"
     )
 
 

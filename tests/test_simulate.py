@@ -8,6 +8,7 @@ import io
 import math
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from conftest import (
     assert_same_moments,
     cluster_sum_moments,
     dataset,
+    engine_table,
     grid_design,
     pooled_pair_correlation,
     reference_read_dataset,
@@ -314,33 +316,64 @@ class TestNonzeroCounts:
             assert sizes._cells.m.size == cells
 
 
+def fresh_joint_law(design, profile):
+    """An arm's law of ``(m, Y)``, built afresh."""
+    return simulate._joint_law(
+        design.cluster_sizes, profile.p, design.rho_s, profile.lam, design.rho_u
+    )
+
+
+def clear_joint_caches():
+    for cache in (simulate._joint_table, simulate._law_slot):
+        cache.cache_clear()
+
+
+def grid_cells(grid):
+    """Each cell's ``m`` and ``y`` of a law on its full grid."""
+    cell = np.arange(grid.cdf.size)
+    row = np.searchsorted(grid.row_start, cell, side="right") - 1
+    return row + grid.lo, cell - grid.row_start[row]
+
+
+def replicate_arrays(design, seed=3):
+    """The arm, size and outcome-sum arrays of 40 replicates of 31 clusters."""
+    return simulate._draw_replicates(design, 31, np.random.default_rng(seed), 40)[:3]
+
+
 class TestArmCdf:
     """The memo of each design's laws, as one keyed table: the control
     arm's rows, then the intervention arm's, or one law's rows for both."""
 
     def test_the_cached_law_is_a_fresh_one_and_read_only(self):
+        # the (m, K) table of each design, and the (m, Y) table of the
+        # alternative, which the null design reads too
         design = grid_design(DU_10_80, rho=0.05, p1=0.3)
-        cells, hi = design.cluster_sizes._cells, design.cluster_sizes.hi
+        cells = design.cluster_sizes._cells
+        clear_joint_caches()
+        fresh_joint = simulate._law_table(
+            [fresh_joint_law(design, arm) for arm in (design.control, design.intervention)]
+        )
         for generating, arms in ((design, 2), (design.under_null(), 1)):
             ps = (generating.control.p, generating.intervention.p)
-            means = tuple(arm.lam * 0.95 for arm in (generating.control, generating.intervention))
-            nonzero = [(simulate._nonzero_cdf(cells, p, 0.05), np.array([cells.m.size])) for p in ps]
-            sums = [simulate._poisson_sum_cdf(mean, hi) for mean in means]
-            for table, laws in (
-                (simulate._nonzero_table(DU_10_80, *ps, 0.05), nonzero),
-                (simulate._own_sum_table(*means, hi), sums),
-            ):
-                fresh = simulate._keyed_table(laws[:arms], table.guide.size // table.row_start.size)
-                assert table.row_start.size == arms * laws[0][1].size
-                assert table.shift == fresh.shift and table.arm_rows == fresh.arm_rows
-                assert table.arm_rows == (laws[0][1].size if arms == 2 else 0)
+            nonzero = [simulate._nonzero_cdf(cells, p, 0.05) for p in ps]
+            keyed = simulate._nonzero_table(DU_10_80, *ps, 0.05)
+            fresh = simulate._keyed_table(nonzero[:arms], keyed.guide.size // keyed.row_start.size)
+            joint = engine_table(generating)[0]
+            for table, fresh_table, rows in ((keyed, fresh, arms), (joint.keyed, fresh_joint.keyed, 2)):
+                assert table.row_start.size == rows
+                assert table.shift == fresh_table.shift
+                assert table.arm_rows == fresh_table.arm_rows == (rows == 2)
                 for name in ("keys", "guide", "row_start"):
-                    part, fresh_part = getattr(table, name), getattr(fresh, name)
+                    part, fresh_part = getattr(table, name), getattr(fresh_table, name)
                     assert part.dtype == fresh_part.dtype
                     assert part.tobytes() == fresh_part.tobytes()
                     assert not part.flags.writeable
                     with pytest.raises(ValueError):
                         part[0] = 0
+            for name in ("m", "y"):
+                part, fresh_part = getattr(joint, name), getattr(fresh_joint, name)
+                assert part.dtype == fresh_part.dtype and part.tobytes() == fresh_part.tobytes()
+                assert not part.flags.writeable
 
     def test_equal_laws_share_one_entry(self):
         simulate._nonzero_table.cache_clear()
@@ -355,36 +388,122 @@ class TestArmCdf:
         info = simulate._nonzero_table.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
 
+    def test_a_null_design_shares_its_alternatives_control_law(self, monkeypatch):
+        # drawn first, the null design builds a table of its one law; its
+        # alternative then builds the two laws' table from row 0 of that
+        # one, building only the intervention arm's law, and the null
+        # design draws alike from row 0 of the new table
+        built = []
+
+        def counted(cells, p, rho_s, lam, rho_u):
+            built.append((p, lam))
+            return fresh(cells, p, rho_s, lam, rho_u)
+
+        fresh = simulate._joint_cdf
+        monkeypatch.setattr(simulate, "_joint_cdf", counted)
+        design = grid_design(DU_10_80, rho=0.05)
+        null = design.under_null()
+        clear_joint_caches()
+        own, shared = engine_table(null)
+        assert not shared and own.keyed.row_start.size == 1
+        before = replicate_arrays(null)
+        alternative, shared = engine_table(design)
+        assert shared and alternative.keyed.row_start.size == 2
+        assert engine_table(null)[0] is alternative
+        for part, own_part in zip(simulate._first_law(alternative), simulate._first_law(own)):
+            np.testing.assert_array_equal(part, own_part)
+        assert built == [(arm.p, arm.lam) for arm in (design.control, design.intervention)]
+        for array, earlier in zip(replicate_arrays(null), before):
+            np.testing.assert_array_equal(array, earlier)
+        clear_joint_caches()  # keep no table the stand-in built
+        # a p of -0.0 shares 0.0's slot
+        slot = simulate._law_slot(DU_10_80, 0.05, 0.05, 0.0, 1.0)
+        assert simulate._law_slot(DU_10_80, 0.05, 0.05, -0.0, 1.0) is slot
+
+
+# An arm's law of (m, Y) by its size law, rho_s, rho_u, p and lam: the
+# bundled grid's DU(10,80) at ICC 0.05, a wide one-size law, a law of
+# 240 sizes whose tiny mean keeps its grid within the bound, a law without
+# structural zeros and one of shared parts alone (rho_u = 1)
+JOINT_LAWS = {
+    "sums": (DU_10_80, 0.05, 0.05, [(0.5, 2.0)]),
+    "sums-stacked": (DU_10_80, 0.05, 0.05, [(0.5, 2.0), (0.6, 1.625)]),
+    "sums-wide": (ClusterSizeModel.fixed(2), 0.05, 0.05, [(0.3, 400.0)]),
+    "sums-most-rows": (ClusterSizeModel.discrete_uniform(1, 240), 0.05, 0.05, [(0.5, 2e-6)]),
+    "sums-no-zeros": (DU_34_56, 0.05, 0.05, [(0.0, 1.0)]),
+    "sums-shared-only": (ClusterSizeModel.discrete_uniform(1, 6), 0.2, 1.0, [(0.4, 2.5), (0.0, 0.7)]),
+}
+
 
 def keyed_rows(name):
     """A tabulated design's rows of cumulative probabilities, the control
     arm's first, and its table; a design whose arms share a law has its
-    rows once."""
-    if name in ("arm", "arm-no-zeros", "arms-stacked"):
-        sizes, ps = {"arm": (DU_10_80, (0.3, 0.3)), "arm-no-zeros": (DU_34_56, (0.0, 0.0)),
-                     "arms-stacked": (DU_10_80, (0.3, 0.6))}[name]
-        rows = [simulate._nonzero_cdf(sizes._cells, p, 0.05) for p in ps]
-        return rows[: 1 + (ps[0] != ps[1])], simulate._nonzero_table(sizes, *ps, 0.05)
-    means, hi = {"sums": ((1.94, 1.94), 80), "sums-wide": ((40.0, 40.0), 8),
-                 "sums-stacked": ((1.94, 1.2), 56), "sums-most-rows": ((1e-6, 2e-6), 510)}[name]
-    rows = []
-    for mean in means[: 1 + (means[0] != means[1])]:
-        cdf, widths = simulate._poisson_sum_cdf(mean, hi)
-        rows += np.split(cdf, np.cumsum(widths)[:-1])
-    return rows, simulate._own_sum_table(*means, hi)
+    rows once.  A joint law's rows are its full grids, and a third item
+    gives each grid cell's ``m`` and ``y``."""
+    if name in JOINT_LAWS:
+        sizes, rho_s, rho_u, laws = JOINT_LAWS[name]
+        grids = [simulate._joint_cdf(sizes._cells, p, rho_s, lam, rho_u) for p, lam in laws]
+        table = simulate._law_table(
+            [simulate._joint_law(sizes, p, rho_s, lam, rho_u) for p, lam in laws]
+        )
+        return [grid.cdf for grid in grids], table, [grid_cells(grid) for grid in grids]
+    sizes, ps = {"arm": (DU_10_80, (0.3, 0.3)), "arm-no-zeros": (DU_34_56, (0.0, 0.0)),
+                 "arms-stacked": (DU_10_80, (0.3, 0.6))}[name]
+    rows = [simulate._nonzero_cdf(sizes._cells, p, 0.05) for p in ps]
+    return rows[: 1 + (ps[0] != ps[1])], simulate._nonzero_table(sizes, *ps, 0.05), None
+
+
+class TestJointCdf:
+    """An arm's law of (m, Y), as the table implies it, against a sum over
+    K and the shared part U of scipy's size pmf, binomials and Poisson
+    pmfs, on laws small enough to sum by brute force."""
+
+    Y_VALUES = 400  # past every y these laws reach with mass above 1e-30
+
+    @pytest.mark.parametrize("sizes, p, rho_s, lam, rho_u", [
+        (ClusterSizeModel.discrete_uniform(1, 6), 0.4, 0.2, 2.5, 0.3),
+        (ClusterSizeModel.discrete_uniform(1, 6), 0.0, 0.2, 2.5, 0.3),
+        (ClusterSizeModel.discrete_uniform(1, 6), 0.4, 0.2, 2.5, 0.0),
+        (ClusterSizeModel.discrete_uniform(1, 6), 0.4, 0.2, 2.5, 1.0),
+        (ClusterSizeModel.fixed(3), 0.3, 0.5, 4.0, 0.6),
+        (ClusterSizeModel.fixed(3), 0.0, 0.0, 0.7, 1.0),
+        (ClusterSizeModel.truncated_poisson(3.0, 2, 7), 0.5, 0.05, 1.2, 0.05),
+    ], ids=["du1-6", "du1-6-no-zeros", "du1-6-own-only", "du1-6-shared-only", "fixed3",
+            "fixed3-no-zeros-shared-only", "trunpois"])
+    def test_the_law_is_the_sum_over_k_and_u(self, sizes, p, rho_s, lam, rho_u):
+        # nonzero_count_law reads only the design's sizes and rho_s
+        design = dataclasses.replace(grid_design(sizes), rho_s=rho_s)
+        own, shared = lam * (1.0 - rho_u), lam * rho_u
+        y = np.arange(self.Y_VALUES)
+        exact = np.zeros((sizes.hi + 1, self.Y_VALUES))
+        for m, k, prob in zip(*nonzero_count_law(design, p)):
+            if k == 0:
+                given_k = (y == 0).astype(float)
+            else:
+                given_k = np.zeros(self.Y_VALUES)
+                for u in range(60):
+                    weight = stats.poisson.pmf(u, shared) if shared > 0 else float(u == 0)
+                    sums = stats.poisson.pmf(y - k * u, k * own) if own > 0 else (y == k * u)
+                    given_k += weight * sums
+            exact[m] += prob * given_k
+        law = simulate._joint_law(sizes, p, rho_s, lam, rho_u)
+        implied = np.zeros_like(exact)
+        implied[law.m, law.y] = np.diff(np.ldexp(law.keys, -53), prepend=0.0)
+        assert np.abs(implied - exact).max() <= 1e-12
 
 
 class TestKeyedTable:
     """simulate._invert is np.searchsorted(row, u, side="right") on each row
-    of the tabulated law, for the tables the draws use."""
+    of the tabulated law, for the tables the draws use; a joint law's
+    entry holds the (m, y) of that cell of its full grid."""
 
     @pytest.mark.parametrize("name", [
-        "arm", "arm-no-zeros", "arms-stacked", "sums", "sums-wide", "sums-stacked",
-        "sums-most-rows",
+        "arm", "arm-no-zeros", "arms-stacked", *JOINT_LAWS,
     ])
     def test_inversion_is_searchsorted_on_each_row(self, name):
-        rows, table = keyed_rows(name)
-        assert table.row_start.size == len(rows)
+        rows, table, cells = keyed_rows(name)
+        keyed = getattr(table, "keyed", table)
+        assert keyed.row_start.size == len(rows)
         # the uniforms numpy draws are multiples of 2**-53: 10**6 of them in
         # random rows, then every entry's grid points ceil(F * 2**53) and
         # floor(F * 2**53) and their neighbours in its own row, and the ends
@@ -405,43 +524,92 @@ class TestKeyedTable:
         for r, cdf in enumerate(rows):
             where = order[bounds[r]:bounds[r + 1]]
             expected[where] = np.searchsorted(cdf, u[where], side="right")
-        np.testing.assert_array_equal(simulate._invert(table, row, u), expected)
-        if len(rows) == 1:
-            np.testing.assert_array_equal(simulate._invert(table, 0, u), expected)
+        if cells is None:
+            np.testing.assert_array_equal(simulate._invert(table, row, u), expected)
+            if len(rows) == 1:
+                np.testing.assert_array_equal(simulate._invert(table, 0, u), expected)
+            return
+        # a table of one law also takes one row for all uniforms
+        for rows_given in ([row] if len(rows) > 1 else [row, 0]):
+            entry = simulate._entries(keyed, rows_given, u)
+            for r, (m, y) in enumerate(cells):
+                where = row == r
+                np.testing.assert_array_equal(table.m[entry[where]], m[expected[where]])
+                np.testing.assert_array_equal(table.y[entry[where]], y[expected[where]])
 
-    @pytest.mark.parametrize("mean, hi", [(2.0**62 / 600, 500), (1.9, 510), (1e-6, 511)],
-                             ids=["count-past-int64", "entries-past-the-cap", "rows-past-the-keys"])
-    def test_an_own_sum_table_past_its_bounds_is_not_built(self, mean, hi):
-        # a design reaches each; at DU(1,500) and mu1 = 4e15 the entries
-        # alone number past 2**63, which an int64 count would wrap
-        assert simulate._own_sum_table(mean, mean, hi) is None
+    @pytest.mark.parametrize("sizes, mu1", [
+        (DU_10_80, 5.0), (ClusterSizeModel.discrete_uniform(1, 254), 1.0),
+        (ClusterSizeModel.fixed(1), 2.0**59), (ClusterSizeModel.fixed(1), 1e4),
+    ], ids=["grid-past-the-bound", "du1-254", "shared-mean-past-the-grid", "passes-past-the-bound"])
+    def test_a_joint_law_past_its_bounds_is_not_built(self, sizes, mu1):
+        # DU(10,80) at mu1 5 and DU(1,254) have grids past 2**17 cells, a
+        # shared part of mean 5.8e16 would alone pass it, and a one-size law
+        # at mu1 1e4 would spread its shared part in 560 passes over two rows
+        # of 20,279 values, 22.7 million multiply-adds: each is refused
+        # before its grid is allocated
+        design = dataclasses.replace(grid_design(sizes, rho=0.05), beta1=math.log(mu1))
+        tracemalloc.start()
+        try:
+            assert fresh_joint_law(design, design.control) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # the shared part's row at most; a grid would be 1 MB
+        clear_joint_caches()
+        assert engine_table(design)[0] is None
 
-    @pytest.mark.parametrize("mean, hi", [
-        (1.94, 80), (13.87, 56), (40.0, 8), (114.0, 20), (3e4, 1), (1e-6, 510), (0.2183, 300),
-    ])
-    def test_each_own_sum_row_answers_most_draws_from_its_guide(self, mean, hi):
-        # a uniform of row k goes to the searchsorted when its bucket holds
-        # two or more entries, so a row's share of such buckets is the share
-        # of its draws that do: from the bundled grid's own means (1.94 at
-        # DU(10,80)) to means that crowd a row's entries near its mean (40
-        # at hi 8, 114 at hi 20, 3e4 at hi 1), and the tables of most rows
-        table = simulate._own_sum_table(mean, mean, hi)
-        crowded = (table.guide.reshape(hi + 1, -1) < 0).mean(axis=1)
+    def test_a_joint_law_of_more_entries_than_the_cap_is_not_built(self, monkeypatch):
+        # DU(10,80) at mu1 2.2 fits its grid but keeps more than 2**15 cells;
+        # the bundled grid's widest law keeps 23,091, and is refused exactly
+        # when the cap is one less
+        wide = dataclasses.replace(grid_design(DU_10_80, rho=0.05), beta1=math.log(2.2))
+        grid = simulate._joint_cdf(DU_10_80._cells, wide.control.p, 0.05, wide.control.lam, 0.05)
+        assert grid is not None
+        assert fresh_joint_law(wide, wide.control) is None
+        design = grid_design(DU_10_80, rho=0.05)
+        assert fresh_joint_law(design, design.control).keys.size == 23_091
+        monkeypatch.setattr(simulate, "MAX_SIZE_CELLS", 23_090)
+        assert fresh_joint_law(design, design.control) is None
+
+    @pytest.mark.parametrize("sizes", [TRUNPOIS, DU_34_56, DU_10_80], ids=["trunpois", "du34-56", "du10-80"])
+    @pytest.mark.parametrize("rho", [0.03, 0.05])
+    @pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+    def test_each_joint_table_answers_most_draws_from_its_guide(self, sizes, rho, q):
+        # a uniform goes to the searchsorted when its bucket holds two or
+        # more entries, so a row's share of such buckets is the share of
+        # its draws that do
+        table = engine_table(grid_design(sizes, rho=rho, q=q))[0].keyed
+        crowded = (table.guide.reshape(table.row_start.size, -1) < 0).mean(axis=1)
         assert crowded.max() <= 0.05
 
     @pytest.mark.parametrize("name", ["arm", "arms-stacked", "sums", "sums-stacked"])
     def test_each_arm_draws_from_its_own_law(self, name):
         # _draw_rows offsets arm 1 by arm_rows in a design of two laws, and
-        # a design of one law draws both arms from its one set of rows
-        rows, table = keyed_rows(name)
+        # a design of one law draws both arms from its one set of rows; a
+        # study's (m, Y) of each arm is the cell of its arm's full grid that
+        # the cluster's uniform selects
+        if name.startswith("sums"):
+            design = grid_design(DU_10_80, rho=0.05)
+            if name == "sums":
+                design = design.under_null()
+            # 40 clusters at r_bar 0.5 draw no tie coin before the uniforms
+            arm, m, y, _ = simulate._draw_replicates(design, 40, np.random.default_rng(5), 64)
+            u = np.random.default_rng(5).random(arm.shape)
+            for a, profile in enumerate((design.control, design.intervention)):
+                grid = simulate._joint_cdf(DU_10_80._cells, profile.p, 0.05, profile.lam, 0.05)
+                cell = np.searchsorted(grid.cdf, u[arm == a], side="right")
+                grid_m, grid_y = grid_cells(grid)
+                np.testing.assert_array_equal(m[arm == a], grid_m[cell])
+                np.testing.assert_array_equal(y[arm == a], grid_y[cell])
+            return
+        rows, table, _ = keyed_rows(name)
         two_laws = name.endswith("stacked")
         assert table.arm_rows == (len(rows) // 2 if two_laws else 0)
         rng = np.random.default_rng(6)
         arm = rng.integers(0, 2, (64, 40))
-        row = rng.integers(0, len(rows) // (1 + two_laws), arm.shape) if "sums" in name else 0
-        drawn = simulate._draw_rows(table, arm, row, np.random.default_rng(5))
+        drawn = simulate._draw_rows(table, arm, 0, np.random.default_rng(5))
         u = np.random.default_rng(5).random(arm.shape)
-        law = np.broadcast_to(row + arm * table.arm_rows, arm.shape)
+        law = np.broadcast_to(arm * table.arm_rows, arm.shape)
         expected = [np.searchsorted(rows[r], x, side="right") for r, x in zip(law.flat, u.flat)]
         np.testing.assert_array_equal(drawn.ravel(), expected)
 
