@@ -25,23 +25,25 @@ from .errors import ConfigError, DomainError
 
 # A size law tabulates its cells (m, k), 0 <= k <= m, only up to this many:
 # DU(10,80) has 3,266, and DU(1,254) is the widest DU(1, hi) within it.  An
-# arm's joint law of (m, Y) (simulate._joint_law) keeps at most as many
-# cells too.  The cap bounds a table's memory and its build, paid once per
-# design in a process; built, a table draws each cluster in O(1) expected
-# time.  Timed on one core (Xeon, numpy 2.4) for alternative designs, whose
-# table holds both arms' rows.  An (m, K) table holds 10 to 12 bytes a
-# cell for each arm and builds in 2 to 8 ms near the cap; a (256, 14)
-# chunk's (m, K) takes 0.12 ms on DU(1,254) against 0.67 ms for the
-# per-cluster draws on DU(1,255), and 6 clusters' 0.016 against 0.029 ms,
-# so the table wins at any size.  A joint table holds 13 to 18 bytes an
-# entry (an 8-byte key, m and y in 3 to 6, 2 to 4 of guide).  At the
-# bundled grid's largest design, DU(10,80) at ICC 0.05, whose laws keep
-# 23,091 and 19,474 entries (0.6 MB), a cold 6-cluster study draw builds
-# it in 6.4 ms, and in 8.4 ms at mu1 = 2.1, whose control law keeps 32,248
-# entries, just within the cap.  Warm, an (80, 31) chunk's (m, Y) takes 25
-# to 40 ns a cluster there, against 110 to 200 for the per-cluster draws
-# of (m, K), the own sum and the shared part, and 6 clusters' 29 against
-# 55 us, so this table wins at any size too.
+# arm's tabulated law, of (m, K) or of (m, Y) (simulate._Law), keeps at
+# most as many cells too.  The cap bounds a table's memory and its build,
+# paid once per design in a process; built, a table draws each cluster in
+# O(1) expected time.  Timed on one core (x86_64, numpy 2.4) for
+# alternative designs, whose table holds both arms' laws.  A table holds,
+# per entry, an 8-byte key, 2 to 4 bytes of guide, and the entry's m and
+# v: 16 bytes in a law of (m, K), whose m and K are int64, so 26 to 28
+# bytes an entry, and 2 to 6 in one of (m, Y), so 12 to 18.  An (m, K)
+# table builds in 5 to 7 ms near the cap; a (256, 14) chunk's (m, K) takes
+# 0.15 ms on DU(1,254) against 0.80 ms for the per-cluster draws on
+# DU(1,255), and 6 clusters' 0.022 against 0.039 ms, so the table wins at
+# any size.  At the bundled grid's largest design, DU(10,80) at ICC 0.05,
+# whose laws of (m, Y) keep 23,091 and 19,474 entries (0.6 MB), a cold
+# 6-cluster study draw builds its table in 8 to 9 ms, and in 11 to 13 ms
+# at mu1 = 2.1, whose control law keeps 32,248 entries, just within the
+# cap.  Warm, an (80, 31) chunk's (m, Y) takes 28 ns a cluster there,
+# against 121 for the per-cluster draws of (m, K), the own sum and the
+# shared part, and 6 clusters' 29 against 44 us, so this table wins at
+# any size too.
 MAX_SIZE_CELLS = 2**15
 # The largest cluster mean hi * lam a design may have.  A simulated cluster
 # sum is one Poisson draw of a mean up to hi * lam (numpy takes means up to

@@ -14,19 +14,23 @@ separately for the two parts:
     cluster's shared ``U ~ Poisson(lam * rho_u)``, giving marginal
     Poisson(lam) and pairwise correlation ``rho_u``.
 
-:func:`_draw_nonzero_counts` draws ``m`` and ``K`` for any arm layout.
-It draws one uniform per cluster, in the order of the layout, and inverts
-it through its arm's joint law of ``(m, K)`` (:func:`_nonzero_cdf`, over
-the cells ``ClusterSizeModel`` tabulates) in O(1) expected time, by the
-keyed, guided search of :class:`_KeyedTable`.  The cumulative law costs
-two ``exp`` passes over the cells, paid once per design in a process:
-:func:`_nonzero_table` keeps one table of the control arm's law, then the
-intervention arm's, or of one law when the arms share it.  A law with
-more than ``design.MAX_SIZE_CELLS`` (2**15) cells is not tabulated, which
-bounds a table's memory and build time; it draws each size (a
-discrete-uniform size one integer, a truncated-Poisson size one uniform
-at which it inverts the law's cumulative mass function), then ``c``, then
-``K``.  Either way any law :class:`ClusterSizeModel` accepts can be drawn.
+A dataset or a study draws each cluster as one uniform, in the order of
+the layout, inverted through its arm's tabulated law (:class:`_Law`) in
+O(1) expected time, by the keyed, guided search of :class:`_LawTable`
+(:func:`_draw_law`).  A law keeps only the cells a uniform can select.  A
+dataset's law is of ``(m, K)`` (:func:`_nonzero_law`, over the cells
+``ClusterSizeModel`` tabulates), and a study's of ``(m, Y)``.  A law is
+built once per process: a design whose arms differ keeps one table of
+its control arm's law, then its intervention arm's, and a design whose
+arms share a law, such as a null design, reads row 0 of the last such
+table with that law for its control arm, or of the law's own table.
+:func:`_draw_nonzero_counts` draws ``m`` and ``K`` for any arm layout.  A
+size law with more than ``design.MAX_SIZE_CELLS`` (2**15) cells is not
+tabulated, which bounds a table's memory and build time; it draws each
+size (a discrete-uniform size one integer, a truncated-Poisson size one
+uniform at which it inverts the law's cumulative mass function), then
+``c``, then ``K``.  Either way any law :class:`ClusterSizeModel` accepts
+can be drawn.
 
 A dataset draws every value, arms and sizes included, as whole arrays
 from one stream, ``(seed, TRIAL_STREAM_TAG)``, and lays each cluster's
@@ -45,19 +49,14 @@ sum over that arm's parts.
 Every Wald decision depends on a trial only through each cluster's arm,
 ``m_i`` and outcome sum ``Y_i``, so the study engine of :mod:`zipcrt.mc`
 draws a replicate trial as those alone (:func:`_draw_replicates`), ``R``
-replicates at once as ``(R, N)`` arrays.  Each cluster's ``(m, Y)`` is one
-uniform, in the order of the layout, inverted through its arm's joint law
-of ``(m, Y)`` (:func:`_joint_cdf`): ``P(m, y) = sum_k P(m, k) g_k(y)``, with
-``g_k`` the law of ``k`` own Poisson parts plus ``k`` copies of the shared
-part, summed once per law on a grid and kept on the cells a uniform can
-select (:func:`_joint_law`).  An alternative design's two laws are one
-:class:`_KeyedTable` (:func:`_joint_table`); a design whose arms share a
-law reads row 0 of the table that holds it (:func:`_one_law_table`), so a
-null design shares its alternative's copy of the control arm's law.  A law
-whose grid or whose kept cells pass their bounds is not tabulated, and its
-design draws ``(m, K)`` as a dataset does, then each cluster's own sum and
-shared part with ``rng.poisson``.  A dataset and a replicate take their
-balanced intervention counts from one rule, :func:`_intervention_counts`.
+replicates at once as ``(R, N)`` arrays.  An arm's law of ``(m, Y)``
+(:func:`_joint_cdf`) is ``P(m, y) = sum_k P(m, k) g_k(y)``, with ``g_k``
+the law of ``k`` own Poisson parts plus ``k`` copies of the shared part,
+summed once per law on a grid (:func:`_joint_law`).  A law whose grid or
+whose kept cells pass their bounds is not tabulated, and its design draws
+``(m, K)`` as a dataset does, then each cluster's own sum and shared part
+with ``rng.poisson``.  A dataset and a replicate take their balanced
+intervention counts from one rule, :func:`_intervention_counts`.
 This module alone knows the draws and the tables' layout.
 
 A dataset's text form is a CSV of one ``cluster_id,arm,y`` row per subject.
@@ -82,7 +81,7 @@ import re
 import stat
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, NoReturn, Optional
+from typing import Callable, NamedTuple, NoReturn, Optional
 
 import numpy as np
 
@@ -228,21 +227,65 @@ def _nonzero_cdf(cells: SizeCells, p: float, rho_s: float) -> np.ndarray:
 
 # numpy's uniform draw u is an integer U in [0, 2**53) times 2**-53
 _UNIFORM_BITS = 53
-# A key is row * 2**53 + ceil(F * 2**53) with ceil(F * 2**53) <= 2**53, so
-# an int64 key holds rows 0 .. 1022
-_MAX_TABLE_ROWS = (2**63 - 1) >> _UNIFORM_BITS
 
 
-class _KeyedTable(NamedTuple):
-    """Rows of cumulative laws, each inverted in O(1) expected time.
+class _Law(NamedTuple):
+    """An arm's law on the cells a uniform draw can select: each cell's key
+    ``ceil(F * 2**53)``, of its cumulative probability ``F``, the last
+    exactly ``2**53``, and its size ``m`` and value ``v``, all read-only.
+    ``v`` is ``K`` in a dataset's law of ``(m, K)``, whose ``m`` and ``K``
+    are int64, and the outcome sum ``Y`` in a study's law of ``(m, Y)``,
+    whose ``m`` and ``Y`` are each in the smallest unsigned type that holds
+    its grid's values."""
+
+    keys: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+
+
+def _law(cdf: np.ndarray, m: np.ndarray, v: np.ndarray) -> Optional[_Law]:
+    """The :class:`_Law` of a cumulative law ``cdf`` over cells of sizes
+    ``m`` and values ``v``, ending in exactly 1.0; None when more than
+    ``MAX_SIZE_CELLS`` cells can be selected.  ``cdf`` is overwritten.
+
+    A uniform ``u = U * 2**-53`` selects the cell ``j`` with
+    ``key[j - 1] <= U < key[j]``, so a cell whose key equals the one before
+    it (or 0, for the first) is never selected, and dropping it leaves the
+    draw's law as it was.
+    """
+    keys = np.ldexp(cdf, _UNIFORM_BITS, out=cdf)
+    np.ceil(keys, out=keys)
+    kept = np.empty(keys.size, dtype=bool)
+    kept[0] = keys[0] > 0.0
+    np.not_equal(keys[1:], keys[:-1], out=kept[1:])
+    cell = np.flatnonzero(kept)
+    if cell.size > MAX_SIZE_CELLS:
+        return None
+    law = _Law(keys[cell].astype(np.int64), m[cell], v[cell])
+    for part in law:
+        part.flags.writeable = False
+    return law
+
+
+def _nonzero_law(sizes: ClusterSizeModel, rho_s: float, p: float) -> Optional[_Law]:
+    """:func:`_nonzero_cdf` over ``sizes``' cells as the :class:`_Law` of
+    ``(m, K)``; None when ``sizes`` has no cells."""
+    cells = sizes._cells
+    return None if cells is None else _law(_nonzero_cdf(cells, p, rho_s), cells.m, cells.k)
+
+
+class _LawTable(NamedTuple):
+    """Rows of :class:`_Law`, each inverted in O(1) expected time.
 
     Entry ``j`` of row ``r``, with cumulative probability ``F``, has the
     key ``r * 2**53 + ceil(F * 2**53)``; the keys of all rows form one
-    sorted int64 array.  A row's last ``F`` is exactly 1.0, so a row's keys
-    lie in ``[r * 2**53, (r + 1) * 2**53]``.  For ``u = U * 2**-53`` the
-    entries of row ``r`` with ``F <= u`` are exactly those whose key is at
-    most the query ``r * 2**53 + U``, so one ``searchsorted`` over all rows
-    finds the answer ``searchsorted(F_r, u, side="right")`` of any row.
+    sorted int64 array, and ``m`` and ``v`` hold each entry's size and
+    value.  Row ``r`` is entries ``bounds[r]`` to ``bounds[r + 1] - 1``.
+    A row's last ``F`` is exactly 1.0, so a row's keys lie in
+    ``[r * 2**53, (r + 1) * 2**53]``.  For ``u = U * 2**-53`` the entries
+    of row ``r`` with ``F <= u`` are exactly those whose key is at most the
+    query ``r * 2**53 + U``, so one ``searchsorted`` over all rows finds
+    the answer ``searchsorted(F_r, u, side="right")`` of any row.
 
     The guide (Chen and Asau, 1974; Devroye, 1986, III.2.4) cuts each row's
     range of ``U`` into ``2**(53 - shift)`` equal buckets, so the query's
@@ -253,43 +296,31 @@ class _KeyedTable(NamedTuple):
     -1 and is answered by the ``searchsorted``.  A row has at most
     ``MAX_SIZE_CELLS`` (2**15) entries, so an index fits an int16.
 
-    A design's table holds its control arm's rows, then its intervention
-    arm's, which start ``arm_rows`` rows later; when the two arms have one
-    law it holds that law's rows once, and ``arm_rows`` is 0.
+    A design whose arms differ reads its control arm's law from row 0 and
+    its intervention arm's from row 1; a design whose arms share a law
+    reads it from row 0 whatever the arm (:func:`_design_table`).
     """
 
     keys: np.ndarray
     guide: np.ndarray
     shift: int
-    row_start: np.ndarray
-    arm_rows: int
+    bounds: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
 
 
-def _keys(cdf: np.ndarray) -> np.ndarray:
-    """The keys ``ceil(F * 2**53)`` of cumulative probabilities ``F``, as int64."""
-    keys = np.ldexp(cdf, _UNIFORM_BITS)
-    np.ceil(keys, out=keys)
-    return keys.astype(np.int64)
-
-
-def _keyed_table(laws: list[np.ndarray], buckets: int) -> _KeyedTable:
-    """The read-only :class:`_KeyedTable` of one or two arms' cumulative
-    laws, in turn, each ending in exactly 1.0, with a power of two
-    ``buckets`` buckets per row."""
-    return _guided(
-        np.concatenate([_keys(cdf) for cdf in laws]), np.array([cdf.size for cdf in laws]), buckets
-    )
-
-
-def _guided(keys: np.ndarray, widths: np.ndarray, buckets: int) -> _KeyedTable:
-    """The read-only :class:`_KeyedTable` of one or two rows of ``widths``
-    keys each, counted from 0 in each row, with ``buckets`` buckets per row;
-    ``keys`` becomes the table's, the second row's offset in place."""
-    row_start = np.cumsum(widths) - widths
+def _law_table(laws: list[_Law]) -> _LawTable:
+    """The read-only :class:`_LawTable` of one or two laws, in turn, with a
+    bucket per entry of the widest, rounded up to a power of two; a table
+    of one law shares its arrays."""
+    keys, m, v = (part[0] if len(laws) == 1 else np.concatenate(part) for part in zip(*laws))
+    widths = [law.keys.size for law in laws]
+    bounds = np.cumsum([0, *widths])
+    buckets = 1 << (max(widths) - 1).bit_length()
     shift = _UNIFORM_BITS + 1 - buckets.bit_length()
-    guide = np.empty((widths.size, buckets), dtype=np.int16)
-    for row, (start, width) in enumerate(zip(row_start.tolist(), widths.tolist())):
-        row_keys = keys[start:start + width]
+    guide = np.empty((len(laws), buckets), dtype=np.int16)
+    for row in range(len(laws)):
+        row_keys = keys[bounds[row]:bounds[row + 1]]
         # bucket b covers U in [b 2**shift, (b + 1) 2**shift); a key k is at
         # most its first U when (k - 1) >> shift < b, and lies past its
         # first U and at or before its last when (k - 1) >> shift == b and
@@ -301,22 +332,21 @@ def _guided(keys: np.ndarray, widths: np.ndarray, buckets: int) -> _KeyedTable:
         inside -= np.bincount(bucket[row_keys & ((1 << shift) - 1) == 0] + 1, minlength=buckets + 1)[1:]
         first[inside > 1] = -1
         guide[row] = first
-        if row:  # a one-row table may share a law's read-only keys
+        if row:  # a one-law table shares its law's read-only keys
             row_keys += row << _UNIFORM_BITS
-    # the intervention arm's row follows the control arm's one row
-    table = _KeyedTable(keys, guide.ravel(), shift, row_start, widths.size - 1)
-    for part in (table.keys, table.guide, table.row_start):
+    table = _LawTable(keys, guide.ravel(), shift, bounds, m, v)
+    for part in (keys, table.guide, bounds, m, v):
         part.flags.writeable = False
     return table
 
 
-def _entries(table: _KeyedTable, row, u: np.ndarray) -> np.ndarray:
-    """The entry of ``table.keys`` that each uniform ``u`` selects in its row
-    of ``table`` (an array of ``u``'s shape, or one row for all): the
+def _entries(table: _LawTable, row, u: np.ndarray) -> np.ndarray:
+    """The entry that each uniform ``u`` selects in its row of ``table``
+    (an array of ``u``'s shape, or one row for all): the
     ``searchsorted(F_row, u, side="right")``-th entry of the row."""
     query = (u * 2.0**_UNIFORM_BITS).astype(np.int64)  # exact
     query += np.asarray(row, dtype=np.int64) << _UNIFORM_BITS
-    start = table.row_start.take(row)
+    start = table.bounds.take(row)
     found = start + table.guide.take(query >> table.shift)  # an index into keys
     crowded = found < start
     found += table.keys.take(found) <= query
@@ -325,71 +355,118 @@ def _entries(table: _KeyedTable, row, u: np.ndarray) -> np.ndarray:
     return found
 
 
-def _invert(table: _KeyedTable, row, u: np.ndarray) -> np.ndarray:
-    """``searchsorted(F_row, u, side="right")`` for each uniform ``u`` and
-    its row of ``table`` (an array of ``u``'s shape, or one row for all)."""
-    found = _entries(table, row, u)
-    found -= table.row_start.take(row)
-    return found
+_LawBuilder = Callable[..., Optional[_Law]]
 
 
-def _draw_rows(table: _KeyedTable, arm: np.ndarray, row, rng: np.random.Generator) -> np.ndarray:
-    """One uniform per cluster, in the order of ``arm``, inverted through row
-    ``row`` of its arm's rows of a design's ``table``."""
-    u = rng.random(arm.shape)
-    if table.arm_rows:
-        row = row + arm * table.arm_rows
-    return _invert(table, row, u)
-
-
-# Keyed by the design's laws' values (ClusterSizeModel hashes its defining
-# fields, and its cells are a function of them), so two equal designs share
-# an entry; a p or rho_s of -0.0 shares 0.0's, which _nonzero_cdf treats
-# alike.  An entry holds 8 bytes of key and 2 to 4 bytes of guide per cell
-# of each of its one or two rows: worst case, 64 read-only tables of two
-# rows of MAX_SIZE_CELLS (2**15) cells, 640 KB each (40 MB), plus the laws
-# they keep alive (their cells, at most about 1 MB each).  A table1 then
-# table2 walk uses 36 keys (30 alternative designs, 6 null ones), so each
-# design's table is built once.  On the bundled grid a row is at most
-# 3,266 cells and a table 68 KB.
+# The tables of a process's designs, keyed by the law builder and the
+# values of the laws' parameters: ClusterSizeModel hashes its defining
+# fields, and its cells are a function of them, so equal designs share an
+# entry, and a p of -0.0 shares 0.0's.  A design whose arms differ draws
+# from its entry here; a design whose arms share one law, such as a null
+# design, from row 0 of its law's slot (_law_slot): the table of the last
+# design built with that law for its control arm, or until there is one,
+# the law's own.  A null design and its alternatives then share one copy
+# of the control arm's law, built once, whichever is drawn first.
+#
+# A table holds, per entry of each of its one or two rows, 8 bytes of key,
+# 2 to 4 of guide, and its m and v: 16 bytes in a law of (m, K), 2 to 6 in
+# one of (m, Y).  A row has at most MAX_SIZE_CELLS (2**15) entries, so a
+# table holds at most 1.7 MB, and the 64 entries and 64 slots, each of
+# which may keep a table the entries no longer do, at most 128 tables,
+# 220 MB.  On the bundled grid a table of (m, Y) is at most 0.6 MB and one
+# of (m, K) 0.17 MB.  A table1 then table2 walk uses 30 entries and 6
+# slots, and builds each of its 36 laws once.
 @functools.lru_cache(maxsize=64)
-def _nonzero_table(
-    sizes: ClusterSizeModel, p_control: float, p_intervention: float, rho_s: float
-) -> _KeyedTable:
-    """The read-only :class:`_KeyedTable` of :func:`_nonzero_cdf` over
-    ``sizes``' cells, a row for each arm's ``p``, or one when the two are
-    equal, built once per key while the cache holds it."""
-    # dict keys drop an equal second p, -0.0 beside 0.0 included
-    ps = dict.fromkeys((p_control, p_intervention))
-    laws = [_nonzero_cdf(sizes._cells, p, rho_s) for p in ps]
-    return _keyed_table(laws, 1 << (laws[0].size - 1).bit_length())
+def _two_law_table(
+    build: _LawBuilder, sizes: ClusterSizeModel, shared: tuple, control: tuple, intervention: tuple
+) -> Optional[_LawTable]:
+    """The :func:`_law_table` of the laws ``build(sizes, *shared, *arm)``
+    of a design's control arm and intervention arm, None when either is
+    None.  The control arm's law is row 0 of its :func:`_one_law_table`,
+    and the new table becomes its slot's."""
+    first = _one_law_table(build, sizes, shared, control)
+    if first is None:
+        return None
+    law = build(sizes, *shared, *intervention)
+    if law is None:
+        return None
+    row = slice(0, first.bounds[1])
+    table = _law_table([_Law(first.keys[row], first.m[row], first.v[row]), law])
+    _law_slot(build, sizes, shared, control)[:] = [table]
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _law_slot(
+    build: _LawBuilder, sizes: ClusterSizeModel, shared: tuple, params: tuple
+) -> list[Optional[_LawTable]]:
+    """The slot of the law ``build(sizes, *shared, *params)``: empty until a
+    table of it is built, then that table, or None when the law is None."""
+    return []
+
+
+def _one_law_table(
+    build: _LawBuilder, sizes: ClusterSizeModel, shared: tuple, params: tuple
+) -> Optional[_LawTable]:
+    """The table whose row 0 is the law ``build(sizes, *shared, *params)``;
+    None when the law is None."""
+    slot = _law_slot(build, sizes, shared, params)
+    if not slot:
+        law = build(sizes, *shared, *params)
+        slot.append(None if law is None else _law_table([law]))
+    return slot[0]
+
+
+def _design_table(
+    build: _LawBuilder, sizes: ClusterSizeModel, shared: tuple, control: tuple, intervention: tuple
+) -> tuple[Optional[_LawTable], bool]:
+    """The table a design draws its laws ``build(sizes, *shared, *arm)``
+    from, and whether each arm reads its own row.  A design whose arms
+    share a law reads row 0: its slot's table may be an alternative's, with
+    that alternative's intervention law in row 1."""
+    if control == intervention:
+        return _one_law_table(build, sizes, shared, control), False
+    return _two_law_table(build, sizes, shared, control, intervention), True
+
+
+def _draw_law(
+    build: _LawBuilder, sizes: ClusterSizeModel, shared: tuple, control: tuple,
+    intervention: tuple, arm: np.ndarray, rng: np.random.Generator,
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Each cluster's ``m`` and ``v``, for an array of arm indicators of any
+    shape: one uniform per cluster, in the order of ``arm``, that selects
+    an entry of its arm's law in the :func:`_design_table`.  None, with
+    nothing drawn, when the table is None."""
+    table, own_rows = _design_table(build, sizes, shared, control, intervention)
+    if table is None:
+        return None
+    entry = _entries(table, arm if own_rows else 0, rng.random(arm.shape))
+    return table.m.take(entry), table.v.take(entry)
 
 
 def _draw_nonzero_counts(
     design: DesignInputs, arm: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Size ``m`` and non-structural-zero count ``K`` of each cluster, for an
-    array of arm indicators of any shape.
+    """Size ``m`` and non-structural-zero count ``K`` of each cluster, as
+    int64, for an array of arm indicators of any shape.
 
-    A law with cells (``ClusterSizeModel._cells``) draws one uniform per
-    cluster, in the order of ``arm``, and inverts it through its arm's row
-    of the design's :func:`_nonzero_table` (:func:`_draw_rows`).  A wider
-    law draws, in this order, the sizes, each cluster's shared zero ``c``,
-    then ``K`` as one binomial draw (see the module docstring).
+    A law with cells (``ClusterSizeModel._cells``) draws each cluster's
+    ``(m, K)`` from its arm's :func:`_nonzero_law` (:func:`_draw_law`).  A
+    wider law draws, in this order, the sizes, each cluster's shared zero
+    ``c``, then ``K`` as one binomial draw (see the module docstring).
     """
-    cells = design.cluster_sizes._cells
-    if cells is None:
-        m = _draw_cluster_sizes(design.cluster_sizes, rng, arm.shape)
-        p = np.where(arm, design.intervention.p, design.control.p)
-        mix = math.sqrt(design.rho_s)
-        shared_zero = rng.random(arm.shape) < p
-        nonzero = rng.binomial(m, (1.0 - mix) * (1.0 - p) + np.where(shared_zero, 0.0, mix))
-        return m, nonzero
-    table = _nonzero_table(
-        design.cluster_sizes, design.control.p, design.intervention.p, design.rho_s
+    drawn = _draw_law(
+        _nonzero_law, design.cluster_sizes, (design.rho_s,),
+        (design.control.p,), (design.intervention.p,), arm, rng,
     )
-    cell = _draw_rows(table, arm, 0, rng)
-    return cells.m[cell], cells.k[cell]
+    if drawn is not None:
+        return drawn
+    m = _draw_cluster_sizes(design.cluster_sizes, rng, arm.shape)
+    p = np.where(arm, design.intervention.p, design.control.p)
+    mix = math.sqrt(design.rho_s)
+    shared_zero = rng.random(arm.shape) < p
+    nonzero = rng.binomial(m, (1.0 - mix) * (1.0 - p) + np.where(shared_zero, 0.0, mix))
+    return m, nonzero
 
 
 def _allocate_arms(
@@ -514,14 +591,14 @@ def _poisson_rows(means: np.ndarray, width: int) -> np.ndarray:
 
 
 class _JointGrid(NamedTuple):
-    """An arm's cumulative law of ``(m, Y)``, row ``m`` after row ``m``:
-    ``cdf`` holds the rows end to end, each ``y = 0 .. width - 1``, and
-    row ``j`` (``m = lo + j``) starts at ``row_start[j]``.  The last entry
-    is exactly 1.0."""
+    """An arm's cumulative law of ``(m, Y)`` on a grid, row ``m`` after row
+    ``m``, each ``y = 0 .. width - 1``: each cell's ``F``, the last exactly
+    1.0, and its ``m`` and ``y``, each in the smallest unsigned type that
+    holds the grid's values."""
 
     cdf: np.ndarray
-    row_start: np.ndarray
-    lo: int
+    m: np.ndarray
+    y: np.ndarray
 
 
 def _joint_cdf(
@@ -579,7 +656,8 @@ def _joint_cdf(
     tops = [*range(lo + _JOINT_BLOCK_ROWS - 1, hi, _JOINT_BLOCK_ROWS), hi]  # each block's largest m
     block_width = [top * u_hi + _tail_width(top * own) for top in tops]
     block_rows = np.diff([lo - 1, *tops]).tolist()
-    row_start = np.concatenate(([0], np.cumsum(np.repeat(block_width, block_rows))))
+    widths = np.repeat(block_width, block_rows)  # of each row m
+    row_start = np.concatenate(([0], np.cumsum(widths)))
     cdf = np.empty(row_start[-1])
     first = 0
     for top, rows, columns in zip(tops, block_rows, block_width):
@@ -590,137 +668,23 @@ def _joint_cdf(
     del g, nonzero
     np.cumsum(cdf, out=cdf)
     cdf /= cdf[-1]  # the last entry is then exactly 1.0
-    return _JointGrid(cdf, row_start[:-1], lo)
-
-
-class _JointLaw(NamedTuple):
-    """An arm's law of ``(m, Y)`` on the cells a uniform draw can select:
-    each cell's key ``ceil(F * 2**53)``, of its cumulative probability
-    ``F``, the last exactly ``2**53``, and its size ``m`` and outcome sum
-    ``y``, each in the smallest unsigned type that holds the law's values;
-    all read-only."""
-
-    keys: np.ndarray
-    m: np.ndarray
-    y: np.ndarray
+    m = np.repeat(np.arange(lo, hi + 1, dtype=np.min_scalar_type(hi)), widths)
+    # each block's rows repeat its y values, tiled in the narrow type: an
+    # int64 grid of y raised a grid study's peak memory by 0.5 MB
+    y = np.arange(block_width[-1], dtype=np.min_scalar_type(block_width[-1] - 1))
+    y = np.concatenate([np.tile(y[:columns], rows) for rows, columns in zip(block_rows, block_width)])
+    return _JointGrid(cdf, m, y)
 
 
 def _joint_law(
-    sizes: ClusterSizeModel, p: float, rho_s: float, lam: float, rho_u: float
-) -> Optional[_JointLaw]:
-    """:func:`_joint_cdf` over ``sizes``' cells, on the cells a uniform can
-    select; None when ``sizes`` has no cells, the grid is too large, or
-    more than ``MAX_SIZE_CELLS`` cells are left.
-
-    A uniform ``u = U * 2**-53`` selects the cell ``j`` with
-    ``key[j - 1] <= U < key[j]``, so a cell whose key equals the one before
-    it (or 0, for the first) is never selected, and dropping it leaves the
-    draw's law as it was.
-    """
+    sizes: ClusterSizeModel, rho_s: float, rho_u: float, p: float, lam: float
+) -> Optional[_Law]:
+    """:func:`_joint_cdf` over ``sizes``' cells as the :class:`_Law` of
+    ``(m, Y)``; None when ``sizes`` has no cells, the grid is too large, or
+    more than ``MAX_SIZE_CELLS`` cells can be selected."""
     cells = sizes._cells
     grid = None if cells is None else _joint_cdf(cells, p, rho_s, lam, rho_u)
-    if grid is None:
-        return None
-    keys, row_start, lo = np.ldexp(grid.cdf, _UNIFORM_BITS, out=grid.cdf), grid.row_start, grid.lo
-    del grid
-    np.ceil(keys, out=keys)
-    kept = np.empty(keys.size, dtype=bool)
-    kept[0] = keys[0] > 0.0
-    np.not_equal(keys[1:], keys[:-1], out=kept[1:])
-    cell = np.flatnonzero(kept)
-    del kept
-    if cell.size > MAX_SIZE_CELLS:
-        return None
-    keys = keys[cell].astype(np.int64)  # and the grid's are freed
-    row = np.searchsorted(row_start, cell, side="right") - 1
-    y = cell - row_start[row]
-    row += lo
-    law = _JointLaw(
-        keys, row.astype(np.min_scalar_type(sizes.hi)), y.astype(np.min_scalar_type(y.max()))
-    )
-    for part in law:
-        part.flags.writeable = False
-    return law
-
-
-class _JointTable(NamedTuple):
-    """A :class:`_KeyedTable` of one or two arms' :class:`_JointLaw`, the
-    control arm's first, and each entry's ``m`` and ``y``."""
-
-    keyed: _KeyedTable
-    m: np.ndarray
-    y: np.ndarray
-
-
-def _law_table(laws: list[_JointLaw]) -> _JointTable:
-    """The read-only :class:`_JointTable` of one or two laws; a table of one
-    law shares its arrays."""
-    widths = np.array([law.keys.size for law in laws])
-    buckets = 1 << (int(widths.max()) - 1).bit_length()
-    if len(laws) == 1:
-        (law,) = laws
-        return _JointTable(_guided(law.keys, widths, buckets), law.m, law.y)
-    m, y = (np.concatenate(part) for part in zip(*(law[1:] for law in laws)))
-    m.flags.writeable = y.flags.writeable = False
-    keys = np.concatenate([law.keys for law in laws])
-    return _JointTable(_guided(keys, widths, buckets), m, y)
-
-
-# Keyed by the values of the design's two laws.  An entry holds, per entry
-# of each law, 8 bytes of key, 3 of m and y (6 at most) and 2 to 4 of
-# guide: on the bundled grid at most 23,091 and 19,474 entries (DU(10,80)
-# at ICC 0.05), 0.6 MB, and at most about 1 MB.  A table1 then table2 walk
-# uses 30 keys, so each design's table is built once.
-@functools.lru_cache(maxsize=64)
-def _joint_table(
-    sizes: ClusterSizeModel, rho_s: float, rho_u: float,
-    p_control: float, lam_control: float, p_intervention: float, lam_intervention: float,
-) -> Optional[_JointTable]:
-    """The :func:`_law_table` of an alternative design's two laws, None when
-    either is None.  The control arm's law is row 0 of its
-    :func:`_one_law_table`, and the new table becomes its slot's."""
-    control = _one_law_table(sizes, rho_s, rho_u, p_control, lam_control)
-    if control is None:
-        return None
-    intervention = _joint_law(sizes, p_intervention, rho_s, lam_intervention, rho_u)
-    if intervention is None:
-        return None
-    table = _law_table([_first_law(control), intervention])
-    _law_slot(sizes, rho_s, rho_u, p_control, lam_control)[:] = [table]
-    return table
-
-
-# A design whose arms share one law, such as a null design, draws both from
-# row 0 of its law's slot's table: the table of the last alternative design
-# built with that law for its control arm, or until there is one, the
-# law's own.  A null design and its alternatives then share one copy of the
-# control arm's law, and it is built once, whichever is drawn first.  A
-# table1 then table2 walk uses 6 slots and builds 36 laws.
-@functools.lru_cache(maxsize=64)
-def _law_slot(
-    sizes: ClusterSizeModel, rho_s: float, rho_u: float, p: float, lam: float
-) -> list[Optional[_JointTable]]:
-    """The slot of one arm's law: empty until a table of it is built, then
-    that table, or None when the law is None."""
-    return []
-
-
-def _first_law(table: _JointTable) -> _JointLaw:
-    """Row 0 of a table, as a :class:`_JointLaw` of views of its arrays."""
-    end = table.keyed.row_start[1] if table.keyed.arm_rows else table.keyed.keys.size
-    return _JointLaw(table.keyed.keys[:end], table.m[:end], table.y[:end])
-
-
-def _one_law_table(
-    sizes: ClusterSizeModel, rho_s: float, rho_u: float, p: float, lam: float
-) -> Optional[_JointTable]:
-    """The table of a design whose arms share one law, read from row 0;
-    None when the law is None."""
-    slot = _law_slot(sizes, rho_s, rho_u, p, lam)
-    if not slot:
-        law = _joint_law(sizes, p, rho_s, lam, rho_u)
-        slot.append(None if law is None else _law_table([law]))
-    return slot[0]
+    return None if grid is None else _law(*grid)
 
 
 def _draw_replicates(
@@ -730,29 +694,26 @@ def _draw_replicates(
     trials, and an empty-arm mask, for the study engine.
 
     First each replicate's :func:`_intervention_counts`.  A design whose
-    laws have tables (:func:`_joint_table`, or :func:`_one_law_table` when
-    its arms share one law) then draws each cluster's ``(m, Y)`` as one
-    uniform, in the order of the layout, that selects an entry of its arm's
-    law (:func:`_entries`).  Any other design draws
-    :func:`_draw_nonzero_counts`, then each cluster's own sum, Poisson(``K
-    lam (1 - rho_u)``), then its shared part ``U``, Poisson(``lam rho_u``),
-    so ``Y = own sum + K * U``.  Replicate ``r`` allocates clusters
-    ``0 .. n_intervention[r] - 1`` to the intervention arm; the clusters
-    are exchangeable, so which ones receive it changes no statistic.  The
-    mask marks replicates whose allocation left an arm empty.
+    laws :func:`_joint_law` have tables then draws each cluster's ``(m,
+    Y)`` as one uniform, in the order of the layout (:func:`_draw_law`).
+    Any other design draws :func:`_draw_nonzero_counts`, then each
+    cluster's own sum, Poisson(``K lam (1 - rho_u)``), then its shared part
+    ``U``, Poisson(``lam rho_u``), so ``Y = own sum + K * U``.  Replicate
+    ``r`` allocates clusters ``0 .. n_intervention[r] - 1`` to the
+    intervention arm; the clusters are exchangeable, so which ones receive
+    it changes no statistic.  The mask marks replicates whose allocation
+    left an arm empty.
     """
     n_intervention = _intervention_counts(n_clusters, design.r_bar, rng, rows)
     arm = np.arange(n_clusters) < n_intervention[:, None]
-    sizes, rho_s, rho_u = design.cluster_sizes, design.rho_s, design.rho_u
+    rho_u = design.rho_u
     control = (design.control.p, design.control.lam)
     intervention = (design.intervention.p, design.intervention.lam)
-    if control == intervention:
-        table, row = _one_law_table(sizes, rho_s, rho_u, *control), 0
-    else:
-        table, row = _joint_table(sizes, rho_s, rho_u, *control, *intervention), arm
-    if table is not None:
-        entry = _entries(table.keyed, row, rng.random(arm.shape))
-        m, y = table.m.take(entry), table.y.take(entry)
+    drawn = _draw_law(
+        _joint_law, design.cluster_sizes, (design.rho_s, rho_u), control, intervention, arm, rng
+    )
+    if drawn is not None:
+        m, y = drawn
     else:
         m, nonzero = _draw_nonzero_counts(design, arm, rng)
         # a null design keeps lam a scalar: numpy draws the same values from

@@ -38,12 +38,10 @@ def grid_design(cluster_sizes=DU_34_56, rho=0.03, q=0.5, beta2=-0.431, p1=0.5):
 def engine_table(design):
     """The table a study of ``design`` draws its ``(m, Y)`` from, and
     whether each arm reads its own row."""
-    sizes, rho_s, rho_u = design.cluster_sizes, design.rho_s, design.rho_u
-    control = (design.control.p, design.control.lam)
-    intervention = (design.intervention.p, design.intervention.lam)
-    if control == intervention:
-        return simulate._one_law_table(sizes, rho_s, rho_u, *control), False
-    return simulate._joint_table(sizes, rho_s, rho_u, *control, *intervention), True
+    return simulate._design_table(
+        simulate._joint_law, design.cluster_sizes, (design.rho_s, design.rho_u),
+        (design.control.p, design.control.lam), (design.intervention.p, design.intervention.lam),
+    )
 
 
 @pytest.fixture

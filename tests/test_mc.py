@@ -426,9 +426,10 @@ def test_a_study_of_no_replicates_is_a_config_error(reps):
         mc.simulate_study(grid_design(), 20, reps, 0, 18)
 
 
-# the study engine's caches: alternative designs' tables, and the slot of
-# each control arm's law, which designs whose arms share it read
-LAW_CACHES = (simulate._joint_table, simulate._law_slot)
+# the caches of datasets' and studies' laws: the tables of designs whose
+# arms differ, and the slot of each control arm's law, which designs whose
+# arms share it read
+LAW_CACHES = (simulate._two_law_table, simulate._law_slot)
 
 
 @pytest.mark.parametrize("null", [False, True], ids=["alternative", "null"])
@@ -436,7 +437,7 @@ def test_a_cold_arm_law_cache_gives_the_warm_study(null):
     design = grid_design(DU_10_80, rho=0.05)
     if null:
         design = design.under_null()
-    drawn_from = simulate._law_slot if null else simulate._joint_table
+    drawn_from = simulate._law_slot if null else simulate._two_law_table
     study = functools.partial(mc.simulate_study, design, 30, mc.CHUNK_REPLICATES + 8, 5, 28)
     for cache in LAW_CACHES:
         cache.cache_clear()
@@ -450,10 +451,10 @@ def test_a_cold_arm_law_cache_gives_the_warm_study(null):
 
 
 def test_each_design_table_is_built_once_per_process(monkeypatch):
-    # two studies of three chunks each, then a dataset: the alternative's
+    # two studies of three chunks each, then two datasets: the alternative's
     # table builds its two arms' laws of (m, Y) once, and the null reads
-    # its control law's row of that table; the dataset builds the two
-    # arms' laws of (m, K)
+    # its control law's row of that table; the datasets build the two arms'
+    # laws of (m, K) once, the null's read from the alternative's table
     built, nonzero_built = [], []
 
     def counted(cells, p, rho_s, lam, rho_u):
@@ -467,18 +468,43 @@ def test_each_design_table_is_built_once_per_process(monkeypatch):
     fresh, fresh_nonzero = simulate._joint_cdf, simulate._nonzero_cdf
     monkeypatch.setattr(simulate, "_joint_cdf", counted)
     monkeypatch.setattr(simulate, "_nonzero_cdf", counted_nonzero)
-    caches = (*LAW_CACHES, simulate._nonzero_table)
-    for cache in caches:
+    for cache in LAW_CACHES:
         cache.cache_clear()
     design = grid_design(DU_10_80, rho=0.05)
     for generating in (design, design.under_null()):
         mc.simulate_study(generating, 30, 2 * mc.CHUNK_REPLICATES + 8, 3, 28)
-    generate_trial(design, 30, 1)
-    for cache in caches:
+    for generating in (design, design.under_null()):
+        generate_trial(generating, 30, 1)
+    for cache in LAW_CACHES:
         cache.cache_clear()  # keep no entry the stand-ins built
     arms = (design.control, design.intervention)
     assert built == [(arm.p, arm.lam, 0.05, 0.05) for arm in arms]
     assert nonzero_built == [(arm.p, 0.05) for arm in arms]
+
+
+def test_a_null_designs_datasets_do_not_depend_on_the_caches():
+    # a null design reads its one law from row 0 of its slot's table, which
+    # its alternative's dataset fills with the two arms' laws: read from
+    # row `arm`, its intervention clusters would take the alternative's
+    # law.  Studies build laws of (m, Y), which a dataset never reads.
+    design = grid_design(DU_10_80, rho=0.05)
+    null = design.under_null()
+
+    def null_bytes():
+        data = generate_trial(null, 200, 3)
+        icc = mc.estimate_poisson_icc(null, 2_000, 4)
+        return [data.arm.tobytes(), data.size.tobytes(), data.outcomes.tobytes(), np.float64(icc).tobytes()]
+
+    for cache in LAW_CACHES:
+        cache.cache_clear()
+    cold = null_bytes()
+    generate_trial(design, 200, 3)
+    assert null_bytes() == cold
+    for cache in LAW_CACHES:
+        cache.cache_clear()
+    for generating in (design, null):
+        mc.simulate_study(generating, 30, 40, 5, 28)
+    assert null_bytes() == cold
 
 
 def test_a_table_walk_keeps_the_arm_law_cache_within_its_bound():

@@ -319,20 +319,31 @@ class TestNonzeroCounts:
 def fresh_joint_law(design, profile):
     """An arm's law of ``(m, Y)``, built afresh."""
     return simulate._joint_law(
-        design.cluster_sizes, profile.p, design.rho_s, profile.lam, design.rho_u
+        design.cluster_sizes, design.rho_s, design.rho_u, profile.p, profile.lam
     )
 
 
-def clear_joint_caches():
-    for cache in (simulate._joint_table, simulate._law_slot):
+def clear_law_caches():
+    for cache in (simulate._two_law_table, simulate._law_slot):
         cache.cache_clear()
 
 
-def grid_cells(grid):
-    """Each cell's ``m`` and ``y`` of a law on its full grid."""
-    cell = np.arange(grid.cdf.size)
-    row = np.searchsorted(grid.row_start, cell, side="right") - 1
-    return row + grid.lo, cell - grid.row_start[row]
+def law_arguments(build, design):
+    """The shared parameters of ``design``'s laws ``build``, and each arm's."""
+    arms = (design.control, design.intervention)
+    if build is simulate._nonzero_law:
+        return (design.rho_s,), [(arm.p,) for arm in arms]
+    return (design.rho_s, design.rho_u), [(arm.p, arm.lam) for arm in arms]
+
+
+def full_law(build, sizes, shared, law):
+    """An arm's full cumulative law, every cell kept, and each cell's ``m``
+    and ``v``."""
+    if build is simulate._nonzero_law:
+        cells = sizes._cells
+        return simulate._nonzero_cdf(cells, *law, *shared), cells.m, cells.k
+    (rho_s, rho_u), (p, lam) = shared, law
+    return simulate._joint_cdf(sizes._cells, p, rho_s, lam, rho_u)
 
 
 def replicate_arrays(design, seed=3):
@@ -341,51 +352,44 @@ def replicate_arrays(design, seed=3):
 
 
 class TestArmCdf:
-    """The memo of each design's laws, as one keyed table: the control
-    arm's rows, then the intervention arm's, or one law's rows for both."""
+    """The memo of each design's laws, as one table: the control arm's law
+    in row 0, then the intervention arm's, or one law for both arms."""
 
-    def test_the_cached_law_is_a_fresh_one_and_read_only(self):
-        # the (m, K) table of each design, and the (m, Y) table of the
-        # alternative, which the null design reads too
+    @pytest.mark.parametrize("build", [simulate._nonzero_law, simulate._joint_law], ids=["m-k", "m-y"])
+    def test_the_cached_law_is_a_fresh_one_and_read_only(self, build):
+        # the alternative's table, which the null design reads too
         design = grid_design(DU_10_80, rho=0.05, p1=0.3)
-        cells = design.cluster_sizes._cells
-        clear_joint_caches()
-        fresh_joint = simulate._law_table(
-            [fresh_joint_law(design, arm) for arm in (design.control, design.intervention)]
-        )
-        for generating, arms in ((design, 2), (design.under_null(), 1)):
-            ps = (generating.control.p, generating.intervention.p)
-            nonzero = [simulate._nonzero_cdf(cells, p, 0.05) for p in ps]
-            keyed = simulate._nonzero_table(DU_10_80, *ps, 0.05)
-            fresh = simulate._keyed_table(nonzero[:arms], keyed.guide.size // keyed.row_start.size)
-            joint = engine_table(generating)[0]
-            for table, fresh_table, rows in ((keyed, fresh, arms), (joint.keyed, fresh_joint.keyed, 2)):
-                assert table.row_start.size == rows
-                assert table.shift == fresh_table.shift
-                assert table.arm_rows == fresh_table.arm_rows == (rows == 2)
-                for name in ("keys", "guide", "row_start"):
-                    part, fresh_part = getattr(table, name), getattr(fresh_table, name)
-                    assert part.dtype == fresh_part.dtype
-                    assert part.tobytes() == fresh_part.tobytes()
-                    assert not part.flags.writeable
-                    with pytest.raises(ValueError):
-                        part[0] = 0
-            for name in ("m", "y"):
-                part, fresh_part = getattr(joint, name), getattr(fresh_joint, name)
-                assert part.dtype == fresh_part.dtype and part.tobytes() == fresh_part.tobytes()
-                assert not part.flags.writeable
+        clear_law_caches()
+        shared, arms = law_arguments(build, design)
+        fresh = simulate._law_table([build(DU_10_80, *shared, *arm) for arm in arms])
+        table, own_rows = simulate._design_table(build, DU_10_80, shared, *arms)
+        assert own_rows and table.bounds.size == 3 and table.shift == fresh.shift
+        for name in ("keys", "guide", "bounds", "m", "v"):
+            part, fresh_part = getattr(table, name), getattr(fresh, name)
+            assert part.dtype == fresh_part.dtype
+            assert part.tobytes() == fresh_part.tobytes()
+            assert not part.flags.writeable
+            with pytest.raises(ValueError):
+                part[0] = 0
+        null = law_arguments(build, design.under_null())
+        assert simulate._design_table(build, DU_10_80, null[0], *null[1]) == (table, False)
 
     def test_equal_laws_share_one_entry(self):
-        simulate._nonzero_table.cache_clear()
+        clear_law_caches()
         sizes = [ClusterSizeModel.discrete_uniform(10, 80) for _ in range(2)]
-        first, second = (simulate._nonzero_table(du, 0.3, 0.6, 0.05) for du in sizes)
+        first, second = (
+            simulate._design_table(simulate._nonzero_law, du, (0.05,), (0.3,), (0.6,))[0]
+            for du in sizes
+        )
         assert second is first
-        # _nonzero_cdf treats a p of -0.0 as 0.0, so they share an entry, and
-        # one row serves both arms
-        zero = simulate._nonzero_table(DU_10_80, -0.0, 0.0, 0.05)
-        assert zero is simulate._nonzero_table(DU_10_80, 0.0, -0.0, 0.05)
-        assert zero.row_start.size == 1 and zero.arm_rows == 0
-        info = simulate._nonzero_table.cache_info()
+        # a p of -0.0 is 0.0, so a design of the two reads one law from
+        # row 0, and each shares the other's slot
+        zero, own_rows = simulate._design_table(simulate._nonzero_law, DU_10_80, (0.05,), (-0.0,), (0.0,))
+        assert not own_rows and zero.bounds.size == 2
+        assert zero is simulate._one_law_table(simulate._nonzero_law, DU_10_80, (0.05,), (0.0,))
+        info = simulate._two_law_table.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        info = simulate._law_slot.cache_info()
         assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
 
     def test_a_null_design_shares_its_alternatives_control_law(self, monkeypatch):
@@ -403,54 +407,46 @@ class TestArmCdf:
         monkeypatch.setattr(simulate, "_joint_cdf", counted)
         design = grid_design(DU_10_80, rho=0.05)
         null = design.under_null()
-        clear_joint_caches()
-        own, shared = engine_table(null)
-        assert not shared and own.keyed.row_start.size == 1
+        clear_law_caches()
+        own, own_rows = engine_table(null)
+        assert not own_rows and own.bounds.size == 2
         before = replicate_arrays(null)
-        alternative, shared = engine_table(design)
-        assert shared and alternative.keyed.row_start.size == 2
+        alternative, own_rows = engine_table(design)
+        assert own_rows and alternative.bounds.size == 3
         assert engine_table(null)[0] is alternative
-        for part, own_part in zip(simulate._first_law(alternative), simulate._first_law(own)):
-            np.testing.assert_array_equal(part, own_part)
+        for name in ("keys", "m", "v"):
+            part, own_part = getattr(alternative, name), getattr(own, name)
+            np.testing.assert_array_equal(part[:alternative.bounds[1]], own_part)
         assert built == [(arm.p, arm.lam) for arm in (design.control, design.intervention)]
         for array, earlier in zip(replicate_arrays(null), before):
             np.testing.assert_array_equal(array, earlier)
-        clear_joint_caches()  # keep no table the stand-in built
+        clear_law_caches()  # keep no table the stand-in built
         # a p of -0.0 shares 0.0's slot
-        slot = simulate._law_slot(DU_10_80, 0.05, 0.05, 0.0, 1.0)
-        assert simulate._law_slot(DU_10_80, 0.05, 0.05, -0.0, 1.0) is slot
+        slot = simulate._law_slot(simulate._joint_law, DU_10_80, (0.05, 0.05), (0.0, 1.0))
+        assert simulate._law_slot(simulate._joint_law, DU_10_80, (0.05, 0.05), (-0.0, 1.0)) is slot
 
 
-# An arm's law of (m, Y) by its size law, rho_s, rho_u, p and lam: the
-# bundled grid's DU(10,80) at ICC 0.05, a wide one-size law, a law of
-# 240 sizes whose tiny mean keeps its grid within the bound, a law without
-# structural zeros and one of shared parts alone (rho_u = 1)
-JOINT_LAWS = {
-    "sums": (DU_10_80, 0.05, 0.05, [(0.5, 2.0)]),
-    "sums-stacked": (DU_10_80, 0.05, 0.05, [(0.5, 2.0), (0.6, 1.625)]),
-    "sums-wide": (ClusterSizeModel.fixed(2), 0.05, 0.05, [(0.3, 400.0)]),
-    "sums-most-rows": (ClusterSizeModel.discrete_uniform(1, 240), 0.05, 0.05, [(0.5, 2e-6)]),
-    "sums-no-zeros": (DU_34_56, 0.05, 0.05, [(0.0, 1.0)]),
-    "sums-shared-only": (ClusterSizeModel.discrete_uniform(1, 6), 0.2, 1.0, [(0.4, 2.5), (0.0, 0.7)]),
+# An arm's law by its builder, size law and shared parameters, and the
+# parameters of each of the table's one or two laws.  Of (m, K): DU(10,80)
+# with structural zeros, DU(34,56) without, and two laws stacked.  Of (m,
+# Y): the bundled grid's DU(10,80) at ICC 0.05, a wide one-size law, a law
+# of 240 sizes whose tiny mean keeps its grid within the bound, a law
+# without structural zeros and one of shared parts alone (rho_u = 1)
+LAWS = {
+    "arm": (simulate._nonzero_law, DU_10_80, (0.05,), [(0.3,)]),
+    "arm-no-zeros": (simulate._nonzero_law, DU_34_56, (0.05,), [(0.0,)]),
+    "arms-stacked": (simulate._nonzero_law, DU_10_80, (0.05,), [(0.3,), (0.6,)]),
+    "sums": (simulate._joint_law, DU_10_80, (0.05, 0.05), [(0.5, 2.0)]),
+    "sums-stacked": (simulate._joint_law, DU_10_80, (0.05, 0.05), [(0.5, 2.0), (0.6, 1.625)]),
+    "sums-wide": (simulate._joint_law, ClusterSizeModel.fixed(2), (0.05, 0.05), [(0.3, 400.0)]),
+    "sums-most-rows": (
+        simulate._joint_law, ClusterSizeModel.discrete_uniform(1, 240), (0.05, 0.05), [(0.5, 2e-6)]
+    ),
+    "sums-no-zeros": (simulate._joint_law, DU_34_56, (0.05, 0.05), [(0.0, 1.0)]),
+    "sums-shared-only": (
+        simulate._joint_law, ClusterSizeModel.discrete_uniform(1, 6), (0.2, 1.0), [(0.4, 2.5), (0.0, 0.7)]
+    ),
 }
-
-
-def keyed_rows(name):
-    """A tabulated design's rows of cumulative probabilities, the control
-    arm's first, and its table; a design whose arms share a law has its
-    rows once.  A joint law's rows are its full grids, and a third item
-    gives each grid cell's ``m`` and ``y``."""
-    if name in JOINT_LAWS:
-        sizes, rho_s, rho_u, laws = JOINT_LAWS[name]
-        grids = [simulate._joint_cdf(sizes._cells, p, rho_s, lam, rho_u) for p, lam in laws]
-        table = simulate._law_table(
-            [simulate._joint_law(sizes, p, rho_s, lam, rho_u) for p, lam in laws]
-        )
-        return [grid.cdf for grid in grids], table, [grid_cells(grid) for grid in grids]
-    sizes, ps = {"arm": (DU_10_80, (0.3, 0.3)), "arm-no-zeros": (DU_34_56, (0.0, 0.0)),
-                 "arms-stacked": (DU_10_80, (0.3, 0.6))}[name]
-    rows = [simulate._nonzero_cdf(sizes._cells, p, 0.05) for p in ps]
-    return rows[: 1 + (ps[0] != ps[1])], simulate._nonzero_table(sizes, *ps, 0.05), None
 
 
 class TestJointCdf:
@@ -486,31 +482,30 @@ class TestJointCdf:
                     sums = stats.poisson.pmf(y - k * u, k * own) if own > 0 else (y == k * u)
                     given_k += weight * sums
             exact[m] += prob * given_k
-        law = simulate._joint_law(sizes, p, rho_s, lam, rho_u)
+        law = simulate._joint_law(sizes, rho_s, rho_u, p, lam)
         implied = np.zeros_like(exact)
-        implied[law.m, law.y] = np.diff(np.ldexp(law.keys, -53), prepend=0.0)
+        implied[law.m, law.v] = np.diff(np.ldexp(law.keys, -53), prepend=0.0)
         assert np.abs(implied - exact).max() <= 1e-12
 
 
 class TestKeyedTable:
-    """simulate._invert is np.searchsorted(row, u, side="right") on each row
-    of the tabulated law, for the tables the draws use; a joint law's
-    entry holds the (m, y) of that cell of its full grid."""
+    """simulate._entries selects, in each row of a tabulated law, the cell
+    np.searchsorted(row, u, side="right") selects in the full law, every
+    cell kept, for the tables the draws use."""
 
-    @pytest.mark.parametrize("name", [
-        "arm", "arm-no-zeros", "arms-stacked", *JOINT_LAWS,
-    ])
+    @pytest.mark.parametrize("name", LAWS)
     def test_inversion_is_searchsorted_on_each_row(self, name):
-        rows, table, cells = keyed_rows(name)
-        keyed = getattr(table, "keyed", table)
-        assert keyed.row_start.size == len(rows)
+        build, sizes, shared, laws = LAWS[name]
+        table = simulate._law_table([build(sizes, *shared, *law) for law in laws])
+        rows = [full_law(build, sizes, shared, law) for law in laws]
+        assert table.bounds.size == len(rows) + 1
         # the uniforms numpy draws are multiples of 2**-53: 10**6 of them in
         # random rows, then every entry's grid points ceil(F * 2**53) and
         # floor(F * 2**53) and their neighbours in its own row, and the ends
         rng = np.random.default_rng(51)
         u = [rng.random(1_000_000)]
         row = [rng.integers(0, len(rows), 1_000_000)]
-        for r, cdf in enumerate(rows):
+        for r, (cdf, _, _) in enumerate(rows):
             scaled = np.ldexp(cdf, 53)
             points = np.concatenate([np.ceil(scaled) + d for d in (-1, 0, 1)] + [np.floor(scaled)])
             points = np.concatenate((points, [0.0, 1.0, 2.0**53 - 1.0]))
@@ -521,21 +516,17 @@ class TestKeyedTable:
         expected = np.empty(u.size, dtype=np.int64)
         order = np.argsort(row, kind="stable")
         bounds = np.searchsorted(row[order], np.arange(len(rows) + 1))
-        for r, cdf in enumerate(rows):
+        for r, (cdf, _, _) in enumerate(rows):
             where = order[bounds[r]:bounds[r + 1]]
             expected[where] = np.searchsorted(cdf, u[where], side="right")
-        if cells is None:
-            np.testing.assert_array_equal(simulate._invert(table, row, u), expected)
-            if len(rows) == 1:
-                np.testing.assert_array_equal(simulate._invert(table, 0, u), expected)
-            return
         # a table of one law also takes one row for all uniforms
         for rows_given in ([row] if len(rows) > 1 else [row, 0]):
-            entry = simulate._entries(keyed, rows_given, u)
-            for r, (m, y) in enumerate(cells):
+            entry = simulate._entries(table, rows_given, u)
+            for r, (_, m, v) in enumerate(rows):
                 where = row == r
+                assert table.bounds[r] <= entry[where].min() <= entry[where].max() < table.bounds[r + 1]
                 np.testing.assert_array_equal(table.m[entry[where]], m[expected[where]])
-                np.testing.assert_array_equal(table.y[entry[where]], y[expected[where]])
+                np.testing.assert_array_equal(table.v[entry[where]], v[expected[where]])
 
     @pytest.mark.parametrize("sizes, mu1", [
         (DU_10_80, 5.0), (ClusterSizeModel.discrete_uniform(1, 254), 1.0),
@@ -555,7 +546,7 @@ class TestKeyedTable:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024  # the shared part's row at most; a grid would be 1 MB
-        clear_joint_caches()
+        clear_law_caches()
         assert engine_table(design)[0] is None
 
     def test_a_joint_law_of_more_entries_than_the_cap_is_not_built(self, monkeypatch):
@@ -578,40 +569,35 @@ class TestKeyedTable:
         # a uniform goes to the searchsorted when its bucket holds two or
         # more entries, so a row's share of such buckets is the share of
         # its draws that do
-        table = engine_table(grid_design(sizes, rho=rho, q=q))[0].keyed
-        crowded = (table.guide.reshape(table.row_start.size, -1) < 0).mean(axis=1)
+        table = engine_table(grid_design(sizes, rho=rho, q=q))[0]
+        crowded = (table.guide.reshape(table.bounds.size - 1, -1) < 0).mean(axis=1)
         assert crowded.max() <= 0.05
 
     @pytest.mark.parametrize("name", ["arm", "arms-stacked", "sums", "sums-stacked"])
     def test_each_arm_draws_from_its_own_law(self, name):
-        # _draw_rows offsets arm 1 by arm_rows in a design of two laws, and
-        # a design of one law draws both arms from its one set of rows; a
-        # study's (m, Y) of each arm is the cell of its arm's full grid that
-        # the cluster's uniform selects
+        # a design of two laws draws each arm from its own row, and a design
+        # of one law both arms from row 0: a dataset's (m, K) and a study's
+        # (m, Y) of each arm are the cell of its arm's full law that the
+        # cluster's uniform selects
+        design = grid_design(DU_10_80, rho=0.05)
+        if not name.endswith("stacked"):
+            design = design.under_null()
         if name.startswith("sums"):
-            design = grid_design(DU_10_80, rho=0.05)
-            if name == "sums":
-                design = design.under_null()
+            build = simulate._joint_law
             # 40 clusters at r_bar 0.5 draw no tie coin before the uniforms
-            arm, m, y, _ = simulate._draw_replicates(design, 40, np.random.default_rng(5), 64)
-            u = np.random.default_rng(5).random(arm.shape)
-            for a, profile in enumerate((design.control, design.intervention)):
-                grid = simulate._joint_cdf(DU_10_80._cells, profile.p, 0.05, profile.lam, 0.05)
-                cell = np.searchsorted(grid.cdf, u[arm == a], side="right")
-                grid_m, grid_y = grid_cells(grid)
-                np.testing.assert_array_equal(m[arm == a], grid_m[cell])
-                np.testing.assert_array_equal(y[arm == a], grid_y[cell])
-            return
-        rows, table, _ = keyed_rows(name)
-        two_laws = name.endswith("stacked")
-        assert table.arm_rows == (len(rows) // 2 if two_laws else 0)
-        rng = np.random.default_rng(6)
-        arm = rng.integers(0, 2, (64, 40))
-        drawn = simulate._draw_rows(table, arm, 0, np.random.default_rng(5))
+            arm, m, v, _ = simulate._draw_replicates(design, 40, np.random.default_rng(5), 64)
+        else:
+            build = simulate._nonzero_law
+            arm = np.random.default_rng(6).integers(0, 2, (64, 40))
+            m, v = simulate._draw_nonzero_counts(design, arm, np.random.default_rng(5))
+            assert m.dtype == v.dtype == np.int64
         u = np.random.default_rng(5).random(arm.shape)
-        law = np.broadcast_to(arm * table.arm_rows, arm.shape)
-        expected = [np.searchsorted(rows[r], x, side="right") for r, x in zip(law.flat, u.flat)]
-        np.testing.assert_array_equal(drawn.ravel(), expected)
+        shared, laws = law_arguments(build, design)
+        for a, law in enumerate(laws):
+            cdf, law_m, law_v = full_law(build, DU_10_80, shared, law)
+            cell = np.searchsorted(cdf, u[arm == a], side="right")
+            np.testing.assert_array_equal(m[arm == a], law_m[cell])
+            np.testing.assert_array_equal(v[arm == a], law_v[cell])
 
 
 class TestAgainstSubjectOracle:
