@@ -24,11 +24,12 @@ artifact byte for byte.  The ``study`` and ``tables`` manifests also record
 the Monte Carlo engine's name and version, its study-chunk stream tag and
 its chunk size, and the ``study`` manifest the seconds the study spent
 drawing, fitting and testing (``StudyReport.seconds``), which no rerun
-reproduces.  The ``simulate`` and ``tables`` manifests record the
-dataset generator's name, version and stream tag in the same way: a
-``table3-icc`` ICC is a statistic of a generated dataset.  With the seed,
-these fix every simulated rate, ICC and dataset, so each artifact can be
-traced to the code that drew it.
+reproduces; a ``tables`` manifest of a table that ran studies records
+their sums (``TableReport.seconds``).  The ``simulate`` and ``tables``
+manifests record the dataset generator's name, version and stream tag in
+the same way: a ``table3-icc`` ICC is a statistic of a generated dataset.
+With the seed, these fix every simulated rate, ICC and dataset, so each
+artifact can be traced to the code that drew it.
 
 Exit codes: 0 success, 2 validation error, 3 runtime error (for example a
 dataset whose mean model is undefined).
@@ -398,10 +399,11 @@ def _cmd_tables(args) -> int:
             path = f"{args.out}.{report.table}.csv"
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 handle.write(text)
+            timed = {"seconds": report.seconds} if report.seconds else {}
             _write_manifest(
                 path, "tables",
                 {"table": report.table, "replications": args.reps, "seed": seed},
-                seed, engine=_ENGINE, generator=_GENERATOR,
+                seed, engine=_ENGINE, generator=_GENERATOR, **timed,
             )
             print(f"wrote {path}")
         else:

@@ -52,12 +52,22 @@ A fit keeps each estimator's covariance in ``GeeFit.variance[name]``;
 its variance of ``sqrt(N) * beta2_hat``, the scale of the Wald test.
 
 The log-means, each estimator's terms and the failure checks are written
-once, in ``_fit_rows``, over ``(R, N)`` arrays of each cluster's arm,
-``m_i`` and ``Y_i``: :func:`fit_zip` runs it on its dataset as one row, and
-the study engine (:mod:`zipcrt.mc`) on a chunk of ``R`` replicates.  The Wald test's
-checks, critical value and decisions are written once too, in
-``_wald_rows``: :func:`wald_test` runs it on one statistic, and the study
-engine on a chunk's variances, one estimator after another.  Inside the
+once, in ``_fit_rows``, over an ``(R, N)`` array of each cluster's arm and
+one ``(2, R, N)`` array of its ``m_i`` and ``Y_i``, stacked, so that each
+step both quantities take is one numpy call: one ``np.bincount`` gives
+every row's ``M_a`` and ``S_a``, one ``take`` their leave-one-out totals,
+and one more ``np.bincount`` the sums of the squared residuals and of the
+squared shifts of the log-means.  The terms come back as one
+``(len(ESTIMATORS), R, 2)`` array.  The work runs cluster-major, on
+``(2, N, R)`` arrays, as ``np.bincount`` runs faster over a chunk's arrays
+in that order and each sum still adds its row's clusters in order; the
+study engine's draw lays ``my`` out that way in memory, as a transposed
+view, so reading it costs no copy.  :func:`fit_zip` runs it on its dataset
+as one row, and the study engine (:mod:`zipcrt.mc`) on a chunk of ``R``
+replicates.  The Wald test's checks, critical value and decisions are
+written once too, in ``_wald_rows``, over an ``(E, R)`` array of variances,
+a row per estimator: :func:`wald_test` runs it on one statistic, and the
+study engine once on a chunk's variances under every estimator.  Inside the
 package the test's reference distribution is named by its ``df`` alone, as
 in :func:`zipcrt.power.quantile`: ``None`` is the normal and a number is
 t(``df``).  :func:`wald_test` keeps its ``reference`` string and maps it to
@@ -117,10 +127,26 @@ def _fail(
             failure[r] = message(r) if callable(message) else message
 
 
-def _per_arm(key: np.ndarray, values: np.ndarray, rows: int) -> np.ndarray:
-    """Each row's per-arm sums of a cluster value, as an ``(R, 2)`` array, from
-    each cluster's key ``arm + 2 * row``; each sum adds its clusters in order."""
-    return np.bincount(key.ravel(), weights=values.ravel(), minlength=2 * rows).reshape(rows, 2)
+def _arm_keys(arm: np.ndarray) -> np.ndarray:
+    """The keys ``arm + 2 * (q * R + r)`` of the clusters of ``(R, N)`` arm
+    indicators, for quantity ``q`` of two and row ``r``, as a cluster-major
+    ``(2, N, R)`` array: every pair of per-arm sums of a row is one
+    :func:`_per_arm`."""
+    rows, n = arm.shape
+    keys = np.empty((2, n, rows), dtype=np.intp)
+    np.add(arm.T, np.arange(0, 2 * rows, 2), out=keys[0])
+    np.add(keys[0], 2 * rows, out=keys[1])
+    return keys
+
+
+def _per_arm(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each row's per-arm sums of each of two stacked cluster-major ``(2, N,
+    R)`` cluster values, as a ``(2, R, 2)`` array, from the clusters'
+    :func:`_arm_keys`.  Each sum adds its row's clusters in order, as it
+    would over row-major ``(2, R, N)`` arrays, and ``np.bincount`` sums a
+    chunk's arrays laid out this way in about half the time."""
+    sums = np.bincount(keys.ravel(), weights=values.ravel(), minlength=4 * keys.shape[2])
+    return sums.astype(np.float64, copy=False).reshape(2, -1, 2)  # int zeros for no clusters
 
 
 def _check_arms(subjects: np.ndarray, outcomes: np.ndarray, failure: list[Optional[str]]) -> None:
@@ -131,78 +157,81 @@ def _check_arms(subjects: np.ndarray, outcomes: np.ndarray, failure: list[Option
         _fail(failure, outcomes[:, a] <= 0, f"{name} arm has all-zero outcomes; log-mean undefined")
 
 
-def _arm_sums(
-    key: np.ndarray, m: np.ndarray, y: np.ndarray, failure: list[Optional[str]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's per-arm ``M_a`` and ``S_a``, as ``(R, 2)`` arrays, from each
-    cluster's key ``arm + 2 * row``, ``m_i`` and ``Y_i``.
+def _arm_sums(arm: np.ndarray, my: np.ndarray, failure: list[Optional[str]]) -> np.ndarray:
+    """Each row's per-arm ``M_a`` and ``S_a``, stacked as a ``(2, R, 2)``
+    array, from each cluster's arm and its ``m_i`` and ``Y_i`` stacked as
+    ``(2, R, N)``.
 
     A row whose arm is absent or has all-zero outcomes, so that its log-mean
     is undefined, fails in ``failure``.
     """
-    subjects = _per_arm(key, m, len(failure))
-    outcomes = _per_arm(key, y, len(failure))
-    if not ((subjects > 0).all() and (outcomes > 0).all()):
-        _check_arms(subjects, outcomes, failure)
-    return subjects, outcomes
+    totals = _per_arm(_arm_keys(arm), my.transpose(0, 2, 1))
+    if not (totals > 0).all():
+        _check_arms(*totals, failure)
+    return totals
 
 
 def _fit_rows(
-    arm: np.ndarray, m: np.ndarray, y: np.ndarray, ids: np.ndarray, failure: list[Optional[str]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    arm: np.ndarray, my: np.ndarray, ids: np.ndarray, failure: list[Optional[str]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The mean model and each variance estimator's terms for each row of
-    ``(R, N)`` cluster arrays: arm, ``m_i``, ``Y_i``; ``ids`` numbers the N
-    clusters.
+    ``(R, N)`` cluster arms and of their ``m_i`` and ``Y_i``, stacked as one
+    ``(2, R, N)`` float64 array ``my``; ``ids`` numbers the N clusters.
 
     Returns ``(R, 2)`` arrays of the per-arm ``M_a``, ``ybar_a`` and
-    ``log ybar_a``, and a mapping from each name of ``ESTIMATORS`` to its
-    ``(R, 2)`` per-arm terms ``t_a`` on the scale of ``beta_hat`` (see the
-    module docstring).  A row fails in ``failure`` with the message
-    :func:`fit_zip` raises on it, at the first of its checks; a row that has
-    already failed keeps its message.  A failed row's values are
-    meaningless.
+    ``log ybar_a``, and a ``(len(ESTIMATORS), R, 2)`` array of each
+    estimator's per-arm terms ``t_a`` on the scale of ``beta_hat``, in the
+    order of ``ESTIMATORS`` (see the module docstring).  A row fails in
+    ``failure`` with the message :func:`fit_zip` raises on it, at the first
+    of its checks; a row that has already failed keeps its message.  A
+    failed row's values are meaningless.
+
+    The work runs cluster-major (see :func:`_per_arm`): a ``my`` whose
+    memory is ``(2, N, R)``, as the study engine's draw lays it out, costs
+    no copy.
     """
     rows, n = arm.shape
-    key = arm + 2 * np.arange(rows)[:, None]
-    subjects = _per_arm(key, m, rows)
-    outcomes = _per_arm(key, y, rows)
-    loo_subjects = subjects.take(key) - m
-    loo_outcomes = outcomes.take(key) - y
+    my = my.transpose(0, 2, 1)
+    keys = _arm_keys(arm)
+    totals = _per_arm(keys, my)
+    subjects, outcomes = totals
+    loo = totals.take(keys)
+    loo -= my  # each deletion's M_a - m_i and S_a - Y_i
     # An arm's k clusters' leave-one-out totals sum to (k - 1) times its
     # total, so positive ones imply a positive total: the guard needs no
     # all-zero arm term.
-    if not (
-        n >= 3
-        and (subjects > 0).all()
-        and (loo_subjects > 0).all()
-        and (loo_outcomes > 0).all()
-    ):
+    if not (n >= 3 and subjects.min() > 0 and loo.min() > 0):
         _check_arms(subjects, outcomes, failure)
         if n < 3:
             _fail(failure, np.ones(rows, dtype=bool), f"jackknife needs at least 3 clusters, got {n}")
-        for what, bad in (
-            ("empties arm", loo_subjects <= 0),
-            ("leaves all-zero outcomes in arm", loo_outcomes <= 0),
-        ):
+        for what, bad in (("empties arm", loo[0] <= 0), ("leaves all-zero outcomes in arm", loo[1] <= 0)):
 
             def removal(r: int) -> str:
-                i = np.argmax(bad[r])
+                i = np.argmax(bad[:, r])
                 return f"removing cluster {ids[i]} {what} {int(arm[r, i])}"
 
-            _fail(failure, bad.any(axis=1), removal)
+            _fail(failure, bad.any(axis=0), removal)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         ybar = outcomes / subjects
         log_mean = np.log(ybar)
-        residual = y - m * ybar.take(key)
-        s = _per_arm(key, residual * residual, rows) / (outcomes * outcomes)
-        delta = np.log(loo_outcomes / loo_subjects) - log_mean.take(key)
-        d = _per_arm(key, delta * delta, rows)
+        # each cluster's arm's ybar_a and log ybar_a, overwritten by the
+        # residual Y_i - m_i ybar_a and by the shift of log ybar_a that
+        # deleting the cluster makes, then squared
+        deviation = np.array((ybar, log_mean)).take(keys)
+        residual, shift = deviation
+        residual *= my[0]
+        np.subtract(my[1], residual, out=residual)
+        ratio = np.divide(loo[1], loo[0], out=loo[1])
+        np.subtract(np.log(ratio, out=ratio), shift, out=shift)
+        np.square(deviation, out=deviation)
+        terms = _per_arm(keys, deviation)
+        terms[0] /= outcomes * outcomes
         # with no clusters every row has failed above, and the factor is
         # moot; with 2 it is 0, and a row with an empty arm, already
-        # failed, has an inf in d
-        jackknife = (n - 2) / n * d if n else d
-    return subjects, ybar, log_mean, {"naive": s, "jackknife": jackknife}
+        # failed, has an inf in its sum of squared shifts
+        terms[1] *= (n - 2) / n if n else 1.0
+    return subjects, ybar, log_mean, terms
 
 
 @dataclass
@@ -267,24 +296,31 @@ def _wald_rows(
     df: Optional[int],
     failure: list[Optional[str]],
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """:func:`wald_test` on each row of ``beta2_hat`` and ``sigma2_sq``,
-    against the normal when ``df`` is None and t(``df``) otherwise.
+    """:func:`wald_test` on each row of ``beta2_hat`` under each estimator,
+    against the normal when ``df`` is None and t(``df``) otherwise:
+    ``sigma2_sq`` is ``(E, R)``, a row of ``R`` variances per estimator, in
+    the order of ``ESTIMATORS``.
 
-    A row fails in ``failure`` with the message :func:`wald_test` raises on
-    it, at the first of its checks; a row that has already failed keeps its
-    message.  Returns the statistics, the two-sided critical value (``inf``
-    when it is undefined) and the decisions; a failed row is never rejected.
+    A row fails in ``failure`` with the message that one :func:`wald_test`
+    per estimator, in that order, raises on it first; a row that has
+    already failed keeps its message.  Returns the ``(E, R)`` statistics,
+    the two-sided critical value (``inf`` when it is undefined) and the
+    ``(E, R)`` decisions; a failed row is never rejected, under any
+    estimator.
     """
-    bad = ~(sigma2_sq > 0.0)
-    if bad.any():
-        _fail(failure, bad, lambda r: f"sigma2_sq must be positive, got {float(sigma2_sq[r])}")
-    critical = math.inf
+    critical, error = math.inf, None
     try:
         if not (0.0 < alpha_level < 1.0):
             raise DomainError(f"alpha_level must lie in (0, 1), got {alpha_level}")
         critical = quantile(1.0 - alpha_level / 2.0, df)
     except DomainError as exc:
-        _fail(failure, np.ones(len(failure), dtype=bool), str(exc))
+        error = str(exc)
+    if error is not None or not (sigma2_sq.min() > 0.0):  # nan is not positive
+        # each wald_test checks its variance, then the critical value
+        for e, bad_e in enumerate(~(sigma2_sq > 0.0)):
+            _fail(failure, bad_e, lambda r, e=e: f"sigma2_sq must be positive, got {float(sigma2_sq[e, r])}")
+            if error is not None:
+                _fail(failure, np.ones(len(failure), dtype=bool), error)
     with np.errstate(divide="ignore", invalid="ignore"):
         statistic = math.sqrt(n_clusters) * beta2_hat / np.sqrt(sigma2_sq)
     reject = np.abs(statistic) > critical
@@ -318,17 +354,17 @@ def wald_test(
         df = _test_df("n-2", n_clusters)
     failure: list[Optional[str]] = [None]
     statistic, critical, reject = _wald_rows(
-        np.array([beta2_hat], dtype=np.float64), np.array([sigma2_sq], dtype=np.float64),
+        np.array([beta2_hat], dtype=np.float64), np.array([[sigma2_sq]], dtype=np.float64),
         n_clusters, alpha_level, df, failure,
     )
     if failure[0] is not None:
         raise DomainError(failure[0])
     return WaldTest(
-        statistic=float(statistic[0]),
+        statistic=float(statistic[0, 0]),
         reference=reference,
         df=df,
         critical_value=critical,
-        reject=bool(reject[0]),
+        reject=bool(reject[0, 0]),
         alpha_level=alpha_level,
     )
 
@@ -345,8 +381,7 @@ def fit_zip(data: TrialDataset) -> GeeFit:
     failure: list[Optional[str]] = [None]
     subjects, ybar, log_mean, terms = _fit_rows(
         arm[None],
-        data.size.astype(np.float64)[None],
-        data.cluster_sums(data.outcomes).astype(np.float64)[None],
+        np.array((data.size, data.cluster_sums(data.outcomes)), dtype=np.float64)[:, None],
         data.cluster_id,
         failure,
     )
@@ -367,7 +402,7 @@ def fit_zip(data: TrialDataset) -> GeeFit:
         beta_hat=np.array([log_mean[0, 0], log_mean[0, 1] - log_mean[0, 0]]),
         alpha_hat=_alpha_from_p(*p_hat),
         p_hat=p_hat,
-        variance={name: _arm_diagonal(*t[0]) for name, t in terms.items()},
+        variance={name: _arm_diagonal(*t[0]) for name, t in zip(ESTIMATORS, terms)},
         degenerate=bool(min(zeros) == 0),
         n_clusters=data.n_clusters,
     )

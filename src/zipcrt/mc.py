@@ -10,31 +10,33 @@ Every Wald decision depends on a trial only through each cluster's arm,
 size ``m_i`` and outcome sum ``Y_i`` (see :mod:`zipcrt.gee`), and the
 Poisson-model ICC only through those and each cluster's sum of ``y**2``.
 So this module draws nothing itself and never forms subject-level data:
-``simulate._draw_replicates`` gives a chunk's ``(R, N)`` arrays of arm,
-size and outcome sum, and ``simulate._trial_cluster_sums`` a dataset's
-per-cluster sums.  How they are drawn, and from which tables, is
-:mod:`zipcrt.simulate`'s alone.
+``simulate._draw_replicates`` gives a chunk's ``(R, N)`` array of arms and
+one ``(2, R, N)`` float64 array of its sizes and outcome sums, stacked, and
+``simulate._trial_cluster_sums`` a dataset's per-cluster sums.  How they
+are drawn, and from which tables, is :mod:`zipcrt.simulate`'s alone.
 
 :func:`simulate_study` is the one study primitive: at a cluster count the
 caller chooses, it returns every replicate's estimate and failure, and its
 variance and Wald decision under each estimator, as one
 :class:`StudyDraws`.  It draws the replicates in chunks of
-``CHUNK_REPLICATES`` as ``(R, N)`` arrays, one chunk after another in one
-process.  A chunk's estimates and failures come from ``gee._fit_rows``,
-the code :func:`fit_zip` runs on one dataset, and its Wald decisions from
-``gee._wald_rows``, the code :func:`wald_test` runs on one statistic.
+``CHUNK_REPLICATES``, one chunk after another in one process.  A chunk's
+estimates and failures come from ``gee._fit_rows``, the code
+:func:`fit_zip` runs on one dataset, and its Wald decisions from one call
+of ``gee._wald_rows``, the code :func:`wald_test` runs on one statistic,
+on the ``(E, R)`` variances of every estimator at once.
 Chunk ``k`` draws from the stream ``(seed, STREAM_TAG, k)``, so no chunk's
 results depend on the chunks before it.  A study of more than one chunk
 concatenates their arrays; a study of one chunk, such as any of at most
 ``CHUNK_REPLICATES`` replicates, returns that chunk's arrays as they are.
 Each chunk times its draw, fit and Wald layers, and the study sums them in
-:attr:`StudyDraws.seconds`.  :func:`run_power_study` is its
-reduction: it sizes the trial, runs :func:`simulate_study` at that size and
-reduces the draws to rates with :meth:`StudyDraws.report`.  The bundled
-tables call :func:`simulate_study` directly: row ``i`` of ``table1`` or
-``table2`` sizes its design once, then runs its null study from
+:attr:`StudyDraws.seconds`.  :func:`run_power_study` is its reduction: it
+sizes the trial, runs :func:`simulate_study` at that size and reduces the
+draws to rates with :meth:`StudyDraws.report`.  The bundled tables call
+:func:`simulate_study` directly: row ``i`` of ``table1`` or ``table2``
+sizes its design once, then runs its null study from
 ``replicate_seed(seed, 2 * i + 1)`` and its alternative study from
-``replicate_seed(seed, 2 * i)`` at that count.
+``replicate_seed(seed, 2 * i)`` at that count, and the table sums its
+studies' layer times in :attr:`TableReport.seconds`.
 
 :func:`estimate_poisson_icc` is a statistic of the dataset
 ``generate_trial(design, n_clusters, seed)``: ``simulate._trial_cluster_sums``
@@ -54,6 +56,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .design import ClusterSizeModel, DesignInputs, build_design, poisson_icc_limit
+from . import gee
 from .errors import ConfigError, EstimationError, StudyError
 from .gee import DF_RULES, ESTIMATORS, _arm_sums, _fail, _fit_rows, _test_df, _wald_rows
 # perfbench looks fit_zip up on this module; ROADMAP item 1 deletes the import
@@ -146,9 +149,9 @@ class StudyDraws:
     ``seconds`` maps each layer of a chunk to its ``time.perf_counter``
     seconds, summed over the chunks: ``"draw"`` (the chunk's stream and
     ``simulate._draw_replicates``), ``"fit"`` (the draw's failures and
-    ``gee._fit_rows``) and ``"wald"`` (``gee._wald_rows`` under each
-    estimator).  Like :attr:`StudyReport.seconds`, it takes no part in
-    equality.
+    ``gee._fit_rows``) and ``"wald"`` (``gee._wald_rows`` under every
+    estimator at once).  Like :attr:`StudyReport.seconds`, it takes no part
+    in equality.
     """
 
     beta2_hat: np.ndarray
@@ -165,21 +168,21 @@ class StudyDraws:
                 would no longer be trustworthy.
         """
         replications = len(self.failure)
-        failures = [f for f in self.failure if f is not None]
-        if len(failures) / replications >= _MAX_FAILURE_FRACTION:
-            sample = "; ".join(sorted(set(failures))[:3])
+        effective = self.failure.count(None)
+        failed = replications - effective
+        if failed / replications >= _MAX_FAILURE_FRACTION:
+            sample = "; ".join(sorted(set(self.failure) - {None})[:3])
             raise StudyError(
-                f"{len(failures)}/{replications} replicates failed "
+                f"{failed}/{replications} replicates failed "
                 f"(>= {_MAX_FAILURE_FRACTION:.0%}); first causes: {sample}"
             )
-        effective = replications - len(failures)
-        rates = {name: int(reject.sum()) / effective for name, reject in self.reject.items()}
+        rates = {name: np.count_nonzero(reject) / effective for name, reject in self.reject.items()}
         rate = rates["jackknife"]
         return StudyReport(
             n_clusters_used=n_clusters,
             rejection_rate=rates,
             mc_standard_error=math.sqrt(rate * (1.0 - rate) / effective),
-            replicate_failures=len(failures),
+            replicate_failures=failed,
             replications=replications,
             seconds=self.seconds,
         )
@@ -202,7 +205,7 @@ def _simulate_chunk(
     """
     start = time.perf_counter()
     rng = substream(seed, STREAM_TAG, chunk)
-    arm, m, y, empty_arm = _draw_replicates(design, n_clusters, rng, rows)
+    arm, my, empty_arm = _draw_replicates(design, n_clusters, rng, rows)
     drawn = time.perf_counter()
     failure: list[Optional[str]] = [None] * rows
     if n_clusters < 2:
@@ -210,22 +213,15 @@ def _simulate_chunk(
     if empty_arm.any():
         _fail(failure, empty_arm, _empty_arm_message(n_clusters, design.r_bar))
 
-    _, _, log_mean, terms = _fit_rows(arm, m, y, np.arange(n_clusters), failure)
+    _, _, log_mean, terms = _fit_rows(arm, my, np.arange(n_clusters), failure)
     with np.errstate(invalid="ignore"):
         beta2_hat = log_mean[:, 1] - log_mean[:, 0]
-        sigma2 = {name: n_clusters * (t[:, 0] + t[:, 1]) for name, t in terms.items()}
+        sigma2 = n_clusters * (terms[..., 0] + terms[..., 1])  # (E, R)
     fitted = time.perf_counter()
-    reject = {
-        name: _wald_rows(beta2_hat, variance, n_clusters, design.alpha, df, failure)[2]
-        for name, variance in sigma2.items()
-    }
-    # a replicate whose test failed under a later estimator has no decision
-    # under an earlier one either
-    if failure.count(None) < rows:
-        ok = np.array([f is None for f in failure])
-        reject = {name: r & ok for name, r in reject.items()}
+    reject = _wald_rows(beta2_hat, sigma2, n_clusters, design.alpha, df, failure)[2]
     seconds = {"draw": drawn - start, "fit": fitted - drawn, "wald": time.perf_counter() - fitted}
-    return StudyDraws(beta2_hat, sigma2, reject, failure, seconds)
+    names = gee.ESTIMATORS  # the order of _fit_rows' terms
+    return StudyDraws(beta2_hat, dict(zip(names, sigma2)), dict(zip(names, reject)), failure, seconds)
 
 
 def simulate_study(
@@ -306,11 +302,10 @@ def _poisson_icc(arm: np.ndarray, m: np.ndarray, ysum: np.ndarray, ysq: np.ndarr
         EstimationError: an arm is absent or all-zero, every cluster has
             size 1, or every residual is 0.
     """
-    m = m.astype(np.float64)
-    ysum = ysum.astype(np.float64)
+    my = np.array((m, ysum), dtype=np.float64)
+    m, ysum = my
     failure: list[Optional[str]] = [None]
-    # one row, so each cluster's key arm + 2 * row is its arm
-    subjects, outcomes = (total[0] for total in _arm_sums(arm, m, ysum, failure))
+    subjects, outcomes = _arm_sums(arm[None], my[:, None], failure)[:, 0]
     if failure[0] is not None:
         raise EstimationError(failure[0])
     mu = outcomes / subjects
@@ -387,11 +382,17 @@ def reference_design(
 
 @dataclass
 class TableReport:
-    """Rows of a reproduced study table plus the column order."""
+    """Rows of a reproduced study table plus the column order.
+
+    ``seconds`` sums the :attr:`StudyReport.seconds` of the table's studies,
+    by layer, and is empty when it ran none.  It takes no part in equality
+    or in :meth:`to_text`.
+    """
 
     table: str
     columns: list[str]
     rows: list[dict] = field(default_factory=list)
+    seconds: dict[str, float] = field(default_factory=dict, compare=False)
 
     def to_text(self) -> str:
         """The table as CSV; a label with a comma, such as ``DU(34,56)``, is quoted."""
@@ -477,6 +478,8 @@ def _study_table(table: str, replications: int, seed: int) -> TableReport:
             )
             for kind, study in (("type_i", null), ("power", alternative)):
                 row.update({f"{kind}_{name}": r for name, r in study.rejection_rate.items()})
+                for layer, spent in study.seconds.items():
+                    report.seconds[layer] = report.seconds.get(layer, 0.0) + spent
             row["mc_standard_error"] = alternative.mc_standard_error
         report.rows.append(row)
     return report

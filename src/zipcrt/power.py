@@ -344,14 +344,28 @@ def _raw_count(sigma2_sq: float, quantile_sum: float, beta2: float) -> float:
     return n_raw
 
 
-def _sample_size(design: DesignInputs, df: Optional[int]) -> SampleSizeResult:
-    """Required clusters with the quantiles of the reference ``df`` names
-    (see :func:`quantile`)."""
+def _sample_size(design: DesignInputs, t_pass: bool) -> SampleSizeResult:
+    """Required clusters with the normal quantiles, then, when ``t_pass``,
+    with the t quantiles at the df that count gives (see
+    :func:`sample_size_t`); both passes share one design variance."""
     if design.beta2 == 0.0:
         raise DomainError("beta2 == 0: effect size undefined for sample size")
     sigma2_sq = design_variance(design)
-    quantile_sum = quantile(1.0 - design.alpha / 2.0, df) + quantile(design.power, df)
-    n_raw = _raw_count(sigma2_sq, quantile_sum, design.beta2)
+
+    def raw_count(df: Optional[int]) -> float:
+        quantile_sum = quantile(1.0 - design.alpha / 2.0, df) + quantile(design.power, df)
+        return _raw_count(sigma2_sq, quantile_sum, design.beta2)
+
+    df = None
+    n_raw = raw_count(df)
+    if t_pass:
+        df = math.ceil(n_raw) - 2
+        if df < 1:
+            raise DomainError(
+                f"insufficient clusters for a t-based size: normal pass gave "
+                f"{df + 2} clusters (df={df})"
+            )
+        n_raw = raw_count(df)
     return SampleSizeResult(
         sigma2_sq=sigma2_sq,
         n_raw=n_raw,
@@ -363,7 +377,7 @@ def _sample_size(design: DesignInputs, df: Optional[int]) -> SampleSizeResult:
 
 def sample_size_normal(design: DesignInputs) -> SampleSizeResult:
     """Required clusters under the normal approximation."""
-    return _sample_size(design, None)
+    return _sample_size(design, False)
 
 
 def sample_size_t(design: DesignInputs) -> SampleSizeResult:
@@ -374,13 +388,7 @@ def sample_size_t(design: DesignInputs) -> SampleSizeResult:
     those df replace the normal ones.  Always at least as large as the
     normal-based count.
     """
-    df = sample_size_normal(design).n_clusters - 2
-    if df < 1:
-        raise DomainError(
-            f"insufficient clusters for a t-based size: normal pass gave "
-            f"{df + 2} clusters (df={df})"
-        )
-    return _sample_size(design, df)
+    return _sample_size(design, True)
 
 
 def predicted_power(design: DesignInputs, n_clusters: float, df: Optional[float]) -> float:

@@ -49,7 +49,10 @@ sum over that arm's parts.
 Every Wald decision depends on a trial only through each cluster's arm,
 ``m_i`` and outcome sum ``Y_i``, so the study engine of :mod:`zipcrt.mc`
 draws a replicate trial as those alone (:func:`_draw_replicates`), ``R``
-replicates at once as ``(R, N)`` arrays.  An arm's law of ``(m, Y)``
+replicates at once: an ``(R, N)`` array of arms and one ``(2, R, N)``
+float64 array of ``m_i`` and ``Y_i``, stacked and laid out cluster-major in
+memory, which the fit (``gee._fit_rows``) reads without a copy.  An arm's
+law of ``(m, Y)``
 (:func:`_joint_cdf`) is ``P(m, y) = sum_k P(m, k) g_k(y)``, with ``g_k``
 the law of ``k`` own Poisson parts plus ``k`` copies of the shared part,
 summed once per law on a grid (:func:`_joint_law`).  A law whose grid or
@@ -233,10 +236,10 @@ class _Law(NamedTuple):
     """An arm's law on the cells a uniform draw can select: each cell's key
     ``ceil(F * 2**53)``, of its cumulative probability ``F``, the last
     exactly ``2**53``, and its size ``m`` and value ``v``, all read-only.
-    ``v`` is ``K`` in a dataset's law of ``(m, K)``, whose ``m`` and ``K``
-    are int64, and the outcome sum ``Y`` in a study's law of ``(m, Y)``,
-    whose ``m`` and ``Y`` are each in the smallest unsigned type that holds
-    its grid's values."""
+    ``v`` is ``K`` in a dataset's law of ``(m, K)`` and the outcome sum
+    ``Y`` in a study's law of ``(m, Y)``; ``m`` and ``v`` are each in the
+    smallest unsigned type that holds its values, ``hi`` for both ``m`` and
+    ``K``, and the grid's largest ``m`` or ``y`` for ``m`` or ``Y``."""
 
     keys: np.ndarray
     m: np.ndarray
@@ -271,7 +274,10 @@ def _nonzero_law(sizes: ClusterSizeModel, rho_s: float, p: float) -> Optional[_L
     """:func:`_nonzero_cdf` over ``sizes``' cells as the :class:`_Law` of
     ``(m, K)``; None when ``sizes`` has no cells."""
     cells = sizes._cells
-    return None if cells is None else _law(_nonzero_cdf(cells, p, rho_s), cells.m, cells.k)
+    if cells is None:
+        return None
+    narrow = np.min_scalar_type(sizes.hi)
+    return _law(_nonzero_cdf(cells, p, rho_s), cells.m.astype(narrow), cells.k.astype(narrow))
 
 
 class _LawTable(NamedTuple):
@@ -369,13 +375,17 @@ _LawBuilder = Callable[..., Optional[_Law]]
 # of the control arm's law, built once, whichever is drawn first.
 #
 # A table holds, per entry of each of its one or two rows, 8 bytes of key,
-# 2 to 4 of guide, and its m and v: 16 bytes in a law of (m, K), 2 to 6 in
-# one of (m, Y).  A row has at most MAX_SIZE_CELLS (2**15) entries, so a
-# table holds at most 1.7 MB, and the 64 entries and 64 slots, each of
-# which may keep a table the entries no longer do, at most 128 tables,
-# 220 MB.  On the bundled grid a table of (m, Y) is at most 0.6 MB and one
-# of (m, K) 0.17 MB.  A table1 then table2 walk uses 30 entries and 6
-# slots, and builds each of its 36 laws once.
+# 2 to 4 of guide, and its m and v, 1 or 2 bytes each: a law of (m, K)
+# has at most MAX_SIZE_CELLS cells, so hi < 2**15, and the grid of a law
+# of (m, Y) at most 2**17 cells in hi + 1 >= 2 rows of more than 28
+# values y, so m and y < 2**16.  A row has at most MAX_SIZE_CELLS
+# (2**15) entries and buckets, so a table holds at most 0.92 MB, and the
+# 64 entries and 64 slots, each of which may keep a table the entries no
+# longer do, at most 128 tables, 117 MB.  The two-arm (m, K) table of
+# DU(1,254), just within the cap, holds 0.60 to 0.72 MB (1.27 to 1.54 MB
+# with int64 m and K).  On the bundled grid a table of (m, Y) is at most
+# 0.6 MB and one of (m, K) 0.08 MB.  A table1 then table2 walk uses 30
+# entries and 6 slots, and builds each of its 36 laws once.
 @functools.lru_cache(maxsize=64)
 def _two_law_table(
     build: _LawBuilder, sizes: ClusterSizeModel, shared: tuple, control: tuple, intervention: tuple
@@ -433,10 +443,11 @@ def _draw_law(
     build: _LawBuilder, sizes: ClusterSizeModel, shared: tuple, control: tuple,
     intervention: tuple, arm: np.ndarray, rng: np.random.Generator,
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Each cluster's ``m`` and ``v``, for an array of arm indicators of any
-    shape: one uniform per cluster, in the order of ``arm``, that selects
-    an entry of its arm's law in the :func:`_design_table`.  None, with
-    nothing drawn, when the table is None."""
+    """Each cluster's ``m`` and ``v``, in the table's types, for an array of
+    arm indicators of any shape: one uniform per cluster, in the order of
+    ``arm``, that selects an entry of its arm's law in the
+    :func:`_design_table`.  None, with nothing drawn, when the table is
+    None."""
     table, own_rows = _design_table(build, sizes, shared, control, intervention)
     if table is None:
         return None
@@ -460,7 +471,8 @@ def _draw_nonzero_counts(
         (design.control.p,), (design.intervention.p,), arm, rng,
     )
     if drawn is not None:
-        return drawn
+        # signed: generate_trial offsets row indices by the sizes
+        return tuple(part.astype(np.int64) for part in drawn)
     m = _draw_cluster_sizes(design.cluster_sizes, rng, arm.shape)
     p = np.where(arm, design.intervention.p, design.control.p)
     mix = math.sqrt(design.rho_s)
@@ -690,8 +702,11 @@ def _joint_law(
 def _draw_replicates(
     design: DesignInputs, n_clusters: int, rng: np.random.Generator, rows: int
 ) -> tuple[np.ndarray, ...]:
-    """``(R, N)`` arrays of arm, size and outcome sum of ``rows`` replicate
-    trials, and an empty-arm mask, for the study engine.
+    """The ``(R, N)`` arm array of ``rows`` replicate trials, their sizes and
+    outcome sums stacked as one ``(2, R, N)`` float64 array, and an
+    empty-arm mask, for the study engine.  The stacked array is a
+    transposed view of a ``(2, N, R)`` one: ``gee._fit_rows`` works
+    cluster-major.
 
     First each replicate's :func:`_intervention_counts`.  A design whose
     laws :func:`_joint_law` have tables then draws each cluster's ``(m,
@@ -709,12 +724,10 @@ def _draw_replicates(
     rho_u = design.rho_u
     control = (design.control.p, design.control.lam)
     intervention = (design.intervention.p, design.intervention.lam)
-    drawn = _draw_law(
+    my = _draw_law(
         _joint_law, design.cluster_sizes, (design.rho_s, rho_u), control, intervention, arm, rng
     )
-    if drawn is not None:
-        m, y = drawn
-    else:
+    if my is None:
         m, nonzero = _draw_nonzero_counts(design, arm, rng)
         # a null design keeps lam a scalar: numpy draws the same values from
         # it as from an array of equal means, and skips the array
@@ -723,8 +736,10 @@ def _draw_replicates(
             lam = np.where(arm, intervention[1], lam)
         y = rng.poisson(nonzero * (lam * (1.0 - rho_u)))
         y += nonzero * rng.poisson(lam * rho_u, arm.shape)
+        my = (m, y)
     empty_arm = (n_intervention == 0) | (n_intervention == n_clusters)
-    return arm, m, y, empty_arm
+    my = np.array([part.T for part in my], dtype=np.float64)
+    return arm, my.transpose(0, 2, 1), empty_arm
 
 
 def _draw_trial(

@@ -389,6 +389,22 @@ def test_study_manifest_records_the_layer_seconds(tmp_path, capsys):
     assert all(isinstance(s, float) and s > 0.0 for s in seconds.values())
 
 
+def test_tables_manifest_records_the_layer_seconds_of_its_studies(tmp_path, capsys):
+    prefix = str(tmp_path / "out")
+    assert cli.main([
+        "tables", "--which", "table1,table3-icc", "--reps", "20", "--seed", "3", "--out", prefix,
+    ]) == 0
+    manifests = {
+        table: json.loads((tmp_path / f"out.{table}.csv.manifest.json").read_text(encoding="utf-8"))
+        for table in ("table1", "table3-icc")
+    }
+    seconds = manifests["table1"]["seconds"]
+    assert sorted(seconds) == ["draw", "fit", "wald"]
+    assert all(isinstance(s, float) and s > 0.0 for s in seconds.values())
+    # the ICC table runs no study
+    assert "seconds" not in manifests["table3-icc"]
+
+
 def test_tables_manifest_records_the_engine(tmp_path, capsys):
     prefix = str(tmp_path / "out")
     assert cli.main(["tables", "--which", "table1,table3-icc", "--seed", "3", "--out", prefix]) == 0

@@ -399,9 +399,14 @@ class TestBuildDesign:
             dataclasses.replace(design, **changes)
 
     def test_under_null_shares_control_profile(self):
-        null = grid_design().under_null()
+        design = grid_design()
+        null = design.under_null()
         assert null.beta2 == 0.0
         assert null.intervention == null.control
+        # a copy, not checked again, equal to the design the constructor checks
+        checked = dataclasses.replace(design, beta2=0.0, p2=design.p1)
+        assert vars(null) == vars(checked) and hash(null) == hash(checked)
+        assert design.beta2 != 0.0 and design.intervention != design.control
 
     def test_the_arm_profiles_are_derived(self):
         design = DesignInputs(beta1=0.2, beta2=-0.431, p1=0.5, p2=0.6, rho_s=0.03, rho_u=0.03,

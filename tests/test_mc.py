@@ -52,7 +52,8 @@ from conftest import (
 def engine_draws(design, n_clusters, seed, chunk, rows):
     """The arm, size and outcome-sum arrays that one engine chunk tests."""
     rng = np.random.default_rng([seed, mc.STREAM_TAG, chunk])
-    return simulate._draw_replicates(design, n_clusters, rng, rows)[:3]
+    arm, my, _ = simulate._draw_replicates(design, n_clusters, rng, rows)
+    return (arm, *my.astype(np.int64))
 
 
 def draw_arrays(draws):
@@ -268,13 +269,32 @@ class TestReplicateFailures:
         # variance is a rounding residue above 0 and the Jackknife's exactly
         # 0, so the naive test alone rejects, but the replicate has failed
         arm = np.array([[0, 0, 0, 1, 1, 1]])
-        m, y = np.full(arm.shape, 49), 1 + arm
-        monkeypatch.setattr(mc, "_draw_replicates", lambda *_: (arm, m, y, np.zeros(1, dtype=bool)))
+        my = np.array((np.full(arm.shape, 49), 1 + arm), dtype=np.float64)
+        monkeypatch.setattr(mc, "_draw_replicates", lambda *_: (arm, my, np.zeros(1, dtype=bool)))
         chunk = mc._simulate_chunk(grid_design(), 6, 0, 0, 1, 4)
         assert chunk.sigma2["naive"][0] > 0.0 and chunk.sigma2["jackknife"][0] == 0.0
         assert wald_test(chunk.beta2_hat[0], chunk.sigma2["naive"][0], 6, "t", 0.05, 4).reject
         assert chunk.failure == ["sigma2_sq must be positive, got 0.0"]
         assert not chunk.reject["naive"][0] and not chunk.reject["jackknife"][0]
+
+    def test_a_row_fails_with_the_message_of_its_first_failing_test(self, monkeypatch):
+        # both estimators' Wald tests are one pass; a row whose Jackknife
+        # variance alone is not positive takes the Jackknife's message, and
+        # a row where both are not takes the naive test's, as one wald_test
+        # per estimator in ESTIMATORS order would raise; a failed row keeps
+        # no decision under either estimator
+        log_mean = np.array([[0.0, -0.9]] * 3)
+        terms = np.array([
+            [[0.01, 0.02], [0.01, 0.02], [0.0, 0.0]],  # naive
+            [[0.01, 0.02], [-0.5, 0.0], [-1.0, 0.0]],  # jackknife
+        ])
+        monkeypatch.setattr(mc, "_fit_rows", lambda *_: (None, None, log_mean, terms))
+        chunk = mc._simulate_chunk(grid_design(), 6, 0, 0, 3, 4)
+        assert chunk.failure == [
+            None, "sigma2_sq must be positive, got -3.0", "sigma2_sq must be positive, got 0.0",
+        ]
+        assert wald_test(-0.9, chunk.sigma2["naive"][1], 6, "t", 0.05, 4).reject
+        assert chunk.reject["naive"].tolist() == chunk.reject["jackknife"].tolist() == [True, False, False]
 
     @pytest.mark.parametrize("message", list(LONE_FAILURES))
     def test_a_lone_failing_row_fails_alone(self, message, monkeypatch):
@@ -283,8 +303,9 @@ class TestReplicateFailures:
         # and decisions they have when tested on their own
         def chunk_of(rows):
             arm, m, y = (np.array(part) for part in zip(*rows))
+            my = np.array((m, y), dtype=np.float64)
             empty = np.zeros(len(rows), dtype=bool)
-            monkeypatch.setattr(mc, "_draw_replicates", lambda *_: (arm, m, y, empty))
+            monkeypatch.setattr(mc, "_draw_replicates", lambda *_: (arm, my, empty))
             return mc._simulate_chunk(grid_design(), 6, 0, 0, len(rows), 4)
 
         chunk = chunk_of([*CLEAN_ROWS[:2], LONE_FAILURES[message], CLEAN_ROWS[2]])
@@ -397,6 +418,15 @@ def test_study_seconds_sum_its_chunks_layer_times(monkeypatch):
     assert mc.simulate_study(config.design, n, 8, 3, None).seconds == {"draw": 1, "fit": 1, "wald": 1}
 
 
+def test_a_table_sums_its_studies_layer_times(monkeypatch):
+    # the clock above: each one-chunk study takes 1 a layer, and table1's 30
+    # rows run a null and an alternative study each
+    monkeypatch.setattr(mc.time, "perf_counter", functools.partial(next, itertools.count()))
+    table1, icc = mc.reproduce_tables(["table1", "table3-icc"], 8, seed=4)
+    assert table1.seconds == {"draw": 60, "fit": 60, "wald": 60}
+    assert icc.seconds == mc.reproduce_tables(["table1"], 0, seed=4)[0].seconds == {}
+
+
 def test_study_report_is_the_reduction_of_its_draws():
     for null in (True, False):
         config = StudyConfig(
@@ -407,6 +437,29 @@ def test_study_report_is_the_reduction_of_its_draws():
         generating = config.design.under_null() if null else config.design
         draws = mc.simulate_study(generating, n, config.replications, 3, n - 2)
         assert run_power_study(config) == draws.report(n)
+
+
+@pytest.mark.parametrize("null", [True, False], ids=["null", "alternative"])
+def test_a_study_is_its_draws_at_the_t_size(null, monkeypatch):
+    # a null config draws from a design equal to design.under_null(), at
+    # the alternative's t-sized cluster count
+    design = grid_design(DU_10_80, rho=0.05)
+    config = StudyConfig(design=design, replications=40, use_t_sizing=True, seed=3, null_hypothesis=null)
+    n = sample_size_t(design).n_clusters
+    generating = design.under_null() if null else design
+    expected = mc.simulate_study(generating, n, 40, 3, n - 2).report(n)
+    calls = []
+    study = mc.simulate_study
+    monkeypatch.setattr(mc, "simulate_study", lambda *args: calls.append(args) or study(*args))
+    assert run_power_study(config) == expected
+    assert calls == [(generating, n, 40, 3, n - 2)]
+
+
+def test_a_design_that_cannot_be_sized_raises_before_drawing(monkeypatch):
+    monkeypatch.setattr(mc, "simulate_study", None)
+    config = StudyConfig(design=grid_design(beta2=0.0), replications=10, use_t_sizing=True)
+    with pytest.raises(DomainError, match="beta2 == 0"):
+        run_power_study(config)
 
 
 def test_mc_standard_error_is_the_jackknifes_in_any_estimator_order(monkeypatch):
@@ -557,9 +610,10 @@ class TestJointLaw:
         table, two_laws = engine_table(design)
         assert table is not None and two_laws
         n = 100
-        arm, m, y, _ = simulate._draw_replicates(
+        arm, my, _ = simulate._draw_replicates(
             design, n, np.random.default_rng(17), 2 * self.CLUSTERS // n
         )
+        m, y = my.astype(np.int64)
         data_arm, data_m, data_y, _ = simulate._trial_cluster_sums(design, 2 * self.CLUSTERS, 18)
         width = int(max(y.max(), data_y.max())) + 1
         for a in (0, 1):
@@ -630,6 +684,29 @@ def test_seeded_study_draws_pinned_at_an_odd_n():
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
         "a425e9f0e5f910365fc2ee4d4495d6fe62b4b3ad92f17a640d5b65b7f6ec2859"
     )
+
+
+@pytest.mark.parametrize("design, digest", [
+    # past the joint table's grid: (m, K) from its table, then the own sums
+    # and the shared parts by rng.poisson over an np.where array of two means
+    (build_design(mu1=5.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.05, rho_u=0.05,
+                  cluster_sizes=DU_10_80),
+     "2afb672ed5c8e6a0f8172e324285a11c6d9d6d71cfd8feba030944ca48d0ba5a"),
+    # above the size law's cell cap: size, shared zero and binomial per cluster
+    (grid_design(ClusterSizeModel.discrete_uniform(1, 400), rho=0.05),
+     "7cc0108a75dfcb140f24e3a9eed6071bcd40daa5b35ad2e4129c9bba98c09ab7"),
+], ids=["mu1-5-du10-80", "du1-400"])
+def test_seeded_per_cluster_study_draws_pinned(design, digest):
+    # the draw paths the bundled grid never takes, hashed as the test above
+    # hashes the joint table's; engine version 7
+    assert engine_table(design)[0] is None
+    draws = mc.simulate_study(design, 31, 300, 2024, 29)
+    text = "".join(
+        f"{b!r},{','.join(repr(float(draws.sigma2[name][i])) for name in ESTIMATORS)},"
+        f"{','.join(str(bool(draws.reject[name][i])) for name in ESTIMATORS)},{draws.failure[i]}\n"
+        for i, b in enumerate(draws.beta2_hat.tolist())
+    )
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_seeded_icc_table_pinned():

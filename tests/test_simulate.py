@@ -348,7 +348,8 @@ def full_law(build, sizes, shared, law):
 
 def replicate_arrays(design, seed=3):
     """The arm, size and outcome-sum arrays of 40 replicates of 31 clusters."""
-    return simulate._draw_replicates(design, 31, np.random.default_rng(seed), 40)[:3]
+    arm, my, _ = simulate._draw_replicates(design, 31, np.random.default_rng(seed), 40)
+    return (arm, *my)
 
 
 class TestArmCdf:
@@ -585,7 +586,7 @@ class TestKeyedTable:
         if name.startswith("sums"):
             build = simulate._joint_law
             # 40 clusters at r_bar 0.5 draw no tie coin before the uniforms
-            arm, m, v, _ = simulate._draw_replicates(design, 40, np.random.default_rng(5), 64)
+            arm, (m, v), _ = simulate._draw_replicates(design, 40, np.random.default_rng(5), 64)
         else:
             build = simulate._nonzero_law
             arm = np.random.default_rng(6).integers(0, 2, (64, 40))
