@@ -3,6 +3,7 @@ zero-inflated Poisson outcomes: closed-form cluster counts, correlated
 trial simulation, GEE fitting with sandwich and Jackknife variances, and
 Monte Carlo operating-characteristic studies."""
 
+from .dataset import TrialDataset, read_dataset, write_dataset
 from .design import (
     ArmProfile,
     ClusterSizeModel,
@@ -46,12 +47,7 @@ from .power import (
     sample_size_normal,
     sample_size_t,
 )
-from .simulate import (
-    TrialDataset,
-    generate_trial,
-    read_dataset,
-    write_dataset,
-)
+from .simulate import generate_trial
 
 __version__ = "0.1.0"
 

@@ -47,6 +47,7 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
+from .dataset import read_dataset, write_dataset
 from .design import ClusterSizeModel, DesignInputs, build_design, decompose_effect, pairwise_covariance_factor
 from .errors import ConfigError, DomainError, StudyError, ZipCrtError
 from .gee import DF_RULES, ESTIMATORS, _test_df, fit_zip, wald_test
@@ -60,14 +61,7 @@ from .mc import (
     run_power_study,
 )
 from .power import q_sweep, sample_size_normal, sample_size_t
-from .simulate import (
-    GENERATOR,
-    GENERATOR_VERSION,
-    TRIAL_STREAM_TAG,
-    generate_trial,
-    read_dataset,
-    write_dataset,
-)
+from .simulate import GENERATOR, GENERATOR_VERSION, TRIAL_STREAM_TAG, generate_trial
 
 _NUMBER_KEYS = (
     "mu1", "beta1", "beta2", "p1", "p2", "q", "rho_s", "rho_u", "r_bar", "alpha", "power",
@@ -173,12 +167,13 @@ def _design_from_config(config: dict) -> DesignInputs:
 
 
 def _design_to_dict(design: DesignInputs) -> dict:
+    """The design as a config that :func:`_design_from_config` reads back
+    to an equal design: each parameter once, and the size law's own keys."""
     size = design.cluster_sizes
+    keys = {"lo": size.lo, "hi": size.hi, "rate": size.rate, "m": size.lo}
     return {
         "beta1": design.beta1,
         "beta2": design.beta2,
-        "mu1": design.control.mu,
-        "mu2": design.intervention.mu,
         "p1": design.p1,
         "p2": design.p2,
         "rho_s": design.rho_s,
@@ -186,9 +181,7 @@ def _design_to_dict(design: DesignInputs) -> dict:
         "r_bar": design.r_bar,
         "alpha": design.alpha,
         "power": design.power,
-        "cluster_size": {
-            "kind": size.kind, "lo": size.lo, "hi": size.hi, "rate": size.rate,
-        },
+        "cluster_size": {"kind": size.kind, **{k: keys[k] for k in _CLUSTER_KIND_KEYS[size.kind]}},
     }
 
 

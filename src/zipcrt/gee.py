@@ -62,9 +62,11 @@ squared shifts of the log-means.  The terms come back as one
 ``(2, N, R)`` arrays, as ``np.bincount`` runs faster over a chunk's arrays
 in that order and each sum still adds its row's clusters in order; the
 study engine's draw lays ``my`` out that way in memory, as a transposed
-view, so reading it costs no copy.  :func:`fit_zip` runs it on its dataset
-as one row, and the study engine (:mod:`zipcrt.mc`) on a chunk of ``R``
-replicates.  The Wald test's checks, critical value and decisions are
+view, so reading it costs no copy.  :func:`fit_zip` runs it as one row on
+a :class:`zipcrt.dataset.TrialDataset`, whose per-cluster zero counts
+(``TrialDataset.cluster_zeros``) give each arm's ``Z_a`` by one
+``np.bincount``, and the study engine (:mod:`zipcrt.mc`) on a chunk of
+``R`` replicates.  The Wald test's checks, critical value and decisions are
 written once too, in ``_wald_rows``, over an ``(E, R)`` array of variances,
 a row per estimator: :func:`wald_test` runs it on one statistic, and the
 study engine once on a chunk's variances under every estimator.  Inside the
@@ -82,10 +84,10 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .dataset import TrialDataset
 from .design import infer_p1_from_observed
 from .errors import DomainError, EstimationError
 from .power import quantile
-from .simulate import TrialDataset
 
 _ARM_NAMES = ("control", "intervention")
 
@@ -388,11 +390,7 @@ def fit_zip(data: TrialDataset) -> GeeFit:
     if failure[0] is not None:
         raise EstimationError(failure[0])
 
-    # zero counts from byte masks: an int64 copy of the outcome column would
-    # be the largest allocation of the fit
-    is_zero = data.outcomes == 0
-    zeros_1 = np.count_nonzero(is_zero & np.repeat(arm == 1, data.size))
-    zeros = (np.count_nonzero(is_zero) - zeros_1, zeros_1)
+    zeros = np.bincount(arm, weights=data.cluster_zeros(), minlength=2).tolist()
     p_hat = tuple(
         infer_p1_from_observed(float(ybar[0, a]), float(z / subjects[0, a])) if z > 0 else 0.0
         for a, z in enumerate(zeros)

@@ -15,8 +15,8 @@ import pytest
 
 import zipcrt
 from zipcrt import (
-    ConfigError, cli, fit_zip, mc, read_dataset, reproduce_tables, sample_size_normal,
-    sample_size_t, simulate,
+    ClusterSizeModel, ConfigError, cli, fit_zip, mc, read_dataset, reproduce_tables,
+    sample_size_normal, sample_size_t, simulate,
 )
 
 from conftest import NOT_UTF8, first_seed, grid_design, zero_states
@@ -196,6 +196,18 @@ def test_a_null_optional_number_is_an_absent_one(tmp_path, capsys):
         assert cli.main(["samplesize", "--config", design_file(tmp_path), *settings]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("design", [
+    *(design for _, design in mc._grid_cells(mc._GRID_DISTRIBUTIONS)),
+    grid_design(cluster_sizes=ClusterSizeModel.fixed(20)),
+    grid_design(cluster_sizes=ClusterSizeModel.truncated_poisson(12.5, 5, 30)),
+], ids=[*(f"grid-{i}" for i in range(30)), "fixed-20", "trunpois-12.5"])
+def test_the_design_dict_reads_back_to_an_equal_design(design):
+    # the dict a manifest digests is a config: each parameter once, and the
+    # size law's own keys, so nothing in it can disagree or be rejected
+    config = cli._design_to_dict(design)
+    assert cli._design_from_config(json.loads(json.dumps(config))) == design
 
 
 @pytest.mark.parametrize("rate", ["NaN", "Infinity", "-Infinity"])

@@ -29,6 +29,7 @@ from zipcrt import (
     write_dataset,
     zero_probability,
 )
+from zipcrt import dataset as dataset_io  # the module; `dataset` builds test datasets
 from zipcrt.design import MAX_SIZE_CELLS
 
 from conftest import (
@@ -741,6 +742,41 @@ class TestDatasetTypes:
             dataset([])
 
 
+def python_zeros(data):
+    """Each cluster's number of zero outcomes, counted in Python."""
+    counts, start = [], 0
+    for size in data.size.tolist():
+        counts.append(data.outcomes[start:start + size].tolist().count(0))
+        start += size
+    return counts
+
+
+class TestClusterZeros:
+    def test_match_a_python_count_with_clusters_of_no_nonzero_subject(self):
+        design = build_design(
+            mu1=1.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.5, rho_u=0.05,
+            cluster_sizes=ClusterSizeModel.discrete_uniform(1, 4),
+        )
+        nonzero = simulate._draw_trial(design, 400, 5)[2]
+        assert (nonzero == 0).any()  # clusters with K = 0
+        data = generate_trial(design, 400, seed=5)
+        zeros = data.cluster_zeros()
+        assert zeros.dtype == np.int64
+        assert zeros.tolist() == python_zeros(data)
+
+    @pytest.mark.parametrize("wide", [256, 65_536])
+    def test_a_count_past_a_narrow_type_counts_in_full(self, wide):
+        # 256 and 65,536 zeros overflow a uint8 and a uint16 count
+        data = dataset([(0, 0, [0] * wide), (1, 1, [0, 3, 0]), (2, 0, [0] * 255 + [1])])
+        assert data.cluster_zeros().tolist() == python_zeros(data) == [wide, 2, 255]
+
+    def test_match_a_python_count_on_a_file_of_interleaved_rows(self, tmp_path):
+        path = tmp_path / "interleaved.csv"
+        path.write_text("cluster_id,arm,y\n4,0,1\n9,1,0\n4,0,0\n2,1,0\n9,1,0\n4,0,0\n2,1,5\n")
+        data = read_dataset(str(path))
+        assert data.cluster_zeros().tolist() == python_zeros(data) == [2, 2, 1]
+
+
 class TestDatasetIO:
     def test_round_trip(self, config_a, tmp_path):
         data = generate_trial(config_a, 30, seed=19)
@@ -1052,16 +1088,16 @@ class TestPlainForm:
         # rows and clusters straddle the cuts of chunks of a few bytes and
         # of a few subjects; 1 byte cuts at every line, 1 subject at every cluster
         for read_bytes, write_subjects in [(1, 1), (7, 5), (61, 33)]:
-            monkeypatch.setattr(simulate, "_READ_CHUNK_BYTES", read_bytes)
-            monkeypatch.setattr(simulate, "_WRITE_CHUNK_SUBJECTS", write_subjects)
+            monkeypatch.setattr(dataset_io, "_READ_CHUNK_BYTES", read_bytes)
+            monkeypatch.setattr(dataset_io, "_WRITE_CHUNK_SUBJECTS", write_subjects)
             path = tmp_path / "chunked.csv"
             write_dataset(data, str(path))
             assert path.read_bytes() == whole.read_bytes()
-            assert simulate._parse_plain(path.read_bytes()) is not None
+            assert dataset_io._parse_plain(path.read_bytes()) is not None
             assert read_dataset(str(path)) == reference_read_dataset(str(path))
             assert read_dataset(str(path)) == dataclasses.replace(data, seed=None)
 
-    @pytest.mark.parametrize("read_bytes", [5, simulate._READ_CHUNK_BYTES])
+    @pytest.mark.parametrize("read_bytes", [5, dataset_io._READ_CHUNK_BYTES])
     @pytest.mark.parametrize("body, plain", [
         ("999999999999999999,1,123456789012345678\n0,0,1\n5,1,100000000000000000\n", True),
         ("9223372036854775807,1,9223372036854775807\n0,0,1\n", False),
@@ -1081,10 +1117,10 @@ class TestPlainForm:
     ):
         # 18 digits stay below 2**63 and take the byte parse; 19 may not, and
         # go to numpy's reader with every other form, a "-" sign included
-        monkeypatch.setattr(simulate, "_READ_CHUNK_BYTES", read_bytes)
+        monkeypatch.setattr(dataset_io, "_READ_CHUNK_BYTES", read_bytes)
         path = tmp_path / "trial.csv"
         path.write_bytes(b"cluster_id,arm,y\n" + body.encode("ascii"))
-        assert (simulate._parse_plain(path.read_bytes()) is not None) == plain
+        assert (dataset_io._parse_plain(path.read_bytes()) is not None) == plain
         expected = read_or_message(reference_read_dataset, str(path))
         assert read_or_message(read_dataset, str(path)) == expected
 
@@ -1107,12 +1143,12 @@ class TestWriterAgainstCsvWriter:
         assert path.read_bytes() == reference.read_bytes()
         assert read_dataset(str(path)) == dataset(rows)
 
-    @pytest.mark.parametrize("write_subjects", [1, 5, simulate._WRITE_CHUNK_SUBJECTS])
+    @pytest.mark.parametrize("write_subjects", [1, 5, dataset_io._WRITE_CHUNK_SUBJECTS])
     def test_random_files_at_each_packing_boundary(self, tmp_path, monkeypatch, write_subjects):
         # a prefix of 7 to 17 bytes spans one to three 8-byte words, with and
         # without a sign column; the largest outcome has 1 to 4 digits, or 7
         # and 8, which with their LF fill one word and spill into a second
-        monkeypatch.setattr(simulate, "_WRITE_CHUNK_SUBJECTS", write_subjects)
+        monkeypatch.setattr(dataset_io, "_WRITE_CHUNK_SUBJECTS", write_subjects)
         rng = random.Random(30)
         cases = [
             (width, signed, top)
