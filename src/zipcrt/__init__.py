@@ -11,6 +11,8 @@ from .design import (
     EffectDecomposition,
     build_design,
     decompose_effect,
+    design_from_dict,
+    design_to_dict,
     infer_p1_from_observed,
     marginal_variance,
     p2_from_q,
@@ -71,6 +73,8 @@ __all__ = [
     "ZipCrtError",
     "build_design",
     "decompose_effect",
+    "design_from_dict",
+    "design_to_dict",
     "design_variance",
     "estimate_poisson_icc",
     "fit_zip",

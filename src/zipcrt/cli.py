@@ -1,21 +1,9 @@
 """Command-line front end: sample sizes, sweeps, simulation, fitting, studies.
 
-Designs are described by a JSON file with keys mirroring the design inputs::
-
-    {
-      "mu1": 1.0, "beta2": -0.431, "p1": 0.5, "q": 0.5,
-      "rho_s": 0.05, "rho_u": 0.05, "r_bar": 0.5,
-      "alpha": 0.05, "power": 0.8,
-      "cluster_size": {"kind": "discrete_uniform", "lo": 34, "hi": 56}
-    }
-
-The control mean is ``mu1`` or its log ``beta1``; the intervention arm's
-zero structure is ``q`` (preferred) or ``p2``; ``q`` defaults to 0.5 when
-neither is given.  ``cluster_size`` takes exactly the keys of its kind:
-``lo`` and ``hi`` (discrete_uniform), ``rate``, ``lo`` and ``hi``
-(truncated_poisson), or ``m`` (fixed); ``lo``, ``hi`` and ``m`` are whole
-numbers (``34`` or ``34.0``).  Individual keys can be overridden on
-the command line with ``--set key=value`` (``--set cluster_size.lo=10``).
+Designs are described by a JSON file whose keys mirror the design inputs,
+as :func:`zipcrt.design.design_from_dict` reads them.  Individual keys can
+be overridden on the command line with ``--set key=value``
+(``--set cluster_size.lo=10``).
 
 Every artifact-writing command also writes ``<out>.manifest.json``
 recording the command, a digest of the fully-resolved configuration, the
@@ -47,8 +35,8 @@ from datetime import datetime, timezone
 from typing import Optional
 
 from . import __version__
-from .dataset import read_dataset, write_dataset
-from .design import ClusterSizeModel, DesignInputs, build_design, decompose_effect, pairwise_covariance_factor
+from .dataset import _raise_undecodable_line, read_dataset, write_dataset
+from .design import decompose_effect, design_from_dict, design_to_dict, pairwise_covariance_factor
 from .errors import ConfigError, DomainError, StudyError, ZipCrtError
 from .gee import DF_RULES, ESTIMATORS, _test_df, fit_zip, wald_test
 from .mc import (
@@ -63,25 +51,18 @@ from .mc import (
 from .power import q_sweep, sample_size_normal, sample_size_t
 from .simulate import GENERATOR, GENERATOR_VERSION, TRIAL_STREAM_TAG, generate_trial
 
-_NUMBER_KEYS = (
-    "mu1", "beta1", "beta2", "p1", "p2", "q", "rho_s", "rho_u", "r_bar", "alpha", "power",
-)
-_DESIGN_KEYS = {*_NUMBER_KEYS, "cluster_size"}
-_CLUSTER_KIND_KEYS = {
-    "discrete_uniform": ("lo", "hi"),
-    "truncated_poisson": ("rate", "lo", "hi"),
-    "fixed": ("m",),
-}
-_REQUIRED_KEYS = ("beta2", "p1", "rho_s", "rho_u", "cluster_size")
-
-
 def _load_config(path: str, overrides: list[str]) -> dict:
+    """The config dict of the JSON file at ``path``, with each ``--set
+    key=value`` of ``overrides`` applied; :func:`design_from_dict` reads it."""
     try:
         with open(path, encoding="utf-8") as handle:
             config = json.load(handle)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except UnicodeDecodeError:
+        with open(path, "rb") as handle:  # a pipe reads empty here, and names no line
+            _raise_undecodable_line(path, handle.read())
+    except ValueError as exc:  # not JSON, or an integer of more digits than int() reads
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(config, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
@@ -93,6 +74,8 @@ def _load_config(path: str, overrides: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        except ValueError as exc:  # an integer of more digits than int() reads
+            raise ConfigError(f"--set {key}: {exc}") from None
         target = config
         parts = key.split(".")
         for part in parts[:-1]:
@@ -101,88 +84,6 @@ def _load_config(path: str, overrides: list[str]) -> dict:
                 raise ConfigError(f"--set {key}: {part} is not an object")
         target[parts[-1]] = value
     return config
-
-
-def _cluster_model(spec) -> ClusterSizeModel:
-    if not isinstance(spec, dict):
-        raise ConfigError("'cluster_size' must be an object")
-    kind = spec.get("kind")
-    if kind not in _CLUSTER_KIND_KEYS:
-        raise ConfigError(
-            f"cluster_size.kind must be discrete_uniform, truncated_poisson or fixed, "
-            f"got {kind!r}"
-        )
-    missing = [k for k in _CLUSTER_KIND_KEYS[kind] if k not in spec]
-    if missing:
-        raise ConfigError(f"cluster_size of kind {kind} is missing keys: {missing}")
-    stray = sorted(set(spec) - {"kind", *_CLUSTER_KIND_KEYS[kind]})
-    if stray:  # an unknown key, or one of another kind: the config may mean another law
-        raise ConfigError(f"cluster_size of kind {kind} does not take keys: {stray}")
-    if kind == "discrete_uniform":
-        return ClusterSizeModel.discrete_uniform(_whole(spec, "lo"), _whole(spec, "hi"))
-    if kind == "truncated_poisson":
-        return ClusterSizeModel.truncated_poisson(
-            _number(spec, "rate", "cluster_size."), _whole(spec, "lo"), _whole(spec, "hi")
-        )
-    return ClusterSizeModel.fixed(_whole(spec, "m"))
-
-
-def _number(spec: dict, key: str, prefix: str = "", whole: bool = False) -> float:
-    """``spec[key]`` as a float: a JSON number, not a boolean, a string or a
-    null, and with ``whole`` one with no fractional part.  ``prefix`` is the
-    key's path in the config, for the error message."""
-    value = spec[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
-        whole and not float(value).is_integer()
-    ):
-        kind = "a whole number" if whole else "a number"
-        raise ConfigError(f"{prefix}{key} must be {kind}, got {value!r}")
-    return float(value)
-
-
-def _whole(spec: dict, key: str) -> int:
-    """``spec[key]`` as a cluster size: a whole number, written ``34`` or ``34.0``."""
-    return int(_number(spec, key, "cluster_size.", whole=True))
-
-
-def _design_from_config(config: dict) -> DesignInputs:
-    unknown = set(config) - _DESIGN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = [k for k in _REQUIRED_KEYS if k not in config]
-    if missing:
-        raise ConfigError(f"missing config keys: {missing}")
-    # a null optional key is an absent one, so build_design's default holds
-    numbers = {
-        key: _number(config, key)
-        for key in _NUMBER_KEYS
-        if key in _REQUIRED_KEYS or config.get(key) is not None
-    }
-    try:
-        return build_design(**numbers, cluster_sizes=_cluster_model(config["cluster_size"]))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ZipCrtError):
-            raise
-        raise ConfigError(f"invalid config value: {exc}")
-
-
-def _design_to_dict(design: DesignInputs) -> dict:
-    """The design as a config that :func:`_design_from_config` reads back
-    to an equal design: each parameter once, and the size law's own keys."""
-    size = design.cluster_sizes
-    keys = {"lo": size.lo, "hi": size.hi, "rate": size.rate, "m": size.lo}
-    return {
-        "beta1": design.beta1,
-        "beta2": design.beta2,
-        "p1": design.p1,
-        "p2": design.p2,
-        "rho_s": design.rho_s,
-        "rho_u": design.rho_u,
-        "r_bar": design.r_bar,
-        "alpha": design.alpha,
-        "power": design.power,
-        "cluster_size": {"kind": size.kind, **{k: keys[k] for k in _CLUSTER_KIND_KEYS[size.kind]}},
-    }
 
 
 # What the study and tables manifests record about the Monte Carlo engine,
@@ -230,7 +131,7 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_samplesize(args) -> int:
-    design = _design_from_config(_load_config(args.config, args.set))
+    design = design_from_dict(_load_config(args.config, args.set))
     split = decompose_effect(design)
     normal = sample_size_normal(design)
     student = sample_size_t(design)
@@ -245,7 +146,7 @@ def _cmd_samplesize(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    design = _design_from_config(_load_config(args.config, args.set))
+    design = design_from_dict(_load_config(args.config, args.set))
     try:
         q_values = [float(v) for v in args.q.split(",") if v.strip()]
     except ValueError:
@@ -273,21 +174,21 @@ def _cmd_sweep(args) -> int:
             handle.write(text)
         _write_manifest(
             args.out, "sweep",
-            {"design": _design_to_dict(design), "q_values": q_values}, None,
+            {"design": design_to_dict(design), "q_values": q_values}, None,
         )
     print(text, end="")
     return 0 if successes else 2
 
 
 def _cmd_simulate(args) -> int:
-    design = _design_from_config(_load_config(args.config, args.set))
+    design = design_from_dict(_load_config(args.config, args.set))
     seed = _resolve_seed(args.seed)
     dataset = generate_trial(
         design, args.clusters, seed, bernoulli_allocation=args.bernoulli_allocation
     )
     write_dataset(dataset, args.out)
     resolved = {
-        "design": _design_to_dict(design),
+        "design": design_to_dict(design),
         "n_clusters": args.clusters,
         "bernoulli_allocation": args.bernoulli_allocation,
         "seed": seed,
@@ -338,7 +239,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    design = _design_from_config(_load_config(args.config, args.set))
+    design = design_from_dict(_load_config(args.config, args.set))
     seed = _resolve_seed(args.seed)
     config = StudyConfig(
         design=design,
@@ -369,7 +270,7 @@ def _cmd_study(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(",".join(fields) + "\n" + ",".join(map(str, fields.values())) + "\n")
         resolved = {
-            "design": _design_to_dict(design),
+            "design": design_to_dict(design),
             "replications": args.reps,
             "sizing": args.sizing,
             "df_rule": args.df_rule,

@@ -10,18 +10,19 @@ Everything in this module is a pure function of its inputs: profiles for the
 two trial arms, the effect decomposition on the log-mean scale, and the
 within-cluster covariance implied by exchangeable correlation of the latent
 structural-zero indicators (``rho_s``) and of the latent Poisson components
-(``rho_u``).
+(``rho_u``).  A design's config form, the dict a JSON design file gives, is
+read by :func:`design_from_dict` and written by :func:`design_to_dict`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, ZipCrtError
 
 # A size law tabulates its cells (m, k), 0 <= k <= m, only up to this many:
 # DU(10,80) has 3,266, and DU(1,254) is the widest DU(1, hi) within it.  An
@@ -183,6 +184,33 @@ class ClusterSizeModel:
             object.__setattr__(self, "_cells", cells)
 
     @classmethod
+    def from_dict(cls, spec) -> "ClusterSizeModel":
+        """The law a config's ``cluster_size`` object gives: its ``kind`` and
+        exactly that kind's keys (``_SIZE_KEYS``), each a whole number but
+        the ``rate``."""
+        if not isinstance(spec, dict):
+            raise ConfigError("'cluster_size' must be an object")
+        kind = spec.get("kind")
+        if kind not in _SIZE_KEYS:
+            raise ConfigError(
+                f"cluster_size.kind must be discrete_uniform, truncated_poisson or fixed, "
+                f"got {kind!r}"
+            )
+        missing = [k for k in _SIZE_KEYS[kind] if k not in spec]
+        if missing:
+            raise ConfigError(f"cluster_size of kind {kind} is missing keys: {missing}")
+        stray = sorted(set(spec) - {"kind", *_SIZE_KEYS[kind]})
+        if stray:  # an unknown key, or one of another kind: the config may mean another law
+            raise ConfigError(f"cluster_size of kind {kind} does not take keys: {stray}")
+        values = {k: _number(spec, k, "cluster_size.", whole=k != "rate") for k in _SIZE_KEYS[kind]}
+        return getattr(cls, kind)(**values)  # each kind's keys are its constructor's arguments
+
+    def to_dict(self) -> dict:
+        """The ``cluster_size`` object :meth:`from_dict` reads back to this law."""
+        keys = {"lo": self.lo, "hi": self.hi, "rate": self.rate, "m": self.lo}
+        return {"kind": self.kind, **{k: keys[k] for k in _SIZE_KEYS[self.kind]}}
+
+    @classmethod
     def discrete_uniform(cls, lo: int, hi: int) -> "ClusterSizeModel":
         return cls(kind="discrete_uniform", lo=lo, hi=hi)
 
@@ -287,6 +315,86 @@ def _arm_mean(log_mean: float, key: str, arm: str) -> float:
         return math.exp(log_mean)
     except OverflowError:
         raise DomainError(f"{key} makes the {arm} mean exp({log_mean:g}) overflow") from None
+
+
+# The config form of a design: its numbers, the ones it must give, and the
+# keys of each cluster-size kind
+_NUMBER_KEYS = (
+    "mu1", "beta1", "beta2", "p1", "p2", "q", "rho_s", "rho_u", "r_bar", "alpha", "power",
+)
+_REQUIRED_KEYS = ("beta2", "p1", "rho_s", "rho_u", "cluster_size")
+_SIZE_KEYS = {
+    "discrete_uniform": ("lo", "hi"),
+    "truncated_poisson": ("rate", "lo", "hi"),
+    "fixed": ("m",),
+}
+
+
+def _number(spec: dict, key: str, prefix: str = "", whole: bool = False) -> float:
+    """``spec[key]`` as a float: a JSON number, not a boolean, a string or a
+    null, and one a float can hold.  With ``whole``, an int: a number with
+    no fractional part, written ``34`` or ``34.0``.  ``prefix`` is the key's
+    path in the config, for the error message."""
+    value = spec[key]
+    plain = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        number = float(value) if plain else None
+    except OverflowError:
+        raise ConfigError(f"{prefix}{key} is an integer too large for a float") from None
+    if number is None or (whole and not number.is_integer()):
+        kind = "a whole number" if whole else "a number"
+        raise ConfigError(f"{prefix}{key} must be {kind}, got {value!r}")
+    return int(number) if whole else number
+
+
+def design_from_dict(config: dict) -> DesignInputs:
+    """The design a config dict describes, as a JSON design file gives it::
+
+        {
+          "mu1": 1.0, "beta2": -0.431, "p1": 0.5, "q": 0.5,
+          "rho_s": 0.05, "rho_u": 0.05, "r_bar": 0.5,
+          "alpha": 0.05, "power": 0.8,
+          "cluster_size": {"kind": "discrete_uniform", "lo": 34, "hi": 56}
+        }
+
+    The keys mirror :func:`build_design`'s arguments.  The control mean is
+    ``mu1`` or its log ``beta1``; the intervention arm's zero structure is
+    ``q`` (preferred) or ``p2``; ``q`` defaults to 0.5 when neither is
+    given.  A null optional key is an absent one.  ``cluster_size`` takes
+    exactly the keys of its kind: ``lo`` and ``hi`` (discrete_uniform),
+    ``rate``, ``lo`` and ``hi`` (truncated_poisson), or ``m`` (fixed);
+    ``lo``, ``hi`` and ``m`` are whole numbers (``34`` or ``34.0``).
+
+    Raises:
+        ConfigError: an unknown, missing or malformed key (named in the message).
+        DomainError: resolved parameters outside their admissible ranges.
+    """
+    unknown = set(config) - {*_NUMBER_KEYS, "cluster_size"}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    missing = [k for k in _REQUIRED_KEYS if k not in config]
+    if missing:
+        raise ConfigError(f"missing config keys: {missing}")
+    # a null optional key is an absent one, so build_design's default holds
+    numbers = {
+        key: _number(config, key)
+        for key in _NUMBER_KEYS
+        if key in _REQUIRED_KEYS or config.get(key) is not None
+    }
+    try:
+        return build_design(**numbers, cluster_sizes=ClusterSizeModel.from_dict(config["cluster_size"]))
+    except (TypeError, ValueError) as exc:
+        if isinstance(exc, ZipCrtError):
+            raise
+        raise ConfigError(f"invalid config value: {exc}")
+
+
+def design_to_dict(design: DesignInputs) -> dict:
+    """The design as a config that :func:`design_from_dict` reads back to
+    an equal design: each parameter once, and the size law's own keys."""
+    config = {f.name: getattr(design, f.name) for f in fields(design) if f.init}
+    config["cluster_size"] = config.pop("cluster_sizes").to_dict()
+    return config
 
 
 def build_design(
@@ -401,7 +509,10 @@ def p2_from_q(p1: float, beta2: float, q: float) -> float:
         raise DomainError(f"p1 must lie in [0, 1), got {p1}")
     if not (0.0 <= q <= 1.0):
         raise DomainError(f"q must lie in [0, 1], got {q}")
-    p2 = 1.0 - math.exp(q * beta2) * (1.0 - p1)
+    try:
+        p2 = 1.0 - math.exp(q * beta2) * (1.0 - p1)
+    except OverflowError:  # q * beta2 past about 709.78
+        p2 = -math.inf
     if not (0.0 <= p2 < 1.0):
         raise DomainError(
             f"p2={p2:.8f} outside [0, 1) for p1={p1}, beta2={beta2}, q={q}"

@@ -15,8 +15,8 @@ import pytest
 
 import zipcrt
 from zipcrt import (
-    ClusterSizeModel, ConfigError, cli, fit_zip, mc, read_dataset, reproduce_tables,
-    sample_size_normal, sample_size_t, simulate,
+    ClusterSizeModel, ConfigError, cli, design_from_dict, design_to_dict, fit_zip, mc,
+    read_dataset, reproduce_tables, sample_size_normal, sample_size_t, simulate,
 )
 
 from conftest import NOT_UTF8, first_seed, grid_design, zero_states
@@ -198,6 +198,46 @@ def test_a_null_optional_number_is_an_absent_one(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    # died with a UnicodeDecodeError traceback and exit code 1
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"mu1": 1.0,\n "p1": "\xe9"}\n')
+    assert cli.main(["samplesize", "--config", str(path)]) == 2
+    assert f"error: {path}:2: not UTF-8 text (byte 0xe9)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["beta2", "mu1", "cluster_size.rate", "cluster_size.hi"])
+def test_a_design_integer_too_large_for_a_float_is_a_config_error(tmp_path, capsys, key):
+    # died with an OverflowError traceback and exit code 1
+    config = design_file(
+        tmp_path, cluster_size={"kind": "truncated_poisson", "rate": 45, "lo": 20, "hi": 70}
+    )
+    assert cli.main(["samplesize", "--config", config, "--set", f"{key}=1{'0' * 400}"]) == 2
+    assert f"error: {key} is an integer too large for a float" in capsys.readouterr().err
+
+
+def test_a_json_integer_of_too_many_digits_is_a_config_error(tmp_path, capsys):
+    # json's int() refuses more than 4,300 digits with a plain ValueError,
+    # which died with a traceback and exit code 1, in the file and in --set
+    digits = "1" + "0" * 5000
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"beta2": {digits}}}', encoding="utf-8")
+    assert cli.main(["samplesize", "--config", str(path)]) == 2
+    assert f"error: config file {path} is not valid JSON: " in capsys.readouterr().err
+    argv = ["samplesize", "--config", design_file(tmp_path), "--set", f"beta2={digits}"]
+    assert cli.main(argv) == 2
+    assert "error: --set beta2: " in capsys.readouterr().err
+
+
+def test_an_effect_split_whose_p2_overflows_is_a_domain_error(tmp_path, capsys):
+    # exp(q * beta2) overflowed: an OverflowError traceback and exit code 1
+    argv = ["samplesize", "--config", design_file(tmp_path), "--set", "beta2=1000", "--set", "q=1"]
+    assert cli.main(argv) == 2
+    assert "error: p2=-inf outside [0, 1) for p1=0.5, beta2=1000.0, q=1.0" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize("design", [
     *(design for _, design in mc._grid_cells(mc._GRID_DISTRIBUTIONS)),
     grid_design(cluster_sizes=ClusterSizeModel.fixed(20)),
@@ -206,8 +246,8 @@ def test_a_null_optional_number_is_an_absent_one(tmp_path, capsys):
 def test_the_design_dict_reads_back_to_an_equal_design(design):
     # the dict a manifest digests is a config: each parameter once, and the
     # size law's own keys, so nothing in it can disagree or be rejected
-    config = cli._design_to_dict(design)
-    assert cli._design_from_config(json.loads(json.dumps(config))) == design
+    config = design_to_dict(design)
+    assert design_from_dict(json.loads(json.dumps(config))) == design
 
 
 @pytest.mark.parametrize("rate", ["NaN", "Infinity", "-Infinity"])
@@ -390,6 +430,27 @@ def test_study_manifest_records_the_engine(tmp_path, capsys):
     assert dict(zip(header.split(","), row.split(",")))["replications"] == "20"
 
 
+def test_a_study_manifest_config_digest_is_pinned(tmp_path, capsys):
+    # every value is a literal, with no exp or log, so the digest of the
+    # resolved design is the same on every platform; a change to the design
+    # dict's keys or values shows here
+    config = tmp_path / "e.json"
+    config.write_text(json.dumps({
+        "beta1": 0.0, "beta2": -0.431, "p1": 0.5, "p2": 0.6, "rho_s": 0.05, "rho_u": 0.05,
+        "r_bar": 0.5,
+        "cluster_size": {"kind": "truncated_poisson", "rate": 45, "lo": 20, "hi": 70},
+    }), encoding="utf-8")
+    out = tmp_path / "study.csv"
+    assert cli.main([
+        "study", "--config", str(config), "--reps", "10", "--seed", "1", "--sizing", "t",
+        "--out", str(out),
+    ]) == 0
+    manifest = json.loads((tmp_path / "study.csv.manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config_digest"] == (
+        "sha256:1eae8010ecec36ec83158c46d64e6d9e3dd8691c903f4120b161f18538a62934"
+    )
+
+
 def test_study_manifest_records_the_layer_seconds(tmp_path, capsys):
     out = tmp_path / "study.csv"
     assert cli.main([
@@ -502,6 +563,19 @@ def test_a_sweep_row_whose_t_sizing_fails_gives_the_error(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1] == f'0.02,0.152412,1,,"{error}"'
     assert cli.main(["samplesize", "--config", config]) == 2
     assert error in capsys.readouterr().err
+
+
+def test_a_sweep_row_whose_p2_overflows_gives_the_error(tmp_path, capsys):
+    # exp(q * beta2) = exp(720) overflowed, and the sweep died with a traceback
+    config = tmp_path / "design.json"
+    config.write_text(json.dumps({
+        "beta1": -700, "beta2": 720, "p1": 0.5, "p2": 0.5, "rho_s": 0.05, "rho_u": 0.05,
+        "cluster_size": {"kind": "fixed", "m": 2},
+    }), encoding="utf-8")
+    assert cli.main(["sweep", "--config", str(config), "--q", "0.5,1"]) == 2  # no row sized
+    header, half, whole = capsys.readouterr().out.splitlines()
+    assert half.startswith('0.5,,,,"p2=-1109')
+    assert whole == '1,,,,"p2=-inf outside [0, 1) for p1=0.5, beta2=720.0, q=1.0"'
 
 
 @pytest.mark.parametrize("which", [",", " , ,"])

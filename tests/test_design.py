@@ -1,11 +1,13 @@
-"""Tests for arm profiles, effect decomposition, and covariance factors."""
+"""Tests for arm profiles, effect decomposition, covariance factors, and the
+design's config dict."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy import optimize, stats
 
@@ -17,6 +19,8 @@ from zipcrt import (
     DomainError,
     build_design,
     decompose_effect,
+    design_from_dict,
+    design_to_dict,
     infer_p1_from_observed,
     marginal_variance,
     p2_from_q,
@@ -118,6 +122,12 @@ class TestP2FromQ:
     def test_q_out_of_range(self, q):
         with pytest.raises(DomainError):
             p2_from_q(0.5, -0.431, q)
+
+    @pytest.mark.parametrize("beta2, q", [(1000.0, 1.0), (1500.0, 0.5), (709.79, 1.0)])
+    def test_an_exp_that_overflows_is_a_domain_error(self, beta2, q):
+        # math.exp(q * beta2) raised OverflowError past about 709.78
+        with pytest.raises(DomainError, match=r"p2=-inf outside \[0, 1\) for p1=0.5"):
+            p2_from_q(0.5, beta2, q)
 
 
 class TestDecomposeEffect:
@@ -437,3 +447,50 @@ class TestBuildDesign:
         for arm, p in ((design.control, p1), (design.intervention, p2_from_q(p1, beta2, q))):
             assert arm.p == p
             assert arm.lam == arm.mu / (1.0 - p)
+
+
+# valid configs of every size kind, with the control mean and zero
+# structure given as mu1 and q or as beta1 and p2
+_SIZE_SPECS = st.one_of(
+    st.builds(lambda lo, width: {"kind": "discrete_uniform", "lo": lo, "hi": lo + width},
+              st.integers(1, 60), st.integers(0, 60)),
+    st.builds(lambda rate, lo, width: {"kind": "truncated_poisson", "rate": rate, "lo": lo,
+                                       "hi": lo + width},
+              st.floats(0.5, 100.0), st.integers(1, 60), st.integers(0, 60)),
+    st.builds(lambda m: {"kind": "fixed", "m": m}, st.integers(1, 100)),
+)
+_EFFECT_FORMS = st.one_of(
+    st.fixed_dictionaries({"mu1": st.floats(0.01, 50.0), "q": st.floats(0.0, 1.0)}),
+    st.fixed_dictionaries({"beta1": st.floats(-4.0, 4.0), "p2": st.floats(0.0, 0.95)}),
+)
+_CONFIGS = st.builds(
+    lambda numbers, form, sizes: {**numbers, **form, "cluster_size": sizes},
+    st.fixed_dictionaries({
+        "beta2": st.floats(-2.0, 2.0), "p1": st.floats(0.0, 0.95),
+        "rho_s": st.floats(0.0, 0.95), "rho_u": st.floats(0.0, 0.95),
+        "r_bar": st.floats(0.05, 0.95), "alpha": st.floats(0.001, 0.5),
+        "power": st.floats(0.5, 0.99),
+    }),
+    _EFFECT_FORMS,
+    _SIZE_SPECS,
+)
+
+
+class TestDesignDict:
+    @given(config=_CONFIGS)
+    def test_a_design_reads_back_from_its_json_dict(self, config):
+        try:
+            design = design_from_dict(config)
+        except DomainError:  # q with beta2 > 0 can put p2 below 0
+            assume(False)
+        assert design_from_dict(json.loads(json.dumps(design_to_dict(design)))) == design
+
+    @pytest.mark.parametrize("sizes, spec", [
+        (ClusterSizeModel.discrete_uniform(34, 56), {"kind": "discrete_uniform", "lo": 34, "hi": 56}),
+        (ClusterSizeModel.truncated_poisson(45.0, 20, 70),
+         {"kind": "truncated_poisson", "rate": 45.0, "lo": 20, "hi": 70}),
+        (ClusterSizeModel.fixed(20), {"kind": "fixed", "m": 20}),
+    ])
+    def test_a_size_law_dict_holds_its_kinds_keys(self, sizes, spec):
+        assert sizes.to_dict() == spec
+        assert ClusterSizeModel.from_dict(spec) == sizes
