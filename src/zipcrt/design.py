@@ -50,6 +50,14 @@ MAX_SIZE_CELLS = 2**15
 # sum is one Poisson draw of a mean up to hi * lam (numpy takes means up to
 # about 9.2e18) and is stored as an int64; 2**62 is half of either limit.
 MAX_CLUSTER_MEAN = 2.0**62
+# The largest cluster size a law may have: the fit reads each size as a
+# float64, exact up to 2**53.  A truncated Poisson also tabulates its mass
+# function over each size lo..hi and keeps the cumulative sum for its draws,
+# so it takes at most 2**20 sizes: that many build in about 0.13 s with a
+# 40 MB peak and keep 8 MB (2-core x86_64, numpy 2.4).  Both are checked
+# before anything is allocated.
+MAX_CLUSTER_SIZE = 2**53
+MAX_POISSON_SIZES = 2**20
 
 
 def _odds(p: float) -> float:
@@ -112,6 +120,9 @@ class ClusterSizeModel:
       * ``truncated_poisson``: Poisson(``rate``) conditioned on ``lo..hi``.
       * ``fixed``: every cluster has exactly ``lo`` (== ``hi``) subjects.
 
+    ``hi`` is at most ``MAX_CLUSTER_SIZE`` (2**53), and a truncated Poisson
+    has at most ``MAX_POISSON_SIZES`` (2**20) sizes.
+
     ``eta_m`` and ``sigma2_m`` are the exact mean and variance of the declared
     distribution (truncated-Poisson moments by direct summation of the
     renormalized mass function, weighted in logs).  A truncated Poisson also
@@ -140,7 +151,15 @@ class ClusterSizeModel:
             raise DomainError(f"cluster sizes must be >= 1, got lo={self.lo}")
         if self.hi < self.lo:
             raise DomainError(f"empty support: lo={self.lo} > hi={self.hi}")
+        key = "cluster_size." + ("m" if self.kind == "fixed" else "hi")
+        if self.hi > MAX_CLUSTER_SIZE:
+            raise DomainError(f"{key} must be at most 2**53, got {self.hi}")
         n = self.hi - self.lo + 1
+        if self.kind == "truncated_poisson" and n > MAX_POISSON_SIZES:
+            raise DomainError(
+                f"{key}={self.hi} gives a truncated_poisson {n} sizes from lo={self.lo}; "
+                f"it tabulates at most 2**20"
+            )
         if self.kind == "discrete_uniform":
             eta = (self.lo + self.hi) / 2.0
             sigma2 = (n * n - 1) / 12.0

@@ -316,14 +316,27 @@ def design_variance(design: DesignInputs) -> float:
     where ``block(arm) = eta_m * marginal_variance(arm)
     + (eta_m**2 + sigma2_m - eta_m) * zeta(arm)`` and the marginal variance
     is ``mu + odds(p) * mu**2``.
+
+    Raises:
+        DomainError: an arm's denominator underflows to 0, as ``mu**2`` does
+            for a mean below about 1.6e-162; the message names the arm.
     """
     eta = design.cluster_sizes.eta_m
     pair_mass = eta * eta + design.cluster_sizes.sigma2_m - eta
     total = 0.0
-    for arm, share in ((design.control, 1.0 - design.r_bar), (design.intervention, design.r_bar)):
+    for name, arm, share in (
+        ("control", design.control, 1.0 - design.r_bar),
+        ("intervention", design.intervention, design.r_bar),
+    ):
         zeta = pairwise_covariance_factor(arm, design.rho_s, design.rho_u)
         block = eta * marginal_variance(arm) + pair_mass * zeta
-        total += block / (share * arm.mu**2 * eta**2)
+        scale = share * arm.mu**2 * eta**2
+        if scale == 0.0:
+            raise DomainError(
+                f"the {name} arm's mean mu={arm.mu:g} is too small to size: "
+                f"its share * mu**2 * eta_m**2 underflows to 0"
+            )
+        total += block / scale
     return total
 
 

@@ -37,8 +37,8 @@ from one stream, ``(seed, TRIAL_STREAM_TAG)``, and lays each cluster's
 ``K`` non-zero draws on its first ``K`` rows; no statistic depends on the
 order within a cluster.  The own parts of an arm are iid with one mean,
 so :func:`_poisson_sample` draws them together: below a mean of 10 as the
-multiset of their values in random order, which takes about a dozen
-binomial draws and one shuffle instead of one Poisson draw per subject.
+multiset of their values in random order, one ``rng.multinomial`` and one
+shuffle instead of one Poisson draw per subject.
 Each arm's parts stay in their own array, its clusters' parts in turn.
 The same seed replays the same dataset bit for bit.
 :func:`_trial_cluster_sums` reduces the same draws to each cluster's sums
@@ -148,8 +148,7 @@ def _nonzero_cdf(cells: SizeCells, p: float, rho_s: float) -> np.ndarray:
     """The cumulative law of one arm's ``(m, K)`` over a size law's cells,
     :func:`_nonzero_mass` summed in order.  The last entry is exactly 1.0."""
     cdf = np.cumsum(_nonzero_mass(cells, p, rho_s))
-    cdf /= cdf[-1]
-    cdf[-1] = 1.0  # a uniform draw in [0, 1) then always lands on a cell
+    cdf /= cdf[-1]  # the last entry is then exactly 1.0
     return cdf
 
 
@@ -183,10 +182,7 @@ def _law(cdf: np.ndarray, m: np.ndarray, v: np.ndarray) -> Optional[_Law]:
     """
     keys = np.ldexp(cdf, _UNIFORM_BITS, out=cdf)
     np.ceil(keys, out=keys)
-    kept = np.empty(keys.size, dtype=bool)
-    kept[0] = keys[0] > 0.0
-    np.not_equal(keys[1:], keys[:-1], out=kept[1:])
-    cell = np.flatnonzero(kept)
+    cell = np.flatnonzero(np.diff(keys, prepend=0.0))
     if cell.size > MAX_SIZE_CELLS:
         return None
     law = _Law(keys[cell].astype(np.int64), m[cell], v[cell])
@@ -452,39 +448,24 @@ def _empty_arm_message(n_clusters: int, r_bar: float) -> str:
 # the multiset walks about as many categories as the mean: from there the
 # per-value draw is the faster one
 _MULTISET_MAX_LAM = 10.0
-# the multiset's categories 0 .. 79: past them Poisson(10) has mass below
-# 1e-43, which the last category takes
-_MULTISET_CATEGORIES = 80
 
 
 def _poisson_sample(lam: float, n: int, rng: np.random.Generator) -> np.ndarray:
     """``n`` iid Poisson(``lam``) values.
 
-    Below ``_MULTISET_MAX_LAM`` the values are drawn as one multiset and
-    then put in random order.  The number ``N_k`` of values equal to ``k``
-    is multinomial, drawn by sequential conditional binomials (Devroye,
-    1986): ``N_k ~ Bin(rest, p_k / P(X >= k))`` until no value is left.
-    The pmf comes from ``p_k = p_{k-1} * lam / k`` from ``p_0 = exp(-lam)``,
-    and ``P(X >= k)`` is its reversed cumulative sum.  At ``lam`` near 2
-    and 100,000 values that is about a dozen binomial draws and one
-    shuffle, where ``rng.poisson`` draws every value.
+    Below ``_MULTISET_MAX_LAM`` the values are one ``rng.multinomial`` and
+    one shuffle: the numbers ``N_k`` of values equal to ``k``, over the
+    :func:`_tail_width` values ``0 .. W``, then those values in random
+    order.  numpy draws the multinomial by sequential conditional binomials
+    (Devroye, 1986), ``N_k ~ Bin(rest, p_k / P(X >= k))``, until no value
+    is left.  At ``lam`` near 2 and 100,000 values that is about a dozen
+    binomial draws and one shuffle, where ``rng.poisson`` draws every value.
     """
     if lam >= _MULTISET_MAX_LAM:
         return rng.poisson(lam, n)
-    steps = np.empty(_MULTISET_CATEGORIES)
-    steps[0] = math.exp(-lam)
-    steps[1:] = lam / np.arange(1, _MULTISET_CATEGORIES)
-    pmf = np.cumprod(steps)
-    tail = np.cumsum(pmf[::-1])[::-1]
-    counts = []
-    rest = n
-    for p_k, tail_k in zip(pmf.tolist(), tail.tolist()):
-        if rest == 0:
-            break
-        count = int(rng.binomial(rest, p_k / tail_k))
-        counts.append(count)
-        rest -= count
-    values = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    width = _tail_width(lam)
+    pmf = _poisson_rows(np.array([lam]), width)[0]
+    values = np.repeat(np.arange(width), rng.multinomial(n, pmf / pmf.sum()))
     rng.shuffle(values)
     return values
 
@@ -527,22 +508,14 @@ def _poisson_rows(means: np.ndarray, width: int) -> np.ndarray:
     return np.exp(rows, out=rows)
 
 
-class _JointGrid(NamedTuple):
-    """An arm's cumulative law of ``(m, Y)`` on a grid, row ``m`` after row
-    ``m``, each ``y = 0 .. width - 1``: each cell's ``F``, the last exactly
-    1.0, and its ``m`` and ``y``, each in the smallest unsigned type that
-    holds the grid's values."""
-
-    cdf: np.ndarray
-    m: np.ndarray
-    y: np.ndarray
-
-
 def _joint_cdf(
     cells: SizeCells, p: float, rho_s: float, lam: float, rho_u: float
-) -> Optional[_JointGrid]:
+) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The cumulative law of one arm's ``(m, Y)``, with ``Y`` a cluster's
-    outcome sum, over a size law's cells; None when its grid would pass
+    outcome sum, over a size law's cells, on a grid, row ``m`` after row
+    ``m``, each ``y = 0 .. width - 1``: each cell's ``F``, the last exactly
+    1.0, and its ``m`` and ``y``, each in the smallest unsigned type that
+    holds the grid's values.  None when its grid would pass
     ``_MAX_JOINT_GRID`` cells or its sum ``_MAX_JOINT_PASSES``.
 
     ``P(m, y) = sum_k P(m, k) g_k(y)``, with ``P(m, k)`` of
@@ -610,7 +583,7 @@ def _joint_cdf(
     # int64 grid of y raised a grid study's peak memory by 0.5 MB
     y = np.arange(block_width[-1], dtype=np.min_scalar_type(block_width[-1] - 1))
     y = np.concatenate([np.tile(y[:columns], rows) for rows, columns in zip(block_rows, block_width)])
-    return _JointGrid(cdf, m, y)
+    return cdf, m, y
 
 
 def _joint_law(

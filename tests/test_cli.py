@@ -283,6 +283,35 @@ def test_a_mean_whose_square_overflows_is_a_domain_error(tmp_path, capsys, p1):
     assert "error: mean mu=1e+300 is too large: mu**2 overflows a float" in capsys.readouterr().err
 
 
+def test_a_mean_whose_square_underflows_is_a_domain_error(tmp_path, capsys):
+    # mu**2 = exp(-1400) underflowed, and samplesize died with a ZeroDivisionError
+    config = tmp_path / "design.json"
+    config.write_text(json.dumps({
+        "beta1": -700, "beta2": 720, "p1": 0.5, "p2": 0.5, "rho_s": 0.05, "rho_u": 0.05,
+        "cluster_size": {"kind": "fixed", "m": 2},
+    }), encoding="utf-8")
+    message = "the control arm's mean mu=9.85968e-305 is too small to size"
+    assert cli.main(["samplesize", "--config", str(config)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert cli.main(["sweep", "--config", str(config), "--q", "0,0.5,1"]) == 2  # no row sized
+    header, zero, half, whole = capsys.readouterr().out.splitlines()
+    assert zero.startswith(f'0,,,,"{message}')
+    assert half.startswith('0.5,,,,"p2=-1109') and whole.startswith('1,,,,"p2=-inf')
+
+
+@pytest.mark.parametrize("sizes", [
+    {"kind": "discrete_uniform", "lo": 34, "hi": 1e200},
+    {"kind": "truncated_poisson", "rate": 45, "lo": 20, "hi": 2**62},
+], ids=["discrete_uniform", "truncated_poisson"])
+def test_a_cluster_size_bound_past_2_53_is_a_domain_error(tmp_path, capsys, sizes):
+    # the discrete uniform's variance died with an OverflowError, and the
+    # truncated Poisson's support exited 2 with numpy's "array is too big"
+    assert cli.main(["samplesize", "--config", design_file(tmp_path, cluster_size=sizes)]) == 2
+    assert f"error: cluster_size.hi must be at most 2**53, got {int(sizes['hi'])}" in (
+        capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize("command", [
     ["samplesize"], ["simulate", "--clusters", "6", "--seed", "1"], ["study", "--reps", "20"],
 ], ids=["samplesize", "simulate", "study"])

@@ -312,6 +312,32 @@ class TestClusterSizeModel:
         with pytest.raises(DomainError, match="requires a finite rate > 0"):
             ClusterSizeModel(kind="truncated_poisson", lo=20, hi=70, rate=rate)
 
+    @pytest.mark.parametrize("sizes, key", [
+        (lambda hi: ClusterSizeModel.discrete_uniform(1, hi), "hi"),
+        (lambda hi: ClusterSizeModel.truncated_poisson(45.0, 20, hi), "hi"),
+        (ClusterSizeModel.fixed, "m"),
+    ], ids=["discrete_uniform", "truncated_poisson", "fixed"])
+    @pytest.mark.parametrize("hi", [2**62, 10**200], ids=["2**62", "10**200"])
+    def test_a_size_past_2_53_is_a_domain_error(self, sizes, key, hi):
+        # a truncated Poisson's support raised numpy's ValueError at both, a
+        # discrete uniform's variance an OverflowError at 10**200, and at
+        # 2**62 sizes past 2**53 reached the fit, which holds them as floats
+        message = rf"^cluster_size\.{key} must be at most 2\*\*53, got {hi}$"
+        with pytest.raises(DomainError, match=message):
+            sizes(hi)
+
+    def test_a_size_of_2_53_is_a_law(self):
+        assert ClusterSizeModel.discrete_uniform(1, 2**53).eta_m == 2.0**52
+        assert ClusterSizeModel.fixed(2**53).eta_m == 2.0**53
+
+    def test_a_truncated_poisson_tabulates_at_most_2_20_sizes(self):
+        # its support and cumulative mass are arrays of hi - lo + 1 values:
+        # at hi near 1e10 it asked for about 80 GB
+        assert ClusterSizeModel.truncated_poisson(45.0, 1, 2**20).eta_m == pytest.approx(45.0)
+        message = "cluster_size.hi=1048577 gives a truncated_poisson 1048577 sizes from lo=1"
+        with pytest.raises(DomainError, match=message):
+            ClusterSizeModel.truncated_poisson(45.0, 1, 2**20 + 1)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             ClusterSizeModel.discrete_uniform(0, 5)

@@ -12,6 +12,7 @@ from zipcrt import (
     DomainError,
     build_design,
     design_variance,
+    generate_trial,
     q_sweep,
     sample_size_normal,
     sample_size_t,
@@ -49,6 +50,26 @@ class TestDesignVariance:
         sizes = [ClusterSizeModel.fixed(45), DU_34_56, DU_10_80]
         values = [design_variance(grid_design(cluster_sizes=s)) for s in sizes]
         assert all(b > a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("beta1, beta2, arm", [
+        (-700.0, 720.0, "control"), (0.0, -700.0, "intervention"),
+    ])
+    def test_an_arm_mean_whose_square_underflows_is_a_domain_error(self, beta1, beta2, arm):
+        # mu**2 = exp(-1400) underflowed to 0: a ZeroDivisionError in every sizing
+        design = build_design(
+            beta1=beta1, beta2=beta2, p1=0.5, p2=0.5, rho_s=0.05, rho_u=0.05,
+            cluster_sizes=ClusterSizeModel.fixed(2),
+        )
+        message = f"the {arm} arm's mean mu=9.85968e-305 is too small to size"
+        for sizing in (design_variance, sample_size_normal, sample_size_t,
+                       lambda d: predicted_power(d, 30, None)):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                sizing(design)
+        for basis in ("normal", "t"):
+            entry = q_sweep(design, [0.0], basis=basis)[0]
+            assert entry.result is None and entry.error.startswith(message)
+        # the design still simulates
+        assert generate_trial(design, 4, 1).n_subjects == 8
 
 
 class TestSampleSizeNormal:

@@ -189,6 +189,30 @@ class TestCorrelatedPoisson:
                              cluster_sizes=DU_34_56)
 
 
+def binomial_loop_sample(lam, n, rng):
+    """The multiset of ``n`` Poisson(``lam``) values as ``_poisson_sample``
+    drew it before it called ``rng.multinomial``: the pmf of the values 0 ..
+    79 from its running product, one sequential conditional binomial
+    ``Bin(rest, p_k / P(X >= k))`` per value until none is left, then one
+    shuffle."""
+    steps = np.empty(80)
+    steps[0] = math.exp(-lam)
+    steps[1:] = lam / np.arange(1, 80)
+    pmf = np.cumprod(steps)
+    tail = np.cumsum(pmf[::-1])[::-1]
+    counts = []
+    rest = n
+    for p_k, tail_k in zip(pmf.tolist(), tail.tolist()):
+        if rest == 0:
+            break
+        count = int(rng.binomial(rest, p_k / tail_k))
+        counts.append(count)
+        rest -= count
+    values = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+    rng.shuffle(values)
+    return values
+
+
 class TestPoissonSample:
     """_poisson_sample's values: the multiset below a mean of 10, numpy's
     per-value draw from 10 on."""
@@ -210,6 +234,20 @@ class TestPoissonSample:
         prob = np.append(expected[own_bin], 1.0 - expected[own_bin].sum())
         se = np.sqrt(self.N * prob * (1.0 - prob))
         assert (np.abs(got - self.N * prob) <= SE_MULTIPLE * se).all()
+
+    def test_the_multiset_is_the_binomial_loop_bit_for_bit(self):
+        # rng.multinomial runs the same binomials in turn and stops where the
+        # loop stopped: the same values, and the stream in the same state
+        triples = np.random.default_rng(38)
+        for _ in range(2_000):
+            lam = 10.0 ** triples.uniform(-4.0, 1.0)
+            n = int(triples.choice([0, 1, 3, 50, 2_000, 45_000]))
+            seed = int(triples.integers(2**63))
+            rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+            values = simulate._poisson_sample(lam, n, rng)
+            assert values.dtype == np.int64
+            np.testing.assert_array_equal(values, binomial_loop_sample(lam, n, oracle))
+            assert rng.bit_generator.state == oracle.bit_generator.state
 
     @pytest.mark.parametrize("lam", MEANS)
     def test_no_values(self, lam):
@@ -426,6 +464,23 @@ class TestArmCdf:
         # a p of -0.0 shares 0.0's slot
         slot = simulate._law_slot(simulate._joint_law, DU_10_80, (0.05, 0.05), (0.0, 1.0))
         assert simulate._law_slot(simulate._joint_law, DU_10_80, (0.05, 0.05), (-0.0, 1.0)) is slot
+
+
+class TestLaw:
+    """_law keeps exactly the cells a uniform ``U * 2**-53`` can select: those
+    whose key ``ceil(F * 2**53)`` is above the one before, or above 0."""
+
+    def test_it_keeps_the_first_cell_of_each_step(self):
+        cdf = np.array([0.0, 0.0, 0.25, 0.25, 0.5, 1.0])
+        law = simulate._law(cdf, np.arange(6, dtype=np.uint8), np.arange(10, 16, dtype=np.uint8))
+        assert law.keys.tolist() == [2**51, 2**52, 2**53]
+        assert law.m.tolist() == [2, 4, 5] and law.v.tolist() == [12, 14, 15]
+        assert (law.m.dtype, law.v.dtype) == (np.uint8, np.uint8)
+
+    def test_a_first_key_above_0_keeps_cell_0(self):
+        # 1e-300 of mass is a key of 1: U = 0 selects the cell
+        law = simulate._law(np.array([1e-300, 0.5, 1.0]), np.arange(3), np.arange(3))
+        assert law.keys.tolist() == [1, 2**52, 2**53] and law.m.tolist() == [0, 1, 2]
 
 
 # An arm's law by its builder, size law and shared parameters, and the
