@@ -159,20 +159,6 @@ def _check_arms(subjects: np.ndarray, outcomes: np.ndarray, failure: list[Option
         _fail(failure, outcomes[:, a] <= 0, f"{name} arm has all-zero outcomes; log-mean undefined")
 
 
-def _arm_sums(arm: np.ndarray, my: np.ndarray, failure: list[Optional[str]]) -> np.ndarray:
-    """Each row's per-arm ``M_a`` and ``S_a``, stacked as a ``(2, R, 2)``
-    array, from each cluster's arm and its ``m_i`` and ``Y_i`` stacked as
-    ``(2, R, N)``.
-
-    A row whose arm is absent or has all-zero outcomes, so that its log-mean
-    is undefined, fails in ``failure``.
-    """
-    totals = _per_arm(_arm_keys(arm), my.transpose(0, 2, 1))
-    if not (totals > 0).all():
-        _check_arms(*totals, failure)
-    return totals
-
-
 def _fit_rows(
     arm: np.ndarray, my: np.ndarray, ids: np.ndarray, failure: list[Optional[str]]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -31,12 +31,12 @@ concatenates their arrays; a study of one chunk, such as any of at most
 Each chunk times its draw, fit and Wald layers, and the study sums them in
 :attr:`StudyDraws.seconds`.  :func:`run_power_study` is its reduction: it
 sizes the trial, runs :func:`simulate_study` at that size and reduces the
-draws to rates with :meth:`StudyDraws.report`.  The bundled tables call
-:func:`simulate_study` directly: row ``i`` of ``table1`` or ``table2``
-sizes its design once, then runs its null study from
+draws to rates with :meth:`StudyDraws.report`; it is the one place a study
+is sized and then run.  The bundled tables run it twice a row: row ``i``
+of ``table1`` or ``table2`` runs its null study from
 ``replicate_seed(seed, 2 * i + 1)`` and its alternative study from
-``replicate_seed(seed, 2 * i)`` at that count, and the table sums its
-studies' layer times in :attr:`TableReport.seconds`.
+``replicate_seed(seed, 2 * i)``, both at the row's cluster count, and the
+table sums its studies' layer times in :attr:`TableReport.seconds`.
 
 :func:`estimate_poisson_icc` is a statistic of the dataset
 ``generate_trial(design, n_clusters, seed)``: ``simulate._trial_cluster_sums``
@@ -58,7 +58,7 @@ import numpy as np
 from .design import ClusterSizeModel, DesignInputs, build_design, poisson_icc_limit
 from . import gee
 from .errors import ConfigError, EstimationError, StudyError
-from .gee import DF_RULES, ESTIMATORS, _arm_sums, _fail, _fit_rows, _test_df, _wald_rows
+from .gee import DF_RULES, ESTIMATORS, _check_arms, _fail, _fit_rows, _test_df, _wald_rows
 # perfbench looks fit_zip up on this module; ROADMAP item 1 deletes the import
 from .gee import fit_zip  # noqa: F401
 from .power import sample_size_normal, sample_size_t
@@ -302,10 +302,10 @@ def _poisson_icc(arm: np.ndarray, m: np.ndarray, ysum: np.ndarray, ysq: np.ndarr
         EstimationError: an arm is absent or all-zero, every cluster has
             size 1, or every residual is 0.
     """
-    my = np.array((m, ysum), dtype=np.float64)
-    m, ysum = my
+    m, ysum = np.array((m, ysum), dtype=np.float64)
+    subjects, outcomes = (np.bincount(arm, weights=w, minlength=2) for w in (m, ysum))
     failure: list[Optional[str]] = [None]
-    subjects, outcomes = _arm_sums(arm[None], my[:, None], failure)[:, 0]
+    _check_arms(subjects[None], outcomes[None], failure)
     if failure[0] is not None:
         raise EstimationError(failure[0])
     mu = outcomes / subjects
@@ -458,9 +458,9 @@ def _study_table(table: str, replications: int, seed: int) -> TableReport:
     """``table1`` (normal sizing and test) or ``table2`` (t sizing, tested
     against t(N - 2)) over the full grid.
 
-    Row ``i`` sizes its design once and runs :func:`simulate_study` at that
-    count N: the null study from ``replicate_seed(seed, 2 * i + 1)``, then
-    the alternative study from ``replicate_seed(seed, 2 * i)``.
+    Row ``i`` runs two :func:`run_power_study` of its design: the null
+    study from ``replicate_seed(seed, 2 * i + 1)``, then the alternative
+    study from ``replicate_seed(seed, 2 * i)``.
     """
     t_based = table == "table2"
     sizing = sample_size_t if t_based else sample_size_normal
@@ -468,19 +468,15 @@ def _study_table(table: str, replications: int, seed: int) -> TableReport:
     columns = _LABEL_COLUMNS + (rates + ["mc_standard_error"] if replications > 0 else [])
     report = TableReport(table, columns)
     for i, (row, design) in enumerate(_grid_cells(_GRID_DISTRIBUTIONS)):
-        n = sizing(design).n_clusters
-        row["n_clusters"] = n
-        df = n - 2 if t_based else None
+        row["n_clusters"] = sizing(design).n_clusters
         if replications > 0:
-            null, alternative = (
-                simulate_study(generating, n, replications, replicate_seed(seed, k), df).report(n)
-                for generating, k in ((design.under_null(), 2 * i + 1), (design, 2 * i))
-            )
-            for kind, study in (("type_i", null), ("power", alternative)):
+            for kind, k, null in (("type_i", 2 * i + 1, True), ("power", 2 * i, False)):
+                config = StudyConfig(design, replications, t_based, "n-2", replicate_seed(seed, k), null)
+                study = run_power_study(config)
                 row.update({f"{kind}_{name}": r for name, r in study.rejection_rate.items()})
                 for layer, spent in study.seconds.items():
                     report.seconds[layer] = report.seconds.get(layer, 0.0) + spent
-            row["mc_standard_error"] = alternative.mc_standard_error
+            row["mc_standard_error"] = study.mc_standard_error  # the alternative's, run last
         report.rows.append(row)
     return report
 

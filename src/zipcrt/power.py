@@ -360,9 +360,22 @@ def _raw_count(sigma2_sq: float, quantile_sum: float, beta2: float) -> float:
 def _sample_size(design: DesignInputs, t_pass: bool) -> SampleSizeResult:
     """Required clusters with the normal quantiles, then, when ``t_pass``,
     with the t quantiles at the df that count gives (see
-    :func:`sample_size_t`); both passes share one design variance."""
+    :func:`sample_size_t`); both passes share one design variance.
+
+    Raises:
+        DomainError: ``beta2`` is 0, ``power`` is at most ``alpha / 2``, an
+            arm's mean is too small to size, the count passes 2**53, or
+            the normal pass leaves the t pass fewer than 1 df.
+    """
     if design.beta2 == 0.0:
         raise DomainError("beta2 == 0: effect size undefined for sample size")
+    # Phi(delta - z_{1-alpha/2}) never falls below alpha/2; below it delta
+    # would be negative, and squared into a count
+    if not design.power > design.alpha / 2.0:
+        raise DomainError(
+            f"power = {design.power:g} must exceed alpha/2 = {design.alpha / 2.0:g}, "
+            f"the power the sizing rule gives at 0 clusters"
+        )
     sigma2_sq = design_variance(design)
 
     def raw_count(df: Optional[int]) -> float:

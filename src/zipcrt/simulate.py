@@ -17,13 +17,16 @@ separately for the two parts:
 A dataset or a study draws each cluster as one uniform, in the order of
 the layout, inverted through its arm's tabulated law (:class:`_Law`) in
 O(1) expected time, by the keyed, guided search of :class:`_LawTable`
-(:func:`_draw_law`).  A law keeps only the cells a uniform can select.  A
-dataset's law is of ``(m, K)`` (:func:`_nonzero_law`, over the cells
-``ClusterSizeModel`` tabulates), and a study's of ``(m, Y)``.  A law is
-built once per process: a design whose arms differ keeps one table of
-its control arm's law, then its intervention arm's, and a design whose
-arms share a law, such as a null design, reads row 0 of the last such
-table with that law for its control arm, or of the law's own table.
+(:func:`_draw_law`).  A dataset's law is of ``(m, K)``
+(:func:`_nonzero_law`, over the cells ``ClusterSizeModel`` tabulates),
+and a study's of ``(m, Y)``.  Each builder gives its cells' masses, and
+:func:`_law` closes them into a law, summed in order and scaled to end
+in exactly 1.0, that keeps only the cells a uniform can select.  A law
+is built once per process, in its slot (:func:`_law_slot`) as a table of
+its own: a design whose arms differ keeps one table of its control
+arm's law, then its intervention arm's, which takes the control law's
+slot, and a design whose arms share a law, such as a null design, reads
+row 0 of its slot's table.
 :func:`_draw_nonzero_counts` draws ``m`` and ``K`` for any arm layout.  A
 size law with more than ``design.MAX_SIZE_CELLS`` (2**15) cells is not
 tabulated, which bounds a table's memory and build time; it draws each
@@ -53,7 +56,7 @@ replicates at once: an ``(R, N)`` array of arms and one ``(2, R, N)``
 float64 array of ``m_i`` and ``Y_i``, stacked and laid out cluster-major in
 memory, which the fit (``gee._fit_rows``) reads without a copy.  An arm's
 law of ``(m, Y)``
-(:func:`_joint_cdf`) is ``P(m, y) = sum_k P(m, k) g_k(y)``, with ``g_k``
+(:func:`_joint_mass`) is ``P(m, y) = sum_k P(m, k) g_k(y)``, with ``g_k``
 the law of ``k`` own Poisson parts plus ``k`` copies of the shared part,
 summed once per law on a grid (:func:`_joint_law`).  A law whose grid or
 whose kept cells pass their bounds is not tabulated, and its design draws
@@ -144,14 +147,6 @@ def _nonzero_mass(cells: SizeCells, p: float, rho_s: float) -> np.ndarray:
     return mass
 
 
-def _nonzero_cdf(cells: SizeCells, p: float, rho_s: float) -> np.ndarray:
-    """The cumulative law of one arm's ``(m, K)`` over a size law's cells,
-    :func:`_nonzero_mass` summed in order.  The last entry is exactly 1.0."""
-    cdf = np.cumsum(_nonzero_mass(cells, p, rho_s))
-    cdf /= cdf[-1]  # the last entry is then exactly 1.0
-    return cdf
-
-
 # numpy's uniform draw u is an integer U in [0, 2**53) times 2**-53
 _UNIFORM_BITS = 53
 
@@ -170,16 +165,19 @@ class _Law(NamedTuple):
     v: np.ndarray
 
 
-def _law(cdf: np.ndarray, m: np.ndarray, v: np.ndarray) -> Optional[_Law]:
-    """The :class:`_Law` of a cumulative law ``cdf`` over cells of sizes
-    ``m`` and values ``v``, ending in exactly 1.0; None when more than
-    ``MAX_SIZE_CELLS`` cells can be selected.  ``cdf`` is overwritten.
+def _law(mass: np.ndarray, m: np.ndarray, v: np.ndarray) -> Optional[_Law]:
+    """The :class:`_Law` of the masses ``mass`` of cells of sizes ``m`` and
+    values ``v``, summed in order and scaled so that the last cumulative
+    probability is exactly 1.0; None when more than ``MAX_SIZE_CELLS``
+    cells can be selected.  ``mass`` is overwritten.
 
     A uniform ``u = U * 2**-53`` selects the cell ``j`` with
     ``key[j - 1] <= U < key[j]``, so a cell whose key equals the one before
     it (or 0, for the first) is never selected, and dropping it leaves the
     draw's law as it was.
     """
+    cdf = np.cumsum(mass, out=mass)
+    cdf /= cdf[-1]  # the last entry is then exactly 1.0
     keys = np.ldexp(cdf, _UNIFORM_BITS, out=cdf)
     np.ceil(keys, out=keys)
     cell = np.flatnonzero(np.diff(keys, prepend=0.0))
@@ -192,13 +190,13 @@ def _law(cdf: np.ndarray, m: np.ndarray, v: np.ndarray) -> Optional[_Law]:
 
 
 def _nonzero_law(sizes: ClusterSizeModel, rho_s: float, p: float) -> Optional[_Law]:
-    """:func:`_nonzero_cdf` over ``sizes``' cells as the :class:`_Law` of
+    """:func:`_nonzero_mass` over ``sizes``' cells as the :class:`_Law` of
     ``(m, K)``; None when ``sizes`` has no cells."""
     cells = sizes._cells
     if cells is None:
         return None
     narrow = np.min_scalar_type(sizes.hi)
-    return _law(_nonzero_cdf(cells, p, rho_s), cells.m.astype(narrow), cells.k.astype(narrow))
+    return _law(_nonzero_mass(cells, p, rho_s), cells.m.astype(narrow), cells.k.astype(narrow))
 
 
 class _LawTable(NamedTuple):
@@ -290,10 +288,11 @@ _LawBuilder = Callable[..., Optional[_Law]]
 # fields, and its cells are a function of them, so equal designs share an
 # entry, and a p of -0.0 shares 0.0's.  A design whose arms differ draws
 # from its entry here; a design whose arms share one law, such as a null
-# design, from row 0 of its law's slot (_law_slot): the table of the last
-# design built with that law for its control arm, or until there is one,
-# the law's own.  A null design and its alternatives then share one copy
-# of the control arm's law, built once, whichever is drawn first.
+# design, from row 0 of its law's slot (_law_slot): the law's own table,
+# built on the slot's first call, until a design with that law for its
+# control arm builds its table here, which then takes the slot.  A null
+# design and its alternatives then share one copy of the control arm's
+# law, built once, whichever is drawn first.
 #
 # A table holds, per entry of each of its one or two rows, 8 bytes of key,
 # 2 to 4 of guide, and its m and v, 1 or 2 bytes each: a law of (m, K)
@@ -313,39 +312,26 @@ def _two_law_table(
 ) -> Optional[_LawTable]:
     """The :func:`_law_table` of the laws ``build(sizes, *shared, *arm)``
     of a design's control arm and intervention arm, None when either is
-    None.  The control arm's law is row 0 of its :func:`_one_law_table`,
-    and the new table becomes its slot's."""
-    first = _one_law_table(build, sizes, shared, control)
-    if first is None:
-        return None
-    law = build(sizes, *shared, *intervention)
+    None.  The control arm's law is row 0 of its :func:`_law_slot`'s
+    table, and the new table replaces it there."""
+    slot = _law_slot(build, sizes, shared, control)
+    law = None if slot[0] is None else build(sizes, *shared, *intervention)
     if law is None:
         return None
-    row = slice(0, first.bounds[1])
-    table = _law_table([_Law(first.keys[row], first.m[row], first.v[row]), law])
-    _law_slot(build, sizes, shared, control)[:] = [table]
-    return table
+    first, row = slot[0], slice(0, slot[0].bounds[1])
+    slot[0] = _law_table([_Law(first.keys[row], first.m[row], first.v[row]), law])
+    return slot[0]
 
 
 @functools.lru_cache(maxsize=64)
 def _law_slot(
     build: _LawBuilder, sizes: ClusterSizeModel, shared: tuple, params: tuple
 ) -> list[Optional[_LawTable]]:
-    """The slot of the law ``build(sizes, *shared, *params)``: empty until a
-    table of it is built, then that table, or None when the law is None."""
-    return []
-
-
-def _one_law_table(
-    build: _LawBuilder, sizes: ClusterSizeModel, shared: tuple, params: tuple
-) -> Optional[_LawTable]:
-    """The table whose row 0 is the law ``build(sizes, *shared, *params)``;
-    None when the law is None."""
-    slot = _law_slot(build, sizes, shared, params)
-    if not slot:
-        law = build(sizes, *shared, *params)
-        slot.append(None if law is None else _law_table([law]))
-    return slot[0]
+    """The slot of the law ``build(sizes, *shared, *params)``: a list of
+    one table whose row 0 is that law, or of None when the law is None.
+    The law's own one-law table until :func:`_two_law_table` replaces it."""
+    law = build(sizes, *shared, *params)
+    return [None if law is None else _law_table([law])]
 
 
 def _design_table(
@@ -356,7 +342,7 @@ def _design_table(
     share a law reads row 0: its slot's table may be an alternative's, with
     that alternative's intervention law in row 1."""
     if control == intervention:
-        return _one_law_table(build, sizes, shared, control), False
+        return _law_slot(build, sizes, shared, control)[0], False
     return _two_law_table(build, sizes, shared, control, intervention), True
 
 
@@ -508,15 +494,15 @@ def _poisson_rows(means: np.ndarray, width: int) -> np.ndarray:
     return np.exp(rows, out=rows)
 
 
-def _joint_cdf(
+def _joint_mass(
     cells: SizeCells, p: float, rho_s: float, lam: float, rho_u: float
 ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The cumulative law of one arm's ``(m, Y)``, with ``Y`` a cluster's
-    outcome sum, over a size law's cells, on a grid, row ``m`` after row
-    ``m``, each ``y = 0 .. width - 1``: each cell's ``F``, the last exactly
-    1.0, and its ``m`` and ``y``, each in the smallest unsigned type that
-    holds the grid's values.  None when its grid would pass
-    ``_MAX_JOINT_GRID`` cells or its sum ``_MAX_JOINT_PASSES``.
+    """The law of one arm's ``(m, Y)``, with ``Y`` a cluster's outcome sum,
+    over a size law's cells, on a grid, row ``m`` after row ``m``, each
+    ``y = 0 .. width - 1``: each cell's mass, and its ``m`` and ``y``, each
+    in the smallest unsigned type that holds the grid's values.  None when
+    its grid would pass ``_MAX_JOINT_GRID`` cells or its sum
+    ``_MAX_JOINT_PASSES``.
 
     ``P(m, y) = sum_k P(m, k) g_k(y)``, with ``P(m, k)`` of
     :func:`_nonzero_mass` and ``g_k`` the law of ``Y`` given ``K = k``: the
@@ -568,32 +554,30 @@ def _joint_cdf(
     block_rows = np.diff([lo - 1, *tops]).tolist()
     widths = np.repeat(block_width, block_rows)  # of each row m
     row_start = np.concatenate(([0], np.cumsum(widths)))
-    cdf = np.empty(row_start[-1])
+    mass = np.empty(row_start[-1])
     first = 0
     for top, rows, columns in zip(tops, block_rows, block_width):
-        out = cdf[row_start[first]:row_start[first + rows]].reshape(rows, columns)
+        out = mass[row_start[first]:row_start[first + rows]].reshape(rows, columns)
         block = nonzero[first:first + rows, :top + 1]
         np.einsum("mk,ky->my", block, g[:top + 1, :columns], out=out)
         first += rows
     del g, nonzero
-    np.cumsum(cdf, out=cdf)
-    cdf /= cdf[-1]  # the last entry is then exactly 1.0
     m = np.repeat(np.arange(lo, hi + 1, dtype=np.min_scalar_type(hi)), widths)
     # each block's rows repeat its y values, tiled in the narrow type: an
     # int64 grid of y raised a grid study's peak memory by 0.5 MB
     y = np.arange(block_width[-1], dtype=np.min_scalar_type(block_width[-1] - 1))
     y = np.concatenate([np.tile(y[:columns], rows) for rows, columns in zip(block_rows, block_width)])
-    return cdf, m, y
+    return mass, m, y
 
 
 def _joint_law(
     sizes: ClusterSizeModel, rho_s: float, rho_u: float, p: float, lam: float
 ) -> Optional[_Law]:
-    """:func:`_joint_cdf` over ``sizes``' cells as the :class:`_Law` of
+    """:func:`_joint_mass` over ``sizes``' cells as the :class:`_Law` of
     ``(m, Y)``; None when ``sizes`` has no cells, the grid is too large, or
     more than ``MAX_SIZE_CELLS`` cells can be selected."""
     cells = sizes._cells
-    grid = None if cells is None else _joint_cdf(cells, p, rho_s, lam, rho_u)
+    grid = None if cells is None else _joint_mass(cells, p, rho_s, lam, rho_u)
     return None if grid is None else _law(*grid)
 
 

@@ -584,6 +584,23 @@ def test_sweep_rows_and_manifest(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("power", ["1e-300", "0.02"])
+def test_a_power_at_most_alpha_over_2_is_a_domain_error(tmp_path, capsys, power):
+    # at 1e-300 samplesize printed N_z = 2927 and exited 0, a study
+    # reported a power of 1 and a sweep sized every row; at 0.02 a study
+    # sized 1 cluster and exited 3 with every replicate failed
+    config = design_file(tmp_path)
+    message = f"power = {float(power):g} must exceed alpha/2 = 0.025"
+    for command in (["samplesize"], ["study", "--reps", "50", "--seed", "1"]):
+        assert cli.main([command[0], "--config", config, "--set", f"power={power}", *command[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"error: {message}" in captured.err
+    assert cli.main(["sweep", "--config", config, "--set", f"power={power}", "--q", "0.3,0.5"]) == 2
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",", 1)[0] for row in rows] == ["0.3", "0.5"]
+    assert all(row.split(",", 1)[1].startswith(f',,,"{message}') for row in rows)
+
+
 def test_a_sweep_row_whose_t_sizing_fails_gives_the_error(tmp_path, capsys):
     # the row left n_t blank and its error empty; samplesize exits 2 on the design
     config = design_file(tmp_path, mu1=10, beta2=-3, p1=0.1, q=0.02)

@@ -514,13 +514,15 @@ def test_each_design_table_is_built_once_per_process(monkeypatch):
         built.append((p, lam, rho_s, rho_u))
         return fresh(cells, p, rho_s, lam, rho_u)
 
-    def counted_nonzero(cells, p, rho_s):
+    def counted_nonzero(sizes, rho_s, p):
         nonzero_built.append((p, rho_s))
-        return fresh_nonzero(cells, p, rho_s)
+        return fresh_nonzero(sizes, rho_s, p)
 
-    fresh, fresh_nonzero = simulate._joint_cdf, simulate._nonzero_cdf
-    monkeypatch.setattr(simulate, "_joint_cdf", counted)
-    monkeypatch.setattr(simulate, "_nonzero_cdf", counted_nonzero)
+    # a joint build sums _nonzero_mass too, so the laws of (m, K) are
+    # counted at their builder
+    fresh, fresh_nonzero = simulate._joint_mass, simulate._nonzero_law
+    monkeypatch.setattr(simulate, "_joint_mass", counted)
+    monkeypatch.setattr(simulate, "_nonzero_law", counted_nonzero)
     for cache in LAW_CACHES:
         cache.cache_clear()
     design = grid_design(DU_10_80, rho=0.05)
@@ -578,8 +580,8 @@ def test_a_table_walk_builds_each_arm_law_once(monkeypatch):
         built.append((cells.m.size, p, rho_s, lam, rho_u))
         return fresh(cells, p, rho_s, lam, rho_u)
 
-    fresh = simulate._joint_cdf
-    monkeypatch.setattr(simulate, "_joint_cdf", counted)
+    fresh = simulate._joint_mass
+    monkeypatch.setattr(simulate, "_joint_mass", counted)
     for cache in LAW_CACHES:
         cache.cache_clear()
     mc.reproduce_tables(["table1", "table2"], 40, seed=4)
@@ -686,16 +688,23 @@ def test_seeded_study_draws_pinned_at_an_odd_n():
     )
 
 
+MU1_5_DU_10_80 = build_design(
+    mu1=5.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.05, rho_u=0.05, cluster_sizes=DU_10_80
+)
+DU_1_400 = grid_design(ClusterSizeModel.discrete_uniform(1, 400), rho=0.05)
+
+
 @pytest.mark.parametrize("design, digest", [
     # past the joint table's grid: (m, K) from its table, then the own sums
     # and the shared parts by rng.poisson over an np.where array of two means
-    (build_design(mu1=5.0, beta2=-0.431, p1=0.5, q=0.5, rho_s=0.05, rho_u=0.05,
-                  cluster_sizes=DU_10_80),
-     "2afb672ed5c8e6a0f8172e324285a11c6d9d6d71cfd8feba030944ca48d0ba5a"),
+    (MU1_5_DU_10_80, "2afb672ed5c8e6a0f8172e324285a11c6d9d6d71cfd8feba030944ca48d0ba5a"),
     # above the size law's cell cap: size, shared zero and binomial per cluster
-    (grid_design(ClusterSizeModel.discrete_uniform(1, 400), rho=0.05),
-     "7cc0108a75dfcb140f24e3a9eed6071bcd40daa5b35ad2e4129c9bba98c09ab7"),
-], ids=["mu1-5-du10-80", "du1-400"])
+    (DU_1_400, "7cc0108a75dfcb140f24e3a9eed6071bcd40daa5b35ad2e4129c9bba98c09ab7"),
+    # their null designs: (m, K) from row 0 of the control law's slot, and
+    # the shared parts by rng.poisson at one scalar mean
+    (MU1_5_DU_10_80.under_null(), "b478b50bae970aa4b62eae231f8d911ec5e4cef6a3126fce8e5ffd2aa79b55ec"),
+    (DU_1_400.under_null(), "621cc4d8eff32105c2fb6ddab947e29648b6532658531e096993d83b76470870"),
+], ids=["mu1-5-du10-80", "du1-400", "mu1-5-du10-80-null", "du1-400-null"])
 def test_seeded_per_cluster_study_draws_pinned(design, digest):
     # the draw paths the bundled grid never takes, hashed as the test above
     # hashes the joint table's; engine version 7

@@ -1,5 +1,6 @@
 """Tests for the design variance and the sample-size rules."""
 
+import dataclasses
 import math
 import re
 
@@ -101,6 +102,22 @@ class TestSampleSizeNormal:
         for size in (sample_size_normal, sample_size_t):
             with pytest.raises(DomainError, match=re.escape(f"beta2 = {beta2} is too small")):
                 size(design)
+
+    @pytest.mark.parametrize("target", [1e-300, 0.01, 0.02, 0.025])
+    def test_a_power_at_most_alpha_over_2_is_a_domain_error(self, target):
+        # the rule inverts Phi(delta - z_{1-alpha/2}), which is alpha/2 at no
+        # clusters: below it z_{1-alpha/2} + z_power is negative and its
+        # square gave 2,927 clusters at 1e-300 and 1 cluster at 0.02
+        design = dataclasses.replace(grid_design(), power=target)
+        for size in (sample_size_normal, sample_size_t):
+            with pytest.raises(DomainError, match=f"power = {target:g} must exceed alpha/2 = 0.025"):
+                size(design)
+
+    def test_a_power_just_above_alpha_over_2_is_sized(self):
+        design = dataclasses.replace(grid_design(), power=0.03)
+        result = sample_size_normal(design)
+        assert result.n_clusters >= 1
+        assert predicted_power(design, result.n_raw, None) == pytest.approx(0.03, rel=1e-9)
 
     def test_a_count_up_to_2_53_is_sized(self):
         assert _raw_count(2.0**53, 1.0, 1.0) == 2.0**53
