@@ -99,10 +99,9 @@ ESTIMATORS = ("naive", "jackknife")
 
 
 def _logit(p: float) -> float:
+    # p is 0.0 or infer_p1_from_observed's root, which is at most 1 - 1e-9
     if p <= 0.0:
         return -math.inf
-    if p >= 1.0:
-        return math.inf
     return math.log(p / (1.0 - p))
 
 

@@ -57,12 +57,14 @@ import numpy as np
 
 from .design import ClusterSizeModel, DesignInputs, build_design, poisson_icc_limit
 from . import gee
-from .errors import ConfigError, EstimationError, StudyError
+from .errors import ConfigError, DomainError, EstimationError, StudyError
 from .gee import DF_RULES, ESTIMATORS, _check_arms, _fail, _fit_rows, _test_df, _wald_rows
 # perfbench looks fit_zip up on this module; ROADMAP item 1 deletes the import
 from .gee import fit_zip  # noqa: F401
 from .power import sample_size_normal, sample_size_t
-from .simulate import _draw_replicates, _empty_arm_message, _trial_cluster_sums, substream
+from .simulate import (
+    _draw_replicates, _empty_arm_message, _intervention_range, _trial_cluster_sums, substream,
+)
 
 _REPLICATE_TAG = 0x52455053  # distinguishes replicate-seed derivation
 _MAX_FAILURE_FRACTION = 0.01
@@ -274,7 +276,10 @@ def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
     Failed replicates (an arm absent or all-zero, in the data or after a
     Jackknife deletion, so the mean model is undefined) are excluded from
     the denominators; if they reach 1% of the replications the study
-    aborts, since the rates would no longer be trustworthy.
+    aborts, since the rates would no longer be trustworthy.  A count whose
+    balanced layouts can leave an arm fewer than 2 clusters would abort
+    it: a jackknife deletion empties that arm in half of the layouts, or in
+    all, so it raises a DomainError before anything is drawn.
 
     ``workers`` is kept only because ``perfbench/workloads.py`` passes
     ``workers=1``; any other value is a ConfigError.  ROADMAP item 1
@@ -284,6 +289,13 @@ def run_power_study(config: StudyConfig, *, workers: int = 1) -> StudyReport:
         raise ConfigError(f"workers must be 1, got {workers}")
     sizing = sample_size_t if config.use_t_sizing else sample_size_normal
     n_clusters = sizing(config.design).n_clusters
+    low, high = _intervention_range(n_clusters, config.design.r_bar)
+    fewest = min(low, n_clusters - high)
+    if fewest < 2:
+        raise DomainError(
+            f"N = {n_clusters} clusters at r_bar = {config.design.r_bar} can leave an arm "
+            f"{fewest} of them, and a study needs at least 2 in each arm"
+        )
     design = config.design.under_null() if config.null_hypothesis else config.design
     df = _test_df(config.test_df_rule, n_clusters) if config.use_t_sizing else None
     draws = simulate_study(design, n_clusters, config.replications, config.seed, df)

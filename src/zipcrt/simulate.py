@@ -410,20 +410,29 @@ def _allocate_arms(
     return arms
 
 
+def _intervention_range(n_clusters: int, r_bar: float) -> tuple[int, int]:
+    """The fewest and the most intervention clusters of a balanced layout:
+    both ``round(n * r_bar)``, except that an exact .5 remainder gives
+    ``floor(n * r_bar)`` or one more."""
+    target = n_clusters * r_bar
+    floor = math.floor(target)
+    if abs(target - floor - 0.5) < 1e-12:
+        return floor, floor + 1
+    return round(target), round(target)
+
+
 def _intervention_counts(
     n_clusters: int, r_bar: float, rng: np.random.Generator, rows: int
 ) -> np.ndarray:
     """Intervention clusters of each of ``rows`` layouts under balanced
-    allocation: ``round(n * r_bar)``, except that an exact .5 remainder
-    gives ``floor(n * r_bar)`` plus one fair draw per layout, from one
-    ``rng.random(rows)``; its first value is the double ``rng.random()``
-    draws.
+    allocation: :func:`_intervention_range`'s one count, or, at a .5 tie,
+    its fewest plus one fair draw per layout, from one ``rng.random(rows)``;
+    its first value is the double ``rng.random()`` draws.
     """
-    target = n_clusters * r_bar
-    floor = math.floor(target)
-    if abs(target - floor - 0.5) < 1e-12:
-        return floor + (rng.random(rows) < 0.5)
-    return np.full(rows, round(target))
+    low, high = _intervention_range(n_clusters, r_bar)
+    if low < high:
+        return low + (rng.random(rows) < 0.5)
+    return np.full(rows, low)
 
 
 def _empty_arm_message(n_clusters: int, r_bar: float) -> str:

@@ -103,6 +103,31 @@ def test_boundary_p_hat_warns(tmp_path, capsys):
     assert "degenerate" not in err
 
 
+def test_a_fit_with_an_arm_without_zeros_warns_that_it_is_degenerate(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    data.write_text("cluster_id,arm,y\n0,0,0\n0,0,1\n1,0,0\n1,0,2\n2,1,1\n2,1,2\n3,1,3\n3,1,1\n")
+    assert cli.main(["fit", "--data", str(data)]) == 0
+    assert "warning: degenerate fit (an arm has no zeros)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["study", "--config", "{design}", "--reps", "50", "--seed", "1", "--set", "beta2=-1.5"],
+     "study error: 1/50 replicates failed (>= 1%); first causes: removing cluster 1 leaves"),
+    (["fit", "--data", "{allzero}"],
+     "runtime error: intervention arm has all-zero outcomes; log-mean undefined"),
+    (["simulate", "--config", "{design}", "--clusters", "6", "--seed", "1", "--out", "{missing}"],
+     "i/o error: [Errno 2] No such file or directory: '{missing}'"),
+], ids=["study", "runtime", "io"])
+def test_a_failure_at_run_time_exits_3(tmp_path, capsys, argv, message):
+    (tmp_path / "allzero.csv").write_text("cluster_id,arm,y\n0,0,1\n1,0,2\n2,1,0\n3,1,0\n")
+    paths = dict(
+        design=design_file(tmp_path), allzero=tmp_path / "allzero.csv",
+        missing=tmp_path / "missing" / "data.csv",
+    )
+    assert cli.main([arg.format(**paths) for arg in argv]) == 3
+    assert capsys.readouterr().err.startswith(message.format(**paths))
+
+
 def test_fit_rejects_a_cluster_id_outside_int64(tmp_path, capsys):
     csv = tmp_path / "data.csv"
     csv.write_text("cluster_id,arm,y\n0,0,1\n9223372036854775808,1,2\n", encoding="utf-8")
@@ -178,6 +203,7 @@ def test_whole_number_floats_are_cluster_sizes(tmp_path, capsys, kind, keys):
     ("beta2=null", "beta2"),
     ("rho_u=[0.05]", "rho_u"),
     ("cluster_size.rate=true", "cluster_size.rate"),
+    ("mu1=abc", "mu1"),  # not JSON, so kept as the string 'abc'
 ])
 def test_a_design_number_that_is_not_a_json_number_is_a_config_error(
     tmp_path, capsys, setting, key
@@ -188,6 +214,32 @@ def test_a_design_number_that_is_not_a_json_number_is_a_config_error(
     )
     assert cli.main(["samplesize", "--config", config, "--set", setting]) == 2
     assert f"error: {key} must be a number, got " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["samplesize", "--config", "{absent}"], "config file not found: {absent}"),
+    (["samplesize", "--config", "{array}"], "config file {array} must contain a JSON object"),
+    (["samplesize", "--config", "{design}", "--set", "mu1"], "--set expects key=value, got 'mu1'"),
+    (["samplesize", "--config", "{design}", "--set", "mu1.lo=3"], "--set mu1.lo: mu1 is not an object"),
+    (["simulate", "--config", "{design}", "--clusters", "6", "--out", "{out}", "--seed", "-1"],
+     "--seed must be a 64-bit unsigned integer, got -1"),
+    (["simulate", "--config", "{design}", "--clusters", "6", "--out", "{out}", "--seed", str(2**64)],
+     f"--seed must be a 64-bit unsigned integer, got {2**64}"),
+    (["sweep", "--config", "{design}", "--q", "0.3,x"],
+     "--q expects a comma-separated list of numbers, got '0.3,x'"),
+    (["sweep", "--config", "{design}", "--q", " , "], "--q produced an empty list"),
+], ids=["no-config", "array-config", "set-without-=", "set-through-a-number", "seed--1",
+        "seed-2**64", "q-not-numbers", "q-empty"])
+def test_a_bad_argument_is_a_config_error(tmp_path, capsys, argv, message):
+    (tmp_path / "array.json").write_text("[1, 2]", encoding="utf-8")
+    paths = dict(
+        absent=tmp_path / "absent.json", array=tmp_path / "array.json",
+        design=design_file(tmp_path), out=tmp_path / "out.csv",
+    )
+    assert cli.main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"error: {message.format(**paths)}" in captured.err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_a_null_optional_number_is_an_absent_one(tmp_path, capsys):
@@ -599,6 +651,29 @@ def test_a_power_at_most_alpha_over_2_is_a_domain_error(tmp_path, capsys, power)
     header, *rows = capsys.readouterr().out.splitlines()
     assert [row.split(",", 1)[0] for row in rows] == ["0.3", "0.5"]
     assert all(row.split(",", 1)[1].startswith(f',,,"{message}') for row in rows)
+
+
+@pytest.mark.parametrize("power, n, fewest", [("0.03", 1, 0), ("0.1", 2, 1), ("0.2", 3, 1), ("0.25", 4, 2)])
+def test_a_study_sized_below_2_clusters_an_arm_is_a_domain_error(
+    tmp_path, capsys, monkeypatch, power, n, fewest
+):
+    # it drew every replicate and exited 3: each failed for 1 cluster, for 2
+    # (the jackknife needs 3), or for 3, whose layouts are 1 + 2 or 2 + 1,
+    # so a jackknife deletion empties an arm; now it draws nothing
+    calls = []
+    study = mc.simulate_study
+    monkeypatch.setattr(mc, "simulate_study", lambda *args: calls.append(args) or study(*args))
+    config = design_file(tmp_path, rho_s=0.03, rho_u=0.03)
+    argv = ["study", "--config", config, "--reps", "50", "--seed", "1", "--set", f"power={power}"]
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    if fewest < 2:
+        assert code == 2 and captured.out == "" and calls == []
+        assert f"error: N = {n} clusters at r_bar = 0.5 can leave an arm {fewest} of them, " \
+            "and a study needs at least 2 in each arm" in captured.err
+    else:
+        assert code == 0
+        assert f"n_clusters = {n}\n" in captured.out and "replicate_failures = 0\n" in captured.out
 
 
 def test_a_sweep_row_whose_t_sizing_fails_gives_the_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ design's config dict."""
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -123,6 +124,11 @@ class TestP2FromQ:
         with pytest.raises(DomainError):
             p2_from_q(0.5, -0.431, q)
 
+    @pytest.mark.parametrize("p1", [-0.1, 1.0])
+    def test_p1_out_of_range(self, p1):
+        with pytest.raises(DomainError, match=re.escape(f"p1 must lie in [0, 1), got {p1}")):
+            p2_from_q(p1, -0.431, 0.5)
+
     @pytest.mark.parametrize("beta2, q", [(1000.0, 1.0), (1500.0, 0.5), (709.79, 1.0)])
     def test_an_exp_that_overflows_is_a_domain_error(self, beta2, q):
         # math.exp(q * beta2) raised OverflowError past about 709.78
@@ -211,6 +217,10 @@ class TestInferP1:
             infer_p1_from_observed(-1.0, 0.5)
         with pytest.raises(DomainError):
             infer_p1_from_observed(1.0, 1.0)
+        # in (0, 1), but above the zero mass p + (1 - p) exp(-mean / (1 - p))
+        # reaches at the bisection's end p = 1 - 1e-9
+        with pytest.raises(DomainError, match="zero proportion 0.9999999999 unreachable for mean 1.0"):
+            infer_p1_from_observed(1.0, 0.9999999999)
 
 
 class TestPairwiseCovariance:
@@ -239,6 +249,12 @@ class TestPairwiseCovariance:
                         closed = pairwise_covariance_factor(arm, rho_s, rho_u)
                         oracle = enumerated_pair_covariance(mu, p, rho_s, rho_u)
                         assert closed == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("rho_s, rho_u", [(1.0, 0.03), (0.03, -0.01)])
+    def test_an_icc_out_of_range_is_a_domain_error(self, rho_s, rho_u):
+        message = f"ICCs must lie in [0, 1), got rho_s={rho_s}, rho_u={rho_u}"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            pairwise_covariance_factor(ArmProfile(1.0, 0.5), rho_s, rho_u)
 
     @pytest.mark.parametrize("p", [0.0, 0.5])
     def test_a_mean_whose_square_overflows_is_a_domain_error(self, p):
@@ -347,6 +363,8 @@ class TestClusterSizeModel:
             ClusterSizeModel.truncated_poisson(-1.0, 2, 5)
         with pytest.raises(DomainError):
             ClusterSizeModel(kind="poisson", lo=1, hi=5)
+        with pytest.raises(DomainError, match="fixed cluster size requires lo == hi"):
+            ClusterSizeModel(kind="fixed", lo=3, hi=4)
 
 
 class TestBuildDesign:
@@ -386,6 +404,23 @@ class TestBuildDesign:
             build_design(
                 beta2=-0.431, p1=0.5, rho_s=0.03, rho_u=0.03,
                 cluster_sizes=DU_34_56,
+            )
+        with pytest.raises(ConfigError, match="'mu1' must be positive, got 0.0"):
+            build_design(mu1=0.0, beta2=-0.431, p1=0.5, rho_s=0.03, rho_u=0.03, cluster_sizes=DU_34_56)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("r_bar", 0.0, "r_bar must lie strictly in (0, 1), got 0.0"),
+        ("r_bar", 1.0, "r_bar must lie strictly in (0, 1), got 1.0"),
+        ("alpha", 0.0, "alpha must lie in (0, 1), got 0.0"),
+        ("alpha", 1.0, "alpha must lie in (0, 1), got 1.0"),
+        ("power", 0.0, "power must lie in (0, 1), got 0.0"),
+        ("power", 1.0, "power must lie in (0, 1), got 1.0"),
+    ])
+    def test_a_design_level_out_of_range_is_a_domain_error(self, key, value, message):
+        with pytest.raises(DomainError, match=re.escape(message)):
+            build_design(
+                mu1=1.0, beta2=-0.431, p1=0.5, rho_s=0.03, rho_u=0.03,
+                cluster_sizes=DU_34_56, **{key: value},
             )
 
     @pytest.mark.parametrize("means, key", [
@@ -520,3 +555,22 @@ class TestDesignDict:
     def test_a_size_law_dict_holds_its_kinds_keys(self, sizes, spec):
         assert sizes.to_dict() == spec
         assert ClusterSizeModel.from_dict(spec) == sizes
+
+    @pytest.mark.parametrize("change, message", [
+        ({"bogus": 1, "mu": 1.0}, "unknown config keys: ['bogus', 'mu']"),
+        ({"beta2": None, "rho_u": None}, "missing config keys: ['beta2', 'rho_u']"),
+        ({"cluster_size": 40}, "'cluster_size' must be an object"),
+        ({"cluster_size": {"kind": "poisson", "lo": 1, "hi": 5}},
+         "cluster_size.kind must be discrete_uniform, truncated_poisson or fixed, got 'poisson'"),
+        ({"cluster_size": {"lo": 1, "hi": 5}},
+         "cluster_size.kind must be discrete_uniform, truncated_poisson or fixed, got None"),
+    ], ids=["unknown-keys", "missing-keys", "size-not-an-object", "size-kind-unknown", "size-kind-absent"])
+    def test_a_malformed_config_is_a_config_error(self, change, message):
+        config = {
+            "mu1": 1.0, "beta2": -0.431, "p1": 0.5, "rho_s": 0.03, "rho_u": 0.03,
+            "cluster_size": {"kind": "fixed", "m": 40},
+        }
+        config.update(change)
+        config = {key: value for key, value in config.items() if value is not None}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            design_from_dict(config)

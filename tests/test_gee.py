@@ -337,6 +337,9 @@ class TestWaldTest:
             wald_test(1.0, 0.0, 10, "normal")
         with pytest.raises(DomainError):
             wald_test(1.0, 1.0, 10, "wilks")
+        for alpha_level in (0.0, 1.0):
+            with pytest.raises(DomainError, match=f"alpha_level must lie in \\(0, 1\\), got {alpha_level}"):
+                wald_test(1.0, 1.0, 10, "normal", alpha_level)
 
 
 class TestFitZip:

@@ -6,6 +6,7 @@ import functools
 import hashlib
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from zipcrt import (
     DomainError,
     EstimationError,
     StudyConfig,
+    StudyError,
     TrialDataset,
     ZipCrtError,
     build_design,
@@ -25,6 +27,7 @@ from zipcrt import (
     generate_trial,
     mc,
     pairwise_covariance_factor,
+    reproduce_tables,
     run_power_study,
     sample_size_normal,
     sample_size_t,
@@ -462,6 +465,21 @@ def test_a_design_that_cannot_be_sized_raises_before_drawing(monkeypatch):
         run_power_study(config)
 
 
+@pytest.mark.parametrize("replications, aborts", [(100, True), (101, False)])
+def test_a_study_aborts_from_1_percent_of_its_replicates_failed(replications, aborts):
+    failure = ["need at least 2 clusters, got 1"] + [None] * (replications - 1)
+    values = {name: np.zeros(replications) for name in ESTIMATORS}
+    rejects = {name: np.array([f is None for f in failure]) for name in ESTIMATORS}
+    draws = mc.StudyDraws(np.zeros(replications), values, rejects, failure, {})
+    if aborts:
+        with pytest.raises(StudyError, match=re.escape(
+            "1/100 replicates failed (>= 1%); first causes: need at least 2 clusters, got 1"
+        )):
+            draws.report(10)
+    else:
+        assert draws.report(10).replicate_failures == 1
+
+
 def test_mc_standard_error_is_the_jackknifes_in_any_estimator_order(monkeypatch):
     # the SE was read from the last name of ESTIMATORS, so a new estimator
     # appended there would have taken it over; reversed, naive is last
@@ -477,6 +495,18 @@ def test_mc_standard_error_is_the_jackknifes_in_any_estimator_order(monkeypatch)
 def test_a_study_of_no_replicates_is_a_config_error(reps):
     with pytest.raises(ConfigError, match=f"replications must be >= 1, got {reps}"):
         mc.simulate_study(grid_design(), 20, reps, 0, 18)
+    with pytest.raises(ConfigError, match=f"replications must be >= 1, got {reps}"):
+        StudyConfig(grid_design(), reps)
+
+
+def test_a_study_of_an_unknown_df_rule_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"test_df_rule must be one of \('n-2', 'n-4'\), got 'n-3'"):
+        StudyConfig(grid_design(), 10, test_df_rule="n-3")
+
+
+def test_an_unknown_table_is_a_config_error():
+    with pytest.raises(ConfigError, match=r"unknown table identifiers: \['table4'\]"):
+        reproduce_tables(["table1", "table4"])
 
 
 # the caches of datasets' and studies' laws: the tables of designs whose

@@ -765,7 +765,7 @@ class TestGenerateTrial:
         drawn = simulate._intervention_counts(n, r_bar, np.random.default_rng(3), 40)
         arm = simulate._draw_replicates(design, n, np.random.default_rng(3), 40)[0]
         np.testing.assert_array_equal(arm.sum(axis=1), drawn)
-        assert set(drawn.tolist()) == counts
+        assert set(drawn.tolist()) == counts == set(simulate._intervention_range(n, r_bar))
 
     def test_bernoulli_allocation(self, config_a):
         data = generate_trial(config_a, 60, seed=15, bernoulli_allocation=True)
